@@ -196,8 +196,8 @@ def check_yd_brace(b: YDBrace) -> CheckReport:
             rhs: dict[tuple[int, int], Scalar] = {}
             for i1, i2, ci in coalg.comul[i]:
                 for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(lhs, act.act[i1][j1], harp.act[i2][j2], ci * cj)
-                    tens2_add_scaled(rhs, act.act[i2][j2], harp.act[i1][j1], ci * cj)
+                    tens2_add_scaled(lhs, act.act[i1][j1], harp.act[i2][j2], ci, cj)
+                    tens2_add_scaled(rhs, act.act[i2][j2], harp.act[i1][j1], ci, cj)
             ch.compare((i, j), lhs, rhs, pairs_text)
     rep.add(ch.entry())
     return rep
@@ -263,14 +263,14 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
             rhs: dict[tuple[int, int], Scalar] = {}
             for i1, i2, ci in coalg.comul[i]:
                 for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(rhs, left.act[i1][j1], left.act[i2][j2], ci * cj)
+                    tens2_add_scaled(rhs, left.act[i1][j1], left.act[i2][j2], ci, cj)
             ch.compare((0, i, j), lhs, rhs, pairs_text)
             ch.compare((1, i, j), coalg.eps_vec(left.act[i][j]), coalg.eps(i) * coalg.eps(j))
             lhs = coalg.comul_vec(right.act[i][j])
             rhs = {}
             for i1, i2, ci in coalg.comul[i]:
                 for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(rhs, right.act[i1][j1], right.act[i2][j2], ci * cj)
+                    tens2_add_scaled(rhs, right.act[i1][j1], right.act[i2][j2], ci, cj)
             ch.compare((2, i, j), lhs, rhs, pairs_text)
             ch.compare((3, i, j), coalg.eps_vec(right.act[i][j]), coalg.eps(i) * coalg.eps(j))
             # action axioms over the Hopf product
@@ -353,8 +353,8 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
             rhs: dict[tuple[int, int], Scalar] = {}
             for a1, a2, ca in coalg.comul[a]:
                 for b1, b2, cb in coalg.comul[b]:
-                    tens2_add_scaled(lhs, left.act[a1][b1], right.act[a2][b2], ca * cb)
-                    tens2_add_scaled(rhs, left.act[a2][b2], right.act[a1][b1], ca * cb)
+                    tens2_add_scaled(lhs, left.act[a1][b1], right.act[a2][b2], ca, cb)
+                    tens2_add_scaled(rhs, left.act[a2][b2], right.act[a1][b1], ca, cb)
             ch.compare((a, b), lhs, rhs, pairs_text)
     rep.add(ch.entry())
     return rep

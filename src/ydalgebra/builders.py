@@ -28,9 +28,7 @@ from .rota import GroupRB, GroupTable, check_group_rb
 
 
 def _coerce(field: FieldSpec, x) -> Scalar:
-    if isinstance(x, int):
-        return field.scalar(x)
-    if isinstance(x, Fraction) and field.p is not None:
+    if isinstance(x, (int, Fraction)):
         return field.scalar(x.numerator, x.denominator)
     if field.contains(x):
         return x
@@ -562,7 +560,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
                 for t, ct in img.entries.items():
                     inner = act_row(t)[j]
                     for u, cu in inner.entries.items():
-                        add_scaled_inplace(acc, row_a[u], ct * cu)
+                        add_scaled_inplace(acc, row_a[u], ct, cu)
                 res.append(Vector(dim, acc, fs))
         rows[m] = res
         return res

@@ -1,9 +1,20 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Every coefficient in the workbench is either a ``fractions.Fraction``
-(field Q) or a ``ModInt`` residue (field F_p).  Both types are immutable,
-hashable, and keep a canonical reduced form, so structural equality is
-field equality and no floating point can sneak in anywhere.
+A coefficient over Q is a plain ``int`` when its denominator is 1 and a
+``fractions.Fraction`` otherwise; over F_p it is a ``ModInt`` residue.
+Most structure constants are integers, and int arithmetic is several times
+cheaper than Fraction arithmetic, so the int form is made wherever scalars
+are made: ``FieldSpec.scalar``, ``one`` and ``zero`` (hence
+``parse_scalar``), ``inv``, the solver's back-substitution, and the
+constructors of vectors, matrices and coproduct tables, which store every
+entry in that form.  The contraction loops in ``linalg`` and ``hopf`` do Q
+arithmetic on numerators and denominators as plain ints and store the same
+canonical form, so a non-integral coefficient costs a gcd, not a chain of
+Fraction calls.  Plain operators elsewhere may still yield an integral
+Fraction; ``int`` and ``Fraction`` compare, hash and format alike, so no
+result depends on the representation.  All scalar types are immutable and
+hashable, and no floating point can sneak in: Q division always goes
+through ``Fraction``, never ``int / int``.
 """
 
 from __future__ import annotations
@@ -124,7 +135,12 @@ class ModInt:
         return f"ModInt({self.value}, p={self.p})"
 
 
-Scalar = Union[Fraction, ModInt]
+Scalar = Union[int, Fraction, ModInt]
+
+
+def canonical(s: Scalar) -> Scalar:
+    """``s`` itself, or its numerator when it is an integral Fraction."""
+    return s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
 
 
 @dataclass(frozen=True)
@@ -147,25 +163,25 @@ class FieldSpec:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.p is None else ModInt(0, self.p)
+        return 0 if self.p is None else ModInt(0, self.p)
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.p is None else ModInt(1, self.p)
+        return 1 if self.p is None else ModInt(1, self.p)
 
     def scalar(self, num: int, den: int = 1) -> Scalar:
         """Canonical field element num/den."""
         if den == 0:
             raise FieldError("zero denominator")
         if self.p is None:
-            return Fraction(num, den)
+            return canonical(Fraction(num, den))
         if den % self.p == 0:
             raise FieldError(f"denominator {den} not invertible mod {self.p}")
         return ModInt(num, self.p) / ModInt(den, self.p)
 
     def contains(self, s: Scalar) -> bool:
         if self.p is None:
-            return isinstance(s, Fraction)
+            return isinstance(s, (int, Fraction)) and not isinstance(s, bool)
         return isinstance(s, ModInt) and s.p == self.p
 
 
@@ -208,4 +224,4 @@ def inv(x: Scalar) -> Scalar:
         return x.inverse()
     if x == 0:
         raise FieldError("inversion of zero")
-    return Fraction(1) / x
+    return canonical(1 / Fraction(x))

@@ -11,16 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .field import FieldSpec, Scalar
+from .field import FieldSpec, ModInt, Scalar, canonical
 from .linalg import (
     Matrix,
     SolveResult,
     Vector,
+    _q_axpy,
+    _q_bilinear,
+    _q_product,
+    _q_ratio,
     add_scaled_inplace,
     matrix_from_columns,
     solve,
     unit_vector,
-    zero_vector,
 )
 from .report import Checker, CheckReport, pairs_text, vector_text
 
@@ -56,6 +59,9 @@ class AlgebraData:
 
     def mul_vec(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
+        if self.field.p is None:
+            _q_bilinear(acc, self.mul, u, v)
+            return Vector(self.dim, acc, self.field)
         for i, a in u.entries.items():
             row = self.mul[i]
             for j, b in v.entries.items():
@@ -104,7 +110,7 @@ class CoalgebraData:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-            norm.append([(j, k, c) for (j, k), c in sorted(acc.items())])
+            norm.append([(j, k, canonical(c)) for (j, k), c in sorted(acc.items())])
         self.comul = norm
 
     def eps(self, i: int) -> Scalar:
@@ -144,6 +150,10 @@ class CoalgebraData:
 
     def comul_vec(self, v: Vector) -> dict[tuple[int, int], Scalar]:
         acc: dict[tuple[int, int], Scalar] = {}
+        if self.field.p is None:
+            for i, c in v.entries.items():
+                _q_axpy(acc, [((j, k), s) for j, k, s in self.comul[i]], *_q_ratio(c))
+            return acc
         for i, c in v.entries.items():
             for j, k, s in self.comul[i]:
                 key = (j, k)
@@ -240,6 +250,9 @@ class ActionTensor:
 
     def apply(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
+        if self.field.p is None:
+            _q_bilinear(acc, self.act, u, v)
+            return Vector(self.target_dim, acc, self.field)
         for i, a in u.entries.items():
             row = self.act[i]
             for j, b in v.entries.items():
@@ -258,7 +271,20 @@ def tens2(u: Vector, v: Vector) -> dict[tuple[int, int], Scalar]:
     return out
 
 
-def tens2_add_scaled(acc, u: Vector, v: Vector, s: Scalar) -> None:
+def tens2_add_scaled(acc, u: Vector, v: Vector, s: Scalar,
+                     s2: Scalar | None = None, s3: Scalar | None = None) -> None:
+    """acc += s * s2 * s3 * (u (x) v), keyed by index pairs (s2, s3
+    optional); the factors are passed apart, as for ``add_scaled_inplace``."""
+    if s.__class__ is not ModInt and u.field.p is None:
+        sn, sd = _q_product(s, s2, s3)
+        if sn:
+            right = v.entries.items()
+            for i, a in u.entries.items():
+                an, ad = _q_ratio(a)
+                _q_axpy(acc, [((i, j), b) for j, b in right], an * sn, ad * sd)
+        return
+    if s2 is not None:
+        s = s * s2 if s3 is None else s * s2 * s3
     if not s:
         return
     for i, a in u.entries.items():
@@ -280,10 +306,6 @@ def is_cocommutative(c: CoalgebraData) -> bool:
         if terms != flipped:
             return False
     return True
-
-
-def apply_antipode(s_map: Matrix, v: Vector) -> Vector:
-    return s_map.apply(v)
 
 
 # --- checkers --------------------------------------------------------------
@@ -395,7 +417,7 @@ def check_hopf(h: HopfData) -> CheckReport:
             rhs: dict[tuple[int, int], Scalar] = {}
             for p, q, s in c.comul[i]:
                 for r, t, u in c.comul[j]:
-                    tens2_add_scaled(rhs, a.mul[p][r], a.mul[q][t], s * u)
+                    tens2_add_scaled(rhs, a.mul[p][r], a.mul[q][t], s, u)
             ch.compare((i, j), lhs, rhs, pairs_text)
     rep.add(ch.entry())
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .field import FieldSpec, ModInt, Scalar
+from .field import FieldSpec, ModInt, Scalar, canonical
 
 
 class LinAlgError(ValueError):
@@ -21,6 +21,20 @@ class LinAlgError(ValueError):
 
 
 _DENSE_LIMIT = 64
+
+
+def _q_stored(entries: dict) -> dict:
+    """The nonzero entries of a Q vector or matrix, integral values as ints."""
+    out = {}
+    for k, c in entries.items():
+        if c.__class__ is Fraction:
+            if c._denominator != 1:
+                out[k] = c
+                continue
+            c = c._numerator
+        if c:
+            out[k] = c
+    return out
 
 
 @dataclass
@@ -32,7 +46,10 @@ class Vector:
     field: FieldSpec
 
     def __post_init__(self):
-        self.entries = {i: c for i, c in self.entries.items() if c}
+        if self.field.p is None:
+            self.entries = _q_stored(self.entries)
+        else:
+            self.entries = {i: c for i, c in self.entries.items() if c}
         for i in self.entries:
             if not 0 <= i < self.dim:
                 raise LinAlgError(f"index {i} out of range for dim {self.dim}")
@@ -76,16 +93,93 @@ class Vector:
         )
 
 
-def zero_vector(dim: int, field: FieldSpec) -> Vector:
-    return Vector(dim, {}, field)
-
-
 def unit_vector(dim: int, i: int, field: FieldSpec) -> Vector:
     return Vector(dim, {i: field.one}, field)
 
 
-def add_scaled_inplace(acc: dict[int, Scalar], v: Vector, c: Scalar) -> None:
-    """acc += c * v on a raw entry dict; hot-loop helper."""
+_new_object = object.__new__
+
+
+def _q_axpy(acc: dict, items, cn: int, cd: int) -> None:
+    """acc[k] += w * cn/cd for every (k, w) of items, over Q.
+
+    The core of the contraction loops.  It works on numerators and
+    denominators as plain ints, with one gcd per non-integral term, so a
+    rational term costs a few int operations more than an integral one
+    instead of a chain of Fraction calls.  cn/cd need not be reduced
+    (cd > 0); what it stores is canonical: an int, or a reduced Fraction
+    built without re-normalising."""
+    for k, w in items:
+        if w.__class__ is int:
+            pn, pd = w * cn, cd
+        else:
+            pn, pd = w._numerator * cn, w._denominator * cd
+        s = acc.get(k)
+        if s is None:
+            tn, td = pn, pd
+        elif s.__class__ is int:
+            tn, td = s * pd + pn, pd
+        else:
+            sd = s._denominator
+            tn, td = s._numerator * pd + pn * sd, sd * pd
+        if td != 1:
+            g = gcd(tn, td)
+            if g != 1:
+                tn //= g
+                td //= g
+        if td != 1:
+            f = _new_object(Fraction)
+            f._numerator, f._denominator = tn, td
+            acc[k] = f
+        elif tn:
+            acc[k] = tn
+        else:
+            del acc[k]
+
+
+def _q_ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a Q scalar."""
+    return (x, 1) if x.__class__ is int else (x._numerator, x._denominator)
+
+
+def _q_bilinear(acc: dict, table: list[list[Vector]], u: Vector, v: Vector) -> None:
+    """acc += sum over i, j of u_i v_j table[i][j], over Q."""
+    right = [(j, *_q_ratio(b)) for j, b in v.entries.items()]
+    for i, a in u.entries.items():
+        an, ad = _q_ratio(a)
+        row = table[i]
+        for j, bn, bd in right:
+            _q_axpy(acc, row[j].entries.items(), an * bn, ad * bd)
+
+
+def _q_product(c, c2, c3) -> tuple[int, int]:
+    """(numerator, denominator) of c * c2 * c3 over Q, not reduced; c2 and
+    c3 may be None."""
+    n, d = _q_ratio(c)
+    for f in (c2, c3):
+        if f is None:
+            break
+        if f.__class__ is int:
+            n *= f
+        else:
+            n *= f._numerator
+            d *= f._denominator
+    return n, d
+
+
+def add_scaled_inplace(acc: dict[int, Scalar], v: Vector, c: Scalar,
+                       c2: Scalar | None = None, c3: Scalar | None = None) -> None:
+    """acc += c * c2 * c3 * v on a raw entry dict (c2, c3 optional);
+    hot-loop helper.  The factors are passed apart so that over Q their
+    product is taken on ints.  An F_p coefficient is tested first, and the
+    factors are plain parameters, so that path pays for no Q dispatch."""
+    if c.__class__ is not ModInt and v.field.p is None:
+        cn, cd = _q_product(c, c2, c3)
+        if cn:
+            _q_axpy(acc, v.entries.items(), cn, cd)
+        return
+    if c2 is not None:
+        c = c * c2 if c3 is None else c * c2 * c3
     if not c:
         return
     for i, w in v.entries.items():
@@ -107,7 +201,10 @@ class Matrix:
     field: FieldSpec
 
     def __post_init__(self):
-        self.entries = {k: c for k, c in self.entries.items() if c}
+        if self.field.p is None:
+            self.entries = _q_stored(self.entries)
+        else:
+            self.entries = {k: c for k, c in self.entries.items() if c}
         for r, c in self.entries:
             if not (0 <= r < self.rows and 0 <= c < self.cols):
                 raise LinAlgError(f"entry ({r},{c}) out of bounds")
@@ -124,8 +221,13 @@ class Matrix:
 
     def apply(self, v: Vector) -> Vector:
         out: dict[int, Scalar] = {}
+        cols = self._cols()
+        if self.field.p is None:
+            for j, coeff in v.entries.items():
+                _q_axpy(out, cols.get(j, ()), *_q_ratio(coeff))
+            return Vector(self.rows, out, self.field)
         for j, coeff in v.entries.items():
-            for (r, c), a in self._cols().get(j, ()):
+            for r, a in cols.get(j, ()):
                 s = out.get(r)
                 s = a * coeff if s is None else s + a * coeff
                 if s:
@@ -135,11 +237,12 @@ class Matrix:
         return Vector(self.rows, out, self.field)
 
     def _cols(self):
+        """Per column, its (row, entry) pairs in row order; built once."""
         cache = getattr(self, "_col_cache", None)
         if cache is None:
             cache = {}
             for (r, c), a in self.entries.items():
-                cache.setdefault(c, []).append(((r, c), a))
+                cache.setdefault(c, []).append((r, a))
             for lst in cache.values():
                 lst.sort()
             self._col_cache = cache
@@ -348,11 +451,8 @@ def _to_int_rows(rowvecs: list[dict[int, Scalar]], fs: FieldSpec) -> list[dict[i
     return out
 
 
-def _scalar(fs: FieldSpec, num, den=1) -> Scalar:
-    if fs.p is None:
-        return Fraction(num, den)
-    s = ModInt(num, fs.p)
-    return s if den == 1 else s / ModInt(den, fs.p)
+def _scalar(fs: FieldSpec, num: int) -> Scalar:
+    return num if fs.p is None else ModInt(num, fs.p)
 
 
 def _echelon(rowvecs: list[dict[int, Scalar]], ncols: int, fs: FieldSpec):
@@ -406,8 +506,10 @@ def _back_substitute(
             xv = x.get(cc)
             if xv is not None:
                 acc = acc - _scalar(fs, v) * xv
-        piv = _scalar(fs, row[c])
-        val = acc / piv
+        if fs.p is None:
+            val = canonical(Fraction(acc, row[c]))  # int / int would be a float
+        else:
+            val = acc / _scalar(fs, row[c])
         if val:
             x[c] = val
     ncols_eff = ncols if rhs_col is None else ncols - 1
@@ -477,7 +579,9 @@ def kernel(a: Matrix) -> list[Vector]:
 
 
 def invert(a: Matrix) -> Matrix | None:
-    """Exact inverse, or None when singular; A A^-1 = A^-1 A = I verified."""
+    """Exact inverse, or None when singular; A A^-1 = A^-1 A = I verified.
+
+    A failed re-check is a solver bug and raises ``LinAlgError``."""
     if a.rows != a.cols:
         raise LinAlgError("invert requires a square matrix")
     n = a.rows
@@ -505,5 +609,5 @@ def invert(a: Matrix) -> Matrix | None:
     inv_m = matrix_from_columns(cols, fs)
     ident = identity_matrix(n, fs)
     if a.compose(inv_m) != ident or inv_m.compose(a) != ident:
-        return None
+        raise LinAlgError("inverse self-check failed: A A^-1 != I")
     return inv_m

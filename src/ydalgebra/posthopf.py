@@ -138,7 +138,7 @@ def leftharpoon(s: YDPostHopf) -> ActionTensor:
                     v = sharp.apply(act.act[i1][j1])
                     v = bullet.mul_vec_basis(v, i2)
                     v = bullet.mul_vec_basis(v, j2)
-                    add_scaled_inplace(acc, v, ci * cj)
+                    add_scaled_inplace(acc, v, ci, cj)
             row.append(Vector(d, acc, s.field))
         rows.append(row)
     out = ActionTensor(d, d, rows, s.field)
@@ -219,7 +219,7 @@ def _pdelta_rhs(s: YDPostHopf, i: int, j: int, memo: dict) -> dict:
             if v3 is None:
                 v3 = alg.mul_basis_vec(a, act.apply_basis(b, beta.act[e][p]))
                 fused[p] = v3
-            tens2_add_scaled(rhs, v3, alg.mul[c3][q], sc * t)
+            tens2_add_scaled(rhs, v3, alg.mul[c3][q], sc, t)
     return rhs
 
 
@@ -257,7 +257,7 @@ def check_yd_post_hopf(s: YDPostHopf, stop_on_fail: bool = False) -> CheckReport
             rhs: dict[tuple[int, int], Scalar] = {}
             for i1, i2, ci in coalg.comul[i]:
                 for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(rhs, act.act[i1][j1], act.act[i2][j2], ci * cj)
+                    tens2_add_scaled(rhs, act.act[i1][j1], act.act[i2][j2], ci, cj)
             ch.compare((i, j, 0), lhs, rhs, pairs_text)
             ch.compare((i, j, 1), coalg.eps_vec(act.act[i][j]), coalg.eps(i) * coalg.eps(j))
             ch.compare((i, j, 2), coalg.eps_vec(alg.mul[i][j]), coalg.eps(i) * coalg.eps(j))
@@ -387,8 +387,8 @@ def check_yd_post_hopf(s: YDPostHopf, stop_on_fail: bool = False) -> CheckReport
                 rhs: dict[tuple[int, int], Scalar] = {}
                 for i1, i2, ci in coalg.comul[i]:
                     for j1, j2, cj in coalg.comul[j]:
-                        tens2_add_scaled(lhs, act.act[i1][j1], harp.act[i2][j2], ci * cj)
-                        tens2_add_scaled(rhs, act.act[i2][j2], harp.act[i1][j1], ci * cj)
+                        tens2_add_scaled(lhs, act.act[i1][j1], harp.act[i2][j2], ci, cj)
+                        tens2_add_scaled(rhs, act.act[i2][j2], harp.act[i1][j1], ci, cj)
                 ch.compare((i, j), lhs, rhs, pairs_text)
         rep.add(ch.entry())
         if bail():
@@ -428,8 +428,8 @@ def check_yd_post_hopf(s: YDPostHopf, stop_on_fail: bool = False) -> CheckReport
             rhs_b: dict[tuple[int, int], Scalar] = {}
             for i1, i2, ci in coalg.comul[i]:
                 for p, q, t in coalg.comul[j]:
-                    tens2_add_scaled(rhs_a, act.act[i1][p], act.act[i2][q], ci * t)
-                    tens2_add_scaled(rhs_b, beta.act[i2][p], beta.act[i1][q], ci * t)
+                    tens2_add_scaled(rhs_a, act.act[i1][p], act.act[i2][q], ci, t)
+                    tens2_add_scaled(rhs_b, beta.act[i2][p], beta.act[i1][q], ci, t)
             ch_da.compare((i, j), lhs_a, rhs_a, pairs_text)
             ch_db.compare((i, j), lhs_b, rhs_b, pairs_text)
     rep.add(ch_da.entry())
@@ -565,7 +565,7 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
             rhs: dict[tuple[int, int], Scalar] = {}
             for i1, i2, ci in coalg.comul[i]:
                 for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(rhs, act.act[i1][j1], act.act[i2][j2], ci * cj)
+                    tens2_add_scaled(rhs, act.act[i1][j1], act.act[i2][j2], ci, cj)
             ch.compare((i, j, 0), lhs, rhs, pairs_text)
             ch.compare((i, j, 1), coalg.eps_vec(act.act[i][j]), coalg.eps(i) * coalg.eps(j))
     rep.add(ch.entry())
@@ -582,7 +582,7 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
                     u = bullet.mul[a1][b1]
                     u = bullet.mul_vec(u, sharp.column(b3))
                     u = bullet.mul_vec(u, sharp.column(a3))
-                    tens2_add_scaled(rhs, u, act.act[a2][b2], ca * cb)
+                    tens2_add_scaled(rhs, u, act.act[a2][b2], ca, cb)
             ch.compare((a, b), lhs, rhs, pairs_text)
     rep.add(ch.entry())
 
@@ -599,7 +599,7 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
                     sig_col = sigma.column(a2 * d + b1)
                     for idx, cs in sig_col.entries.items():
                         p, q = divmod(idx, d)
-                        tens2_add_scaled(mid, alg.mul[a1][p], alg.mul[q][b2], ca * cb * cs)
+                        tens2_add_scaled(mid, alg.mul[a1][p], alg.mul[q][b2], ca, cb, cs)
             ok = ch.compare((a, b, 0), lhs, mid, pairs_text)
             if ok:
                 ch.compare((a, b, 1), mid, _pdelta_rhs(s, a, b, memo), pairs_text)
@@ -618,7 +618,7 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
                     u = bullet.mul_basis_vec(a1, sharp.column(a3))
                     u = bullet.mul_vec_basis(u, b1)
                     u = bullet.mul_vec(u, sharp.column(b3))
-                    tens2_add_scaled(rhs, u, alg.mul[a2][b2], ca * cb)
+                    tens2_add_scaled(rhs, u, alg.mul[a2][b2], ca, cb)
             ch.compare((a, b), lhs, rhs, pairs_text)
     rep.add(ch.entry())
     return rep
@@ -685,14 +685,14 @@ class PostLieData:
         acc: dict[int, Scalar] = {}
         for i, a in u.entries.items():
             for j, b in v.entries.items():
-                add_scaled_inplace(acc, self.bracket[i][j], a * b)
+                add_scaled_inplace(acc, self.bracket[i][j], a, b)
         return Vector(self.dim, acc, self.field)
 
     def act_vec(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
         for i, a in u.entries.items():
             for j, b in v.entries.items():
-                add_scaled_inplace(acc, self.action[i][j], a * b)
+                add_scaled_inplace(acc, self.action[i][j], a, b)
         return Vector(self.dim, acc, self.field)
 
 
@@ -800,7 +800,7 @@ def check_post_lie(p: PostLieData) -> CheckReport:
         acc: dict[int, Scalar] = {}
         for i, a in u.entries.items():
             for j, b in v.entries.items():
-                add_scaled_inplace(acc, sub[i][j], a * b)
+                add_scaled_inplace(acc, sub[i][j], a, b)
         return Vector(d, acc, fs)
 
     rep.add(jacobi(sub_br, "PL-SUB").entry())

@@ -199,9 +199,9 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
             for (a1, a2, a3), ca in legs_a:
                 for (b1, b2, b3), cb in legs_b:
                     u, v = rb2_term((a1, a2, a3), (b1, b2, b3))
-                    tens2_add_scaled(lhs, u, v, ca * cb)
+                    tens2_add_scaled(lhs, u, v, ca, cb)
                     u, v = rb2_term((a2, a3, a1), (b2, b3, b1))
-                    tens2_add_scaled(rhs, u, v, ca * cb)
+                    tens2_add_scaled(rhs, u, v, ca, cb)
             ch.compare((a, b), lhs, rhs, pairs_text)
     rep.add(ch.entry())
 
@@ -264,7 +264,7 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
             rhs: dict[tuple[int, int], Scalar] = {}
             for i1, i2, ci in hco.comul[i]:
                 for a1, a2, ca in kco.comul[a]:
-                    tens2_add_scaled(rhs, act.act[i1][a1], act.act[i2][a2], ci * ca)
+                    tens2_add_scaled(rhs, act.act[i1][a1], act.act[i2][a2], ci, ca)
             ch.compare((3, i, a, 0), lhs, rhs, pairs_text)
             ch.compare((3, i, a, 1), kco.eps_vec(act.act[i][a]), hco.eps(i) * kco.eps(a))
 
@@ -321,7 +321,7 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
             rhs: dict[tuple[int, int], Scalar] = {}
             for p1, q1, c1 in terms_a:
                 for p2, q2, c2 in _coact_terms(rho, dk, b):
-                    tens2_add_scaled(rhs, halg.mul[p1][p2], kalg.mul[q1][q2], c1 * c2)
+                    tens2_add_scaled(rhs, halg.mul[p1][p2], kalg.mul[q1][q2], c1, c2)
             ch.compare((5, a, b), lhs, rhs, pairs_text)
     unit_rho: dict[tuple[int, int], Scalar] = {}
     for t, c in kalg.unit.entries.items():
@@ -393,7 +393,7 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
                 for p, q, cp in _coact_terms(rho, dk, a):
                     u = halg.mul_basis_vec(i1, unit_vector(dh, p, fs))
                     u = halg.mul_vec(u, smap.column(i3))
-                    tens2_add_scaled(rhs, u, act.act[i2][q], ci * cp)
+                    tens2_add_scaled(rhs, u, act.act[i2][q], ci, cp)
             ch.compare((7, i, a), lhs, rhs, pairs_text)
 
     # 8. braided bialgebra: Delta(a.b) = a_1 . (a_2(-1) >- b_1) (x) a_2(0) . b_2
@@ -406,7 +406,7 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
                     for p, q, cp in _coact_terms(rho, dk, a2):
                         w = act.apply_basis(p, unit_vector(dk, b1, fs))
                         u = kalg.mul_basis_vec(a1, w)
-                        tens2_add_scaled(rhs, u, kalg.mul[q][b2], ca * cb * cp)
+                        tens2_add_scaled(rhs, u, kalg.mul[q][b2], ca, cb, cp)
             ch.compare((8, a, b, 0), lhs, rhs, pairs_text)
             ch.compare((8, a, b, 1), kco.eps_vec(kalg.mul[a][b]), kco.eps(a) * kco.eps(b))
     udelta = kco.comul_vec(kalg.unit)
@@ -735,7 +735,7 @@ class LieData:
         acc: dict[int, Scalar] = {}
         for i, a in u.entries.items():
             for j, b in v.entries.items():
-                add_scaled_inplace(acc, self.bracket[i][j], a * b)
+                add_scaled_inplace(acc, self.bracket[i][j], a, b)
         return Vector(self.dim, acc, self.field)
 
 

@@ -558,6 +558,8 @@ def _parse_grouprb(lines: _Lines) -> GroupRB:
 
     def table(prefix: str) -> GroupTable:
         ln, args = lines.single(prefix + "order")
+        if len(args) != 1:
+            raise ParseError(f"{prefix}order takes one argument", ln)
         n = _parse_int(args[0], ln, what="order")
         got = lines.single(prefix + "elems")
         labels = got[1]

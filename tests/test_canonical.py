@@ -1,0 +1,152 @@
+"""Integer-first Q scalars: an integral rational is a plain int.
+
+Wherever scalars are made (parsing, the field constants, inversion, the
+solver, the builders) a Q scalar with denominator 1 is an ``int`` and never
+a ``Fraction``, and no ``float`` appears anywhere.
+"""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from test_linalg import qmat, qvec
+from ydalgebra.builders import (
+    build_adjoint,
+    build_en,
+    build_group_rb_linearization,
+    build_suzuki,
+    build_sweedler,
+    build_trivial,
+    cyclic_group,
+    group_algebra,
+    group_rb_inversion,
+    sweedler_hopf,
+    symmetric_group_3,
+)
+from ydalgebra.field import RATIONALS, inv, parse_scalar
+from ydalgebra.hopf import AlgebraData, CoalgebraData, tens2_add_scaled
+from ydalgebra.linalg import Matrix, Vector, add_scaled_inplace, invert, kernel, solve
+
+F = Fraction
+
+
+def _non_canonical(obj, seen=None):
+    """Every float, bool or integral Fraction reachable from ``obj``, not
+    counting private caches such as a coalgebra's iterated-coproduct legs."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, (Vector, Matrix)):
+        obj = obj.entries
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [bad for x in obj for bad in _non_canonical(x, seen)]
+    if dataclasses.is_dataclass(obj):
+        return [bad for f in dataclasses.fields(obj) if not f.name.startswith("_")
+                for bad in _non_canonical(getattr(obj, f.name), seen)]
+    if isinstance(obj, (float, bool)) or (isinstance(obj, Fraction) and obj.denominator == 1):
+        return [obj]
+    return []
+
+
+def test_made_scalars_are_ints_when_integral():
+    assert type(parse_scalar("4/2", RATIONALS)) is int
+    assert type(parse_scalar("-3", RATIONALS)) is int
+    assert type(parse_scalar("3/6", RATIONALS)) is Fraction
+    assert type(RATIONALS.one) is int and type(RATIONALS.zero) is int
+    assert type(RATIONALS.scalar(6, 3)) is int
+    assert type(inv(F(1, 2))) is int and type(inv(2)) is Fraction
+
+
+def test_contains_accepts_int_and_rejects_bool_and_float():
+    assert RATIONALS.contains(3)
+    assert RATIONALS.contains(F(1, 2))
+    assert not RATIONALS.contains(True)
+    assert not RATIONALS.contains(1.0)
+
+
+def test_solver_outputs_are_canonical():
+    a = qmat([[F(1, 2), 0, 1], [0, F(1, 3), 1]])
+    res = solve(a, qvec([1, 1]))
+    assert res.solution.entries == {0: 2, 1: 3}
+    assert res.kernel and not _non_canonical(res)
+    assert not _non_canonical(kernel(qmat([[F(1, 2), 1], [1, 2]])))
+    inverse = invert(qmat([[F(1, 2), 0], [F(3, 2), 2]]))
+    assert inverse.entries == {(0, 0): 2, (1, 0): F(-3, 2), (1, 1): F(1, 2)}
+    assert not _non_canonical(inverse)
+
+
+Q_BUILDERS = {
+    "sweedler": lambda: build_sweedler(F(1, 2)),
+    "en2": lambda: build_en(2, [[F(1, 2), F(1, 3)], [F(1, 3), 2]]),
+    "en2-int-fractions": lambda: build_en(2, [[F(1), F(1, 2)], [F(1, 2), F(3)]]),
+    "suzuki": lambda: build_suzuki(F(1), F(-1)),
+    "adjoint": lambda: build_adjoint(group_algebra(cyclic_group(3))),
+    "grouprb": lambda: build_group_rb_linearization(group_rb_inversion(symmetric_group_3())),
+    "trivial": build_trivial,
+    "h4": sweedler_hopf,
+    "group-s3": lambda: group_algebra(symmetric_group_3()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_BUILDERS))
+def test_builder_tensors_are_canonical(name):
+    assert _non_canonical(Q_BUILDERS[name]()) == []
+
+
+# Q scalars as the contraction loops meet them: ints, reduced Fractions, and
+# integral or unreduced Fractions that a caller built by hand.
+_Q = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+_QVEC = st.dictionaries(st.integers(0, 3), _Q, max_size=4)
+
+
+def _naive(pairs):
+    """Sum of (key, value) pairs with plain Fraction arithmetic, zeros dropped."""
+    acc = {}
+    for k, v in pairs:
+        acc[k] = acc.get(k, F(0)) + F(v)
+    return {k: v for k, v in acc.items() if v}
+
+
+def _exact(got, want):
+    assert got == want
+    assert not _non_canonical(got)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_QVEC, _QVEC, _QVEC, st.lists(_Q, min_size=1, max_size=3))
+def test_q_contractions_match_fraction_arithmetic(start, u_raw, v_raw, coeffs):
+    """The int-based Q paths of the hot helpers give the exact Fraction
+    result, in canonical form, whatever form their inputs take."""
+    u, v = Vector(4, u_raw, RATIONALS), Vector(4, v_raw, RATIONALS)
+    start = Vector(4, start, RATIONALS).entries  # what an accumulator holds
+    c = F(1)
+    for x in coeffs:
+        c *= x
+    acc = dict(start)
+    add_scaled_inplace(acc, u, *coeffs)
+    _exact(acc, _naive([*start.items(), *((i, c * w) for i, w in u_raw.items())]))
+
+    acc = {(k, k): s for k, s in start.items()}
+    tens2_add_scaled(acc, u, v, *coeffs)
+    _exact(acc, _naive([*(((k, k), s) for k, s in start.items()),
+                        *(((i, j), c * a * b) for i, a in u_raw.items() for j, b in v_raw.items())]))
+
+    m = Matrix(4, 4, {(r, k): w for k, w in v_raw.items() for r in range(4) if (r + k) % 2}, RATIONALS)
+    _exact(m.apply(u).entries, _naive(((r, w * u_raw.get(k, 0)) for (r, k), w in m.entries.items())))
+
+    table = [[Vector(4, {(i + j) % 4: F(i + 1, j + 2)}, RATIONALS) for j in range(4)] for i in range(4)]
+    alg = AlgebraData(4, ["a", "b", "c", "d"], table, Vector(4, {0: 1}, RATIONALS), RATIONALS)
+    _exact(alg.mul_vec(u, v).entries,
+           _naive(((k, a * b * w) for i, a in u_raw.items() for j, b in v_raw.items()
+                   for k, w in table[i][j].entries.items())))
+
+    comul = [[(i, j, F(j + 1, i + 2)) for j in range(4) if (i + j) % 3] for i in range(4)]
+    coalg = CoalgebraData(4, comul, Vector(4, {0: 1}, RATIONALS), RATIONALS)
+    _exact(coalg.comul_vec(u), _naive((((j, k), a * s) for i, a in u_raw.items()
+                                       for j, k, s in coalg.comul[i])))

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from ydalgebra.builders import group_rb_inversion, symmetric_group_3
 from ydalgebra.cli import main
+from ydalgebra.structio import emit
 
 
 def run_cli(argv):
@@ -66,6 +68,18 @@ def test_check_empty_file_is_input_error(tmp_path):
     code, _, err = run_cli(["check", str(empty)])
     assert code == 2
     assert "kind" in err
+
+
+@pytest.mark.parametrize("header", ["gorder", "horder"])
+def test_check_bare_order_header_is_input_error(tmp_path, header):
+    text = emit(group_rb_inversion(symmetric_group_3()))
+    ln = next(i for i, line in enumerate(text.splitlines(), start=1) if line.split()[0] == header)
+    path = tmp_path / "grb.struct"
+    path.write_text(text.replace(f"{header} 6\n", f"{header}\n"))
+    code, out, err = run_cli(["check", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line {ln}: {header} takes one argument\n"
 
 
 def test_check_missing_file_is_input_error(tmp_path):

@@ -1,0 +1,134 @@
+"""Byte-exact golden outputs: emitted files and machine reports.
+
+Every file under ``tests/golden/`` was written by ``write_golden`` and is
+compared here byte for byte, so a change to the scalar representation, the
+contraction loops or the emitters cannot alter what users see.  Regenerate
+with ``PYTHONPATH=src python tests/test_golden.py`` only when an output
+change is intended, and review the diff.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from test_cli import run_cli
+from ydalgebra.builders import group_rb_inversion, symmetric_group_3
+from ydalgebra.structio import emit
+
+GOLDEN = Path(__file__).parent / "golden"
+
+EXAMPLES = {
+    "sweedler": ["sweedler", "--k", "1"],
+    "en2": ["en", "--n", "2", "--A", "1,1/2;1/2,3"],
+    "en3": ["en", "--n", "3", "--A", "1,1/2,0;1/2,1,0;0,0,2"],
+    "suzuki": ["suzuki", "--alpha", "1", "--beta", "-1"],
+    "h4": ["h4"],
+    "group-s3": ["group", "--group", "s3"],
+    "grouprb-s3": ["grouprb", "--group", "s3"],
+}
+FIELDS = {"q": "Q", "f7": "Fp:7"}
+DERIVED = ("brace", "matchedpair", "rb_l")  # from sweedler-q
+
+# failing mutant per kind: (base golden file, directive whose last line changes)
+MUTANTS = {
+    "ydpost-q": ("sweedler-q", "action"),
+    "ydpost-f7": ("sweedler-f7", "action"),
+    "hopf-q": ("h4-q", "antipode"),
+    "ydbrace-q": ("sweedler-q-brace", "bullet"),
+    "matchedpair-q": ("sweedler-q-matchedpair", "raction"),
+    "relrb-q": ("sweedler-q-rb_l", "rmap"),
+    "grouprb": ("s3-inversion", "phi"),
+}
+
+
+def _example(name: str, field: str, out: Path) -> None:
+    code, _, _ = run_cli(["example", *EXAMPLES[name], "--field", FIELDS[field],
+                          "--out", str(out)])
+    assert code == 0
+
+
+def _check(path: Path) -> tuple[int, str]:
+    code, out, _ = run_cli(["check", str(path), "--report", "machine"])
+    return code, out
+
+
+def _mutate(text: str, directive: str) -> str:
+    """Change the last ``directive`` line: a coefficient gains 1/2 over Q
+    and doubles over F_p; a group table index moves to the next element."""
+    lines = text.splitlines()
+    i = max(j for j, line in enumerate(lines) if line.split()[0] == directive)
+    parts = lines[i].split()
+    if lines[0] == "kind grouprb":
+        parts[-1] = str((int(parts[-1]) + 1) % 6)  # the base table is S3
+    elif "field Fp 7" in lines:
+        parts[-1] = str(int(parts[-1]) * 2 % 7)
+    else:
+        parts[-1] = str(Fraction(parts[-1]) + Fraction(1, 2) or 1)
+    lines[i] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def _mutant_text(name: str) -> str:
+    base, directive = MUTANTS[name]
+    return _mutate((GOLDEN / f"{base}.struct").read_text(), directive)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_emit_and_report_bytes(tmp_path, name, field):
+    stem = f"{name}-{field}"
+    out = tmp_path / f"{stem}.struct"
+    _example(name, field, out)
+    assert out.read_bytes() == (GOLDEN / f"{stem}.struct").read_bytes()
+    code, report = _check(out)
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{stem}.report").read_bytes()
+
+
+@pytest.mark.parametrize("target", DERIVED)
+def test_derived_emit_bytes(tmp_path, target):
+    out = tmp_path / "derived.struct"
+    code, _, _ = run_cli(["derive", str(GOLDEN / "sweedler-q.struct"),
+                          "--target", target, "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"sweedler-q-{target}.struct").read_bytes()
+
+
+def test_grouprb_emit_bytes():
+    text = emit(group_rb_inversion(symmetric_group_3()))
+    assert text.encode() == (GOLDEN / "s3-inversion.struct").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_report_bytes(tmp_path, name):
+    path = tmp_path / "mutant.struct"
+    path.write_text(_mutant_text(name))
+    code, report = _check(path)
+    assert code == 1
+    assert report.encode() == (GOLDEN / f"mutant-{name}.report").read_bytes()
+
+
+def write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in EXAMPLES:
+        for field in FIELDS:
+            path = GOLDEN / f"{name}-{field}.struct"
+            _example(name, field, path)
+            path.with_suffix(".report").write_text(_check(path)[1])
+    for target in DERIVED:
+        code, _, _ = run_cli(["derive", str(GOLDEN / "sweedler-q.struct"), "--target", target,
+                              "--out", str(GOLDEN / f"sweedler-q-{target}.struct")])
+        assert code == 0
+    (GOLDEN / "s3-inversion.struct").write_text(emit(group_rb_inversion(symmetric_group_3())))
+    for name in MUTANTS:
+        path = GOLDEN / "mutant.tmp"
+        path.write_text(_mutant_text(name))
+        code, report = _check(path)
+        path.unlink()
+        assert code == 1, name
+        (GOLDEN / f"mutant-{name}.report").write_text(report)
+
+
+if __name__ == "__main__":
+    write_golden()

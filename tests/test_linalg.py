@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ydalgebra import linalg
 from ydalgebra.field import RATIONALS, FieldSpec, ModInt
 from ydalgebra.linalg import (
     LinAlgError,
@@ -102,6 +103,18 @@ def test_invert_upper_triangular():
 
 def test_invert_singular():
     assert invert(qmat([[1, 1], [1, 1]])) is None
+
+
+def test_invert_failed_self_check_raises(monkeypatch):
+    real = linalg._back_substitute
+
+    def corrupted(*args, **kwargs):
+        x = real(*args, **kwargs)
+        return x.add(unit_vector(x.dim, 0, x.field))
+
+    monkeypatch.setattr(linalg, "_back_substitute", corrupted)
+    with pytest.raises(LinAlgError, match="self-check"):
+        invert(qmat([[1, 1], [0, 1]]))
 
 
 def test_solve_deterministic():
