@@ -28,7 +28,10 @@ EXAMPLES = {
     "grouprb-s3": ["grouprb", "--group", "s3"],
 }
 FIELDS = {"q": "Q", "f7": "Fp:7"}
-DERIVED = ("brace", "matchedpair", "rb_l")  # from sweedler-q
+DERIVE_TARGETS = ("subadjacent", "postlie", "brace", "matchedpair", "rb_l")
+# (source golden, target); the sweedler-q ids are the bare target names
+DERIVED = [(f"sweedler-{field}", target) for field in FIELDS for target in DERIVE_TARGETS]
+DERIVED_IDS = [t if s == "sweedler-q" else f"{s.split('-')[1]}-{t}" for s, t in DERIVED]
 
 # failing mutant per kind: (base golden file, directive whose last line changes)
 MUTANTS = {
@@ -86,13 +89,21 @@ def test_example_emit_and_report_bytes(tmp_path, name, field):
     assert report.encode() == (GOLDEN / f"{stem}.report").read_bytes()
 
 
-@pytest.mark.parametrize("target", DERIVED)
-def test_derived_emit_bytes(tmp_path, target):
-    out = tmp_path / "derived.struct"
-    code, _, _ = run_cli(["derive", str(GOLDEN / "sweedler-q.struct"),
+def _derive(source: str, target: str, out: Path) -> None:
+    code, _, _ = run_cli(["derive", str(GOLDEN / f"{source}.struct"),
                           "--target", target, "--out", str(out)])
     assert code == 0
-    assert out.read_bytes() == (GOLDEN / f"sweedler-q-{target}.struct").read_bytes()
+
+
+@pytest.mark.parametrize(("source", "target"), DERIVED, ids=DERIVED_IDS)
+def test_derived_emit_bytes(tmp_path, source, target):
+    stem = f"{source}-{target}"
+    out = tmp_path / f"{stem}.struct"
+    _derive(source, target, out)
+    assert out.read_bytes() == (GOLDEN / f"{stem}.struct").read_bytes()
+    code, report = _check(out)
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{stem}.report").read_bytes()
 
 
 def test_grouprb_emit_bytes():
@@ -116,10 +127,10 @@ def write_golden() -> None:
             path = GOLDEN / f"{name}-{field}.struct"
             _example(name, field, path)
             path.with_suffix(".report").write_text(_check(path)[1])
-    for target in DERIVED:
-        code, _, _ = run_cli(["derive", str(GOLDEN / "sweedler-q.struct"), "--target", target,
-                              "--out", str(GOLDEN / f"sweedler-q-{target}.struct")])
-        assert code == 0
+    for source, target in DERIVED:
+        path = GOLDEN / f"{source}-{target}.struct"
+        _derive(source, target, path)
+        path.with_suffix(".report").write_text(_check(path)[1])
     (GOLDEN / "s3-inversion.struct").write_text(emit(group_rb_inversion(symmetric_group_3())))
     for name in MUTANTS:
         path = GOLDEN / "mutant.tmp"
