@@ -13,6 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .field import FieldSpec, ModInt, Scalar, canonical
 from .linalg import (
+    LinAlgError,
     Matrix,
     SolveResult,
     Vector,
@@ -20,6 +21,7 @@ from .linalg import (
     _q_bilinear,
     _q_product,
     _q_ratio,
+    _vector,
     add_scaled_inplace,
     matrix_from_columns,
     solve,
@@ -53,6 +55,8 @@ class AlgebraData:
         for row in self.mul:
             if len(row) != self.dim:
                 raise StructureError("multiplication tensor is not square")
+            if any(v.dim != self.dim for v in row):
+                raise StructureError("product vector dimension mismatch")
 
     def mul_basis(self, i: int, j: int) -> Vector:
         return self.mul[i][j]
@@ -61,25 +65,25 @@ class AlgebraData:
         acc: dict[int, Scalar] = {}
         if self.field.p is None:
             _q_bilinear(acc, self.mul, u, v)
-            return Vector(self.dim, acc, self.field)
+            return _vector(self.dim, acc, self.field)
         for i, a in u.entries.items():
             row = self.mul[i]
             for j, b in v.entries.items():
                 add_scaled_inplace(acc, row[j], a * b)
-        return Vector(self.dim, acc, self.field)
+        return _vector(self.dim, acc, self.field)
 
     def mul_basis_vec(self, i: int, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
         row = self.mul[i]
         for j, b in v.entries.items():
             add_scaled_inplace(acc, row[j], b)
-        return Vector(self.dim, acc, self.field)
+        return _vector(self.dim, acc, self.field)
 
     def mul_vec_basis(self, v: Vector, j: int) -> Vector:
         acc: dict[int, Scalar] = {}
         for i, a in v.entries.items():
             add_scaled_inplace(acc, self.mul[i][j], a)
-        return Vector(self.dim, acc, self.field)
+        return _vector(self.dim, acc, self.field)
 
 
 @dataclass
@@ -231,7 +235,7 @@ class ActionTensor:
         if len(self.act) != self.acting_dim:
             raise StructureError("action tensor acting dimension mismatch")
         for row in self.act:
-            if len(row) != self.target_dim:
+            if len(row) != self.target_dim or any(v.dim != self.target_dim for v in row):
                 raise StructureError("action tensor target dimension mismatch")
 
     def matrix(self, i: int) -> Matrix:
@@ -246,18 +250,18 @@ class ActionTensor:
         row = self.act[i]
         for j, c in v.entries.items():
             add_scaled_inplace(acc, row[j], c)
-        return Vector(self.target_dim, acc, self.field)
+        return _vector(self.target_dim, acc, self.field)
 
     def apply(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
         if self.field.p is None:
             _q_bilinear(acc, self.act, u, v)
-            return Vector(self.target_dim, acc, self.field)
+            return _vector(self.target_dim, acc, self.field)
         for i, a in u.entries.items():
             row = self.act[i]
             for j, b in v.entries.items():
                 add_scaled_inplace(acc, row[j], a * b)
-        return Vector(self.target_dim, acc, self.field)
+        return _vector(self.target_dim, acc, self.field)
 
 
 # --- small tensor helpers -------------------------------------------------
@@ -465,7 +469,9 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
     """Unique g with f*g = g*f = unit*counit, solved as a linear system.
 
     Both convolution identities are re-verified before returning; None when
-    the system is inconsistent (f is not convolution invertible).
+    the system is inconsistent (f is not convolution invertible).  The system
+    holds both identities, so a failed re-check is a bug and raises
+    ``LinAlgError``.
     """
     d = c.dim
     fs = a.field
@@ -539,7 +545,7 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
     )
     ue = unit_counit_map(c, a)
     if convolution(f, g, c, a) != ue or convolution(g, f, c, a) != ue:
-        return None
+        raise LinAlgError("convolution inverse self-check failed: f*g or g*f != unit*counit")
     return g
 
 
@@ -556,7 +562,11 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
 
     The defining system in dim^3 unknowns splits into independent blocks per
     target basis vector; both compositions are verified on the assembled
-    tensor before returning.
+    tensor before returning.  The system holds alpha*beta only.  Over a
+    coassociative, counital C, Hom(C, End(H)) is a finite-dimensional
+    algebra, where a one-sided inverse is two-sided; so a failed re-check
+    there is a bug and raises ``LinAlgError``.  Over a C that fails those
+    axioms, beta*alpha can fail for real, and beta is None.
     """
     d = c.dim
     fs = alpha.field
@@ -606,17 +616,26 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
             }
             beta_cols[z][y] = Vector(d, entries, fs)
     beta = ActionTensor(d, d, [list(col) for col in beta_cols], fs)
-    if not _verify_endo_inverse(alpha, beta, c):
+    left_ok, right_ok = _verify_endo_inverse(alpha, beta, c)
+    if not left_ok:
+        raise LinAlgError("convolution inverse self-check failed: alpha*beta != eps Id")
+    if not right_ok:
+        if check_coalgebra(c).all_pass():
+            raise LinAlgError("convolution inverse self-check failed: beta*alpha != eps Id")
         return EndoInverse(None, kernel_total)
     return EndoInverse(beta, kernel_total)
 
 
-def _verify_endo_inverse(alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData) -> bool:
+def _verify_endo_inverse(
+    alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData
+) -> tuple[bool, bool]:
+    """Whether alpha*beta and beta*alpha each equal eps Id."""
     d = c.dim
     fs = alpha.field
     from .linalg import identity_matrix
 
     ident = identity_matrix(d, fs)
+    left_ok = right_ok = True
     for x in range(d):
         acc1 = Matrix(d, d, {}, fs)
         acc2 = Matrix(d, d, {}, fs)
@@ -624,9 +643,9 @@ def _verify_endo_inverse(alpha: ActionTensor, beta: ActionTensor, c: CoalgebraDa
             acc1 = acc1.add(alpha.matrix(x1).compose(beta.matrix(x2)).scale(s))
             acc2 = acc2.add(beta.matrix(x1).compose(alpha.matrix(x2)).scale(s))
         target = ident.scale(c.eps(x))
-        if acc1 != target or acc2 != target:
-            return False
-    return True
+        left_ok = left_ok and acc1 == target
+        right_ok = right_ok and acc2 == target
+    return left_ok, right_ok
 
 
 def solve_antipode(a: AlgebraData, c: CoalgebraData) -> Matrix | None:

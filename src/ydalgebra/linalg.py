@@ -5,6 +5,13 @@ on dense systems below 64 columns, cross-multiplication with row-content
 reduction on sparse ones) and plain modular elimination over F_p.  Every
 result is re-verified against its defining equation before it is returned,
 so a bug in the solver can never silently corrupt a structure check.
+
+A ``Vector`` or ``Matrix`` is never mutated after it is built, which lets
+vectors be shared: each ``Matrix`` keeps one per-column index, built on
+first use, and ``column`` and ``apply`` read it instead of scanning the
+entries.  ``Vector(...)`` filters zeros, canonicalises Q scalars and checks
+indices; ``_vector`` skips that for the results of the contraction helpers,
+whose dicts are already nonzero, canonical and in range.
 """
 
 from __future__ import annotations
@@ -39,7 +46,12 @@ def _q_stored(entries: dict) -> dict:
 
 @dataclass
 class Vector:
-    """Sparse column vector; zero entries are never stored."""
+    """Sparse column vector; zero entries are never stored.
+
+    A vector is never mutated after it is built, neither its fields nor its
+    ``entries`` dict: matrix columns and structure constants are handed out
+    shared, so writing into one would change every structure holding it.
+    Build a new vector (``add``, ``scale``, a fresh dict) instead."""
 
     dim: int
     entries: dict[int, Scalar]
@@ -98,6 +110,19 @@ def unit_vector(dim: int, i: int, field: FieldSpec) -> Vector:
 
 
 _new_object = object.__new__
+
+
+def _vector(dim: int, entries: dict[int, Scalar], field: FieldSpec) -> Vector:
+    """A Vector over ``entries`` without the constructor's filtering and
+    checks.  Only for dicts whose values are already nonzero and canonical
+    (Q: an int, or a Fraction whose denominator is not 1) and whose keys are
+    in range(dim): the results of the contraction helpers.  The dict is
+    taken over, not copied."""
+    v = _new_object(Vector)
+    v.dim = dim
+    v.entries = entries
+    v.field = field
+    return v
 
 
 def _q_axpy(acc: dict, items, cn: int, cd: int) -> None:
@@ -193,7 +218,12 @@ def add_scaled_inplace(acc: dict[int, Scalar], v: Vector, c: Scalar,
 
 @dataclass
 class Matrix:
-    """Sparse matrix, map (row, col) -> nonzero scalar."""
+    """Sparse matrix, map (row, col) -> nonzero scalar.
+
+    Like a ``Vector``, a matrix is never mutated after it is built.  Its
+    columns are indexed once, on first use: ``_cols()`` holds one ``Vector``
+    per column, and empty columns share one empty vector.  ``column``
+    returns those vectors themselves, not copies."""
 
     rows: int
     cols: int
@@ -213,38 +243,42 @@ class Matrix:
         return self.entries.get((r, c), self.field.zero)
 
     def column(self, c: int) -> Vector:
-        return Vector(
-            self.rows,
-            {r: v for (r, cc), v in self.entries.items() if cc == c},
-            self.field,
-        )
+        if not 0 <= c < self.cols:
+            raise LinAlgError(f"column {c} out of range for {self.cols} columns")
+        return self._cols()[c]
 
     def apply(self, v: Vector) -> Vector:
+        if v.dim != self.cols:
+            raise LinAlgError("dimension mismatch in apply")
         out: dict[int, Scalar] = {}
         cols = self._cols()
         if self.field.p is None:
             for j, coeff in v.entries.items():
-                _q_axpy(out, cols.get(j, ()), *_q_ratio(coeff))
-            return Vector(self.rows, out, self.field)
+                _q_axpy(out, cols[j].entries.items(), *_q_ratio(coeff))
+            return _vector(self.rows, out, self.field)
         for j, coeff in v.entries.items():
-            for r, a in cols.get(j, ()):
+            for r, a in cols[j].entries.items():
                 s = out.get(r)
                 s = a * coeff if s is None else s + a * coeff
                 if s:
                     out[r] = s
                 else:
                     del out[r]
-        return Vector(self.rows, out, self.field)
+        return _vector(self.rows, out, self.field)
 
-    def _cols(self):
-        """Per column, its (row, entry) pairs in row order; built once."""
+    def _cols(self) -> list[Vector]:
+        """The column index: column c as a Vector, for every c; built once.
+        A column keeps its entries in the order of ``entries``, the order a
+        scan of the matrix gives."""
         cache = getattr(self, "_col_cache", None)
         if cache is None:
-            cache = {}
+            by_col: dict[int, dict[int, Scalar]] = {}
             for (r, c), a in self.entries.items():
-                cache.setdefault(c, []).append((r, a))
-            for lst in cache.values():
-                lst.sort()
+                by_col.setdefault(c, {})[r] = a
+            empty = _vector(self.rows, {}, self.field)
+            cache = [empty] * self.cols
+            for c, col in by_col.items():
+                cache[c] = _vector(self.rows, col, self.field)
             self._col_cache = cache
         return cache
 

@@ -8,11 +8,15 @@ any builder in the package.
 
 from fractions import Fraction
 
+import pytest
+
+from ydalgebra import hopf
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import (
     AlgebraData,
     CoalgebraData,
     HopfData,
+    StructureError,
     check_algebra,
     check_coalgebra,
     check_hopf,
@@ -24,7 +28,7 @@ from ydalgebra.hopf import (
     unit_counit_map,
     solve_antipode,
 )
-from ydalgebra.linalg import Matrix, Vector, identity_matrix, unit_vector
+from ydalgebra.linalg import LinAlgError, Matrix, Vector, identity_matrix, unit_vector
 
 F = Fraction
 ONE, G, X, XG = range(4)
@@ -203,13 +207,65 @@ def test_convolution_inverse_none_for_nilpotent_grouplike():
     assert convolution_inverse(identity_matrix(2, RATIONALS), c, a) is None
 
 
+def _trivial_action(c):
+    rows = [[unit_vector(c.dim, j, RATIONALS).scale(c.eps(i)) for j in range(c.dim)]
+            for i in range(c.dim)]
+    return ActionTensor(c.dim, c.dim, rows, RATIONALS)
+
+
 def test_hom_convolution_inverse_trivial_action():
-    a, c = h4_algebra(), h4_coalgebra()
-    rows = []
-    for i in range(4):
-        eps_i = c.eps(i)
-        rows.append([unit_vector(4, j, RATIONALS).scale(eps_i) for j in range(4)])
-    alpha = ActionTensor(4, 4, rows, RATIONALS)
+    c = h4_coalgebra()
+    alpha = _trivial_action(c)
     res = hom_convolution_inverse_endo(alpha, c)
     assert res.beta is not None and res.kernel_dim == 0
     assert res.beta.act == alpha.act
+
+
+def test_tensor_vectors_must_have_the_tensor_dimension():
+    # product and action results are built unchecked from these vectors'
+    # indices, so the containers reject a vector of another dimension
+    short = Vector(2, {0: F(1)}, RATIONALS)
+    a = h4_algebra()
+    mul = [list(row) for row in a.mul]
+    mul[1][2] = short
+    with pytest.raises(StructureError):
+        AlgebraData(4, a.basis_labels, mul, a.unit, RATIONALS)
+    rows = [[vec([1, 0, 0, 0])] * 4 for _ in range(4)]
+    rows[3][0] = short
+    with pytest.raises(StructureError):
+        ActionTensor(4, 4, rows, RATIONALS)
+
+
+def test_convolution_inverse_failed_self_check_raises(monkeypatch):
+    # the system holds f*g and g*f, so a failed re-check is a solver bug
+    real = hopf.convolution
+
+    def corrupted(f, g, c, a):
+        m = real(f, g, c, a)
+        return m.add(identity_matrix(m.rows, m.field))
+
+    monkeypatch.setattr(hopf, "convolution", corrupted)
+    with pytest.raises(LinAlgError, match="self-check"):
+        solve_antipode(h4_algebra(), h4_coalgebra())
+
+
+@pytest.mark.parametrize("sides", [(False, True), (True, False)], ids=["alpha-beta", "beta-alpha"])
+def test_hom_convolution_inverse_failed_self_check_raises(monkeypatch, sides):
+    # over a coalgebra, Hom(C, End(H)) is a finite-dimensional algebra, where
+    # a one-sided inverse is two-sided: either failure is a solver bug
+    c = h4_coalgebra()
+    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: sides)
+    with pytest.raises(LinAlgError, match="self-check"):
+        hom_convolution_inverse_endo(_trivial_action(c), c)
+
+
+def test_hom_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
+    # Delta(b) = b(x)1 + 1(x)b + a(x)b is counital but not coassociative;
+    # there beta*alpha may fail for real, and no beta is returned
+    one = F(1)
+    c = CoalgebraData(3, [[(0, 0, one)], [(1, 0, one), (0, 1, one)],
+                          [(2, 0, one), (0, 2, one), (1, 2, one)]],
+                      Vector(3, {0: one}, RATIONALS), RATIONALS)
+    assert not check_coalgebra(c).all_pass()
+    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: (True, False))
+    assert hom_convolution_inverse_endo(_trivial_action(c), c).beta is None

@@ -1,20 +1,25 @@
 """Cross-cutting invariants: convolution algebra laws, cocommutative
 reductions, derivation identities along the functors."""
 
+import dataclasses
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manual_structures import sweedler_transmutation_manual
 from test_hopf import h4_algebra, h4_coalgebra
+from ydalgebra.braces import functor_f, to_matched_pair
 from ydalgebra.builders import (
+    build_en,
     build_group_rb_linearization,
     build_sweedler,
     group_rb_inversion,
     symmetric_group_3,
 )
-from ydalgebra.field import RATIONALS
+from ydalgebra.cli import run_suite
+from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import (
     ActionTensor,
     AlgebraData,
@@ -26,7 +31,14 @@ from ydalgebra.hopf import (
     unit_counit_map,
 )
 from ydalgebra.linalg import Matrix, Vector, identity_matrix, unit_vector
-from ydalgebra.posthopf import YDPostHopf, check_yd_post_hopf, sharp_antipode, subadjacent_hopf
+from ydalgebra.posthopf import (
+    YDPostHopf,
+    check_yd_hopf_monoid,
+    check_yd_post_hopf,
+    extract_post_lie,
+    sharp_antipode,
+    subadjacent_hopf,
+)
 from ydalgebra.rota import LieData, LieRB, check_lie_rb, functor_l, functor_r, restrict_to_primitives
 
 F = Fraction
@@ -190,3 +202,45 @@ def test_braiding_is_flip_on_primitives():
     for b in range(d):
         col = sigma.column(t_idx * d + b)
         assert col.entries == {b * d + t_idx: s.field.one}
+
+
+def _matrices(obj, seen: set, out: list) -> None:
+    """Every Matrix reachable from obj, private caches included."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Matrix):
+        out.append(obj)
+        return
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif dataclasses.is_dataclass(obj):
+        items = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        return
+    for x in items:
+        _matrices(x, seen, out)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(7)], ids=["q", "f7"])
+def test_shared_column_vectors_are_never_mutated(field):
+    """Matrix.column hands out the vectors of its index, not copies; after
+    the suites and every derive target, each indexed column still equals
+    the column read from the matrix entries, so no caller wrote into one."""
+    s = build_en(2, [[1, F(1, 2)], [F(1, 2), 3]], field)
+    assert check_yd_post_hopf(s).all_pass()
+    assert check_yd_hopf_monoid(s).all_pass()
+    derived = [subadjacent_hopf(s), extract_post_lie(s), functor_f(s), to_matched_pair(s),
+               functor_l(s)]
+    for obj in derived:
+        assert run_suite(obj).all_pass()
+    found: list = []
+    _matrices([s, *derived], set(), found)
+    indexed = [m for m in found if getattr(m, "_col_cache", None) is not None]
+    assert len(indexed) >= 3
+    for m in indexed:
+        for c in range(m.cols):
+            scan = {r: v for (r, cc), v in m.entries.items() if cc == c}
+            assert m.column(c) == Vector(m.rows, scan, m.field)

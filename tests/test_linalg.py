@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ydalgebra import linalg
 from ydalgebra.field import RATIONALS, FieldSpec, ModInt
+from ydalgebra.hopf import ActionTensor, AlgebraData
 from ydalgebra.linalg import (
     LinAlgError,
     Matrix,
@@ -181,3 +182,89 @@ def test_solver_self_consistency_f7(vals):
         assert a.apply(res.solution) == b
     for v in res.kernel:
         assert a.apply(v).is_zero()
+
+
+def test_column_and_apply_reject_out_of_range():
+    # the column index is a list: a negative column must not wrap around
+    a = qmat([[1, 2], [3, 4]])
+    for c in (-1, 2):
+        with pytest.raises(LinAlgError):
+            a.column(c)
+    with pytest.raises(LinAlgError):
+        a.apply(qvec([1, 2, 3]))
+
+
+# +-1 are drawn often, so that sums cancel to zero often
+_SCALARS = {
+    None: st.one_of(st.sampled_from([1, -1]),
+                    st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))),
+    7: st.one_of(st.sampled_from([1, 6]), st.integers(0, 6)).map(lambda v: ModInt(v, 7)),
+}
+
+
+def _typed(v):
+    return {k: (type(x), x) for k, x in v.entries.items()}
+
+
+def _assert_as_checked(v):
+    """v holds what the checking constructor stores for the same dict: no
+    zero, no integral Fraction, every index in range."""
+    assert _typed(v) == _typed(Vector(v.dim, dict(v.entries), v.field))
+
+
+def _sum(dim, fs, terms):
+    """Sum of (index, scalar) terms with the field's own operators."""
+    acc = {}
+    for k, x in terms:
+        acc[k] = acc[k] + x if k in acc else x
+    return Vector(dim, acc, fs).entries
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_column_index_and_unchecked_results(data):
+    """Matrix.column reads the per-column index, which agrees with a scan of
+    the entries; the contraction helpers build their results unchecked, and
+    those results are exactly what the checking constructor would store."""
+    fs = data.draw(st.sampled_from([RATIONALS, F7]))
+    scalar = _SCALARS[fs.p]
+
+    def vec(dim):
+        return Vector(dim, data.draw(st.dictionaries(st.integers(0, dim - 1), scalar)), fs)
+
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    m = Matrix(rows, cols, data.draw(st.dictionaries(st.sampled_from(cells), scalar)), fs)
+    fresh = Matrix(rows, cols, dict(m.entries), fs)
+
+    def assert_columns(mat):
+        for c in range(cols):
+            scan = {r: v for (r, cc), v in mat.entries.items() if cc == c}
+            assert mat.column(c) == Vector(rows, scan, fs)
+
+    assert_columns(m)
+    v = vec(cols)
+    for mat in (m, fresh):  # index built by column(), and by apply()
+        out = mat.apply(v)
+        _assert_as_checked(out)
+        assert out.entries == _sum(rows, fs, ((r, a * v.get(c)) for (r, c), a in mat.entries.items()))
+        assert_columns(mat)
+
+    d = data.draw(st.integers(1, 3))
+    table = [[vec(d) for _ in range(d)] for _ in range(d)]
+    alg = AlgebraData(d, [str(i) for i in range(d)], table, vec(d), fs)
+    u, w = vec(d), vec(d)
+    results = [alg.mul_vec(u, w)]
+    results += [alg.mul_basis_vec(i, w) for i in range(d)]
+    results += [alg.mul_vec_basis(u, j) for j in range(d)]
+    assert results[0].entries == _sum(d, fs, ((k, a * b * x) for i, a in u.entries.items()
+                                              for j, b in w.entries.items()
+                                              for k, x in table[i][j].entries.items()))
+
+    target = data.draw(st.integers(1, 3))
+    act = ActionTensor(d, target, [[vec(target) for _ in range(target)] for _ in range(d)], fs)
+    t = vec(target)
+    results.append(act.apply(u, t))
+    results += [act.apply_basis(i, t) for i in range(d)]
+    for r in results:
+        _assert_as_checked(r)
