@@ -14,7 +14,8 @@ import pytest
 
 from test_cli import run_cli
 from ydalgebra.builders import group_rb_inversion, symmetric_group_3
-from ydalgebra.structio import emit
+from ydalgebra.posthopf import check_yd_hopf_monoid, check_yd_post_hopf
+from ydalgebra.structio import emit, parse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,6 +45,22 @@ MUTANTS = {
     "grouprb": ("s3-inversion", "phi"),
 }
 
+# YD post-Hopf mutants run through both suites directly, so that the monoid
+# suite reports failures too: (base golden file, the line whose coefficient
+# changes, named without its coefficient; whether the beta lines are removed)
+SUITE_MUTANTS = {
+    "sweedler-q-action-nobeta": ("sweedler-q", "action 0 0 0", True),
+    "sweedler-q-unit": ("sweedler-q", "unit 0", False),
+    "sweedler-f7-comul": ("sweedler-f7", "comul 0 0 0", False),
+    "en2-q-mul": ("en2-q", "mul 4 4 0", False),
+    "en2-q-comul": ("en2-q", "comul 4 4 0", False),
+    "en2-f7-counit": ("en2-f7", "counit 1", False),
+    "en2-f7-comul-nobeta": ("en2-f7", "comul 6 3 4", True),
+}
+# every identity whose result more than one axiom ID reports fails somewhere
+SHARED_IDS = ("P-COALG", "P-DOT", "P-ASSOC", "P-DELTA", "L-U", "L-DA", "L-MA",
+              "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-BRAIDMULT")
+
 
 def _example(name: str, field: str, out: Path) -> None:
     code, _, _ = run_cli(["example", *EXAMPLES[name], "--field", FIELDS[field],
@@ -57,10 +74,16 @@ def _check(path: Path) -> tuple[int, str]:
 
 
 def _mutate(text: str, directive: str) -> str:
-    """Change the last ``directive`` line: a coefficient gains 1/2 over Q
-    and doubles over F_p; a group table index moves to the next element."""
+    """Change the last ``directive`` line (see ``_mutate_line``)."""
     lines = text.splitlines()
     i = max(j for j, line in enumerate(lines) if line.split()[0] == directive)
+    return _mutate_line(lines, i)
+
+
+def _mutate_line(lines: list[str], i: int) -> str:
+    """Change line i: a coefficient gains 1/2 over Q and doubles over F_p;
+    a group table index moves to the next element."""
+    lines = list(lines)
     parts = lines[i].split()
     if lines[0] == "kind grouprb":
         parts[-1] = str((int(parts[-1]) + 1) % 6)  # the base table is S3
@@ -120,6 +143,34 @@ def test_mutant_report_bytes(tmp_path, name):
     assert report.encode() == (GOLDEN / f"mutant-{name}.report").read_bytes()
 
 
+def _suite_report(name: str) -> str:
+    """The machine report of both suites on one mutant, then one
+    ``axiom status checked failures`` line per entry."""
+    base, line, strip_beta = SUITE_MUTANTS[name]
+    lines = (GOLDEN / f"{base}.struct").read_text().splitlines()
+    if strip_beta:
+        lines = [x for x in lines if x.split()[0] != "beta"]
+    i = next(j for j, x in enumerate(lines) if x.rsplit(" ", 1)[0] == line)
+    m = parse(_mutate_line(lines, i))
+    rep = check_yd_post_hopf(m)
+    rep.extend(check_yd_hopf_monoid(m))
+    counts = "".join(f"{e.axiom} {e.status} {e.checked} {e.failures}\n" for e in rep.entries)
+    return rep.machine_text() + counts
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_MUTANTS))
+def test_suite_mutant_report_bytes(name):
+    assert _suite_report(name).encode() == (GOLDEN / f"suite-{name}.report").read_bytes()
+
+
+def test_suite_mutants_fail_every_shared_identity():
+    failing = set()
+    for name in SUITE_MUTANTS:
+        text = (GOLDEN / f"suite-{name}.report").read_text()
+        failing |= {line.split()[0] for line in text.splitlines() if line.split()[1] == "fail"}
+    assert set(SHARED_IDS) <= failing
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in EXAMPLES:
@@ -139,6 +190,8 @@ def write_golden() -> None:
         path.unlink()
         assert code == 1, name
         (GOLDEN / f"mutant-{name}.report").write_text(report)
+    for name in SUITE_MUTANTS:
+        (GOLDEN / f"suite-{name}.report").write_text(_suite_report(name))
 
 
 if __name__ == "__main__":
