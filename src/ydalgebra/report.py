@@ -7,8 +7,8 @@ is byte-deterministic: same input structure, same report bytes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
+from time import perf_counter
 
 from .field import format_scalar
 from .linalg import Vector
@@ -135,15 +135,15 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-class Checker:
-    """Accumulates verdicts for one axiom while scanning basis tuples."""
+class Tally:
+    """Verdicts of one identity over basis tuples: how many were checked,
+    how many failed, and the first failure.  Loops visit the tuples in
+    lexicographic order, so the first failure is the least failing tuple."""
 
-    def __init__(self, axiom: str):
-        self.axiom = axiom
+    def __init__(self):
         self.witness: Witness | None = None
         self.checked = 0
         self.failures = 0
-        self._t0 = time.perf_counter()
 
     def record(self, where: tuple, ok: bool, lhs="", rhs="") -> bool:
         self.checked += 1
@@ -162,6 +162,30 @@ class Checker:
             return False
         return True
 
+    def absorb(self, other: "Tally", where=None, swap: bool = False) -> None:
+        """Count the verdicts of ``other`` as this tally's own.  ``where``
+        maps its tuples onto this tally's, ``swap`` exchanges the two sides
+        of its witness; the least failing tuple stays the witness."""
+        self.checked += other.checked
+        self.failures += other.failures
+        w = other.witness
+        if w is None:
+            return
+        if where is not None or swap:
+            lhs, rhs = (w.rhs, w.lhs) if swap else (w.lhs, w.rhs)
+            w = Witness(where(w.where) if where is not None else w.where, lhs, rhs)
+        if self.witness is None or w.where < self.witness.where:
+            self.witness = w
+
+
+class Checker(Tally):
+    """The tally of one axiom ID, timed from construction to ``entry()``."""
+
+    def __init__(self, axiom: str):
+        super().__init__()
+        self.axiom = axiom
+        self._t0 = perf_counter()
+
     def entry(self) -> CheckEntry:
         status = PASS if self.failures == 0 else FAIL
         return CheckEntry(
@@ -170,7 +194,7 @@ class Checker:
             self.witness,
             self.checked,
             self.failures,
-            time.perf_counter() - self._t0,
+            perf_counter() - self._t0,
         )
 
 

@@ -29,6 +29,7 @@ from .hopf import (
 from .linalg import (
     Matrix,
     Vector,
+    _vector,
     add_scaled_inplace,
     identity_matrix,
     invert,
@@ -173,7 +174,7 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
             for a1, a2, c in legs:
                 w = act.apply(rmap.column(a2), unit_vector(dk, b, fs))
                 add_scaled_inplace(acc, kalg.mul_basis_vec(a1, w), c)
-            ch.compare((a, b), lhs, rmap.apply(Vector(dk, acc, fs)), vector_text)
+            ch.compare((a, b), lhs, rmap.apply(_vector(dk, acc, fs)), vector_text)
     rep.add(ch.entry())
 
     # RB-2: S_H R(R(a_1) >- b_1) . R(a_2) . R(b_2) (x) R(R(a_3) >- b_3),
@@ -218,7 +219,7 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
             for (a1, a2, a3), c in hco.legs(a, 3):
                 w = act.apply_basis(a1, rinv.apply(smap.column(a2)))
                 add_scaled_inplace(acc, kalg.mul_vec(w, rinv.column(a3)), c)
-            ch.compare((a,), Vector(dk, acc, fs), kalg.unit.scale(hco.eps(a)), vector_text)
+            ch.compare((a,), _vector(dk, acc, fs), kalg.unit.scale(hco.eps(a)), vector_text)
         rep.add(ch.entry())
     return rep
 
@@ -253,7 +254,7 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
                 acc: dict[int, Scalar] = {}
                 for i1, i2, c in legs:
                     add_scaled_inplace(acc, kalg.mul_vec(act.act[i1][a], act.act[i2][b]), c)
-                ch.compare((2, i, a, b), lhs, Vector(dk, acc, fs), vector_text)
+                ch.compare((2, i, a, b), lhs, _vector(dk, acc, fs), vector_text)
         ch.compare((2, i, dk, dk), act.apply_basis(i, kalg.unit),
                    kalg.unit.scale(hco.eps(i)), vector_text)
 

@@ -34,6 +34,7 @@ from ydalgebra.builders import (
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import (
     ActionTensor,
+    AlgebraData,
     BraidedPair,
     CoalgebraData,
     StructureError,
@@ -276,55 +277,45 @@ def test_acceptance_10_adjunction(sweedler):
 # --- mutation machinery -------------------------------------------------------
 
 
-def _clone(s: YDPostHopf) -> YDPostHopf:
-    d = s.dim
-    fs = s.field
-    alg = s.carrier.algebra
-    mul = [[Vector(d, dict(v.entries), fs) for v in row] for row in alg.mul]
-    from ydalgebra.hopf import AlgebraData
+def _flip(v: Vector, k: int) -> Vector:
+    return Vector(v.dim, {**v.entries, k: -v.entries[k]}, v.field)
 
-    alg2 = AlgebraData(d, list(alg.basis_labels), mul,
-                       Vector(d, dict(alg.unit.entries), fs), fs)
-    co = s.carrier.coalgebra
-    co2 = CoalgebraData(d, [list(t) for t in co.comul],
-                        Vector(d, dict(co.counit.entries), fs), fs)
-    smap2 = Matrix(d, d, dict(s.carrier.s_map.entries), fs)
-    act2 = ActionTensor(d, d, [[Vector(d, dict(v.entries), fs) for v in row]
-                               for row in s.action.act], fs)
-    beta2 = ActionTensor(d, d, [[Vector(d, dict(v.entries), fs) for v in row]
-                                for row in s.beta.act], fs)
-    return YDPostHopf(BraidedPair(alg2, co2, smap2), act2, beta2)
+
+def _with(rows: list[list[Vector]], i: int, j: int, v: Vector) -> list[list[Vector]]:
+    rows = [list(row) for row in rows]
+    rows[i][j] = v
+    return rows
 
 
 def _mutants(s: YDPostHopf):
-    d = s.dim
+    """Every single-sign-flip mutant of s.  Each is built through the
+    constructors: a new vector, matrix or comultiplication list with one
+    flipped sign, and s's own (never mutated) containers everywhere else."""
+    d, fs = s.dim, s.field
+    alg, co, smap, act = s.carrier.algebra, s.carrier.coalgebra, s.carrier.s_map, s.action
+
+    def mutant(alg=alg, co=co, smap=smap, act=act) -> YDPostHopf:
+        return YDPostHopf(BraidedPair(alg, co, smap), act, s.beta)
+
     for i in range(d):
         for j in range(d):
-            for k in sorted(s.carrier.algebra.mul[i][j].entries):
-                m = _clone(s)
-                vec = m.carrier.algebra.mul[i][j]
-                vec.entries[k] = -vec.entries[k]
-                yield (f"mul[{i}][{j}][{k}]", m)
+            for k in sorted(alg.mul[i][j].entries):
+                mul = _with(alg.mul, i, j, _flip(alg.mul[i][j], k))
+                yield (f"mul[{i}][{j}][{k}]",
+                       mutant(alg=AlgebraData(d, list(alg.basis_labels), mul, alg.unit, fs)))
     for i in range(d):
-        for t, (j, k, c) in enumerate(s.carrier.coalgebra.comul[i]):
-            m = _clone(s)
-            terms = list(m.carrier.coalgebra.comul[i])
-            terms[t] = (j, k, -c)
-            m.carrier.coalgebra.comul[i] = terms
-            m.carrier.coalgebra._legs.clear()
-            yield (f"comul[{i}]@({j},{k})", m)
-    for (r, c) in sorted(s.carrier.s_map.entries):
-        m = _clone(s)
-        m.carrier.s_map.entries[(r, c)] = -m.carrier.s_map.entries[(r, c)]
-        yield (f"antipode[{r},{c}]", m)
+        for t, (j, k, c) in enumerate(co.comul[i]):
+            comul = [list(terms) for terms in co.comul]
+            comul[i][t] = (j, k, -c)
+            yield (f"comul[{i}]@({j},{k})", mutant(co=CoalgebraData(d, comul, co.counit, fs)))
+    for (r, c) in sorted(smap.entries):
+        yield (f"antipode[{r},{c}]",
+               mutant(smap=Matrix(d, d, {**smap.entries, (r, c): -smap.entries[(r, c)]}, fs)))
     for i in range(d):
         for j in range(d):
-            for k in sorted(s.action.act[i][j].entries):
-                m = _clone(s)
-                vec = m.action.act[i][j]
-                vec.entries[k] = -vec.entries[k]
-                m.action._mats.clear()
-                yield (f"action[{i}][{j}][{k}]", m)
+            for k in sorted(act.act[i][j].entries):
+                rows = _with(act.act, i, j, _flip(act.act[i][j], k))
+                yield (f"action[{i}][{j}][{k}]", mutant(act=ActionTensor(d, d, rows, fs)))
 
 
 def _run_mutations(s: YDPostHopf, sample_to: int | None):

@@ -143,15 +143,22 @@ def test_mutant_report_bytes(tmp_path, name):
     assert report.encode() == (GOLDEN / f"mutant-{name}.report").read_bytes()
 
 
+def yd_mutant(base: str, line: str, strip_beta: bool):
+    """The YD post-Hopf structure of a golden file with the coefficient of
+    one line changed (``line`` names it without its coefficient), and
+    without its beta lines if strip_beta."""
+    lines = (GOLDEN / f"{base}.struct").read_text().splitlines()
+    i = next(j for j, x in enumerate(lines) if x.rsplit(" ", 1)[0] == line)
+    lines = _mutate_line(lines, i).splitlines()
+    if strip_beta:
+        lines = [x for x in lines if x.split()[0] != "beta"]
+    return parse("\n".join(lines) + "\n")
+
+
 def _suite_report(name: str) -> str:
     """The machine report of both suites on one mutant, then one
     ``axiom status checked failures`` line per entry."""
-    base, line, strip_beta = SUITE_MUTANTS[name]
-    lines = (GOLDEN / f"{base}.struct").read_text().splitlines()
-    if strip_beta:
-        lines = [x for x in lines if x.split()[0] != "beta"]
-    i = next(j for j, x in enumerate(lines) if x.rsplit(" ", 1)[0] == line)
-    m = parse(_mutate_line(lines, i))
+    m = yd_mutant(*SUITE_MUTANTS[name])
     rep = check_yd_post_hopf(m)
     rep.extend(check_yd_hopf_monoid(m))
     counts = "".join(f"{e.axiom} {e.status} {e.checked} {e.failures}\n" for e in rep.entries)

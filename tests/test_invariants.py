@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from manual_structures import sweedler_transmutation_manual
 from test_hopf import h4_algebra, h4_coalgebra
+from ydalgebra import linalg, posthopf, rota
 from ydalgebra.braces import functor_f, to_matched_pair
 from ydalgebra.builders import (
     build_en,
@@ -225,10 +226,25 @@ def _matrices(obj, seen: set, out: list) -> None:
 
 
 @pytest.mark.parametrize("field", [RATIONALS, FieldSpec(7)], ids=["q", "f7"])
-def test_shared_column_vectors_are_never_mutated(field):
+def test_shared_column_vectors_are_never_mutated(field, monkeypatch):
     """Matrix.column hands out the vectors of its index, not copies; after
     the suites and every derive target, each indexed column still equals
-    the column read from the matrix entries, so no caller wrote into one."""
+    the column read from the matrix entries, so no caller wrote into one.
+    On the way, every vector that posthopf and rota build without the
+    checking constructor holds what that constructor would store."""
+    built = {"posthopf": 0, "rota": 0}
+
+    def checked(module):
+        def build(dim, entries, fs):
+            stored = Vector(dim, dict(entries), fs)  # raises on an index out of range
+            assert [(k, type(c), c) for k, c in entries.items()] == \
+                [(k, type(c), c) for k, c in stored.entries.items()]
+            built[module.__name__.rsplit(".", 1)[1]] += 1
+            return linalg._vector(dim, entries, fs)
+        return build
+
+    for module in (posthopf, rota):
+        monkeypatch.setattr(module, "_vector", checked(module))
     s = build_en(2, [[1, F(1, 2)], [F(1, 2), 3]], field)
     assert check_yd_post_hopf(s).all_pass()
     assert check_yd_hopf_monoid(s).all_pass()
@@ -244,3 +260,4 @@ def test_shared_column_vectors_are_never_mutated(field):
         for c in range(m.cols):
             scan = {r: v for (r, cc), v in m.entries.items() if cc == c}
             assert m.column(c) == Vector(m.rows, scan, m.field)
+    assert built["posthopf"] and built["rota"]

@@ -14,6 +14,7 @@ from manual_structures import (
     trivial_structure,
     vec4,
 )
+from test_golden import yd_mutant
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import ActionTensor, CoalgebraData, StructureError, check_hopf
 from ydalgebra.linalg import Matrix, Vector, unit_vector
@@ -283,3 +284,76 @@ def test_is_pre_hopf_trivial_and_commutative_cases():
 
     s = build_group_rb_linearization(group_rb_identity(cyclic_group(2)))
     assert is_pre_hopf(s) is True
+
+
+def _counted_report(rep) -> tuple:
+    return rep.machine_text(), [(e.axiom, e.checked, e.failures) for e in rep.entries]
+
+
+# (golden file, mutated line): beta supplied and right; supplied but wrong for
+# the mutated action or comultiplication; wrong itself; and a comultiplication
+# with no convolution inverse of alpha at all
+ORDER_CASES = [("en2-q", "mul 4 4 0"), ("sweedler-q", "action 0 0 0"),
+               ("en2-f7", "comul 6 3 4"), ("sweedler-q", "beta 2 2 0"),
+               ("en2-q", "comul 4 4 0")]
+
+
+@pytest.mark.parametrize(("base", "line"), ORDER_CASES)
+def test_monoid_report_does_not_depend_on_what_ran_before(base, line):
+    """The identities both suites share are evaluated by whichever suite
+    asks first, so the monoid suite alone must report exactly what it
+    reports after the post-Hopf suite; solving beta drops what depended on
+    the old beta."""
+
+    def fresh(strip_beta=False):
+        return yd_mutant(base, line, strip_beta)
+
+    alone = _counted_report(check_yd_hopf_monoid(fresh()))
+    s = fresh()
+    check_yd_post_hopf(s)
+    assert _counted_report(check_yd_hopf_monoid(s)) == alone
+
+    try:
+        solved = _counted_report(check_yd_hopf_monoid(fresh(strip_beta=True)))
+    except StructureError:  # alpha has no convolution inverse
+        with pytest.raises(StructureError):
+            solve_beta(fresh())
+        return
+    s = fresh(strip_beta=True)
+    check_yd_post_hopf(s)  # P-CONV solves beta
+    assert s.beta is not None
+    assert _counted_report(check_yd_hopf_monoid(s)) == solved
+    s = fresh()
+    check_yd_post_hopf(s)
+    solve_beta(s)
+    assert _counted_report(check_yd_hopf_monoid(s)) == solved
+    s = fresh()
+    check_yd_hopf_monoid(s)  # results that depend on the supplied beta
+    solve_beta(s)
+    assert _counted_report(check_yd_hopf_monoid(s)) == solved
+
+
+def test_entry_timings_do_not_overlap(monkeypatch):
+    """Each entry is timed over its own step only: with a clock whose k-th
+    reading is 2**k, an entry's seconds 2**b - 2**a name the two readings
+    (a, b) it spans, and no two entries of both suites share a stretch."""
+    from ydalgebra import report
+
+    ticks = iter(range(10_000))
+    monkeypatch.setattr(report, "perf_counter", lambda: 2 ** next(ticks))
+    s = sweedler_transmutation_manual()
+    s.beta = None
+    rep = check_yd_post_hopf(s)
+    rep.extend(check_yd_hopf_monoid(s))
+    assert rep.all_pass()
+    spans = []
+    for e in rep.entries:
+        if e.seconds:
+            a = (e.seconds & -e.seconds).bit_length() - 1
+            b = (e.seconds + (1 << a)).bit_length() - 1
+            assert e.seconds == 2 ** b - 2 ** a
+            spans.append((a, b, e.axiom))
+    assert len(spans) == len(rep.entries)
+    spans.sort()
+    for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
+        assert end < start, f"{first} and {second} overlap"
