@@ -110,7 +110,7 @@ def brace_beta(b: YDBrace, action: ActionTensor) -> ActionTensor:
     rows = []
     for i in range(d):
         tv = t_map.column(i)
-        row = [action.apply(tv, unit_vector(d, j, fs)) for j in range(d)]
+        row = [action.apply_vec_basis(tv, j) for j in range(d)]
         rows.append(row)
     return ActionTensor(d, d, rows, fs)
 
@@ -224,7 +224,7 @@ def from_matched_pair(mp: MatchedPair) -> YDPostHopf:
         for j in range(d):
             acc: dict[int, Scalar] = {}
             for i1, i2, c in coalg.comul[i]:
-                w = act.apply(t_map.column(i2), unit_vector(d, j, fs))
+                w = act.apply_vec_basis(t_map.column(i2), j)
                 add_scaled_inplace(acc, bullet.mul_basis_vec(i1, w), c)
             row.append(Vector(d, acc, fs))
         mul.append(row)
@@ -240,7 +240,7 @@ def from_matched_pair(mp: MatchedPair) -> YDPostHopf:
     beta_rows = []
     for i in range(d):
         tv = t_map.column(i)
-        beta_rows.append([act.apply(tv, unit_vector(d, j, fs)) for j in range(d)])
+        beta_rows.append([act.apply_vec_basis(tv, j) for j in range(d)])
     return YDPostHopf(carrier, act, ActionTensor(d, d, beta_rows, fs),
                       params=dict(mp.params))
 
@@ -276,15 +276,15 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
             # action axioms over the Hopf product
             w = alg.mul[i][j]
             for k in range(d):
-                lhs_v = left.apply(w, unit_vector(d, k, fs))
+                lhs_v = left.apply_vec_basis(w, k)
                 rhs_v = left.apply_basis(i, left.act[j][k])
                 ch.compare((4, i, j, k), lhs_v, rhs_v, vector_text)
-                lhs_v = right.apply(right.act[k][i], unit_vector(d, j, fs))
+                lhs_v = right.apply_vec_basis(right.act[k][i], j)
                 rhs_v = right.apply_basis(k, w)
                 ch.compare((5, i, j, k), lhs_v, rhs_v, vector_text)
     for j in range(d):
-        ch.compare((6, j), left.apply(alg.unit, unit_vector(d, j, fs)), unit_vector(d, j, fs), vector_text)
-        ch.compare((7, j), right.apply(unit_vector(d, j, fs), alg.unit), unit_vector(d, j, fs), vector_text)
+        ch.compare((6, j), left.apply_vec_basis(alg.unit, j), unit_vector(d, j, fs), vector_text)
+        ch.compare((7, j), right.apply_basis(j, alg.unit), unit_vector(d, j, fs), vector_text)
     rep.add(ch.entry())
 
     ch = Checker("MP-1")
@@ -294,7 +294,7 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
 
     ch = Checker("MP-2")
     for i in range(d):
-        ch.compare((i,), right.apply(alg.unit, unit_vector(d, i, fs)), alg.unit.scale(coalg.eps(i)), vector_text)
+        ch.compare((i,), right.apply_vec_basis(alg.unit, i), alg.unit.scale(coalg.eps(i)), vector_text)
     rep.add(ch.entry())
 
     # MP-3: a >- (b o c) = (a_1 >- b_1) o ((a_2 -< b_2) >- c)
@@ -309,7 +309,7 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
                 lhs = left.apply_basis(a, alg.mul[b][c])
                 acc: dict[int, Scalar] = {}
                 for lv, rv, coeff in pieces:
-                    w = left.apply(rv, unit_vector(d, c, fs))
+                    w = left.apply_vec_basis(rv, c)
                     add_scaled_inplace(acc, alg.mul_vec(lv, w), coeff)
                 ch.compare((a, b, c), lhs, Vector(d, acc, fs), vector_text)
     rep.add(ch.entry())
@@ -323,10 +323,10 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
                 for c1, c2, cc in coalg.comul[c]:
                     pieces.append((left.act[b1][c1], right.act[b2][c2], cb * cc))
             for a in range(d):
-                lhs = right.apply(alg.mul[a][b], unit_vector(d, c, fs))
+                lhs = right.apply_vec_basis(alg.mul[a][b], c)
                 acc: dict[int, Scalar] = {}
                 for lv, rv, coeff in pieces:
-                    w = right.apply(unit_vector(d, a, fs), lv)
+                    w = right.apply_basis(a, lv)
                     add_scaled_inplace(acc, alg.mul_vec(w, rv), coeff)
                 ch.compare((a, b, c), lhs, Vector(d, acc, fs), vector_text)
     rep.add(ch.entry())

@@ -23,7 +23,7 @@ from .hopf import (
     solve_antipode,
 )
 from .linalg import Matrix, Vector, add_scaled_inplace, matrix_from_columns, unit_vector
-from .posthopf import YDPostHopf, bullet_algebra, check_yd_post_hopf
+from .posthopf import YDPostHopf, _set_beta, bullet_algebra, check_yd_post_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
 
@@ -325,10 +325,10 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
     beta_rows = [
-        [action.apply(sharp.column(m), unit_vector(dim, j, fs)) for j in range(dim)]
+        [action.apply_vec_basis(sharp.column(m), j) for j in range(dim)]
         for m in range(dim)
     ]
-    s.beta = ActionTensor(dim, dim, beta_rows, fs)
+    _set_beta(s, ActionTensor(dim, dim, beta_rows, fs))
     return _certify(s, f"en(n={n})")
 
 
@@ -573,10 +573,10 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
     beta_rows = [
-        [action.apply(sharp.column(m), unit_vector(dim, j, fs)) for j in range(dim)]
+        [action.apply_vec_basis(sharp.column(m), j) for j in range(dim)]
         for m in range(dim)
     ]
-    s.beta = ActionTensor(dim, dim, beta_rows, fs)
+    _set_beta(s, ActionTensor(dim, dim, beta_rows, fs))
     return _certify(s, "suzuki")
 
 
@@ -627,7 +627,7 @@ def build_adjoint(h: HopfData) -> YDPostHopf:
     beta_rows = []
     for i in range(d):
         tv = t_map.column(i)
-        beta_rows.append([action.apply(tv, unit_vector(d, j, fs)) for j in range(d)])
+        beta_rows.append([action.apply_vec_basis(tv, j) for j in range(d)])
     carrier = BraidedPair(alg, hco, s_map)
     s = YDPostHopf(carrier, action, ActionTensor(d, d, beta_rows, fs))
     return _certify(s, "adjoint")

@@ -15,6 +15,13 @@ Fraction; ``int`` and ``Fraction`` compare, hash and format alike, so no
 result depends on the representation.  All scalar types are immutable and
 hashable, and no floating point can sneak in: Q division always goes
 through ``Fraction``, never ``int / int``.
+
+``ModInt`` stays the F_p scalar type: vectors, tables and parameters hold
+``ModInt``s, and mixing moduli raises ``FieldError``.  The F_p
+contraction loops in ``linalg`` and ``hopf`` do not call its operators per
+term; they work on the residues (``.value``) as plain ints and build each
+stored ``ModInt`` directly.  Its ``+``, ``-`` and ``*`` likewise skip
+``__init__``: one modulus compare and one ``%`` each.
 """
 
 from __future__ import annotations
@@ -58,6 +65,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+_new_object = object.__new__
+
+
+def _mixed(p: int, q: int) -> FieldError:
+    """The error for an operation on residues modulo two primes."""
+    return FieldError(f"mixed moduli {p} and {q}")
+
+
 class ModInt:
     """Residue in F_p, stored reduced to 0 <= value < p."""
 
@@ -75,27 +90,38 @@ class ModInt:
     def denominator(self) -> int:
         return 1
 
-    def _check(self, other: "ModInt") -> None:
-        if self.p != other.p:
-            raise FieldError(f"mixed moduli {self.p} and {other.p}")
-
     def __add__(self, other):
         if not isinstance(other, ModInt):
             return NotImplemented
-        self._check(other)
-        return ModInt(self.value + other.value, self.p)
+        p = self.p
+        if other.p != p:
+            raise _mixed(p, other.p)
+        r = _new_object(ModInt)
+        r.value = (self.value + other.value) % p
+        r.p = p
+        return r
 
     def __sub__(self, other):
         if not isinstance(other, ModInt):
             return NotImplemented
-        self._check(other)
-        return ModInt(self.value - other.value, self.p)
+        p = self.p
+        if other.p != p:
+            raise _mixed(p, other.p)
+        r = _new_object(ModInt)
+        r.value = (self.value - other.value) % p
+        r.p = p
+        return r
 
     def __mul__(self, other):
         if not isinstance(other, ModInt):
             return NotImplemented
-        self._check(other)
-        return ModInt(self.value * other.value, self.p)
+        p = self.p
+        if other.p != p:
+            raise _mixed(p, other.p)
+        r = _new_object(ModInt)
+        r.value = self.value * other.value % p
+        r.p = p
+        return r
 
     def __neg__(self):
         return ModInt(-self.value, self.p)
@@ -103,7 +129,8 @@ class ModInt:
     def __truediv__(self, other):
         if not isinstance(other, ModInt):
             return NotImplemented
-        self._check(other)
+        if other.p != self.p:
+            raise _mixed(self.p, other.p)
         return self * other.inverse()
 
     def __pow__(self, exponent: int):

@@ -17,6 +17,10 @@ from .linalg import (
     Matrix,
     SolveResult,
     Vector,
+    _fp_axpy,
+    _fp_bilinear,
+    _fp_product,
+    _fp_value,
     _q_axpy,
     _q_bilinear,
     _q_product,
@@ -63,13 +67,11 @@ class AlgebraData:
 
     def mul_vec(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
-        if self.field.p is None:
+        p = self.field.p
+        if p is None:
             _q_bilinear(acc, self.mul, u, v)
-            return _vector(self.dim, acc, self.field)
-        for i, a in u.entries.items():
-            row = self.mul[i]
-            for j, b in v.entries.items():
-                add_scaled_inplace(acc, row[j], a * b)
+        else:
+            _fp_bilinear(acc, self.mul, u, v, p)
         return _vector(self.dim, acc, self.field)
 
     def mul_basis_vec(self, i: int, v: Vector) -> Vector:
@@ -154,19 +156,13 @@ class CoalgebraData:
 
     def comul_vec(self, v: Vector) -> dict[tuple[int, int], Scalar]:
         acc: dict[tuple[int, int], Scalar] = {}
-        if self.field.p is None:
+        p = self.field.p
+        if p is None:
             for i, c in v.entries.items():
                 _q_axpy(acc, [((j, k), s) for j, k, s in self.comul[i]], *_q_ratio(c))
-            return acc
-        for i, c in v.entries.items():
-            for j, k, s in self.comul[i]:
-                key = (j, k)
-                t = acc.get(key)
-                t = c * s if t is None else t + c * s
-                if t:
-                    acc[key] = t
-                else:
-                    del acc[key]
+        else:
+            for i, c in v.entries.items():
+                _fp_axpy(acc, [((j, k), s) for j, k, s in self.comul[i]], _fp_value(c, p), p)
         return acc
 
 
@@ -254,13 +250,21 @@ class ActionTensor:
 
     def apply(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
-        if self.field.p is None:
+        p = self.field.p
+        if p is None:
             _q_bilinear(acc, self.act, u, v)
-            return _vector(self.target_dim, acc, self.field)
+        else:
+            _fp_bilinear(acc, self.act, u, v, p)
+        return _vector(self.target_dim, acc, self.field)
+
+    def apply_vec_basis(self, u: Vector, k: int) -> Vector:
+        """u >- f_k, the mirror of ``AlgebraData.mul_vec_basis``: column k of
+        the map u >- ., read without building f_k.  Equal to
+        ``apply(u, unit_vector(..., k, ...))``, entries in the same order."""
+        acc: dict[int, Scalar] = {}
+        act = self.act
         for i, a in u.entries.items():
-            row = self.act[i]
-            for j, b in v.entries.items():
-                add_scaled_inplace(acc, row[j], a * b)
+            add_scaled_inplace(acc, act[i][k], a)
         return _vector(self.target_dim, acc, self.field)
 
 
@@ -279,28 +283,18 @@ def tens2_add_scaled(acc, u: Vector, v: Vector, s: Scalar,
                      s2: Scalar | None = None, s3: Scalar | None = None) -> None:
     """acc += s * s2 * s3 * (u (x) v), keyed by index pairs (s2, s3
     optional); the factors are passed apart, as for ``add_scaled_inplace``."""
-    if s.__class__ is not ModInt and u.field.p is None:
-        sn, sd = _q_product(s, s2, s3)
-        if sn:
-            right = v.entries.items()
+    right = v.entries.items()
+    if s.__class__ is ModInt:
+        sv, p = (s.value, s.p) if s2 is None else _fp_product(s, s2, s3)
+        if sv:
             for i, a in u.entries.items():
-                an, ad = _q_ratio(a)
-                _q_axpy(acc, [((i, j), b) for j, b in right], an * sn, ad * sd)
+                _fp_axpy(acc, [((i, j), b) for j, b in right], _fp_value(a, p) * sv % p, p)
         return
-    if s2 is not None:
-        s = s * s2 if s3 is None else s * s2 * s3
-    if not s:
-        return
-    for i, a in u.entries.items():
-        sa = a * s
-        for j, b in v.entries.items():
-            key = (i, j)
-            t = acc.get(key)
-            t = sa * b if t is None else t + sa * b
-            if t:
-                acc[key] = t
-            else:
-                del acc[key]
+    sn, sd = _q_product(s, s2, s3)
+    if sn:
+        for i, a in u.entries.items():
+            an, ad = _q_ratio(a)
+            _q_axpy(acc, [((i, j), b) for j, b in right], an * sn, ad * sd)
 
 
 def is_cocommutative(c: CoalgebraData) -> bool:

@@ -12,6 +12,14 @@ first use, and ``column`` and ``apply`` read it instead of scanning the
 entries.  ``Vector(...)`` filters zeros, canonicalises Q scalars and checks
 indices; ``_vector`` skips that for the results of the contraction helpers,
 whose dicts are already nonzero, canonical and in range.
+
+The contraction helpers do their arithmetic on plain ints: over Q on
+numerators and denominators (``_q_axpy``, ``_q_bilinear``), over F_p on the
+residues, one ``%`` per term (``_fp_axpy``, ``_fp_bilinear``).  Both delete
+an entry that cancels to zero, in the order the terms arrive, so every dict
+comes out as a term-by-term loop with scalar operators would leave it.
+``ModInt`` stays the F_p scalar type: the F_p helpers store ``ModInt``s and
+raise ``FieldError`` on a ModInt of another modulus.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .field import FieldSpec, ModInt, Scalar, canonical
+from .field import FieldSpec, ModInt, Scalar, _mixed, canonical
 
 
 class LinAlgError(ValueError):
@@ -192,28 +200,76 @@ def _q_product(c, c2, c3) -> tuple[int, int]:
     return n, d
 
 
+def _fp_axpy(acc: dict, items, cv: int, p: int) -> None:
+    """acc[k] = (acc[k] + w * cv) mod p for every (k, w) of items, over F_p.
+
+    The F_p core of the contraction loops, the counterpart of ``_q_axpy``.
+    It works on the residues (``.value``) as plain ints, builds each stored
+    ``ModInt`` directly and deletes an entry that cancels to zero, so a term
+    costs no ``ModInt`` operator call.  cv is the coefficient's residue; every
+    w, and every entry of acc that a term lands on, must have modulus p, and
+    ``FieldError`` is raised otherwise, as the ``ModInt`` operators do."""
+    for k, w in items:
+        if w.p != p:
+            raise _mixed(p, w.p)
+        s = acc.get(k)
+        if s is None:
+            t = w.value * cv % p
+        elif s.p != p:
+            raise _mixed(p, s.p)
+        else:
+            t = (s.value + w.value * cv) % p
+        if t:
+            r = _new_object(ModInt)
+            r.value = t
+            r.p = p
+            acc[k] = r
+        else:
+            del acc[k]
+
+
+def _fp_value(c: ModInt, p: int) -> int:
+    """The residue of c, which must have modulus p."""
+    if c.p != p:
+        raise _mixed(p, c.p)
+    return c.value
+
+
+def _fp_bilinear(acc: dict, table: list[list[Vector]], u: Vector, v: Vector, p: int) -> None:
+    """acc += sum over i, j of u_i v_j table[i][j], over F_p."""
+    right = v.entries.items()
+    for i, a in u.entries.items():
+        av = _fp_value(a, p)
+        row = table[i]
+        for j, b in right:
+            _fp_axpy(acc, row[j].entries.items(), av * _fp_value(b, p) % p, p)
+
+
+def _fp_product(c: ModInt, c2: ModInt, c3) -> tuple[int, int]:
+    """(residue of c * c2 * c3, modulus); c3 may be None."""
+    p = c.p
+    cv = c.value * _fp_value(c2, p) % p
+    if c3 is not None:
+        cv = cv * _fp_value(c3, p) % p
+    return cv, p
+
+
 def add_scaled_inplace(acc: dict[int, Scalar], v: Vector, c: Scalar,
                        c2: Scalar | None = None, c3: Scalar | None = None) -> None:
     """acc += c * c2 * c3 * v on a raw entry dict (c2, c3 optional);
-    hot-loop helper.  The factors are passed apart so that over Q their
-    product is taken on ints.  An F_p coefficient is tested first, and the
-    factors are plain parameters, so that path pays for no Q dispatch."""
-    if c.__class__ is not ModInt and v.field.p is None:
-        cn, cd = _q_product(c, c2, c3)
-        if cn:
-            _q_axpy(acc, v.entries.items(), cn, cd)
+    hot-loop helper.  The factors are passed apart so that their product is
+    taken on ints: numerators and denominators over Q (``_q_axpy``),
+    residues over F_p (``_fp_axpy``).  The field is told by the class of c,
+    and the factors are plain parameters, so neither path pays for the
+    other's dispatch."""
+    if c.__class__ is ModInt:
+        cv, p = (c.value, c.p) if c2 is None else _fp_product(c, c2, c3)
+        if cv:
+            _fp_axpy(acc, v.entries.items(), cv, p)
         return
-    if c2 is not None:
-        c = c * c2 if c3 is None else c * c2 * c3
-    if not c:
-        return
-    for i, w in v.entries.items():
-        s = acc.get(i)
-        s = w * c if s is None else s + w * c
-        if s:
-            acc[i] = s
-        else:
-            del acc[i]
+    cn, cd = _q_product(c, c2, c3)
+    if cn:
+        _q_axpy(acc, v.entries.items(), cn, cd)
 
 
 @dataclass
@@ -252,18 +308,13 @@ class Matrix:
             raise LinAlgError("dimension mismatch in apply")
         out: dict[int, Scalar] = {}
         cols = self._cols()
-        if self.field.p is None:
+        p = self.field.p
+        if p is None:
             for j, coeff in v.entries.items():
                 _q_axpy(out, cols[j].entries.items(), *_q_ratio(coeff))
-            return _vector(self.rows, out, self.field)
-        for j, coeff in v.entries.items():
-            for r, a in cols[j].entries.items():
-                s = out.get(r)
-                s = a * coeff if s is None else s + a * coeff
-                if s:
-                    out[r] = s
-                else:
-                    del out[r]
+        else:
+            for j, coeff in v.entries.items():
+                _fp_axpy(out, cols[j].entries.items(), _fp_value(coeff, p), p)
         return _vector(self.rows, out, self.field)
 
     def _cols(self) -> list[Vector]:

@@ -328,7 +328,7 @@ def _module_identity(s: YDPostHopf) -> Tally:
             w = bullet.mul[i][j]
             for k in range(d):
                 lhs = act.apply_basis(i, act.act[j][k])
-                t.compare((i, j, k), lhs, act.apply(w, unit_vector(d, k, fs)), vector_text)
+                t.compare((i, j, k), lhs, act.apply_vec_basis(w, k), vector_text)
     return t
 
 
@@ -466,7 +466,7 @@ def _post_hopf_steps(s: YDPostHopf):
     for i in range(d):
         sh = sharp.column(i)
         for j in range(d):
-            rhs = act.apply(sh, unit_vector(d, j, fs))
+            rhs = act.apply_vec_basis(sh, j)
             ch.compare((i, j), beta.act[i][j], rhs, vector_text)
     yield [ch.entry()]
 
@@ -521,7 +521,7 @@ def _beta_free_lemmas(s: YDPostHopf):
     yield ch.entry()
     ch = Checker("L-1ACT")
     for j in range(d):
-        ch.compare((j,), act.apply(alg.unit, unit_vector(d, j, fs)), unit_vector(d, j, fs), vector_text)
+        ch.compare((j,), act.apply_vec_basis(alg.unit, j), unit_vector(d, j, fs), vector_text)
     yield ch.entry()
     ch = Checker("L-SLIN")
     for i in range(d):

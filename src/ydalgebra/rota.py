@@ -172,7 +172,7 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
             lhs = halg.mul_vec(rmap.column(a), rmap.column(b))
             acc: dict[int, Scalar] = {}
             for a1, a2, c in legs:
-                w = act.apply(rmap.column(a2), unit_vector(dk, b, fs))
+                w = act.apply_vec_basis(rmap.column(a2), b)
                 add_scaled_inplace(acc, kalg.mul_basis_vec(a1, w), c)
             ch.compare((a, b), lhs, rmap.apply(_vector(dk, acc, fs)), vector_text)
     rep.add(ch.entry())
@@ -184,11 +184,11 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
 
     def rb2_term(a_legs, b_legs):
         (ai, aj, ak), (bi, bj, bk) = a_legs, b_legs
-        w1 = act.apply(rmap.column(ai), unit_vector(dk, bi, fs))
+        w1 = act.apply_vec_basis(rmap.column(ai), bi)
         u = smap.apply(rmap.apply(w1))
         u = halg.mul_vec(u, rmap.column(aj))
         u = halg.mul_vec(u, rmap.column(bj))
-        w3 = act.apply(rmap.column(ak), unit_vector(dk, bk, fs))
+        w3 = act.apply_vec_basis(rmap.column(ak), bk)
         return u, rmap.apply(w3)
 
     for a in range(dk):
@@ -238,11 +238,11 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
         for j in range(dh):
             w = halg.mul[i][j]
             for a in range(dk):
-                lhs = act.apply(w, unit_vector(dk, a, fs))
+                lhs = act.apply_vec_basis(w, a)
                 rhs = act.apply_basis(i, act.act[j][a])
                 ch.compare((1, i, j, a), lhs, rhs, vector_text)
     for a in range(dk):
-        ch.compare((1, dh, dh, a), act.apply(halg.unit, unit_vector(dk, a, fs)),
+        ch.compare((1, dh, dh, a), act.apply_vec_basis(halg.unit, a),
                    unit_vector(dk, a, fs), vector_text)
 
     # 2. module algebra: h >- (a.b) = (h_1 >- a).(h_2 >- b), h >- 1 = eps(h) 1
@@ -494,7 +494,7 @@ def functor_m(r: RelRB) -> YDPostHopf:
     beta_rows = []
     for i in range(dh):
         sv = smap.column(i)
-        beta_rows.append([act_r.apply(sv, unit_vector(dh, j, fs)) for j in range(dh)])
+        beta_rows.append([act_r.apply_vec_basis(sv, j) for j in range(dh)])
     carrier = BraidedPair(alg, hco, s_r)
     return YDPostHopf(carrier, act_r, ActionTensor(dh, dh, beta_rows, fs),
                       params=dict(r.params))
@@ -521,13 +521,13 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
     act_rows = []
     for i in range(dk):
         rv = r.r_map.column(i)
-        act_rows.append([r.action.apply(rv, unit_vector(dk, j, fs)) for j in range(dk)])
+        act_rows.append([r.action.apply_vec_basis(rv, j) for j in range(dk)])
     act_r = ActionTensor(dk, dk, act_rows, fs)
     beta_rows = []
     smap = r.h.antipode
     for i in range(dk):
         w = smap.apply(r.r_map.column(i))
-        beta_rows.append([r.action.apply(w, unit_vector(dk, j, fs)) for j in range(dk)])
+        beta_rows.append([r.action.apply_vec_basis(w, j) for j in range(dk)])
     carrier = BraidedPair(r.k_alg, r.k_coalg, s_k)
     return YDPostHopf(carrier, act_r, ActionTensor(dk, dk, beta_rows, fs),
                       params=dict(r.params))
@@ -791,7 +791,7 @@ def check_lie_rb(l: LieRB) -> CheckReport:
     for i in range(dg):
         for j in range(dg):
             for a in range(dh):
-                lhs = l.phi.apply(l.lie_g.bracket[i][j], unit_vector(dh, a, fs))
+                lhs = l.phi.apply_vec_basis(l.lie_g.bracket[i][j], a)
                 rhs = l.phi.apply_basis(i, l.phi.act[j][a]).sub(
                     l.phi.apply_basis(j, l.phi.act[i][a])
                 )
@@ -801,14 +801,14 @@ def check_lie_rb(l: LieRB) -> CheckReport:
     for a in range(dh):
         for b in range(dh):
             lhs = l.lie_g.bracket_vec(l.r.column(a), l.r.column(b))
-            inner = l.phi.apply(l.r.column(a), unit_vector(dh, b, fs)).sub(
-                l.phi.apply(l.r.column(b), unit_vector(dh, a, fs))
+            inner = l.phi.apply_vec_basis(l.r.column(a), b).sub(
+                l.phi.apply_vec_basis(l.r.column(b), a)
             ).add(l.lie_h.bracket[a][b])
             ch.compare((a, b), lhs, l.r.apply(inner), vector_text)
     rep.add(ch.entry())
     # induced post-Lie structure x >- y := phi(R(x)) y on the domain
     action = [
-        [l.phi.apply(l.r.column(i), unit_vector(dh, j, fs)) for j in range(dh)]
+        [l.phi.apply_vec_basis(l.r.column(i), j) for j in range(dh)]
         for i in range(dh)
     ]
     pl = PostLieData(dh, [list(row) for row in l.lie_h.bracket], action, fs)

@@ -25,8 +25,11 @@ from ydalgebra.builders import (
 )
 from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import StructureError, check_hopf, is_cocommutative
-from ydalgebra.posthopf import braiding_sigma, check_yd_post_hopf, is_pre_hopf
+from ydalgebra import posthopf
+from ydalgebra.posthopf import _BETA_KEYS, braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf
+from ydalgebra.report import Tally
 from ydalgebra.rota import check_group_rb
+from ydalgebra.structio import emit, parse
 
 F = Fraction
 
@@ -233,3 +236,23 @@ def test_pre_hopf_regression_verdicts():
     assert is_pre_hopf(build_en(2, [[1, 0], [0, 1]])) is True
     assert is_pre_hopf(build_suzuki(1, 1)) is True
     assert is_pre_hopf(build_adjoint(group_algebra(symmetric_group_3()))) is False
+
+
+def _plain(x):
+    """x with every Tally replaced by its counts and witness, for ==."""
+    if isinstance(x, Tally):
+        return (x.checked, x.failures, x.witness)
+    if isinstance(x, tuple):
+        return tuple(_plain(y) for y in x)
+    return x
+
+
+def test_builders_leave_no_stale_beta_results():
+    # the builders set beta through _set_beta, so every cached result that
+    # depends on beta is the one a freshly parsed copy computes
+    for s in (build_en(2, [[1, F(1, 3)], [F(1, 3), 2]]), build_suzuki(-1, 1)):
+        check_yd_hopf_monoid(s)
+        assert all(key in s._cache for key in _BETA_KEYS)
+        fresh = parse(emit(s))
+        for key in _BETA_KEYS:
+            assert _plain(s._cache[key]) == _plain(getattr(posthopf, key)(fresh)), key

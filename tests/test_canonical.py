@@ -26,9 +26,9 @@ from ydalgebra.builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
-from ydalgebra.field import RATIONALS, inv, parse_scalar
-from ydalgebra.hopf import AlgebraData, CoalgebraData, tens2_add_scaled
-from ydalgebra.linalg import Matrix, Vector, add_scaled_inplace, invert, kernel, solve
+from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, inv, parse_scalar
+from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData, tens2_add_scaled
+from ydalgebra.linalg import Matrix, Vector, add_scaled_inplace, invert, kernel, solve, unit_vector
 
 F = Fraction
 
@@ -150,3 +150,114 @@ def test_q_contractions_match_fraction_arithmetic(start, u_raw, v_raw, coeffs):
     coalg = CoalgebraData(4, comul, Vector(4, {0: 1}, RATIONALS), RATIONALS)
     _exact(coalg.comul_vec(u), _naive((((j, k), a * s) for i, a in u_raw.items()
                                        for j, k, s in coalg.comul[i])))
+
+
+# F_p residues as the contraction loops meet them: small values, so that sums
+# cancel often modulo 7 and still sometimes modulo 10007.
+_RES = st.integers(-3, 3)
+_FVEC = st.dictionaries(st.integers(0, 3), _RES, max_size=4)
+
+
+def _modint_sum(start, pairs):
+    """start plus the (key, value) pairs, added in order with ModInt
+    operators: a new or changed entry is set, one that reaches zero is
+    deleted.  This is the loop the F_p helpers replaced, so the helpers must
+    give the same dict in the same order."""
+    acc = dict(start)
+    for k, x in pairs:
+        s = acc.get(k)
+        s = x if s is None else s + x
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+    return acc
+
+
+def _same_residues(got, want, p):
+    assert list(got.items()) == list(want.items())
+    assert all(c.__class__ is ModInt and c.p == p and c for c in got.values())
+
+
+def _fp_tables(fs):
+    """A 4 x 4 product table, the algebra and action built on it, and a
+    coalgebra, all with two or more terms per entry so that sums cancel."""
+    p = fs.p
+    table = [[Vector(4, {(i + j) % 4: ModInt(i + 1, p), (i * j + 1) % 4: ModInt(-j - 1, p)}, fs)
+              for j in range(4)] for i in range(4)]
+    alg = AlgebraData(4, ["a", "b", "c", "d"], table, Vector(4, {0: fs.one}, fs), fs)
+    act = ActionTensor(4, 4, table, fs)
+    comul = [[(i, j, ModInt(j - i, p)) for j in range(4) if (i + j) % 3] + [(0, i, fs.one)]
+             for i in range(4)]
+    coalg = CoalgebraData(4, comul, Vector(4, {0: fs.one}, fs), fs)
+    return table, alg, act, coalg
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from([7, 10007]), _FVEC, _FVEC, _FVEC, st.lists(_RES, min_size=1, max_size=3))
+def test_fp_contractions_match_modint_arithmetic(p, start_raw, u_raw, v_raw, coeffs):
+    """The residue-based F_p paths of the hot helpers give the ModInt sums,
+    in the same order, with no zero stored; a ModInt of another modulus
+    raises FieldError in each of them."""
+    fs = FieldSpec(p)
+
+    def vec(raw):
+        return Vector(4, {k: ModInt(x, p) for k, x in raw.items()}, fs)
+
+    u, v, start = vec(u_raw), vec(v_raw), vec(start_raw).entries
+    cs = [ModInt(x, p) for x in coeffs]
+    c = cs[0]
+    for x in cs[1:]:
+        c = c * x
+    table, alg, act, coalg = _fp_tables(fs)
+
+    acc = dict(start)
+    add_scaled_inplace(acc, u, *cs)
+    _same_residues(acc, _modint_sum(start, [(i, w * c) for i, w in u.entries.items()] if c else []), p)
+
+    acc = {(k, k): s for k, s in start.items()}
+    tens2_add_scaled(acc, u, v, *cs)
+    terms = [((i, j), a * c * b) for i, a in u.entries.items() for j, b in v.entries.items()]
+    _same_residues(acc, _modint_sum({(k, k): s for k, s in start.items()}, terms if c else []), p)
+
+    m = Matrix(4, 4, {(r, k): w for k, w in v.entries.items() for r in range(4) if (r + k) % 2}, fs)
+    _same_residues(m.apply(u).entries,
+                   _modint_sum({}, [(r, w * a) for j, a in u.entries.items()
+                                    for (r, k), w in m.entries.items() if k == j]), p)
+
+    bilinear = _modint_sum({}, [(k, w * (a * b)) for i, a in u.entries.items()
+                                for j, b in v.entries.items() for k, w in table[i][j].entries.items()])
+    _same_residues(alg.mul_vec(u, v).entries, bilinear, p)
+    _same_residues(act.apply(u, v).entries, bilinear, p)
+    for k in range(4):
+        _same_residues(act.apply_vec_basis(u, k).entries,
+                       act.apply(u, unit_vector(4, k, fs)).entries, p)
+
+    _same_residues(coalg.comul_vec(u),
+                   _modint_sum({}, [((j, k), s * a) for i, a in u.entries.items()
+                                    for j, k, s in coalg.comul[i]]), p)
+
+    alien = ModInt(1, 11 if p == 7 else 7)
+    e, bad = Vector(4, {0: fs.one}, fs), Vector(4, {0: alien}, fs)
+    mixed = [
+        lambda: add_scaled_inplace({}, e, alien),
+        lambda: add_scaled_inplace({}, e, fs.one, alien),
+        lambda: add_scaled_inplace({}, e, fs.one, fs.one, alien),
+        lambda: add_scaled_inplace({0: alien}, e, fs.one),
+        lambda: add_scaled_inplace({}, bad, fs.one),
+        lambda: tens2_add_scaled({}, e, e, alien),
+        lambda: tens2_add_scaled({}, e, e, fs.one, alien),
+        lambda: tens2_add_scaled({}, bad, e, fs.one),
+        lambda: tens2_add_scaled({}, e, bad, fs.one),
+        lambda: tens2_add_scaled({(0, 0): alien}, e, e, fs.one),
+        lambda: Matrix(4, 4, {(0, 0): fs.one}, fs).apply(bad),
+        lambda: alg.mul_vec(bad, e),
+        lambda: alg.mul_vec(e, bad),
+        lambda: act.apply(bad, e),
+        lambda: act.apply(e, bad),
+        lambda: act.apply_vec_basis(bad, 0),
+        lambda: coalg.comul_vec(bad),
+    ]
+    for call in mixed:
+        with pytest.raises(FieldError):
+            call()
