@@ -56,10 +56,17 @@ SUITE_MUTANTS = {
     "en2-q-comul": ("en2-q", "comul 4 4 0", False),
     "en2-f7-counit": ("en2-f7", "counit 1", False),
     "en2-f7-comul-nobeta": ("en2-f7", "comul 6 3 4", True),
+    "en2-f7-mul": ("en2-f7", "mul 4 4 0", False),
+    "en3-q-mul": ("en3-q", "mul 4 4 0", False),
+    "en3-q-comul": ("en3-q", "comul 8 0 0", False),
+    "en3-f7-mul": ("en3-f7", "mul 4 4 0", False),
+    "en3-f7-action-nobeta": ("en3-f7", "action 2 8 2", True),
 }
 # every identity whose result more than one axiom ID reports fails somewhere
 SHARED_IDS = ("P-COALG", "P-DOT", "P-ASSOC", "P-DELTA", "L-U", "L-DA", "L-MA",
               "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-BRAIDMULT")
+# the identities with the heaviest contractions fail over Q and over F_7
+CONTRACTION_IDS = ("ALG-ASSOC", "P-DOT", "P-ASSOC", "L-MB", "YD-COMPAT", "YD-COLINEAR")
 
 
 def _example(name: str, field: str, out: Path) -> None:
@@ -176,6 +183,16 @@ def test_suite_mutants_fail_every_shared_identity():
         text = (GOLDEN / f"suite-{name}.report").read_text()
         failing |= {line.split()[0] for line in text.splitlines() if line.split()[1] == "fail"}
     assert set(SHARED_IDS) <= failing
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_suite_mutants_fail_every_contraction_identity_in_each_field(field):
+    failing = set()
+    for name in SUITE_MUTANTS:
+        if name.split("-")[1] == field:
+            text = (GOLDEN / f"suite-{name}.report").read_text()
+            failing |= {line.split()[0] for line in text.splitlines() if line.split()[1] == "fail"}
+    assert set(CONTRACTION_IDS) <= failing
 
 
 def write_golden() -> None:
