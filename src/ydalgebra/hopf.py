@@ -5,12 +5,20 @@ multiplication is a tensor of sparse vectors, the comultiplication a list
 of (left leg, right leg, coefficient) triples per basis element.  Antipodes
 and convolution inverses are always solved from their defining linear
 systems and re-verified, never assumed.
+
+Each container compiles its tensor once, on first use, into a plain-int
+table (``int_mul``, ``int_comul``, ``int_act``; see ``compiled``) and keeps
+it.  ALG-ASSOC runs on the compiled product: both sides of
+(e_i e_j) e_k = e_i (e_j e_k) carry the square of its scale, so their int
+sums are compared as they are, and a ``Vector`` is built only to render the
+first failing triple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .compiled import IntTable, compare, compile_comul, compile_tensor, cube, vector_render
 from .field import FieldSpec, ModInt, Scalar, canonical
 from .linalg import (
     LinAlgError,
@@ -50,6 +58,7 @@ class AlgebraData:
     mul: list[list[Vector]]
     unit: Vector
     field: FieldSpec
+    _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -64,6 +73,12 @@ class AlgebraData:
 
     def mul_basis(self, i: int, j: int) -> Vector:
         return self.mul[i][j]
+
+    def int_mul(self) -> IntTable:
+        """The product as a compiled table, built once."""
+        if self._ints is None:
+            self._ints = compile_tensor(self.mul, self.field)
+        return self._ints
 
     def mul_vec(self, u: Vector, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
@@ -97,6 +112,8 @@ class CoalgebraData:
     counit: Vector
     field: FieldSpec
     _legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
+    _pairs: list | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -154,15 +171,24 @@ class CoalgebraData:
         self._legs[key] = out
         return out
 
+    def int_comul(self) -> IntTable:
+        """The coproduct as a compiled table, built once."""
+        if self._ints is None:
+            self._ints = compile_comul(self.comul, self.field)
+        return self._ints
+
     def comul_vec(self, v: Vector) -> dict[tuple[int, int], Scalar]:
+        pairs = self._pairs
+        if pairs is None:
+            pairs = self._pairs = [[((j, k), s) for j, k, s in terms] for terms in self.comul]
         acc: dict[tuple[int, int], Scalar] = {}
         p = self.field.p
         if p is None:
             for i, c in v.entries.items():
-                _q_axpy(acc, [((j, k), s) for j, k, s in self.comul[i]], *_q_ratio(c))
+                _q_axpy(acc, pairs[i], *_q_ratio(c))
         else:
             for i, c in v.entries.items():
-                _fp_axpy(acc, [((j, k), s) for j, k, s in self.comul[i]], _fp_value(c, p), p)
+                _fp_axpy(acc, pairs[i], _fp_value(c, p), p)
         return acc
 
 
@@ -226,6 +252,7 @@ class ActionTensor:
     act: list[list[Vector]]
     field: FieldSpec
     _mats: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.act) != self.acting_dim:
@@ -240,6 +267,12 @@ class ActionTensor:
             m = matrix_from_columns(self.act[i], self.field)
             self._mats[i] = m
         return m
+
+    def int_act(self) -> IntTable:
+        """The action as a compiled table, built once."""
+        if self._ints is None:
+            self._ints = compile_tensor(self.act, self.field)
+        return self._ints
 
     def apply_basis(self, i: int, v: Vector) -> Vector:
         acc: dict[int, Scalar] = {}
@@ -313,13 +346,26 @@ def check_algebra(a: AlgebraData) -> CheckReport:
     """Associativity on all basis triples and two-sided unitality."""
     rep = CheckReport()
     ch = Checker("ALG-ASSOC")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            w = a.mul[i][j]
-            for k in range(a.dim):
-                left = a.mul_vec_basis(w, k)
-                right = a.mul_basis_vec(i, a.mul[j][k])
-                ch.compare((i, j, k), left, right, vector_text)
+    mul = a.int_mul()
+    m = mul.rows
+
+    def assoc(acc, where, wl, wr):
+        i, j, k = where
+        get = acc.get
+        if wl:
+            for r, x in m[i][j]:
+                x *= wl
+                for t, y in m[r][k]:
+                    acc[t] = get(t, 0) + x * y
+        if wr:
+            mi = m[i]
+            for r, x in m[j][k]:
+                x *= wr
+                for t, y in mi[r]:
+                    acc[t] = get(t, 0) + x * y
+
+    scale = mul.scale * mul.scale
+    compare(ch, cube(a.dim), assoc, scale, scale, a.field, vector_render(a.dim))
     rep.add(ch.entry())
     ch = Checker("ALG-UNIT")
     for i in range(a.dim):

@@ -26,6 +26,18 @@ and first failure:
   braided product is Delta(a.b), so that compare is P-DELTA's at (a, b).
 
 Setting beta drops the cached results that depend on beta, and no other.
+
+The heaviest identities run on compiled plain-int tables (``compiled``):
+P-DOT and L-MB on the action, beta, product and coproduct tables, P-ASSOC on
+the action and bullet tables, YD-COMPAT and YD-COLINEAR on those and the
+compiled Ad_L columns and grouped legs; so L-MA, YD-MODALG and YD-MODULE,
+which report from the same tallies, do too.  Each side of each of these
+identities is one contraction pattern whose int sum carries the product of
+its tables' scales, and ``compiled.compare`` cross-multiplies the two sides
+by each other's scale.  A ``Vector`` or pair dict is built only to render
+the first failing tuple.  The compiled beta table lives on the beta tensor,
+and the Ad_L columns and grouped legs are cached results that depend on
+beta, so setting beta drops them too.
 """
 
 from __future__ import annotations
@@ -33,6 +45,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 
+from .compiled import (
+    IntTable, compare, compile_groups, compile_vectors, cube, int_bilinear, pairs_render, square, vector_render,
+)
 from .field import FieldSpec, Scalar
 from .hopf import (
     ActionTensor,
@@ -106,8 +121,8 @@ def _per_structure(build):
 
 
 # The cached results that depend on beta: setting beta drops exactly these.
-_BETA_KEYS = ("sharp_antipode", "leftharpoon", "left_coaction_adl", "braiding_sigma",
-              "_sharp_legs", "_delta_identity")
+_BETA_KEYS = ("sharp_antipode", "leftharpoon", "left_coaction_adl", "_adl_columns",
+              "braiding_sigma", "_sharp_legs", "_delta_identity")
 
 
 def _set_beta(s: YDPostHopf, beta: ActionTensor) -> None:
@@ -181,11 +196,12 @@ def leftharpoon(s: YDPostHopf) -> ActionTensor:
 
 
 @_per_structure
-def _sharp_legs(s: YDPostHopf) -> list[list[tuple[int, int, Vector]]]:
+def _sharp_legs(s: YDPostHopf) -> IntTable:
     """For each x, the terms of legs(x, 3) grouped by (x_1, x_2): the triples
-    (x_1, x_2, sum of c S_>(x_3)), without the groups that sum to zero.  The
-    contractions of YD-COMPAT and YD-COLINEAR are bilinear, so summing over
-    a group first gives the same exact value as summing over its terms."""
+    (x_1, x_2, sum of c S_>(x_3)), without the groups that sum to zero, the
+    sums compiled.  The contractions of YD-COMPAT and YD-COLINEAR are
+    bilinear, so summing over a group first gives the same exact value as
+    summing over its terms."""
     coalg = s.carrier.coalgebra
     sharp = sharp_antipode(s)
     d, fs = s.dim, s.field
@@ -195,7 +211,7 @@ def _sharp_legs(s: YDPostHopf) -> list[list[tuple[int, int, Vector]]]:
         for (x1, x2, x3), c in coalg.legs(x, 3):
             add_scaled_inplace(groups.setdefault((x1, x2), {}), sharp.column(x3), c)
         out.append([(x1, x2, _vector(d, acc, fs)) for (x1, x2), acc in groups.items() if acc])
-    return out
+    return compile_groups(out, fs)
 
 
 @_per_structure
@@ -221,6 +237,13 @@ def left_coaction_adl(s: YDPostHopf) -> Matrix:
 
 
 @_per_structure
+def _adl_columns(s: YDPostHopf) -> IntTable:
+    """The columns of Ad_L, compiled; column a is keyed by p * dim + q."""
+    adl = left_coaction_adl(s)
+    return compile_vectors([adl.column(a) for a in range(s.dim)], s.field)
+
+
+@_per_structure
 def braiding_sigma(s: YDPostHopf) -> Matrix:
     """sigma(a (x) b) = alpha_{a_1}(beta_{a_3}(b)) (x) a_2 on dim^2."""
     coalg, act = s.carrier.coalgebra, s.action
@@ -241,10 +264,6 @@ def braiding_sigma(s: YDPostHopf) -> Matrix:
                     else:
                         del entries[key]
     return Matrix(d * d, d * d, entries, s.field)
-
-
-def _vec_to_pairs(v: Vector, d: int) -> dict[tuple[int, int], Scalar]:
-    return {(i // d, i % d): c for i, c in v.entries.items()}
 
 
 def _pdelta_rhs(s: YDPostHopf, i: int, j: int, memo: dict) -> dict:
@@ -270,22 +289,48 @@ def _pdelta_rhs(s: YDPostHopf, i: int, j: int, memo: dict) -> dict:
 # axiom IDs that restate it report from its tallies (see the module docstring).
 
 
+def _module_algebra_law(t: Tally, s: YDPostHopf, act: IntTable, swap: bool) -> None:
+    """x >- (y.z) = (x_1 >- y).(x_2 >- z) at (x, y, z) on t, for the action
+    table act; with swap, the legs x_1 and x_2 trade places on the right."""
+    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
+    mul, comul = alg.int_mul(), coalg.int_comul()
+    x_, m, c_ = act.rows, mul.rows, comul.rows
+
+    def law(acc, where, wl, wr):
+        i, j, k = where
+        get = acc.get
+        if wl:
+            xi = x_[i]
+            for r, a in m[j][k]:
+                a *= wl
+                for q, b in xi[r]:
+                    acc[q] = get(q, 0) + a * b
+        if wr:
+            for i1, i2, c in c_[i]:
+                if swap:
+                    i1, i2 = i2, i1
+                c *= wr
+                right = x_[i2][k]
+                for r, a in x_[i1][j]:
+                    ca = c * a
+                    mr = m[r]
+                    for u, b in right:
+                        w = ca * b
+                        for q, e in mr[u]:
+                            acc[q] = get(q, 0) + w * e
+
+    compare(t, cube(s.dim), law, mul.scale * act.scale,
+            comul.scale * act.scale * act.scale * mul.scale, s.field, vector_render(s.dim))
+
+
 @_per_structure
 def _module_algebra(s: YDPostHopf) -> tuple[Tally, Tally]:
     """>- makes H a module algebra, as two tallies: x >- (y.z) =
     (x_1 >- y).(x_2 >- z) at (x, y, z), and x >- 1 = eps(x) 1 at (x,)."""
     alg, coalg, act = s.carrier.algebra, s.carrier.coalgebra, s.action
-    d, fs = s.dim, s.field
     mult, unit = Tally(), Tally()
-    for i in range(d):
-        legs = coalg.comul[i]
-        for j in range(d):
-            for k in range(d):
-                lhs = act.apply_basis(i, alg.mul[j][k])
-                acc: dict[int, Scalar] = {}
-                for i1, i2, c in legs:
-                    add_scaled_inplace(acc, alg.mul_vec(act.act[i1][j], act.act[i2][k]), c)
-                mult.compare((i, j, k), lhs, _vector(d, acc, fs), vector_text)
+    _module_algebra_law(mult, s, act.int_act(), swap=False)
+    for i in range(s.dim):
         unit.compare((i,), act.apply_basis(i, alg.unit), alg.unit.scale(coalg.eps(i)), vector_text)
     return mult, unit
 
@@ -319,16 +364,28 @@ def _alpha_comult(s: YDPostHopf) -> tuple[Tally, Tally, Tally]:
 def _module_identity(s: YDPostHopf) -> Tally:
     """x >- (y >- z) = (x_1 . (x_2 >- y)) >- z at (x, y, z); the product on
     the right is the bullet product x o y."""
-    act = s.action
-    bullet = bullet_algebra(s)
-    d, fs = s.dim, s.field
+    act = s.action.int_act()
+    bullet = bullet_algebra(s).int_mul()
+    x_, o = act.rows, bullet.rows
+
+    def assoc(acc, where, wl, wr):
+        i, j, k = where
+        get = acc.get
+        if wl:
+            xi = x_[i]
+            for r, a in x_[j][k]:
+                a *= wl
+                for q, b in xi[r]:
+                    acc[q] = get(q, 0) + a * b
+        if wr:
+            for r, a in o[i][j]:
+                a *= wr
+                for q, b in x_[r][k]:
+                    acc[q] = get(q, 0) + a * b
+
     t = Tally()
-    for i in range(d):
-        for j in range(d):
-            w = bullet.mul[i][j]
-            for k in range(d):
-                lhs = act.apply_basis(i, act.act[j][k])
-                t.compare((i, j, k), lhs, act.apply_vec_basis(w, k), vector_text)
+    compare(t, cube(s.dim), assoc, act.scale * act.scale, bullet.scale * act.scale, s.field,
+            vector_render(s.dim))
     return t
 
 
@@ -491,15 +548,7 @@ def _post_hopf_steps(s: YDPostHopf):
     ch.absorb(_module_algebra(s)[0])
     yield [ch.entry()]
     ch = Checker("L-MB")
-    for i in range(d):
-        legs = coalg.comul[i]
-        for j in range(d):
-            for k in range(d):
-                lhs = beta.apply_basis(i, alg.mul[j][k])
-                acc: dict[int, Scalar] = {}
-                for i1, i2, c in legs:
-                    add_scaled_inplace(acc, alg.mul_vec(beta.act[i2][j], beta.act[i1][k]), c)
-                ch.compare((i, j, k), lhs, _vector(d, acc, fs), vector_text)
+    _module_algebra_law(ch, s, beta.int_act(), swap=True)
     yield [ch.entry()]
 
     # L-ANTI2: beta_{x_2}(S(x_3)) . beta_{x_1}(x_4) = eps(x) 1
@@ -549,13 +598,9 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
     with respect to the braided tensor product, and left colinearity of the
     product.
     """
-    alg, coalg, act = s.carrier.algebra, s.carrier.coalgebra, s.action
+    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
     d = s.dim
-    one = s.field.one
     ensure_beta(s)
-    bullet = bullet_algebra(s)
-    adl = left_coaction_adl(s)
-    grouped = _sharp_legs(s)
     sigma = braiding_sigma(s)
     rep = CheckReport()
 
@@ -577,18 +622,8 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
         ch.absorb(part)
     rep.add(ch.entry())
 
-    # YD compatibility: Ad_L(a >- b) = a1 o b1 o S_>(b3) o S_>(a3) (x) (a2 >- b2),
-    # summed over the grouped legs (a1, a2, sum of S_>(a3)) and likewise for b
     ch = Checker("YD-COMPAT")
-    for a in range(d):
-        for b in range(d):
-            lhs = _vec_to_pairs(adl.apply(act.act[a][b]), d)
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for a1, a2, sa in grouped[a]:
-                for b1, b2, sb in grouped[b]:
-                    u = bullet.mul_vec(bullet.mul_vec(bullet.mul[a1][b1], sb), sa)
-                    tens2_add_scaled(rhs, u, act.act[a2][b2], one)
-            ch.compare((a, b), lhs, rhs, pairs_text)
+    _yd_compat(ch, s)
     rep.add(ch.entry())
 
     # Delta is multiplicative against the braided tensor square, and the
@@ -615,21 +650,96 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
                 ch.record((a, b, 1), (a, b) not in delta_failed)
     rep.add(ch.entry())
 
-    # left colinearity of the product:
-    # Ad_L(a.b) = a1 o S_>(a3) o b1 o S_>(b3) (x) (a2 . b2), over grouped legs
     ch = Checker("YD-COLINEAR")
-    for a in range(d):
-        lefts = [(bullet.mul_basis_vec(a1, sa), a2) for a1, a2, sa in grouped[a]]
-        for b in range(d):
-            lhs = _vec_to_pairs(adl.apply(alg.mul[a][b]), d)
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for left, a2 in lefts:
-                for b1, b2, sb in grouped[b]:
-                    u = bullet.mul_vec(bullet.mul_vec_basis(left, b1), sb)
-                    tens2_add_scaled(rhs, u, alg.mul[a2][b2], one)
-            ch.compare((a, b), lhs, rhs, pairs_text)
+    _yd_colinear(ch, s)
     rep.add(ch.entry())
     return rep
+
+
+def _yd_compat(t: Tally, s: YDPostHopf) -> None:
+    """YD compatibility, Ad_L(a >- b) = a1 o b1 o S_>(b3) o S_>(a3) (x)
+    (a2 >- b2) at (a, b), summed over the grouped legs (a1, a2, sum of
+    S_>(a3)) and likewise for b.  The pairs run with b outermost, so that
+    each a1 o b1 o S_>(b3) is made once per b and shared by every a."""
+    act, bullet, adl, grouped = (s.action.int_act(), bullet_algebra(s).int_mul(), _adl_columns(s),
+                                 _sharp_legs(s))
+    x_, o, ad, g_ = act.rows, bullet.rows, adl.rows, grouped.rows
+    d, p = s.dim, s.field.p
+    memo: dict = {}  # b -> a1 -> [(a1 o b1 o sum of S_>(b3), b2) per group of b]
+
+    def compat(acc, where, wl, wr):
+        a, b = where
+        get = acc.get
+        if wl:
+            for r, c in x_[a][b]:
+                c *= wl
+                for q, e in ad[r]:
+                    acc[q] = get(q, 0) + c * e
+        if wr:
+            by_a1 = memo.get(b)
+            if by_a1 is None:
+                memo.clear()
+                by_a1 = memo[b] = {}
+            for a1, a2, sa in g_[a]:
+                firsts = by_a1.get(a1)
+                if firsts is None:
+                    oa = o[a1]
+                    firsts = by_a1[a1] = [(int_bilinear(o, oa[b1], sb, p), b2) for b1, b2, sb in g_[b]]
+                xa = x_[a2]
+                for v, b2 in firsts:
+                    u = int_bilinear(o, v, sa, p)
+                    right = xa[b2]
+                    for r, c in u:
+                        c *= wr
+                        r *= d
+                        for q, e in right:
+                            acc[r + q] = get(r + q, 0) + c * e
+
+    sr = bullet.scale ** 3 * grouped.scale ** 2 * act.scale
+    pairs = ((a, b) for b in range(d) for a in range(d))
+    compare(t, pairs, compat, act.scale * adl.scale, sr, s.field, pairs_render(d))
+
+
+def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
+    """Left colinearity of the product, Ad_L(a.b) = a1 o S_>(a3) o b1 o
+    S_>(b3) (x) (a2 . b2) at (a, b), over grouped legs; each
+    a1 o S_>(a3) o b1 is made once per a."""
+    mul, bullet, adl, grouped = (s.carrier.algebra.int_mul(), bullet_algebra(s).int_mul(),
+                                 _adl_columns(s), _sharp_legs(s))
+    m, o, ad, g_ = mul.rows, bullet.rows, adl.rows, grouped.rows
+    d, p = s.dim, s.field.p
+    memo: dict = {}  # a -> [(a1 o sum of S_>(a3), a2, {b1: that o b1}) per group of a]
+
+    def colinear(acc, where, wl, wr):
+        a, b = where
+        get = acc.get
+        if wl:
+            for r, c in m[a][b]:
+                c *= wl
+                for q, e in ad[r]:
+                    acc[q] = get(q, 0) + c * e
+        if wr:
+            lefts = memo.get(a)
+            if lefts is None:
+                memo.clear()
+                lefts = memo[a] = [(int_bilinear(o, ((a1, 1),), sa, p), a2, {}) for a1, a2, sa in g_[a]]
+            gb = g_[b]
+            for left, a2, by_b1 in lefts:
+                ma = m[a2]
+                for b1, b2, sb in gb:
+                    v = by_b1.get(b1)
+                    if v is None:
+                        v = by_b1[b1] = int_bilinear(o, left, ((b1, 1),), p)
+                    u = int_bilinear(o, v, sb, p)
+                    right = ma[b2]
+                    for r, c in u:
+                        c *= wr
+                        r *= d
+                        for q, e in right:
+                            acc[r + q] = get(r + q, 0) + c * e
+
+    sr = bullet.scale ** 3 * grouped.scale ** 2 * mul.scale
+    compare(t, square(d), colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
 
 
 def is_pre_hopf(s: YDPostHopf) -> bool:

@@ -26,7 +26,7 @@ from ydalgebra.builders import (
 from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import StructureError, check_hopf, is_cocommutative
 from ydalgebra import posthopf
-from ydalgebra.posthopf import _BETA_KEYS, braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf
+from ydalgebra.posthopf import _BETA_KEYS, _set_beta, braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf
 from ydalgebra.report import Tally
 from ydalgebra.rota import check_group_rb
 from ydalgebra.structio import emit, parse
@@ -256,3 +256,17 @@ def test_builders_leave_no_stale_beta_results():
         fresh = parse(emit(s))
         for key in _BETA_KEYS:
             assert _plain(s._cache[key]) == _plain(getattr(posthopf, key)(fresh)), key
+        # the compiled tables that depend on beta go with it: the beta table
+        # lives on the beta tensor, Ad_L's columns and the grouped legs in
+        # the cache that _set_beta clears
+        old_beta = s.beta
+        assert old_beta._ints is not None
+        assert {"_adl_columns", "_sharp_legs"} <= set(_BETA_KEYS)
+        other = parse(emit(s)).beta
+        _set_beta(s, other)
+        assert s.beta is other and other._ints is None
+        assert not any(key in s._cache for key in _BETA_KEYS)
+        for suite in (check_yd_post_hopf, check_yd_hopf_monoid):
+            assert suite(s).machine_text() == suite(fresh).machine_text()
+        assert other._ints is not None and other._ints == fresh.beta._ints
+        assert _plain(s._cache["_adl_columns"]) == _plain(fresh._cache["_adl_columns"])
