@@ -20,6 +20,14 @@ an entry that cancels to zero, in the order the terms arrive, so every dict
 comes out as a term-by-term loop with scalar operators would leave it.
 ``ModInt`` stays the F_p scalar type: the F_p helpers store ``ModInt``s and
 raise ``FieldError`` on a ModInt of another modulus.
+
+The heaviest suite identities do not go through these helpers.  ALG-ASSOC,
+P-DOT, P-ASSOC, L-MB, YD-COMPAT and YD-COLINEAR run on tensors compiled once
+into plain-int tables (``compiled``): over Q the numerators over one common
+denominator per tensor, over F_p the residues.  Each side of a compare is
+an int sum at a known scale, the product of the denominators it read, and
+the sides are compared cross-multiplied, lhs * s_r == rhs * s_l (mod p over
+F_p).  A ``Vector`` is built only to render the first failing tuple.
 """
 
 from __future__ import annotations

@@ -120,6 +120,14 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
     def text(self) -> str:
+        """The human-readable report: one line per entry with its counts and
+        time, the first failure under it, and a verdict line.
+
+        An entry's time covers only its own step.  Where several IDs report
+        from one shared tally (P-DOT/L-MA/YD-MODALG, P-ASSOC/YD-MODULE,
+        P-COALG/L-DA/YD-MODCOALG, P-DELTA/YD-BRAIDMULT), the first ID that
+        evaluates the identity carries its cost, and every later one reads
+        about 0 ms.  The machine report carries no times."""
         width = max((len(e.axiom) for e in self.entries), default=8)
         lines = []
         for e in self.entries:
