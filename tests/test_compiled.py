@@ -2,10 +2,11 @@
 
 The reference functions below are the Vector-path loops that ALG-ASSOC,
 P-DOT, P-ASSOC, L-MB, YD-COMPAT and YD-COLINEAR ran before they moved to
-compiled tables, kept here verbatim as an oracle.  On perturbed Sweedler and
-E(2) structures, over Q (denominators 1-6), F_7 and F_10007, each identity
-must report the same checked count, failure count and witness as its
-reference.
+compiled tables, kept here as an oracle (P-DOT's and L-MB's loops, which
+differ only in which leg acts on which factor, as one).  On perturbed
+Sweedler and E(2) structures, over Q (denominators 1-6), F_7 and F_10007,
+each identity must report the same checked count, failure count and
+witness as its reference.
 """
 
 import functools
