@@ -14,6 +14,7 @@ import pytest
 
 from test_cli import run_cli
 from ydalgebra.builders import group_rb_inversion, symmetric_group_3
+from ydalgebra.cli import run_suite
 from ydalgebra.posthopf import check_yd_hopf_monoid, check_yd_post_hopf
 from ydalgebra.structio import emit, parse
 
@@ -62,6 +63,19 @@ SUITE_MUTANTS = {
     "en3-f7-mul": ("en3-f7", "mul 4 4 0", False),
     "en3-f7-action-nobeta": ("en3-f7", "action 2 8 2", True),
 }
+# relative Rota-Baxter and matched-pair mutants, run through the suite of
+# their kind: (base golden file, the directive whose last line changes, or a
+# line named without its coefficient).  The rb_l mutants fail RB-BIMON in its
+# parts 1 (h.mul), 2 (h.comul) and 3 (k.comul).
+KIND_MUTANTS = {
+    **{f"sweedler-{field}-rb_l-{d.replace('.', '')}": (f"sweedler-{field}-rb_l", d)
+       for field in FIELDS for d in ("h.mul", "h.comul", "k.comul")},
+    "sweedler-q-matchedpair-action0": ("sweedler-q-matchedpair", "action 0 0 0"),
+    "sweedler-q-matchedpair-raction0": ("sweedler-q-matchedpair", "raction 0 0 0"),
+    "sweedler-q-matchedpair-raction": ("sweedler-q-matchedpair", "raction"),
+}
+# the IDs that the kind mutants are the first goldens to show failing
+KIND_IDS = ("RB-2", "RB-BIMON", "MP-1", "MP-2")
 # every identity whose result more than one axiom ID reports fails somewhere
 SHARED_IDS = ("P-COALG", "P-DOT", "P-ASSOC", "P-DELTA", "L-U", "L-DA", "L-MA",
               "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-BRAIDMULT")
@@ -85,6 +99,11 @@ def _mutate(text: str, directive: str) -> str:
     lines = text.splitlines()
     i = max(j for j, line in enumerate(lines) if line.split()[0] == directive)
     return _mutate_line(lines, i)
+
+
+def _mutate_named(lines: list[str], line: str) -> str:
+    """Change the line named ``line`` without its coefficient."""
+    return _mutate_line(lines, next(j for j, x in enumerate(lines) if x.rsplit(" ", 1)[0] == line))
 
 
 def _mutate_line(lines: list[str], i: int) -> str:
@@ -154,27 +173,65 @@ def yd_mutant(base: str, line: str, strip_beta: bool):
     """The YD post-Hopf structure of a golden file with the coefficient of
     one line changed (``line`` names it without its coefficient), and
     without its beta lines if strip_beta."""
-    lines = (GOLDEN / f"{base}.struct").read_text().splitlines()
-    i = next(j for j, x in enumerate(lines) if x.rsplit(" ", 1)[0] == line)
-    lines = _mutate_line(lines, i).splitlines()
+    lines = _mutate_named((GOLDEN / f"{base}.struct").read_text().splitlines(), line).splitlines()
     if strip_beta:
         lines = [x for x in lines if x.split()[0] != "beta"]
     return parse("\n".join(lines) + "\n")
 
 
+def _suite_text(rep) -> str:
+    """The machine report, then one ``axiom status checked failures`` line
+    per entry."""
+    counts = "".join(f"{e.axiom} {e.status} {e.checked} {e.failures}\n" for e in rep.entries)
+    return rep.machine_text() + counts
+
+
 def _suite_report(name: str) -> str:
-    """The machine report of both suites on one mutant, then one
-    ``axiom status checked failures`` line per entry."""
+    """The suite text of both YD post-Hopf suites on one mutant."""
     m = yd_mutant(*SUITE_MUTANTS[name])
     rep = check_yd_post_hopf(m)
     rep.extend(check_yd_hopf_monoid(m))
-    counts = "".join(f"{e.axiom} {e.status} {e.checked} {e.failures}\n" for e in rep.entries)
-    return rep.machine_text() + counts
+    return _suite_text(rep)
+
+
+def _kind_suite_report(name: str) -> str:
+    """The suite text of ``run_suite`` on one kind mutant."""
+    base, change = KIND_MUTANTS[name]
+    text = (GOLDEN / f"{base}.struct").read_text()
+    if " " in change:
+        text = _mutate_named(text.splitlines(), change)
+    else:
+        text = _mutate(text, change)
+    return _suite_text(run_suite(parse(text)))
 
 
 @pytest.mark.parametrize("name", sorted(SUITE_MUTANTS))
 def test_suite_mutant_report_bytes(name):
     assert _suite_report(name).encode() == (GOLDEN / f"suite-{name}.report").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(KIND_MUTANTS))
+def test_kind_suite_mutant_report_bytes(name):
+    assert _kind_suite_report(name).encode() == (GOLDEN / f"suite-{name}.report").read_bytes()
+
+
+def _failing(names) -> dict:
+    """axiom ID -> the first-failure lines of the suite goldens of names."""
+    out: dict = {}
+    for name in names:
+        for line in (GOLDEN / f"suite-{name}.report").read_text().splitlines():
+            parts = line.split()
+            if parts[1] == "fail" and len(parts) > 2 and parts[2].startswith("at="):
+                out.setdefault(parts[0], []).append(parts[2])
+    return out
+
+
+def test_kind_mutants_fail_rb_and_mp_ids():
+    failing = _failing(KIND_MUTANTS)
+    assert set(KIND_IDS) <= set(failing)
+    # RB-BIMON fails in each of its module, module-algebra and
+    # module-coalgebra parts
+    assert {at.split(",")[0] for at in failing["RB-BIMON"]} == {"at=(1", "at=(2", "at=(3"}
 
 
 def test_suite_mutants_fail_every_shared_identity():
@@ -216,6 +273,8 @@ def write_golden() -> None:
         (GOLDEN / f"mutant-{name}.report").write_text(report)
     for name in SUITE_MUTANTS:
         (GOLDEN / f"suite-{name}.report").write_text(_suite_report(name))
+    for name in KIND_MUTANTS:
+        (GOLDEN / f"suite-{name}.report").write_text(_kind_suite_report(name))
 
 
 if __name__ == "__main__":
