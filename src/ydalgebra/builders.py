@@ -324,11 +324,7 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
     sharp = solve_antipode(bullet, coalg)
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
-    beta_rows = [
-        [action.apply_vec_basis(sharp.column(m), j) for j in range(dim)]
-        for m in range(dim)
-    ]
-    _set_beta(s, ActionTensor(dim, dim, beta_rows, fs))
+    _set_beta(s, action.pulled_back([sharp.column(m) for m in range(dim)]))
     return _certify(s, f"en(n={n})")
 
 
@@ -572,11 +568,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
     sharp = solve_antipode(bullet, coalg)
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
-    beta_rows = [
-        [action.apply_vec_basis(sharp.column(m), j) for j in range(dim)]
-        for m in range(dim)
-    ]
-    _set_beta(s, ActionTensor(dim, dim, beta_rows, fs))
+    _set_beta(s, action.pulled_back([sharp.column(m) for m in range(dim)]))
     return _certify(s, "suzuki")
 
 
@@ -624,12 +616,8 @@ def build_adjoint(h: HopfData) -> YDPostHopf:
             add_scaled_inplace(acc, u, c)
         cols.append(Vector(d, acc, fs))
     s_map = matrix_from_columns(cols, fs)
-    beta_rows = []
-    for i in range(d):
-        tv = t_map.column(i)
-        beta_rows.append([action.apply_vec_basis(tv, j) for j in range(d)])
     carrier = BraidedPair(alg, hco, s_map)
-    s = YDPostHopf(carrier, action, ActionTensor(d, d, beta_rows, fs))
+    s = YDPostHopf(carrier, action, action.pulled_back([t_map.column(i) for i in range(d)]))
     return _certify(s, "adjoint")
 
 

@@ -12,11 +12,27 @@ it.  ALG-ASSOC runs on the compiled product: both sides of
 (e_i e_j) e_k = e_i (e_j e_k) carry the square of its scale, so their int
 sums are compared as they are, and a ``Vector`` is built only to render the
 first failing triple.
+
+The action laws are written once, here, as tallies that the suites fold
+into their IDs; the acting space may differ from the target, as in a
+relative Rota-Baxter operator, where H acts on K:
+
+- ``module_law``: P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and its unit
+  row L-1ACT, MP-MODC 6;
+- ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
+  its unit row L-U, MP-1;
+- ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
+  MP-MODC 0-3;
+- ``mp5_law``: P-MP5, HB-MP5, MP-5.
+
+The first two run on the compiled tables, their unit rows on ``Vector``s.
+P-CONV reports the tallies of ``_verify_endo_inverse``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .compiled import IntTable, compare, compile_comul, compile_tensor, cube, vector_render
 from .field import FieldSpec, ModInt, Scalar, canonical
@@ -34,12 +50,13 @@ from .linalg import (
     _q_product,
     _q_ratio,
     _vector,
+    accumulate,
     add_scaled_inplace,
     matrix_from_columns,
     solve,
     unit_vector,
 )
-from .report import Checker, CheckReport, pairs_text, vector_text
+from .report import Checker, CheckReport, Tally, pairs_text, vector_text
 
 
 class StructureError(ValueError):
@@ -126,13 +143,7 @@ class CoalgebraData:
             for j, k, c in terms:
                 if not (0 <= j < self.dim and 0 <= k < self.dim):
                     raise StructureError("comultiplication index out of range")
-                key = (j, k)
-                s = acc.get(key)
-                s = c if s is None else s + c
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
+                accumulate(acc, (j, k), c)
             norm.append([(j, k, canonical(c)) for (j, k), c in sorted(acc.items())])
         self.comul = norm
 
@@ -160,13 +171,7 @@ class CoalgebraData:
             acc: dict[tuple[int, ...], Scalar] = {}
             for tup, s in prev:
                 for a, b, c in self.comul[tup[0]]:
-                    k2 = (a, b) + tup[1:]
-                    v = acc.get(k2)
-                    v = s * c if v is None else v + s * c
-                    if v:
-                        acc[k2] = v
-                    else:
-                        del acc[k2]
+                    accumulate(acc, (a, b) + tup[1:], s * c)
             out = sorted(acc.items())
         self._legs[key] = out
         return out
@@ -300,6 +305,12 @@ class ActionTensor:
             add_scaled_inplace(acc, act[i][k], a)
         return _vector(self.target_dim, acc, self.field)
 
+    def pulled_back(self, xs: list[Vector]) -> ActionTensor:
+        """The action of the vectors xs by index: e_i >- f_j := xs[i] >- f_j."""
+        d = self.target_dim
+        rows = [[self.apply_vec_basis(x, j) for j in range(d)] for x in xs]
+        return ActionTensor(len(xs), d, rows, self.field)
+
 
 # --- small tensor helpers -------------------------------------------------
 
@@ -387,21 +398,9 @@ def check_coalgebra(c: CoalgebraData) -> CheckReport:
         right: dict[tuple[int, int, int], Scalar] = {}
         for j, k, s in c.comul[i]:
             for a, b, t in c.comul[j]:
-                key = (a, b, k)
-                v = left.get(key)
-                v = s * t if v is None else v + s * t
-                if v:
-                    left[key] = v
-                else:
-                    del left[key]
+                accumulate(left, (a, b, k), s * t)
             for b, d, t in c.comul[k]:
-                key = (j, b, d)
-                v = right.get(key)
-                v = s * t if v is None else v + s * t
-                if v:
-                    right[key] = v
-                else:
-                    del right[key]
+                accumulate(right, (j, b, d), s * t)
         ch.compare((i,), left, right, pairs_text)
     rep.add(ch.entry())
     ch = Checker("COALG-COUNIT")
@@ -409,22 +408,8 @@ def check_coalgebra(c: CoalgebraData) -> CheckReport:
         lacc: dict[int, Scalar] = {}
         racc: dict[int, Scalar] = {}
         for j, k, s in c.comul[i]:
-            ej = c.eps(j)
-            ek = c.eps(k)
-            if ek:
-                v = lacc.get(j)
-                v = s * ek if v is None else v + s * ek
-                if v:
-                    lacc[j] = v
-                else:
-                    del lacc[j]
-            if ej:
-                v = racc.get(k)
-                v = s * ej if v is None else v + s * ej
-                if v:
-                    racc[k] = v
-                else:
-                    del racc[k]
+            accumulate(lacc, j, s * c.eps(k))
+            accumulate(racc, k, s * c.eps(j))
         e_i = unit_vector(c.dim, i, c.field)
         ch.compare((i, 0), Vector(c.dim, lacc, c.field), e_i, vector_text)
         ch.compare((i, 1), Vector(c.dim, racc, c.field), e_i, vector_text)
@@ -481,6 +466,132 @@ def check_hopf(h: HopfData) -> CheckReport:
 
     rep.add(_antipode_checker("HOPF-ANTIPODE", a, c, h.antipode).entry())
     return rep
+
+
+# --- action laws (see the module docstring) ----------------------------------
+
+
+def module_law(act: ActionTensor, alg: AlgebraData) -> Tally:
+    """act makes its target a module over alg: (g.h) >- a = g >- (h >- a)
+    at (g, h, a), on the compiled tables; ``module_unit_law`` is its unit."""
+    x, mul = act.int_act(), alg.int_mul()
+    x_, m = x.rows, mul.rows
+
+    def law(acc, where, wl, wr):
+        g, h, a = where
+        get = acc.get
+        if wl:
+            for r, c in m[g][h]:
+                c *= wl
+                for q, e in x_[r][a]:
+                    acc[q] = get(q, 0) + c * e
+        if wr:
+            xg = x_[g]
+            for r, c in x_[h][a]:
+                c *= wr
+                for q, e in xg[r]:
+                    acc[q] = get(q, 0) + c * e
+
+    dh, dk = act.acting_dim, act.target_dim
+    t = Tally()
+    compare(t, product(range(dh), range(dh), range(dk)), law, mul.scale * x.scale, x.scale * x.scale,
+            act.field, vector_render(dk))
+    return t
+
+
+def module_unit_law(act: ActionTensor, alg: AlgebraData) -> Tally:
+    """1 >- a = a at (a,), for the unit of alg."""
+    t = Tally()
+    dk = act.target_dim
+    for a in range(dk):
+        t.compare((a,), act.apply_vec_basis(alg.unit, a), unit_vector(dk, a, act.field), vector_text)
+    return t
+
+
+def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData,
+                       swap: bool = False) -> Tally:
+    """act makes alg a module algebra over the acting coalgebra coalg:
+    h >- (a.b) = (h_1 >- a).(h_2 >- b) at (h, a, b), on the compiled tables;
+    ``module_algebra_unit_law`` is its unit.  With swap, the legs h_1 and
+    h_2 trade places on the right."""
+    x, mul, comul = act.int_act(), alg.int_mul(), coalg.int_comul()
+    x_, m, c_ = x.rows, mul.rows, comul.rows
+
+    def law(acc, where, wl, wr):
+        i, j, k = where
+        get = acc.get
+        if wl:
+            xi = x_[i]
+            for r, a in m[j][k]:
+                a *= wl
+                for q, b in xi[r]:
+                    acc[q] = get(q, 0) + a * b
+        if wr:
+            for i1, i2, c in c_[i]:
+                if swap:
+                    i1, i2 = i2, i1
+                c *= wr
+                right = x_[i2][k]
+                for r, a in x_[i1][j]:
+                    ca = c * a
+                    mr = m[r]
+                    for u, b in right:
+                        w = ca * b
+                        for q, e in mr[u]:
+                            acc[q] = get(q, 0) + w * e
+
+    dh, dk = act.acting_dim, act.target_dim
+    t = Tally()
+    compare(t, product(range(dh), range(dk), range(dk)), law, mul.scale * x.scale,
+            comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
+    return t
+
+
+def module_algebra_unit_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData) -> Tally:
+    """h >- 1 = eps(h) 1 at (h,), for the unit of alg."""
+    t = Tally()
+    for i in range(act.acting_dim):
+        t.compare((i,), act.apply_basis(i, alg.unit), alg.unit.scale(coalg.eps(i)), vector_text)
+    return t
+
+
+def module_coalgebra_law(act: ActionTensor, hco: CoalgebraData, kco: CoalgebraData,
+                         swap: bool = False) -> tuple[Tally, Tally]:
+    """act makes kco a module coalgebra over the acting coalgebra hco, as two
+    tallies: Delta(h >- a) = (h_1 >- a_1) (x) (h_2 >- a_2) at (h, a), and
+    eps(h >- a) = eps(h) eps(a) at (h, a).  With swap, the legs h_1 and h_2
+    trade places on the right."""
+    rows = act.act
+    delta, counit = Tally(), Tally()
+    for i in range(act.acting_dim):
+        for j in range(act.target_dim):
+            rhs: dict[tuple[int, int], Scalar] = {}
+            for i1, i2, ci in hco.comul[i]:
+                if swap:
+                    i1, i2 = i2, i1
+                for j1, j2, cj in kco.comul[j]:
+                    tens2_add_scaled(rhs, rows[i1][j1], rows[i2][j2], ci, cj)
+            delta.compare((i, j), kco.comul_vec(rows[i][j]), rhs, pairs_text)
+            counit.compare((i, j), kco.eps_vec(rows[i][j]), hco.eps(i) * kco.eps(j))
+    return delta, counit
+
+
+def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Tally:
+    """(x_1 >- y_1) (x) (x_2 -< y_2) = (x_2 >- y_2) (x) (x_1 -< y_1) at
+    (x, y), for a left action >- and a right action -< of coalg on itself
+    (right.act[x][y] = x -< y)."""
+    t = Tally()
+    ls, rs = left.act, right.act
+    for i in range(coalg.dim):
+        for j in range(coalg.dim):
+            lhs: dict[tuple[int, int], Scalar] = {}
+            rhs: dict[tuple[int, int], Scalar] = {}
+            for i1, i2, ci in coalg.comul[i]:
+                for j1, j2, cj in coalg.comul[j]:
+                    tens2_add_scaled(lhs, ls[i1][j1], rs[i2][j2], ci, cj)
+                    tens2_add_scaled(rhs, ls[i2][j2], rs[i1][j1], ci, cj)
+            t.compare((i, j), lhs, rhs, pairs_text)
+    return t
 
 
 # --- convolution calculus ---------------------------------------------------
@@ -656,10 +767,10 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
             }
             beta_cols[z][y] = Vector(d, entries, fs)
     beta = ActionTensor(d, d, [list(col) for col in beta_cols], fs)
-    left_ok, right_ok = _verify_endo_inverse(alpha, beta, c)
-    if not left_ok:
+    left, right = _verify_endo_inverse(alpha, beta, c)
+    if left.failures:
         raise LinAlgError("convolution inverse self-check failed: alpha*beta != eps Id")
-    if not right_ok:
+    if right.failures:
         if check_coalgebra(c).all_pass():
             raise LinAlgError("convolution inverse self-check failed: beta*alpha != eps Id")
         return EndoInverse(None, kernel_total)
@@ -668,14 +779,15 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
 
 def _verify_endo_inverse(
     alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData
-) -> tuple[bool, bool]:
-    """Whether alpha*beta and beta*alpha each equal eps Id."""
+) -> tuple[Tally, Tally]:
+    """(alpha*beta)(x) = eps(x) Id and (beta*alpha)(x) = eps(x) Id, as two
+    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``."""
     d = c.dim
     fs = alpha.field
     from .linalg import identity_matrix
 
     ident = identity_matrix(d, fs)
-    left_ok = right_ok = True
+    left, right = Tally(), Tally()
     for x in range(d):
         acc1 = Matrix(d, d, {}, fs)
         acc2 = Matrix(d, d, {}, fs)
@@ -683,9 +795,9 @@ def _verify_endo_inverse(
             acc1 = acc1.add(alpha.matrix(x1).compose(beta.matrix(x2)).scale(s))
             acc2 = acc2.add(beta.matrix(x1).compose(alpha.matrix(x2)).scale(s))
         target = ident.scale(c.eps(x))
-        left_ok = left_ok and acc1 == target
-        right_ok = right_ok and acc2 == target
-    return left_ok, right_ok
+        left.record((x,), acc1 == target, "alpha*beta", "eps Id")
+        right.record((x,), acc2 == target, "beta*alpha", "eps Id")
+    return left, right
 
 
 def solve_antipode(a: AlgebraData, c: CoalgebraData) -> Matrix | None:

@@ -262,6 +262,17 @@ def _fp_product(c: ModInt, c2: ModInt, c3) -> tuple[int, int]:
     return cv, p
 
 
+def accumulate(acc: dict, key, value: Scalar) -> None:
+    """acc[key] += value, dropping the key when the sum is zero; for the
+    cold loops that sum single terms under arbitrary keys."""
+    s = acc.get(key)
+    s = value if s is None else s + value
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
 def add_scaled_inplace(acc: dict[int, Scalar], v: Vector, c: Scalar,
                        c2: Scalar | None = None, c3: Scalar | None = None) -> None:
     """acc += c * c2 * c3 * v on a raw entry dict (c2, c3 optional);

@@ -25,11 +25,14 @@ and first failure:
 - YD-BRAIDMULT compares at (a, b, 1) only once (a, b, 0) has shown that the
   braided product is Delta(a.b), so that compare is P-DELTA's at (a, b).
 
+P-DOT, P-COALG and P-ASSOC, L-1ACT, L-MB, L-DB and P-MP5 call the action
+laws of ``hopf``; P-CONV reports the tallies of ``hopf._verify_endo_inverse``.
+
 Setting beta drops the cached results that depend on beta, and no other.
 
 The heaviest identities run on compiled plain-int tables (``compiled``):
-P-DOT and L-MB on the action, beta, product and coproduct tables, P-ASSOC on
-the action and bullet tables, YD-COMPAT and YD-COLINEAR on those and the
+P-DOT, L-MB and P-ASSOC through the action laws of ``hopf``, YD-COMPAT and
+YD-COLINEAR on the action, product, bullet and coproduct tables and the
 compiled Ad_L columns and grouped legs; so L-MA, YD-MODALG and YD-MODULE,
 which report from the same tallies, do too.  Each side of each of these
 identities is one contraction pattern whose int sum carries the product of
@@ -45,9 +48,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 
-from .compiled import (
-    IntTable, compare, compile_groups, compile_vectors, cube, int_bilinear, pairs_render, square, vector_render,
-)
+from .compiled import IntTable, compare, compile_groups, compile_vectors, int_bilinear, pairs_render, square
 from .field import FieldSpec, Scalar
 from .hopf import (
     ActionTensor,
@@ -57,14 +58,21 @@ from .hopf import (
     HopfData,
     StructureError,
     _antipode_checker,
+    _verify_endo_inverse,
     check_algebra,
     check_coalgebra,
     check_hopf,
     hom_convolution_inverse_endo,
+    module_algebra_law,
+    module_algebra_unit_law,
+    module_coalgebra_law,
+    module_law,
+    module_unit_law,
+    mp5_law,
     tens2_add_scaled,
 )
 from .linalg import (
-    Matrix, Vector, _vector, add_scaled_inplace, identity_matrix, kernel, matrix_from_columns, solve, unit_vector,
+    Matrix, Vector, _vector, accumulate, add_scaled_inplace, kernel, matrix_from_columns, solve, unit_vector,
 )
 from .report import (
     FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, pairs_text, skipped_entry, vector_text,
@@ -289,69 +297,25 @@ def _pdelta_rhs(s: YDPostHopf, i: int, j: int, memo: dict) -> dict:
 # axiom IDs that restate it report from its tallies (see the module docstring).
 
 
-def _module_algebra_law(t: Tally, s: YDPostHopf, act: IntTable, swap: bool) -> None:
-    """x >- (y.z) = (x_1 >- y).(x_2 >- z) at (x, y, z) on t, for the action
-    table act; with swap, the legs x_1 and x_2 trade places on the right."""
-    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
-    mul, comul = alg.int_mul(), coalg.int_comul()
-    x_, m, c_ = act.rows, mul.rows, comul.rows
-
-    def law(acc, where, wl, wr):
-        i, j, k = where
-        get = acc.get
-        if wl:
-            xi = x_[i]
-            for r, a in m[j][k]:
-                a *= wl
-                for q, b in xi[r]:
-                    acc[q] = get(q, 0) + a * b
-        if wr:
-            for i1, i2, c in c_[i]:
-                if swap:
-                    i1, i2 = i2, i1
-                c *= wr
-                right = x_[i2][k]
-                for r, a in x_[i1][j]:
-                    ca = c * a
-                    mr = m[r]
-                    for u, b in right:
-                        w = ca * b
-                        for q, e in mr[u]:
-                            acc[q] = get(q, 0) + w * e
-
-    compare(t, cube(s.dim), law, mul.scale * act.scale,
-            comul.scale * act.scale * act.scale * mul.scale, s.field, vector_render(s.dim))
-
-
 @_per_structure
 def _module_algebra(s: YDPostHopf) -> tuple[Tally, Tally]:
-    """>- makes H a module algebra, as two tallies: x >- (y.z) =
-    (x_1 >- y).(x_2 >- z) at (x, y, z), and x >- 1 = eps(x) 1 at (x,)."""
-    alg, coalg, act = s.carrier.algebra, s.carrier.coalgebra, s.action
-    mult, unit = Tally(), Tally()
-    _module_algebra_law(mult, s, act.int_act(), swap=False)
-    for i in range(s.dim):
-        unit.compare((i,), act.apply_basis(i, alg.unit), alg.unit.scale(coalg.eps(i)), vector_text)
-    return mult, unit
+    """>- makes H a module algebra (``hopf.module_algebra_law``): x >- (y.z)
+    = (x_1 >- y).(x_2 >- z) at (x, y, z), and x >- 1 = eps(x) 1 at (x,)."""
+    act, coalg, alg = s.action, s.carrier.coalgebra, s.carrier.algebra
+    return module_algebra_law(act, coalg, alg), module_algebra_unit_law(act, coalg, alg)
 
 
 @_per_structure
 def _alpha_comult(s: YDPostHopf) -> tuple[Tally, Tally, Tally]:
-    """>- is a coalgebra morphism, as three tallies: Delta(x >- y) at
-    (x, y, 0); eps(x >- y) at (x, y, 1); eps(x.y) at (x, y, 2), Delta(1) at
-    (d, d, 0) and eps(1) at (d, d, 1)."""
-    alg, coalg, act = s.carrier.algebra, s.carrier.coalgebra, s.action
+    """>- is a coalgebra morphism, as three tallies: Delta(x >- y) and
+    eps(x >- y) at (x, y) (``hopf.module_coalgebra_law``); eps(x.y) at
+    (x, y, 2), Delta(1) at (d, d, 0) and eps(1) at (d, d, 1)."""
+    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
     d, fs = s.dim, s.field
-    delta, counit, rest = Tally(), Tally(), Tally()
+    delta, counit = module_coalgebra_law(s.action, coalg, coalg)
+    rest = Tally()
     for i in range(d):
         for j in range(d):
-            lhs = coalg.comul_vec(act.act[i][j])
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for i1, i2, ci in coalg.comul[i]:
-                for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(rhs, act.act[i1][j1], act.act[i2][j2], ci, cj)
-            delta.compare((i, j, 0), lhs, rhs, pairs_text)
-            counit.compare((i, j, 1), coalg.eps_vec(act.act[i][j]), coalg.eps(i) * coalg.eps(j))
             rest.compare((i, j, 2), coalg.eps_vec(alg.mul[i][j]), coalg.eps(i) * coalg.eps(j))
     utens: dict[tuple[int, int], Scalar] = {}
     tens2_add_scaled(utens, alg.unit, alg.unit, fs.one)
@@ -361,32 +325,12 @@ def _alpha_comult(s: YDPostHopf) -> tuple[Tally, Tally, Tally]:
 
 
 @_per_structure
-def _module_identity(s: YDPostHopf) -> Tally:
-    """x >- (y >- z) = (x_1 . (x_2 >- y)) >- z at (x, y, z); the product on
-    the right is the bullet product x o y."""
-    act = s.action.int_act()
-    bullet = bullet_algebra(s).int_mul()
-    x_, o = act.rows, bullet.rows
-
-    def assoc(acc, where, wl, wr):
-        i, j, k = where
-        get = acc.get
-        if wl:
-            xi = x_[i]
-            for r, a in x_[j][k]:
-                a *= wl
-                for q, b in xi[r]:
-                    acc[q] = get(q, 0) + a * b
-        if wr:
-            for r, a in o[i][j]:
-                a *= wr
-                for q, b in x_[r][k]:
-                    acc[q] = get(q, 0) + a * b
-
-    t = Tally()
-    compare(t, cube(s.dim), assoc, act.scale * act.scale, bullet.scale * act.scale, s.field,
-            vector_render(s.dim))
-    return t
+def _module_identity(s: YDPostHopf) -> tuple[Tally, Tally]:
+    """>- makes H a module over the bullet product (``hopf.module_law``):
+    (x o y) >- z = x >- (y >- z) at (x, y, z), where x o y = x_1 . (x_2 >- y),
+    and 1 >- z = z at (z,)."""
+    bullet = bullet_algebra(s)
+    return module_law(s.action, bullet), module_unit_law(s.action, bullet)
 
 
 @_per_structure
@@ -432,8 +376,10 @@ def _post_hopf_steps(s: YDPostHopf):
 
     # P-COALG: >- is a coalgebra morphism, eps is multiplicative, Delta(1)=1(x)1
     ch = Checker("P-COALG")
-    for part in _alpha_comult(s):
-        ch.absorb(part)
+    delta, counit, rest = _alpha_comult(s)
+    ch.absorb(delta, where=lambda w: w + (0,))
+    ch.absorb(counit, where=lambda w: w + (1,))
+    ch.absorb(rest)
     yield [ch.entry()]
 
     yield [_antipode_checker("P-S", alg, coalg, smap).entry()]
@@ -445,7 +391,7 @@ def _post_hopf_steps(s: YDPostHopf):
 
     # P-ASSOC: x >- (y >- z) = (x_1 . (x_2 >- y)) >- z
     ch = Checker("P-ASSOC")
-    ch.absorb(_module_identity(s))
+    ch.absorb(_module_identity(s)[0], swap=True)
     yield [ch.entry()]
 
     # P-CONV: alpha is convolution invertible with inverse beta
@@ -463,17 +409,10 @@ def _post_hopf_steps(s: YDPostHopf):
         ]
         return
 
-    ident = identity_matrix(d, fs)
     ch = Checker("P-CONV")
-    for x in range(d):
-        acc1 = Matrix(d, d, {}, fs)
-        acc2 = Matrix(d, d, {}, fs)
-        for x1, x2, c in coalg.comul[x]:
-            acc1 = acc1.add(act.matrix(x1).compose(beta.matrix(x2)).scale(c))
-            acc2 = acc2.add(beta.matrix(x1).compose(act.matrix(x2)).scale(c))
-        target = ident.scale(coalg.eps(x))
-        ch.record((x, 0), acc1 == target, "alpha*beta", "eps Id")
-        ch.record((x, 1), acc2 == target, "beta*alpha", "eps Id")
+    left, right = _verify_endo_inverse(act, beta, coalg)
+    ch.absorb(left, where=lambda w: (w[0], 0))
+    ch.absorb(right, where=lambda w: (w[0], 1))
     conv_ok = ch.failures == 0
     yield [ch.entry()]
 
@@ -497,17 +436,8 @@ def _post_hopf_steps(s: YDPostHopf):
         yield [ch.entry()]
 
         # P-MP5: (x_1 >- y_1) (x) (x_2 -< y_2) = (x_2 >- y_2) (x) (x_1 -< y_1)
-        harp = leftharpoon(s)
         ch = Checker("P-MP5")
-        for i in range(d):
-            for j in range(d):
-                lhs: dict[tuple[int, int], Scalar] = {}
-                rhs: dict[tuple[int, int], Scalar] = {}
-                for i1, i2, ci in coalg.comul[i]:
-                    for j1, j2, cj in coalg.comul[j]:
-                        tens2_add_scaled(lhs, act.act[i1][j1], harp.act[i2][j2], ci, cj)
-                        tens2_add_scaled(rhs, act.act[i2][j2], harp.act[i1][j1], ci, cj)
-                ch.compare((i, j), lhs, rhs, pairs_text)
+        ch.absorb(mp5_law(act, leftharpoon(s), coalg))
         yield [ch.entry()]
 
     for entry in _beta_free_lemmas(s):
@@ -533,14 +463,7 @@ def _post_hopf_steps(s: YDPostHopf):
     ch.absorb(_alpha_comult(s)[0], where=lambda w: w[:2])
     yield [ch.entry()]
     ch = Checker("L-DB")
-    for i in range(d):
-        for j in range(d):
-            lhs = coalg.comul_vec(beta.act[i][j])
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for i1, i2, ci in coalg.comul[i]:
-                for p, q, t in coalg.comul[j]:
-                    tens2_add_scaled(rhs, beta.act[i2][p], beta.act[i1][q], ci, t)
-            ch.compare((i, j), lhs, rhs, pairs_text)
+    ch.absorb(module_coalgebra_law(beta, coalg, coalg, swap=True)[0])
     yield [ch.entry()]
 
     # L-MA / L-MB: how the product interlaces with alpha and beta; L-MA is P-DOT
@@ -548,7 +471,7 @@ def _post_hopf_steps(s: YDPostHopf):
     ch.absorb(_module_algebra(s)[0])
     yield [ch.entry()]
     ch = Checker("L-MB")
-    _module_algebra_law(ch, s, beta.int_act(), swap=True)
+    ch.absorb(module_algebra_law(beta, coalg, alg, swap=True))
     yield [ch.entry()]
 
     # L-ANTI2: beta_{x_2}(S(x_3)) . beta_{x_1}(x_4) = eps(x) 1
@@ -569,8 +492,7 @@ def _beta_free_lemmas(s: YDPostHopf):
     ch.absorb(_module_algebra(s)[1])
     yield ch.entry()
     ch = Checker("L-1ACT")
-    for j in range(d):
-        ch.compare((j,), act.apply_vec_basis(alg.unit, j), unit_vector(d, j, fs), vector_text)
+    ch.absorb(_module_identity(s)[1])
     yield ch.entry()
     ch = Checker("L-SLIN")
     for i in range(d):
@@ -606,7 +528,7 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
 
     # (x o y) >- z = x >- (y >- z): P-ASSOC with its sides swapped
     ch = Checker("YD-MODULE")
-    ch.absorb(_module_identity(s), swap=True)
+    ch.absorb(_module_identity(s)[0])
     rep.add(ch.entry())
 
     # P-DOT, and x >- 1 = eps(x) 1 (L-U) as the row (x, d, d)
@@ -618,8 +540,9 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
 
     # the first two compares of P-COALG
     ch = Checker("YD-MODCOALG")
-    for part in _alpha_comult(s)[:2]:
-        ch.absorb(part)
+    delta, counit, _ = _alpha_comult(s)
+    ch.absorb(delta, where=lambda w: w + (0,))
+    ch.absorb(counit, where=lambda w: w + (1,))
     rep.add(ch.entry())
 
     ch = Checker("YD-COMPAT")
@@ -764,22 +687,12 @@ def primitives(coalg: CoalgebraData, unit: Vector) -> list[Vector]:
     d = coalg.dim
     fs = coalg.field
     entries: dict[tuple[int, int], Scalar] = {}
-
-    def bump(row: int, col: int, c: Scalar):
-        key = (row, col)
-        v = entries.get(key)
-        v = c if v is None else v + c
-        if v:
-            entries[key] = v
-        else:
-            entries.pop(key, None)
-
     for i in range(d):
         for j, k, c in coalg.comul[i]:
-            bump(j * d + k, i, c)
+            accumulate(entries, (j * d + k, i), c)
         for u, cu in unit.entries.items():
-            bump(i * d + u, i, -cu)
-            bump(u * d + i, i, -cu)
+            accumulate(entries, (i * d + u, i), -cu)
+            accumulate(entries, (u * d + i, i), -cu)
     return kernel(Matrix(d * d, d, entries, fs))
 
 

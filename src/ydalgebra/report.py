@@ -110,6 +110,16 @@ class CheckReport:
     def extend(self, other: "CheckReport") -> None:
         self.entries.extend(other.entries)
 
+    def summary(self, axiom: str) -> CheckEntry:
+        """This report as one entry of ``axiom``: a pass checking what all
+        its entries checked, or a fail with the first failing entry's
+        witness, its tuple prefixed with that entry's ID."""
+        bad = self.failed()
+        if not bad:
+            return CheckEntry(axiom, PASS, checked=sum(e.checked for e in self.entries))
+        w = bad[0].witness
+        return CheckEntry(axiom, FAIL, Witness((bad[0].axiom,) + w.where, w.lhs, w.rhs))
+
     def machine_text(self) -> str:
         lines = []
         for e in self.entries:
@@ -146,7 +156,11 @@ class CheckReport:
 class Tally:
     """Verdicts of one identity over basis tuples: how many were checked,
     how many failed, and the first failure.  Loops visit the tuples in
-    lexicographic order, so the first failure is the least failing tuple."""
+    lexicographic order, so the first failure is the least failing tuple,
+    and ``absorb`` folds part tallies into one ID.  MP-MODC is the exception:
+    its parts interleave per (i, j), and its witness stays the first failure
+    in that order, as golden reports pin it (``braces`` picks it).  So do the
+    interleaved loops of RBM-F/RBM-G and LRB-LIE-G/H, on one Checker each."""
 
     def __init__(self):
         self.witness: Witness | None = None

@@ -6,6 +6,10 @@ two-sided tensor symmetry, and (for the full notion) bijectivity plus the
 inverse-side identity.  The module also houses the functors between these
 operators and post-Hopf structures, the induced antipode on K, restriction
 to group-likes and primitives, and the plain group/Lie weight-1 checkers.
+
+RB-BIMON's parts 1-3 (H acts on K as a module, a module algebra and a
+module coalgebra) call the action laws of ``hopf``; its parts 4-8 and RB-2
+are written out here.
 """
 
 from __future__ import annotations
@@ -20,9 +24,15 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
+    _antipode_checker,
     check_algebra,
     check_coalgebra,
     check_hopf,
+    module_algebra_law,
+    module_algebra_unit_law,
+    module_coalgebra_law,
+    module_law,
+    module_unit_law,
     solve_antipode,
     tens2_add_scaled,
 )
@@ -49,13 +59,12 @@ from .posthopf import (
 )
 from .report import (
     FAIL,
-    PASS,
     Checker,
     CheckEntry,
     CheckReport,
+    Tally,
     Witness,
     pairs_text,
-    skipped_entry,
     vector_text,
 )
 
@@ -141,16 +150,9 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     rep = CheckReport()
 
     sub = check_hopf(r.h)
-    sub_k = check_algebra(kalg)
-    sub_k.extend(check_coalgebra(kco))
-    if sub.all_pass() and sub_k.all_pass():
-        rep.add(CheckEntry("RB-SPACES", PASS,
-                           checked=sum(e.checked for e in sub.entries + sub_k.entries)))
-    else:
-        first = (sub.failed() + sub_k.failed())[0]
-        rep.add(CheckEntry("RB-SPACES", FAIL,
-                           Witness((first.axiom,) + first.witness.where,
-                                   first.witness.lhs, first.witness.rhs)))
+    sub.extend(check_algebra(kalg))
+    sub.extend(check_coalgebra(kco))
+    rep.add(sub.summary("RB-SPACES"))
 
     # RB-COALG: R is a coalgebra morphism and R(1_K) = 1_H
     ch = Checker("RB-COALG")
@@ -224,50 +226,33 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     return rep
 
 
+def _action_parts(r: RelRB) -> Tally:
+    """RB-BIMON's parts 1-3, at (1, g, h, a) and (1, dh, dh, a), (2, h, a, b)
+    and (2, h, dk, dk), and (3, h, a, 0|1)."""
+    dk, dh = r.dim_k, r.h.dim
+    act, hco = r.action, r.h.coalgebra
+    t = Tally()
+    t.absorb(module_law(act, r.h.algebra), where=lambda w: (1,) + w)
+    t.absorb(module_unit_law(act, r.h.algebra), where=lambda w: (1, dh, dh) + w)
+    t.absorb(module_algebra_law(act, hco, r.k_alg), where=lambda w: (2,) + w)
+    t.absorb(module_algebra_unit_law(act, hco, r.k_alg), where=lambda w: (2,) + w + (dk, dk))
+    delta, counit = module_coalgebra_law(act, hco, r.k_coalg)
+    t.absorb(delta, where=lambda w: (3,) + w + (0,))
+    t.absorb(counit, where=lambda w: (3,) + w + (1,))
+    return t
+
+
 def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
-    """K is a bimonoid in Yetter-Drinfeld modules over H, condition by condition."""
+    """K is a bimonoid in Yetter-Drinfeld modules over H, condition by
+    condition: parts 1-3 from ``_action_parts``, then parts 4-8, each in
+    lexicographic order, so the witness is the least failing tuple."""
     dk, dh = r.dim_k, r.h.dim
     fs = r.field
     halg, hco = r.h.algebra, r.h.coalgebra
     kalg, kco = r.k_alg, r.k_coalg
     act = r.action
     ch = Checker("RB-BIMON")
-
-    # 1. module: (g.h) >- a = g >- (h >- a), 1 >- a = a
-    for i in range(dh):
-        for j in range(dh):
-            w = halg.mul[i][j]
-            for a in range(dk):
-                lhs = act.apply_vec_basis(w, a)
-                rhs = act.apply_basis(i, act.act[j][a])
-                ch.compare((1, i, j, a), lhs, rhs, vector_text)
-    for a in range(dk):
-        ch.compare((1, dh, dh, a), act.apply_vec_basis(halg.unit, a),
-                   unit_vector(dk, a, fs), vector_text)
-
-    # 2. module algebra: h >- (a.b) = (h_1 >- a).(h_2 >- b), h >- 1 = eps(h) 1
-    for i in range(dh):
-        legs = hco.comul[i]
-        for a in range(dk):
-            for b in range(dk):
-                lhs = act.apply_basis(i, kalg.mul[a][b])
-                acc: dict[int, Scalar] = {}
-                for i1, i2, c in legs:
-                    add_scaled_inplace(acc, kalg.mul_vec(act.act[i1][a], act.act[i2][b]), c)
-                ch.compare((2, i, a, b), lhs, _vector(dk, acc, fs), vector_text)
-        ch.compare((2, i, dk, dk), act.apply_basis(i, kalg.unit),
-                   kalg.unit.scale(hco.eps(i)), vector_text)
-
-    # 3. module coalgebra
-    for i in range(dh):
-        for a in range(dk):
-            lhs = kco.comul_vec(act.act[i][a])
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for i1, i2, ci in hco.comul[i]:
-                for a1, a2, ca in kco.comul[a]:
-                    tens2_add_scaled(rhs, act.act[i1][a1], act.act[i2][a2], ci, ca)
-            ch.compare((3, i, a, 0), lhs, rhs, pairs_text)
-            ch.compare((3, i, a, 1), kco.eps_vec(act.act[i][a]), hco.eps(i) * kco.eps(a))
+    ch.absorb(_action_parts(r))
 
     # 4. comodule: counit leg and coassociativity of the coaction
     for a in range(dk):
@@ -433,15 +418,8 @@ def antipode_sk(r: RelRB) -> Matrix:
             add_scaled_inplace(acc, r.action.apply(r.r_map.column(a1), w), c)
         cols.append(Vector(dk, acc, fs))
     sk = matrix_from_columns(cols, fs)
-    for a in range(dk):
-        left: dict[int, Scalar] = {}
-        right: dict[int, Scalar] = {}
-        for a1, a2, c in r.k_coalg.comul[a]:
-            add_scaled_inplace(left, r.k_alg.mul_vec(sk.column(a1), unit_vector(dk, a2, fs)), c)
-            add_scaled_inplace(right, r.k_alg.mul_vec(unit_vector(dk, a1, fs), sk.column(a2)), c)
-        target = r.k_alg.unit.scale(r.k_coalg.eps(a))
-        if Vector(dk, left, fs) != target or Vector(dk, right, fs) != target:
-            raise StructureError("derived S_K fails the antipode identities")
+    if _antipode_checker("HOPF-ANTIPODE", r.k_alg, r.k_coalg, sk).failures:
+        raise StructureError("derived S_K fails the antipode identities")
     return sk
 
 
@@ -491,12 +469,8 @@ def functor_m(r: RelRB) -> YDPostHopf:
         row = [r.r_map.apply(r.action.apply_basis(i, rinv.column(j))) for j in range(dh)]
         act_rows.append(row)
     act_r = ActionTensor(dh, dh, act_rows, fs)
-    beta_rows = []
-    for i in range(dh):
-        sv = smap.column(i)
-        beta_rows.append([act_r.apply_vec_basis(sv, j) for j in range(dh)])
     carrier = BraidedPair(alg, hco, s_r)
-    return YDPostHopf(carrier, act_r, ActionTensor(dh, dh, beta_rows, fs),
+    return YDPostHopf(carrier, act_r, act_r.pulled_back([smap.column(i) for i in range(dh)]),
                       params=dict(r.params))
 
 
@@ -505,7 +479,6 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
     if mode not in ("D", "Cprime"):
         raise StructureError(f"unknown mode {mode!r}")
     dk = r.dim_k
-    fs = r.field
     if mode == "D":
         if invert(r.r_map) is None:
             raise StructureError("mode D needs a bijective R")
@@ -518,19 +491,10 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
             s_k = solve_antipode(r.k_alg, r.k_coalg)
             if s_k is None:
                 raise StructureError("carrier has no braided antipode")
-    act_rows = []
-    for i in range(dk):
-        rv = r.r_map.column(i)
-        act_rows.append([r.action.apply_vec_basis(rv, j) for j in range(dk)])
-    act_r = ActionTensor(dk, dk, act_rows, fs)
-    beta_rows = []
-    smap = r.h.antipode
-    for i in range(dk):
-        w = smap.apply(r.r_map.column(i))
-        beta_rows.append([r.action.apply_vec_basis(w, j) for j in range(dk)])
-    carrier = BraidedPair(r.k_alg, r.k_coalg, s_k)
-    return YDPostHopf(carrier, act_r, ActionTensor(dk, dk, beta_rows, fs),
-                      params=dict(r.params))
+    rcols = [r.r_map.column(i) for i in range(dk)]
+    act_r = r.action.pulled_back(rcols)
+    beta = r.action.pulled_back([r.h.antipode.apply(v) for v in rcols])
+    return YDPostHopf(BraidedPair(r.k_alg, r.k_coalg, s_k), act_r, beta, params=dict(r.params))
 
 
 def _morphism_checker(
@@ -571,30 +535,25 @@ def check_rb_morphism(src: RelRB, dst: RelRB, f: Matrix, g: Matrix) -> CheckRepo
     ch.compare((0,), f.compose(src.r_map), dst.r_map.compose(g),
                lambda m: pairs_text(m.entries))
     rep.add(ch.entry())
-    ch = Checker("RBM-ACT")
-    fs = src.field
-    for i in range(src.h.dim):
-        for a in range(src.dim_k):
-            lhs = g.apply(src.action.act[i][a])
-            rhs = dst.action.apply(f.column(i), g.column(a))
-            ch.compare((i, a), lhs, rhs, vector_text)
-    rep.add(ch.entry())
+    rep.add(_intertwining_checker("RBM-ACT", f, g, src.action, dst.action).entry())
     return rep
+
+
+def _intertwining_checker(axiom: str, f: Matrix, g: Matrix, src: ActionTensor,
+                          dst: ActionTensor) -> Checker:
+    """g(x >- a) = f(x) >-' g(a) at (x, a)."""
+    ch = Checker(axiom)
+    for i in range(src.acting_dim):
+        for a in range(src.target_dim):
+            ch.compare((i, a), g.apply(src.act[i][a]), dst.apply(f.column(i), g.column(a)), vector_text)
+    return ch
 
 
 def is_posthopf_morphism(src: YDPostHopf, dst: YDPostHopf, g: Matrix) -> bool:
     """g preserves product, unit, coproduct, counit and the action."""
     ch = _morphism_checker("RBM-G", g, src.carrier.algebra, src.carrier.coalgebra,
                            dst.carrier.algebra, dst.carrier.coalgebra)
-    if ch.failures:
-        return False
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = g.apply(src.action.act[i][j])
-            rhs = dst.action.apply(g.column(i), g.column(j))
-            if lhs != rhs:
-                return False
-    return True
+    return not ch.failures and not _intertwining_checker("RBM-ACT", g, g, src.action, dst.action).failures
 
 
 def adjunction_bijection(rb: RelRB, s: YDPostHopf, f: Matrix | None = None,
@@ -812,14 +771,7 @@ def check_lie_rb(l: LieRB) -> CheckReport:
         for i in range(dh)
     ]
     pl = PostLieData(dh, [list(row) for row in l.lie_h.bracket], action, fs)
-    sub = check_post_lie(pl)
-    if sub.all_pass():
-        rep.add(CheckEntry("LRB-POSTLIE", PASS, checked=sum(e.checked for e in sub.entries)))
-    else:
-        first = sub.failed()[0]
-        rep.add(CheckEntry("LRB-POSTLIE", FAIL,
-                           Witness((first.axiom,) + first.witness.where,
-                                   first.witness.lhs, first.witness.rhs)))
+    rep.add(check_post_lie(pl).summary("LRB-POSTLIE"))
     return rep
 
 

@@ -1,37 +1,46 @@
-"""The identities on compiled int tables give the verdicts of Vector loops.
+"""The identities on compiled int tables, and the shared action laws of
+``hopf``, give the verdicts of the Vector loops they replaced.
 
 The reference functions below are the Vector-path loops that ALG-ASSOC,
 P-DOT, P-ASSOC, L-MB, YD-COMPAT and YD-COLINEAR ran before they moved to
-compiled tables, kept here as an oracle (P-DOT's and L-MB's loops, which
-differ only in which leg acts on which factor, as one).  On perturbed
-Sweedler and E(2) structures, over Q (denominators 1-6), F_7 and F_10007,
-each identity must report the same checked count, failure count and
-witness as its reference.
+compiled tables (P-DOT's and L-MB's loops, which differ only in which leg
+acts on which factor, as one), and the loops that L-DB, P-MP5, HB-MP5,
+MP-5 (one loop), MP-MODC, MP-1 and RB-BIMON's parts 1-3 ran before they
+called the shared laws, kept here as an oracle.  On perturbed Sweedler and
+E(2) structures and their brace, matched-pair and Rota-Baxter images, over
+Q (denominators 1-6), F_7 and F_10007, each must report the same checked
+count, failure count and witness as its reference.
 """
 
 import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ydalgebra.braces import check_matched_pair, check_yd_brace, functor_f, functor_g, to_matched_pair
 from ydalgebra.builders import build_en, build_sweedler
 from ydalgebra.compiled import compile_comul, compile_groups, compile_tensor, compile_vectors
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
-from ydalgebra.hopf import AlgebraData, check_algebra, tens2_add_scaled
-from ydalgebra.linalg import Vector, _vector, add_scaled_inplace
+from ydalgebra.hopf import (
+    AlgebraData, StructureError, check_algebra, module_algebra_law, module_coalgebra_law, tens2_add_scaled,
+)
+from ydalgebra.linalg import Vector, _vector, add_scaled_inplace, unit_vector
 from ydalgebra.posthopf import (
     _module_algebra,
-    _module_algebra_law,
     _module_identity,
     _yd_colinear,
     _yd_compat,
     bullet_algebra,
+    check_yd_post_hopf,
     left_coaction_adl,
+    leftharpoon,
     sharp_antipode,
+    solve_beta,
 )
-from ydalgebra.report import Tally, pairs_text, vector_text
+from ydalgebra.report import SKIPPED, Tally, pairs_text, vector_text
+from ydalgebra.rota import _action_parts, functor_l
 from ydalgebra.structio import emit, parse
 
 F = Fraction
@@ -141,6 +150,120 @@ def ref_yd_colinear(s) -> Tally:
     return ch
 
 
+def ref_l_db(s) -> Tally:
+    coalg, beta = s.carrier.coalgebra, s.beta
+    d = s.dim
+    ch = Tally()
+    for i in range(d):
+        for j in range(d):
+            lhs = coalg.comul_vec(beta.act[i][j])
+            rhs = {}
+            for i1, i2, ci in coalg.comul[i]:
+                for p, q, t in coalg.comul[j]:
+                    tens2_add_scaled(rhs, beta.act[i2][p], beta.act[i1][q], ci, t)
+            ch.compare((i, j), lhs, rhs, pairs_text)
+    return ch
+
+
+def ref_mp5(left, right, coalg) -> Tally:
+    """P-MP5 for (alpha, the left harpoon), HB-MP5 for the same pair of the
+    induced structure, MP-5 for the two actions of a matched pair."""
+    ch = Tally()
+    for i in range(coalg.dim):
+        for j in range(coalg.dim):
+            lhs = {}
+            rhs = {}
+            for i1, i2, ci in coalg.comul[i]:
+                for j1, j2, cj in coalg.comul[j]:
+                    tens2_add_scaled(lhs, left.act[i1][j1], right.act[i2][j2], ci, cj)
+                    tens2_add_scaled(rhs, left.act[i2][j2], right.act[i1][j1], ci, cj)
+            ch.compare((i, j), lhs, rhs, pairs_text)
+    return ch
+
+
+def ref_mp_modc(mp) -> Tally:
+    d, fs = mp.dim, mp.field
+    alg, coalg = mp.hopf.algebra, mp.hopf.coalgebra
+    left, right = mp.left_action, mp.right_action
+    ch = Tally()
+    for i in range(d):
+        for j in range(d):
+            lhs = coalg.comul_vec(left.act[i][j])
+            rhs = {}
+            for i1, i2, ci in coalg.comul[i]:
+                for j1, j2, cj in coalg.comul[j]:
+                    tens2_add_scaled(rhs, left.act[i1][j1], left.act[i2][j2], ci, cj)
+            ch.compare((0, i, j), lhs, rhs, pairs_text)
+            ch.compare((1, i, j), coalg.eps_vec(left.act[i][j]), coalg.eps(i) * coalg.eps(j))
+            lhs = coalg.comul_vec(right.act[i][j])
+            rhs = {}
+            for i1, i2, ci in coalg.comul[i]:
+                for j1, j2, cj in coalg.comul[j]:
+                    tens2_add_scaled(rhs, right.act[i1][j1], right.act[i2][j2], ci, cj)
+            ch.compare((2, i, j), lhs, rhs, pairs_text)
+            ch.compare((3, i, j), coalg.eps_vec(right.act[i][j]), coalg.eps(i) * coalg.eps(j))
+            w = alg.mul[i][j]
+            for k in range(d):
+                lhs_v = left.apply_vec_basis(w, k)
+                rhs_v = left.apply_basis(i, left.act[j][k])
+                ch.compare((4, i, j, k), lhs_v, rhs_v, vector_text)
+                lhs_v = right.apply_vec_basis(right.act[k][i], j)
+                rhs_v = right.apply_basis(k, w)
+                ch.compare((5, i, j, k), lhs_v, rhs_v, vector_text)
+    for j in range(d):
+        ch.compare((6, j), left.apply_vec_basis(alg.unit, j), unit_vector(d, j, fs), vector_text)
+        ch.compare((7, j), right.apply_basis(j, alg.unit), unit_vector(d, j, fs), vector_text)
+    return ch
+
+
+def ref_mp1(mp) -> Tally:
+    alg, coalg, left = mp.hopf.algebra, mp.hopf.coalgebra, mp.left_action
+    ch = Tally()
+    for i in range(mp.dim):
+        ch.compare((i,), left.apply_basis(i, alg.unit), alg.unit.scale(coalg.eps(i)), vector_text)
+    return ch
+
+
+def ref_bimonoid_parts_1_3(r) -> Tally:
+    dk, dh = r.dim_k, r.h.dim
+    fs = r.field
+    halg, hco = r.h.algebra, r.h.coalgebra
+    kalg, kco = r.k_alg, r.k_coalg
+    act = r.action
+    ch = Tally()
+    for i in range(dh):
+        for j in range(dh):
+            w = halg.mul[i][j]
+            for a in range(dk):
+                lhs = act.apply_vec_basis(w, a)
+                rhs = act.apply_basis(i, act.act[j][a])
+                ch.compare((1, i, j, a), lhs, rhs, vector_text)
+    for a in range(dk):
+        ch.compare((1, dh, dh, a), act.apply_vec_basis(halg.unit, a),
+                   unit_vector(dk, a, fs), vector_text)
+    for i in range(dh):
+        legs = hco.comul[i]
+        for a in range(dk):
+            for b in range(dk):
+                lhs = act.apply_basis(i, kalg.mul[a][b])
+                acc = {}
+                for i1, i2, c in legs:
+                    add_scaled_inplace(acc, kalg.mul_vec(act.act[i1][a], act.act[i2][b]), c)
+                ch.compare((2, i, a, b), lhs, _vector(dk, acc, fs), vector_text)
+        ch.compare((2, i, dk, dk), act.apply_basis(i, kalg.unit),
+                   kalg.unit.scale(hco.eps(i)), vector_text)
+    for i in range(dh):
+        for a in range(dk):
+            lhs = kco.comul_vec(act.act[i][a])
+            rhs = {}
+            for i1, i2, ci in hco.comul[i]:
+                for a1, a2, ca in kco.comul[a]:
+                    tens2_add_scaled(rhs, act.act[i1][a1], act.act[i2][a2], ci, ca)
+            ch.compare((3, i, a, 0), lhs, rhs, pairs_text)
+            ch.compare((3, i, a, 1), kco.eps_vec(act.act[i][a]), hco.eps(i) * kco.eps(a))
+    return ch
+
+
 # --- the compiled identities, one tally each ---------------------------------
 
 
@@ -154,8 +277,8 @@ def compiled_tallies(s) -> dict:
     return {
         "ALG-ASSOC": check_algebra(s.carrier.algebra).entry("ALG-ASSOC"),
         "P-DOT": _module_algebra(s)[0],
-        "P-ASSOC": _module_identity(s),
-        "L-MB": _tally(lambda t: _module_algebra_law(t, s, s.beta.int_act(), swap=True)),
+        "P-ASSOC": _tally(lambda t: t.absorb(_module_identity(s)[0], swap=True)),
+        "L-MB": module_algebra_law(s.beta, s.carrier.coalgebra, s.carrier.algebra, swap=True),
         "YD-COMPAT": _tally(lambda t: _yd_compat(t, s)),
         "YD-COLINEAR": _tally(lambda t: _yd_colinear(t, s)),
     }
@@ -169,6 +292,36 @@ def reference_tallies(s) -> dict:
         "L-MB": ref_module_algebra(s, s.beta, swap=True),
         "YD-COMPAT": ref_yd_compat(s),
         "YD-COLINEAR": ref_yd_colinear(s),
+    }
+
+
+# the IDs that call a shared law, reported by the suites (RB-BIMON's parts
+# 1-3 as ``rota._action_parts`` gives them)
+LAW_IDS = ("L-DB", "P-MP5", "HB-MP5", "MP-MODC", "MP-1", "MP-5")
+
+
+def law_tallies(s) -> dict:
+    """Each ID of LAW_IDS as its suite reports it on s or on its brace or
+    matched-pair image, unless the suite skipped it."""
+    rep = check_yd_post_hopf(s)
+    rep.extend(check_yd_brace(functor_f(s)))
+    rep.extend(check_matched_pair(to_matched_pair(s)))
+    got = {e.axiom: e for e in rep.entries if e.axiom in LAW_IDS and e.status != SKIPPED}
+    got["RB-BIMON"] = _action_parts(functor_l(s))
+    return got
+
+
+def law_references(s) -> dict:
+    mp = to_matched_pair(s)
+    induced = functor_g(functor_f(s))  # the structure HB-MP5 is checked on
+    return {
+        "L-DB": ref_l_db(s),
+        "P-MP5": ref_mp5(s.action, leftharpoon(s), s.carrier.coalgebra),
+        "HB-MP5": ref_mp5(induced.action, leftharpoon(induced), induced.carrier.coalgebra),
+        "MP-MODC": ref_mp_modc(mp),
+        "MP-1": ref_mp1(mp),
+        "MP-5": ref_mp5(mp.left_action, mp.right_action, mp.hopf.coalgebra),
+        "RB-BIMON": ref_bimonoid_parts_1_3(functor_l(s)),
     }
 
 
@@ -201,19 +354,67 @@ def _coefficient(p: int | None):
     return st.one_of(st.none(), value)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(BUILDS)), st.sampled_from([None, 7, 10007]), st.data())
-def test_compiled_identities_match_vector_reference(name, p, data):
+def _perturbed(name: str, p: int | None, data, strip_beta: bool = False):
+    """The base structure with up to three coefficients changed or deleted,
+    and without its beta lines if strip_beta."""
     lines = list(_base_lines(name, p))
     candidates = [i for i, line in enumerate(lines) if line.split()[0] in PERTURBED]
     picks = data.draw(st.lists(st.sampled_from(candidates), max_size=3, unique=True))
     for i in picks:
         value = data.draw(_coefficient(p))
         lines[i] = None if value is None else lines[i].rsplit(" ", 1)[0] + " " + value
-    s = parse("\n".join(line for line in lines if line is not None) + "\n")
+    if strip_beta:
+        lines = [line for line in lines if line is None or line.split()[0] != "beta"]
+    return parse("\n".join(line for line in lines if line is not None) + "\n")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BUILDS)), st.sampled_from([None, 7, 10007]), st.data())
+def test_compiled_identities_match_vector_reference(name, p, data):
+    s = _perturbed(name, p, data)
     got, want = compiled_tallies(s), reference_tallies(s)
     for axiom in want:
         assert _verdict(got[axiom]) == _verdict(want[axiom]), axiom
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(BUILDS)), st.booleans(), st.data())
+def test_shared_laws_match_vector_reference(p, name, strip_beta, data):
+    # without beta lines, beta is solved from the perturbed action, so that
+    # P-CONV passes and L-DB and P-MP5 are evaluated on a beta that fits it
+    s = _perturbed(name, p, data, strip_beta)
+    if s.beta is None:
+        try:
+            solve_beta(s)
+        except StructureError:
+            assume(False)
+    got, want = law_tallies(s), law_references(s)
+    for axiom in got:
+        assert _verdict(got[axiom]) == _verdict(want[axiom]), axiom
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+def test_perturbations_reach_failures_in_every_law(p):
+    # x >- 1 for x = e_1 changed, beta solved again: every ID of LAW_IDS and
+    # RB-BIMON fail, and MP-MODC's first failure in its loop (part 5) is not
+    # its least failing tuple
+    lines = [x for x in _base_lines("en2", p) if x.split()[0] != "beta"]
+    i = lines.index(next(x for x in lines if x.startswith("action 1 0 0 ")))
+    lines[i] = "action 1 0 0 3"
+    s = parse("\n".join(lines) + "\n")
+    solve_beta(s)
+    got, want = law_tallies(s), law_references(s)
+    assert set(got) == {*LAW_IDS, "RB-BIMON"}
+    for axiom in got:
+        assert got[axiom].failures > 0, axiom
+        assert _verdict(got[axiom]) == _verdict(want[axiom]), axiom
+    # the left action fails part 0 at (1, 0), before the witness in the
+    # lexicographic order but after it in the loop's
+    assert got["MP-MODC"].witness.where == (5, 0, 0, 1)
+    mp = to_matched_pair(s)
+    delta = module_coalgebra_law(mp.left_action, mp.hopf.coalgebra, mp.hopf.coalgebra)[0]
+    assert delta.witness.where == (1, 0)
 
 
 def test_perturbations_reach_failures_in_every_identity():

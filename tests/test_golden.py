@@ -75,7 +75,7 @@ KIND_MUTANTS = {
     "sweedler-q-matchedpair-raction": ("sweedler-q-matchedpair", "raction"),
 }
 # the IDs that the kind mutants are the first goldens to show failing
-KIND_IDS = ("RB-2", "RB-BIMON", "MP-1", "MP-2")
+KIND_IDS = ("RB-SPACES", "RB-2", "RB-BIMON", "MP-1", "MP-2")
 # every identity whose result more than one axiom ID reports fails somewhere
 SHARED_IDS = ("P-COALG", "P-DOT", "P-ASSOC", "P-DELTA", "L-U", "L-DA", "L-MA",
               "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-BRAIDMULT")

@@ -29,6 +29,7 @@ from ydalgebra.hopf import (
     solve_antipode,
 )
 from ydalgebra.linalg import LinAlgError, Matrix, Vector, identity_matrix, unit_vector
+from ydalgebra.report import Tally
 
 F = Fraction
 ONE, G, X, XG = range(4)
@@ -249,12 +250,23 @@ def test_convolution_inverse_failed_self_check_raises(monkeypatch):
         solve_antipode(h4_algebra(), h4_coalgebra())
 
 
+def _verdicts(*oks) -> tuple:
+    """The tallies of ``_verify_endo_inverse``, one tuple each, failing where
+    ok is False."""
+    out = []
+    for ok in oks:
+        t = Tally()
+        t.record((0,), ok)
+        out.append(t)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("sides", [(False, True), (True, False)], ids=["alpha-beta", "beta-alpha"])
 def test_hom_convolution_inverse_failed_self_check_raises(monkeypatch, sides):
     # over a coalgebra, Hom(C, End(H)) is a finite-dimensional algebra, where
     # a one-sided inverse is two-sided: either failure is a solver bug
     c = h4_coalgebra()
-    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: sides)
+    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: _verdicts(*sides))
     with pytest.raises(LinAlgError, match="self-check"):
         hom_convolution_inverse_endo(_trivial_action(c), c)
 
@@ -267,5 +279,5 @@ def test_hom_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
                           [(2, 0, one), (0, 2, one), (1, 2, one)]],
                       Vector(3, {0: one}, RATIONALS), RATIONALS)
     assert not check_coalgebra(c).all_pass()
-    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: (True, False))
+    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: _verdicts(True, False))
     assert hom_convolution_inverse_endo(_trivial_action(c), c).beta is None
