@@ -237,6 +237,7 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     # MP-MODC: both actions are coalgebra morphisms (parts 0-3) and module
     # actions over the Hopf product (4, 5), with unit rows (6, 7); the right
     # module law (a -< b) -< c = a -< (b.c) is written here, at (5, b, c, a)
+    ch = Checker("MP-MODC")
     rmod, runit = Tally(), Tally()
     for i in range(d):
         for j in range(d):
@@ -252,7 +253,6 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     # 5 at (i, j, k) for each k, and the unit rows after every (i, j).  The
     # witness is the first failure in that order, which is not the least
     # failing tuple when, say, part 5 fails at a smaller i than part 2.
-    ch = Checker("MP-MODC")
     firsts = []
     for part, t in enumerate(parts):
         ch.absorb(t)
