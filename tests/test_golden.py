@@ -63,19 +63,25 @@ SUITE_MUTANTS = {
     "en3-f7-mul": ("en3-f7", "mul 4 4 0", False),
     "en3-f7-action-nobeta": ("en3-f7", "action 2 8 2", True),
 }
-# relative Rota-Baxter and matched-pair mutants, run through the suite of
-# their kind: (base golden file, the directive whose last line changes, or a
-# line named without its coefficient).  The rb_l mutants fail RB-BIMON in its
-# parts 1 (h.mul), 2 (h.comul) and 3 (k.comul).
+# relative Rota-Baxter, matched-pair and Hopf mutants, run through the suite
+# of their kind: (base golden file, the directive whose last line changes, or
+# a line named without its coefficient).  The rb_l mutants fail RB-BIMON in
+# its parts 1 (h.mul), 2 (h.comul) and 3 (k.comul).  The h4 mutants fail the
+# bialgebra IDs of the Hopf suite: g.g = 1 changed fails HOPF-DELTA-MULT and
+# HOPF-EPS-MULT, g.x = -gx changed fails HOPF-DELTA-MULT with eps(g.x) still
+# 0, and the unit changed fails HOPF-DELTA-UNIT and HOPF-EPS-UNIT.
 KIND_MUTANTS = {
     **{f"sweedler-{field}-rb_l-{d.replace('.', '')}": (f"sweedler-{field}-rb_l", d)
        for field in FIELDS for d in ("h.mul", "h.comul", "k.comul")},
     "sweedler-q-matchedpair-action0": ("sweedler-q-matchedpair", "action 0 0 0"),
     "sweedler-q-matchedpair-raction0": ("sweedler-q-matchedpair", "raction 0 0 0"),
     "sweedler-q-matchedpair-raction": ("sweedler-q-matchedpair", "raction"),
+    **{f"h4-{field}-{name}": (f"h4-{field}", line)
+       for field in FIELDS for name, line in (("gg", "mul 1 1 0"), ("gx", "mul 1 2 3"), ("unit", "unit 0"))},
 }
 # the IDs that the kind mutants are the first goldens to show failing
-KIND_IDS = ("RB-SPACES", "RB-2", "RB-BIMON", "MP-1", "MP-2")
+KIND_IDS = ("RB-SPACES", "RB-2", "RB-BIMON", "MP-1", "MP-2",
+            "HOPF-DELTA-MULT", "HOPF-EPS-MULT", "HOPF-DELTA-UNIT", "HOPF-EPS-UNIT")
 # every identity whose result more than one axiom ID reports fails somewhere
 SHARED_IDS = ("P-COALG", "P-DOT", "P-ASSOC", "P-DELTA", "L-U", "L-DA", "L-MA",
               "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-BRAIDMULT")
@@ -232,6 +238,16 @@ def test_kind_mutants_fail_rb_and_mp_ids():
     # RB-BIMON fails in each of its module, module-algebra and
     # module-coalgebra parts
     assert {at.split(",")[0] for at in failing["RB-BIMON"]} == {"at=(1", "at=(2", "at=(3"}
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_hopf_mutants_fail_every_bialgebra_id_in_each_field(field):
+    failing = _failing(name for name in KIND_MUTANTS if name.startswith(f"h4-{field}-"))
+    assert {"HOPF-DELTA-MULT", "HOPF-EPS-MULT", "HOPF-DELTA-UNIT", "HOPF-EPS-UNIT"} <= set(failing)
+    # g.x changed leaves eps multiplicative, so HOPF-DELTA-MULT fails alone
+    # among the two product compatibilities there
+    gx = _failing([f"h4-{field}-gx"])
+    assert "HOPF-DELTA-MULT" in gx and "HOPF-EPS-MULT" not in gx
 
 
 def test_suite_mutants_fail_every_shared_identity():
