@@ -18,6 +18,13 @@ wl = s_r / g and wr = -s_l / g (g = gcd(s_l, s_r)), so the tuple passes
 when every sum in ``acc`` is 0, or 0 mod p.  Only a tuple that becomes a
 tally's witness has its sides computed apart and divided by their scales
 into field scalars, to render them with ``vector_text`` or ``pairs_text``.
+
+An identity whose sides live in a tensor square keys its sums by
+p * dim + q for the pair (p, q).  Its sides are often shared patterns, so
+they are written apart, as a ``side(acc, where, w)`` that adds w times one
+side, and ``sides`` makes the contract of two of them: ``comul_side`` for
+Delta(T[i][j]) of a compiled 2-index table T, and ``legs_side`` for
+T[i_1][j_1] (x) U[i_2][j_2] summed over the legs of i and of j.
 """
 
 from __future__ import annotations
@@ -93,6 +100,27 @@ def compile_groups(groups: list[list[tuple]], field: FieldSpec) -> IntTable:
     return IntTable([[(x1, x2, _items(v, d, p)) for x1, x2, v in terms] for terms in groups], d)
 
 
+def compile_legs(legs: list[list[tuple]], field: FieldSpec) -> IntTable:
+    """rows[i] = the (tuple, n) of the (tuple, scalar) terms legs[i], as
+    ``CoalgebraData.legs`` gives them."""
+    p = field.p
+    d = _scale((c for terms in legs for _, c in terms), p)
+    return IntTable([tuple((tup, _int(c, d, p)) for tup, c in terms) for terms in legs], d)
+
+
+def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
+    """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], reduced mod
+    p over F_p: a linear map applied to an intermediate vector."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for i, a in u:
+        for k, c in rows[i]:
+            acc[k] = get(k, 0) + a * c
+    if p is None:
+        return [(k, n) for k, n in acc.items() if n]
+    return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
+
+
 def int_bilinear(table: list, u, v, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) and v's (j, b) of
     a * b * table[i][j], reduced mod p over F_p: an intermediate product."""
@@ -117,10 +145,15 @@ def _scalars(sums: dict, scale: int, field: FieldSpec) -> dict:
     return {k: ModInt(n, p) for k, n in sums.items() if n % p}
 
 
+def int_vector(dim: int, sums: dict, scale: int, field: FieldSpec) -> Vector:
+    """The Vector of int sums keyed by basis index, divided by their scale."""
+    return Vector(dim, _scalars(sums, scale, field), field)
+
+
 def vector_render(dim: int):
     """Render int sums keyed by basis index as ``vector_text``."""
     def render(sums: dict, scale: int, field: FieldSpec) -> str:
-        return vector_text(Vector(dim, _scalars(sums, scale, field), field))
+        return vector_text(int_vector(dim, sums, scale, field))
     return render
 
 
@@ -141,11 +174,74 @@ def square(d: int):
     return product(range(d), repeat=2)
 
 
-def compare(t: Tally, tuples, contract, sl: int, sr: int, field: FieldSpec, render) -> None:
+def sides(left, right):
+    """The contract of left = right, for two sides ``side(acc, where, w)``."""
+    def contract(acc, where, wl, wr):
+        if wl:
+            left(acc, where, wl)
+        if wr:
+            right(acc, where, wr)
+    return contract
+
+
+def comul_side(rows: list, comul: list, dim: int):
+    """The side Delta(rows[i][j]) at (i, j), keyed p * dim + q: its scale is
+    the table's times the coproduct's."""
+    def side(acc, where, w):
+        i, j = where
+        get = acc.get
+        for r, c in rows[i][j]:
+            c *= w
+            for p, q, e in comul[r]:
+                k = p * dim + q
+                acc[k] = get(k, 0) + c * e
+    return side
+
+
+def legs_side(left: list, right: list, icomul: list, jcomul: list, dim: int,
+              swap_i: bool = False, swap_j: bool = False):
+    """The side sum of c_i c_j left[i_1][j_1] (x) right[i_2][j_2] at (i, j),
+    over the legs (i_1, i_2, c_i) of icomul[i] and (j_1, j_2, c_j) of
+    jcomul[j], keyed p * dim + q; swap_i and swap_j trade i_1 with i_2 and
+    j_1 with j_2.  Its scale is the product of the four tables' scales."""
+    def side(acc, where, w):
+        i, j = where
+        get = acc.get
+        jlegs = [(j2, j1, c) if swap_j else (j1, j2, c) for j1, j2, c in jcomul[j]]
+        for i1, i2, ci in icomul[i]:
+            if swap_i:
+                i1, i2 = i2, i1
+            li, ri = left[i1], right[i2]
+            ci *= w
+            for j1, j2, cj in jlegs:
+                u, v = li[j1], ri[j2]
+                if not v:
+                    continue
+                c = ci * cj
+                for p, a in u:
+                    a *= c
+                    p *= dim
+                    for q, b in v:
+                        acc[p + q] = get(p + q, 0) + a * b
+    return side
+
+
+def render_sides(contract, where, sl: int, sr: int, field: FieldSpec, render) -> tuple[str, str]:
+    """The two sides of contract at where, each divided by its scale and
+    rendered: a witness's lhs and rhs."""
+    lhs: dict[int, int] = {}
+    rhs: dict[int, int] = {}
+    contract(lhs, where, 1, 0)
+    contract(rhs, where, 0, 1)
+    return render(lhs, sl, field), render(rhs, sr, field)
+
+
+def compare(t: Tally, tuples, contract, sl: int, sr: int, field: FieldSpec, render) -> list:
     """Record on t, for each tuple, whether contract's sides agree (see the
     module docstring); sl and sr are their scales.  The tuples may come in
     any order: the failures are recorded in lexicographic order, so the
-    least failing tuple is the witness."""
+    least failing tuple is the witness.  Returns the failing tuples, in
+    that order."""
     g = gcd(sl, sr)
     wl, wr = sr // g, -(sl // g)
     p = field.p
@@ -161,12 +257,10 @@ def compare(t: Tally, tuples, contract, sl: int, sr: int, field: FieldSpec, rend
             t.record(where, True)
         else:
             failed.append(where)
-    for where in sorted(failed):
+    failed.sort()
+    for where in failed:
         if t.witness is not None:
             t.record(where, False)
         else:
-            lhs: dict[int, int] = {}
-            rhs: dict[int, int] = {}
-            contract(lhs, where, 1, 0)
-            contract(rhs, where, 0, 1)
-            t.record(where, False, render(lhs, sl, field), render(rhs, sr, field))
+            t.record(where, False, *render_sides(contract, where, sl, sr, field, render))
+    return failed

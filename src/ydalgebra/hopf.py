@@ -25,8 +25,12 @@ relative Rota-Baxter operator, where H acts on K:
   MP-MODC 0-3;
 - ``mp5_law``: P-MP5, HB-MP5, MP-5.
 
-The first two run on the compiled tables, their unit rows on ``Vector``s.
-P-CONV reports the tallies of ``_verify_endo_inverse``.
+The three laws and ``mp5_law`` run on the compiled tables, and so does
+HOPF-DELTA-MULT; the unit rows and the counit compares run on ``Vector``s
+and scalars.  Each side of a law on H (x) H keys its int sums by
+p * dim + q (``compiled.comul_side`` and ``compiled.legs_side``).  P-CONV
+reports the tallies of ``_verify_endo_inverse``; when beta was just solved,
+they are the ones ``hom_convolution_inverse_endo`` computed to accept it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
-from .compiled import IntTable, compare, compile_comul, compile_tensor, cube, vector_render
+from .compiled import (
+    IntTable, comul_side, compare, compile_comul, compile_legs, compile_tensor, cube, legs_side, pairs_render, sides,
+    square, vector_render,
+)
 from .field import FieldSpec, ModInt, Scalar, canonical
 from .linalg import (
     LinAlgError,
@@ -130,6 +137,7 @@ class CoalgebraData:
     field: FieldSpec
     _legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
+    _int_legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _pairs: list | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -181,6 +189,13 @@ class CoalgebraData:
         if self._ints is None:
             self._ints = compile_comul(self.comul, self.field)
         return self._ints
+
+    def int_legs(self, n: int) -> IntTable:
+        """``legs(i, n)`` for every i as a compiled table, built once."""
+        out = self._int_legs.get(n)
+        if out is None:
+            out = self._int_legs[n] = compile_legs([self.legs(i, n) for i in range(self.dim)], self.field)
+        return out
 
     def comul_vec(self, v: Vector) -> dict[tuple[int, int], Scalar]:
         pairs = self._pairs
@@ -439,15 +454,12 @@ def check_hopf(h: HopfData) -> CheckReport:
     rep = check_algebra(a)
     rep.extend(check_coalgebra(c))
 
+    # Delta(e_i e_j) = (e_i1 e_j1) (x) (e_i2 e_j2)
     ch = Checker("HOPF-DELTA-MULT")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = c.comul_vec(a.mul[i][j])
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for p, q, s in c.comul[i]:
-                for r, t, u in c.comul[j]:
-                    tens2_add_scaled(rhs, a.mul[p][r], a.mul[q][t], s, u)
-            ch.compare((i, j), lhs, rhs, pairs_text)
+    mul, comul = a.int_mul(), c.int_comul()
+    m, c_ = mul.rows, comul.rows
+    compare(ch, square(a.dim), sides(comul_side(m, c_, a.dim), legs_side(m, m, c_, c_, a.dim)),
+            mul.scale * comul.scale, (mul.scale * comul.scale) ** 2, a.field, pairs_render(a.dim))
     rep.add(ch.entry())
 
     ch = Checker("HOPF-EPS-MULT")
@@ -558,39 +570,31 @@ def module_algebra_unit_law(act: ActionTensor, coalg: CoalgebraData, alg: Algebr
 def module_coalgebra_law(act: ActionTensor, hco: CoalgebraData, kco: CoalgebraData,
                          swap: bool = False) -> tuple[Tally, Tally]:
     """act makes kco a module coalgebra over the acting coalgebra hco, as two
-    tallies: Delta(h >- a) = (h_1 >- a_1) (x) (h_2 >- a_2) at (h, a), and
-    eps(h >- a) = eps(h) eps(a) at (h, a).  With swap, the legs h_1 and h_2
-    trade places on the right."""
-    rows = act.act
+    tallies: Delta(h >- a) = (h_1 >- a_1) (x) (h_2 >- a_2) at (h, a), on the
+    compiled tables, and eps(h >- a) = eps(h) eps(a) at (h, a).  With swap,
+    the legs h_1 and h_2 trade places on the right."""
+    x, hc, kc = act.int_act(), hco.int_comul(), kco.int_comul()
+    x_, dh, dk = x.rows, act.acting_dim, act.target_dim
     delta, counit = Tally(), Tally()
-    for i in range(act.acting_dim):
-        for j in range(act.target_dim):
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for i1, i2, ci in hco.comul[i]:
-                if swap:
-                    i1, i2 = i2, i1
-                for j1, j2, cj in kco.comul[j]:
-                    tens2_add_scaled(rhs, rows[i1][j1], rows[i2][j2], ci, cj)
-            delta.compare((i, j), kco.comul_vec(rows[i][j]), rhs, pairs_text)
-            counit.compare((i, j), kco.eps_vec(rows[i][j]), hco.eps(i) * kco.eps(j))
+    compare(delta, product(range(dh), range(dk)),
+            sides(comul_side(x_, kc.rows, dk), legs_side(x_, x_, hc.rows, kc.rows, dk, swap_i=swap)),
+            x.scale * kc.scale, hc.scale * kc.scale * x.scale * x.scale, act.field, pairs_render(dk))
+    for i in range(dh):
+        for j in range(dk):
+            counit.compare((i, j), kco.eps_vec(act.act[i][j]), hco.eps(i) * kco.eps(j))
     return delta, counit
 
 
 def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Tally:
     """(x_1 >- y_1) (x) (x_2 -< y_2) = (x_2 >- y_2) (x) (x_1 -< y_1) at
     (x, y), for a left action >- and a right action -< of coalg on itself
-    (right.act[x][y] = x -< y)."""
+    (right.act[x][y] = x -< y), on the compiled tables."""
+    lt, rt, comul = left.int_act(), right.int_act(), coalg.int_comul()
+    l_, r_, c_, d = lt.rows, rt.rows, comul.rows, coalg.dim
+    scale = comul.scale * comul.scale * lt.scale * rt.scale
     t = Tally()
-    ls, rs = left.act, right.act
-    for i in range(coalg.dim):
-        for j in range(coalg.dim):
-            lhs: dict[tuple[int, int], Scalar] = {}
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for i1, i2, ci in coalg.comul[i]:
-                for j1, j2, cj in coalg.comul[j]:
-                    tens2_add_scaled(lhs, ls[i1][j1], rs[i2][j2], ci, cj)
-                    tens2_add_scaled(rhs, ls[i2][j2], rs[i1][j1], ci, cj)
-            t.compare((i, j), lhs, rhs, pairs_text)
+    compare(t, square(d), sides(legs_side(l_, r_, c_, c_, d), legs_side(l_, r_, c_, c_, d, True, True)),
+            scale, scale, coalg.field, pairs_render(d))
     return t
 
 
@@ -702,10 +706,12 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
 
 @dataclass
 class EndoInverse:
-    """Result of inverting alpha in Hom(H, End(H)): tensor + system kernel."""
+    """Result of inverting alpha in Hom(H, End(H)): tensor + system kernel,
+    and the tallies of ``_verify_endo_inverse`` on the beta it returns."""
 
     beta: ActionTensor | None
     kernel_dim: int
+    checks: tuple[Tally, Tally] | None = None
 
 
 def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoInverse:
@@ -767,14 +773,14 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
             }
             beta_cols[z][y] = Vector(d, entries, fs)
     beta = ActionTensor(d, d, [list(col) for col in beta_cols], fs)
-    left, right = _verify_endo_inverse(alpha, beta, c)
+    checks = left, right = _verify_endo_inverse(alpha, beta, c)
     if left.failures:
         raise LinAlgError("convolution inverse self-check failed: alpha*beta != eps Id")
     if right.failures:
         if check_coalgebra(c).all_pass():
             raise LinAlgError("convolution inverse self-check failed: beta*alpha != eps Id")
         return EndoInverse(None, kernel_total)
-    return EndoInverse(beta, kernel_total)
+    return EndoInverse(beta, kernel_total, checks)
 
 
 def _verify_endo_inverse(

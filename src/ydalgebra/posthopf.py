@@ -48,7 +48,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 
-from .compiled import IntTable, compare, compile_groups, compile_vectors, int_bilinear, pairs_render, square
+from .compiled import (
+    IntTable, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_linear, int_vector, pairs_render,
+    render_sides, sides, square,
+)
 from .field import FieldSpec, Scalar
 from .hopf import (
     ActionTensor,
@@ -69,7 +72,7 @@ from .hopf import (
     module_law,
     module_unit_law,
     mp5_law,
-    tens2_add_scaled,
+    tens2,
 )
 from .linalg import (
     Matrix, Vector, _vector, accumulate, add_scaled_inplace, kernel, matrix_from_columns, solve, unit_vector,
@@ -129,8 +132,8 @@ def _per_structure(build):
 
 
 # The cached results that depend on beta: setting beta drops exactly these.
-_BETA_KEYS = ("sharp_antipode", "leftharpoon", "left_coaction_adl", "_adl_columns",
-              "braiding_sigma", "_sharp_legs", "_delta_identity")
+_BETA_KEYS = ("sharp_antipode", "_sharp_columns", "leftharpoon", "left_coaction_adl", "_adl_columns",
+              "_sigma_columns", "_sharp_legs", "_delta_identity")
 
 
 def _set_beta(s: YDPostHopf, beta: ActionTensor) -> None:
@@ -181,26 +184,38 @@ def sharp_antipode(s: YDPostHopf) -> Matrix:
 
 
 @_per_structure
-def leftharpoon(s: YDPostHopf) -> ActionTensor:
-    """x -< y = S_>(x_1 >- y_1) o x_2 o y_2 (bullet products)."""
-    coalg, act = s.carrier.coalgebra, s.action
-    bullet = bullet_algebra(s)
+def _sharp_columns(s: YDPostHopf) -> IntTable:
+    """The columns S_>(e_i) of the sharp antipode, compiled."""
     sharp = sharp_antipode(s)
-    d = s.dim
+    return compile_vectors([sharp.column(i) for i in range(s.dim)], s.field)
+
+
+@_per_structure
+def leftharpoon(s: YDPostHopf) -> ActionTensor:
+    """x -< y = S_>(x_1 >- y_1) o x_2 o y_2 (bullet products), summed as
+    ints on the compiled action, S_> and bullet tables and divided by their
+    scale once per entry, so the vectors are the exact ones."""
+    act, bullet, sharp, comul = (s.action.int_act(), bullet_algebra(s).int_mul(), _sharp_columns(s),
+                                 s.carrier.coalgebra.int_comul())
+    x_, o, c_ = act.rows, bullet.rows, comul.rows
+    d, fs, p = s.dim, s.field, s.field.p
+    images = [[int_linear(sharp.rows, x_[i][j], p) for j in range(d)] for i in range(d)]  # S_>(e_i >- e_j)
+    scale = sharp.scale * act.scale * (bullet.scale * comul.scale) ** 2
     rows = []
     for i in range(d):
         row = []
         for j in range(d):
-            acc: dict[int, Scalar] = {}
-            for i1, i2, ci in coalg.comul[i]:
-                for j1, j2, cj in coalg.comul[j]:
-                    v = sharp.apply(act.act[i1][j1])
-                    v = bullet.mul_vec_basis(v, i2)
-                    v = bullet.mul_vec_basis(v, j2)
-                    add_scaled_inplace(acc, v, ci, cj)
-            row.append(_vector(d, acc, s.field))
+            acc: dict[int, int] = {}
+            get = acc.get
+            for i1, i2, ci in c_[i]:
+                si = images[i1]
+                for j1, j2, cj in c_[j]:
+                    for r, a in int_bilinear(o, si[j1], ((i2, ci * cj),), p):
+                        for q, b in o[r][j2]:
+                            acc[q] = get(q, 0) + a * b
+            row.append(int_vector(d, acc, scale, fs))
         rows.append(row)
-    return ActionTensor(d, d, rows, s.field)
+    return ActionTensor(d, d, rows, fs)
 
 
 @_per_structure
@@ -251,44 +266,111 @@ def _adl_columns(s: YDPostHopf) -> IntTable:
     return compile_vectors([adl.column(a) for a in range(s.dim)], s.field)
 
 
-@_per_structure
 def braiding_sigma(s: YDPostHopf) -> Matrix:
-    """sigma(a (x) b) = alpha_{a_1}(beta_{a_3}(b)) (x) a_2 on dim^2."""
-    coalg, act = s.carrier.coalgebra, s.action
-    beta = ensure_beta(s)
-    d = s.dim
-    entries: dict[tuple[int, int], Scalar] = {}
+    """sigma(a (x) b) = alpha_{a_1}(beta_{a_3}(b)) (x) a_2 on dim^2, read
+    from the cached int columns."""
+    sigma = _sigma_columns(s)
+    d2, fs = s.dim * s.dim, s.field
+    return matrix_from_columns([int_vector(d2, dict(col), sigma.scale, fs) for col in sigma.rows], fs)
+
+
+@_per_structure
+def _sigma_columns(s: YDPostHopf) -> IntTable:
+    """The braiding as int columns: column a * dim + b is sigma(e_a (x) e_b),
+    keyed p * dim + q, summed on the compiled action, beta and threefold
+    legs."""
+    act, beta, legs = s.action.int_act(), ensure_beta(s).int_act(), s.carrier.coalgebra.int_legs(3)
+    x_, b_ = act.rows, beta.rows
+    d, p = s.dim, s.field.p
+    cols = []
     for a in range(d):
-        for (a1, a2, a3), c in coalg.legs(a, 3):
-            for b in range(d):
-                w = act.apply_basis(a1, beta.act[a3][b])
-                col = a * d + b
-                for p, cp in w.entries.items():
-                    key = (p * d + a2, col)
-                    v = entries.get(key)
-                    v = c * cp if v is None else v + c * cp
-                    if v:
-                        entries[key] = v
-                    else:
-                        del entries[key]
-    return Matrix(d * d, d * d, entries, s.field)
+        for b in range(d):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for (a1, a2, a3), c in legs.rows[a]:
+                for q, n in int_bilinear(x_, ((a1, c),), b_[a3][b], p):
+                    acc[q * d + a2] = get(q * d + a2, 0) + n
+            if p is not None:
+                acc = {k: n % p for k, n in acc.items()}
+            cols.append([(k, n) for k, n in sorted(acc.items()) if n])
+    return IntTable(cols, legs.scale * act.scale * beta.scale)
 
 
-def _pdelta_rhs(s: YDPostHopf, i: int, j: int, memo: dict) -> dict:
-    """Right-hand side of the braided compatibility of Delta with the product:
-    (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2)."""
-    alg, coalg, act = s.carrier.algebra, s.carrier.coalgebra, s.action
-    beta = s.beta
-    rhs: dict[tuple[int, int], Scalar] = {}
-    for (a, b, c3, e), sc in coalg.legs(i, 4):
-        fused = memo.setdefault((a, b, e), {})
-        for p, q, t in coalg.comul[j]:
-            v3 = fused.get(p)
-            if v3 is None:
-                v3 = alg.mul_basis_vec(a, act.apply_basis(b, beta.act[e][p]))
-                fused[p] = v3
-            tens2_add_scaled(rhs, v3, alg.mul[c3][q], sc, t)
-    return rhs
+def _product_delta(s: YDPostHopf):
+    """The side Delta(x.y) at (x, y), and its scale."""
+    mul, comul = s.carrier.algebra.int_mul(), s.carrier.coalgebra.int_comul()
+    return comul_side(mul.rows, comul.rows, s.dim), mul.scale * comul.scale
+
+
+def _pdelta_rhs(s: YDPostHopf):
+    """The side (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) at
+    (x, y), the right-hand side of the braided compatibility of Delta with
+    the product, and its scale.  Each x_1 . alpha_{x_2}(beta_{x_4}(e_p)) is
+    made once, in a memo that lives as long as the side."""
+    mul, act, beta = s.carrier.algebra.int_mul(), s.action.int_act(), s.beta.int_act()
+    comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(4)
+    m, x_, b_, c_, l_ = mul.rows, act.rows, beta.rows, comul.rows, legs.rows
+    d, p = s.dim, s.field.p
+    memo: dict = {}  # (x_1, x_2, x_4) -> e_p -> x_1 . alpha_{x_2}(beta_{x_4}(e_p))
+
+    def side(acc, where, w):
+        i, j = where
+        get = acc.get
+        legs_j = c_[j]
+        for (a, b, c3, e), sc in l_[i]:
+            fused = memo.get((a, b, e))
+            if fused is None:
+                fused = memo[(a, b, e)] = {}
+            mc = m[c3]
+            sc *= w
+            for y1, y2, t in legs_j:
+                right = mc[y2]
+                if not right:
+                    continue
+                v = fused.get(y1)
+                if v is None:
+                    v = fused[y1] = int_bilinear(m, ((a, 1),), int_bilinear(x_, ((b, 1),), b_[e][y1], p), p)
+                st = sc * t
+                for k, n in v:
+                    n *= st
+                    k *= d
+                    for q, e2 in right:
+                        acc[k + q] = get(k + q, 0) + n * e2
+
+    return side, legs.scale * comul.scale * beta.scale * act.scale * mul.scale * mul.scale
+
+
+def _braided_product_delta(s: YDPostHopf):
+    """The side (x_1 . sigma(x_2 (x) y_1)^1) (x) (sigma(x_2 (x) y_1)^2 . y_2)
+    at (x, y), the coproduct of the braided tensor square applied to
+    Delta(x) (x) Delta(y), and its scale."""
+    mul, comul, sigma = s.carrier.algebra.int_mul(), s.carrier.coalgebra.int_comul(), _sigma_columns(s)
+    m, c_, sg = mul.rows, comul.rows, sigma.rows
+    d = s.dim
+
+    def side(acc, where, w):
+        a, b = where
+        get = acc.get
+        legs_b = c_[b]
+        for a1, a2, ca in c_[a]:
+            ma = m[a1]
+            ca *= w
+            col = a2 * d
+            for b1, b2, cb in legs_b:
+                cab = ca * cb
+                for pq, cs in sg[col + b1]:
+                    pp, q = divmod(pq, d)
+                    right = m[q][b2]
+                    if not right:
+                        continue
+                    c = cab * cs
+                    for k, n in ma[pp]:
+                        n *= c
+                        k *= d
+                        for r, e in right:
+                            acc[k + r] = get(k + r, 0) + n * e
+
+    return side, comul.scale * comul.scale * sigma.scale * mul.scale * mul.scale
 
 
 # --- identities shared by several axiom IDs ---------------------------------
@@ -317,9 +399,7 @@ def _alpha_comult(s: YDPostHopf) -> tuple[Tally, Tally, Tally]:
     for i in range(d):
         for j in range(d):
             rest.compare((i, j, 2), coalg.eps_vec(alg.mul[i][j]), coalg.eps(i) * coalg.eps(j))
-    utens: dict[tuple[int, int], Scalar] = {}
-    tens2_add_scaled(utens, alg.unit, alg.unit, fs.one)
-    rest.compare((d, d, 0), coalg.comul_vec(alg.unit), utens, pairs_text)
+    rest.compare((d, d, 0), coalg.comul_vec(alg.unit), tens2(alg.unit, alg.unit), pairs_text)
     rest.compare((d, d, 1), coalg.eps_vec(alg.unit), fs.one)
     return delta, counit, rest
 
@@ -336,17 +416,11 @@ def _module_identity(s: YDPostHopf) -> tuple[Tally, Tally]:
 @_per_structure
 def _delta_identity(s: YDPostHopf) -> tuple[Tally, frozenset]:
     """Delta(x.y) = (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) at
-    (x, y), and the set of the (x, y) where it fails."""
-    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
-    d = s.dim
+    (x, y), on the compiled tables, and the set of the (x, y) where it
+    fails."""
+    (lhs, sl), (rhs, sr) = _product_delta(s), _pdelta_rhs(s)
     t = Tally()
-    failed = set()
-    memo: dict = {}
-    for i in range(d):
-        for j in range(d):
-            lhs = coalg.comul_vec(alg.mul[i][j])
-            if not t.compare((i, j), lhs, _pdelta_rhs(s, i, j, memo), pairs_text):
-                failed.add((i, j))
+    failed = compare(t, square(s.dim), sides(lhs, rhs), sl, sr, s.field, pairs_render(s.dim))
     return t, frozenset(failed)
 
 
@@ -394,11 +468,14 @@ def _post_hopf_steps(s: YDPostHopf):
     ch.absorb(_module_identity(s)[0], swap=True)
     yield [ch.entry()]
 
-    # P-CONV: alpha is convolution invertible with inverse beta
+    # P-CONV: alpha is convolution invertible with inverse beta; a beta
+    # solved here was verified by the solver, whose tallies are reused
+    conv = None
     if s.beta is None:
         res = hom_convolution_inverse_endo(act, coalg)
         if res.beta is not None:
             _set_beta(s, res.beta)
+            conv = res.checks
     beta = s.beta
     if beta is None:
         yield [
@@ -410,7 +487,7 @@ def _post_hopf_steps(s: YDPostHopf):
         return
 
     ch = Checker("P-CONV")
-    left, right = _verify_endo_inverse(act, beta, coalg)
+    left, right = conv or _verify_endo_inverse(act, beta, coalg)
     ch.absorb(left, where=lambda w: (w[0], 0))
     ch.absorb(right, where=lambda w: (w[0], 1))
     conv_ok = ch.failures == 0
@@ -425,14 +502,8 @@ def _post_hopf_steps(s: YDPostHopf):
         yield [ch.entry()]
 
         # P-ANTI: Delta S_> = (S_> (x) S_>) flip Delta
-        sharp = sharp_antipode(s)
         ch = Checker("P-ANTI")
-        for i in range(d):
-            lhs = coalg.comul_vec(sharp.column(i))
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for i1, i2, c in coalg.comul[i]:
-                tens2_add_scaled(rhs, sharp.column(i2), sharp.column(i1), c)
-            ch.compare((i,), lhs, rhs, pairs_text)
+        _sharp_anti(ch, s)
         yield [ch.entry()]
 
         # P-MP5: (x_1 >- y_1) (x) (x_2 -< y_2) = (x_2 >- y_2) (x) (x_1 -< y_1)
@@ -520,10 +591,8 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
     with respect to the braided tensor product, and left colinearity of the
     product.
     """
-    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
     d = s.dim
     ensure_beta(s)
-    sigma = braiding_sigma(s)
     rep = CheckReport()
 
     # (x o y) >- z = x >- (y >- z): P-ASSOC with its sides swapped
@@ -549,34 +618,68 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
     _yd_compat(ch, s)
     rep.add(ch.entry())
 
-    # Delta is multiplicative against the braided tensor square, and the
-    # braided form agrees with the structural compatibility axiom: once the
-    # first compare shows mid == lhs, the second is P-DELTA at (a, b)
     ch = Checker("YD-BRAIDMULT")
-    delta_failed = _delta_identity(s)[1]
-    for a in range(d):
-        for b in range(d):
-            lhs = coalg.comul_vec(alg.mul[a][b])
-            mid: dict[tuple[int, int], Scalar] = {}
-            for a1, a2, ca in coalg.comul[a]:
-                for b1, b2, cb in coalg.comul[b]:
-                    sig_col = sigma.column(a2 * d + b1)
-                    for idx, cs in sig_col.entries.items():
-                        p, q = divmod(idx, d)
-                        tens2_add_scaled(mid, alg.mul[a1][p], alg.mul[q][b2], ca, cb, cs)
-            if not ch.compare((a, b, 0), lhs, mid, pairs_text):
-                continue
-            if (a, b) in delta_failed and ch.witness is None:
-                # P-DELTA's right-hand side, rebuilt to render the witness
-                ch.compare((a, b, 1), mid, _pdelta_rhs(s, a, b, {}), pairs_text)
-            else:
-                ch.record((a, b, 1), (a, b) not in delta_failed)
+    _braided_mult(ch, s)
     rep.add(ch.entry())
 
     ch = Checker("YD-COLINEAR")
     _yd_colinear(ch, s)
     rep.add(ch.entry())
     return rep
+
+
+def _sharp_anti(t: Tally, s: YDPostHopf) -> None:
+    """S_> is an anti-coalgebra map, Delta(S_>(x)) = S_>(x_2) (x) S_>(x_1) at
+    (x,), on the compiled S_> columns."""
+    sharp, comul = _sharp_columns(s), s.carrier.coalgebra.int_comul()
+    sh, c_, d = sharp.rows, comul.rows, s.dim
+
+    def anti(acc, where, wl, wr):
+        i, = where
+        get = acc.get
+        if wl:
+            for r, c in sh[i]:
+                c *= wl
+                for p, q, e in c_[r]:
+                    acc[p * d + q] = get(p * d + q, 0) + c * e
+        if wr:
+            for i1, i2, c in c_[i]:
+                c *= wr
+                right = sh[i1]
+                for p, a in sh[i2]:
+                    a *= c
+                    p *= d
+                    for q, b in right:
+                        acc[p + q] = get(p + q, 0) + a * b
+
+    compare(t, ((i,) for i in range(d)), anti, sharp.scale * comul.scale, comul.scale * sharp.scale ** 2,
+            s.field, pairs_render(d))
+
+
+def _braided_mult(t: Tally, s: YDPostHopf) -> None:
+    """Delta is multiplicative against the braided tensor square, and the
+    braided form agrees with the structural compatibility axiom, as two rows
+    per (a, b): (a, b, 0) compares Delta(a.b) with the braided product of
+    Delta(a) and Delta(b); once it passes, (a, b, 1) compares that with
+    P-DELTA's right-hand side, so its verdict is P-DELTA's at (a, b), and
+    only its witness is computed here."""
+    d = s.dim
+    (delta, sl), (mid, sm) = _product_delta(s), _braided_product_delta(s)
+    rows = Tally()
+    failed = set(compare(rows, square(d), sides(delta, mid), sl, sm, s.field, pairs_render(d)))
+    t.absorb(rows, where=lambda w: w + (0,))
+    delta_failed = _delta_identity(s)[1]
+    rows = Tally()
+    for where in square(d):
+        if where in failed:
+            continue
+        if where in delta_failed and rows.witness is None:
+            # P-DELTA's right-hand side, rebuilt to render the witness
+            rhs, sr = _pdelta_rhs(s)
+            rows.record(where, False, *render_sides(sides(mid, rhs), where, sm, sr, s.field, pairs_render(d)))
+        else:
+            rows.record(where, where not in delta_failed)
+    t.absorb(rows, where=lambda w: w + (1,))
 
 
 def _yd_compat(t: Tally, s: YDPostHopf) -> None:

@@ -14,7 +14,7 @@ from manual_structures import (
     trivial_structure,
     vec4,
 )
-from test_golden import yd_mutant
+from test_golden import GOLDEN, yd_mutant
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import ActionTensor, CoalgebraData, StructureError, check_hopf
 from ydalgebra.linalg import Matrix, Vector, unit_vector
@@ -34,6 +34,7 @@ from ydalgebra.posthopf import (
     solve_beta,
     subadjacent_hopf,
 )
+from ydalgebra.structio import parse
 
 F = Fraction
 
@@ -357,3 +358,27 @@ def test_entry_timings_do_not_overlap(monkeypatch):
     spans.sort()
     for (_, end, first), (start, _, second) in zip(spans, spans[1:]):
         assert end < start, f"{first} and {second} overlap"
+
+
+@pytest.mark.parametrize("strip_beta", [False, True], ids=["beta", "nobeta"])
+def test_p_conv_verifies_beta_once(monkeypatch, strip_beta):
+    """P-CONV verifies alpha*beta and beta*alpha once: on the supplied beta,
+    or, when the suite solves beta, by reusing the tallies with which the
+    solver accepted it."""
+    from ydalgebra import hopf, posthopf
+
+    calls = []
+    real = hopf._verify_endo_inverse
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hopf, "_verify_endo_inverse", counted)
+    monkeypatch.setattr(posthopf, "_verify_endo_inverse", counted)
+    lines = (GOLDEN / "en2-q.struct").read_text().splitlines()
+    s = parse("".join(f"{x}\n" for x in lines if not (strip_beta and x.split()[0] == "beta")))
+    assert (s.beta is None) == strip_beta
+    entry = check_yd_post_hopf(s).entry("P-CONV")
+    assert len(calls) == 1
+    assert (entry.status, entry.checked, entry.failures) == ("pass", 2 * s.dim, 0)
