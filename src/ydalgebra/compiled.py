@@ -108,6 +108,13 @@ def compile_legs(legs: list[list[tuple]], field: FieldSpec) -> IntTable:
     return IntTable([tuple((tup, _int(c, d, p)) for tup, c in terms) for terms in legs], d)
 
 
+def int_items(acc: dict, p: int | None) -> list[tuple[int, int]]:
+    """The (k, n) of int sums whose n is not 0, reduced mod p over F_p."""
+    if p is None:
+        return [(k, n) for k, n in acc.items() if n]
+    return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
+
+
 def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], reduced mod
     p over F_p: a linear map applied to an intermediate vector."""
@@ -116,9 +123,7 @@ def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
     for i, a in u:
         for k, c in rows[i]:
             acc[k] = get(k, 0) + a * c
-    if p is None:
-        return [(k, n) for k, n in acc.items() if n]
-    return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
+    return int_items(acc, p)
 
 
 def int_bilinear(table: list, u, v, p: int | None) -> list[tuple[int, int]]:
@@ -132,9 +137,7 @@ def int_bilinear(table: list, u, v, p: int | None) -> list[tuple[int, int]]:
             ab = a * b
             for k, c in row[j]:
                 acc[k] = get(k, 0) + ab * c
-    if p is None:
-        return [(k, n) for k, n in acc.items() if n]
-    return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
+    return int_items(acc, p)
 
 
 def _scalars(sums: dict, scale: int, field: FieldSpec) -> dict:

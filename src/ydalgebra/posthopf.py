@@ -26,21 +26,27 @@ and first failure:
   braided product is Delta(a.b), so that compare is P-DELTA's at (a, b).
 
 P-DOT, P-COALG and P-ASSOC, L-1ACT, L-MB, L-DB and P-MP5 call the action
-laws of ``hopf``; P-CONV reports the tallies of ``hopf._verify_endo_inverse``.
+laws of ``hopf``; P-CONV reports the tallies of ``hopf._verify_endo_inverse``,
+those the solver computed when the suite solves beta itself.
 
 Setting beta drops the cached results that depend on beta, and no other.
 
-The heaviest identities run on compiled plain-int tables (``compiled``):
-P-DOT, L-MB and P-ASSOC through the action laws of ``hopf``, YD-COMPAT and
-YD-COLINEAR on the action, product, bullet and coproduct tables and the
-compiled Ad_L columns and grouped legs; so L-MA, YD-MODALG and YD-MODULE,
-which report from the same tallies, do too.  Each side of each of these
-identities is one contraction pattern whose int sum carries the product of
-its tables' scales, and ``compiled.compare`` cross-multiplies the two sides
-by each other's scale.  A ``Vector`` or pair dict is built only to render
-the first failing tuple.  The compiled beta table lives on the beta tensor,
-and the Ad_L columns and grouped legs are cached results that depend on
-beta, so setting beta drops them too.
+The identities with the heaviest contractions run on compiled plain-int
+tables (``compiled``): P-DOT, L-MB, P-ASSOC, P-COALG's coproduct rows, L-DB
+and P-MP5 through the laws of ``hopf``; P-DELTA, both rows of YD-BRAIDMULT
+and P-ANTI, whose sides live in H (x) H and are keyed p * dim + q;
+YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
+tables and the compiled Ad_L columns and grouped legs.  L-MA, YD-MODALG,
+YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
+of each of these identities is one contraction pattern whose int sum
+carries the product of its tables' scales, and ``compiled.compare``
+cross-multiplies the two sides by each other's scale.  A ``Vector`` or
+pair dict is built only to render the first failing tuple.  The left
+harpoon and the braiding are summed as ints on the same tables and divided
+by their scale once per entry, so they are the exact tensors.  The
+compiled beta table lives on the beta tensor; the S_> columns, Ad_L
+columns, braiding columns and grouped legs are cached results that depend
+on beta, so setting beta drops them too.
 """
 
 from __future__ import annotations
@@ -49,8 +55,8 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .compiled import (
-    IntTable, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_linear, int_vector, pairs_render,
-    render_sides, sides, square,
+    IntTable, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_items, int_linear, int_vector,
+    pairs_render, render_sides, sides, square,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -290,9 +296,7 @@ def _sigma_columns(s: YDPostHopf) -> IntTable:
             for (a1, a2, a3), c in legs.rows[a]:
                 for q, n in int_bilinear(x_, ((a1, c),), b_[a3][b], p):
                     acc[q * d + a2] = get(q * d + a2, 0) + n
-            if p is not None:
-                acc = {k: n % p for k, n in acc.items()}
-            cols.append([(k, n) for k, n in sorted(acc.items()) if n])
+            cols.append(int_items(acc, p))
     return IntTable(cols, legs.scale * act.scale * beta.scale)
 
 
