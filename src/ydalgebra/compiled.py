@@ -240,15 +240,16 @@ def render_sides(contract, where, sl: int, sr: int, field: FieldSpec, render) ->
 
 
 def compare(t: Tally, tuples, contract, sl: int, sr: int, field: FieldSpec, render) -> list:
-    """Record on t, for each tuple, whether contract's sides agree (see the
-    module docstring); sl and sr are their scales.  The tuples may come in
-    any order: the failures are recorded in lexicographic order, so the
-    least failing tuple is the witness.  Returns the failing tuples, in
-    that order."""
+    """Tally on t, for each tuple, whether contract's sides agree (see the
+    module docstring); sl and sr are their scales.  The passes are counted,
+    and the failures recorded in lexicographic order, so the tuples may
+    come in any order and the least failing tuple is the witness.  Returns
+    the failing tuples, in that order."""
     g = gcd(sl, sr)
     wl, wr = sr // g, -(sl // g)
     p = field.p
     failed = []
+    passed = 0
     for where in tuples:
         acc: dict[int, int] = {}
         contract(acc, where, wl, wr)
@@ -257,9 +258,10 @@ def compare(t: Tally, tuples, contract, sl: int, sr: int, field: FieldSpec, rend
         else:
             ok = not any(n % p for n in acc.values())
         if ok:
-            t.record(where, True)
+            passed += 1
         else:
             failed.append(where)
+    t.checked += passed
     failed.sort()
     for where in failed:
         if t.witness is not None:
