@@ -7,8 +7,8 @@ and convolution inverses are always solved from their defining linear
 systems and re-verified, never assumed.
 
 Each container compiles its tensor once, on first use, into a plain-int
-table (``int_mul``, ``int_comul``, ``int_act``; see ``compiled``) and keeps
-it.  ALG-ASSOC runs on the compiled product: both sides of
+table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
+iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC runs on the compiled product: both sides of
 (e_i e_j) e_k = e_i (e_j e_k) carry the square of its scale, so their int
 sums are compared as they are, and a ``Vector`` is built only to render the
 first failing triple.
