@@ -63,19 +63,20 @@ SUITE_MUTANTS = {
     "en3-f7-mul": ("en3-f7", "mul 4 4 0", False),
     "en3-f7-action-nobeta": ("en3-f7", "action 2 8 2", True),
 }
-# relative Rota-Baxter, matched-pair and Hopf mutants, run through the suite
-# of their kind: (base golden file, the directive whose last line changes, or
-# a line named without its coefficient).  The rb_l mutants fail RB-BIMON in
-# its parts 1 (h.mul), 2 (h.comul) and 3 (k.comul).  The h4 mutants fail the
+# relative Rota-Baxter, brace, matched-pair and Hopf mutants, run through the
+# suite of their kind: (base golden file, the directive whose last line
+# changes, or a line named without its coefficient).  The rb_l mutants fail
+# RB-BIMON in its parts 1 (h.mul), 2 (h.comul) and 3 (k.comul).  The h4 mutants fail the
 # bialgebra IDs of the Hopf suite: g.g = 1 changed fails HOPF-DELTA-MULT and
 # HOPF-EPS-MULT, g.x = -gx changed fails HOPF-DELTA-MULT with eps(g.x) still
 # 0, and the unit changed fails HOPF-DELTA-UNIT and HOPF-EPS-UNIT.
 KIND_MUTANTS = {
     **{f"sweedler-{field}-rb_l-{d.replace('.', '')}": (f"sweedler-{field}-rb_l", d)
        for field in FIELDS for d in ("h.mul", "h.comul", "k.comul")},
-    "sweedler-q-matchedpair-action0": ("sweedler-q-matchedpair", "action 0 0 0"),
-    "sweedler-q-matchedpair-raction0": ("sweedler-q-matchedpair", "raction 0 0 0"),
-    "sweedler-q-matchedpair-raction": ("sweedler-q-matchedpair", "raction"),
+    **{f"sweedler-{field}-brace-bullet": (f"sweedler-{field}-brace", "bullet") for field in FIELDS},
+    **{f"sweedler-{field}-matchedpair-{name}": (f"sweedler-{field}-matchedpair", change)
+       for field in FIELDS for name, change in (("action0", "action 0 0 0"), ("raction0", "raction 0 0 0"),
+                                                ("raction", "raction"))},
     **{f"h4-{field}-{name}": (f"h4-{field}", line)
        for field in FIELDS for name, line in (("gg", "mul 1 1 0"), ("gx", "mul 1 2 3"), ("unit", "unit 0"))},
 }
@@ -87,6 +88,9 @@ SHARED_IDS = ("P-COALG", "P-DOT", "P-ASSOC", "P-DELTA", "L-U", "L-DA", "L-MA",
               "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-BRAIDMULT")
 # the identities with the heaviest contractions fail over Q and over F_7
 CONTRACTION_IDS = ("ALG-ASSOC", "P-DOT", "P-ASSOC", "L-MB", "YD-COMPAT", "YD-COLINEAR")
+# the brace, matched-pair and Rota-Baxter identities that run on compiled
+# tables fail over Q and over F_7, so both paths of their compare are pinned
+DERIVED_KIND_IDS = ("HB-COMPAT", "MP-3", "MP-4", "MP-BC", "RB-1", "RB-2")
 
 
 def _example(name: str, field: str, out: Path) -> None:
@@ -248,6 +252,12 @@ def test_hopf_mutants_fail_every_bialgebra_id_in_each_field(field):
     # among the two product compatibilities there
     gx = _failing([f"h4-{field}-gx"])
     assert "HOPF-DELTA-MULT" in gx and "HOPF-EPS-MULT" not in gx
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_kind_mutants_fail_every_derived_kind_identity_in_each_field(field):
+    failing = _failing(name for name in KIND_MUTANTS if name.split("-")[1] == field)
+    assert set(DERIVED_KIND_IDS) <= set(failing)
 
 
 def test_suite_mutants_fail_every_shared_identity():
