@@ -175,7 +175,9 @@ class Tally:
                 self.witness = Witness(where, str(lhs), str(rhs))
         return ok
 
-    def compare(self, where: tuple, lhs, rhs, render=str) -> bool:
+    def compare(self, where: tuple, lhs, rhs, render=format_scalar) -> bool:
+        """Record whether lhs == rhs at where; a failure's sides are rendered
+        with render, which by default prints field scalars as files do."""
         self.checked += 1
         if lhs != rhs:
             self.failures += 1

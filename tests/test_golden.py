@@ -260,6 +260,13 @@ def test_kind_mutants_fail_every_derived_kind_identity_in_each_field(field):
     assert set(DERIVED_KIND_IDS) <= set(failing)
 
 
+def test_scalar_witnesses_print_as_files_do():
+    # over F_p a scalar side prints as its residue, as a Q scalar prints as
+    # n or n/d, never as the ModInt repr
+    assert all("ModInt(" not in path.read_text() for path in GOLDEN.glob("*.report"))
+    assert "HOPF-EPS-MULT fail at=(1,1) lhs=[2] rhs=[1]" in (GOLDEN / "suite-h4-f7-gg.report").read_text()
+
+
 def test_suite_mutants_fail_every_shared_identity():
     failing = set()
     for name in SUITE_MUTANTS:
