@@ -115,14 +115,33 @@ def int_items(acc: dict, p: int | None) -> list[tuple[int, int]]:
     return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
 
 
+def add_linear(acc: dict, rows: list, u, w: int) -> None:
+    """Add w times sum over u's (i, a) of a * rows[i] into the int sums acc."""
+    get = acc.get
+    for i, a in u:
+        a *= w
+        for k, c in rows[i]:
+            acc[k] = get(k, 0) + a * c
+
+
+def add_bilinear(acc: dict, table: list, u, v, w: int) -> None:
+    """Add w times sum over u's (i, a) and v's (j, b) of a * b * table[i][j]
+    into the int sums acc."""
+    get = acc.get
+    for i, a in u:
+        row = table[i]
+        a *= w
+        for j, b in v:
+            ab = a * b
+            for k, c in row[j]:
+                acc[k] = get(k, 0) + ab * c
+
+
 def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], reduced mod
     p over F_p: a linear map applied to an intermediate vector."""
     acc: dict[int, int] = {}
-    get = acc.get
-    for i, a in u:
-        for k, c in rows[i]:
-            acc[k] = get(k, 0) + a * c
+    add_linear(acc, rows, u, 1)
     return int_items(acc, p)
 
 
@@ -130,13 +149,7 @@ def int_bilinear(table: list, u, v, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) and v's (j, b) of
     a * b * table[i][j], reduced mod p over F_p: an intermediate product."""
     acc: dict[int, int] = {}
-    get = acc.get
-    for i, a in u:
-        row = table[i]
-        for j, b in v:
-            ab = a * b
-            for k, c in row[j]:
-                acc[k] = get(k, 0) + ab * c
+    add_bilinear(acc, table, u, v, 1)
     return int_items(acc, p)
 
 

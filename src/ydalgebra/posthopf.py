@@ -124,7 +124,8 @@ def ensure_beta(s: YDPostHopf) -> ActionTensor:
 
 def _per_structure(build):
     """Evaluate build(s) once per structure, on first use, and keep the
-    result in s._cache under the function's name."""
+    result in s._cache under the function's name.  A relative Rota-Baxter
+    operator keeps its compiled tables the same way."""
     key = build.__name__
 
     @functools.wraps(build)

@@ -8,14 +8,24 @@ operators and post-Hopf structures, the induced antipode on K, restriction
 to group-likes and primitives, and the plain group/Lie weight-1 checkers.
 
 RB-BIMON's parts 1-3 (H acts on K as a module, a module algebra and a
-module coalgebra) call the action laws of ``hopf``; its parts 4-8 and RB-2
-are written out here.
+module coalgebra) call the action laws of ``hopf``.  RB-1 and RB-2 run on
+compiled int tables (``compiled``), built once per operator and kept in its
+``_cache``: the columns of R, R(x) >- y, R(R(x) >- y), S_H R(R(x) >- y) and
+R(x) . R(y) for basis elements x, y of K.  RB-BIMON's parts 4-8, RB-COALG
+and RB-3 remain hand-written ``Vector`` loops.  The cached tables assume
+the operator is not changed after it is first checked; ``dataclasses.replace``
+makes a copy whose cache starts empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
+from .compiled import (
+    IntTable, add_bilinear, add_linear, compare, compile_vectors, int_bilinear, int_items, int_linear,
+    pairs_render, sides, square, vector_render,
+)
 from .field import FieldSpec, Scalar
 from .hopf import (
     ActionTensor,
@@ -51,6 +61,7 @@ from .linalg import (
 from .posthopf import (
     PostLieData,
     YDPostHopf,
+    _per_structure,
     check_post_lie,
     ensure_beta,
     left_coaction_adl,
@@ -81,6 +92,7 @@ class RelRB:
     coaction: Matrix | None         # K -> H (x) K, (p*dimK + q, a)
     r_map: Matrix                   # K -> H
     params: dict[str, Scalar] = dc_field(default_factory=dict)
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k_alg.dim != self.k_coalg.dim:
@@ -166,46 +178,12 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     ch.compare((dk,), rmap.apply(kalg.unit), halg.unit, vector_text)
     rep.add(ch.entry())
 
-    # RB-1: R(a) . R(b) = R(a_1 . (R(a_2) >- b))
     ch = Checker("RB-1")
-    for a in range(dk):
-        legs = kco.comul[a]
-        for b in range(dk):
-            lhs = halg.mul_vec(rmap.column(a), rmap.column(b))
-            acc: dict[int, Scalar] = {}
-            for a1, a2, c in legs:
-                w = act.apply_vec_basis(rmap.column(a2), b)
-                add_scaled_inplace(acc, kalg.mul_basis_vec(a1, w), c)
-            ch.compare((a, b), lhs, rmap.apply(_vector(dk, acc, fs)), vector_text)
+    _rb1(ch, r)
     rep.add(ch.entry())
 
-    # RB-2: S_H R(R(a_1) >- b_1) . R(a_2) . R(b_2) (x) R(R(a_3) >- b_3),
-    # symmetric under moving the legs (1,2,3) -> (2,3,1)
     ch = Checker("RB-2")
-    smap = r.h.antipode
-
-    def rb2_term(a_legs, b_legs):
-        (ai, aj, ak), (bi, bj, bk) = a_legs, b_legs
-        w1 = act.apply_vec_basis(rmap.column(ai), bi)
-        u = smap.apply(rmap.apply(w1))
-        u = halg.mul_vec(u, rmap.column(aj))
-        u = halg.mul_vec(u, rmap.column(bj))
-        w3 = act.apply_vec_basis(rmap.column(ak), bk)
-        return u, rmap.apply(w3)
-
-    for a in range(dk):
-        legs_a = kco.legs(a, 3)
-        for b in range(dk):
-            legs_b = kco.legs(b, 3)
-            lhs: dict[tuple[int, int], Scalar] = {}
-            rhs: dict[tuple[int, int], Scalar] = {}
-            for (a1, a2, a3), ca in legs_a:
-                for (b1, b2, b3), cb in legs_b:
-                    u, v = rb2_term((a1, a2, a3), (b1, b2, b3))
-                    tens2_add_scaled(lhs, u, v, ca, cb)
-                    u, v = rb2_term((a2, a3, a1), (b2, b3, b1))
-                    tens2_add_scaled(rhs, u, v, ca, cb)
-            ch.compare((a, b), lhs, rhs, pairs_text)
+    _rb2(ch, r)
     rep.add(ch.entry())
 
     rep.add(_bimonoid_checker(r, rho).entry())
@@ -216,6 +194,7 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
             rep.add(CheckEntry("RB-3", FAIL, Witness((0,), "not bijective", "R invertible")))
             return rep
         ch = Checker("RB-3")
+        smap = r.h.antipode
         for a in range(dh):
             acc: dict[int, Scalar] = {}
             for (a1, a2, a3), c in hco.legs(a, 3):
@@ -224,6 +203,102 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
             ch.compare((a,), _vector(dk, acc, fs), kalg.unit.scale(hco.eps(a)), vector_text)
         rep.add(ch.entry())
     return rep
+
+
+class _RBTables(NamedTuple):
+    """The compiled tables of RB-1 and RB-2: the columns of R, and four
+    tables indexed [x][y] by basis elements x, y of K."""
+
+    r_cols: IntTable    # R(e_x) in H
+    acted: IntTable     # R(x) >- y in K
+    q: IntTable         # R(R(x) >- y) in H
+    sq: IntTable        # S_H R(R(x) >- y) in H
+    rr: IntTable        # R(x) . R(y) in H
+
+
+@_per_structure
+def _rb_tables(r: RelRB) -> _RBTables:
+    """The tables of ``_RBTables``, summed as ints on the compiled action,
+    product of H, and the compiled columns of R and S_H, once per operator."""
+    dk, fs, p = r.dim_k, r.field, r.field.p
+    smap = r.h.antipode
+    rc = compile_vectors([r.r_map.column(x) for x in range(dk)], fs)
+    sc = compile_vectors([smap.column(h) for h in range(r.h.dim)], fs)
+    act, hmul = r.action.int_act(), r.h.algebra.int_mul()
+    acted = [[int_bilinear(act.rows, rc.rows[x], ((y, 1),), p) for y in range(dk)] for x in range(dk)]
+    q = [[int_linear(rc.rows, v, p) for v in row] for row in acted]
+    sq = [[int_linear(sc.rows, v, p) for v in row] for row in q]
+    rr = [[int_bilinear(hmul.rows, rc.rows[x], rc.rows[y], p) for y in range(dk)] for x in range(dk)]
+    sa = rc.scale * act.scale
+    return _RBTables(rc, IntTable(acted, sa), IntTable(q, sa * rc.scale), IntTable(sq, sa * rc.scale * sc.scale),
+                     IntTable(rr, rc.scale ** 2 * hmul.scale))
+
+
+def _rb1(t: Tally, r: RelRB) -> None:
+    """RB-1, R(a) . R(b) = R(a_1 . (R(a_2) >- b)) at (a, b), on the tables
+    of ``_rb_tables``, the product of K and its coproduct."""
+    tables = _rb_tables(r)
+    kmul, kco = r.k_alg.int_mul(), r.k_coalg.int_comul()
+    km, rc, acted, rr = kmul.rows, tables.r_cols.rows, tables.acted.rows, tables.rr.rows
+    p = r.field.p
+
+    def rb1(acc, where, wl, wr):
+        a, b = where
+        if wl:
+            add_linear(acc, rr[a], ((b, 1),), wl)
+        if wr:
+            inner: dict[int, int] = {}
+            for a1, a2, c in kco.rows[a]:
+                add_bilinear(inner, km, ((a1, c),), acted[a2][b], 1)
+            add_linear(acc, rc, int_items(inner, p), wr)
+
+    sr = kco.scale * kmul.scale * tables.acted.scale * tables.r_cols.scale
+    compare(t, square(r.dim_k), rb1, tables.rr.scale, sr, r.field, vector_render(r.h.dim))
+
+
+def _rb2(t: Tally, r: RelRB) -> None:
+    """RB-2, the symmetry of S_H R(R(a_1) >- b_1) . R(a_2) . R(b_2) (x)
+    R(R(a_3) >- b_3) under moving the legs (1, 2, 3) to (2, 3, 1), at
+    (a, b), on the tables of ``_rb_tables``.  The product is taken from the
+    left, as H's product need not be associative in a failing operator: each
+    S_H R(R(x_1) >- y_1) . R(x_2) is made once, and each pair of threefold
+    legs is then one product with R(y_2).  The products are summed grouped
+    by the third legs' pair, whose ``q`` entry is the right tensor factor."""
+    tables = _rb_tables(r)
+    hmul, legs = r.h.algebra.int_mul(), r.k_coalg.int_legs(3)
+    hm, l_, rc, q, sq = hmul.rows, legs.rows, tables.r_cols.rows, tables.q.rows, tables.sq.rows
+    dh, p = r.h.dim, r.field.p
+    prefixes: dict = {}  # (x_1, y_1, x_2) -> S_H R(R(x_1) >- y_1) . R(x_2)
+
+    def side(first, second, third):
+        def add(acc, where, w):
+            a, b = where
+            groups: dict[tuple[int, int], dict] = {}
+            lb = l_[b]
+            for la, ca in l_[a]:
+                x1, x2, x3 = la[first], la[second], la[third]
+                for tb, cb in lb:
+                    key = (x1, tb[first], x2)
+                    u = prefixes.get(key)
+                    if u is None:
+                        u = prefixes[key] = int_bilinear(hm, sq[x1][tb[first]], rc[x2], p)
+                    key = (x3, tb[third])
+                    g = groups.get(key)
+                    if g is None:
+                        g = groups[key] = {}
+                    add_bilinear(g, hm, u, rc[tb[second]], ca * cb)
+            get = acc.get
+            for (x3, y3), g in groups.items():
+                right = q[x3][y3]
+                for k, n in int_items(g, p):
+                    n *= w
+                    k *= dh
+                    for j, e in right:
+                        acc[k + j] = get(k + j, 0) + n * e
+        return add
+
+    scale = legs.scale ** 2 * tables.sq.scale * tables.r_cols.scale ** 2 * hmul.scale ** 2 * tables.q.scale
+    compare(t, square(r.dim_k), sides(side(0, 1, 2), side(1, 2, 0)), scale, scale, r.field, pairs_render(dh))
 
 
 def _action_parts(r: RelRB) -> Tally:

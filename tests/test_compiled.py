@@ -3,16 +3,19 @@
 
 The reference functions below are the Vector-path loops that ALG-ASSOC,
 P-DOT, P-ASSOC, L-MB, YD-COMPAT, YD-COLINEAR, P-DELTA, YD-BRAIDMULT,
-P-ANTI, HOPF-DELTA-MULT and P-COALG's coproduct rows ran before they moved
-to compiled tables (P-DOT's and L-MB's loops, which differ only in which
-leg acts on which factor, as one), the loops that built the left harpoon
-and the braiding, and the loops that L-DB, P-MP5, HB-MP5, MP-5 (one loop),
-MP-MODC, MP-1 and RB-BIMON's parts 1-3 ran before they called the shared
-laws, kept here as an oracle.  On perturbed Sweedler and E(2) structures
-and their brace, matched-pair and Rota-Baxter images, over Q
-(denominators 1-6), F_7 and F_10007, each must report the same checked
-count, failure count and witness as its reference, and the left harpoon
-and the braiding must be the same exact tensors.
+P-ANTI, HOPF-DELTA-MULT, P-COALG's coproduct rows, HB-COMPAT, MP-3, MP-4,
+MP-BC, RB-1 and RB-2 ran before they moved to compiled tables (P-DOT's and
+L-MB's loops, which differ only in which leg acts on which factor, as
+one), the loops that built the left harpoon and the braiding, and the
+loops that L-DB, P-MP5, HB-MP5, MP-5 (one loop), MP-MODC, MP-1 and
+RB-BIMON's parts 1-3 ran before they called the shared laws, kept here as
+an oracle.  On perturbed Sweedler and E(2) structures and their brace,
+matched-pair and Rota-Baxter images, over Q (denominators 1-6), F_7 and
+F_10007, each must report the same checked count, failure count and
+witness as its reference, and the left harpoon and the braiding must be
+the same exact tensors.  The six brace, matched-pair and Rota-Baxter IDs
+are also held to their references on the images of Sweedler and
+Suzuki(1, -1) and on every golden mutant of those kinds.
 """
 
 import functools
@@ -23,8 +26,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ydalgebra.braces import check_matched_pair, check_yd_brace, functor_f, functor_g, to_matched_pair
-from ydalgebra.builders import build_en, build_sweedler
+from test_golden import KIND_MUTANTS, _mutant_text, _mutate, _mutate_named
+from ydalgebra.braces import (
+    MatchedPair, YDBrace, _brace_compat, _matched_pair_laws, check_matched_pair, check_yd_brace, functor_f,
+    functor_g, to_matched_pair,
+)
+from ydalgebra.builders import build_en, build_suzuki, build_sweedler
+from ydalgebra.cli import run_suite
 from ydalgebra.compiled import compile_comul, compile_groups, compile_tensor, compile_vectors
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
@@ -50,7 +58,7 @@ from ydalgebra.posthopf import (
     solve_beta,
 )
 from ydalgebra.report import SKIPPED, Tally, pairs_text, vector_text
-from ydalgebra.rota import _action_parts, functor_l
+from ydalgebra.rota import RelRB, _action_parts, _rb1, _rb2, functor_l
 from ydalgebra.structio import emit, parse
 
 F = Fraction
@@ -406,6 +414,133 @@ def ref_bimonoid_parts_1_3(r) -> Tally:
     return ch
 
 
+def ref_hb_compat(b) -> Tally:
+    d, fs = b.dim, b.field
+    alg, coalg = b.dot_side.algebra, b.dot_side.coalgebra
+    bullet, smap = b.bullet_side.algebra, b.dot_side.s_map
+    ch = Tally()
+    for a in range(d):
+        legs = coalg.legs(a, 3)
+        for i in range(d):
+            for j in range(d):
+                lhs = bullet.mul_basis_vec(a, alg.mul[i][j])
+                acc = {}
+                for (a1, a2, a3), c in legs:
+                    v = alg.mul_vec(bullet.mul[a1][i], smap.column(a2))
+                    v = alg.mul_vec(v, bullet.mul[a3][j])
+                    add_scaled_inplace(acc, v, c)
+                ch.compare((a, i, j), lhs, Vector(d, acc, fs), vector_text)
+    return ch
+
+
+def ref_mp3(mp) -> Tally:
+    d, fs = mp.dim, mp.field
+    alg, coalg = mp.hopf.algebra, mp.hopf.coalgebra
+    left, right = mp.left_action, mp.right_action
+    ch = Tally()
+    for a in range(d):
+        for b in range(d):
+            pieces = []
+            for a1, a2, ca in coalg.comul[a]:
+                for b1, b2, cb in coalg.comul[b]:
+                    pieces.append((left.act[a1][b1], right.act[a2][b2], ca * cb))
+            for c in range(d):
+                lhs = left.apply_basis(a, alg.mul[b][c])
+                acc = {}
+                for lv, rv, coeff in pieces:
+                    w = left.apply_vec_basis(rv, c)
+                    add_scaled_inplace(acc, alg.mul_vec(lv, w), coeff)
+                ch.compare((a, b, c), lhs, Vector(d, acc, fs), vector_text)
+    return ch
+
+
+def ref_mp4(mp, failed: set | None = None) -> Tally:
+    """Loops b, c, a, so its witness is the first failure in that order;
+    adds every failing (a, b, c) to failed, if given."""
+    d, fs = mp.dim, mp.field
+    alg, coalg = mp.hopf.algebra, mp.hopf.coalgebra
+    left, right = mp.left_action, mp.right_action
+    ch = Tally()
+    for b in range(d):
+        for c in range(d):
+            pieces = []
+            for b1, b2, cb in coalg.comul[b]:
+                for c1, c2, cc in coalg.comul[c]:
+                    pieces.append((left.act[b1][c1], right.act[b2][c2], cb * cc))
+            for a in range(d):
+                lhs = right.apply_vec_basis(alg.mul[a][b], c)
+                acc = {}
+                for lv, rv, coeff in pieces:
+                    w = right.apply_basis(a, lv)
+                    add_scaled_inplace(acc, alg.mul_vec(w, rv), coeff)
+                if not ch.compare((a, b, c), lhs, Vector(d, acc, fs), vector_text) and failed is not None:
+                    failed.add((a, b, c))
+    return ch
+
+
+def ref_mp_bc(mp) -> Tally:
+    d, fs = mp.dim, mp.field
+    alg, coalg = mp.hopf.algebra, mp.hopf.coalgebra
+    left, right = mp.left_action, mp.right_action
+    ch = Tally()
+    for a in range(d):
+        for b in range(d):
+            acc = {}
+            for a1, a2, ca in coalg.comul[a]:
+                for b1, b2, cb in coalg.comul[b]:
+                    add_scaled_inplace(acc, alg.mul_vec(left.act[a1][b1], right.act[a2][b2]), ca * cb)
+            ch.compare((a, b), alg.mul[a][b], Vector(d, acc, fs), vector_text)
+    return ch
+
+
+def ref_rb1(r) -> Tally:
+    dk, fs = r.dim_k, r.field
+    halg, kalg, kco = r.h.algebra, r.k_alg, r.k_coalg
+    act, rmap = r.action, r.r_map
+    ch = Tally()
+    for a in range(dk):
+        legs = kco.comul[a]
+        for b in range(dk):
+            lhs = halg.mul_vec(rmap.column(a), rmap.column(b))
+            acc = {}
+            for a1, a2, c in legs:
+                w = act.apply_vec_basis(rmap.column(a2), b)
+                add_scaled_inplace(acc, kalg.mul_basis_vec(a1, w), c)
+            ch.compare((a, b), lhs, rmap.apply(_vector(dk, acc, fs)), vector_text)
+    return ch
+
+
+def ref_rb2(r) -> Tally:
+    dk = r.dim_k
+    halg, kco = r.h.algebra, r.k_coalg
+    act, rmap, smap = r.action, r.r_map, r.h.antipode
+
+    def rb2_term(a_legs, b_legs):
+        (ai, aj, ak), (bi, bj, bk) = a_legs, b_legs
+        w1 = act.apply_vec_basis(rmap.column(ai), bi)
+        u = smap.apply(rmap.apply(w1))
+        u = halg.mul_vec(u, rmap.column(aj))
+        u = halg.mul_vec(u, rmap.column(bj))
+        w3 = act.apply_vec_basis(rmap.column(ak), bk)
+        return u, rmap.apply(w3)
+
+    ch = Tally()
+    for a in range(dk):
+        legs_a = kco.legs(a, 3)
+        for b in range(dk):
+            legs_b = kco.legs(b, 3)
+            lhs = {}
+            rhs = {}
+            for (a1, a2, a3), ca in legs_a:
+                for (b1, b2, b3), cb in legs_b:
+                    u, v = rb2_term((a1, a2, a3), (b1, b2, b3))
+                    tens2_add_scaled(lhs, u, v, ca, cb)
+                    u, v = rb2_term((a2, a3, a1), (b2, b3, b1))
+                    tens2_add_scaled(rhs, u, v, ca, cb)
+            ch.compare((a, b), lhs, rhs, pairs_text)
+    return ch
+
+
 # --- the compiled identities, one tally each ---------------------------------
 
 
@@ -500,6 +635,31 @@ def _verdict(t) -> tuple:
     return (t.checked, t.failures, t.witness)
 
 
+# the brace, matched-pair and Rota-Baxter IDs on compiled tables
+DERIVED_REFERENCES = {"HB-COMPAT": ref_hb_compat, "MP-3": ref_mp3, "MP-4": ref_mp4, "MP-BC": ref_mp_bc,
+                      "RB-1": ref_rb1, "RB-2": ref_rb2}
+
+
+def derived_tallies(obj) -> dict:
+    """The IDs of DERIVED_REFERENCES that the suite of obj's kind reports."""
+    if isinstance(obj, YDBrace):
+        return {"HB-COMPAT": _tally(lambda t: _brace_compat(t, obj))}
+    if isinstance(obj, MatchedPair):
+        return dict(zip(("MP-3", "MP-4", "MP-BC"), map(_tally, _matched_pair_laws(obj))))
+    assert isinstance(obj, RelRB)
+    return {"RB-1": _tally(lambda t: _rb1(t, obj)), "RB-2": _tally(lambda t: _rb2(t, obj))}
+
+
+def derived_verdicts(obj) -> dict:
+    """Each of obj's IDs in DERIVED_REFERENCES, compiled and by reference."""
+    return {axiom: (_verdict(t), _verdict(DERIVED_REFERENCES[axiom](obj)))
+            for axiom, t in derived_tallies(obj).items()}
+
+
+def derived_images(s) -> list:
+    return [functor_f(s), to_matched_pair(s), functor_l(s)]
+
+
 # --- perturbed structures ------------------------------------------------------
 
 BUILDS = {
@@ -567,6 +727,68 @@ def test_shared_laws_match_vector_reference(p, name, strip_beta, data):
     got, want = compiled_tallies(s), reference_tallies(s)
     for axiom in want:
         assert _verdict(got[axiom]) == _verdict(want[axiom]), axiom
+    for obj in derived_images(s):
+        for axiom, (got, want) in derived_verdicts(obj).items():
+            assert got == want, axiom
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@pytest.mark.parametrize("build", ["sweedler", "suzuki"])
+def test_derived_identities_match_vector_reference(p, build):
+    fs = RATIONALS if p is None else FieldSpec(p)
+    s = build_sweedler(F(1, 2) if p is None else 3, fs) if build == "sweedler" else build_suzuki(1, -1, fs)
+    for obj in derived_images(s):
+        for axiom, (got, want) in derived_verdicts(obj).items():
+            assert got == want, axiom
+            assert got[1] == 0, axiom
+
+
+def _golden_kind_mutants() -> dict:
+    """The brace, matched-pair and rb_l mutants of the golden tests, by name."""
+    out = {f"mutant-{name}": _mutant_text(name) for name in ("ydbrace-q", "matchedpair-q", "relrb-q")}
+    for name, (base, change) in KIND_MUTANTS.items():
+        if any(kind in name for kind in ("-brace-", "-matchedpair-", "-rb_l-")):
+            text = (GOLDEN / f"{base}.struct").read_text()
+            out[name] = _mutate_named(text.splitlines(), change) if " " in change else _mutate(text, change)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_golden_kind_mutants()))
+def test_derived_identities_match_vector_reference_on_golden_mutants(name):
+    obj = parse(_golden_kind_mutants()[name])
+    rep = run_suite(obj)
+    for axiom, (got, want) in derived_verdicts(obj).items():
+        assert got == want == _verdict(rep.entry(axiom)), axiom
+
+
+def test_mp4_witness_is_the_first_failure_in_its_loop_order():
+    # MP-4 runs b, c, a: on the raction mutant its witness is (2, 1, 3),
+    # which the golden pins, though (1, 2, 3) fails too and is less
+    mp = parse(_golden_kind_mutants()["sweedler-q-matchedpair-raction"])
+    failed = set()
+    ref_mp4(mp, failed)
+    assert check_matched_pair(mp).entry("MP-4").witness.where == (2, 1, 3)
+    assert (1, 2, 3) in failed and min(failed) == (1, 2, 3)
+    golden = (GOLDEN / "suite-sweedler-q-matchedpair-raction.report").read_text()
+    assert "MP-4 fail at=(2,1,3) " in golden
+
+
+@pytest.mark.parametrize("build", ["sweedler", "suzuki"])
+def test_matched_pair_suite_makes_no_mul_vec_calls(monkeypatch, build):
+    # MP-3, MP-4 and MP-BC run on compiled tables, and no other ID of the
+    # matched-pair suite multiplies two vectors
+    s = build_sweedler(F(1, 2)) if build == "sweedler" else build_suzuki(1, -1)
+    mp = to_matched_pair(s)
+    calls = []
+    real = AlgebraData.mul_vec
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(AlgebraData, "mul_vec", counted)
+    assert check_matched_pair(mp).all_pass()
+    assert calls == []
 
 
 @pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
