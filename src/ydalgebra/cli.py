@@ -8,6 +8,7 @@ usage errors.  Reports go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .braces import (
@@ -164,8 +165,7 @@ def cmd_derive(args) -> int:
         elif target == "post_r":
             derived = functor_r(obj, mode="D" if args.mode == "full" else "Cprime")
         elif target == "sk":
-            obj.k_antipode = antipode_sk(obj)
-            derived = obj
+            derived = dataclasses.replace(obj, k_antipode=antipode_sk(obj))
         else:
             raise ParseError(f"target {target!r} does not apply to a relrb source")
     else:

@@ -224,6 +224,23 @@ def test_derive_post_r_and_sk(tmp_path, sweedler_file):
     assert code == 0
 
 
+def test_derive_sk_leaves_its_input_unchanged(tmp_path, monkeypatch, sweedler_file):
+    from ydalgebra import cli
+    from ydalgebra.structio import parse
+
+    rb_path = tmp_path / "rb.struct"
+    run_cli(["derive", str(sweedler_file), "--target", "rb_l", "--out", str(rb_path)])
+    text = "\n".join(x for x in rb_path.read_text().splitlines() if not x.startswith("k.antipode ")) + "\n"
+    held = parse(text)
+    assert held.k_antipode is None
+    monkeypatch.setattr(cli, "_load", lambda path: held)
+    sk_path = tmp_path / "sk.struct"
+    code, _, _ = run_cli(["derive", "held.struct", "--target", "sk", "--out", str(sk_path)])
+    assert code == 0
+    assert held.k_antipode is None
+    assert "k.antipode" in sk_path.read_text()
+
+
 def test_check_notes_derived_coaction(tmp_path, sweedler_file):
     rb_path = tmp_path / "rb.struct"
     run_cli(["derive", str(sweedler_file), "--target", "rb_l", "--out", str(rb_path)])
