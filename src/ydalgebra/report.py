@@ -160,7 +160,9 @@ class Tally:
     and ``absorb`` folds part tallies into one ID.  MP-MODC is the exception:
     its parts interleave per (i, j), and its witness stays the first failure
     in that order, as golden reports pin it (``braces`` picks it).  So do the
-    interleaved loops of RBM-F/RBM-G and LRB-LIE-G/H, on one Checker each."""
+    interleaved loops of RBM-F/RBM-G and LRB-LIE-G/H, on one Checker each,
+    and MP-4, which visits (a, b, c) in the order (b, c, a): its witness is
+    the first failure in that order, mapped back to (a, b, c)."""
 
     def __init__(self):
         self.witness: Witness | None = None
