@@ -288,15 +288,24 @@ def _matched_pair_laws(mp: MatchedPair):
                                     if (u := int_items(g, p))]
         return out
 
+    def columns(x2, y2, rv):
+        ws = acted.get((x2, y2))
+        if ws is None:
+            ws = acted[(x2, y2)] = [int_bilinear(x_, rv, ((k, 1),), p) for k in range(d)]
+        return ws
+
+    terms: dict = {}  # (a, b) -> [(sum of c_a c_b (a_1 >- b_1), ((a_2 -< b_2) >- c for each c))]
+
     def mp3(acc, where, wl, wr):
         a, b, c = where
         if wl:
             add_linear(acc, x_[a], m[b][c], wl)
         if wr:
-            for rv, u, a2, b2 in grouped(a, b):
-                ws = acted.get((a2, b2))
-                if ws is None:
-                    ws = acted[(a2, b2)] = [int_bilinear(x_, rv, ((k, 1),), p) for k in range(d)]
+            pairs = terms.get((a, b))
+            if pairs is None:
+                terms.clear()
+                pairs = terms[(a, b)] = [(u, columns(a2, b2, rv)) for rv, u, a2, b2 in grouped(a, b)]
+            for u, ws in pairs:
                 if ws[c]:
                     add_bilinear(acc, m, u, ws[c], wr)
 

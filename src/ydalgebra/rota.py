@@ -10,8 +10,8 @@ to group-likes and primitives, and the plain group/Lie weight-1 checkers.
 RB-BIMON's parts 1-3 (H acts on K as a module, a module algebra and a
 module coalgebra) call the action laws of ``hopf``.  RB-1 and RB-2 run on
 compiled int tables (``compiled``), built once per operator and kept in its
-``_cache``: the columns of R, R(x) >- y, R(R(x) >- y), S_H R(R(x) >- y) and
-R(x) . R(y) for basis elements x, y of K.  RB-BIMON's parts 4-8, RB-COALG
+``_cache``: the columns of R, and R(x) >- y, R(R(x) >- y) and
+S_H R(R(x) >- y) for basis elements x, y of K.  RB-BIMON's parts 4-8, RB-COALG
 and RB-3 remain hand-written ``Vector`` loops.  The cached tables assume
 the operator is not changed after it is first checked; ``dataclasses.replace``
 makes a copy whose cache starts empty.
@@ -206,46 +206,43 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
 
 
 class _RBTables(NamedTuple):
-    """The compiled tables of RB-1 and RB-2: the columns of R, and four
+    """The compiled tables of RB-1 and RB-2: the columns of R, and three
     tables indexed [x][y] by basis elements x, y of K."""
 
     r_cols: IntTable    # R(e_x) in H
     acted: IntTable     # R(x) >- y in K
     q: IntTable         # R(R(x) >- y) in H
     sq: IntTable        # S_H R(R(x) >- y) in H
-    rr: IntTable        # R(x) . R(y) in H
 
 
 @_per_structure
 def _rb_tables(r: RelRB) -> _RBTables:
-    """The tables of ``_RBTables``, summed as ints on the compiled action,
-    product of H, and the compiled columns of R and S_H, once per operator."""
+    """The tables of ``_RBTables``, summed as ints on the compiled action
+    and the compiled columns of R and S_H, once per operator."""
     dk, fs, p = r.dim_k, r.field, r.field.p
     smap = r.h.antipode
     rc = compile_vectors([r.r_map.column(x) for x in range(dk)], fs)
     sc = compile_vectors([smap.column(h) for h in range(r.h.dim)], fs)
-    act, hmul = r.action.int_act(), r.h.algebra.int_mul()
+    act = r.action.int_act()
     acted = [[int_bilinear(act.rows, rc.rows[x], ((y, 1),), p) for y in range(dk)] for x in range(dk)]
     q = [[int_linear(rc.rows, v, p) for v in row] for row in acted]
     sq = [[int_linear(sc.rows, v, p) for v in row] for row in q]
-    rr = [[int_bilinear(hmul.rows, rc.rows[x], rc.rows[y], p) for y in range(dk)] for x in range(dk)]
     sa = rc.scale * act.scale
-    return _RBTables(rc, IntTable(acted, sa), IntTable(q, sa * rc.scale), IntTable(sq, sa * rc.scale * sc.scale),
-                     IntTable(rr, rc.scale ** 2 * hmul.scale))
+    return _RBTables(rc, IntTable(acted, sa), IntTable(q, sa * rc.scale), IntTable(sq, sa * rc.scale * sc.scale))
 
 
 def _rb1(t: Tally, r: RelRB) -> None:
     """RB-1, R(a) . R(b) = R(a_1 . (R(a_2) >- b)) at (a, b), on the tables
-    of ``_rb_tables``, the product of K and its coproduct."""
+    of ``_rb_tables``, the products of H and K and the coproduct of K."""
     tables = _rb_tables(r)
-    kmul, kco = r.k_alg.int_mul(), r.k_coalg.int_comul()
-    km, rc, acted, rr = kmul.rows, tables.r_cols.rows, tables.acted.rows, tables.rr.rows
+    hmul, kmul, kco = r.h.algebra.int_mul(), r.k_alg.int_mul(), r.k_coalg.int_comul()
+    hm, km, rc, acted = hmul.rows, kmul.rows, tables.r_cols.rows, tables.acted.rows
     p = r.field.p
 
     def rb1(acc, where, wl, wr):
         a, b = where
         if wl:
-            add_linear(acc, rr[a], ((b, 1),), wl)
+            add_bilinear(acc, hm, rc[a], rc[b], wl)
         if wr:
             inner: dict[int, int] = {}
             for a1, a2, c in kco.rows[a]:
@@ -253,7 +250,7 @@ def _rb1(t: Tally, r: RelRB) -> None:
             add_linear(acc, rc, int_items(inner, p), wr)
 
     sr = kco.scale * kmul.scale * tables.acted.scale * tables.r_cols.scale
-    compare(t, square(r.dim_k), rb1, tables.rr.scale, sr, r.field, vector_render(r.h.dim))
+    compare(t, square(r.dim_k), rb1, tables.r_cols.scale ** 2 * hmul.scale, sr, r.field, vector_render(r.h.dim))
 
 
 def _rb2(t: Tally, r: RelRB) -> None:
