@@ -61,6 +61,7 @@ from .linalg import (
     add_scaled_inplace,
     matrix_from_columns,
     solve,
+    solve_many,
     unit_vector,
 )
 from .report import Checker, CheckReport, Tally, pairs_text, vector_text
@@ -707,20 +708,27 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
 @dataclass
 class EndoInverse:
     """Result of inverting alpha in Hom(H, End(H)): tensor + system kernel,
-    and the tallies of ``_verify_endo_inverse`` on the beta it returns."""
+    the tallies of ``_verify_endo_inverse`` on the beta it returns, and,
+    when there is no beta, which side failed."""
 
     beta: ActionTensor | None
     kernel_dim: int
     checks: tuple[Tally, Tally] | None = None
+    reason: str | None = None
 
 
 def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoInverse:
     """Solve (alpha x1).(beta x2) = (beta x1).(alpha x2) = eps(x) Id for beta.
 
-    The defining system in dim^3 unknowns splits into independent blocks per
-    target basis vector; both compositions are verified on the assembled
-    tensor before returning.  The system holds alpha*beta only.  Over a
-    coassociative, counital C, Hom(C, End(H)) is a finite-dimensional
+    The defining system in dim^3 unknowns splits into d blocks, one per
+    target basis vector y, which share one coefficient matrix: row x*d + t,
+    unknown z*d + r (the e_r coefficient of beta_{e_z}(e_y)), holding
+    (alpha*beta)(x) at e_t.  Only the right-hand side eps(x) e_y changes
+    with y, so the d blocks are solved by one elimination carrying d
+    right-hand sides (``linalg.solve_many``); ``kernel_dim`` is d times
+    the kernel of that matrix.  Both compositions are verified on the
+    assembled tensor before returning.  The system holds alpha*beta only.
+    Over a coassociative, counital C, Hom(C, End(H)) is a finite-dimensional
     algebra, where a one-sided inverse is two-sided; so a failed re-check
     there is a bug and raises ``LinAlgError``.  Over a C that fails those
     axioms, beta*alpha can fail for real, and beta is None.
@@ -729,80 +737,74 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
     fs = alpha.field
     if alpha.acting_dim != d or alpha.target_dim != d:
         raise StructureError("endomorphism-valued inverse needs a square action")
-    beta_cols: list[list[Vector]] = [[None] * d for _ in range(d)]  # [z][y]
-    kernel_total = 0
-    for y in range(d):
-        rows: list[dict[int, Scalar]] = []
-        rhs: dict[int, Scalar] = {}
-        for x in range(d):
-            eps_x = c.eps(x)
-            per_t: dict[int, dict[int, Scalar]] = {}
-            for x1, x2, s in c.comul[x]:
-                amat = alpha.matrix(x1)
-                for (t, r), av in amat.entries.items():
-                    col = x2 * d + r
-                    dst = per_t.setdefault(t, {})
-                    w = dst.get(col)
-                    w = s * av if w is None else w + s * av
-                    if w:
-                        dst[col] = w
-                    else:
-                        del dst[col]
-            for t in range(d):
-                idx = len(rows)
-                rows.append(per_t.get(t, {}))
-                val = eps_x if t == y else fs.zero
-                if val:
-                    rhs[idx] = val
-        mat = Matrix(
-            len(rows),
-            d * d,
-            {(ri, cj): v for ri, row in enumerate(rows) for cj, v in row.items()},
-            fs,
-        )
-        res = solve(mat, Vector(len(rows), rhs, fs))
-        if res.solution is None:
-            return EndoInverse(None, kernel_total)
-        kernel_total += len(res.kernel)
-        for z in range(d):
-            entries = {
-                r: v
-                for idx, v in res.solution.entries.items()
-                if idx // d == z
-                for r in [idx % d]
-            }
-            beta_cols[z][y] = Vector(d, entries, fs)
-    beta = ActionTensor(d, d, [list(col) for col in beta_cols], fs)
+    entries: dict[tuple[int, int], Scalar] = {}
+    for x in range(d):
+        per_t: dict[int, dict[int, Scalar]] = {}
+        for x1, x2, s in c.comul[x]:
+            amat = alpha.matrix(x1)
+            for (t, r), av in amat.entries.items():
+                col = x2 * d + r
+                dst = per_t.setdefault(t, {})
+                w = dst.get(col)
+                w = s * av if w is None else w + s * av
+                if w:
+                    dst[col] = w
+                else:
+                    del dst[col]
+        for t, row in per_t.items():
+            for col, v in row.items():
+                entries[(x * d + t, col)] = v
+    mat = Matrix(d * d, d * d, entries, fs)
+    rhs = [Vector(d * d, {x * d + y: c.eps(x) for x in range(d)}, fs) for y in range(d)]
+    sols, kern = solve_many(mat, rhs)
+    for y, sol in enumerate(sols):
+        if sol is None:
+            # the blocks before y solved, as a loop over the targets counts them
+            return EndoInverse(None, y * len(kern),
+                               reason=f"alpha*beta = eps Id has no solution (at target {y})")
+    kernel_dim = d * len(kern)
+    cols: list[list[dict[int, Scalar]]] = [[{} for _ in range(d)] for _ in range(d)]  # [z][y]
+    for y, sol in enumerate(sols):
+        for idx, v in sol.entries.items():
+            z, r = divmod(idx, d)
+            cols[z][y][r] = v
+    beta = ActionTensor(d, d, [[Vector(d, e, fs) for e in row] for row in cols], fs)
     checks = left, right = _verify_endo_inverse(alpha, beta, c)
     if left.failures:
         raise LinAlgError("convolution inverse self-check failed: alpha*beta != eps Id")
     if right.failures:
         if check_coalgebra(c).all_pass():
             raise LinAlgError("convolution inverse self-check failed: beta*alpha != eps Id")
-        return EndoInverse(None, kernel_total)
-    return EndoInverse(beta, kernel_total, checks)
+        return EndoInverse(None, kernel_dim, reason="beta*alpha != eps Id (one-sided inverse)")
+    return EndoInverse(beta, kernel_dim, checks)
 
 
 def _verify_endo_inverse(
     alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData
 ) -> tuple[Tally, Tally]:
     """(alpha*beta)(x) = eps(x) Id and (beta*alpha)(x) = eps(x) Id, as two
-    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``."""
-    d = c.dim
-    fs = alpha.field
-    from .linalg import identity_matrix
+    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``.
 
-    ident = identity_matrix(d, fs)
+    Column y of (f*g)(x) is the sum over Delta(x) of s f_{x1}(g_{x2}(e_y)),
+    accumulated term by term on the int helpers; no matrix is built."""
+    d = c.dim
     left, right = Tally(), Tally()
     for x in range(d):
-        acc1 = Matrix(d, d, {}, fs)
-        acc2 = Matrix(d, d, {}, fs)
-        for x1, x2, s in c.comul[x]:
-            acc1 = acc1.add(alpha.matrix(x1).compose(beta.matrix(x2)).scale(s))
-            acc2 = acc2.add(beta.matrix(x1).compose(alpha.matrix(x2)).scale(s))
-        target = ident.scale(c.eps(x))
-        left.record((x,), acc1 == target, "alpha*beta", "eps Id")
-        right.record((x,), acc2 == target, "beta*alpha", "eps Id")
+        eps = c.eps(x)
+        ok_left = ok_right = True
+        for y in range(d):
+            target = {y: eps} if eps else {}
+            acc_left: dict[int, Scalar] = {}
+            acc_right: dict[int, Scalar] = {}
+            for x1, x2, s in c.comul[x]:
+                for r, b in beta.act[x2][y].entries.items():
+                    add_scaled_inplace(acc_left, alpha.act[x1][r], s, b)
+                for r, a in alpha.act[x2][y].entries.items():
+                    add_scaled_inplace(acc_right, beta.act[x1][r], s, a)
+            ok_left = ok_left and acc_left == target
+            ok_right = ok_right and acc_right == target
+        left.record((x,), ok_left, "alpha*beta", "eps Id")
+        right.record((x,), ok_right, "beta*alpha", "eps Id")
     return left, right
 
 

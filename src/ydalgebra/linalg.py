@@ -419,8 +419,18 @@ class SolveResult:
 # --- elimination engines ------------------------------------------------
 #
 # Internally a system is a list of rows over plain ints: over Q each row is
-# stored with denominators cleared (fraction-free); over F_p as residues.
-# Forward elimination returns echelon rows plus the pivot (row, col) list.
+# stored with denominators cleared (fraction-free); over F_p as residues in
+# [1, p).  Forward elimination pivots on the coefficient columns
+# 0..ncols-1 only.  A row may hold further columns, the right-hand sides,
+# which are carried through every row operation and never pivoted on.  It
+# returns the echelon rows, pivot rows first (pivot i in row i), and the
+# pivot (row, col) list; every row after the pivot rows is zero on the
+# coefficient columns.
+#
+# The sparse engines keep a column index: for each coefficient column, the
+# ids of the active rows that hold it, so a pivot visits only those rows.
+# Rows keep their original order, and the pivot of a column is the shortest
+# row holding it, the earliest on a tie.
 
 
 def _row_content(row: dict[int, int]) -> int:
@@ -432,48 +442,82 @@ def _row_content(row: dict[int, int]) -> int:
     return g or 1
 
 
+def _column_index(active: dict[int, dict[int, int]], ncols: int) -> list[set[int]]:
+    """For each coefficient column, the ids of the rows that hold it."""
+    holders: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in active.items():
+        for c in row:
+            if c < ncols:
+                holders[c].add(i)
+    return holders
+
+
+def _take_pivot(active, holders, col: int, ncols: int):
+    """Remove the pivot row of col from active and from the index; returns
+    (its id, the row), or None when no active row holds col."""
+    ids = holders[col]
+    if not ids:
+        return None
+    pid = min(ids, key=lambda i: (len(active[i]), i))
+    piv = active.pop(pid)
+    for c in piv:
+        if col < c < ncols:
+            holders[c].discard(pid)
+    ids.discard(pid)
+    return pid, piv
+
+
 def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
+    """Fraction-free elimination on sparse rows, each new row divided by
+    its content."""
     pivots: list[tuple[int, int]] = []
-    active = [dict(r) for r in rows]
+    active = {i: dict(r) for i, r in enumerate(rows)}
+    holders = _column_index(active, ncols)
     done: list[dict[int, int]] = []
     for col in range(ncols):
-        cand = [i for i, r in enumerate(active) if r.get(col)]
-        if not cand:
+        taken = _take_pivot(active, holders, col, ncols)
+        if taken is None:
             continue
-        cand.sort(key=lambda i: (len(active[i]), i))
-        piv = active.pop(cand[0])
+        piv = taken[1]
         pl = piv[col]
-        nxt = []
-        for r in active:
-            rl = r.get(col)
-            if rl:
-                new: dict[int, int] = {}
-                for c, v in r.items():
-                    w = v * pl - piv.get(c, 0) * rl
+        for i in holders[col]:
+            r = active[i]
+            rl = r[col]
+            new = {c: v * pl for c, v in r.items()}
+            for c, v in piv.items():
+                w = new.get(c)
+                if w is None:
+                    new[c] = -v * rl
+                    if c < ncols:
+                        holders[c].add(i)
+                else:
+                    w -= v * rl
                     if w:
                         new[c] = w
-                for c, v in piv.items():
-                    if c not in r:
-                        w = -v * rl
-                        if w:
-                            new[c] = w
-                g = _row_content(new)
-                if g > 1:
-                    new = {c: v // g for c, v in new.items()}
-                if new:
-                    nxt.append(new)
+                    else:
+                        del new[c]
+                        if col < c < ncols:
+                            holders[c].discard(i)
+            g = _row_content(new)
+            if g > 1:
+                new = {c: v // g for c, v in new.items()}
+            if new:
+                active[i] = new
             else:
-                nxt.append(r)
-        active = nxt
+                del active[i]
+        holders[col] = set()
         pivots.append((len(done), col))
         done.append(piv)
-    done.extend(r for r in active if r)
+    done.extend(active.values())
     return done, pivots
 
 
 def _forward_dense_q(rows: list[dict[int, int]], ncols: int):
-    """Classic Bareiss elimination on dense list rows."""
-    m = [[r.get(c, 0) for c in range(ncols)] for r in rows]
+    """Classic Bareiss elimination on dense list rows, the carried columns
+    included: every entry stays a minor of the system, so each division by
+    the previous pivot is exact on those columns too."""
+    width = max([ncols, *(max(r) + 1 for r in rows if r)])
+    m = [[r.get(c, 0) for c in range(width)] for r in rows]
     nrows = len(m)
     pivots: list[tuple[int, int]] = []
     prev = 1
@@ -492,7 +536,7 @@ def _forward_dense_q(rows: list[dict[int, int]], ncols: int):
             rl = m[i][col]
             row = m[i]
             prow = m[rank]
-            for c in range(col, ncols):
+            for c in range(col, width):
                 row[c] = (row[c] * pl - prow[c] * rl) // prev
         pivots.append((rank, col))
         prev = pl
@@ -507,35 +551,45 @@ def _forward_dense_q(rows: list[dict[int, int]], ncols: int):
 
 
 def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
+    """Modular elimination on sparse rows; each pivot row is scaled to a
+    leading 1."""
     pivots: list[tuple[int, int]] = []
-    active = [dict(r) for r in rows]
+    active = {i: dict(r) for i, r in enumerate(rows)}
+    holders = _column_index(active, ncols)
     done: list[dict[int, int]] = []
     for col in range(ncols):
-        cand = [i for i, r in enumerate(active) if r.get(col, 0) % p]
-        if not cand:
+        taken = _take_pivot(active, holders, col, ncols)
+        if taken is None:
             continue
-        cand.sort(key=lambda i: (len(active[i]), i))
-        piv = active.pop(cand[0])
+        piv = taken[1]
         inv = pow(piv[col], p - 2, p)
         piv = {c: v * inv % p for c, v in piv.items() if v % p}
-        nxt = []
-        for r in active:
-            rl = r.get(col, 0) % p
-            if rl:
-                new = {}
-                keys = set(r) | set(piv)
-                for c in keys:
-                    w = (r.get(c, 0) - piv.get(c, 0) * rl) % p
+        for i in holders[col]:
+            r = active[i]
+            rl = r[col]
+            new = dict(r)
+            for c, v in piv.items():
+                w = new.get(c)
+                if w is None:
+                    new[c] = -v * rl % p
+                    if c < ncols:
+                        holders[c].add(i)
+                else:
+                    w = (w - v * rl) % p
                     if w:
                         new[c] = w
-                if new:
-                    nxt.append(new)
+                    else:
+                        del new[c]
+                        if col < c < ncols:
+                            holders[c].discard(i)
+            if new:
+                active[i] = new
             else:
-                nxt.append(r)
-        active = nxt
+                del active[i]
+        holders[col] = set()
         pivots.append((len(done), col))
         done.append(piv)
-    done.extend(r for r in active if r)
+    done.extend(active.values())
     return done, pivots
 
 
@@ -555,10 +609,6 @@ def _to_int_rows(rowvecs: list[dict[int, Scalar]], fs: FieldSpec) -> list[dict[i
     return out
 
 
-def _scalar(fs: FieldSpec, num: int) -> Scalar:
-    return num if fs.p is None else ModInt(num, fs.p)
-
-
 def _echelon(rowvecs: list[dict[int, Scalar]], ncols: int, fs: FieldSpec):
     rows = _to_int_rows(rowvecs, fs)
     if fs.p is not None:
@@ -575,60 +625,34 @@ def _back_substitute(
     fs: FieldSpec,
     rhs_col: int | None,
     free_values: dict[int, Scalar],
-) -> Vector | None:
+) -> Vector:
     """Solve the echelon system with given free-variable values.
 
-    ``rhs_col`` marks the augmented column (None for homogeneous systems).
-    Returns None when a zero row has a nonzero right-hand side.
+    The right-hand side is the carried column ``rhs_col`` (None for the
+    homogeneous system); every other carried column is ignored.  The
+    caller has checked that this right-hand side is consistent.  The sums
+    run on plain ints (Q: ints and Fractions; F_p: residues).
     """
-    pivot_cols = {c for _, c in pivots}
-    pivot_rows = {r for r, _ in pivots}
-    for i, row in enumerate(ech):
-        if i not in pivot_rows and row:
-            if rhs_col is not None and set(row) == {rhs_col}:
-                return None
-            if rhs_col is not None and any(c != rhs_col for c in row):
-                # stray non-pivot row over solvable columns cannot occur:
-                # forward elimination pivots on every column it can reach
-                raise LinAlgError("unreachable echelon shape")
-    x: dict[int, Scalar] = {}
-    for c in range(ncols):
-        if rhs_col is not None and c == rhs_col:
-            continue
-        if c not in pivot_cols:
-            v = free_values.get(c, fs.zero)
-            if v:
-                x[c] = v
+    p = fs.p
+    x: dict[int, int | Fraction] = {
+        c: v if p is None else v.value for c, v in free_values.items() if v}
     for r, c in reversed(pivots):
         row = ech[r]
-        acc = _scalar(fs, 0)
-        if rhs_col is not None and rhs_col in row:
-            acc = acc + _scalar(fs, row[rhs_col])
+        acc = row.get(rhs_col, 0)
         for cc, v in row.items():
-            if cc == c or (rhs_col is not None and cc == rhs_col):
-                continue
-            xv = x.get(cc)
-            if xv is not None:
-                acc = acc - _scalar(fs, v) * xv
-        if fs.p is None:
+            if cc != c and cc < ncols:
+                xv = x.get(cc)
+                if xv is not None:
+                    acc -= v * xv
+        if p is None:
             val = canonical(Fraction(acc, row[c]))  # int / int would be a float
         else:
-            val = acc / _scalar(fs, row[c])
+            val = acc * pow(row[c], p - 2, p) % p
         if val:
             x[c] = val
-    ncols_eff = ncols if rhs_col is None else ncols - 1
-    return Vector(ncols_eff, x, fs)
-
-
-def _kernel_from_echelon(ech, pivots, ncols, fs) -> list[Vector]:
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for f in range(ncols):
-        if f in pivot_cols:
-            continue
-        v = _back_substitute(ech, pivots, ncols, fs, None, {f: fs.one})
-        basis.append(v)
-    return basis
+    if p is not None:
+        x = {c: ModInt(v, p) for c, v in x.items()}
+    return Vector(ncols, x, fs)
 
 
 def _rows_of_matrix(a: Matrix) -> list[dict[int, Scalar]]:
@@ -638,80 +662,74 @@ def _rows_of_matrix(a: Matrix) -> list[dict[int, Scalar]]:
     return rows
 
 
-def solve(a: Matrix, b: Vector) -> SolveResult:
-    """One particular solution of A x = b plus a kernel basis.
+def solve_many(a: Matrix, bs: list[Vector]) -> tuple[list[Vector | None], list[Vector]]:
+    """One particular solution of A x = b for each b of bs (None where
+    inconsistent), plus a kernel basis of A, from one forward elimination.
 
-    The solution is verified by back-substitution before returning;
-    ``solution`` is None when the system is inconsistent.
+    Right-hand side k is carried as column a.cols + k; it is inconsistent
+    when an echelon row that is zero on A's columns is nonzero there.  Each
+    consistent b is back-substituted on its own, with the free variables
+    at 0.  The kernel basis, one vector per free column in column order,
+    comes from the same echelon.  Every solution and kernel vector is
+    verified against A before returning; a failed check is a solver bug and
+    raises ``LinAlgError``.
     """
-    if a.rows != b.dim:
-        raise LinAlgError("dimension mismatch in solve")
+    n = a.cols
     fs = a.field
     rows = _rows_of_matrix(a)
-    rhs_col = a.cols
-    for i, c in b.entries.items():
-        rows[i][rhs_col] = c
-    ech, pivots = _echelon(rows, a.cols + 1, fs)
-    if any(col == rhs_col for _, col in pivots):
-        return SolveResult(None, _kernel_from_echelon(*_strip_rhs(ech, pivots, rhs_col), a.cols, fs))
-    x = _back_substitute(ech, pivots, a.cols + 1, fs, rhs_col, {})
-    kern = _kernel_from_echelon(*_strip_rhs(ech, pivots, rhs_col), a.cols, fs)
-    if x is None:
-        return SolveResult(None, kern)
-    if a.apply(x) != b:
-        raise LinAlgError("solver self-check failed: A x != b")
+    for k, b in enumerate(bs):
+        if b.dim != a.rows:
+            raise LinAlgError("dimension mismatch in solve")
+        for i, c in b.entries.items():
+            rows[i][n + k] = c
+    ech, pivots = _echelon(rows, n, fs)
+    inconsistent = set()
+    for row in ech[len(pivots):]:
+        for c in row:
+            if c < n:
+                # forward elimination pivots on every column it can reach
+                raise LinAlgError("unreachable echelon shape")
+            inconsistent.add(c)
+    sols = [None if n + k in inconsistent else _back_substitute(ech, pivots, n, fs, n + k, {})
+            for k in range(len(bs))]
+    pivot_cols = {c for _, c in pivots}
+    kern = [_back_substitute(ech, pivots, n, fs, None, {f: fs.one})
+            for f in range(n) if f not in pivot_cols]
+    for x, b in zip(sols, bs):
+        if x is not None and a.apply(x) != b:
+            raise LinAlgError("solver self-check failed: A x != b")
     for v in kern:
         if not a.apply(v).is_zero():
             raise LinAlgError("solver self-check failed: kernel vector")
+    return sols, kern
+
+
+def solve(a: Matrix, b: Vector) -> SolveResult:
+    """One particular solution of A x = b plus a kernel basis: ``solve_many``
+    with one right-hand side; ``solution`` is None when the system is
+    inconsistent."""
+    (x,), kern = solve_many(a, [b])
     return SolveResult(x, kern)
-
-
-def _strip_rhs(ech, pivots, rhs_col):
-    ech2 = [{c: v for c, v in row.items() if c != rhs_col} for row in ech]
-    piv2 = [(r, c) for r, c in pivots if c != rhs_col]
-    return ech2, piv2
 
 
 def kernel(a: Matrix) -> list[Vector]:
     """Basis of the null space, in free-column order (reduced echelon form)."""
-    ech, pivots = _echelon(_rows_of_matrix(a), a.cols, a.field)
-    basis = _kernel_from_echelon(ech, pivots, a.cols, a.field)
-    for v in basis:
-        if not a.apply(v).is_zero():
-            raise LinAlgError("kernel self-check failed")
-    return basis
+    return solve_many(a, [])[1]
 
 
 def invert(a: Matrix) -> Matrix | None:
-    """Exact inverse, or None when singular; A A^-1 = A^-1 A = I verified.
-
-    A failed re-check is a solver bug and raises ``LinAlgError``."""
+    """Exact inverse, or None when singular: column j solves A x = e_j, all
+    from one elimination.  A A^-1 = I is verified column by column by
+    ``solve_many``, and A^-1 A = I here; a failed re-check is a solver bug
+    and raises ``LinAlgError``."""
     if a.rows != a.cols:
         raise LinAlgError("invert requires a square matrix")
     n = a.rows
     fs = a.field
-    rows = _rows_of_matrix(a)
-    for i in range(n):
-        rows[i][n + i] = fs.one
-    ech, pivots = _echelon(rows, 2 * n, fs)
-    lead = [(r, c) for r, c in pivots if c < n]
-    if len(lead) < n:
+    cols, kern = solve_many(a, [unit_vector(n, j, fs) for j in range(n)])
+    if kern:
         return None
-    cols = []
-    for j in range(n):
-        x = _back_substitute(
-            [{c - 0: v for c, v in row.items()} for row in ech],
-            pivots,
-            2 * n,
-            fs,
-            None,
-            {n + j: fs.one},
-        )
-        # x solves A y + e_j-extension = 0 over the augmented columns; flip sign
-        col = Vector(n, {i: -v for i, v in x.entries.items() if i < n}, fs)
-        cols.append(col)
     inv_m = matrix_from_columns(cols, fs)
-    ident = identity_matrix(n, fs)
-    if a.compose(inv_m) != ident or inv_m.compose(a) != ident:
-        raise LinAlgError("inverse self-check failed: A A^-1 != I")
+    if inv_m.compose(a) != identity_matrix(n, fs):
+        raise LinAlgError("inverse self-check failed: A^-1 A != I")
     return inv_m
