@@ -508,7 +508,7 @@ def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
         holders[col] = set()
         pivots.append((len(done), col))
         done.append(piv)
-    done.extend(active.values())
+    done.extend(r for r in active.values() if r)
     return done, pivots
 
 
@@ -589,7 +589,7 @@ def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
         holders[col] = set()
         pivots.append((len(done), col))
         done.append(piv)
-    done.extend(active.values())
+    done.extend(r for r in active.values() if r)
     return done, pivots
 
 

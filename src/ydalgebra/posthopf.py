@@ -153,7 +153,7 @@ def solve_beta(s: YDPostHopf) -> ActionTensor:
     """Solve the convolution-inverse system for beta and store it on s."""
     res = hom_convolution_inverse_endo(s.action, s.carrier.coalgebra)
     if res.beta is None:
-        raise StructureError("alpha is not convolution invertible: no beta exists")
+        raise StructureError(f"alpha is not convolution invertible: no beta exists ({res.reason})")
     _set_beta(s, res.beta)
     return res.beta
 
@@ -483,8 +483,9 @@ def _post_hopf_steps(s: YDPostHopf):
             conv = res.checks
     beta = s.beta
     if beta is None:
+        missing = f"no convolution inverse of alpha exists: {res.reason}"
         yield [
-            CheckEntry("P-CONV", FAIL, Witness((0,), "no convolution inverse of alpha exists", "eps(x) Id")),
+            CheckEntry("P-CONV", FAIL, Witness((0,), missing, "eps(x) Id")),
             *(skipped_entry(ax) for ax in ("P-DELTA", "P-ANTI", "P-MP5")),
             *_beta_free_lemmas(s),
             *(skipped_entry(ax) for ax in ("L-BETA", "L-DA", "L-DB", "L-MA", "L-MB", "L-ANTI2")),

@@ -113,12 +113,14 @@ class CheckReport:
     def summary(self, axiom: str) -> CheckEntry:
         """This report as one entry of ``axiom``: a pass checking what all
         its entries checked, or a fail with the first failing entry's
-        witness, its tuple prefixed with that entry's ID."""
+        witness, its tuple prefixed with that entry's ID.  Either way the
+        entry's time is the sum of the folded entries' times."""
+        seconds = sum(e.seconds for e in self.entries)
         bad = self.failed()
         if not bad:
-            return CheckEntry(axiom, PASS, checked=sum(e.checked for e in self.entries))
+            return CheckEntry(axiom, PASS, checked=sum(e.checked for e in self.entries), seconds=seconds)
         w = bad[0].witness
-        return CheckEntry(axiom, FAIL, Witness((bad[0].axiom,) + w.where, w.lhs, w.rhs))
+        return CheckEntry(axiom, FAIL, Witness((bad[0].axiom,) + w.where, w.lhs, w.rhs), seconds=seconds)
 
     def machine_text(self) -> str:
         lines = []
@@ -137,7 +139,9 @@ class CheckReport:
         from one shared tally (P-DOT/L-MA/YD-MODALG, P-ASSOC/YD-MODULE,
         P-COALG/L-DA/YD-MODCOALG, P-DELTA/YD-BRAIDMULT), the first ID that
         evaluates the identity carries its cost, and every later one reads
-        about 0 ms.  The machine report carries no times."""
+        about 0 ms.  An ID folded from a sub-report (``summary``) carries
+        the summed time of the entries it folds.  The machine report
+        carries no times."""
         width = max((len(e.axiom) for e in self.entries), default=8)
         lines = []
         for e in self.entries:

@@ -148,6 +148,14 @@ def _coact_terms(rho: Matrix, dk: int, a: int):
     return sorted(out)
 
 
+def _r_inverse(r: RelRB) -> Matrix | None:
+    """R^{-1}: K <- H, or None when R is not bijective, as an R between
+    spaces of different dimensions never is."""
+    if r.dim_k != r.h.dim:
+        return None
+    return invert(r.r_map)
+
+
 def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     """RB-SPACES, RB-COALG, RB-1, RB-2, RB-BIMON (+ RB-3 in full mode)."""
     if mode not in ("pre", "full"):
@@ -189,7 +197,7 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     rep.add(_bimonoid_checker(r, rho).entry())
 
     if mode == "full":
-        rinv = invert(rmap)
+        rinv = _r_inverse(r)
         if rinv is None:
             rep.add(CheckEntry("RB-3", FAIL, Witness((0,), "not bijective", "R invertible")))
             return rep
@@ -476,7 +484,7 @@ def _bimonoid_checker(r: RelRB, rho: Matrix) -> Checker:
 
 def antipode_sk(r: RelRB) -> Matrix:
     """S_K(a) = R(a_1) >- R^{-1} S_H R(a_2); both antipode identities verified."""
-    rinv = invert(r.r_map)
+    rinv = _r_inverse(r)
     if rinv is None:
         raise StructureError("R is not bijective; S_K needs the full notion")
     dk = r.dim_k
@@ -513,7 +521,7 @@ def functor_l(s: YDPostHopf) -> RelRB:
 
 def functor_m(r: RelRB) -> YDPostHopf:
     """Transport the braided structure of K onto H along R (needs R bijective)."""
-    rinv = invert(r.r_map)
+    rinv = _r_inverse(r)
     if rinv is None:
         raise StructureError("functor M needs a bijective R")
     dh = r.h.dim
@@ -552,7 +560,7 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
         raise StructureError(f"unknown mode {mode!r}")
     dk = r.dim_k
     if mode == "D":
-        if invert(r.r_map) is None:
+        if _r_inverse(r) is None:
             raise StructureError("mode D needs a bijective R")
         s_k = r.k_antipode if r.k_antipode is not None else antipode_sk(r)
     else:

@@ -175,3 +175,19 @@ def test_g_of_equal_brace_gives_trivial_action():
         for j in range(d):
             expected = unit_vector(d, j, RATIONALS).scale(h.coalgebra.eps(i))
             assert s.action.act[i][j] == expected
+
+
+def test_folded_and_induced_ids_report_their_time():
+    # HB-HOPF, RB-SPACES and LRB-POSTLIE fold a sub-report, and HB-YD builds
+    # the induced post-Hopf structure and runs its suite: each entry carries
+    # the time of that work, not 0
+    from ydalgebra.rota import check_lie_rb, check_rel_rb, functor_l, restrict_to_primitives
+
+    s = build_suzuki(F(1), F(-1))
+    brace = check_yd_brace(functor_f(s))
+    r = functor_l(s)
+    rb = check_rel_rb(r, mode="full")
+    lrb = check_lie_rb(restrict_to_primitives(r))
+    for rep, axiom in ((brace, "HB-HOPF"), (brace, "HB-YD"), (rb, "RB-SPACES"), (lrb, "LRB-POSTLIE")):
+        assert rep.status(axiom) == "pass"
+        assert rep.entry(axiom).seconds > 0, axiom

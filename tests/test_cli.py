@@ -253,3 +253,31 @@ def test_check_notes_derived_coaction(tmp_path, sweedler_file):
     code, _, err = run_cli(["check", str(bare)])
     assert code == 0
     assert "coaction derived" in err
+
+
+def test_non_square_rmap_is_not_bijective(tmp_path, sweedler_file):
+    # K = the trivial one-dimensional Hopf algebra, H = Sweedler's, R: K -> H
+    # the unit map: a well-formed relrb file whose R cannot be inverted
+    rb_path = tmp_path / "rb.struct"
+    run_cli(["derive", str(sweedler_file), "--target", "rb_l", "--out", str(rb_path)])
+    h_lines = [x for x in rb_path.read_text().splitlines() if x.startswith("h.")]
+    path = tmp_path / "k1.struct"
+    path.write_text("\n".join(
+        ["kind relrb", "field Q", "k.dim 1", "k.basis 1", "k.unit 0 1", "k.counit 0 1",
+         "k.mul 0 0 0 1", "k.comul 0 0 0 1", "k.antipode 0 0 1", *h_lines,
+         "action 0 0 0 1", "action 1 0 0 1", "rmap 0 0 1"]) + "\n")
+    code, out, err = run_cli(["check", str(path), "--report", "machine"])
+    assert code == 1
+    assert "RB-3 fail at=(0) lhs=[not bijective] rhs=[R invertible]" in out.splitlines()
+    assert "Traceback" not in err
+    code, out, _ = run_cli(["check", str(path), "--mode", "pre"])
+    assert code == 0 and "ALL PASS" in out
+    for target in ("sk", "post_m"):
+        # the full suite fails RB-3 first; without it, deriving is a structure error
+        code, out, err = run_cli(["derive", str(path), "--target", target,
+                                  "--out", str(tmp_path / f"{target}.struct")])
+        assert code == 1 and "not bijective" in out
+        code, _, err = run_cli(["derive", str(path), "--target", target, "--mode", "pre",
+                                "--out", str(tmp_path / f"{target}.struct")])
+        assert code == 2 and err.startswith("structure error:") and "bijective" in err
+        assert "Traceback" not in err

@@ -10,8 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from manual_structures import sweedler_transmutation_manual
+from test_golden import SUITE_MUTANTS, yd_mutant
 from ydalgebra import hopf
-from ydalgebra.field import RATIONALS
+from ydalgebra.builders import build_en, build_suzuki, build_sweedler
+from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import (
     AlgebraData,
     CoalgebraData,
@@ -28,8 +31,10 @@ from ydalgebra.hopf import (
     unit_counit_map,
     solve_antipode,
 )
-from ydalgebra.linalg import LinAlgError, Matrix, Vector, identity_matrix, unit_vector
+from ydalgebra.linalg import LinAlgError, Matrix, Vector, identity_matrix, solve, unit_vector
+from ydalgebra.posthopf import solve_beta
 from ydalgebra.report import Tally
+from ydalgebra.structio import emit, parse
 
 F = Fraction
 ONE, G, X, XG = range(4)
@@ -281,3 +286,157 @@ def test_hom_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
     assert not check_coalgebra(c).all_pass()
     monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: _verdicts(True, False))
     assert hom_convolution_inverse_endo(_trivial_action(c), c).beta is None
+
+
+# --- beta: one elimination for the d target blocks --------------------------
+
+
+def ref_verify_endo_inverse(alpha, beta, c):
+    """The matrix-composing check that ``_verify_endo_inverse`` replaced:
+    (alpha*beta)(x) and (beta*alpha)(x) summed as matrices over Delta(x)."""
+    d = c.dim
+    fs = alpha.field
+    ident = identity_matrix(d, fs)
+    left, right = Tally(), Tally()
+    for x in range(d):
+        acc1 = Matrix(d, d, {}, fs)
+        acc2 = Matrix(d, d, {}, fs)
+        for x1, x2, s in c.comul[x]:
+            acc1 = acc1.add(alpha.matrix(x1).compose(beta.matrix(x2)).scale(s))
+            acc2 = acc2.add(beta.matrix(x1).compose(alpha.matrix(x2)).scale(s))
+        target = ident.scale(c.eps(x))
+        left.record((x,), acc1 == target, "alpha*beta", "eps Id")
+        right.record((x,), acc2 == target, "beta*alpha", "eps Id")
+    return left, right
+
+
+def ref_hom_convolution_inverse_endo(alpha, c):
+    """The per-target loop that solved beta before the d blocks shared one
+    elimination: for each target y, the same matrix solved with its own
+    right-hand side.  Returns (beta or None, summed kernel dimension)."""
+    d = c.dim
+    fs = alpha.field
+    beta_cols = [[None] * d for _ in range(d)]
+    kernel_total = 0
+    for y in range(d):
+        rows, rhs = [], {}
+        for x in range(d):
+            eps_x = c.eps(x)
+            per_t = {}
+            for x1, x2, s in c.comul[x]:
+                for (t, r), av in alpha.matrix(x1).entries.items():
+                    dst = per_t.setdefault(t, {})
+                    col = x2 * d + r
+                    w = dst.get(col)
+                    w = s * av if w is None else w + s * av
+                    if w:
+                        dst[col] = w
+                    else:
+                        del dst[col]
+            for t in range(d):
+                if t == y and eps_x:
+                    rhs[len(rows)] = eps_x
+                rows.append(per_t.get(t, {}))
+        mat = Matrix(len(rows), d * d, {(ri, cj): v for ri, row in enumerate(rows) for cj, v in row.items()}, fs)
+        res = solve(mat, Vector(len(rows), rhs, fs))
+        if res.solution is None:
+            return None, kernel_total
+        kernel_total += len(res.kernel)
+        for z in range(d):
+            beta_cols[z][y] = Vector(d, {idx % d: v for idx, v in res.solution.entries.items()
+                                         if idx // d == z}, fs)
+    beta = ActionTensor(d, d, beta_cols, fs)
+    left, right = ref_verify_endo_inverse(alpha, beta, c)
+    if left.failures:
+        raise LinAlgError("self-check failed: alpha*beta != eps Id")
+    if right.failures:
+        if check_coalgebra(c).all_pass():
+            raise LinAlgError("self-check failed: beta*alpha != eps Id")
+        return None, kernel_total
+    return beta, kernel_total
+
+
+def _tally_key(t):
+    return t.checked, t.failures, t.witness
+
+
+def _assert_beta_matches_reference(alpha, c):
+    res = hom_convolution_inverse_endo(alpha, c)
+    beta, kernel_dim = ref_hom_convolution_inverse_endo(alpha, c)
+    assert res.beta == beta
+    assert res.kernel_dim == kernel_dim
+    if beta is None:
+        assert res.reason is not None and res.checks is None
+    else:
+        assert res.reason is None
+        assert [_tally_key(t) for t in res.checks] == [
+            _tally_key(t) for t in ref_verify_endo_inverse(alpha, beta, c)]
+    return res
+
+
+BETA_FIELDS = {"q": RATIONALS, "f7": FieldSpec(7), "f10007": FieldSpec(10007)}
+
+
+def _beta_source(name, field):
+    tridiagonal = [[F(1) if i == j else F(1, 2) if abs(i - j) == 1 else F(0) for j in range(3)]
+                   for i in range(3)]
+    if name == "sweedler":
+        return build_sweedler(F(1), field)
+    if name == "en2":
+        return build_en(2, [[F(1), F(0)], [F(0), F(2)]], field)
+    if name == "en3":
+        return build_en(3, tridiagonal, field)
+    a, b = (F(int(v)) for v in name.split(":")[1:])
+    return build_suzuki(a, b, field)
+
+
+@pytest.mark.parametrize("field", sorted(BETA_FIELDS))
+@pytest.mark.parametrize("name", ["sweedler", "en2", "en3", "suzuki:1:1", "suzuki:1:-1",
+                                  "suzuki:-1:1", "suzuki:-1:-1"])
+def test_beta_matches_the_per_target_loop(name, field):
+    s = _beta_source(name, BETA_FIELDS[field])
+    res = _assert_beta_matches_reference(s.action, s.carrier.coalgebra)
+    assert res.beta == s.beta and res.kernel_dim == 0
+
+
+@pytest.mark.parametrize("name", sorted(n for n in SUITE_MUTANTS if n.endswith("-nobeta")))
+def test_beta_matches_the_per_target_loop_on_golden_mutants(name):
+    s = yd_mutant(*SUITE_MUTANTS[name])
+    _assert_beta_matches_reference(s.action, s.carrier.coalgebra)
+
+
+def _non_coassociative_coalgebra():
+    # Delta(b) = b(x)1 + 1(x)b + a(x)b is counital but not coassociative
+    one = F(1)
+    c = CoalgebraData(3, [[(0, 0, one)], [(1, 0, one), (0, 1, one)],
+                          [(2, 0, one), (0, 2, one), (1, 2, one)]],
+                      Vector(3, {0: one}, RATIONALS), RATIONALS)
+    assert not check_coalgebra(c).all_pass()
+    return c
+
+
+def test_beta_matches_the_per_target_loop_without_a_beta():
+    # off a coalgebra, with the trivial action; alpha*beta with no solution
+    # (g acts as 0); and a one-sided inverse (Delta(1) = 3/2 1(x)1)
+    c = _non_coassociative_coalgebra()
+    _assert_beta_matches_reference(_trivial_action(c), c)
+    s = sweedler_transmutation_manual()
+    z = Vector(4, {}, RATIONALS)
+    rows = [list(r) for r in s.action.act]
+    rows[1] = [z, z, z, z]
+    res = _assert_beta_matches_reference(ActionTensor(4, 4, rows, RATIONALS), s.carrier.coalgebra)
+    assert res.beta is None and res.reason == "alpha*beta = eps Id has no solution (at target 0)"
+    m = yd_mutant("sweedler-q", "comul 0 0 0", True)
+    res = _assert_beta_matches_reference(m.action, m.carrier.coalgebra)
+    assert res.beta is None and res.reason == "beta*alpha != eps Id (one-sided inverse)"
+
+
+@pytest.mark.parametrize("field", [RATIONALS, FieldSpec(10007)], ids=["q", "f10007"])
+def test_solve_beta_reproduces_the_dim32_builder_beta(field):
+    a = [[F(1) if i == j else F(1, 2) if abs(i - j) == 1 else F(0) for j in range(4)] for i in range(4)]
+    built = build_en(4, a, field)
+    stripped = "".join(line for line in emit(built).splitlines(keepends=True) if not line.startswith("beta "))
+    s = parse(stripped)
+    assert s.beta is None
+    assert solve_beta(s) == built.beta
+    assert emit(s) == emit(built)

@@ -268,3 +268,199 @@ def test_column_index_and_unchecked_results(data):
     results += [act.apply_basis(i, t) for i in range(d)]
     for r in results:
         _assert_as_checked(r)
+
+
+# --- elimination: the column index and carried right-hand sides -------------
+
+
+def ref_forward_sparse_q(rows, ncols):
+    """The sparse Q engine before the column index: every active row is
+    scanned twice per column, in the candidate list and the elimination."""
+    from math import gcd
+
+    def content(row):
+        g = 0
+        for v in row.values():
+            g = gcd(g, v)
+            if g == 1:
+                return 1
+        return g or 1
+
+    pivots = []
+    active = [dict(r) for r in rows]
+    done = []
+    for col in range(ncols):
+        cand = [i for i, r in enumerate(active) if r.get(col)]
+        if not cand:
+            continue
+        cand.sort(key=lambda i: (len(active[i]), i))
+        piv = active.pop(cand[0])
+        pl = piv[col]
+        nxt = []
+        for r in active:
+            rl = r.get(col)
+            if rl:
+                new = {}
+                for c, v in r.items():
+                    w = v * pl - piv.get(c, 0) * rl
+                    if w:
+                        new[c] = w
+                for c, v in piv.items():
+                    if c not in r:
+                        w = -v * rl
+                        if w:
+                            new[c] = w
+                g = content(new)
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+                if new:
+                    nxt.append(new)
+            else:
+                nxt.append(r)
+        active = nxt
+        pivots.append((len(done), col))
+        done.append(piv)
+    done.extend(r for r in active if r)
+    return done, pivots
+
+
+def ref_forward_fp(rows, ncols, p):
+    """The F_p engine before the column index."""
+    pivots = []
+    active = [dict(r) for r in rows]
+    done = []
+    for col in range(ncols):
+        cand = [i for i, r in enumerate(active) if r.get(col, 0) % p]
+        if not cand:
+            continue
+        cand.sort(key=lambda i: (len(active[i]), i))
+        piv = active.pop(cand[0])
+        inv = pow(piv[col], p - 2, p)
+        piv = {c: v * inv % p for c, v in piv.items() if v % p}
+        nxt = []
+        for r in active:
+            rl = r.get(col, 0) % p
+            if rl:
+                new = {}
+                for c in set(r) | set(piv):
+                    w = (r.get(c, 0) - piv.get(c, 0) * rl) % p
+                    if w:
+                        new[c] = w
+                if new:
+                    nxt.append(new)
+            else:
+                nxt.append(r)
+        active = nxt
+        pivots.append((len(done), col))
+        done.append(piv)
+    done.extend(r for r in active if r)
+    return done, pivots
+
+
+@st.composite
+def int_systems(draw, entries):
+    """Sparse int rows over ncols coefficient columns and up to three
+    carried columns past them.  Some rows are repeated, as they are or
+    scaled, so that they cancel to empty rows during the elimination."""
+    ncols = draw(st.integers(1, 8))
+    width = ncols + draw(st.integers(0, 3))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, width - 1), entries, max_size=width), max_size=10))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            k = draw(entries)
+            rows.insert(draw(st.integers(0, len(rows))), {c: v * k for c, v in src.items()})
+    return rows, ncols
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(int_systems(st.integers(-4, 4).filter(bool)))
+def test_sparse_q_engine_matches_the_scanning_engine(system):
+    rows, ncols = system
+    assert linalg._forward_sparse_q(rows, ncols) == ref_forward_sparse_q(rows, ncols)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(int_systems(st.sampled_from([1, 1, 6, 2, 3, 4, 5])), st.sampled_from([7, 11]))
+def test_fp_engine_matches_the_scanning_engine(system, p):
+    rows, ncols = system
+    rows = [{c: v % p for c, v in r.items()} for r in rows]  # residues in [1, p)
+    assert linalg._forward_fp(rows, ncols, p) == ref_forward_fp(rows, ncols, p)
+
+
+def test_solve_many_consistent_and_inconsistent_in_one_call():
+    for fs, scal in ((RATIONALS, Fraction), (F7, lambda v: ModInt(v, 7))):
+        a = Matrix(2, 2, {(i, j): scal(v) for (i, j), v in
+                          {(0, 0): 1, (0, 1): 1, (1, 0): 2, (1, 1): 2}.items()}, fs)
+        good = Vector(2, {0: scal(1), 1: scal(2)}, fs)
+        bad = Vector(2, {0: scal(1), 1: scal(3)}, fs)
+        (x, none, y), kern = linalg.solve_many(a, [good, bad, good])
+        assert none is None and x == y and a.apply(x) == good
+        assert len(kern) == 1 and a.apply(kern[0]).is_zero()
+        assert solve(a, good).solution == x and solve(a, bad).solution is None
+
+
+def _rank_deficient(n, fs):
+    """Bidiagonal n x n with its last column zero: rank n - 1, and e_{n-1}
+    outside its column space."""
+    entries = {}
+    for i in range(n - 1):
+        entries[(i, i)] = fs.scalar(2, 1)
+        entries[(i + 1, i)] = fs.one
+    return Matrix(n, n, entries, fs)
+
+
+@pytest.mark.parametrize("fs", [RATIONALS, F7], ids=["q", "f7"])
+@pytest.mark.parametrize("n", [5, 70], ids=["dense", "sparse"])
+def test_solve_many_on_a_rank_deficient_block(fs, n):
+    one = fs.one
+    a = _rank_deficient(n, fs)
+    bs = [Vector(n, {0: one}, fs), Vector(n, {n - 1: one}, fs), Vector(n, {}, fs),
+          a.apply(Vector(n, {1: one, 3: fs.scalar(3, 1)}, fs))]
+    sols, kern = linalg.solve_many(a, bs)
+    assert kern == kernel(a) == [unit_vector(n, n - 1, fs)]
+    assert sols[1] is None and sols[2] == Vector(n, {}, fs)
+    for x, b in zip(sols, bs):
+        assert x == solve(a, b).solution
+        assert x is None or a.apply(x) == b
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.data())
+def test_dense_and_sparse_engines_agree_with_carried_columns(data):
+    """Bareiss carries the right-hand sides through its row operations; the
+    sparse engine, forced by a dense limit of 0, must give the same
+    solutions, inconsistent right-hand sides and kernel."""
+    nr, nc = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    cells = [(r, c) for r in range(nr) for c in range(nc)]
+    small = st.integers(-3, 3).map(Fraction)
+    a = Matrix(nr, nc, data.draw(st.dictionaries(st.sampled_from(cells), small)), RATIONALS)
+    bs = [Vector(nr, data.draw(st.dictionaries(st.integers(0, nr - 1), small)), RATIONALS)
+          for _ in range(data.draw(st.integers(0, 4)))]
+    dense = linalg.solve_many(a, bs)
+    limit = linalg._DENSE_LIMIT
+    linalg._DENSE_LIMIT = 0
+    try:
+        sparse = linalg.solve_many(a, bs)
+    finally:
+        linalg._DENSE_LIMIT = limit
+    assert dense == sparse
+    for x, b in zip(dense[0], bs):
+        assert x is None or a.apply(x) == b
+
+
+@pytest.mark.parametrize("n", [3, 70], ids=["dense", "sparse"])
+def test_solve_many_corrupted_back_substitution_raises(monkeypatch, n):
+    real = linalg._back_substitute
+
+    def corrupted(*args, **kwargs):
+        x = real(*args, **kwargs)
+        return x.add(unit_vector(x.dim, 0, x.field))
+
+    a = _rank_deficient(n, RATIONALS)
+    bs = [Vector(n, {0: Fraction(2)}, RATIONALS), Vector(n, {1: Fraction(1)}, RATIONALS)]
+    monkeypatch.setattr(linalg, "_back_substitute", corrupted)
+    with pytest.raises(LinAlgError, match="self-check"):
+        linalg.solve_many(a, bs)
+    with pytest.raises(LinAlgError, match="self-check"):
+        kernel(a)

@@ -1,5 +1,6 @@
 """Axiom suite and derived maps on the hand-entered structures."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -274,8 +275,34 @@ def test_solve_beta_error_when_unsolvable():
     rows[G] = [z, z, z, z]
     s.action = ActionTensor(4, 4, rows, RATIONALS)
     s.beta = None
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="at target 0"):
         solve_beta(s)
+
+
+def _zero_g_action():
+    """Sweedler's structure with g acting as 0: alpha*beta = eps Id has no
+    solution."""
+    s = sweedler_transmutation_manual()
+    z = Vector(4, {}, RATIONALS)
+    rows = [list(r) for r in s.action.act]
+    rows[G] = [z, z, z, z]
+    s.action = ActionTensor(4, 4, rows, RATIONALS)
+    s.beta = None
+    return s
+
+
+@pytest.mark.parametrize(("make", "reason"), [
+    (_zero_g_action, "alpha*beta = eps Id has no solution (at target 0)"),
+    # Delta(1) = 3/2 1(x)1 is not coassociative: alpha*beta = eps Id solves,
+    # and the solution is only a one-sided inverse
+    (lambda: yd_mutant("sweedler-q", "comul 0 0 0", True), "beta*alpha != eps Id (one-sided inverse)"),
+], ids=["no-solution", "one-sided"])
+def test_p_conv_names_the_side_without_a_beta(make, reason):
+    entry = check_yd_post_hopf(make()).entry("P-CONV")
+    assert entry.status == "fail"
+    assert entry.witness.lhs == f"no convolution inverse of alpha exists: {reason}"
+    with pytest.raises(StructureError, match=re.escape(f"({reason})")):
+        solve_beta(make())
 
 
 def test_is_pre_hopf_trivial_and_commutative_cases():
