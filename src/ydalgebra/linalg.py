@@ -2,9 +2,14 @@
 
 Solving, kernels and inverses are fraction-free over Q (Bareiss elimination
 on dense systems below 64 columns, cross-multiplication with row-content
-reduction on sparse ones) and plain modular elimination over F_p.  Every
-result is re-verified against its defining equation before it is returned,
-so a bug in the solver can never silently corrupt a structure check.
+reduction on sparse ones) and plain modular elimination over F_p.  There is
+one elimination path: ``solve_many`` carries any number of right-hand sides
+as extra columns through one forward elimination and back-substitutes each
+on its own; ``solve``, ``kernel`` and ``invert`` are its cases with one, no
+and n right-hand sides.  The sparse engines keep a column -> row-id index,
+so a pivot visits only the rows that hold its column.  Every result is
+re-verified against its defining equation before it is returned, so a bug
+in the solver can never silently corrupt a structure check.
 
 A ``Vector`` or ``Matrix`` is never mutated after it is built, which lets
 vectors be shared: each ``Matrix`` keeps one per-column index, built on
@@ -452,9 +457,9 @@ def _column_index(active: dict[int, dict[int, int]], ncols: int) -> list[set[int
     return holders
 
 
-def _take_pivot(active, holders, col: int, ncols: int):
-    """Remove the pivot row of col from active and from the index; returns
-    (its id, the row), or None when no active row holds col."""
+def _take_pivot(active, holders, col: int, ncols: int) -> dict[int, int] | None:
+    """Remove the pivot row of col from active and from the index and
+    return it; None when no active row holds col."""
     ids = holders[col]
     if not ids:
         return None
@@ -464,7 +469,7 @@ def _take_pivot(active, holders, col: int, ncols: int):
         if col < c < ncols:
             holders[c].discard(pid)
     ids.discard(pid)
-    return pid, piv
+    return piv
 
 
 def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
@@ -475,10 +480,9 @@ def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
     holders = _column_index(active, ncols)
     done: list[dict[int, int]] = []
     for col in range(ncols):
-        taken = _take_pivot(active, holders, col, ncols)
-        if taken is None:
+        piv = _take_pivot(active, holders, col, ncols)
+        if piv is None:
             continue
-        piv = taken[1]
         pl = piv[col]
         for i in holders[col]:
             r = active[i]
@@ -558,10 +562,9 @@ def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
     holders = _column_index(active, ncols)
     done: list[dict[int, int]] = []
     for col in range(ncols):
-        taken = _take_pivot(active, holders, col, ncols)
-        if taken is None:
+        piv = _take_pivot(active, holders, col, ncols)
+        if piv is None:
             continue
-        piv = taken[1]
         inv = pow(piv[col], p - 2, p)
         piv = {c: v * inv % p for c, v in piv.items() if v % p}
         for i in holders[col]:
@@ -639,11 +642,12 @@ def _back_substitute(
     for r, c in reversed(pivots):
         row = ech[r]
         acc = row.get(rhs_col, 0)
+        # x holds the free columns and the pivots solved so far: neither
+        # this pivot nor a carried column
         for cc, v in row.items():
-            if cc != c and cc < ncols:
-                xv = x.get(cc)
-                if xv is not None:
-                    acc -= v * xv
+            xv = x.get(cc)
+            if xv is not None:
+                acc -= v * xv
         if p is None:
             val = canonical(Fraction(acc, row[c]))  # int / int would be a float
         else:
