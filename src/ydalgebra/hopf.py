@@ -726,7 +726,7 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
     (alpha*beta)(x) at e_t.  Only the right-hand side eps(x) e_y changes
     with y, so the d blocks are solved by one elimination carrying d
     right-hand sides (``linalg.solve_many``); ``kernel_dim`` is d times
-    the kernel of that matrix.  Both compositions are verified on the
+    the dimension of that matrix's kernel.  Both compositions are verified on the
     assembled tensor before returning.  The system holds alpha*beta only.
     Over a coassociative, counital C, Hom(C, End(H)) is a finite-dimensional
     algebra, where a one-sided inverse is two-sided; so a failed re-check
@@ -759,7 +759,7 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
     sols, kern = solve_many(mat, rhs)
     for y, sol in enumerate(sols):
         if sol is None:
-            # the blocks before y solved, as a loop over the targets counts them
+            # kernel_dim sums the kernels of the blocks before y, which solved
             return EndoInverse(None, y * len(kern),
                                reason=f"alpha*beta = eps Id has no solution (at target {y})")
     kernel_dim = d * len(kern)

@@ -509,7 +509,6 @@ def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
                 active[i] = new
             else:
                 del active[i]
-        holders[col] = set()
         pivots.append((len(done), col))
         done.append(piv)
     done.extend(r for r in active.values() if r)
@@ -589,7 +588,6 @@ def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
                 active[i] = new
             else:
                 del active[i]
-        holders[col] = set()
         pivots.append((len(done), col))
         done.append(piv)
     done.extend(r for r in active.values() if r)
