@@ -66,13 +66,16 @@ SUITE_MUTANTS = {
 # relative Rota-Baxter, brace, matched-pair and Hopf mutants, run through the
 # suite of their kind: (base golden file, the directive whose last line
 # changes, or a line named without its coefficient).  The rb_l mutants fail
-# RB-BIMON in its parts 1 (h.mul), 2 (h.comul) and 3 (k.comul).  The h4 mutants fail the
+# RB-BIMON in its parts 1 (h.mul), 2 (h.comul) and 3 (k.comul), and the
+# coaction mutants in its comodule (4) and comodule-algebra (5) parts; no
+# other ID reads the coaction.  The h4 mutants fail the
 # bialgebra IDs of the Hopf suite: g.g = 1 changed fails HOPF-DELTA-MULT and
 # HOPF-EPS-MULT, g.x = -gx changed fails HOPF-DELTA-MULT with eps(g.x) still
 # 0, and the unit changed fails HOPF-DELTA-UNIT and HOPF-EPS-UNIT.
 KIND_MUTANTS = {
     **{f"sweedler-{field}-rb_l-{d.replace('.', '')}": (f"sweedler-{field}-rb_l", d)
-       for field in FIELDS for d in ("h.mul", "h.comul", "k.comul")},
+       for field in FIELDS for d in ("h.mul", "h.comul", "k.comul", "coaction")},
+    **{f"sweedler-{field}-rb_l-coactionx": (f"sweedler-{field}-rb_l", "coaction 2 1 2") for field in FIELDS},
     **{f"sweedler-{field}-brace-bullet": (f"sweedler-{field}-brace", "bullet") for field in FIELDS},
     **{f"sweedler-{field}-matchedpair-{name}": (f"sweedler-{field}-matchedpair", change)
        for field in FIELDS for name, change in (("action0", "action 0 0 0"), ("raction0", "raction 0 0 0"),
@@ -240,8 +243,8 @@ def test_kind_mutants_fail_rb_and_mp_ids():
     failing = _failing(KIND_MUTANTS)
     assert set(KIND_IDS) <= set(failing)
     # RB-BIMON fails in each of its module, module-algebra and
-    # module-coalgebra parts
-    assert {at.split(",")[0] for at in failing["RB-BIMON"]} == {"at=(1", "at=(2", "at=(3"}
+    # module-coalgebra parts, and in its comodule and comodule-algebra parts
+    assert {at.split(",")[0] for at in failing["RB-BIMON"]} == {"at=(1", "at=(2", "at=(3", "at=(4", "at=(5"}
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
