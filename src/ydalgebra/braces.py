@@ -8,13 +8,13 @@ structure constants, and the checkers verify that instance by instance.
 
 HB-MP5, MP-5, MP-1 and MP-MODC's parts 0-4 and 6 call the action laws of
 ``hopf``; MP-MODC keeps the first failure of its interleaved parts as its
-witness (see ``report.Tally``).  HB-COMPAT, MP-3, MP-4 and MP-BC run on
-compiled int tables (``compiled``): each side is one contraction with a
-known scale, the two are compared cross-multiplied, and a ``Vector`` is
-built only to render a witness.  MP-4 visits its tuples in the order
-(b, c, a), so its witness is the first failure in that order.  MP-MODC's
-parts 5 and 7 (the right module law and its unit row) and MP-2 remain
-hand-written ``Vector`` loops.
+witness (see ``report.Tally``).  HB-COMPAT, MP-3, MP-4, MP-BC and MP-MODC's
+part 5 (the right module law) run on compiled int tables (``compiled``):
+each side is one contraction with a known scale, the two are compared
+cross-multiplied, and a ``Vector`` is built only to render a witness.  MP-4
+visits its tuples in the order (b, c, a), so its witness is the first
+failure in that order.  MP-MODC's part 7 (the right unit row) and MP-2
+remain hand-written ``Vector`` loops.
 """
 
 from __future__ import annotations
@@ -348,6 +348,30 @@ def _matched_pair_laws(mp: MatchedPair):
     return run_mp3, run_mp4, run_mp_bc
 
 
+def _right_module(t: Tally, mp: MatchedPair) -> None:
+    """MP-MODC's part 5, the right module law (c -< a) -< b = c -< (a.b) at
+    (a, b, c), on the compiled right action and product tables."""
+    mul, right = mp.hopf.algebra.int_mul(), mp.right_action.int_act()
+    m, r_ = mul.rows, right.rows
+
+    def law(acc, where, wl, wr):
+        a, b, c = where
+        get = acc.get
+        if wl:
+            for k, x in r_[c][a]:
+                x *= wl
+                for q, e in r_[k][b]:
+                    acc[q] = get(q, 0) + x * e
+        if wr:
+            rc = r_[c]
+            for k, x in m[a][b]:
+                x *= wr
+                for q, e in rc[k]:
+                    acc[q] = get(q, 0) + x * e
+
+    compare(t, cube(mp.dim), law, right.scale ** 2, mul.scale * right.scale, mp.field, vector_render(mp.dim))
+
+
 def check_matched_pair(mp: MatchedPair) -> CheckReport:
     """Module-coalgebra actions plus the matched-pair equations MP-1..5, MP-BC."""
     d = mp.dim
@@ -363,12 +387,7 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     # module law (a -< b) -< c = a -< (b.c) is written here, at (5, b, c, a)
     ch = Checker("MP-MODC")
     rmod, runit = Tally(), Tally()
-    for i in range(d):
-        for j in range(d):
-            w = alg.mul[i][j]
-            for k in range(d):
-                rmod.compare((i, j, k), right.apply_vec_basis(right.act[k][i], j), right.apply_basis(k, w),
-                             vector_text)
+    _right_module(rmod, mp)
     for j in range(d):
         runit.compare((j,), right.apply_basis(j, alg.unit), unit_vector(d, j, fs), vector_text)
     parts = (*module_coalgebra_law(left, coalg, coalg), *module_coalgebra_law(right, coalg, coalg),

@@ -24,7 +24,9 @@ p * dim + q for the pair (p, q).  Its sides are often shared patterns, so
 they are written apart, as a ``side(acc, where, w)`` that adds w times one
 side, and ``sides`` makes the contract of two of them: ``comul_side`` for
 Delta(T[i][j]) of a compiled 2-index table T, and ``legs_side`` for
-T[i_1][j_1] (x) U[i_2][j_2] summed over the legs of i and of j.
+T[i_1][j_1] (x) U[i_2][j_2] summed over the legs of i and of j.  A side in
+a tensor cube keys its sums by (p * d_2 + q) * d_3 + r, rendered by
+``triples_render``.
 """
 
 from __future__ import annotations
@@ -137,6 +139,22 @@ def add_bilinear(acc: dict, table: list, u, v, w: int) -> None:
                 acc[k] = get(k, 0) + ab * c
 
 
+def add_tensors(acc: dict, lefts: dict, right, dim: int, w: int) -> None:
+    """Add w times the sum over lefts' (key, sums) of sums (x) right(key),
+    keyed p * dim + q, into the int sums acc: sums is the sum of the left
+    factors that share the right factor right(key), so each key costs one
+    outer product."""
+    get = acc.get
+    for key, sums in lefts.items():
+        v = right(key)
+        for p, a in sums.items():
+            if a:
+                a *= w
+                p *= dim
+                for q, b in v:
+                    acc[p + q] = get(p + q, 0) + a * b
+
+
 def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], reduced mod
     p over F_p: a linear map applied to an intermediate vector."""
@@ -177,6 +195,15 @@ def pairs_render(dim: int):
     """Render int sums keyed by i * dim + j as ``pairs_text`` of (i, j)."""
     def render(sums: dict, scale: int, field: FieldSpec) -> str:
         return pairs_text({divmod(k, dim): c for k, c in _scalars(sums, scale, field).items()})
+    return render
+
+
+def triples_render(d2: int, d3: int):
+    """Render int sums keyed by (i * d2 + j) * d3 + k as ``pairs_text`` of
+    (i, j, k)."""
+    def render(sums: dict, scale: int, field: FieldSpec) -> str:
+        return pairs_text({(k // (d2 * d3), k // d3 % d2, k % d3): c
+                           for k, c in _scalars(sums, scale, field).items()})
     return render
 
 

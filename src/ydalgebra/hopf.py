@@ -96,9 +96,6 @@ class AlgebraData:
             if any(v.dim != self.dim for v in row):
                 raise StructureError("product vector dimension mismatch")
 
-    def mul_basis(self, i: int, j: int) -> Vector:
-        return self.mul[i][j]
-
     def int_mul(self) -> IntTable:
         """The product as a compiled table, built once."""
         if self._ints is None:

@@ -36,7 +36,9 @@ tables (``compiled``): P-DOT, L-MB, P-ASSOC, P-COALG's coproduct rows, L-DB
 and P-MP5 through the laws of ``hopf``; P-DELTA, both rows of YD-BRAIDMULT
 and P-ANTI, whose sides live in H (x) H and are keyed p * dim + q;
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
-tables and the compiled Ad_L columns and grouped legs.  L-MA, YD-MODALG,
+tables and the compiled Ad_L columns and grouped legs, both summed once per
+second-leg group of their second argument (``_second_leg_sums``) and
+left-associated as they are written.  L-MA, YD-MODALG,
 YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
 of each of these identities is one contraction pattern whose int sum
 carries the product of its tables' scales, and ``compiled.compare``
@@ -55,8 +57,8 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .compiled import (
-    IntTable, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_items, int_linear, int_vector,
-    pairs_render, render_sides, sides, square,
+    IntTable, add_bilinear, add_tensors, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_items,
+    int_linear, int_vector, pairs_render, render_sides, sides, square,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -474,7 +476,9 @@ def _post_hopf_steps(s: YDPostHopf):
     yield [ch.entry()]
 
     # P-CONV: alpha is convolution invertible with inverse beta; a beta
-    # solved here was verified by the solver, whose tallies are reused
+    # solved here was verified by the solver, whose tallies are reused, and
+    # the entry's time includes the solve
+    ch = Checker("P-CONV")
     conv = None
     if s.beta is None:
         res = hom_convolution_inverse_endo(act, coalg)
@@ -485,14 +489,13 @@ def _post_hopf_steps(s: YDPostHopf):
     if beta is None:
         missing = f"no convolution inverse of alpha exists: {res.reason}"
         yield [
-            CheckEntry("P-CONV", FAIL, Witness((0,), missing, "eps(x) Id")),
+            CheckEntry("P-CONV", FAIL, Witness((0,), missing, "eps(x) Id"), seconds=ch.elapsed()),
             *(skipped_entry(ax) for ax in ("P-DELTA", "P-ANTI", "P-MP5")),
             *_beta_free_lemmas(s),
             *(skipped_entry(ax) for ax in ("L-BETA", "L-DA", "L-DB", "L-MA", "L-MB", "L-ANTI2")),
         ]
         return
 
-    ch = Checker("P-CONV")
     left, right = conv or _verify_endo_inverse(act, beta, coalg)
     ch.absorb(left, where=lambda w: (w[0], 0))
     ch.absorb(right, where=lambda w: (w[0], 1))
@@ -688,16 +691,48 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
     t.absorb(rows, where=lambda w: w + (1,))
 
 
+def _second_leg_sums(s: YDPostHopf):
+    """The sums Z_b[x][b2] = sum over the grouped legs (b1, b2, sum of
+    S_>(b3)) of b whose second leg is b2 of (e_x o b1) o sum of S_>(b3), as
+    a function z(b, x) -> {b2: int items}, and their scale.  YD-COMPAT and
+    YD-COLINEAR both end in Z_b's entries; each law visits its pairs with b
+    outermost, so the memo holds one b at a time, and each Z_b[x] is made
+    once per b."""
+    bullet, grouped = bullet_algebra(s).int_mul(), _sharp_legs(s)
+    o, g_, p = bullet.rows, grouped.rows, s.field.p
+    memo: dict = {}  # b -> x -> Z_b[x]
+
+    def z(b, x):
+        by_x = memo.get(b)
+        if by_x is None:
+            memo.clear()
+            by_x = memo[b] = {}
+        out = by_x.get(x)
+        if out is None:
+            sums: dict[int, dict] = {}
+            ox = o[x]
+            for b1, b2, sb in g_[b]:
+                acc = sums.get(b2)
+                if acc is None:
+                    acc = sums[b2] = {}
+                add_bilinear(acc, o, ox[b1], sb, 1)
+            out = by_x[x] = {b2: v for b2, acc in sums.items() if (v := int_items(acc, p))}
+        return out
+
+    return z, bullet.scale ** 2 * grouped.scale
+
+
 def _yd_compat(t: Tally, s: YDPostHopf) -> None:
     """YD compatibility, Ad_L(a >- b) = a1 o b1 o S_>(b3) o S_>(a3) (x)
     (a2 >- b2) at (a, b), summed over the grouped legs (a1, a2, sum of
-    S_>(a3)) and likewise for b.  The pairs run with b outermost, so that
-    each a1 o b1 o S_>(b3) is made once per b and shared by every a."""
+    S_>(a3)) of a and, through Z_b[a1][b2] (``_second_leg_sums``), of b:
+    the right-hand side is the sum of (Z_b[a1][b2] o sum of S_>(a3)) (x)
+    (a2 >- b2), left-associated as the identity is written."""
     act, bullet, adl, grouped = (s.action.int_act(), bullet_algebra(s).int_mul(), _adl_columns(s),
                                  _sharp_legs(s))
     x_, o, ad, g_ = act.rows, bullet.rows, adl.rows, grouped.rows
-    d, p = s.dim, s.field.p
-    memo: dict = {}  # b -> a1 -> [(a1 o b1 o sum of S_>(b3), b2) per group of b]
+    d = s.dim
+    z, sz = _second_leg_sums(s)
 
     def compat(acc, where, wl, wr):
         a, b = where
@@ -708,39 +743,32 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
                 for q, e in ad[r]:
                     acc[q] = get(q, 0) + c * e
         if wr:
-            by_a1 = memo.get(b)
-            if by_a1 is None:
-                memo.clear()
-                by_a1 = memo[b] = {}
+            lefts: dict = {}  # (a2, b2) -> sum of Z_b[a1][b2] o sum of S_>(a3)
             for a1, a2, sa in g_[a]:
-                firsts = by_a1.get(a1)
-                if firsts is None:
-                    oa = o[a1]
-                    firsts = by_a1[a1] = [(int_bilinear(o, oa[b1], sb, p), b2) for b1, b2, sb in g_[b]]
                 xa = x_[a2]
-                for v, b2 in firsts:
-                    u = int_bilinear(o, v, sa, p)
-                    right = xa[b2]
-                    for r, c in u:
-                        c *= wr
-                        r *= d
-                        for q, e in right:
-                            acc[r + q] = get(r + q, 0) + c * e
+                for b2, v in z(b, a1).items():
+                    if xa[b2]:
+                        g = lefts.get((a2, b2))
+                        if g is None:
+                            g = lefts[(a2, b2)] = {}
+                        add_bilinear(g, o, v, sa, 1)
+            add_tensors(acc, lefts, lambda key: x_[key[0]][key[1]], d, wr)
 
-    sr = bullet.scale ** 3 * grouped.scale ** 2 * act.scale
+    sr = sz * bullet.scale * grouped.scale * act.scale
     pairs = ((a, b) for b in range(d) for a in range(d))
     compare(t, pairs, compat, act.scale * adl.scale, sr, s.field, pairs_render(d))
 
 
 def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
     """Left colinearity of the product, Ad_L(a.b) = a1 o S_>(a3) o b1 o
-    S_>(b3) (x) (a2 . b2) at (a, b), over grouped legs; each
-    a1 o S_>(a3) o b1 is made once per a."""
-    mul, bullet, adl, grouped = (s.carrier.algebra.int_mul(), bullet_algebra(s).int_mul(),
-                                 _adl_columns(s), _sharp_legs(s))
-    m, o, ad, g_ = mul.rows, bullet.rows, adl.rows, grouped.rows
-    d, p = s.dim, s.field.p
-    memo: dict = {}  # a -> [(a1 o sum of S_>(a3), a2, {b1: that o b1}) per group of a]
+    S_>(b3) (x) (a2 . b2) at (a, b).  Ad_L(a) is the sum over a's grouped
+    legs of (a1 o S_>(a3)) (x) a2, so the right-hand side is the sum over
+    Ad_L(a)'s terms c e_r (x) e_q of c Z_b[r][b2] (x) (q . b2)
+    (``_second_leg_sums``), left-associated as the identity is written."""
+    mul, adl = s.carrier.algebra.int_mul(), _adl_columns(s)
+    m, ad = mul.rows, adl.rows
+    d = s.dim
+    z, sz = _second_leg_sums(s)
 
     def colinear(acc, where, wl, wr):
         a, b = where
@@ -751,27 +779,23 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
                 for q, e in ad[r]:
                     acc[q] = get(q, 0) + c * e
         if wr:
-            lefts = memo.get(a)
-            if lefts is None:
-                memo.clear()
-                lefts = memo[a] = [(int_bilinear(o, ((a1, 1),), sa, p), a2, {}) for a1, a2, sa in g_[a]]
-            gb = g_[b]
-            for left, a2, by_b1 in lefts:
-                ma = m[a2]
-                for b1, b2, sb in gb:
-                    v = by_b1.get(b1)
-                    if v is None:
-                        v = by_b1[b1] = int_bilinear(o, left, ((b1, 1),), p)
-                    u = int_bilinear(o, v, sb, p)
-                    right = ma[b2]
-                    for r, c in u:
-                        c *= wr
-                        r *= d
-                        for q, e in right:
-                            acc[r + q] = get(r + q, 0) + c * e
+            for rq, c in ad[a]:
+                r, q = divmod(rq, d)
+                mq = m[q]
+                c *= wr
+                for b2, v in z(b, r).items():
+                    right = mq[b2]
+                    if not right:
+                        continue
+                    for k, n in v:
+                        n *= c
+                        k *= d
+                        for j, e in right:
+                            acc[k + j] = get(k + j, 0) + n * e
 
-    sr = bullet.scale ** 3 * grouped.scale ** 2 * mul.scale
-    compare(t, square(d), colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
+    sr = adl.scale * sz * mul.scale
+    pairs = ((a, b) for b in range(d) for a in range(d))
+    compare(t, pairs, colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
 
 
 def is_pre_hopf(s: YDPostHopf) -> bool:

@@ -216,6 +216,10 @@ class Checker(Tally):
         self.axiom = axiom
         self._t0 = perf_counter()
 
+    def elapsed(self) -> float:
+        """Seconds since construction."""
+        return perf_counter() - self._t0
+
     def entry(self) -> CheckEntry:
         status = PASS if self.failures == 0 else FAIL
         return CheckEntry(
@@ -224,7 +228,7 @@ class Checker(Tally):
             self.witness,
             self.checked,
             self.failures,
-            perf_counter() - self._t0,
+            self.elapsed(),
         )
 
 

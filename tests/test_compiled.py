@@ -4,18 +4,21 @@
 The reference functions below are the Vector-path loops that ALG-ASSOC,
 P-DOT, P-ASSOC, L-MB, YD-COMPAT, YD-COLINEAR, P-DELTA, YD-BRAIDMULT,
 P-ANTI, HOPF-DELTA-MULT, P-COALG's coproduct rows, HB-COMPAT, MP-3, MP-4,
-MP-BC, RB-1 and RB-2 ran before they moved to compiled tables (P-DOT's and
-L-MB's loops, which differ only in which leg acts on which factor, as
-one), the loops that built the left harpoon and the braiding, and the
-loops that L-DB, P-MP5, HB-MP5, MP-5 (one loop), MP-MODC, MP-1 and
-RB-BIMON's parts 1-3 ran before they called the shared laws, kept here as
-an oracle.  On perturbed Sweedler and E(2) structures and their brace,
-matched-pair and Rota-Baxter images, over Q (denominators 1-6), F_7 and
-F_10007, each must report the same checked count, failure count and
-witness as its reference, and the left harpoon and the braiding must be
-the same exact tensors.  The six brace, matched-pair and Rota-Baxter IDs
-are also held to their references on the images of Sweedler and
-Suzuki(1, -1) and on every golden mutant of those kinds.
+MP-BC, RB-1, RB-2 and RB-BIMON's parts 4-8 ran before they moved to
+compiled tables (P-DOT's and L-MB's loops, which differ only in which leg
+acts on which factor, as one), the loops that built the left harpoon and
+the braiding, and the loops that L-DB, P-MP5, HB-MP5, MP-5 (one loop),
+MP-MODC, MP-1 and RB-BIMON's parts 1-3 ran before they called the shared
+laws, kept here as an oracle.  On perturbed Sweedler and E(2) structures
+and their brace, matched-pair and Rota-Baxter images, over Q (denominators
+1-6), F_7 and F_10007, each must report the same checked count, failure
+count and witness as its reference, and the left harpoon and the braiding
+must be the same exact tensors.  The six brace, matched-pair and
+Rota-Baxter IDs are also held to their references on the images of
+Sweedler and Suzuki(1, -1) and on every golden mutant of those kinds;
+RB-BIMON's parts 4-8 on every rb_l golden and its one- and two-line
+mutants; and YD-COMPAT, YD-COLINEAR and parts 4-8 on the dim-16 E(3) over
+Q and F_10007.
 """
 
 import functools
@@ -39,7 +42,7 @@ from ydalgebra.hopf import (
     AlgebraData, HopfData, StructureError, check_algebra, check_hopf, module_algebra_law, module_coalgebra_law,
     tens2_add_scaled,
 )
-from ydalgebra.linalg import Vector, _vector, add_scaled_inplace, unit_vector
+from ydalgebra.linalg import Vector, _vector, accumulate, add_scaled_inplace, unit_vector
 from ydalgebra.posthopf import (
     _alpha_comult,
     _braided_mult,
@@ -58,7 +61,7 @@ from ydalgebra.posthopf import (
     solve_beta,
 )
 from ydalgebra.report import SKIPPED, Tally, pairs_text, vector_text
-from ydalgebra.rota import RelRB, _action_parts, _rb1, _rb2, functor_l
+from ydalgebra.rota import RelRB, _action_parts, _comodule_parts, _rb1, _rb2, derived_coaction, functor_l
 from ydalgebra.structio import emit, parse
 
 F = Fraction
@@ -414,6 +417,118 @@ def ref_bimonoid_parts_1_3(r) -> Tally:
     return ch
 
 
+def _coact_terms(rho, dk, a):
+    return sorted((p // dk, p % dk, c) for p, c in rho.column(a).entries.items())
+
+
+def ref_bimonoid_parts_4_8(r) -> list[Tally]:
+    """RB-BIMON's parts 4-8 as the Vector and pair-dict loops ran them, one
+    tally per part."""
+    dk, dh = r.dim_k, r.h.dim
+    fs = r.field
+    halg, hco = r.h.algebra, r.h.coalgebra
+    kalg, kco = r.k_alg, r.k_coalg
+    act = r.action
+    rho = r.coaction if r.coaction is not None else derived_coaction(r)
+    parts = [Tally() for _ in range(5)]
+
+    # 4. comodule: counit leg and coassociativity of the coaction
+    ch = parts[0]
+    for a in range(dk):
+        terms = _coact_terms(rho, dk, a)
+        acc = {}
+        for p, q, c in terms:
+            e = hco.eps(p)
+            if e:
+                accumulate(acc, q, c * e)
+        ch.compare((4, a, 0), Vector(dk, acc, fs), unit_vector(dk, a, fs), vector_text)
+        lhs3, rhs3 = {}, {}
+        for p, q, c in terms:
+            for p1, p2, cp in hco.comul[p]:
+                accumulate(lhs3, (p1, p2, q), c * cp)
+            for p2, q2, c2 in _coact_terms(rho, dk, q):
+                accumulate(rhs3, (p, p2, q2), c * c2)
+        ch.compare((4, a, 1), lhs3, rhs3, pairs_text)
+
+    # 5. comodule algebra: rho(a.b) = a(-1) b(-1) (x) a(0) b(0), rho(1) = 1 (x) 1
+    ch = parts[1]
+    for a in range(dk):
+        terms_a = _coact_terms(rho, dk, a)
+        for b in range(dk):
+            lhs = {}
+            for t, c in kalg.mul[a][b].entries.items():
+                for p, q, cp in _coact_terms(rho, dk, t):
+                    accumulate(lhs, (p, q), c * cp)
+            rhs = {}
+            for p1, q1, c1 in terms_a:
+                for p2, q2, c2 in _coact_terms(rho, dk, b):
+                    tens2_add_scaled(rhs, halg.mul[p1][p2], kalg.mul[q1][q2], c1, c2)
+            ch.compare((5, a, b), lhs, rhs, pairs_text)
+    unit_rho = {}
+    for t, c in kalg.unit.entries.items():
+        for p, q, cp in _coact_terms(rho, dk, t):
+            accumulate(unit_rho, (p, q), c * cp)
+    expected_unit = {}
+    tens2_add_scaled(expected_unit, halg.unit, kalg.unit, fs.one)
+    ch.compare((5, dk, dk), unit_rho, expected_unit, pairs_text)
+
+    # 6. comodule coalgebra: Delta and eps are colinear
+    ch = parts[2]
+    for a in range(dk):
+        lhs3 = {}
+        for p, q, c in _coact_terms(rho, dk, a):
+            for q1, q2, cq in kco.comul[q]:
+                accumulate(lhs3, (p, q1, q2), c * cq)
+        rhs3 = {}
+        for a1, a2, ca in kco.comul[a]:
+            for p1, q1, c1 in _coact_terms(rho, dk, a1):
+                for p2, q2, c2 in _coact_terms(rho, dk, a2):
+                    for h, hc in halg.mul[p1][p2].entries.items():
+                        accumulate(rhs3, (h, q1, q2), ca * c1 * c2 * hc)
+        ch.compare((6, a, 0), lhs3, rhs3, pairs_text)
+        acc = {}
+        for p, q, c in _coact_terms(rho, dk, a):
+            e = kco.eps(q)
+            if e:
+                accumulate(acc, p, c * e)
+        ch.compare((6, a, 1), Vector(dh, acc, fs), halg.unit.scale(kco.eps(a)), vector_text)
+
+    # 7. Yetter-Drinfeld compatibility: rho(h >- a) = h_1 a(-1) S(h_3) (x) (h_2 >- a(0))
+    ch = parts[3]
+    smap = r.h.antipode
+    for i in range(dh):
+        legs_i = hco.legs(i, 3)
+        for a in range(dk):
+            lhs = {}
+            for t, c in act.act[i][a].entries.items():
+                for p, q, cp in _coact_terms(rho, dk, t):
+                    accumulate(lhs, (p, q), c * cp)
+            rhs = {}
+            for (i1, i2, i3), ci in legs_i:
+                for p, q, cp in _coact_terms(rho, dk, a):
+                    u = halg.mul_vec(halg.mul_basis_vec(i1, unit_vector(dh, p, fs)), smap.column(i3))
+                    tens2_add_scaled(rhs, u, act.act[i2][q], ci, cp)
+            ch.compare((7, i, a), lhs, rhs, pairs_text)
+
+    # 8. braided bialgebra: Delta(a.b) = a_1 . (a_2(-1) >- b_1) (x) a_2(0) . b_2
+    ch = parts[4]
+    for a in range(dk):
+        for b in range(dk):
+            lhs = kco.comul_vec(kalg.mul[a][b])
+            rhs = {}
+            for a1, a2, ca in kco.comul[a]:
+                for b1, b2, cb in kco.comul[b]:
+                    for p, q, cp in _coact_terms(rho, dk, a2):
+                        u = kalg.mul_basis_vec(a1, act.apply_basis(p, unit_vector(dk, b1, fs)))
+                        tens2_add_scaled(rhs, u, kalg.mul[q][b2], ca, cb, cp)
+            ch.compare((8, a, b, 0), lhs, rhs, pairs_text)
+            ch.compare((8, a, b, 1), kco.eps_vec(kalg.mul[a][b]), kco.eps(a) * kco.eps(b))
+    utens = {}
+    tens2_add_scaled(utens, kalg.unit, kalg.unit, fs.one)
+    ch.compare((8, dk, dk, 0), kco.comul_vec(kalg.unit), utens, pairs_text)
+    return parts
+
+
 def ref_hb_compat(b) -> Tally:
     d, fs = b.dim, b.field
     alg, coalg = b.dot_side.algebra, b.dot_side.coalgebra
@@ -656,6 +771,11 @@ def derived_verdicts(obj) -> dict:
             for axiom, t in derived_tallies(obj).items()}
 
 
+def comodule_verdicts(r, parts=_comodule_parts) -> list:
+    """The verdict of each of RB-BIMON's parts 4-8 on r."""
+    return [_verdict(t) for t in parts(r)]
+
+
 def derived_images(s) -> list:
     return [functor_f(s), to_matched_pair(s), functor_l(s)]
 
@@ -730,6 +850,7 @@ def test_shared_laws_match_vector_reference(p, name, strip_beta, data):
     for obj in derived_images(s):
         for axiom, (got, want) in derived_verdicts(obj).items():
             assert got == want, axiom
+    assert comodule_verdicts(functor_l(s)) == comodule_verdicts(functor_l(s), ref_bimonoid_parts_4_8)
 
 
 @pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
@@ -759,6 +880,92 @@ def test_derived_identities_match_vector_reference_on_golden_mutants(name):
     rep = run_suite(obj)
     for axiom, (got, want) in derived_verdicts(obj).items():
         assert got == want == _verdict(rep.entry(axiom)), axiom
+
+
+def _line_mutants(text: str) -> dict:
+    """text with the coefficient of one line changed, for every line that
+    holds a coefficient, by that line's name; and with one counit and one
+    product coefficient of K changed, so that part 8's counit row can fail
+    before its coproduct row."""
+    lines = text.splitlines()
+    names = [x.rsplit(" ", 1)[0] for x in lines if x.split()[0] not in ("kind", "field", "param")
+             and not x.split()[0].endswith((".dim", ".basis"))]
+    out = {name: _mutate_named(lines, name) for name in names}
+    for counit in (x for x in names if x.startswith("k.counit ")):
+        for mul in (x for x in names if x.startswith("k.mul ")):
+            out[f"{counit}, {mul}"] = _mutate_named(_mutate_named(lines, counit).splitlines(), mul)
+    return out
+
+
+def _unit_map_rb() -> str:
+    """R: K -> H the unit map from the trivial K into Sweedler's H, with the
+    coaction rho(1) = g (x) 1: an operator with dim H != dim K."""
+    h_lines = [x for x in (GOLDEN / "sweedler-q-rb_l.struct").read_text().splitlines() if x.startswith("h.")]
+    return "\n".join(["kind relrb", "field Q", "k.dim 1", "k.basis 1", "k.unit 0 1", "k.counit 0 1",
+                      "k.mul 0 0 0 1", "k.comul 0 0 0 1", "k.antipode 0 0 1", *h_lines,
+                      "action 0 0 0 1", "action 1 0 0 1", "coaction 0 1 0 1", "rmap 0 0 1"]) + "\n"
+
+
+@pytest.mark.parametrize("base", ["sweedler-q-rb_l", "sweedler-f7-rb_l", "unit-map"])
+def test_comodule_parts_match_reference_on_line_mutants(base):
+    # every coefficient of the base operator changed in turn: each of
+    # RB-BIMON's parts 4-8 gives its reference's verdict, and between them
+    # the mutants of the rb_l goldens make a witness of every row of every
+    # part
+    text = _unit_map_rb() if base == "unit-map" else (GOLDEN / f"{base}.struct").read_text()
+    rows = set()
+    for name, mutant in _line_mutants(text).items():
+        r = parse(mutant)
+        got = comodule_verdicts(r)
+        assert got == comodule_verdicts(r, ref_bimonoid_parts_4_8), name
+        rows |= {(w.where[0], len(w.where), w.where[-1] if w.where[0] in (4, 6, 8) else None)
+                 for _, _, w in got if w is not None}
+    if base != "unit-map":
+        assert {part for part, _, _ in rows} == {4, 5, 6, 7, 8}
+        assert {(4, 3, 0), (4, 3, 1), (6, 3, 0), (6, 3, 1), (8, 4, 0), (8, 4, 1)} <= rows
+
+
+@pytest.mark.parametrize("name", sorted(["sweedler-q-rb_l", "sweedler-f7-rb_l", "mutant-relrb-q",
+                                         *(x for x in _golden_kind_mutants() if "-rb_l-" in x)]))
+def test_rb_bimonoid_matches_reference_on_rb_l_goldens(name):
+    # RB-BIMON as the suite reports it is parts 1-3 and 4-8 of the
+    # references, absorbed in order
+    text = _golden_kind_mutants().get(name) or (GOLDEN / f"{name}.struct").read_text()
+    r = parse(text)
+    assert comodule_verdicts(r) == comodule_verdicts(r, ref_bimonoid_parts_4_8)
+    want = ref_bimonoid_parts_1_3(r)
+    for t in ref_bimonoid_parts_4_8(r):
+        want.absorb(t)
+    assert _verdict(run_suite(r).entry("RB-BIMON")) == _verdict(want)
+
+
+def _en3(p: int | None):
+    """The dim-16 E(3) golden structure over Q, or the same E(3) over F_p."""
+    if p is None:
+        return parse((GOLDEN / "en3-q.struct").read_text())
+    return build_en(3, [[1, F(1, 2), 0], [F(1, 2), 1, 0], [0, 0, 2]], FieldSpec(p))
+
+
+@pytest.mark.parametrize("p", [None, 10007], ids=["q", "f10007"])
+@pytest.mark.parametrize("mutated", [False, True], ids=["pass", "mul440"])
+def test_comodule_laws_match_reference_at_dim_16(p, mutated):
+    # YD-COMPAT and YD-COLINEAR, summed once per second-leg group, and
+    # RB-BIMON's parts 4-8 on the operator of functor L, against their
+    # references on E(3), as built and with e_4 . e_4 changed
+    s = _en3(p)
+    if mutated:
+        lines = emit(s).splitlines()
+        i = lines.index(next(x for x in lines if x.startswith("mul 4 4 0 ")))
+        lines[i] = "mul 4 4 0 3"
+        s = parse("\n".join(lines) + "\n")
+    compat, colinear = _tally(lambda t: _yd_compat(t, s)), _tally(lambda t: _yd_colinear(t, s))
+    assert _verdict(compat) == _verdict(ref_yd_compat(s))
+    assert _verdict(colinear) == _verdict(ref_yd_colinear(s))
+    r = functor_l(s)
+    got = comodule_verdicts(r)
+    assert got == comodule_verdicts(r, ref_bimonoid_parts_4_8)
+    failures = compat.failures + colinear.failures + sum(f for _, f, _ in got)
+    assert (failures > 0) == mutated
 
 
 def test_mp4_witness_is_the_first_failure_in_its_loop_order():
@@ -902,15 +1109,15 @@ def test_compiled_tables_scale_to_a_common_denominator():
 # --- the suites stay on the compiled tables --------------------------------------
 
 HOT_GOLDENS = ("en3-q", "en3-f7", "sweedler-q-brace", "sweedler-f7-brace", "sweedler-q-matchedpair",
-               "sweedler-f7-matchedpair", "sweedler-q-subadjacent", "sweedler-f7-subadjacent")
+               "sweedler-f7-matchedpair", "sweedler-q-subadjacent", "sweedler-f7-subadjacent", "sweedler-q-rb_l",
+               "sweedler-f7-rb_l")
 
 
 @pytest.mark.parametrize("name", HOT_GOLDENS)
 def test_suites_make_no_tens2_add_scaled_calls(monkeypatch, name):
-    # every identity on H (x) H of the post-Hopf, brace, matched-pair and
-    # Hopf suites runs on compiled tables; only the Rota-Baxter suite still
-    # calls the Vector helper
-    from ydalgebra import braces, cli, hopf, posthopf
+    # every identity on a tensor square of the post-Hopf, brace,
+    # matched-pair, Hopf and Rota-Baxter suites runs on compiled tables
+    from ydalgebra import braces, cli, hopf, posthopf, rota
     from ydalgebra.cli import run_suite
 
     calls = []
@@ -920,7 +1127,7 @@ def test_suites_make_no_tens2_add_scaled_calls(monkeypatch, name):
         calls.append(args)
         return real(*args)
 
-    for module in (hopf, posthopf, braces, cli):
+    for module in (hopf, posthopf, braces, cli, rota):
         if hasattr(module, "tens2_add_scaled"):
             monkeypatch.setattr(module, "tens2_add_scaled", counted)
     rep = run_suite(parse((GOLDEN / f"{name}.struct").read_text()))

@@ -409,3 +409,28 @@ def test_p_conv_verifies_beta_once(monkeypatch, strip_beta):
     entry = check_yd_post_hopf(s).entry("P-CONV")
     assert len(calls) == 1
     assert (entry.status, entry.checked, entry.failures) == ("pass", 2 * s.dim, 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse("".join(f"{x}\n" for x in (GOLDEN / "en2-q.struct").read_text().splitlines()
+                          if x.split()[0] != "beta")),
+    _zero_g_action,
+], ids=["solved", "no-solution"])
+def test_p_conv_carries_the_time_of_its_solve(monkeypatch, make):
+    """When the suite solves beta itself, P-CONV's time includes the solve,
+    with a beta found and without one; the solver is slowed by 50 ms, so
+    the bound holds on any clock."""
+    import time
+
+    from ydalgebra import posthopf
+
+    real = posthopf.hom_convolution_inverse_endo
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr(posthopf, "hom_convolution_inverse_endo", slow)
+    s = make()
+    assert s.beta is None
+    assert check_yd_post_hopf(s).entry("P-CONV").seconds >= 0.05
