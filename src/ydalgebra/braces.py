@@ -384,7 +384,7 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
 
     # MP-MODC: both actions are coalgebra morphisms (parts 0-3) and module
     # actions over the Hopf product (4, 5), with unit rows (6, 7); the right
-    # module law (a -< b) -< c = a -< (b.c) is written here, at (5, b, c, a)
+    # module law is ``_right_module``, at (5, b, c, a)
     ch = Checker("MP-MODC")
     rmod, runit = Tally(), Tally()
     _right_module(rmod, mp)

@@ -174,13 +174,11 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     # index has the one leg (0, 0, 1)), eps(R(a)) = eps(a) at (a, 1), and
     # R(1_K) = 1_H at (dk,)
     ch = Checker("RB-COALG")
-    rc, hc, kc = _rb_tables(r).r_cols, hco.int_comul(), kco.int_comul()
+    rc, hc, kc = _r_columns(r), hco.int_comul(), kco.int_comul()
     cols = [[col] for col in rc.rows]
-    delta = Tally()
-    compare(delta, ((a, 0) for a in range(dk)),
-            sides(comul_side(cols, hc.rows, dh), legs_side(cols, cols, kc.rows, [((0, 0, 1),)], dh)),
-            rc.scale * hc.scale, kc.scale * rc.scale ** 2, fs, pairs_render(dh))
-    ch.absorb(delta)
+    ch.absorb(_compared(((a, 0) for a in range(dk)),
+                        sides(comul_side(cols, hc.rows, dh), legs_side(cols, cols, kc.rows, [((0, 0, 1),)], dh)),
+                        rc.scale * hc.scale, kc.scale * rc.scale ** 2, fs, pairs_render(dh)))
     eps = Tally()
     for a in range(dk):
         eps.compare((a, 1), hco.eps_vec(rmap.column(a)), kco.eps(a))
@@ -226,12 +224,18 @@ class _RBTables(NamedTuple):
 
 
 @_per_structure
+def _r_columns(r: RelRB) -> IntTable:
+    """The columns R(e_x) of R, compiled."""
+    return compile_vectors([r.r_map.column(x) for x in range(r.dim_k)], r.field)
+
+
+@_per_structure
 def _rb_tables(r: RelRB) -> _RBTables:
     """The tables of ``_RBTables``, summed as ints on the compiled action
     and the compiled columns of R and S_H, once per operator."""
     dk, fs, p = r.dim_k, r.field, r.field.p
     smap = r.h.antipode
-    rc = compile_vectors([r.r_map.column(x) for x in range(dk)], fs)
+    rc = _r_columns(r)
     sc = compile_vectors([smap.column(h) for h in range(r.h.dim)], fs)
     act = r.action.int_act()
     acted = [[int_bilinear(act.rows, rc.rows[x], ((y, 1),), p) for y in range(dk)] for x in range(dk)]
@@ -361,7 +365,7 @@ def _rho_tables(r: RelRB) -> _RhoTables:
                       one(r.k_alg.unit), one(r.h.coalgebra.counit), one(r.k_coalg.counit))
 
 
-def _compared(tuples, contract, sl: int, sr: int, field: FieldSpec, render, where) -> Tally:
+def _compared(tuples, contract, sl: int, sr: int, field: FieldSpec, render, where=None) -> Tally:
     """A fresh tally of ``compare``, its tuples mapped by where."""
     t, out = Tally(), Tally()
     compare(t, tuples, contract, sl, sr, field, render)
