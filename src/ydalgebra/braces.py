@@ -10,11 +10,11 @@ HB-MP5, MP-5, MP-1 and MP-MODC's parts 0-4 and 6 call the action laws of
 ``hopf``; MP-MODC keeps the first failure of its interleaved parts as its
 witness (see ``report.Tally``).  HB-COMPAT, MP-3, MP-4, MP-BC and MP-MODC's
 part 5 (the right module law) run on compiled int tables (``compiled``):
-each side is one contraction with a known scale, the two are compared
-cross-multiplied, and a ``Vector`` is built only to render a witness.  MP-4
-visits its tuples in the order (b, c, a), so its witness is the first
-failure in that order.  MP-MODC's part 7 (the right unit row) and MP-2
-remain hand-written ``Vector`` loops.
+each side is one contraction with a known scale, summed one row of tuples
+per call, the two are compared cross-multiplied, and a ``Vector`` is built
+only to render a witness.  MP-4 runs on rows (b, c) over a, so its witness
+is the first failure in the order (b, c, a).  MP-MODC's part 7 (the right
+unit row) and MP-2 remain hand-written ``Vector`` loops.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from time import perf_counter
 
 from .compiled import (
-    add_bilinear, add_linear, compare, compile_vectors, cube, int_bilinear, int_items, square, vector_render,
+    add_bilinear, add_linear, compare, compile_vectors, int_bilinear, int_items, line, square, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -138,36 +138,36 @@ def functor_f(s: YDPostHopf) -> YDBrace:
 
 def _brace_compat(t: Tally, b: YDBrace) -> None:
     """HB-COMPAT, a o (b.c) = (a_1 o b) . S(a_2) . (a_3 o c) at (a, b, c), on
-    the compiled product, bullet, S and threefold-leg tables.  For each
-    (a, b) the prefixes c (a_1 o b) . S(a_2) are summed grouped by a_3, so
-    each c costs one product per distinct a_3."""
+    the compiled product, bullet, S and threefold-leg tables, one row (a, b)
+    per contract call.  For each row the prefixes c (a_1 o b) . S(a_2) are
+    summed grouped by a_3, so each c costs one product per distinct a_3."""
     d, fs, p = b.dim, b.field, b.field.p
     mul, bullet, legs = b.dot_side.algebra.int_mul(), b.bullet_side.algebra.int_mul(), b.dot_side.coalgebra.int_legs(3)
     smap = b.dot_side.s_map
     scols = compile_vectors([smap.column(i) for i in range(d)], fs)
     m, o, s_, l_ = mul.rows, bullet.rows, scols.rows, legs.rows
-    memo: dict = {}  # (a, b) -> [(a_3, sum of c (a_1 o b) . S(a_2))]
 
-    def compat(acc, where, wl, wr):
-        a, i, j = where
+    def compat(acc, prefix, wl, wr):
+        a, i = prefix
         if wl:
-            add_linear(acc, o[a], m[i][j], wl)
+            oa = o[a]
+            for j, mij in enumerate(m[i]):
+                add_linear(acc, oa, mij, wl, j * d)
         if wr:
-            prefixes = memo.get((a, i))
-            if prefixes is None:
-                memo.clear()
-                groups: dict[int, dict] = {}
-                for (a1, a2, a3), c in l_[a]:
-                    g = groups.get(a3)
-                    if g is None:
-                        g = groups[a3] = {}
-                    add_bilinear(g, m, o[a1][i], s_[a2], c)
-                prefixes = memo[(a, i)] = [(a3, u) for a3, g in groups.items() if (u := int_items(g, p))]
-            for a3, u in prefixes:
-                add_bilinear(acc, m, u, o[a3][j], wr)
+            groups: dict[int, dict] = {}
+            for (a1, a2, a3), c in l_[a]:
+                g = groups.get(a3)
+                if g is None:
+                    g = groups[a3] = {}
+                add_bilinear(g, m, o[a1][i], s_[a2], c)
+            for a3, g in groups.items():
+                u = int_items(g, p)
+                if u:
+                    for j, v in enumerate(o[a3]):
+                        add_bilinear(acc, m, u, v, wr, j * d)
 
     sr = legs.scale * bullet.scale ** 2 * scols.scale * mul.scale ** 2
-    compare(t, cube(d), compat, mul.scale * bullet.scale, sr, fs, vector_render(d))
+    compare(t, square(d), d, d, compat, mul.scale * bullet.scale, sr, fs, vector_render(d))
 
 
 def check_yd_brace(b: YDBrace) -> CheckReport:
@@ -264,8 +264,8 @@ def _matched_pair_laws(mp: MatchedPair):
 
     - MP-3, a >- (b o c) = (a_1 >- b_1) o ((a_2 -< b_2) >- c) at (a, b, c);
     - MP-4, (a o b) -< c = (a -< (b_1 >- c_1)) o (b_2 -< c_2) at (a, b, c),
-      visited in the order (b, c, a), so that its witness is the first
-      failure in that order;
+      on rows (b, c) over a, so that its witness is the first failure in
+      the order (b, c, a);
     - MP-BC, a o b = (a_1 >- b_1) o (a_2 -< b_2) at (a, b)."""
     d, fs, p = mp.dim, mp.field, mp.field.p
     mul, left, right, comul = (mp.hopf.algebra.int_mul(), mp.left_action.int_act(), mp.right_action.int_act(),
@@ -297,53 +297,56 @@ def _matched_pair_laws(mp: MatchedPair):
             ws = acted[(x2, y2)] = [int_bilinear(x_, rv, ((k, 1),), p) for k in range(d)]
         return ws
 
-    terms: dict = {}  # (a, b) -> [(sum of c_a c_b (a_1 >- b_1), ((a_2 -< b_2) >- c for each c))]
+    r_cols = [[row[c] for row in r_] for c in range(d)]  # r_cols[c][k] = k -< c
 
-    def mp3(acc, where, wl, wr):
-        a, b, c = where
+    def mp3(acc, prefix, wl, wr):
+        a, b = prefix
         if wl:
-            add_linear(acc, x_[a], m[b][c], wl)
+            xa = x_[a]
+            for c, mbc in enumerate(m[b]):
+                add_linear(acc, xa, mbc, wl, c * d)
         if wr:
-            pairs = terms.get((a, b))
-            if pairs is None:
-                terms.clear()
-                pairs = terms[(a, b)] = [(u, columns(a2, b2, rv)) for rv, u, a2, b2 in grouped(a, b)]
-            for u, ws in pairs:
-                if ws[c]:
-                    add_bilinear(acc, m, u, ws[c], wr)
+            for rv, u, a2, b2 in grouped(a, b):
+                for c, wc in enumerate(columns(a2, b2, rv)):
+                    if wc:
+                        add_bilinear(acc, m, u, wc, wr, c * d)
 
-    def mp4(acc, where, wl, wr):
-        b, c, a = where
+    def mp4(acc, prefix, wl, wr):
+        b, c = prefix
         if wl:
-            add_bilinear(acc, r_, m[a][b], ((c, 1),), wl)
+            rc = r_cols[c]
+            for a in range(d):
+                add_linear(acc, rc, m[a][b], wl, a * d)
         if wr:
-            ra = r_[a]
             for rv, u, _, _ in grouped(b, c):
-                for k, n in u:
-                    if ra[k]:
-                        add_bilinear(acc, m, ra[k], rv, wr * n)
+                for a, ra in enumerate(r_):
+                    for k, n in u:
+                        if ra[k]:
+                            add_bilinear(acc, m, ra[k], rv, wr * n, a * d)
 
-    def mp_bc(acc, where, wl, wr):
-        a, b = where
+    def mp_bc(acc, prefix, wl, wr):
+        a, = prefix
         if wl:
-            add_linear(acc, m[a], ((b, 1),), wl)
+            for b in range(d):
+                add_linear(acc, m[a], ((b, 1),), wl, b * d)
         if wr:
-            for rv, u, _, _ in grouped(a, b):
-                add_bilinear(acc, m, u, rv, wr)
+            for b in range(d):
+                for rv, u, _, _ in grouped(a, b):
+                    add_bilinear(acc, m, u, rv, wr, b * d)
 
     sm, sx, sr, sc2 = mul.scale, left.scale, right.scale, comul.scale ** 2
     render = vector_render(d)
 
     def run_mp3(t: Tally) -> None:
-        compare(t, cube(d), mp3, sm * sx, sc2 * sx * sr * sx * sm, fs, render)
+        compare(t, square(d), d, d, mp3, sm * sx, sc2 * sx * sr * sx * sm, fs, render)
 
     def run_mp4(t: Tally) -> None:
         bca = Tally()
-        compare(bca, cube(d), mp4, sm * sr, sc2 * sx * sr * sr * sm, fs, render)
+        compare(bca, square(d), d, d, mp4, sm * sr, sc2 * sx * sr * sr * sm, fs, render)
         t.absorb(bca, where=lambda w: (w[2], w[0], w[1]))
 
     def run_mp_bc(t: Tally) -> None:
-        compare(t, square(d), mp_bc, sm, sc2 * sx * sr * sm, fs, render)
+        compare(t, line(d), d, d, mp_bc, sm, sc2 * sx * sr * sm, fs, render)
 
     return run_mp3, run_mp4, run_mp_bc
 
@@ -354,22 +357,31 @@ def _right_module(t: Tally, mp: MatchedPair) -> None:
     mul, right = mp.hopf.algebra.int_mul(), mp.right_action.int_act()
     m, r_ = mul.rows, right.rows
 
-    def law(acc, where, wl, wr):
-        a, b, c = where
+    d = mp.dim
+
+    def law(acc, prefix, wl, wr):
+        a, b = prefix
         get = acc.get
         if wl:
-            for k, x in r_[c][a]:
-                x *= wl
-                for q, e in r_[k][b]:
-                    acc[q] = get(q, 0) + x * e
+            rb = [row[b] for row in r_]  # rb[k] = k -< b
+            for c, rc in enumerate(r_):
+                base = c * d
+                for k, x in rc[a]:
+                    x *= wl
+                    for q, e in rb[k]:
+                        q += base
+                        acc[q] = get(q, 0) + x * e
         if wr:
-            rc = r_[c]
-            for k, x in m[a][b]:
-                x *= wr
-                for q, e in rc[k]:
-                    acc[q] = get(q, 0) + x * e
+            mab = m[a][b]
+            for c, rc in enumerate(r_):
+                base = c * d
+                for k, x in mab:
+                    x *= wr
+                    for q, e in rc[k]:
+                        q += base
+                        acc[q] = get(q, 0) + x * e
 
-    compare(t, cube(mp.dim), law, right.scale ** 2, mul.scale * right.scale, mp.field, vector_render(mp.dim))
+    compare(t, square(d), d, d, law, right.scale ** 2, mul.scale * right.scale, mp.field, vector_render(d))
 
 
 def check_matched_pair(mp: MatchedPair) -> CheckReport:

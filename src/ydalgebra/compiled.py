@@ -8,21 +8,27 @@ the residues, with scale 1.  A row is a tuple of ``(k, n)`` pairs, or of
 modulus once, and raises ``FieldError`` on a ``ModInt`` of another modulus,
 as the contraction helpers of ``linalg`` do per term.
 
-An identity on basis tuples is a ``contract(acc, where, wl, wr)`` that adds
-wl times its left side and wr times its right side, as int sums keyed by
-basis index, into ``acc``.  Each side is one contraction pattern, so its
-int sum is its exact value times a known scale, the product of the scales
-of the tables it reads: s_l and s_r.  ``compare`` tests lhs = rhs as
-lhs * s_r = rhs * s_l, cross-multiplied in one pass with the weights
-wl = s_r / g and wr = -s_l / g (g = gcd(s_l, s_r)), so the tuple passes
-when every sum in ``acc`` is 0, or 0 mod p.  Only a tuple that becomes a
-tally's witness has its sides computed apart and divided by their scales
-into field scalars, to render them with ``vector_text`` or ``pairs_text``.
+An identity on basis tuples is evaluated one row at a time: a row is the
+tuples prefix + (k,) for k < n, and a ``contract(acc, prefix, wl, wr)``
+adds, for every k of the row, wl times the tuple's left side and wr times
+its right side, as int sums keyed k * width + q for the basis index q of
+the value, into ``acc``.  So whatever depends only on the prefix (a row
+of a table, the legs of its first index grouped by their second leg) is
+read once per row and not once per tuple.  Each side is one contraction
+pattern, so its int sum is its exact value times a known scale, the
+product of the scales of the tables it reads: s_l and s_r.  ``compare``
+tests lhs = rhs as lhs * s_r = rhs * s_l, cross-multiplied in one pass
+with the weights wl = s_r / g and wr = -s_l / g (g = gcd(s_l, s_r)), so a
+tuple passes when every sum it keys is 0, or 0 mod p.  Only a tuple that
+becomes a tally's witness has its row's sides computed apart, cut to its
+k and divided by their scales into field scalars, to render them with
+``vector_text`` or ``pairs_text``.
 
-An identity whose sides live in a tensor square keys its sums by
-p * dim + q for the pair (p, q).  Its sides are often shared patterns, so
-they are written apart, as a ``side(acc, where, w)`` that adds w times one
-side, and ``sides`` makes the contract of two of them: ``comul_side`` for
+An identity on (x, y) whose sides live in a tensor square runs on rows
+(x,) and keys its sums by k * dim**2 + p * dim + q for the pair (p, q).
+Its sides are often shared patterns, so they are written apart, as a
+``side(acc, prefix, w)`` that adds w times one side for the whole row,
+and ``sides`` makes the contract of two of them: ``comul_side`` for
 Delta(T[i][j]) of a compiled 2-index table T, and ``legs_side`` for
 T[i_1][j_1] (x) U[i_2][j_2] summed over the legs of i and of j.  A side in
 a tensor cube keys its sums by (p * d_2 + q) * d_3 + r, rendered by
@@ -117,18 +123,20 @@ def int_items(acc: dict, p: int | None) -> list[tuple[int, int]]:
     return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
 
 
-def add_linear(acc: dict, rows: list, u, w: int) -> None:
-    """Add w times sum over u's (i, a) of a * rows[i] into the int sums acc."""
+def add_linear(acc: dict, rows: list, u, w: int, base: int = 0) -> None:
+    """Add w times sum over u's (i, a) of a * rows[i] into the int sums acc,
+    each key offset by base."""
     get = acc.get
     for i, a in u:
         a *= w
         for k, c in rows[i]:
+            k += base
             acc[k] = get(k, 0) + a * c
 
 
-def add_bilinear(acc: dict, table: list, u, v, w: int) -> None:
+def add_bilinear(acc: dict, table: list, u, v, w: int, base: int = 0) -> None:
     """Add w times sum over u's (i, a) and v's (j, b) of a * b * table[i][j]
-    into the int sums acc."""
+    into the int sums acc, each key offset by base."""
     get = acc.get
     for i, a in u:
         row = table[i]
@@ -136,6 +144,7 @@ def add_bilinear(acc: dict, table: list, u, v, w: int) -> None:
         for j, b in v:
             ab = a * b
             for k, c in row[j]:
+                k += base
                 acc[k] = get(k, 0) + ab * c
 
 
@@ -207,37 +216,44 @@ def triples_render(d2: int, d3: int):
     return render
 
 
-def cube(d: int):
-    """The basis triples (i, j, k) in lexicographic order."""
-    return product(range(d), repeat=3)
-
-
 def square(d: int):
-    """The basis pairs (i, j) in lexicographic order."""
+    """The basis pairs (i, j) in lexicographic order: the rows of an
+    identity on basis triples."""
     return product(range(d), repeat=2)
 
 
+def line(d: int):
+    """The basis 1-tuples (i,) in order: the rows of an identity on basis
+    pairs."""
+    return ((i,) for i in range(d))
+
+
 def sides(left, right):
-    """The contract of left = right, for two sides ``side(acc, where, w)``."""
-    def contract(acc, where, wl, wr):
+    """The contract of left = right, for two sides ``side(acc, prefix, w)``."""
+    def contract(acc, prefix, wl, wr):
         if wl:
-            left(acc, where, wl)
+            left(acc, prefix, wl)
         if wr:
-            right(acc, where, wr)
+            right(acc, prefix, wr)
     return contract
 
 
 def comul_side(rows: list, comul: list, dim: int):
-    """The side Delta(rows[i][j]) at (i, j), keyed p * dim + q: its scale is
-    the table's times the coproduct's."""
-    def side(acc, where, w):
-        i, j = where
+    """The side Delta(rows[i][j]) on the row (i,), keyed j * dim**2 +
+    p * dim + q: its scale is the table's times the coproduct's."""
+    flat = [[(p * dim + q, e) for p, q, e in terms] for terms in comul]
+    d2 = dim * dim
+
+    def side(acc, prefix, w):
+        i, = prefix
         get = acc.get
-        for r, c in rows[i][j]:
-            c *= w
-            for p, q, e in comul[r]:
-                k = p * dim + q
-                acc[k] = get(k, 0) + c * e
+        for j, v in enumerate(rows[i]):
+            base = j * d2
+            for r, c in v:
+                c *= w
+                for k, e in flat[r]:
+                    k += base
+                    acc[k] = get(k, 0) + c * e
     return side
 
 
@@ -245,67 +261,78 @@ def legs_side(left: list, right: list, icomul: list, jcomul: list, dim: int,
               swap_i: bool = False, swap_j: bool = False):
     """The side sum of c_i c_j left[i_1][j_1] (x) right[i_2][j_2] at (i, j),
     over the legs (i_1, i_2, c_i) of icomul[i] and (j_1, j_2, c_j) of
-    jcomul[j], keyed p * dim + q; swap_i and swap_j trade i_1 with i_2 and
-    j_1 with j_2.  Its scale is the product of the four tables' scales."""
-    def side(acc, where, w):
-        i, j = where
+    jcomul[j], on the row (i,) for every j < len(jcomul), keyed
+    j * dim**2 + p * dim + q; swap_i and swap_j trade i_1 with i_2 and j_1
+    with j_2.  Its scale is the product of the four tables' scales."""
+    jlegs = [[(j2, j1, c) if swap_j else (j1, j2, c) for j1, j2, c in terms] for terms in jcomul]
+    d2 = dim * dim
+
+    def side(acc, prefix, w):
+        i, = prefix
         get = acc.get
-        jlegs = [(j2, j1, c) if swap_j else (j1, j2, c) for j1, j2, c in jcomul[j]]
-        for i1, i2, ci in icomul[i]:
-            if swap_i:
-                i1, i2 = i2, i1
-            li, ri = left[i1], right[i2]
-            ci *= w
-            for j1, j2, cj in jlegs:
-                u, v = li[j1], ri[j2]
-                if not v:
-                    continue
-                c = ci * cj
-                for p, a in u:
-                    a *= c
-                    p *= dim
-                    for q, b in v:
-                        acc[p + q] = get(p + q, 0) + a * b
+        ilegs = [(left[i2], right[i1], ci * w) if swap_i else (left[i1], right[i2], ci * w)
+                 for i1, i2, ci in icomul[i]]
+        for j, legs in enumerate(jlegs):
+            base = j * d2
+            for li, ri, ci in ilegs:
+                for j1, j2, cj in legs:
+                    u, v = li[j1], ri[j2]
+                    if not v:
+                        continue
+                    c = ci * cj
+                    for p, a in u:
+                        a *= c
+                        p = base + p * dim
+                        for q, b in v:
+                            key = p + q
+                            acc[key] = get(key, 0) + a * b
     return side
 
 
-def render_sides(contract, where, sl: int, sr: int, field: FieldSpec, render) -> tuple[str, str]:
-    """The two sides of contract at where, each divided by its scale and
-    rendered: a witness's lhs and rhs."""
+def render_sides(contract, where, width: int, sl: int, sr: int, field: FieldSpec, render) -> tuple[str, str]:
+    """The two sides of contract at the tuple where, cut from its row's sums
+    to its last index, each divided by its scale and rendered: a witness's
+    lhs and rhs."""
     lhs: dict[int, int] = {}
     rhs: dict[int, int] = {}
-    contract(lhs, where, 1, 0)
-    contract(rhs, where, 0, 1)
-    return render(lhs, sl, field), render(rhs, sr, field)
+    prefix, k = where[:-1], where[-1]
+    contract(lhs, prefix, 1, 0)
+    contract(rhs, prefix, 0, 1)
+    lo = k * width
+
+    def cut(sums: dict) -> dict:
+        return {key - lo: n for key, n in sums.items() if lo <= key < lo + width}
+
+    return render(cut(lhs), sl, field), render(cut(rhs), sr, field)
 
 
-def compare(t: Tally, tuples, contract, sl: int, sr: int, field: FieldSpec, render) -> list:
-    """Tally on t, for each tuple, whether contract's sides agree (see the
-    module docstring); sl and sr are their scales.  The passes are counted,
-    and the failures recorded in lexicographic order, so the tuples may
-    come in any order and the least failing tuple is the witness.  Returns
-    the failing tuples, in that order."""
+def compare(t: Tally, prefixes, n: int, width: int, contract, sl: int, sr: int, field: FieldSpec,
+            render) -> list:
+    """Tally on t whether contract's sides agree at every tuple prefix + (k,),
+    k < n, of each row prefix, from the row's sums keyed k * width + q (see
+    the module docstring); sl and sr are the sides' scales.  The passes are
+    counted, and the failures recorded in lexicographic order, so the rows
+    may come in any order and the least failing tuple is the witness.
+    Returns the failing tuples, in that order."""
     g = gcd(sl, sr)
     wl, wr = sr // g, -(sl // g)
     p = field.p
     failed = []
     passed = 0
-    for where in tuples:
+    for prefix in prefixes:
         acc: dict[int, int] = {}
-        contract(acc, where, wl, wr)
+        contract(acc, prefix, wl, wr)
         if p is None:
-            ok = not any(acc.values())
+            bad = {key // width for key, v in acc.items() if v} if any(acc.values()) else ()
         else:
-            ok = not any(n % p for n in acc.values())
-        if ok:
-            passed += 1
-        else:
-            failed.append(where)
+            bad = {key // width for key, v in acc.items() if v % p}
+        passed += n - len(bad)
+        failed.extend(prefix + (k,) for k in bad)
     t.checked += passed
     failed.sort()
     for where in failed:
         if t.witness is not None:
             t.record(where, False)
         else:
-            t.record(where, False, *render_sides(contract, where, sl, sr, field, render))
+            t.record(where, False, *render_sides(contract, where, width, sl, sr, field, render))
     return failed

@@ -8,10 +8,11 @@ systems and re-verified, never assumed.
 
 Each container compiles its tensor once, on first use, into a plain-int
 table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
-iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC runs on the compiled product: both sides of
-(e_i e_j) e_k = e_i (e_j e_k) carry the square of its scale, so their int
-sums are compared as they are, and a ``Vector`` is built only to render the
-first failing triple.
+iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC runs on the
+compiled product, one row (i, j) per contract call: m[i][j] and m[i] are
+read once for every k, both sides of (e_i e_j) e_k = e_i (e_j e_k) carry
+the square of its scale, so their int sums are compared as they are, and
+a ``Vector`` is built only to render the first failing triple.
 
 The action laws are written once, here, as tallies that the suites fold
 into their IDs; the acting space may differ from the target, as in a
@@ -27,10 +28,13 @@ relative Rota-Baxter operator, where H acts on K:
 
 The three laws and ``mp5_law`` run on the compiled tables, and so does
 HOPF-DELTA-MULT; the unit rows and the counit compares run on ``Vector``s
-and scalars.  Each side of a law on H (x) H keys its int sums by
-p * dim + q (``compiled.comul_side`` and ``compiled.legs_side``).  P-CONV
-reports the tallies of ``_verify_endo_inverse``; when beta was just solved,
-they are the ones ``hom_convolution_inverse_endo`` computed to accept it.
+and scalars.  A law on triples runs on rows (g, h) or (h, a), and
+``module_algebra_law`` sums c (h_1 >- a) once per row for each distinct
+h_2, then multiplies that sum by h_2 >- b for every b.  A law on H (x) H
+runs on rows (x,) and keys its int sums by y * dim**2 + p * dim + q
+(``compiled.comul_side`` and ``compiled.legs_side``).  P-CONV reports the
+tallies of ``_verify_endo_inverse``; when beta was just solved, they are
+the ones ``hom_convolution_inverse_endo`` computed to accept it.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .compiled import (
-    IntTable, comul_side, compare, compile_comul, compile_legs, compile_tensor, cube, legs_side, pairs_render, sides,
-    square, vector_render,
+    IntTable, comul_side, compare, compile_comul, compile_legs, compile_tensor, int_items, legs_side, line,
+    pairs_render, sides, square, vector_render,
 )
-from .field import FieldSpec, ModInt, Scalar, canonical
+from .field import FieldSpec, Scalar, canonical
 from .linalg import (
     LinAlgError,
     Matrix,
@@ -50,11 +54,9 @@ from .linalg import (
     Vector,
     _fp_axpy,
     _fp_bilinear,
-    _fp_product,
     _fp_value,
     _q_axpy,
     _q_bilinear,
-    _q_product,
     _q_ratio,
     _vector,
     accumulate,
@@ -336,24 +338,6 @@ def tens2(u: Vector, v: Vector) -> dict[tuple[int, int], Scalar]:
     return out
 
 
-def tens2_add_scaled(acc, u: Vector, v: Vector, s: Scalar,
-                     s2: Scalar | None = None, s3: Scalar | None = None) -> None:
-    """acc += s * s2 * s3 * (u (x) v), keyed by index pairs (s2, s3
-    optional); the factors are passed apart, as for ``add_scaled_inplace``."""
-    right = v.entries.items()
-    if s.__class__ is ModInt:
-        sv, p = (s.value, s.p) if s2 is None else _fp_product(s, s2, s3)
-        if sv:
-            for i, a in u.entries.items():
-                _fp_axpy(acc, [((i, j), b) for j, b in right], _fp_value(a, p) * sv % p, p)
-        return
-    sn, sd = _q_product(s, s2, s3)
-    if sn:
-        for i, a in u.entries.items():
-            an, ad = _q_ratio(a)
-            _q_axpy(acc, [((i, j), b) for j, b in right], an * sn, ad * sd)
-
-
 def is_cocommutative(c: CoalgebraData) -> bool:
     for i in range(c.dim):
         terms = {(j, k): s for j, k, s in c.comul[i]}
@@ -373,23 +357,31 @@ def check_algebra(a: AlgebraData) -> CheckReport:
     mul = a.int_mul()
     m = mul.rows
 
-    def assoc(acc, where, wl, wr):
-        i, j, k = where
+    d = a.dim
+
+    def assoc(acc, prefix, wl, wr):
+        i, j = prefix
         get = acc.get
         if wl:
             for r, x in m[i][j]:
                 x *= wl
-                for t, y in m[r][k]:
-                    acc[t] = get(t, 0) + x * y
+                for k, mrk in enumerate(m[r]):
+                    base = k * d
+                    for t, y in mrk:
+                        t += base
+                        acc[t] = get(t, 0) + x * y
         if wr:
             mi = m[i]
-            for r, x in m[j][k]:
-                x *= wr
-                for t, y in mi[r]:
-                    acc[t] = get(t, 0) + x * y
+            for k, mjk in enumerate(m[j]):
+                base = k * d
+                for r, x in mjk:
+                    x *= wr
+                    for t, y in mi[r]:
+                        t += base
+                        acc[t] = get(t, 0) + x * y
 
     scale = mul.scale * mul.scale
-    compare(ch, cube(a.dim), assoc, scale, scale, a.field, vector_render(a.dim))
+    compare(ch, square(d), d, d, assoc, scale, scale, a.field, vector_render(d))
     rep.add(ch.entry())
     ch = Checker("ALG-UNIT")
     for i in range(a.dim):
@@ -456,8 +448,9 @@ def check_hopf(h: HopfData) -> CheckReport:
     ch = Checker("HOPF-DELTA-MULT")
     mul, comul = a.int_mul(), c.int_comul()
     m, c_ = mul.rows, comul.rows
-    compare(ch, square(a.dim), sides(comul_side(m, c_, a.dim), legs_side(m, m, c_, c_, a.dim)),
-            mul.scale * comul.scale, (mul.scale * comul.scale) ** 2, a.field, pairs_render(a.dim))
+    d = a.dim
+    compare(ch, line(d), d, d * d, sides(comul_side(m, c_, d), legs_side(m, m, c_, c_, d)),
+            mul.scale * comul.scale, (mul.scale * comul.scale) ** 2, a.field, pairs_render(d))
     rep.add(ch.entry())
 
     ch = Checker("HOPF-EPS-MULT")
@@ -486,25 +479,31 @@ def module_law(act: ActionTensor, alg: AlgebraData) -> Tally:
     at (g, h, a), on the compiled tables; ``module_unit_law`` is its unit."""
     x, mul = act.int_act(), alg.int_mul()
     x_, m = x.rows, mul.rows
+    dh, dk = act.acting_dim, act.target_dim
 
-    def law(acc, where, wl, wr):
-        g, h, a = where
+    def law(acc, prefix, wl, wr):
+        g, h = prefix
         get = acc.get
         if wl:
             for r, c in m[g][h]:
                 c *= wl
-                for q, e in x_[r][a]:
-                    acc[q] = get(q, 0) + c * e
+                for a, xra in enumerate(x_[r]):
+                    base = a * dk
+                    for q, e in xra:
+                        q += base
+                        acc[q] = get(q, 0) + c * e
         if wr:
             xg = x_[g]
-            for r, c in x_[h][a]:
-                c *= wr
-                for q, e in xg[r]:
-                    acc[q] = get(q, 0) + c * e
+            for a, xha in enumerate(x_[h]):
+                base = a * dk
+                for r, c in xha:
+                    c *= wr
+                    for q, e in xg[r]:
+                        q += base
+                        acc[q] = get(q, 0) + c * e
 
-    dh, dk = act.acting_dim, act.target_dim
     t = Tally()
-    compare(t, product(range(dh), range(dh), range(dk)), law, mul.scale * x.scale, x.scale * x.scale,
+    compare(t, product(range(dh), range(dh)), dk, dk, law, mul.scale * x.scale, x.scale * x.scale,
             act.field, vector_render(dk))
     return t
 
@@ -526,33 +525,52 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
     h_2 trade places on the right."""
     x, mul, comul = act.int_act(), alg.int_mul(), coalg.int_comul()
     x_, m, c_ = x.rows, mul.rows, comul.rows
+    dh, dk, p = act.acting_dim, act.target_dim, act.field.p
+    # the legs of each h grouped by the leg that acts on b: (h_b, [(h_a, c)])
+    groups = []
+    for legs in c_:
+        by_b: dict[int, list] = {}
+        for i1, i2, c in legs:
+            if swap:
+                i1, i2 = i2, i1
+            by_b.setdefault(i2, []).append((i1, c))
+        groups.append(list(by_b.items()))
 
-    def law(acc, where, wl, wr):
-        i, j, k = where
+    def law(acc, prefix, wl, wr):
+        i, j = prefix
         get = acc.get
         if wl:
             xi = x_[i]
-            for r, a in m[j][k]:
-                a *= wl
-                for q, b in xi[r]:
-                    acc[q] = get(q, 0) + a * b
+            for k, mjk in enumerate(m[j]):
+                base = k * dk
+                for r, a in mjk:
+                    a *= wl
+                    for q, b in xi[r]:
+                        q += base
+                        acc[q] = get(q, 0) + a * b
         if wr:
-            for i1, i2, c in c_[i]:
-                if swap:
-                    i1, i2 = i2, i1
-                c *= wr
-                right = x_[i2][k]
-                for r, a in x_[i1][j]:
-                    ca = c * a
-                    mr = m[r]
-                    for u, b in right:
-                        w = ca * b
-                        for q, e in mr[u]:
-                            acc[q] = get(q, 0) + w * e
+            for i2, lefts in groups[i]:
+                # sum of c (h_1 >- a) over the legs whose h_2 is i2
+                u: dict[int, int] = {}
+                ug = u.get
+                for i1, c in lefts:
+                    for r, a in x_[i1][j]:
+                        u[r] = ug(r, 0) + c * a
+                u = [(r, a * wr) for r, a in int_items(u, p)]
+                if not u:
+                    continue
+                for k, right in enumerate(x_[i2]):
+                    base = k * dk
+                    for r, a in u:
+                        mr = m[r]
+                        for v, b in right:
+                            w = a * b
+                            for q, e in mr[v]:
+                                q += base
+                                acc[q] = get(q, 0) + w * e
 
-    dh, dk = act.acting_dim, act.target_dim
     t = Tally()
-    compare(t, product(range(dh), range(dk), range(dk)), law, mul.scale * x.scale,
+    compare(t, product(range(dh), range(dk)), dk, dk, law, mul.scale * x.scale,
             comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
     return t
 
@@ -574,7 +592,7 @@ def module_coalgebra_law(act: ActionTensor, hco: CoalgebraData, kco: CoalgebraDa
     x, hc, kc = act.int_act(), hco.int_comul(), kco.int_comul()
     x_, dh, dk = x.rows, act.acting_dim, act.target_dim
     delta, counit = Tally(), Tally()
-    compare(delta, product(range(dh), range(dk)),
+    compare(delta, line(dh), dk, dk * dk,
             sides(comul_side(x_, kc.rows, dk), legs_side(x_, x_, hc.rows, kc.rows, dk, swap_i=swap)),
             x.scale * kc.scale, hc.scale * kc.scale * x.scale * x.scale, act.field, pairs_render(dk))
     for i in range(dh):
@@ -591,7 +609,7 @@ def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Ta
     l_, r_, c_, d = lt.rows, rt.rows, comul.rows, coalg.dim
     scale = comul.scale * comul.scale * lt.scale * rt.scale
     t = Tally()
-    compare(t, square(d), sides(legs_side(l_, r_, c_, c_, d), legs_side(l_, r_, c_, c_, d, True, True)),
+    compare(t, line(d), d, d * d, sides(legs_side(l_, r_, c_, c_, d), legs_side(l_, r_, c_, c_, d, True, True)),
             scale, scale, coalg.field, pairs_render(d))
     return t
 

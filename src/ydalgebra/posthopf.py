@@ -34,11 +34,14 @@ Setting beta drops the cached results that depend on beta, and no other.
 The identities with the heaviest contractions run on compiled plain-int
 tables (``compiled``): P-DOT, L-MB, P-ASSOC, P-COALG's coproduct rows, L-DB
 and P-MP5 through the laws of ``hopf``; P-DELTA, both rows of YD-BRAIDMULT
-and P-ANTI, whose sides live in H (x) H and are keyed p * dim + q;
+and P-ANTI, whose sides live in H (x) H and are keyed
+y * dim**2 + p * dim + q on a row (x,);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
 tables and the compiled Ad_L columns and grouped legs, both summed once per
 second-leg group of their second argument (``_second_leg_sums``) and
-left-associated as they are written.  L-MA, YD-MODALG,
+left-associated as they are written.  Each runs one row of tuples per call
+of its contract (``compiled.compare``): P-DOT, L-MB and P-ASSOC on rows
+(x, y) over z, the identities on pairs on rows (x,) over y.  L-MA, YD-MODALG,
 YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
 of each of these identities is one contraction pattern whose int sum
 carries the product of its tables' scales, and ``compiled.compare``
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .compiled import (
     IntTable, add_bilinear, add_tensors, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_items,
-    int_linear, int_vector, pairs_render, render_sides, sides, square,
+    int_linear, int_vector, line, pairs_render, render_sides, sides, square,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -298,7 +301,8 @@ def _sigma_columns(s: YDPostHopf) -> IntTable:
             get = acc.get
             for (a1, a2, a3), c in legs.rows[a]:
                 for q, n in int_bilinear(x_, ((a1, c),), b_[a3][b], p):
-                    acc[q * d + a2] = get(q * d + a2, 0) + n
+                    key = q * d + a2
+                    acc[key] = get(key, 0) + n
             cols.append(int_items(acc, p))
     return IntTable(cols, legs.scale * act.scale * beta.scale)
 
@@ -311,71 +315,76 @@ def _product_delta(s: YDPostHopf):
 
 def _pdelta_rhs(s: YDPostHopf):
     """The side (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) at
-    (x, y), the right-hand side of the braided compatibility of Delta with
-    the product, and its scale.  Each x_1 . alpha_{x_2}(beta_{x_4}(e_p)) is
-    made once, in a memo that lives as long as the side."""
+    (x, y), on the row (x,), the right-hand side of the braided
+    compatibility of Delta with the product, and its scale.  Each
+    x_1 . alpha_{x_2}(beta_{x_4}(e_p)) is made once, in a memo that lives as
+    long as the side."""
     mul, act, beta = s.carrier.algebra.int_mul(), s.action.int_act(), s.beta.int_act()
     comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(4)
     m, x_, b_, c_, l_ = mul.rows, act.rows, beta.rows, comul.rows, legs.rows
     d, p = s.dim, s.field.p
+    d2 = d * d
     memo: dict = {}  # (x_1, x_2, x_4) -> e_p -> x_1 . alpha_{x_2}(beta_{x_4}(e_p))
 
-    def side(acc, where, w):
-        i, j = where
+    def side(acc, prefix, w):
+        i, = prefix
         get = acc.get
-        legs_j = c_[j]
         for (a, b, c3, e), sc in l_[i]:
             fused = memo.get((a, b, e))
             if fused is None:
                 fused = memo[(a, b, e)] = {}
             mc = m[c3]
             sc *= w
-            for y1, y2, t in legs_j:
-                right = mc[y2]
-                if not right:
-                    continue
-                v = fused.get(y1)
-                if v is None:
-                    v = fused[y1] = int_bilinear(m, ((a, 1),), int_bilinear(x_, ((b, 1),), b_[e][y1], p), p)
-                st = sc * t
-                for k, n in v:
-                    n *= st
-                    k *= d
-                    for q, e2 in right:
-                        acc[k + q] = get(k + q, 0) + n * e2
+            for j, legs_j in enumerate(c_):
+                base = j * d2
+                for y1, y2, t in legs_j:
+                    right = mc[y2]
+                    if not right:
+                        continue
+                    v = fused.get(y1)
+                    if v is None:
+                        v = fused[y1] = int_bilinear(m, ((a, 1),), int_bilinear(x_, ((b, 1),), b_[e][y1], p), p)
+                    st = sc * t
+                    for k, n in v:
+                        n *= st
+                        k = base + k * d
+                        for q, e2 in right:
+                            key = k + q
+                            acc[key] = get(key, 0) + n * e2
 
     return side, legs.scale * comul.scale * beta.scale * act.scale * mul.scale * mul.scale
 
 
 def _braided_product_delta(s: YDPostHopf):
     """The side (x_1 . sigma(x_2 (x) y_1)^1) (x) (sigma(x_2 (x) y_1)^2 . y_2)
-    at (x, y), the coproduct of the braided tensor square applied to
-    Delta(x) (x) Delta(y), and its scale."""
+    at (x, y), on the row (x,), the coproduct of the braided tensor square
+    applied to Delta(x) (x) Delta(y), and its scale."""
     mul, comul, sigma = s.carrier.algebra.int_mul(), s.carrier.coalgebra.int_comul(), _sigma_columns(s)
-    m, c_, sg = mul.rows, comul.rows, sigma.rows
+    m, c_ = mul.rows, comul.rows
     d = s.dim
+    d2 = d * d
+    sg = [[(*divmod(pq, d), cs) for pq, cs in col] for col in sigma.rows]  # (p, q, c) of each column
 
-    def side(acc, where, w):
-        a, b = where
+    def side(acc, prefix, w):
+        a, = prefix
         get = acc.get
-        legs_b = c_[b]
-        for a1, a2, ca in c_[a]:
-            ma = m[a1]
-            ca *= w
-            col = a2 * d
-            for b1, b2, cb in legs_b:
-                cab = ca * cb
-                for pq, cs in sg[col + b1]:
-                    pp, q = divmod(pq, d)
-                    right = m[q][b2]
-                    if not right:
-                        continue
-                    c = cab * cs
-                    for k, n in ma[pp]:
-                        n *= c
-                        k *= d
-                        for r, e in right:
-                            acc[k + r] = get(k + r, 0) + n * e
+        legs_a = [(m[a1], a2 * d, ca * w) for a1, a2, ca in c_[a]]
+        for b, legs_b in enumerate(c_):
+            base = b * d2
+            for ma, col, ca in legs_a:
+                for b1, b2, cb in legs_b:
+                    cab = ca * cb
+                    for pp, q, cs in sg[col + b1]:
+                        right = m[q][b2]
+                        if not right:
+                            continue
+                        c = cab * cs
+                        for k, n in ma[pp]:
+                            n *= c
+                            k = base + k * d
+                            for r, e in right:
+                                key = k + r
+                                acc[key] = get(key, 0) + n * e
 
     return side, comul.scale * comul.scale * sigma.scale * mul.scale * mul.scale
 
@@ -427,7 +436,8 @@ def _delta_identity(s: YDPostHopf) -> tuple[Tally, frozenset]:
     fails."""
     (lhs, sl), (rhs, sr) = _product_delta(s), _pdelta_rhs(s)
     t = Tally()
-    failed = compare(t, square(s.dim), sides(lhs, rhs), sl, sr, s.field, pairs_render(s.dim))
+    d = s.dim
+    failed = compare(t, line(d), d, d * d, sides(lhs, rhs), sl, sr, s.field, pairs_render(d))
     return t, frozenset(failed)
 
 
@@ -642,26 +652,32 @@ def _sharp_anti(t: Tally, s: YDPostHopf) -> None:
     (x,), on the compiled S_> columns."""
     sharp, comul = _sharp_columns(s), s.carrier.coalgebra.int_comul()
     sh, c_, d = sharp.rows, comul.rows, s.dim
+    d2 = d * d
 
-    def anti(acc, where, wl, wr):
-        i, = where
+    def anti(acc, prefix, wl, wr):
         get = acc.get
         if wl:
-            for r, c in sh[i]:
-                c *= wl
-                for p, q, e in c_[r]:
-                    acc[p * d + q] = get(p * d + q, 0) + c * e
+            for i, col in enumerate(sh):
+                base = i * d2
+                for r, c in col:
+                    c *= wl
+                    for p, q, e in c_[r]:
+                        k = base + p * d + q
+                        acc[k] = get(k, 0) + c * e
         if wr:
-            for i1, i2, c in c_[i]:
-                c *= wr
-                right = sh[i1]
-                for p, a in sh[i2]:
-                    a *= c
-                    p *= d
-                    for q, b in right:
-                        acc[p + q] = get(p + q, 0) + a * b
+            for i, legs in enumerate(c_):
+                base = i * d2
+                for i1, i2, c in legs:
+                    c *= wr
+                    right = sh[i1]
+                    for p, a in sh[i2]:
+                        a *= c
+                        p = base + p * d
+                        for q, b in right:
+                            key = p + q
+                            acc[key] = get(key, 0) + a * b
 
-    compare(t, ((i,) for i in range(d)), anti, sharp.scale * comul.scale, comul.scale * sharp.scale ** 2,
+    compare(t, [()], d, d2, anti, sharp.scale * comul.scale, comul.scale * sharp.scale ** 2,
             s.field, pairs_render(d))
 
 
@@ -675,7 +691,7 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
     d = s.dim
     (delta, sl), (mid, sm) = _product_delta(s), _braided_product_delta(s)
     rows = Tally()
-    failed = set(compare(rows, square(d), sides(delta, mid), sl, sm, s.field, pairs_render(d)))
+    failed = set(compare(rows, line(d), d, d * d, sides(delta, mid), sl, sm, s.field, pairs_render(d)))
     t.absorb(rows, where=lambda w: w + (0,))
     delta_failed = _delta_identity(s)[1]
     rows = Tally()
@@ -685,7 +701,8 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
         if where in delta_failed and rows.witness is None:
             # P-DELTA's right-hand side, rebuilt to render the witness
             rhs, sr = _pdelta_rhs(s)
-            rows.record(where, False, *render_sides(sides(mid, rhs), where, sm, sr, s.field, pairs_render(d)))
+            rows.record(where, False, *render_sides(sides(mid, rhs), where, d * d, sm, sr, s.field,
+                                                    pairs_render(d)))
         else:
             rows.record(where, where not in delta_failed)
     t.absorb(rows, where=lambda w: w + (1,))
@@ -694,29 +711,27 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
 def _second_leg_sums(s: YDPostHopf):
     """The sums Z_b[x][b2] = sum over the grouped legs (b1, b2, sum of
     S_>(b3)) of b whose second leg is b2 of (e_x o b1) o sum of S_>(b3), as
-    a function z(b, x) -> {b2: int items}, and their scale.  YD-COMPAT and
-    YD-COLINEAR both end in Z_b's entries; each law visits its pairs with b
-    outermost, so the memo holds one b at a time, and each Z_b[x] is made
-    once per b."""
+    a function z(x) -> [Z_b[x] as {b2: int items} for each b], and their
+    scale.  YD-COMPAT and YD-COLINEAR both end in Z_b's entries; each law
+    runs on rows (a,) over every b, so the memo keeps every Z_b[x] it makes
+    for the life of the law, and each is made once."""
     bullet, grouped = bullet_algebra(s).int_mul(), _sharp_legs(s)
     o, g_, p = bullet.rows, grouped.rows, s.field.p
-    memo: dict = {}  # b -> x -> Z_b[x]
+    memo: dict = {}  # x -> [Z_b[x] for each b]
 
-    def z(b, x):
-        by_x = memo.get(b)
-        if by_x is None:
-            memo.clear()
-            by_x = memo[b] = {}
-        out = by_x.get(x)
+    def z(x):
+        out = memo.get(x)
         if out is None:
-            sums: dict[int, dict] = {}
+            out = memo[x] = []
             ox = o[x]
-            for b1, b2, sb in g_[b]:
-                acc = sums.get(b2)
-                if acc is None:
-                    acc = sums[b2] = {}
-                add_bilinear(acc, o, ox[b1], sb, 1)
-            out = by_x[x] = {b2: v for b2, acc in sums.items() if (v := int_items(acc, p))}
+            for legs in g_:
+                sums: dict[int, dict] = {}
+                for b1, b2, sb in legs:
+                    acc = sums.get(b2)
+                    if acc is None:
+                        acc = sums[b2] = {}
+                    add_bilinear(acc, o, ox[b1], sb, 1)
+                out.append({b2: v for b2, acc in sums.items() if (v := int_items(acc, p))})
         return out
 
     return z, bullet.scale ** 2 * grouped.scale
@@ -732,31 +747,45 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
                                  _sharp_legs(s))
     x_, o, ad, g_ = act.rows, bullet.rows, adl.rows, grouped.rows
     d = s.dim
+    d2 = d * d
     z, sz = _second_leg_sums(s)
 
-    def compat(acc, where, wl, wr):
-        a, b = where
+    def acted(key):
+        return x_[key[0]][key[1]]
+
+    def compat(acc, prefix, wl, wr):
+        a, = prefix
         get = acc.get
         if wl:
-            for r, c in x_[a][b]:
-                c *= wl
-                for q, e in ad[r]:
-                    acc[q] = get(q, 0) + c * e
+            for b, xab in enumerate(x_[a]):
+                base = b * d2
+                for r, c in xab:
+                    c *= wl
+                    for q, e in ad[r]:
+                        q += base
+                        acc[q] = get(q, 0) + c * e
         if wr:
-            lefts: dict = {}  # (a2, b2) -> sum of Z_b[a1][b2] o sum of S_>(a3)
-            for a1, a2, sa in g_[a]:
-                xa = x_[a2]
-                for b2, v in z(b, a1).items():
-                    if xa[b2]:
-                        g = lefts.get((a2, b2))
-                        if g is None:
-                            g = lefts[(a2, b2)] = {}
-                        add_bilinear(g, o, v, sa, 1)
-            add_tensors(acc, lefts, lambda key: x_[key[0]][key[1]], d, wr)
+            legs = [(z(a1), x_[a2], a2, sa) for a1, a2, sa in g_[a]]
+            for b in range(d):
+                lefts: dict = {}  # (a2, b2) -> sum of Z_b[a1][b2] o sum of S_>(a3)
+                for za, xa, a2, sa in legs:
+                    for b2, v in za[b].items():
+                        if xa[b2]:
+                            g = lefts.get((a2, b2))
+                            if g is None:
+                                g = lefts[(a2, b2)] = {}
+                            add_bilinear(g, o, v, sa, 1)
+                # summed apart and then moved into the row, so that the dict
+                # summed into stays small: a dim-32 row has some 30,000 keys
+                part: dict[int, int] = {}
+                add_tensors(part, lefts, acted, d, wr)
+                base = b * d2
+                for k, n in part.items():
+                    k += base
+                    acc[k] = get(k, 0) + n
 
     sr = sz * bullet.scale * grouped.scale * act.scale
-    pairs = ((a, b) for b in range(d) for a in range(d))
-    compare(t, pairs, compat, act.scale * adl.scale, sr, s.field, pairs_render(d))
+    compare(t, line(d), d, d2, compat, act.scale * adl.scale, sr, s.field, pairs_render(d))
 
 
 def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
@@ -768,34 +797,38 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
     mul, adl = s.carrier.algebra.int_mul(), _adl_columns(s)
     m, ad = mul.rows, adl.rows
     d = s.dim
+    d2 = d * d
     z, sz = _second_leg_sums(s)
 
-    def colinear(acc, where, wl, wr):
-        a, b = where
+    def colinear(acc, prefix, wl, wr):
+        a, = prefix
         get = acc.get
         if wl:
-            for r, c in m[a][b]:
-                c *= wl
-                for q, e in ad[r]:
-                    acc[q] = get(q, 0) + c * e
+            for b, mab in enumerate(m[a]):
+                base = b * d2
+                for r, c in mab:
+                    c *= wl
+                    for q, e in ad[r]:
+                        q += base
+                        acc[q] = get(q, 0) + c * e
         if wr:
-            for rq, c in ad[a]:
-                r, q = divmod(rq, d)
-                mq = m[q]
-                c *= wr
-                for b2, v in z(b, r).items():
-                    right = mq[b2]
-                    if not right:
-                        continue
-                    for k, n in v:
-                        n *= c
-                        k *= d
-                        for j, e in right:
-                            acc[k + j] = get(k + j, 0) + n * e
+            terms = [(z(rq // d), m[rq % d], c * wr) for rq, c in ad[a]]
+            for b in range(d):
+                base = b * d2
+                for zr, mq, c in terms:
+                    for b2, v in zr[b].items():
+                        right = mq[b2]
+                        if not right:
+                            continue
+                        for k, n in v:
+                            n *= c
+                            k = base + k * d
+                            for j, e in right:
+                                key = k + j
+                                acc[key] = get(key, 0) + n * e
 
     sr = adl.scale * sz * mul.scale
-    pairs = ((a, b) for b in range(d) for a in range(d))
-    compare(t, pairs, colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
+    compare(t, line(d), d, d2, colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
 
 
 def is_pre_hopf(s: YDPostHopf) -> bool:

@@ -160,13 +160,19 @@ class CheckReport:
 class Tally:
     """Verdicts of one identity over basis tuples: how many were checked,
     how many failed, and the first failure.  Loops visit the tuples in
-    lexicographic order, so the first failure is the least failing tuple,
-    and ``absorb`` folds part tallies into one ID.  MP-MODC is the exception:
-    its parts interleave per (i, j), and its witness stays the first failure
-    in that order, as golden reports pin it (``braces`` picks it).  So do the
-    interleaved loops of RBM-F/RBM-G and LRB-LIE-G/H, on one Checker each,
-    and MP-4, which visits (a, b, c) in the order (b, c, a): its witness is
-    the first failure in that order, mapped back to (a, b, c)."""
+    lexicographic order, or ``compiled.compare`` sorts the failures of its
+    rows, so the first failure is the least failing tuple, and ``absorb``
+    folds part tallies into one ID.  The exceptions keep the first failure
+    of their own loop order, as golden reports pin it:
+
+    - MP-MODC, whose parts interleave per (i, j) (``braces`` picks it);
+    - MP-4, which runs on rows (b, c) over a, so its tuples are (b, c, a)
+      and its witness, the first failure in that order, is mapped back to
+      (a, b, c);
+    - RBM-F/RBM-G and LRB-LIE-G/H, interleaved loops on one Checker each.
+
+    YD-COMPAT and YD-COLINEAR share per-b sums, but run on rows (a,) over b,
+    so their witness is the least failing (a, b)."""
 
     def __init__(self):
         self.witness: Witness | None = None

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, comul_side, compare, compile_vectors, int_bilinear, int_items, int_linear,
-    legs_side, pairs_render, sides, square, triples_render, vector_render,
+    legs_side, line, pairs_render, sides, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -47,12 +47,13 @@ from .hopf import (
     module_law,
     module_unit_law,
     solve_antipode,
-    tens2_add_scaled,
+    tens2,
 )
 from .linalg import (
     Matrix,
     Vector,
     _vector,
+    accumulate,
     add_scaled_inplace,
     identity_matrix,
     invert,
@@ -176,7 +177,7 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     ch = Checker("RB-COALG")
     rc, hc, kc = _r_columns(r), hco.int_comul(), kco.int_comul()
     cols = [[col] for col in rc.rows]
-    ch.absorb(_compared(((a, 0) for a in range(dk)),
+    ch.absorb(_compared(line(dk), 1, dh * dh,
                         sides(comul_side(cols, hc.rows, dh), legs_side(cols, cols, kc.rows, [((0, 0, 1),)], dh)),
                         rc.scale * hc.scale, kc.scale * rc.scale ** 2, fs, pairs_render(dh)))
     eps = Tally()
@@ -251,20 +252,24 @@ def _rb1(t: Tally, r: RelRB) -> None:
     tables = _rb_tables(r)
     hmul, kmul, kco = r.h.algebra.int_mul(), r.k_alg.int_mul(), r.k_coalg.int_comul()
     hm, km, rc, acted = hmul.rows, kmul.rows, tables.r_cols.rows, tables.acted.rows
-    p = r.field.p
+    dk, dh, p = r.dim_k, r.h.dim, r.field.p
 
-    def rb1(acc, where, wl, wr):
-        a, b = where
+    def rb1(acc, prefix, wl, wr):
+        a, = prefix
         if wl:
-            add_bilinear(acc, hm, rc[a], rc[b], wl)
+            ra = rc[a]
+            for b, rb in enumerate(rc):
+                add_bilinear(acc, hm, ra, rb, wl, b * dh)
         if wr:
-            inner: dict[int, int] = {}
-            for a1, a2, c in kco.rows[a]:
-                add_bilinear(inner, km, ((a1, c),), acted[a2][b], 1)
-            add_linear(acc, rc, int_items(inner, p), wr)
+            legs = [((a1, c), acted[a2]) for a1, a2, c in kco.rows[a]]
+            for b in range(dk):
+                inner: dict[int, int] = {}
+                for a1c, row in legs:
+                    add_bilinear(inner, km, (a1c,), row[b], 1)
+                add_linear(acc, rc, int_items(inner, p), wr, b * dh)
 
     sr = kco.scale * kmul.scale * tables.acted.scale * tables.r_cols.scale
-    compare(t, square(r.dim_k), rb1, tables.r_cols.scale ** 2 * hmul.scale, sr, r.field, vector_render(r.h.dim))
+    compare(t, line(dk), dk, dh, rb1, tables.r_cols.scale ** 2 * hmul.scale, sr, r.field, vector_render(dh))
 
 
 def _rb2(t: Tally, r: RelRB) -> None:
@@ -281,35 +286,40 @@ def _rb2(t: Tally, r: RelRB) -> None:
     dh, p = r.h.dim, r.field.p
     prefixes: dict = {}  # (x_1, y_1, x_2) -> S_H R(R(x_1) >- y_1) . R(x_2)
 
+    d2 = dh * dh
+
     def side(first, second, third):
-        def add(acc, where, w):
-            a, b = where
-            groups: dict[tuple[int, int], dict] = {}
-            lb = l_[b]
-            for la, ca in l_[a]:
-                x1, x2, x3 = la[first], la[second], la[third]
-                for tb, cb in lb:
-                    key = (x1, tb[first], x2)
-                    u = prefixes.get(key)
-                    if u is None:
-                        u = prefixes[key] = int_bilinear(hm, sq[x1][tb[first]], rc[x2], p)
-                    key = (x3, tb[third])
-                    g = groups.get(key)
-                    if g is None:
-                        g = groups[key] = {}
-                    add_bilinear(g, hm, u, rc[tb[second]], ca * cb)
+        def add(acc, prefix, w):
+            a, = prefix
             get = acc.get
-            for (x3, y3), g in groups.items():
-                right = q[x3][y3]
-                for k, n in int_items(g, p):
-                    n *= w
-                    k *= dh
-                    for j, e in right:
-                        acc[k + j] = get(k + j, 0) + n * e
+            la_ = [(la[first], la[second], la[third], ca) for la, ca in l_[a]]
+            for b, lb in enumerate(l_):
+                groups: dict[tuple[int, int], dict] = {}
+                for x1, x2, x3, ca in la_:
+                    for tb, cb in lb:
+                        key = (x1, tb[first], x2)
+                        u = prefixes.get(key)
+                        if u is None:
+                            u = prefixes[key] = int_bilinear(hm, sq[x1][tb[first]], rc[x2], p)
+                        key = (x3, tb[third])
+                        g = groups.get(key)
+                        if g is None:
+                            g = groups[key] = {}
+                        add_bilinear(g, hm, u, rc[tb[second]], ca * cb)
+                base = b * d2
+                for (x3, y3), g in groups.items():
+                    right = q[x3][y3]
+                    for k, n in int_items(g, p):
+                        n *= w
+                        k = base + k * dh
+                        for j, e in right:
+                            key = k + j
+                            acc[key] = get(key, 0) + n * e
         return add
 
     scale = legs.scale ** 2 * tables.sq.scale * tables.r_cols.scale ** 2 * hmul.scale ** 2 * tables.q.scale
-    compare(t, square(r.dim_k), sides(side(0, 1, 2), side(1, 2, 0)), scale, scale, r.field, pairs_render(dh))
+    compare(t, line(r.dim_k), r.dim_k, d2, sides(side(0, 1, 2), side(1, 2, 0)), scale, scale, r.field,
+            pairs_render(dh))
 
 
 def _action_parts(r: RelRB) -> Tally:
@@ -365,34 +375,41 @@ def _rho_tables(r: RelRB) -> _RhoTables:
                       one(r.k_alg.unit), one(r.h.coalgebra.counit), one(r.k_coalg.counit))
 
 
-def _compared(tuples, contract, sl: int, sr: int, field: FieldSpec, render, where=None) -> Tally:
+def _compared(prefixes, n: int, width: int, contract, sl: int, sr: int, field: FieldSpec, render,
+              where=None) -> Tally:
     """A fresh tally of ``compare``, its tuples mapped by where."""
     t, out = Tally(), Tally()
-    compare(t, tuples, contract, sl, sr, field, render)
+    compare(t, prefixes, n, width, contract, sl, sr, field, render)
     out.absorb(t, where=where)
     return out
 
 
-def _rho_side(rho: list, vector):
-    """The side rho applied to the int vector vector(where)."""
-    def side(acc, where, w):
+def _rho_side(rho: list, vectors, width: int):
+    """The side rho applied to each int vector of the list vectors(prefix),
+    the k-th keyed from k * width."""
+    def side(acc, prefix, w):
         get = acc.get
-        for t, c in vector(where):
-            c *= w
-            for k, e in rho[t]:
-                acc[k] = get(k, 0) + c * e
+        for base, v in enumerate(vectors(prefix)):
+            base *= width
+            for t, c in v:
+                c *= w
+                for k, e in rho[t]:
+                    k += base
+                    acc[k] = get(k, 0) + c * e
     return side
 
 
 def _tensor_side(left, right, dim: int):
-    """The side left (x) right of two int vectors, keyed p * dim + q."""
-    def side(acc, where, w):
+    """The side left (x) right of two int vectors, keyed p * dim + q, on a
+    row of one tuple."""
+    def side(acc, prefix, w):
         get = acc.get
         for i, a in left:
             a *= w
             i *= dim
             for j, b in right:
-                acc[i + j] = get(i + j, 0) + a * b
+                key = i + j
+                acc[key] = get(key, 0) + a * b
     return side
 
 
@@ -404,8 +421,8 @@ def _comodule_law(r: RelRB) -> Tally:
     tb, hco = _rho_tables(r), r.h.coalgebra.int_comul()
     rho, terms, hc, eps = tb.rho.rows, tb.terms, hco.rows, dict(tb.h_eps.rows[0])
 
-    def counit(acc, where, wl, wr):
-        a, _ = where
+    def counit(acc, prefix, wl, wr):
+        a, = prefix
         get = acc.get
         if wl:
             for pp, q, c in terms[a]:
@@ -415,8 +432,8 @@ def _comodule_law(r: RelRB) -> Tally:
         if wr:
             acc[a] = get(a, 0) + wr
 
-    def coassoc(acc, where, wl, wr):
-        a, _ = where
+    def coassoc(acc, prefix, wl, wr):
+        a, = prefix
         get = acc.get
         if wl:
             for pp, q, c in terms[a]:
@@ -429,12 +446,13 @@ def _comodule_law(r: RelRB) -> Tally:
                 c *= wr
                 base = pp * dh * dk
                 for k, e in rho[q]:
-                    acc[base + k] = get(base + k, 0) + c * e
+                    key = base + k
+                    acc[key] = get(key, 0) + c * e
 
-    t = _compared(((a, 0) for a in range(dk)), counit, tb.rho.scale * tb.h_eps.scale, 1, fs, vector_render(dk),
-                  lambda w: (4,) + w)
-    t.absorb(_compared(((a, 1) for a in range(dk)), coassoc, tb.rho.scale * hco.scale, tb.rho.scale ** 2, fs,
-                       triples_render(dh, dk), lambda w: (4,) + w))
+    t = _compared(line(dk), 1, dk, counit, tb.rho.scale * tb.h_eps.scale, 1, fs, vector_render(dk),
+                  lambda w: (4, w[0], 0))
+    t.absorb(_compared(line(dk), 1, dh * dh * dk, coassoc, tb.rho.scale * hco.scale, tb.rho.scale ** 2, fs,
+                       triples_render(dh, dk), lambda w: (4, w[0], 1)))
     return t
 
 
@@ -446,29 +464,33 @@ def _comodule_algebra_law(r: RelRB) -> Tally:
     rho, terms, hm, km = tb.rho.rows, tb.terms, hmul.rows, kmul.rows
     hu, ku, sp = tb.h_unit.rows[0], tb.k_unit.rows[0], tb.rho.scale
 
-    def product_side(acc, where, w):
-        a, b = where
+    width = r.h.dim * dk
+
+    def product_side(acc, prefix, w):
+        a, = prefix
         get = acc.get
-        tb_ = terms[b]
-        for p1, q1, c1 in terms[a]:
-            hp, kq = hm[p1], km[q1]
-            c1 *= w
-            for p2, q2, c2 in tb_:
-                right = kq[q2]
-                if not right:
-                    continue
-                c = c1 * c2
-                for h, n in hp[p2]:
-                    n *= c
-                    h *= dk
-                    for k, e in right:
-                        acc[h + k] = get(h + k, 0) + n * e
+        ta = [(hm[p1], km[q1], c1 * w) for p1, q1, c1 in terms[a]]
+        for b, tb_ in enumerate(terms):
+            base = b * width
+            for hp, kq, c1 in ta:
+                for p2, q2, c2 in tb_:
+                    right = kq[q2]
+                    if not right:
+                        continue
+                    c = c1 * c2
+                    for h, n in hp[p2]:
+                        n *= c
+                        h = base + h * dk
+                        for k, e in right:
+                            key = h + k
+                            acc[key] = get(key, 0) + n * e
 
     render = pairs_render(dk)
-    t = _compared(square(dk), sides(_rho_side(rho, lambda w: km[w[0]][w[1]]), product_side), kmul.scale * sp,
-                  sp * sp * hmul.scale * kmul.scale, fs, render, lambda w: (5,) + w)
-    t.absorb(_compared([(dk, dk)], sides(_rho_side(rho, lambda w: ku), _tensor_side(hu, ku, dk)),
-                       tb.k_unit.scale * sp, tb.h_unit.scale * tb.k_unit.scale, fs, render, lambda w: (5,) + w))
+    t = _compared(line(dk), dk, width, sides(_rho_side(rho, lambda pr: km[pr[0]], width), product_side),
+                  kmul.scale * sp, sp * sp * hmul.scale * kmul.scale, fs, render, lambda w: (5,) + w)
+    t.absorb(_compared([()], 1, width, sides(_rho_side(rho, lambda pr: [ku], width), _tensor_side(hu, ku, dk)),
+                       tb.k_unit.scale * sp, tb.h_unit.scale * tb.k_unit.scale, fs, render,
+                       lambda w: (5, dk, dk)))
     return t
 
 
@@ -482,8 +504,8 @@ def _comodule_coalgebra_law(r: RelRB) -> Tally:
     terms, hm, kc, sp = tb.terms, hmul.rows, kco.rows, tb.rho.scale
     hu, eps = tb.h_unit.rows[0], dict(tb.k_eps.rows[0])
 
-    def coproduct(acc, where, wl, wr):
-        a, _ = where
+    def coproduct(acc, prefix, wl, wr):
+        a, = prefix
         get = acc.get
         if wl:
             for pp, q, c in terms[a]:
@@ -505,8 +527,8 @@ def _comodule_coalgebra_law(r: RelRB) -> Tally:
                             k = (h * dk + q1) * dk + q2
                             acc[k] = get(k, 0) + cc * n
 
-    def counit(acc, where, wl, wr):
-        a, _ = where
+    def counit(acc, prefix, wl, wr):
+        a, = prefix
         get = acc.get
         if wl:
             for pp, q, c in terms[a]:
@@ -518,10 +540,10 @@ def _comodule_coalgebra_law(r: RelRB) -> Tally:
             for k, n in hu:
                 acc[k] = get(k, 0) + wr * e * n
 
-    t = _compared(((a, 0) for a in range(dk)), coproduct, sp * kco.scale, kco.scale * sp * sp * hmul.scale, fs,
-                  triples_render(dk, dk), lambda w: (6,) + w)
-    t.absorb(_compared(((a, 1) for a in range(dk)), counit, sp * tb.k_eps.scale, tb.k_eps.scale * tb.h_unit.scale,
-                       fs, vector_render(dh), lambda w: (6,) + w))
+    t = _compared(line(dk), 1, dh * dk * dk, coproduct, sp * kco.scale, kco.scale * sp * sp * hmul.scale, fs,
+                  triples_render(dk, dk), lambda w: (6, w[0], 0))
+    t.absorb(_compared(line(dk), 1, dh, counit, sp * tb.k_eps.scale, tb.k_eps.scale * tb.h_unit.scale,
+                       fs, vector_render(dh), lambda w: (6, w[0], 1)))
     return t
 
 
@@ -532,34 +554,33 @@ def _yd_law(r: RelRB) -> Tally:
     dk, dh, fs, p = r.dim_k, r.h.dim, r.field, r.field.p
     tb, hmul, act = _rho_tables(r), r.h.algebra.int_mul(), r.action.int_act()
     rho, terms, s_legs, hm, x_ = tb.rho.rows, tb.terms, tb.s_legs.rows, hmul.rows, act.rows
-    memo: dict = {}  # h -> (g, p) -> (h_1 p) S(h_3) for the g-th group (h_1, h_2, S(h_3)) of h
+    width = dh * dk
 
-    def compat(acc, where, w):
-        i, a = where
+    def compat(acc, prefix, w):
+        i, = prefix
         get = acc.get
-        by_gp = memo.get(i)
-        if by_gp is None:
-            memo.clear()
-            by_gp = memo[i] = {}
-        ta = terms[a]
+        by_p: dict = {}  # (g, p) -> (h_1 p) S(h_3) for the g-th group (h_1, h_2, S(h_3)) of h
         for g, (i1, i2, sg) in enumerate(s_legs[i]):
             hi, xi = hm[i1], x_[i2]
-            for pp, q, c in ta:
-                right = xi[q]
-                if not right:
-                    continue
-                u = by_gp.get((g, pp))
-                if u is None:
-                    u = by_gp[(g, pp)] = int_bilinear(hm, hi[pp], sg, p)
-                c *= w
-                for h, n in u:
-                    n *= c
-                    h *= dk
-                    for k, e in right:
-                        acc[h + k] = get(h + k, 0) + n * e
+            for a, ta in enumerate(terms):
+                base = a * width
+                for pp, q, c in ta:
+                    right = xi[q]
+                    if not right:
+                        continue
+                    u = by_p.get((g, pp))
+                    if u is None:
+                        u = by_p[(g, pp)] = int_bilinear(hm, hi[pp], sg, p)
+                    c *= w
+                    for h, n in u:
+                        n *= c
+                        h = base + h * dk
+                        for k, e in right:
+                            key = h + k
+                            acc[key] = get(key, 0) + n * e
 
     sp = tb.rho.scale
-    return _compared(product(range(dh), range(dk)), sides(_rho_side(rho, lambda w: x_[w[0]][w[1]]), compat),
+    return _compared(line(dh), dk, width, sides(_rho_side(rho, lambda pr: x_[pr[0]], width), compat),
                      act.scale * sp, tb.s_legs.scale * hmul.scale ** 2 * sp * act.scale, fs, pairs_render(dk),
                      lambda w: (7,) + w)
 
@@ -572,52 +593,52 @@ def _braided_bialgebra_law(r: RelRB) -> Tally:
     dk, fs, p = r.dim_k, r.field, r.field.p
     tb, kmul, kco, act = _rho_tables(r), r.k_alg.int_mul(), r.k_coalg.int_comul(), r.action.int_act()
     terms, km, kc, x_, ku = tb.terms, kmul.rows, kco.rows, act.rows, tb.k_unit.rows[0]
-    acted: dict = {}  # a -> (a_1, p, b_1) -> a_1 (p >- b_1)
+    d2 = dk * dk
 
-    def braided(acc, where, w):
-        a, b = where
+    def braided(acc, prefix, w):
+        a, = prefix
         get = acc.get
-        by_a = acted.get(a)
-        if by_a is None:
-            acted.clear()
-            by_a = acted[a] = {}
-        kb = kc[b]
+        acted: dict = {}  # (a_1, p, b_1) -> a_1 (p >- b_1)
         for a1, a2, ca in kc[a]:
             ca *= w
             for pp, q, cp in terms[a2]:
                 kq, xp = km[q], x_[pp]
                 c = ca * cp
-                for b1, b2, cb in kb:
-                    right = kq[b2]
-                    if not right:
-                        continue
-                    u = by_a.get((a1, pp, b1))
-                    if u is None:
-                        u = by_a[(a1, pp, b1)] = int_bilinear(km, ((a1, 1),), xp[b1], p)
-                    cc = c * cb
-                    for i, n in u:
-                        n *= cc
-                        i *= dk
-                        for j, e in right:
-                            acc[i + j] = get(i + j, 0) + n * e
+                for b, kb in enumerate(kc):
+                    base = b * d2
+                    for b1, b2, cb in kb:
+                        right = kq[b2]
+                        if not right:
+                            continue
+                        u = acted.get((a1, pp, b1))
+                        if u is None:
+                            u = acted[(a1, pp, b1)] = int_bilinear(km, ((a1, 1),), xp[b1], p)
+                        cc = c * cb
+                        for i, n in u:
+                            n *= cc
+                            i = base + i * dk
+                            for j, e in right:
+                                key = i + j
+                                acc[key] = get(key, 0) + n * e
 
-    def unit_delta(acc, where, w):
+    def unit_delta(acc, prefix, w):
         get = acc.get
         for t, c in ku:
             c *= w
             for i, j, e in kc[t]:
-                acc[i * dk + j] = get(i * dk + j, 0) + c * e
+                key = i * dk + j
+                acc[key] = get(key, 0) + c * e
 
     render = pairs_render(dk)
-    t = _compared(square(dk), sides(comul_side(km, kc, dk), braided), kmul.scale * kco.scale,
+    t = _compared(line(dk), dk, d2, sides(comul_side(km, kc, dk), braided), kmul.scale * kco.scale,
                   kco.scale ** 2 * tb.rho.scale * act.scale * kmul.scale ** 2, fs, render, lambda w: (8,) + w + (0,))
     kalg, kcoalg = r.k_alg, r.k_coalg
     eps = Tally()
-    for a, b in square(dk):
+    for a, b in product(range(dk), repeat=2):
         eps.compare((8, a, b, 1), kcoalg.eps_vec(kalg.mul[a][b]), kcoalg.eps(a) * kcoalg.eps(b))
     t.absorb(eps)
-    t.absorb(_compared([(dk, dk)], sides(unit_delta, _tensor_side(ku, ku, dk)), tb.k_unit.scale * kco.scale,
-                       tb.k_unit.scale ** 2, fs, render, lambda w: (8,) + w + (0,)))
+    t.absorb(_compared([()], 1, d2, sides(unit_delta, _tensor_side(ku, ku, dk)), tb.k_unit.scale * kco.scale,
+                       tb.k_unit.scale ** 2, fs, render, lambda w: (8, dk, dk, 0)))
     return t
 
 
@@ -758,7 +779,8 @@ def _morphism_checker(
         lhs2 = co_dst.comul_vec(f.column(i))
         rhs2: dict[tuple[int, int], Scalar] = {}
         for j, k, c in co_src.comul[i]:
-            tens2_add_scaled(rhs2, f.column(j), f.column(k), c)
+            for pq, x in tens2(f.column(j), f.column(k)).items():
+                accumulate(rhs2, pq, c * x)
         ch.compare((2, i), lhs2, rhs2, pairs_text)
         ch.compare((3, i), co_dst.eps_vec(f.column(i)), co_src.eps(i))
     return ch
@@ -1023,9 +1045,7 @@ def restrict_to_grouplikes(r: RelRB, candidates: list[Vector]) -> GroupRB:
     fs = r.field
     kco, kalg = r.k_coalg, r.k_alg
     for v in candidates:
-        expected: dict[tuple[int, int], Scalar] = {}
-        tens2_add_scaled(expected, v, v, fs.one)
-        if kco.comul_vec(v) != expected or kco.eps_vec(v) != fs.one:
+        if kco.comul_vec(v) != tens2(v, v) or kco.eps_vec(v) != fs.one:
             raise StructureError(f"candidate {vector_text(v)} is not group-like")
 
     def index_of(vec: Vector, pool: list[Vector], what: str) -> int:

@@ -318,19 +318,16 @@ def _mutants(s: YDPostHopf):
                 yield (f"action[{i}][{j}][{k}]", mutant(act=ActionTensor(d, d, rows, fs)))
 
 
-def _run_mutations(s: YDPostHopf, sample_to: int | None):
-    all_muts = list(_mutants(s))
-    if sample_to is not None and len(all_muts) > sample_to:
-        step = len(all_muts) / sample_to
-        picked = [all_muts[int(i * step)] for i in range(sample_to)]
-    else:
-        picked = all_muts
+def _run_mutations(s: YDPostHopf):
+    """The number of single-sign-flip mutants of s, and those that pass."""
+    n = 0
     survivors = []
-    for desc, m in picked:
+    for desc, m in _mutants(s):
+        n += 1
         rep = check_yd_post_hopf(m, stop_on_fail=True)
         if rep.all_pass():
             survivors.append(desc)
-    return len(picked), survivors
+    return n, survivors
 
 
 def test_acceptance_11_mutation_robustness(examples):
@@ -339,9 +336,8 @@ def test_acceptance_11_mutation_robustness(examples):
     counts = []
     survivors = []
     for name, s in examples:
-        sample = 50 if s.dim >= 8 else None  # exhaustive below dim 8
-        n, surv = _run_mutations(s, sample)
-        ok = ok and not surv and (sample is None or n >= 50)
+        n, surv = _run_mutations(s)
+        ok = ok and not surv and n > 0
         counts.append(f"{name}:{n}")
         survivors.extend(f"{name}/{d}" for d in surv)
     detail = "single-sign-flip mutants all caught (" + ", ".join(counts) + ")"

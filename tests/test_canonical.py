@@ -27,7 +27,7 @@ from ydalgebra.builders import (
     symmetric_group_3,
 )
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, inv, parse_scalar
-from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData, tens2_add_scaled
+from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData
 from ydalgebra.linalg import Matrix, Vector, add_scaled_inplace, invert, kernel, solve, unit_vector
 
 F = Fraction
@@ -132,11 +132,6 @@ def test_q_contractions_match_fraction_arithmetic(start, u_raw, v_raw, coeffs):
     add_scaled_inplace(acc, u, *coeffs)
     _exact(acc, _naive([*start.items(), *((i, c * w) for i, w in u_raw.items())]))
 
-    acc = {(k, k): s for k, s in start.items()}
-    tens2_add_scaled(acc, u, v, *coeffs)
-    _exact(acc, _naive([*(((k, k), s) for k, s in start.items()),
-                        *(((i, j), c * a * b) for i, a in u_raw.items() for j, b in v_raw.items())]))
-
     m = Matrix(4, 4, {(r, k): w for k, w in v_raw.items() for r in range(4) if (r + k) % 2}, RATIONALS)
     _exact(m.apply(u).entries, _naive(((r, w * u_raw.get(k, 0)) for (r, k), w in m.entries.items())))
 
@@ -215,11 +210,6 @@ def test_fp_contractions_match_modint_arithmetic(p, start_raw, u_raw, v_raw, coe
     add_scaled_inplace(acc, u, *cs)
     _same_residues(acc, _modint_sum(start, [(i, w * c) for i, w in u.entries.items()] if c else []), p)
 
-    acc = {(k, k): s for k, s in start.items()}
-    tens2_add_scaled(acc, u, v, *cs)
-    terms = [((i, j), a * c * b) for i, a in u.entries.items() for j, b in v.entries.items()]
-    _same_residues(acc, _modint_sum({(k, k): s for k, s in start.items()}, terms if c else []), p)
-
     m = Matrix(4, 4, {(r, k): w for k, w in v.entries.items() for r in range(4) if (r + k) % 2}, fs)
     _same_residues(m.apply(u).entries,
                    _modint_sum({}, [(r, w * a) for j, a in u.entries.items()
@@ -245,11 +235,6 @@ def test_fp_contractions_match_modint_arithmetic(p, start_raw, u_raw, v_raw, coe
         lambda: add_scaled_inplace({}, e, fs.one, fs.one, alien),
         lambda: add_scaled_inplace({0: alien}, e, fs.one),
         lambda: add_scaled_inplace({}, bad, fs.one),
-        lambda: tens2_add_scaled({}, e, e, alien),
-        lambda: tens2_add_scaled({}, e, e, fs.one, alien),
-        lambda: tens2_add_scaled({}, bad, e, fs.one),
-        lambda: tens2_add_scaled({}, e, bad, fs.one),
-        lambda: tens2_add_scaled({(0, 0): alien}, e, e, fs.one),
         lambda: Matrix(4, 4, {(0, 0): fs.one}, fs).apply(bad),
         lambda: alg.mul_vec(bad, e),
         lambda: alg.mul_vec(e, bad),

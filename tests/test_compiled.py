@@ -36,11 +36,11 @@ from ydalgebra.braces import (
 )
 from ydalgebra.builders import build_en, build_suzuki, build_sweedler
 from ydalgebra.cli import run_suite
-from ydalgebra.compiled import compile_comul, compile_groups, compile_tensor, compile_vectors
+from ydalgebra.compiled import compile_comul, compile_groups, compile_tensor, compile_vectors, square
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
-    AlgebraData, HopfData, StructureError, check_algebra, check_hopf, module_algebra_law, module_coalgebra_law,
-    tens2_add_scaled,
+    ActionTensor, AlgebraData, HopfData, StructureError, check_algebra, check_hopf, module_algebra_law,
+    module_coalgebra_law, module_law, tens2,
 )
 from ydalgebra.linalg import Vector, _vector, accumulate, add_scaled_inplace, unit_vector
 from ydalgebra.posthopf import (
@@ -69,6 +69,16 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 # --- the reference: Vector-path loops ----------------------------------------
+
+
+def tens2_add_scaled(acc, u, v, *cs) -> None:
+    """acc += c * (u (x) v), keyed by index pairs, for c the product of cs:
+    the tensor helper of the Vector-path loops, on ``tens2``."""
+    c = cs[0]
+    for x in cs[1:]:
+        c = c * x
+    for pq, x in tens2(u, v).items():
+        accumulate(acc, pq, c * x)
 
 
 def ref_alg_assoc(a) -> Tally:
@@ -1076,6 +1086,113 @@ def test_braidmult_second_row_matches_reference(monkeypatch, p):
     assert _verdict(got) == _verdict(ref_braidmult(s))
 
 
+# --- the row compare: one contract call per row, the verdicts of every tuple ----
+
+
+def ref_module_law(act, alg) -> Tally:
+    """The per-tuple loop of ``hopf.module_law``: (g.h) >- a against
+    g >- (h >- a), at (g, h, a) in lexicographic order."""
+    t = Tally()
+    for g in range(act.acting_dim):
+        for h in range(act.acting_dim):
+            for a in range(act.target_dim):
+                t.compare((g, h, a), act.apply_vec_basis(alg.mul[g][h], a), act.apply_basis(g, act.act[h][a]),
+                          vector_text)
+    return t
+
+
+def _c2_action(fs, scaled: tuple):
+    """k[C_2] = span(1, g) acting on a 3-dimensional space: 1 acts as the
+    identity and g as the identity except g >- f_a = 2 f_a for a in scaled.
+    So (g.g) >- f_a = f_a and g >- (g >- f_a) = 4 f_a differ exactly at
+    (1, 1, a) for a in scaled, all in the last row (1, 1)."""
+    one, two = fs.one, fs.one + fs.one
+    alg = AlgebraData(2, ["1", "g"], [[unit_vector(2, 0, fs), unit_vector(2, 1, fs)],
+                                      [unit_vector(2, 1, fs), unit_vector(2, 0, fs)]], unit_vector(2, 0, fs), fs)
+    act = [[unit_vector(3, a, fs) for a in range(3)],
+           [Vector(3, {a: two if a in scaled else one}, fs) for a in range(3)]]
+    return ActionTensor(2, 3, act, fs), alg
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+@pytest.mark.parametrize("scaled", [(2,), (0, 2)], ids=["last-k-of-last-row", "two-k-in-one-row"])
+def test_row_compare_matches_reference_within_a_row(p, scaled):
+    # the failures of one row are told apart by k, counted one by one, and
+    # the witness is the least of them, rendered from its k alone
+    act, alg = _c2_action(RATIONALS if p is None else FieldSpec(p), scaled)
+    got, want = module_law(act, alg), ref_module_law(act, alg)
+    assert _verdict(got) == _verdict(want)
+    assert got.checked == 12 and got.failures == len(scaled)
+    assert got.witness.where == (1, 1, scaled[0])
+    assert got.witness.lhs == f"{scaled[0]}:1" and got.witness.rhs == f"{scaled[0]}:4"
+
+
+def _mutated_en2(p, line: str, value: str):
+    lines = list(_base_lines("en2", p))
+    i = lines.index(next(x for x in lines if x.startswith(line + " ")))
+    lines[i] = f"{line} {value}"
+    return parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+def test_row_compare_keeps_witnesses_of_rows_visited_out_of_order(p, monkeypatch):
+    # YD-COMPAT runs on rows (a,) over b; with e_0 . e_2 changed its first
+    # failure with b outermost, (3, 0), is not its least, (0, 2), which is
+    # the witness, as in the reference.  Several b fail in one row.
+    from ydalgebra import posthopf
+
+    s = _mutated_en2(p, "mul 0 2 2", "3")
+    failed = []
+    real = posthopf.compare
+
+    def kept(*args):
+        failed.extend(real(*args))
+        return failed
+
+    monkeypatch.setattr(posthopf, "compare", kept)
+    got = _tally(lambda t: _yd_compat(t, s))
+    assert _verdict(got) == _verdict(ref_yd_compat(s))
+    assert min(failed, key=lambda w: (w[1], w[0])) == (3, 0) and got.witness.where == (0, 2)
+    assert max(sum(1 for w in failed if w[0] == a) for a in range(s.dim)) > 1
+    # MP-4 runs on rows (b, c) over a and keeps the first failure in the
+    # order (b, c, a), which is not the least (a, b, c)
+    mp = parse(_golden_kind_mutants()[f"sweedler-{'q' if p is None else 'f7'}-matchedpair-raction"])
+    want_failed = set()
+    want = ref_mp4(mp, want_failed)
+    got = _tally(_matched_pair_laws(mp)[1])
+    assert _verdict(got) == _verdict(want)
+    assert got.witness.where == (2, 1, 3) and min(want_failed) == (1, 2, 3)
+
+
+def test_cube_contracts_run_once_per_row(monkeypatch):
+    # ALG-ASSOC, the module law and the module-algebra law call their
+    # contract once per row, d**2 times and not d**3, with the rows in
+    # order; a failing identity calls it twice more, to render its witness
+    from ydalgebra import hopf
+
+    rows = []
+    real = hopf.compare
+
+    def counted(t, prefixes, n, width, contract, *rest):
+        def wrapped(acc, prefix, wl, wr):
+            rows.append(prefix)
+            contract(acc, prefix, wl, wr)
+        return real(t, prefixes, n, width, wrapped, *rest)
+
+    monkeypatch.setattr(hopf, "compare", counted)
+    s = parse("\n".join(_base_lines("en2", None)) + "\n")
+    d = s.dim
+    check_algebra(s.carrier.algebra)
+    assert rows == list(square(d))
+    rows.clear()
+    module_algebra_law(s.action, s.carrier.coalgebra, s.carrier.algebra)
+    assert rows == list(square(d))
+    rows.clear()
+    act, alg = _c2_action(RATIONALS, (0, 2))
+    assert module_law(act, alg).failures == 2
+    assert rows == [*square(2), (1, 1), (1, 1)]
+
+
 # --- the modulus is checked when a table is compiled ----------------------------
 
 
@@ -1116,20 +1233,24 @@ HOT_GOLDENS = ("en3-q", "en3-f7", "sweedler-q-brace", "sweedler-f7-brace", "swee
 @pytest.mark.parametrize("name", HOT_GOLDENS)
 def test_suites_make_no_tens2_add_scaled_calls(monkeypatch, name):
     # every identity on a tensor square of the post-Hopf, brace,
-    # matched-pair, Hopf and Rota-Baxter suites runs on compiled tables
+    # matched-pair, Hopf and Rota-Baxter suites runs on compiled tables: the
+    # per-term tensor helper is gone, and the suites call ``tens2`` only for
+    # the unit rows Delta(1) = 1 (x) 1
     from ydalgebra import braces, cli, hopf, posthopf, rota
     from ydalgebra.cli import run_suite
 
+    modules = (hopf, posthopf, braces, cli, rota)
+    assert not any(hasattr(module, "tens2_add_scaled") for module in modules)
     calls = []
-    real = hopf.tens2_add_scaled
+    real = hopf.tens2
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(u, v):
+        calls.append((u, v))
+        return real(u, v)
 
-    for module in (hopf, posthopf, braces, cli, rota):
-        if hasattr(module, "tens2_add_scaled"):
-            monkeypatch.setattr(module, "tens2_add_scaled", counted)
+    for module in modules:
+        if hasattr(module, "tens2"):
+            monkeypatch.setattr(module, "tens2", counted)
     rep = run_suite(parse((GOLDEN / f"{name}.struct").read_text()))
     assert rep.all_pass()
-    assert calls == []
+    assert all(u is v for u, v in calls)

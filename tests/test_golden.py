@@ -16,6 +16,7 @@ from test_cli import run_cli
 from ydalgebra.builders import group_rb_inversion, symmetric_group_3
 from ydalgebra.cli import run_suite
 from ydalgebra.posthopf import check_yd_hopf_monoid, check_yd_post_hopf
+from ydalgebra.report import AXIOM_ORDER
 from ydalgebra.structio import emit, parse
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -286,6 +287,42 @@ def test_suite_mutants_fail_every_contraction_identity_in_each_field(field):
             text = (GOLDEN / f"suite-{name}.report").read_text()
             failing |= {line.split()[0] for line in text.splitlines() if line.split()[1] == "fail"}
     assert set(CONTRACTION_IDS) <= failing
+
+
+# The axiom IDs that fail in no golden report, each with the reason: the
+# test that makes it fail, or that none does yet.  No golden kind holds a
+# morphism of operators, a post-Lie or Lie-RB failure, or a broken group.
+NO_GOLDEN_FAILURE = {
+    "RBM-F": "test_rota.py::test_rbm_f_and_g_fail_on_one_flipped_sign and "
+             "test_rbm_coproduct_row_and_loop_order (its loop-order witness)",
+    "RBM-G": "test_rota.py::test_rbm_f_and_g_fail_on_one_flipped_sign and "
+             "test_rbm_coproduct_row_and_loop_order (its loop-order witness)",
+    "RBM-COMM": "test_rota.py::test_rb_morphism_perturbation_detected",
+    "RBM-ACT": "no test fails it yet",
+    "PL-SKEW": "no test fails it yet: derived post-Lie data is skew by construction",
+    "PL-JAC": "no test fails it yet",
+    "PL-1": "test_posthopf.py::test_check_post_lie_designed_failure",
+    "PL-2": "no test fails it yet",
+    "PL-SUB": "no test fails it yet",
+    "GRB-GROUP-G": "no test fails it yet",
+    "GRB-GROUP-H": "no test fails it yet",
+    "LRB-LIE-G": "no test fails it yet",
+    "LRB-LIE-H": "no test fails it yet",
+    "LRB-ACTION": "no test fails it yet",
+    "LRB-W1": "test_rota.py::test_lie_rb_weight1_failure_detected",
+    "LRB-POSTLIE": "no test fails it yet",
+}
+
+
+def test_every_axiom_id_fails_in_a_golden_or_has_a_reason():
+    # an ID that no golden report shows failing needs a written reason, and
+    # a reason goes once a golden fails the ID
+    failing = set()
+    for path in GOLDEN.glob("*.report"):
+        failing |= {line.split()[0] for line in path.read_text().splitlines() if line.split()[1:2] == ["fail"]}
+    assert [a for a in AXIOM_ORDER if a not in failing and a not in NO_GOLDEN_FAILURE] == []
+    assert sorted(failing & NO_GOLDEN_FAILURE.keys()) == []
+    assert NO_GOLDEN_FAILURE.keys() <= set(AXIOM_ORDER)
 
 
 def write_golden() -> None:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manual_structures import sweedler_transmutation_manual
+from test_compiled import tens2_add_scaled
 from test_hopf import h4_algebra, h4_coalgebra
 from ydalgebra import linalg, posthopf, rota
 from ydalgebra.braces import functor_f, to_matched_pair
@@ -28,7 +29,6 @@ from ydalgebra.hopf import (
     CoalgebraData,
     convolution,
     is_cocommutative,
-    tens2_add_scaled,
     unit_counit_map,
 )
 from ydalgebra.linalg import Matrix, Vector, identity_matrix, unit_vector

@@ -19,13 +19,14 @@ from ydalgebra.builders import (
     group_rb_inversion,
     symmetric_group_3,
 )
-from ydalgebra.field import RATIONALS
-from ydalgebra.hopf import StructureError, is_cocommutative
+from ydalgebra.field import RATIONALS, FieldSpec
+from ydalgebra.hopf import CoalgebraData, StructureError, is_cocommutative
 from ydalgebra.linalg import Matrix, Vector, identity_matrix, invert, unit_vector
 from ydalgebra.posthopf import check_yd_post_hopf
 from ydalgebra.rota import (
     LieData,
     LieRB,
+    _morphism_checker,
     adjunction_bijection,
     antipode_sk,
     check_lie_rb,
@@ -129,6 +130,47 @@ def test_rb_morphism_perturbation_detected():
     bad.entries[(2, 2)] = F(-1)
     rep = check_rb_morphism(r, r, bad, identity_matrix(d, RATIONALS))
     assert rep.entry("RBM-COMM").status == "fail"
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+def test_rbm_f_and_g_fail_on_one_flipped_sign(p):
+    # x -> -x on Sweedler's basis (1, g, x, gx) keeps the coproduct rows
+    # (2, i) and the counit rows (3, i) but not the product rows: g x = gx,
+    # x g = -gx, g gx = x and gx g = -x fail, and the witness is the first
+    # of them; as f it is read against H's product, as g against K's
+    fs = RATIONALS if p is None else FieldSpec(p)
+    r = functor_l(build_sweedler(1, fs) if p is None else build_sweedler(3, fs))
+    ident = identity_matrix(4, fs)
+    flipped = Matrix(4, 4, {**ident.entries, (2, 2): -fs.one}, fs)
+    minus = "-1" if p is None else str(p - 1)
+    f = check_rb_morphism(r, r, flipped, ident).entry("RBM-F")
+    assert (f.status, f.checked, f.failures) == ("fail", 25, 4)
+    assert f.witness.text() == f"at=(0,1,2) lhs=[3:{minus}] rhs=[3:1]"
+    g = check_rb_morphism(r, r, ident, flipped).entry("RBM-G")
+    assert (g.status, g.checked, g.failures) == ("fail", 25, 6)
+    assert g.witness.text() == f"at=(0,1,2) lhs=[3:1] rhs=[3:{minus}]"
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+def test_rbm_coproduct_row_and_loop_order(p):
+    # the identity into Sweedler's H with Delta(x) flipped to co-opposite
+    # fails the coproduct row (2, 2) alone, rendered as pair sums; with
+    # eps(g) changed too, the counit row (3, 1) fails as well, and the
+    # loop's order (2, i), (3, i) per i makes it the witness, though
+    # (2, 2) is less
+    fs = RATIONALS if p is None else FieldSpec(p)
+    h = functor_l(build_sweedler(1, fs) if p is None else build_sweedler(3, fs)).h
+    alg, co = h.algebra, h.coalgebra
+    comul = [list(terms) for terms in co.comul]
+    comul[2] = [(k, j, c) for j, k, c in co.comul[2]]
+    ident = identity_matrix(4, fs)
+    ch = _morphism_checker("RBM-F", ident, alg, co, alg, CoalgebraData(4, comul, co.counit, fs))
+    assert (ch.checked, ch.failures) == (25, 1)
+    assert ch.witness.text() == "at=(2,2) lhs=[(0,2):1;(2,1):1] rhs=[(1,2):1;(2,0):1]"
+    counit = Vector(4, {**co.counit.entries, 1: fs.one + fs.one}, fs)
+    ch = _morphism_checker("RBM-G", ident, alg, co, alg, CoalgebraData(4, comul, counit, fs))
+    assert (ch.checked, ch.failures) == (25, 2)
+    assert ch.witness.text() == "at=(3,1) lhs=[2] rhs=[1]"
 
 
 def test_identity_morphism_passes():
