@@ -4,7 +4,16 @@ Algebras, coalgebras and Hopf bundles live on a fixed finite basis; the
 multiplication is a tensor of sparse vectors, the comultiplication a list
 of (left leg, right leg, coefficient) triples per basis element.  Antipodes
 and convolution inverses are always solved from their defining linear
-systems and re-verified, never assumed.
+systems and re-verified, never assumed.  Both solvers assemble their
+systems as plain-int rows on the compiled tables and hand them to
+``linalg.solve_rows``; a ``Matrix`` or ``Vector`` is built only for the
+result.  The system holds one side of the identity, f*g = eps 1 (for beta,
+alpha*beta = eps Id), one row per coefficient; both sides are then
+re-verified on int sums.  Over a coalgebra C (and, for an antipode, an
+algebra A), Hom(C, A) is a finite-dimensional algebra, where a right
+inverse is two-sided, so either re-check failing is a solver bug; off
+those axioms, a failed g*f only means there is no inverse.  P-CONV runs
+the same compiled re-check, ``_verify_endo_inverse``, on every beta.
 
 Each container compiles its tensor once, on first use, into a plain-int
 table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
@@ -43,14 +52,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .compiled import (
-    IntTable, comul_side, compare, compile_comul, compile_legs, compile_tensor, int_items, legs_side, line,
-    pairs_render, sides, square, vector_render,
+    IntTable, add_bilinear, comul_side, compare, compile_comul, compile_legs, compile_tensor, compile_vectors,
+    int_items, int_linear, legs_side, line, pairs_render, sides, square, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
     LinAlgError,
     Matrix,
-    SolveResult,
     Vector,
     _fp_axpy,
     _fp_bilinear,
@@ -62,8 +70,7 @@ from .linalg import (
     accumulate,
     add_scaled_inplace,
     matrix_from_columns,
-    solve,
-    solve_many,
+    solve_rows,
     unit_vector,
 )
 from .report import Checker, CheckReport, Tally, pairs_text, vector_text
@@ -271,7 +278,6 @@ class ActionTensor:
     target_dim: int
     act: list[list[Vector]]
     field: FieldSpec
-    _mats: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -280,13 +286,6 @@ class ActionTensor:
         for row in self.act:
             if len(row) != self.target_dim or any(v.dim != self.target_dim for v in row):
                 raise StructureError("action tensor target dimension mismatch")
-
-    def matrix(self, i: int) -> Matrix:
-        m = self._mats.get(i)
-        if m is None:
-            m = matrix_from_columns(self.act[i], self.field)
-            self._mats[i] = m
-        return m
 
     def int_act(self) -> IntTable:
         """The action as a compiled table, built once."""
@@ -636,87 +635,122 @@ def unit_counit_map(c: CoalgebraData, a: AlgebraData) -> Matrix:
     return matrix_from_columns(cols, a.field)
 
 
+def _convolution_rows(left: IntTable, comul: IntTable, n: int, rhs: dict, fs: FieldSpec) -> list[dict[int, int]]:
+    """The int rows of (f*g)(x) = sum over Delta(x) of c f_{x_1} g(x_2), one
+    row (x, t) per coefficient t of the value, for the unknown g: unknown
+    k * n + r is the e_r coefficient of g(e_k), and left[j][r] holds the
+    (t, v) of f_j applied to e_r (f(e_j) . e_r for a map into an algebra,
+    alpha_{e_j}(e_r) for one into End(H)), at the scale of its table.  rhs
+    maps a row (x, t) to (k, e): the field scalar e, the row's right-hand
+    side, carried in column ncols + k; a row it does not name is
+    homogeneous.  Over Q the row's int sums carry left's scale times the
+    coproduct's, so the right-hand side is e times that scale, and the row
+    is multiplied by e's denominator; over F_p the rows are the residues in
+    [1, p)."""
+    p = fs.p
+    ncols = len(comul.rows) * n
+    scale = left.scale * comul.scale
+    left = left.rows
+    out = []
+    for x, legs in enumerate(comul.rows):
+        per_t: list[dict[int, int]] = [{} for _ in range(n)]
+        for j, k, c in legs:
+            base = k * n
+            for r, col in enumerate(left[j]):
+                key = base + r
+                for t, v in col:
+                    row = per_t[t]
+                    row[key] = row.get(key, 0) + c * v
+        for t, row in enumerate(per_t):
+            row = dict(int_items(row, p))
+            target = rhs.get((x, t))
+            if target is not None:
+                k, e = target
+                if p is None:
+                    en, q = _q_ratio(e)
+                    if q != 1:
+                        row = {key: v * q for key, v in row.items()}
+                    row[ncols + k] = en * scale
+                elif e.value * scale % p:
+                    row[ncols + k] = e.value * scale % p
+            out.append(row)
+    return out
+
+
+def _convolves_to_unit(left: IntTable, right: IntTable, c: CoalgebraData, a: AlgebraData) -> bool:
+    """Whether (f*g)(x) = eps(x) 1 for every x, for the maps C -> A whose
+    columns f(e_j) and g(e_k) are compiled in left and right: the sum over
+    Delta(x) of c f(x_1) . g(x_2) on int sums, at the scale of the four
+    tables, against eps(x) 1 cross-multiplied by that scale."""
+    mul, comul = a.int_mul(), c.int_comul()
+    unit, counit = compile_vectors([a.unit], a.field), compile_vectors([c.counit], a.field)
+    scale = mul.scale * comul.scale * left.scale * right.scale
+    w = unit.scale * counit.scale
+    eps = dict(counit.rows[0])
+    p = a.field.p
+    for x, legs in enumerate(comul.rows):
+        acc: dict[int, int] = {}
+        for j, k, cc in legs:
+            add_bilinear(acc, mul.rows, left.rows[j], right.rows[k], cc * w)
+        e = eps.get(x)
+        if e:
+            for t, u in unit.rows[0]:
+                acc[t] = acc.get(t, 0) - e * u * scale
+        if int_items(acc, p):
+            return False
+    return True
+
+
 def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix | None:
-    """Unique g with f*g = g*f = unit*counit, solved as a linear system.
+    """The convolution inverse g of f: C -> A, f*g = g*f = unit*counit,
+    solved from the one-sided system f*g = unit*counit on the compiled
+    tables, or None.
 
-    Both convolution identities are re-verified before returning; None when
-    the system is inconsistent (f is not convolution invertible).  The system
-    holds both identities, so a failed re-check is a bug and raises
-    ``LinAlgError``.
+    The system has one int row per (x, t), the e_t coefficient of
+    (f*g)(x) = sum c f(x_1) . g(x_2) (``_convolution_rows``), with the
+    rows f(e_j) . e_r formed once per (j, r) from ``a.int_mul()``, and is
+    solved by ``linalg.solve_rows``.  None when it is inconsistent: f has
+    no right inverse.  A consistent system with a kernel raises
+    ``StructureError`` (a two-sided inverse is unique).  Then both f*g and
+    g*f are re-verified on int sums (``_convolves_to_unit``); each row of
+    the system is a coefficient of f*g, so that re-check is the solver's
+    own check, and:
+
+    - f*g fails: a solver bug, ``LinAlgError``;
+    - g*f fails while C passes ``check_coalgebra`` and A ``check_algebra``:
+      then Hom(C, A) is a finite-dimensional algebra, where a right inverse
+      is two-sided and unique, so this is a bug too, ``LinAlgError``;
+    - g*f fails otherwise: g is only a right inverse, and the result is
+      None.
     """
-    d = c.dim
+    d, n = c.dim, a.dim
     fs = a.field
-    # left-multiplication matrices by f(e_j) and right-multiplication by f(e_k)
-    lmul: dict[int, Matrix] = {}
-    rmul: dict[int, Matrix] = {}
-    for j in range(d):
-        v = f.column(j)
-        lcols = [a.mul_vec(v, unit_vector(d, r, fs)) for r in range(d)]
-        rcols = [a.mul_vec(unit_vector(d, r, fs), v) for r in range(d)]
-        lmul[j] = matrix_from_columns(lcols, fs)
-        rmul[j] = matrix_from_columns(rcols, fs)
-
-    # unknown u[k*d + r] = coefficient of e_r in g(e_k)
-    rows: list[dict[int, Scalar]] = []
-    rhs: dict[int, Scalar] = {}
-    unit_entries = a.unit.entries
-
-    def emit(row: dict[int, Scalar], value: Scalar):
-        idx = len(rows)
-        rows.append(row)
-        if value:
-            rhs[idx] = value
-
-    for i in range(d):
-        eps_i = c.eps(i)
-        lrow: dict[int, dict[int, Scalar]] = {}
-        rrow: dict[int, dict[int, Scalar]] = {}
-        for j, k, s in c.comul[i]:
-            for (t, r), av in lmul[j].entries.items():
-                col = k * d + r
-                dst = lrow.setdefault(t, {})
-                w = dst.get(col)
-                w = s * av if w is None else w + s * av
-                if w:
-                    dst[col] = w
-                else:
-                    del dst[col]
-            for (t, r), av in rmul[k].entries.items():
-                col = j * d + r
-                dst = rrow.setdefault(t, {})
-                w = dst.get(col)
-                w = s * av if w is None else w + s * av
-                if w:
-                    dst[col] = w
-                else:
-                    del dst[col]
-        for t in range(d):
-            target = eps_i * unit_entries.get(t, fs.zero)
-            emit(lrow.get(t, {}), target)
-            emit(rrow.get(t, {}), target)
-
-    mat = Matrix(
-        len(rows),
-        d * d,
-        {(ri, cj): v for ri, row in enumerate(rows) for cj, v in row.items()},
-        fs,
-    )
-    res: SolveResult = solve(mat, Vector(len(rows), rhs, fs))
-    if res.solution is None:
+    if f.cols != d or f.rows != n:
+        raise StructureError("convolution shape mismatch")
+    mul = a.int_mul()
+    m = mul.rows
+    fcols = compile_vectors([f.column(j) for j in range(d)], fs)
+    mcols = [[m[s][r] for s in range(n)] for r in range(n)]
+    left = IntTable([[int_linear(mcols[r], col, fs.p) for r in range(n)] for col in fcols.rows],
+                    fcols.scale * mul.scale)
+    eps = c.counit.entries
+    rhs = {(x, t): (0, e * u) for x, e in eps.items() for t, u in a.unit.entries.items()}
+    rows = _convolution_rows(left, c.int_comul(), n, rhs, fs)
+    (sol,), kern = solve_rows(rows, d * n, 1, fs)
+    if sol is None:
         return None
-    if res.kernel:
+    if kern:
         # a two-sided convolution inverse is unique; a solvable system with a
         # nontrivial kernel contradicts that, so flag corrupted input loudly
         raise StructureError("convolution inverse system is underdetermined")
-    g = Matrix(
-        d,
-        d,
-        {(r, k): v for (idx, v) in res.solution.entries.items() for k, r in [divmod(idx, d)]},
-        fs,
-    )
-    ue = unit_counit_map(c, a)
-    if convolution(f, g, c, a) != ue or convolution(g, f, c, a) != ue:
-        raise LinAlgError("convolution inverse self-check failed: f*g or g*f != unit*counit")
+    g = Matrix(n, d, {(r, k): v for idx, v in sol.entries.items() for k, r in [divmod(idx, n)]}, fs)
+    gcols = compile_vectors([g.column(k) for k in range(d)], fs)
+    if not _convolves_to_unit(fcols, gcols, c, a):
+        raise LinAlgError("convolution inverse self-check failed: f*g != unit*counit")
+    if not _convolves_to_unit(gcols, fcols, c, a):
+        if check_coalgebra(c).all_pass() and check_algebra(a).all_pass():
+            raise LinAlgError("convolution inverse self-check failed: g*f != unit*counit")
+        return None
     return g
 
 
@@ -738,40 +772,25 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
     The defining system in dim^3 unknowns splits into d blocks, one per
     target basis vector y, which share one coefficient matrix: row x*d + t,
     unknown z*d + r (the e_r coefficient of beta_{e_z}(e_y)), holding
-    (alpha*beta)(x) at e_t.  Only the right-hand side eps(x) e_y changes
-    with y, so the d blocks are solved by one elimination carrying d
-    right-hand sides (``linalg.solve_many``); ``kernel_dim`` is d times
-    the dimension of that matrix's kernel.  Both compositions are verified on the
-    assembled tensor before returning.  The system holds alpha*beta only.
-    Over a coassociative, counital C, Hom(C, End(H)) is a finite-dimensional
-    algebra, where a one-sided inverse is two-sided; so a failed re-check
-    there is a bug and raises ``LinAlgError``.  Over a C that fails those
-    axioms, beta*alpha can fail for real, and beta is None.
+    (alpha*beta)(x) at e_t.  Its int rows come from ``alpha.int_act()`` and
+    ``c.int_comul()`` (``_convolution_rows``).  Only the right-hand side
+    eps(x) e_y changes with y, so the d blocks are solved by one
+    elimination carrying d right-hand sides (``linalg.solve_rows``);
+    ``kernel_dim`` is d times the dimension of that matrix's kernel.  Both
+    compositions are verified on the compiled tables before returning; the
+    alpha*beta re-check is the solver's own check.  The system holds
+    alpha*beta only.  Over a coassociative, counital C, Hom(C, End(H)) is a
+    finite-dimensional algebra, where a one-sided inverse is two-sided; so a
+    failed re-check there is a bug and raises ``LinAlgError``.  Over a C
+    that fails those axioms, beta*alpha can fail for real, and beta is None.
     """
     d = c.dim
     fs = alpha.field
     if alpha.acting_dim != d or alpha.target_dim != d:
         raise StructureError("endomorphism-valued inverse needs a square action")
-    entries: dict[tuple[int, int], Scalar] = {}
-    for x in range(d):
-        per_t: dict[int, dict[int, Scalar]] = {}
-        for x1, x2, s in c.comul[x]:
-            amat = alpha.matrix(x1)
-            for (t, r), av in amat.entries.items():
-                col = x2 * d + r
-                dst = per_t.setdefault(t, {})
-                w = dst.get(col)
-                w = s * av if w is None else w + s * av
-                if w:
-                    dst[col] = w
-                else:
-                    del dst[col]
-        for t, row in per_t.items():
-            for col, v in row.items():
-                entries[(x * d + t, col)] = v
-    mat = Matrix(d * d, d * d, entries, fs)
-    rhs = [Vector(d * d, {x * d + y: c.eps(x) for x in range(d)}, fs) for y in range(d)]
-    sols, kern = solve_many(mat, rhs)
+    rhs = {(x, t): (t, e) for x, e in c.counit.entries.items() for t in range(d)}
+    rows = _convolution_rows(alpha.int_act(), c.int_comul(), d, rhs, fs)
+    sols, kern = solve_rows(rows, d * d, d, fs)
     for y, sol in enumerate(sols):
         if sol is None:
             # kernel_dim sums the kernels of the blocks before y, which solved
@@ -800,26 +819,42 @@ def _verify_endo_inverse(
     """(alpha*beta)(x) = eps(x) Id and (beta*alpha)(x) = eps(x) Id, as two
     tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``.
 
-    Column y of (f*g)(x) is the sum over Delta(x) of s f_{x1}(g_{x2}(e_y)),
-    accumulated term by term on the int helpers; no matrix is built."""
+    Column y of (f*g)(x) is the sum over Delta(x) of c f_{x1}(g_{x2}(e_y)),
+    summed as ints on the compiled tables, keyed y * d + t, and compared
+    with eps(x) e_y cross-multiplied by the scales; no matrix is built."""
     d = c.dim
+    fs = c.field
+    p = fs.p
+    xa, xb, comul = alpha.int_act(), beta.int_act(), c.int_comul()
+    counit = compile_vectors([c.counit], fs)
+    eps = dict(counit.rows[0])
+    scale = comul.scale * xa.scale * xb.scale
+    diagonal = range(0, d * d, d + 1)
+
+    def unit(f: list, g: list, x: int) -> bool:
+        acc: dict[int, int] = {}
+        get = acc.get
+        for x1, x2, cc in comul.rows[x]:
+            fx = f[x1]
+            cc *= counit.scale
+            for y, col in enumerate(g[x2]):
+                base = y * d
+                for r, b in col:
+                    w = cc * b
+                    for t, v in fx[r]:
+                        key = base + t
+                        acc[key] = get(key, 0) + w * v
+        e = eps.get(x)
+        if e:
+            e *= scale
+            for key in diagonal:
+                acc[key] = get(key, 0) - e
+        return not int_items(acc, p)
+
     left, right = Tally(), Tally()
     for x in range(d):
-        eps = c.eps(x)
-        ok_left = ok_right = True
-        for y in range(d):
-            target = {y: eps} if eps else {}
-            acc_left: dict[int, Scalar] = {}
-            acc_right: dict[int, Scalar] = {}
-            for x1, x2, s in c.comul[x]:
-                for r, b in beta.act[x2][y].entries.items():
-                    add_scaled_inplace(acc_left, alpha.act[x1][r], s, b)
-                for r, a in alpha.act[x2][y].entries.items():
-                    add_scaled_inplace(acc_right, beta.act[x1][r], s, a)
-            ok_left = ok_left and acc_left == target
-            ok_right = ok_right and acc_right == target
-        left.record((x,), ok_left, "alpha*beta", "eps Id")
-        right.record((x,), ok_right, "beta*alpha", "eps Id")
+        left.record((x,), unit(xa.rows, xb.rows, x), "alpha*beta", "eps Id")
+        right.record((x,), unit(xb.rows, xa.rows, x), "beta*alpha", "eps Id")
     return left, right
 
 

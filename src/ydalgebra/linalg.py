@@ -3,13 +3,18 @@
 Solving, kernels and inverses are fraction-free over Q (Bareiss elimination
 on dense systems below 64 columns, cross-multiplication with row-content
 reduction on sparse ones) and plain modular elimination over F_p.  There is
-one elimination path: ``solve_many`` carries any number of right-hand sides
-as extra columns through one forward elimination and back-substitutes each
-on its own; ``solve``, ``kernel`` and ``invert`` are its cases with one, no
-and n right-hand sides.  The sparse engines keep a column -> row-id index,
-so a pivot visits only the rows that hold its column.  Every result is
-re-verified against its defining equation before it is returned, so a bug
-in the solver can never silently corrupt a structure check.
+one elimination path, ``solve_rows``, on plain-int rows: it carries any
+number of right-hand sides as extra columns through one forward elimination
+and back-substitutes all of them, and the kernel basis, in one pass over
+the pivots.  ``solve_many`` turns a ``Matrix`` into those rows; ``solve``,
+``kernel`` and ``invert`` are its cases with one, no and n right-hand sides.
+The convolution solvers of ``hopf`` build their rows from compiled tables
+and call ``solve_rows`` directly.  The sparse engines keep a column ->
+row-id index, so a pivot visits only the rows that hold its column.  Every
+result is re-verified against its defining equation before it is returned
+(a kernel vector against the rows, a ``Matrix`` solution against A x = b,
+a convolution inverse by the identity its rows are the coefficients of), so
+a bug in the solver can never silently corrupt a structure check.
 
 A ``Vector`` or ``Matrix`` is never mutated after it is built, which lets
 vectors be shared: each ``Matrix`` keeps one per-column index, built on
@@ -423,14 +428,19 @@ class SolveResult:
 
 # --- elimination engines ------------------------------------------------
 #
-# Internally a system is a list of rows over plain ints: over Q each row is
-# stored with denominators cleared (fraction-free); over F_p as residues in
-# [1, p).  Forward elimination pivots on the coefficient columns
-# 0..ncols-1 only.  A row may hold further columns, the right-hand sides,
-# which are carried through every row operation and never pivoted on.  It
-# returns the echelon rows, pivot rows first (pivot i in row i), and the
-# pivot (row, col) list; every row after the pivot rows is zero on the
-# coefficient columns.
+# A system is a list of rows over plain ints, the input of ``solve_rows``:
+# over Q each row is stored with denominators cleared (fraction-free); over
+# F_p as residues in [1, p).  Forward elimination pivots on the coefficient
+# columns 0..ncols-1 only.  A row may hold further columns, the right-hand
+# sides, which are carried through every row operation and never pivoted
+# on.  It returns the echelon rows, pivot rows first (pivot i in row i),
+# and the pivot (row, col) list; every row after the pivot rows is zero on
+# the coefficient columns.  Back-substitution (``_back_substitute_all``)
+# then walks the pivots once, last first, for every consistent right-hand
+# side and every kernel vector together: each pivot row is split once into
+# its carried part and its coefficient part, and an unknown's values in
+# all the systems are kept in one dict, so a row costs one pass over its
+# entries however many right-hand sides there are.
 #
 # The sparse engines keep a column index: for each coefficient column, the
 # ids of the active rows that hold it, so a pivot visits only those rows.
@@ -594,115 +604,166 @@ def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
     return done, pivots
 
 
-def _to_int_rows(rowvecs: list[dict[int, Scalar]], fs: FieldSpec) -> list[dict[int, int]]:
-    out = []
-    if fs.p is None:
-        for r in rowvecs:
-            lcm = 1
-            for v in r.values():
-                lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-            row = {c: int(v * lcm) for c, v in r.items() if v}
-            out.append(row)
-    else:
-        for r in rowvecs:
-            row = {c: v.value for c, v in r.items() if v.value}
-            out.append(row)
-    return out
-
-
-def _echelon(rowvecs: list[dict[int, Scalar]], ncols: int, fs: FieldSpec):
-    rows = _to_int_rows(rowvecs, fs)
-    if fs.p is not None:
-        return _forward_fp(rows, ncols, fs.p)
+def _forward(rows: list[dict[int, int]], ncols: int, p: int | None):
+    """The engine for the field: modular over F_p, Bareiss over Q below
+    ``_DENSE_LIMIT`` coefficient columns, sparse fraction-free above."""
+    if p is not None:
+        return _forward_fp(rows, ncols, p)
     if ncols < _DENSE_LIMIT:
         return _forward_dense_q(rows, ncols)
     return _forward_sparse_q(rows, ncols)
 
 
-def _back_substitute(
-    ech: list[dict[int, int]],
-    pivots: list[tuple[int, int]],
-    ncols: int,
-    fs: FieldSpec,
-    rhs_col: int | None,
-    free_values: dict[int, Scalar],
-) -> Vector:
-    """Solve the echelon system with given free-variable values.
+def _back_substitute_all(ech, pivots, ncols: int, rhs: list[int], p: int | None):
+    """Solve the echelon system in one pass over its pivots, last first, for
+    every right-hand side k of rhs (carried column ncols + k) with the free
+    variables at 0, and for the kernel basis: per free column f, in column
+    order, x_f = 1 and every right-hand side 0.
 
-    The right-hand side is the carried column ``rhs_col`` (None for the
-    homogeneous system); every other carried column is ignored.  The
-    caller has checked that this right-hand side is consistent.  The sums
-    run on plain ints (Q: ints and Fractions; F_p: residues).
-    """
-    p = fs.p
-    x: dict[int, int | Fraction] = {
-        c: v if p is None else v.value for c, v in free_values.items() if v}
+    The systems are numbered: rhs[i] is system i, the i-th free column is
+    system len(rhs) + i.  x[col] maps each system to the unknown's nonzero
+    value in it.  Each pivot row is split once into its carried part, read
+    for the systems of rhs only, and its coefficient part, which adds the
+    values of every system its unknowns hold; the caller has checked that
+    each right-hand side of rhs is consistent.  The sums run on plain ints
+    (Q: ints and Fractions; F_p: residues).  Returns one dict col -> value
+    per system, in system order."""
+    n = len(rhs)
+    system = {ncols + k: i for i, k in enumerate(rhs)}
+    pivot_cols = {c for _, c in pivots}
+    free = [f for f in range(ncols) if f not in pivot_cols]
+    out: list[dict] = [{} for _ in range(n + len(free))]
+    x: dict[int, dict[int, int | Fraction]] = {}
+    for i, f in enumerate(free, n):
+        x[f] = {i: 1}
+        out[i][f] = 1
     for r, c in reversed(pivots):
         row = ech[r]
-        acc = row.get(rhs_col, 0)
-        # x holds the free columns and the pivots solved so far: neither
-        # this pivot nor a carried column
+        acc: dict[int, int | Fraction] = {}
+        terms = []
         for cc, v in row.items():
-            xv = x.get(cc)
-            if xv is not None:
-                acc -= v * xv
+            if cc >= ncols:
+                i = system.get(cc)
+                if i is not None:
+                    acc[i] = v
+            elif cc != c:
+                xs = x.get(cc)
+                if xs:
+                    terms.append((v, xs))
+        get = acc.get
+        for v, xs in terms:
+            for i, xv in xs.items():
+                acc[i] = get(i, 0) - v * xv
+        pl = row[c]
+        vals = {}
         if p is None:
-            val = canonical(Fraction(acc, row[c]))  # int / int would be a float
+            for i, a in acc.items():
+                if a.__class__ is int:
+                    if a:
+                        vals[i] = Fraction(a, pl) if a % pl else a // pl  # a / pl would be a float
+                elif a:
+                    vals[i] = canonical(a / pl)
         else:
-            val = acc * pow(row[c], p - 2, p) % p
-        if val:
-            x[c] = val
+            inv = 1 if pl == 1 else pow(pl, p - 2, p)
+            for i, a in acc.items():
+                a = a * inv % p
+                if a:
+                    vals[i] = a
+        if vals:
+            x[c] = vals
+            for i, a in vals.items():
+                out[i][c] = a
+    return out
+
+
+def _result_vector(dim: int, x: dict, fs: FieldSpec) -> Vector:
+    """The Vector of a back-substituted dict: Q values are already canonical,
+    F_p residues become ``ModInt``s."""
+    p = fs.p
     if p is not None:
         x = {c: ModInt(v, p) for c, v in x.items()}
-    return Vector(ncols, x, fs)
+    return _vector(dim, x, fs)
 
 
-def _rows_of_matrix(a: Matrix) -> list[dict[int, Scalar]]:
-    rows: list[dict[int, Scalar]] = [dict() for _ in range(a.rows)]
+def solve_rows(rows: list[dict[int, int]], ncols: int, nrhs: int,
+               fs: FieldSpec) -> tuple[list[Vector | None], list[Vector]]:
+    """One particular solution for each of nrhs right-hand sides (None where
+    inconsistent), plus a kernel basis, of a system given as plain-int rows:
+    the int-row entry of the solver, which ``solve_many`` and the convolution
+    solvers of ``hopf`` call.
+
+    A row maps coefficient columns 0..ncols-1 and carried columns
+    ncols + k, right-hand side k, to ints: over Q with denominators cleared
+    (a row may be any nonzero multiple of its equation), over F_p residues
+    in [1, p).  Right-hand side k is inconsistent when an echelon row that
+    is zero on the coefficient columns is nonzero in its column.  Every
+    consistent right-hand side, and the kernel basis (one vector per free
+    column, in column order), is back-substituted in one pass
+    (``_back_substitute_all``), with the free variables at 0.  Each kernel
+    vector is checked against the rows, and a failed check is a solver bug
+    that raises ``LinAlgError``; a solution is not checked here, because its
+    caller checks the identity it solves (``solve_many`` checks A x = b).
+    """
+    p = fs.p
+    ech, pivots = _forward(rows, ncols, p)
+    inconsistent = set()
+    for row in ech[len(pivots):]:
+        for c in row:
+            if c < ncols:
+                # forward elimination pivots on every column it can reach
+                raise LinAlgError("unreachable echelon shape")
+            inconsistent.add(c - ncols)
+    rhs = [k for k in range(nrhs) if k not in inconsistent]
+    xs = _back_substitute_all(ech, pivots, ncols, rhs, p)
+    sols: list[Vector | None] = [None] * nrhs
+    for k, x in zip(rhs, xs):
+        sols[k] = _result_vector(ncols, x, fs)
+    kern = xs[len(rhs):]
+    for v in kern:
+        for row in rows:
+            s = sum(a * v[c] for c, a in row.items() if c in v)
+            if s if p is None else s % p:
+                raise LinAlgError("solver self-check failed: kernel vector")
+    return sols, [_result_vector(ncols, v, fs) for v in kern]
+
+
+def _matrix_rows(a: Matrix, bs: list[Vector]) -> list[dict[int, int]]:
+    """The int rows of A with b_k carried as column a.cols + k: over Q each
+    row times the lcm of its denominators, over F_p the residues."""
+    n = a.cols
+    rows: list[dict[int, Scalar]] = [{} for _ in range(a.rows)]
     for (r, c), v in a.entries.items():
         rows[r][c] = v
-    return rows
+    for k, b in enumerate(bs):
+        if b.dim != a.rows:
+            raise LinAlgError("dimension mismatch in solve")
+        for i, v in b.entries.items():
+            rows[i][n + k] = v
+    if a.field.p is not None:
+        return [{c: v.value for c, v in r.items()} for r in rows]
+    out = []
+    for r in rows:
+        lcm = 1
+        for v in r.values():
+            if v.__class__ is not int:
+                q = v._denominator
+                lcm = lcm * q // gcd(lcm, q)
+        out.append({c: v * lcm if v.__class__ is int else v._numerator * (lcm // v._denominator)
+                    for c, v in r.items()})
+    return out
 
 
 def solve_many(a: Matrix, bs: list[Vector]) -> tuple[list[Vector | None], list[Vector]]:
     """One particular solution of A x = b for each b of bs (None where
-    inconsistent), plus a kernel basis of A, from one forward elimination.
-
-    Right-hand side k is carried as column a.cols + k; it is inconsistent
-    when an echelon row that is zero on A's columns is nonzero there.  Each
-    consistent b is back-substituted on its own, with the free variables
-    at 0.  The kernel basis, one vector per free column in column order,
-    comes from the same echelon.  Every solution and kernel vector is
-    verified against A before returning; a failed check is a solver bug and
-    raises ``LinAlgError``.
+    inconsistent), plus a kernel basis of A, from one forward elimination:
+    ``solve_rows`` on the int rows of A with b_k carried as column
+    a.cols + k.  Every solution is verified against A x = b before
+    returning; a failed check is a solver bug and raises ``LinAlgError``.
     """
-    n = a.cols
-    fs = a.field
-    rows = _rows_of_matrix(a)
-    for k, b in enumerate(bs):
-        if b.dim != a.rows:
-            raise LinAlgError("dimension mismatch in solve")
-        for i, c in b.entries.items():
-            rows[i][n + k] = c
-    ech, pivots = _echelon(rows, n, fs)
-    inconsistent = set()
-    for row in ech[len(pivots):]:
-        for c in row:
-            if c < n:
-                # forward elimination pivots on every column it can reach
-                raise LinAlgError("unreachable echelon shape")
-            inconsistent.add(c)
-    sols = [None if n + k in inconsistent else _back_substitute(ech, pivots, n, fs, n + k, {})
-            for k in range(len(bs))]
-    pivot_cols = {c for _, c in pivots}
-    kern = [_back_substitute(ech, pivots, n, fs, None, {f: fs.one})
-            for f in range(n) if f not in pivot_cols]
+    sols, kern = solve_rows(_matrix_rows(a, bs), a.cols, len(bs), a.field)
     for x, b in zip(sols, bs):
         if x is not None and a.apply(x) != b:
             raise LinAlgError("solver self-check failed: A x != b")
-    for v in kern:
-        if not a.apply(v).is_zero():
-            raise LinAlgError("solver self-check failed: kernel vector")
     return sols, kern
 
 

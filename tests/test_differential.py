@@ -8,6 +8,11 @@ beta and the antipodes from linear systems with unique solutions, so the
 two agree whenever no constant degenerates mod p.  A prime at which a
 parameter reduces to 0, or divides one of its denominators, is skipped:
 there the F_p structure is a different one, or the reduction is undefined.
+
+The solvers are cross-checked the same way on files without beta: beta
+solved over Q and emitted, then reduced, must be the bytes of beta solved
+from the reduced file, and the braided antipode S_K of the functor L image
+must agree entry by entry after reduction.
 """
 
 import functools
@@ -17,7 +22,9 @@ import pytest
 
 from ydalgebra.builders import build_en, build_suzuki, build_sweedler
 from ydalgebra.cli import run_suite
-from ydalgebra.field import RATIONALS, FieldSpec
+from ydalgebra.field import RATIONALS, FieldSpec, format_scalar
+from ydalgebra.posthopf import solve_beta
+from ydalgebra.rota import antipode_sk, functor_l
 from ydalgebra.structio import emit, parse
 
 F = Fraction
@@ -39,16 +46,50 @@ def _q_text(name: str) -> str:
     return emit(CASES[name][0](RATIONALS))
 
 
-@pytest.mark.parametrize("name,p", PARAMS, ids=[f"{n}-p{p}" for n, p in PARAMS])
-def test_q_build_reduced_mod_p_equals_fp_build(name, p):
-    build, constants = CASES[name]
+def _skip_degenerate(name, p):
+    constants = CASES[name][1]
     bad = [c for c in constants if F(c).numerator % p == 0 or F(c).denominator % p == 0]
     assert 0 not in constants
     if bad:
         pytest.skip(f"constants {bad} vanish or are not invertible mod {p}")
+
+
+def _reduce(text: str, p: int) -> str:
+    return text.replace("field Q\n", f"field Fp {p}\n")
+
+
+def _without_beta(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith("beta "))
+
+
+def _matrix_text(m, fs=None) -> str:
+    """The entries of m as sorted lines "row col value", each value reduced
+    into fs first when fs is given."""
+    def value(v):
+        return v if fs is None else fs.scalar(F(v).numerator, F(v).denominator)
+    return "".join(f"{r} {c} {format_scalar(value(v))}\n" for (r, c), v in sorted(m.entries.items()))
+
+
+@pytest.mark.parametrize("name,p", PARAMS, ids=[f"{n}-p{p}" for n, p in PARAMS])
+def test_q_build_reduced_mod_p_equals_fp_build(name, p):
+    build = CASES[name][0]
+    _skip_degenerate(name, p)
     text = _q_text(name)
     assert "field Q\n" in text
-    reduced = parse(text.replace("field Q\n", f"field Fp {p}\n"))
+    reduced = parse(_reduce(text, p))
     direct = build(FieldSpec(p))
     assert emit(reduced) == emit(direct)
     assert run_suite(reduced).machine_text() == run_suite(direct).machine_text()
+
+
+@pytest.mark.parametrize("name,p", PARAMS, ids=[f"{n}-p{p}" for n, p in PARAMS])
+def test_solvers_on_a_beta_stripped_file_agree_after_reduction(name, p):
+    _skip_degenerate(name, p)
+    stripped = _without_beta(_q_text(name))
+    q, fp = parse(stripped), parse(_reduce(stripped, p))
+    assert q.beta is None and fp.beta is None
+    solve_beta(q)
+    solve_beta(fp)
+    assert emit(parse(_reduce(emit(q), p))) == emit(fp)
+    assert emit(q) == _q_text(name)
+    assert _matrix_text(antipode_sk(functor_l(q)), FieldSpec(p)) == _matrix_text(antipode_sk(functor_l(fp)))

@@ -306,9 +306,9 @@ NO_GOLDEN_FAILURE = {
     "PL-SUB": "no test fails it yet",
     "GRB-GROUP-G": "no test fails it yet",
     "GRB-GROUP-H": "no test fails it yet",
-    "LRB-LIE-G": "no test fails it yet",
-    "LRB-LIE-H": "no test fails it yet",
-    "LRB-ACTION": "no test fails it yet",
+    "LRB-LIE-G": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",
+    "LRB-LIE-H": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",
+    "LRB-ACTION": "test_rota.py::test_lrb_action_fails_where_phi_is_not_a_derivation",
     "LRB-W1": "test_rota.py::test_lie_rb_weight1_failure_detected",
     "LRB-POSTLIE": "no test fails it yet",
 }

@@ -31,8 +31,13 @@ from ydalgebra.hopf import (
     unit_counit_map,
     solve_antipode,
 )
-from ydalgebra.linalg import LinAlgError, Matrix, Vector, identity_matrix, solve, unit_vector
-from ydalgebra.posthopf import solve_beta
+from ydalgebra import linalg
+from ydalgebra.compiled import IntTable
+from ydalgebra.linalg import (
+    LinAlgError, Matrix, Vector, add_scaled_inplace, identity_matrix, matrix_from_columns, solve, solve_many,
+    unit_vector,
+)
+from ydalgebra.posthopf import bullet_algebra, solve_beta
 from ydalgebra.report import Tally
 from ydalgebra.structio import emit, parse
 
@@ -242,15 +247,33 @@ def test_tensor_vectors_must_have_the_tensor_dimension():
         ActionTensor(4, 4, rows, RATIONALS)
 
 
-def test_convolution_inverse_failed_self_check_raises(monkeypatch):
-    # the system holds f*g and g*f, so a failed re-check is a solver bug
-    real = hopf.convolution
+def _plus_e0(table: IntTable, column: int) -> IntTable:
+    """table with e_0 added to one compiled column."""
+    rows = list(table.rows)
+    col = dict(rows[column])
+    col[0] = col.get(0, 0) + table.scale
+    rows[column] = tuple(sorted((k, v) for k, v in col.items() if v))
+    return IntTable(rows, table.scale)
 
-    def corrupted(f, g, c, a):
-        m = real(f, g, c, a)
-        return m.add(identity_matrix(m.rows, m.field))
 
-    monkeypatch.setattr(hopf, "convolution", corrupted)
+@pytest.mark.parametrize("corrupt", ["solution", "re-check"])
+def test_convolution_inverse_failed_self_check_raises(monkeypatch, corrupt):
+    # each row of the system is a coefficient of f*g, so f*g re-checked on
+    # the solved g failing is a solver bug: corrupt the back-substitution,
+    # or the re-check's reading of g
+    if corrupt == "solution":
+        real_back = linalg._back_substitute_all
+
+        def corrupted_back(*args, **kwargs):
+            out = real_back(*args, **kwargs)
+            out[0][0] = out[0].get(0, 0) + 1 or 1
+            return out
+
+        monkeypatch.setattr(linalg, "_back_substitute_all", corrupted_back)
+    else:
+        real = hopf._convolves_to_unit
+        monkeypatch.setattr(hopf, "_convolves_to_unit",
+                            lambda left, right, c, a: real(left, _plus_e0(right, 1), c, a))
     with pytest.raises(LinAlgError, match="self-check"):
         solve_antipode(h4_algebra(), h4_coalgebra())
 
@@ -291,6 +314,11 @@ def test_hom_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
 # --- beta: one elimination for the d target blocks --------------------------
 
 
+def _action_matrix(act, i):
+    """The map e_i >- . as a Matrix."""
+    return matrix_from_columns(act.act[i], act.field)
+
+
 def ref_verify_endo_inverse(alpha, beta, c):
     """The matrix-composing check that ``_verify_endo_inverse`` replaced:
     (alpha*beta)(x) and (beta*alpha)(x) summed as matrices over Delta(x)."""
@@ -302,8 +330,8 @@ def ref_verify_endo_inverse(alpha, beta, c):
         acc1 = Matrix(d, d, {}, fs)
         acc2 = Matrix(d, d, {}, fs)
         for x1, x2, s in c.comul[x]:
-            acc1 = acc1.add(alpha.matrix(x1).compose(beta.matrix(x2)).scale(s))
-            acc2 = acc2.add(beta.matrix(x1).compose(alpha.matrix(x2)).scale(s))
+            acc1 = acc1.add(_action_matrix(alpha, x1).compose(_action_matrix(beta, x2)).scale(s))
+            acc2 = acc2.add(_action_matrix(beta, x1).compose(_action_matrix(alpha, x2)).scale(s))
         target = ident.scale(c.eps(x))
         left.record((x,), acc1 == target, "alpha*beta", "eps Id")
         right.record((x,), acc2 == target, "beta*alpha", "eps Id")
@@ -324,7 +352,7 @@ def ref_hom_convolution_inverse_endo(alpha, c):
             eps_x = c.eps(x)
             per_t = {}
             for x1, x2, s in c.comul[x]:
-                for (t, r), av in alpha.matrix(x1).entries.items():
+                for (t, r), av in _action_matrix(alpha, x1).entries.items():
                     dst = per_t.setdefault(t, {})
                     col = x2 * d + r
                     w = dst.get(col)
@@ -440,3 +468,228 @@ def test_solve_beta_reproduces_the_dim32_builder_beta(field):
     assert s.beta is None
     assert solve_beta(s) == built.beta
     assert emit(s) == emit(built)
+
+
+# --- convolution inverses on compiled int rows --------------------------------
+
+
+def ref_convolution_inverse(f, c, a):
+    """The two-sided Vector-path solver that ``convolution_inverse``
+    replaced: rows for f*g and for g*f, from left and right multiplication
+    matrices, solved as one system and re-checked with ``convolution``."""
+    d = c.dim
+    fs = a.field
+    lmul, rmul = {}, {}
+    for j in range(d):
+        v = f.column(j)
+        lmul[j] = matrix_from_columns([a.mul_vec(v, unit_vector(d, r, fs)) for r in range(d)], fs)
+        rmul[j] = matrix_from_columns([a.mul_vec(unit_vector(d, r, fs), v) for r in range(d)], fs)
+    rows, rhs = [], {}
+    for i in range(d):
+        eps_i = c.eps(i)
+        lrow, rrow = {}, {}
+        for j, k, s in c.comul[i]:
+            for (t, r), av in lmul[j].entries.items():
+                dst = lrow.setdefault(t, {})
+                dst[k * d + r] = dst.get(k * d + r, fs.zero) + s * av
+            for (t, r), av in rmul[k].entries.items():
+                dst = rrow.setdefault(t, {})
+                dst[j * d + r] = dst.get(j * d + r, fs.zero) + s * av
+        for t in range(d):
+            target = eps_i * a.unit.get(t)
+            for half in (lrow, rrow):
+                if target:
+                    rhs[len(rows)] = target
+                rows.append(half.get(t, {}))
+    mat = Matrix(len(rows), d * d, {(ri, cj): v for ri, row in enumerate(rows) for cj, v in row.items()}, fs)
+    res = solve(mat, Vector(len(rows), rhs, fs))
+    if res.solution is None:
+        return None
+    if res.kernel:
+        raise StructureError("convolution inverse system is underdetermined")
+    g = Matrix(d, d, {(r, k): v for idx, v in res.solution.entries.items() for k, r in [divmod(idx, d)]}, fs)
+    ue = unit_counit_map(c, a)
+    if convolution(f, g, c, a) != ue or convolution(g, f, c, a) != ue:
+        raise LinAlgError("self-check failed")
+    return g
+
+
+def _reduced(v, fs):
+    return Vector(v.dim, {i: fs.scalar(x.numerator, x.denominator) for i, x in v.entries.items()}, fs)
+
+
+def _h4_over(fs):
+    """The hand-written h4 tables over fs."""
+    a, c = h4_algebra(), h4_coalgebra()
+    if fs.p is None:
+        return a, c
+    alg = AlgebraData(4, a.basis_labels, [[_reduced(v, fs) for v in row] for row in a.mul],
+                      _reduced(a.unit, fs), fs)
+    co = CoalgebraData(4, [[(j, k, fs.scalar(x.numerator, x.denominator)) for j, k, x in t] for t in c.comul],
+                       _reduced(c.counit, fs), fs)
+    return alg, co
+
+
+def _nilpotent_grouplike(fs):
+    # e*e = 0 with Delta(e) = e (x) e: the identity has no convolution inverse
+    one, z = fs.one, Vector(2, {}, fs)
+    mul = [[Vector(2, {0: one}, fs), Vector(2, {1: one}, fs)], [Vector(2, {1: one}, fs), z]]
+    a = AlgebraData(2, ["1", "e"], mul, Vector(2, {0: one}, fs), fs)
+    c = CoalgebraData(2, [[(0, 0, one)], [(1, 1, one)]], Vector(2, {0: one, 1: one}, fs), fs)
+    return a, c
+
+
+SOLVER_CASES = ["h4", "nilpotent", "sweedler", "en2", "en3", "suzuki:1:1", "suzuki:1:-1", "suzuki:-1:1",
+                "suzuki:-1:-1"]
+
+
+def _solver_algebras(name, fs):
+    """(algebra, coalgebra) pairs: the carrier and the subadjacent (bullet)
+    algebra of a built structure, or the hand-written tables."""
+    if name == "h4":
+        return [_h4_over(fs)]
+    if name == "nilpotent":
+        return [_nilpotent_grouplike(fs)]
+    s = _beta_source(name, fs)
+    return [(s.carrier.algebra, s.carrier.coalgebra), (bullet_algebra(s), s.carrier.coalgebra)]
+
+
+@pytest.mark.parametrize("field", sorted(BETA_FIELDS))
+@pytest.mark.parametrize("name", SOLVER_CASES)
+def test_antipode_matches_the_two_sided_vector_solver(name, field):
+    fs = BETA_FIELDS[field]
+    for a, c in _solver_algebras(name, fs):
+        got = solve_antipode(a, c)
+        assert got == ref_convolution_inverse(identity_matrix(a.dim, fs), c, a)
+        assert (got is None) == (name == "nilpotent")
+
+
+def _non_coassociative_right_inverse():
+    # over the non-coassociative coalgebra below, in the associative
+    # k[a, b]/(a, b)^2, the map 1, a -> 1, b -> b has a right convolution
+    # inverse that is not a left one
+    c = _non_coassociative_coalgebra()
+    one = F(1)
+    z = Vector(3, {}, RATIONALS)
+    e = [unit_vector(3, i, RATIONALS) for i in range(3)]
+    a = AlgebraData(3, ["1", "a", "b"], [[e[0], e[1], e[2]], [e[1], z, z], [e[2], z, z]], e[0], RATIONALS)
+    assert check_algebra(a).all_pass()
+    f = Matrix(3, 3, {(0, 0): one, (0, 1): one, (2, 2): one}, RATIONALS)
+    return f, c, a
+
+
+def test_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
+    # f*g = eps 1 solves and g*f does not: no inverse, and no exception
+    f, c, a = _non_coassociative_right_inverse()
+    real = hopf._convolves_to_unit
+    verdicts = []
+
+    def counted(left, right, coalg, alg):
+        verdicts.append(real(left, right, coalg, alg))
+        return verdicts[-1]
+
+    monkeypatch.setattr(hopf, "_convolves_to_unit", counted)
+    assert convolution_inverse(f, c, a) is None
+    assert verdicts == [True, False]
+    assert ref_convolution_inverse(f, c, a) is None
+
+
+def test_convolution_inverse_failed_g_star_f_on_valid_axioms_raises(monkeypatch):
+    # over a coalgebra and an algebra a right inverse is two-sided: a g*f
+    # re-check that fails is a solver bug
+    real = hopf._convolves_to_unit
+    calls = []
+
+    def second_corrupted(left, right, c, a):
+        calls.append(None)
+        return real(left, _plus_e0(right, 1) if len(calls) == 2 else right, c, a)
+
+    monkeypatch.setattr(hopf, "_convolves_to_unit", second_corrupted)
+    with pytest.raises(LinAlgError, match="self-check failed: g\\*f"):
+        solve_antipode(h4_algebra(), h4_coalgebra())
+    assert len(calls) == 2
+
+
+def ref_matrix_hom_convolution_inverse_endo(alpha, c):
+    """beta as it was solved before the compiled rows: the block assembled
+    with scalar operators into a checking ``Matrix`` and solved by
+    ``solve_many``, then checked by ``ref_verify_endo_inverse``.  Returns
+    (beta or None, kernel_dim, reason)."""
+    d = c.dim
+    fs = alpha.field
+    entries = {}
+    for x in range(d):
+        for x1, x2, s in c.comul[x]:
+            for (t, r), av in _action_matrix(alpha, x1).entries.items():
+                key = (x * d + t, x2 * d + r)
+                entries[key] = entries.get(key, fs.zero) + s * av
+    mat = Matrix(d * d, d * d, entries, fs)
+    rhs = [Vector(d * d, {x * d + y: c.eps(x) for x in range(d)}, fs) for y in range(d)]
+    sols, kern = solve_many(mat, rhs)
+    for y, sol in enumerate(sols):
+        if sol is None:
+            return None, y * len(kern), f"alpha*beta = eps Id has no solution (at target {y})"
+    cols = [[{} for _ in range(d)] for _ in range(d)]
+    for y, sol in enumerate(sols):
+        for idx, v in sol.entries.items():
+            z, r = divmod(idx, d)
+            cols[z][y][r] = v
+    beta = ActionTensor(d, d, [[Vector(d, e, fs) for e in row] for row in cols], fs)
+    left, right = ref_verify_endo_inverse(alpha, beta, c)
+    if left.failures or (right.failures and check_coalgebra(c).all_pass()):
+        raise LinAlgError("self-check failed")
+    if right.failures:
+        return None, d * len(kern), "beta*alpha != eps Id (one-sided inverse)"
+    return beta, d * len(kern), None
+
+
+def _assert_endo_matches_matrix_solver(alpha, c):
+    res = hom_convolution_inverse_endo(alpha, c)
+    assert (res.beta, res.kernel_dim, res.reason) == ref_matrix_hom_convolution_inverse_endo(alpha, c)
+
+
+@pytest.mark.parametrize("field", sorted(BETA_FIELDS))
+@pytest.mark.parametrize("name", SOLVER_CASES[2:])
+def test_beta_matches_the_matrix_solver(name, field):
+    s = _beta_source(name, BETA_FIELDS[field])
+    _assert_endo_matches_matrix_solver(s.action, s.carrier.coalgebra)
+
+
+def test_beta_matches_the_matrix_solver_without_a_beta():
+    c = _non_coassociative_coalgebra()
+    _assert_endo_matches_matrix_solver(_trivial_action(c), c)
+    for name in sorted(n for n in SUITE_MUTANTS if n.endswith("-nobeta")):
+        s = yd_mutant(*SUITE_MUTANTS[name])
+        _assert_endo_matches_matrix_solver(s.action, s.carrier.coalgebra)
+
+
+def test_beta_matches_the_matrix_solver_on_a_beta_stripped_dim32_file():
+    a = [[F(1) if i == j else F(1, 2) if abs(i - j) == 1 else F(0) for j in range(4)] for i in range(4)]
+    built = build_en(4, a)
+    s = parse("".join(line for line in emit(built).splitlines(keepends=True) if not line.startswith("beta ")))
+    assert s.beta is None
+    _assert_endo_matches_matrix_solver(s.action, s.carrier.coalgebra)
+
+
+@pytest.mark.parametrize("build", ["suzuki", "en2"])
+def test_solvers_make_no_vector_path_calls(monkeypatch, build):
+    # the antipode and beta are assembled, solved and re-checked on int rows
+    s = build_suzuki(1, -1) if build == "suzuki" else _beta_source("en2", RATIONALS)
+    a, c = s.carrier.algebra, s.carrier.coalgebra
+    calls = []
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(AlgebraData, "mul_vec", counting("mul_vec", AlgebraData.mul_vec))
+    monkeypatch.setattr(Matrix, "apply", counting("apply", Matrix.apply))
+    for mod in (linalg, hopf):
+        monkeypatch.setattr(mod, "add_scaled_inplace", counting("add_scaled_inplace", add_scaled_inplace))
+    assert solve_antipode(a, c) == s.carrier.s_map
+    res = hom_convolution_inverse_endo(s.action, c)
+    assert res.beta == s.beta
+    assert all(t.failures == 0 for t in hopf._verify_endo_inverse(s.action, s.beta, c))
+    assert calls == []

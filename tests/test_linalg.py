@@ -106,14 +106,23 @@ def test_invert_singular():
     assert invert(qmat([[1, 1], [1, 1]])) is None
 
 
-def test_invert_failed_self_check_raises(monkeypatch):
-    real = linalg._back_substitute
+def _corrupted_back_substitution(monkeypatch):
+    """Patch the one-pass back-substitution so that every system it solves,
+    each right-hand side and each kernel vector, comes out with 1 added to
+    its unknown 0."""
+    real = linalg._back_substitute_all
 
     def corrupted(*args, **kwargs):
-        x = real(*args, **kwargs)
-        return x.add(unit_vector(x.dim, 0, x.field))
+        out = real(*args, **kwargs)
+        for x in out:
+            x[0] = x.get(0, 0) + 1 or 1
+        return out
 
-    monkeypatch.setattr(linalg, "_back_substitute", corrupted)
+    monkeypatch.setattr(linalg, "_back_substitute_all", corrupted)
+
+
+def test_invert_failed_self_check_raises(monkeypatch):
+    _corrupted_back_substitution(monkeypatch)
     with pytest.raises(LinAlgError, match="self-check"):
         invert(qmat([[1, 1], [0, 1]]))
 
@@ -451,16 +460,10 @@ def test_dense_and_sparse_engines_agree_with_carried_columns(data):
 
 @pytest.mark.parametrize("n", [3, 70], ids=["dense", "sparse"])
 def test_solve_many_corrupted_back_substitution_raises(monkeypatch, n):
-    real = linalg._back_substitute
-
-    def corrupted(*args, **kwargs):
-        x = real(*args, **kwargs)
-        return x.add(unit_vector(x.dim, 0, x.field))
-
     singular = _rank_deficient(n, RATIONALS)
     full = Matrix(n, n, {**singular.entries, (n - 1, n - 1): Fraction(1)}, RATIONALS)
     bs = [Vector(n, {0: Fraction(2)}, RATIONALS), Vector(n, {1: Fraction(1)}, RATIONALS)]
-    monkeypatch.setattr(linalg, "_back_substitute", corrupted)
+    _corrupted_back_substitution(monkeypatch)
     with pytest.raises(LinAlgError, match="A x != b"):
         linalg.solve_many(full, bs)
     with pytest.raises(LinAlgError, match="kernel vector"):

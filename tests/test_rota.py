@@ -275,3 +275,64 @@ def test_restrict_to_grouplikes_trivial_singleton():
     r = functor_l(s)
     grb = restrict_to_grouplikes(r, [unit_vector(4, 0, RATIONALS)])
     assert grb.group_h.order == 1 and grb.r == [0]
+
+
+def _lie(d, brackets, fs):
+    """LieData on d basis vectors with [e_i, e_j] = brackets[(i, j)], a dict
+    {k: int}; unnamed brackets are 0."""
+    z = Vector(d, {}, fs)
+    table = [[z] * d for _ in range(d)]
+    for (i, j), v in brackets.items():
+        table[i][j] = Vector(d, {k: fs.scalar(c) for k, c in v.items()}, fs)
+    return LieData(d, table, fs)
+
+
+def _lie_rb(lie_g, lie_h, phi=None):
+    """R = 0 from lie_h to lie_g, phi = 0 unless given."""
+    fs = lie_g.field
+    if phi is None:
+        z = Vector(lie_h.dim, {}, fs)
+        phi = ActionTensor(lie_g.dim, lie_h.dim, [[z] * lie_h.dim for _ in range(lie_g.dim)], fs)
+    return LieRB(lie_g, lie_h, phi, Matrix(lie_g.dim, lie_h.dim, {}, fs))
+
+
+# [e_0, e_1] = e_1 = [e_1, e_0]: not skew at the pair (0, 1).  The loop's
+# Jacobi row (1, 0, 0, 1), [e_0, [e_0, e_1]] + [e_0, [e_1, e_0]] = 2 e_1,
+# fails before the skew row (0, 0, 1), which is less.  [e_0, e_1] = e_1,
+# [e_1, e_2] = e_2 (skew): Jacobi fails at the six orders of (0, 1, 2).
+LIE_MUTANTS = {
+    "skew": (2, {(0, 1): {1: 1}, (1, 0): {1: 1}}, 12, 5, "at=(1,0,0,1) lhs=[1:2] rhs=[0]"),
+    "jacobi": (3, {(0, 1): {1: 1}, (1, 0): {1: -1}, (1, 2): {2: 1}, (2, 1): {2: -1}}, 36, 6,
+               "at=(1,0,1,2) lhs=[2:-1] rhs=[0]"),
+}
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+@pytest.mark.parametrize("side", ["G", "H"])
+@pytest.mark.parametrize("mutant", sorted(LIE_MUTANTS))
+def test_lrb_lie_fails_at_its_loop_order_witness(mutant, side, p):
+    fs = RATIONALS if p is None else FieldSpec(p)
+    d, brackets, checked, failures, witness = LIE_MUTANTS[mutant]
+    bad, abelian = _lie(d, brackets, fs), _lie(1, {}, fs)
+    rep = check_lie_rb(_lie_rb(bad, abelian) if side == "G" else _lie_rb(abelian, bad))
+    e = rep.entry(f"LRB-LIE-{side}")
+    assert (e.status, e.checked, e.failures) == ("fail", checked, failures)
+    if p is not None:
+        witness = witness.replace("-1", str(p - 1))
+    assert e.witness.text() == witness
+    assert rep.entry(f"LRB-LIE-{'H' if side == 'G' else 'G'}").status == "pass"
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+def test_lrb_action_fails_where_phi_is_not_a_derivation(p):
+    # h = span(e_0, e_1) with [e_0, e_1] = e_1, and phi of g's one basis
+    # vector the identity of h: phi([e_0, e_1]) = e_1 but
+    # [phi e_0, e_1] + [e_0, phi e_1] = 2 e_1, at the pair {0, 1} alone
+    fs = RATIONALS if p is None else FieldSpec(p)
+    h = _lie(2, {(0, 1): {1: 1}, (1, 0): {1: -1}}, fs)
+    phi = ActionTensor(1, 2, [[unit_vector(2, 0, fs), unit_vector(2, 1, fs)]], fs)
+    rep = check_lie_rb(_lie_rb(_lie(1, {}, fs), h, phi))
+    e = rep.entry("LRB-ACTION")
+    assert (e.status, e.checked, e.failures) == ("fail", 6, 2)
+    assert e.witness.text() == "at=(0,0,0,1) lhs=[1:1] rhs=[1:2]"
+    assert rep.entry("LRB-LIE-G").status == rep.entry("LRB-LIE-H").status == "pass"
