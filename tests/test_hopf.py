@@ -256,25 +256,28 @@ def _plus_e0(table: IntTable, column: int) -> IntTable:
     return IntTable(rows, table.scale)
 
 
-@pytest.mark.parametrize("corrupt", ["solution", "re-check"])
-def test_convolution_inverse_failed_self_check_raises(monkeypatch, corrupt):
-    # each row of the system is a coefficient of f*g, so f*g re-checked on
-    # the solved g failing is a solver bug: corrupt the back-substitution,
-    # or the re-check's reading of g
-    if corrupt == "solution":
-        real_back = linalg._back_substitute_all
-
-        def corrupted_back(*args, **kwargs):
-            out = real_back(*args, **kwargs)
-            out[0][0] = out[0].get(0, 0) + 1 or 1
-            return out
-
-        monkeypatch.setattr(linalg, "_back_substitute_all", corrupted_back)
-    else:
-        real = hopf._convolves_to_unit
-        monkeypatch.setattr(hopf, "_convolves_to_unit",
-                            lambda left, right, c, a: real(left, _plus_e0(right, 1), c, a))
+def test_convolution_inverse_failed_self_check_raises(monkeypatch):
+    # each row of the system is a coefficient of f*g, so f*g failing its
+    # re-check on the solved g is a solver bug: corrupt the re-check's
+    # reading of g
+    real = hopf._convolves_to_unit
+    monkeypatch.setattr(hopf, "_convolves_to_unit",
+                        lambda left, right, c, a: real(left, _plus_e0(right, 1), c, a))
     with pytest.raises(LinAlgError, match="self-check"):
+        solve_antipode(h4_algebra(), h4_coalgebra())
+
+
+def test_convolution_inverse_corrupted_back_substitution_raises(monkeypatch):
+    # the solution itself corrupted: the f*g re-check is the solver's check
+    real = linalg._back_substitute_all
+
+    def corrupted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[0][0] = out[0].get(0, 0) + 1 or 1
+        return out
+
+    monkeypatch.setattr(linalg, "_back_substitute_all", corrupted)
+    with pytest.raises(LinAlgError, match="self-check failed: f\\*g"):
         solve_antipode(h4_algebra(), h4_coalgebra())
 
 
