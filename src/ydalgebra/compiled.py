@@ -42,7 +42,7 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .field import FieldSpec, ModInt, _mixed, canonical
+from .field import FieldSpec, ModInt, _mixed, canonical, format_scalar
 from .linalg import Vector
 from .report import Tally, pairs_text, vector_text
 
@@ -193,6 +193,11 @@ def int_vector(dim: int, sums: dict, scale: int, field: FieldSpec) -> Vector:
     return Vector(dim, _scalars(sums, scale, field), field)
 
 
+def scalar_render(sums: dict, scale: int, field: FieldSpec) -> str:
+    """Render int sums keyed 0 as the field scalar they divide to."""
+    return format_scalar(_scalars(sums, scale, field).get(0, field.zero))
+
+
 def vector_render(dim: int):
     """Render int sums keyed by basis index as ``vector_text``."""
     def render(sums: dict, scale: int, field: FieldSpec) -> str:
@@ -236,6 +241,20 @@ def sides(left, right):
         if wr:
             right(acc, prefix, wr)
     return contract
+
+
+def tensor_side(left, right, dim: int):
+    """The side left (x) right of two int vectors, keyed p * dim + q, on a
+    row of one tuple."""
+    def side(acc, prefix, w):
+        get = acc.get
+        for i, a in left:
+            a *= w
+            i *= dim
+            for j, b in right:
+                key = i + j
+                acc[key] = get(key, 0) + a * b
+    return side
 
 
 def comul_side(rows: list, comul: list, dim: int):
@@ -336,3 +355,12 @@ def compare(t: Tally, prefixes, n: int, width: int, contract, sl: int, sr: int, 
         else:
             t.record(where, False, *render_sides(contract, where, width, sl, sr, field, render))
     return failed
+
+
+def compared(prefixes, n: int, width: int, contract, sl: int, sr: int, field: FieldSpec, render,
+             where=None) -> Tally:
+    """A fresh tally of ``compare``, its tuples mapped by where."""
+    t, out = Tally(), Tally()
+    compare(t, prefixes, n, width, contract, sl, sr, field, render)
+    out.absorb(t, where=where)
+    return out

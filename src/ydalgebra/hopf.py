@@ -1,49 +1,49 @@
-"""Structure-constant containers and the convolution calculus.
+"""Structure-constant containers, the laws they are checked by, and the
+convolution calculus.
 
 Algebras, coalgebras and Hopf bundles live on a fixed finite basis; the
 multiplication is a tensor of sparse vectors, the comultiplication a list
-of (left leg, right leg, coefficient) triples per basis element.  Antipodes
-and convolution inverses are always solved from their defining linear
-systems and re-verified, never assumed.  Both solvers assemble their
-systems as plain-int rows on the compiled tables and hand them to
-``linalg.solve_rows``; a ``Matrix`` or ``Vector`` is built only for the
-result.  The system holds one side of the identity, f*g = eps 1 (for beta,
-alpha*beta = eps Id), one row per coefficient; both sides are then
-re-verified on int sums.  Over a coalgebra C (and, for an antipode, an
-algebra A), Hom(C, A) is a finite-dimensional algebra, where a right
-inverse is two-sided, so either re-check failing is a solver bug; off
-those axioms, a failed g*f only means there is no inverse.  P-CONV runs
-the same compiled re-check, ``_verify_endo_inverse``, on every beta.
+of (left leg, right leg, coefficient) triples per basis element.  Each
+container compiles its tensor once, on first use, into a plain-int table
+(``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the iterated
+coproduct; see ``compiled``) and keeps it.  Every check here runs on those
+tables, one row per contract call of ``compiled.compare``, and builds a
+``Vector`` only to render a witness: ALG-ASSOC on rows (i, j), reading
+m[i][j] and m[i] once for every k; ALG-UNIT, COALG-COASSOC and
+COALG-COUNIT on rows (i,); HOPF-DELTA-MULT with its sums in H (x) H keyed
+y * dim**2 + p * dim + q (``compiled.comul_side``, ``compiled.legs_side``).
 
-Each container compiles its tensor once, on first use, into a plain-int
-table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
-iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC runs on the
-compiled product, one row (i, j) per contract call: m[i][j] and m[i] are
-read once for every k, both sides of (e_i e_j) e_k = e_i (e_j e_k) carry
-the square of its scale, so their int sums are compared as they are, and
-a ``Vector`` is built only to render the first failing triple.
-
-The action laws are written once, here, as tallies that the suites fold
-into their IDs; the acting space may differ from the target, as in a
-relative Rota-Baxter operator, where H acts on K:
+The laws are written once, here, as tallies that the suites fold into
+their IDs; the acting space may differ from the target, as in a relative
+Rota-Baxter operator, where H acts on K:
 
 - ``module_law``: P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and its unit
   row L-1ACT, MP-MODC 6;
 - ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
-  its unit row L-U, MP-1;
+  its unit row L-U, MP-1; it sums c (h_1 >- a) once per row (h, a) for
+  each distinct h_2, then multiplies that sum by h_2 >- b for every b;
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
-  MP-MODC 0-3;
-- ``mp5_law``: P-MP5, HB-MP5, MP-5.
+  MP-MODC 0-3, its counit rows by ``counit_law``;
+- ``mp5_law``: P-MP5, HB-MP5, MP-5;
+- ``bialgebra_unit_laws``, eps multiplicative (``counit_law``), Delta(1) =
+  1 (x) 1 and eps(1) = 1: HOPF-EPS-MULT, HOPF-DELTA-UNIT, HOPF-EPS-UNIT,
+  the last rows of P-COALG and RB-BIMON 8;
+- ``convolution_unit_law``, (f*g)(x) = eps(x) u for maps into an algebra
+  (u = 1) or into End(H) (u = Id): HOPF-ANTIPODE, P-S and the re-check of
+  S_K (``antipode_law``), P-CONV (``_verify_endo_inverse``) and the
+  re-checks of both solvers.
 
-The three laws and ``mp5_law`` run on the compiled tables, and so does
-HOPF-DELTA-MULT; the unit rows and the counit compares run on ``Vector``s
-and scalars.  A law on triples runs on rows (g, h) or (h, a), and
-``module_algebra_law`` sums c (h_1 >- a) once per row for each distinct
-h_2, then multiplies that sum by h_2 >- b for every b.  A law on H (x) H
-runs on rows (x,) and keys its int sums by y * dim**2 + p * dim + q
-(``compiled.comul_side`` and ``compiled.legs_side``).  P-CONV reports the
-tallies of ``_verify_endo_inverse``; when beta was just solved, they are
-the ones ``hom_convolution_inverse_endo`` computed to accept it.
+The unit rows of the action laws remain ``Vector`` loops.  Antipodes and
+convolution inverses are solved from their defining linear systems, never
+assumed: ``_convolution_rows`` writes one int row per coefficient of
+f*g = eps 1 (alpha*beta = eps Id) from the compiled tables for
+``linalg.solve_rows``, and both sides of the solution are re-verified by
+``convolution_unit_law``.  Over a coalgebra C (and, for an antipode, an
+algebra A), Hom(C, A) is a finite-dimensional algebra, where a right
+inverse is two-sided, so either re-check failing is a solver bug; off
+those axioms, a failed g*f only means there is no inverse.  P-CONV reports
+the tallies of ``_verify_endo_inverse``; when beta was just solved, they
+are the ones ``hom_convolution_inverse_endo`` computed to accept it.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .compiled import (
-    IntTable, add_bilinear, comul_side, compare, compile_comul, compile_legs, compile_tensor, compile_vectors,
-    int_items, int_linear, legs_side, line, pairs_render, sides, square, vector_render,
+    IntTable, comul_side, compare, compared, compile_comul, compile_legs, compile_tensor, compile_vectors, int_items,
+    int_linear, legs_side, line, pairs_render, scalar_render, sides, square, tensor_side, triples_render,
+    vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
@@ -73,7 +74,7 @@ from .linalg import (
     solve_rows,
     unit_vector,
 )
-from .report import Checker, CheckReport, Tally, pairs_text, vector_text
+from .report import Checker, CheckReport, Tally, Witness, law_entry, vector_text
 
 
 class StructureError(ValueError):
@@ -219,18 +220,14 @@ class CoalgebraData:
         return acc
 
 
-@dataclass
-class HopfData:
-    """Ordinary Hopf algebra bundle (algebra, coalgebra, antipode)."""
+class _Bundle:
+    """An algebra and a coalgebra on one basis with a square map, its antipode."""
 
-    algebra: AlgebraData
-    coalgebra: CoalgebraData
-    antipode: Matrix
-
-    def __post_init__(self):
-        if self.algebra.dim != self.coalgebra.dim:
+    def _check_shapes(self, smap: Matrix) -> None:
+        d = self.algebra.dim
+        if d != self.coalgebra.dim:
             raise StructureError("algebra/coalgebra dimension mismatch")
-        if self.antipode.rows != self.algebra.dim or self.antipode.cols != self.algebra.dim:
+        if smap.rows != d or smap.cols != d:
             raise StructureError("antipode shape mismatch")
 
     @property
@@ -243,7 +240,19 @@ class HopfData:
 
 
 @dataclass
-class BraidedPair:
+class HopfData(_Bundle):
+    """Ordinary Hopf algebra bundle (algebra, coalgebra, antipode)."""
+
+    algebra: AlgebraData
+    coalgebra: CoalgebraData
+    antipode: Matrix
+
+    def __post_init__(self):
+        self._check_shapes(self.antipode)
+
+
+@dataclass
+class BraidedPair(_Bundle):
     """Algebra + coalgebra + a two-sided convolution inverse of the identity.
 
     The map s is not required to be an algebra anti-morphism and the
@@ -256,18 +265,7 @@ class BraidedPair:
     s_map: Matrix
 
     def __post_init__(self):
-        if self.algebra.dim != self.coalgebra.dim:
-            raise StructureError("algebra/coalgebra dimension mismatch")
-        if self.s_map.rows != self.algebra.dim or self.s_map.cols != self.algebra.dim:
-            raise StructureError("antipode shape mismatch")
-
-    @property
-    def dim(self) -> int:
-        return self.algebra.dim
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.algebra.field
+        self._check_shapes(self.s_map)
 
 
 @dataclass
@@ -383,58 +381,66 @@ def check_algebra(a: AlgebraData) -> CheckReport:
     compare(ch, square(d), d, d, assoc, scale, scale, a.field, vector_render(d))
     rep.add(ch.entry())
     ch = Checker("ALG-UNIT")
-    for i in range(a.dim):
-        e_i = unit_vector(a.dim, i, a.field)
-        left = a.mul_vec(a.unit, e_i)
-        right = a.mul_vec(e_i, a.unit)
-        ch.compare((i, 0), left, e_i, vector_text)
-        ch.compare((i, 1), right, e_i, vector_text)
+    unit = compile_vectors([a.unit], a.field)
+    u = unit.rows[0]
+
+    def unital(acc, prefix, wl, wr):
+        # 1 e_i at (i, 0) and e_i 1 at (i, 1), keyed side * d + t, against e_i
+        i, = prefix
+        get = acc.get
+        for r, c in u:
+            for base, v in ((0, m[r][i]), (d, m[i][r])):
+                for t, e in v:
+                    acc[base + t] = get(base + t, 0) + wl * c * e
+        acc[i] = get(i, 0) + wr
+        acc[d + i] = get(d + i, 0) + wr
+
+    compare(ch, line(d), 2, d, unital, unit.scale * mul.scale, 1, a.field, vector_render(d))
     rep.add(ch.entry())
     return rep
 
 
 def check_coalgebra(c: CoalgebraData) -> CheckReport:
-    """Coassociativity and counitality on every basis element."""
+    """Coassociativity and counitality on every basis element, on the
+    compiled coproduct and counit."""
     rep = CheckReport()
+    comul = c.int_comul()
+    cm, d = comul.rows, c.dim
     ch = Checker("COALG-COASSOC")
-    for i in range(c.dim):
-        left: dict[tuple[int, int, int], Scalar] = {}
-        right: dict[tuple[int, int, int], Scalar] = {}
-        for j, k, s in c.comul[i]:
-            for a, b, t in c.comul[j]:
-                accumulate(left, (a, b, k), s * t)
-            for b, d, t in c.comul[k]:
-                accumulate(right, (j, b, d), s * t)
-        ch.compare((i,), left, right, pairs_text)
+
+    def coassoc(acc, prefix, wl, wr):
+        # (Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i), keyed
+        # (a * d + b) * d + c
+        get = acc.get
+        for j, k, s in cm[prefix[0]]:
+            for a, b, t in cm[j]:
+                key = (a * d + b) * d + k
+                acc[key] = get(key, 0) + wl * s * t
+            for b, c, t in cm[k]:
+                key = (j * d + b) * d + c
+                acc[key] = get(key, 0) + wr * s * t
+
+    scale = comul.scale * comul.scale
+    ch.absorb(compared(line(d), 1, d ** 3, coassoc, scale, scale, c.field, triples_render(d, d), lambda w: w[:1]))
     rep.add(ch.entry())
     ch = Checker("COALG-COUNIT")
-    for i in range(c.dim):
-        lacc: dict[int, Scalar] = {}
-        racc: dict[int, Scalar] = {}
-        for j, k, s in c.comul[i]:
-            accumulate(lacc, j, s * c.eps(k))
-            accumulate(racc, k, s * c.eps(j))
-        e_i = unit_vector(c.dim, i, c.field)
-        ch.compare((i, 0), Vector(c.dim, lacc, c.field), e_i, vector_text)
-        ch.compare((i, 1), Vector(c.dim, racc, c.field), e_i, vector_text)
+    counit = compile_vectors([c.counit], c.field)
+    eps = dict(counit.rows[0])
+
+    def counital(acc, prefix, wl, wr):
+        # (id (x) eps) Delta(e_i) at (i, 0) and (eps (x) id) Delta(e_i) at
+        # (i, 1), keyed side * d + t, against e_i
+        i, = prefix
+        get = acc.get
+        for j, k, s in cm[i]:
+            acc[j] = get(j, 0) + wl * s * eps.get(k, 0)
+            acc[d + k] = get(d + k, 0) + wl * s * eps.get(j, 0)
+        acc[i] = get(i, 0) + wr
+        acc[d + i] = get(d + i, 0) + wr
+
+    compare(ch, line(d), 2, d, counital, comul.scale * counit.scale, 1, c.field, vector_render(d))
     rep.add(ch.entry())
     return rep
-
-
-def _antipode_checker(
-    axiom: str, a: AlgebraData, c: CoalgebraData, s_map: Matrix
-) -> Checker:
-    ch = Checker(axiom)
-    for i in range(c.dim):
-        left: dict[int, Scalar] = {}
-        right: dict[int, Scalar] = {}
-        for j, k, s in c.comul[i]:
-            add_scaled_inplace(left, a.mul_vec(s_map.column(j), unit_vector(a.dim, k, a.field)), s)
-            add_scaled_inplace(right, a.mul_vec(unit_vector(a.dim, j, a.field), s_map.column(k)), s)
-        target = a.unit.scale(c.eps(i))
-        ch.compare((i, 0), Vector(a.dim, left, a.field), target, vector_text)
-        ch.compare((i, 1), Vector(a.dim, right, a.field), target, vector_text)
-    return ch
 
 
 def check_hopf(h: HopfData) -> CheckReport:
@@ -453,20 +459,15 @@ def check_hopf(h: HopfData) -> CheckReport:
     rep.add(ch.entry())
 
     ch = Checker("HOPF-EPS-MULT")
-    for i in range(a.dim):
-        for j in range(a.dim):
-            ch.compare((i, j), c.eps_vec(a.mul[i][j]), c.eps(i) * c.eps(j))
+    eps_mult, delta_unit, eps_unit = bialgebra_unit_laws(a, c)
+    ch.absorb(eps_mult)
     rep.add(ch.entry())
+    for axiom, t in (("HOPF-DELTA-UNIT", delta_unit), ("HOPF-EPS-UNIT", eps_unit)):
+        ch = Checker(axiom)
+        ch.absorb(t)
+        rep.add(ch.entry())
 
-    ch = Checker("HOPF-DELTA-UNIT")
-    ch.compare((0,), c.comul_vec(a.unit), tens2(a.unit, a.unit), pairs_text)
-    rep.add(ch.entry())
-
-    ch = Checker("HOPF-EPS-UNIT")
-    ch.compare((0,), c.eps_vec(a.unit), a.field.one)
-    rep.add(ch.entry())
-
-    rep.add(_antipode_checker("HOPF-ANTIPODE", a, c, h.antipode).entry())
+    rep.add(law_entry("HOPF-ANTIPODE", lambda: antipode_law(a, c, h.antipode)))
     return rep
 
 
@@ -586,18 +587,15 @@ def module_coalgebra_law(act: ActionTensor, hco: CoalgebraData, kco: CoalgebraDa
                          swap: bool = False) -> tuple[Tally, Tally]:
     """act makes kco a module coalgebra over the acting coalgebra hco, as two
     tallies: Delta(h >- a) = (h_1 >- a_1) (x) (h_2 >- a_2) at (h, a), on the
-    compiled tables, and eps(h >- a) = eps(h) eps(a) at (h, a).  With swap,
-    the legs h_1 and h_2 trade places on the right."""
+    compiled tables, and eps(h >- a) = eps(h) eps(a) at (h, a)
+    (``counit_law``).  With swap, the legs h_1 and h_2 trade places on the
+    right."""
     x, hc, kc = act.int_act(), hco.int_comul(), kco.int_comul()
     x_, dh, dk = x.rows, act.acting_dim, act.target_dim
-    delta, counit = Tally(), Tally()
-    compare(delta, line(dh), dk, dk * dk,
-            sides(comul_side(x_, kc.rows, dk), legs_side(x_, x_, hc.rows, kc.rows, dk, swap_i=swap)),
-            x.scale * kc.scale, hc.scale * kc.scale * x.scale * x.scale, act.field, pairs_render(dk))
-    for i in range(dh):
-        for j in range(dk):
-            counit.compare((i, j), kco.eps_vec(act.act[i][j]), hco.eps(i) * kco.eps(j))
-    return delta, counit
+    delta = compared(line(dh), dk, dk * dk,
+                     sides(comul_side(x_, kc.rows, dk), legs_side(x_, x_, hc.rows, kc.rows, dk, swap_i=swap)),
+                     x.scale * kc.scale, hc.scale * kc.scale * x.scale * x.scale, act.field, pairs_render(dk))
+    return delta, counit_law(x, kco, hco, kco)
 
 
 def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Tally:
@@ -607,9 +605,117 @@ def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Ta
     lt, rt, comul = left.int_act(), right.int_act(), coalg.int_comul()
     l_, r_, c_, d = lt.rows, rt.rows, comul.rows, coalg.dim
     scale = comul.scale * comul.scale * lt.scale * rt.scale
+    return compared(line(d), d, d * d, sides(legs_side(l_, r_, c_, c_, d), legs_side(l_, r_, c_, c_, d, True, True)),
+                    scale, scale, coalg.field, pairs_render(d))
+
+
+def counit_law(table: IntTable, target: CoalgebraData, left: CoalgebraData, right: CoalgebraData) -> Tally:
+    """eps(table[i][j]) = eps(e_i) eps(e_j) at (i, j), on a compiled table
+    of vectors in target, e_i in left and e_j in right."""
+    et, el, er = (compile_vectors([c.counit], c.field) for c in (target, left, right))
+    eps, eps_l, eps_r = (dict(e.rows[0]) for e in (et, el, er))
+    rows = table.rows
+
+    def law(acc, prefix, wl, wr):
+        i, = prefix
+        for j, v in enumerate(rows[i]):
+            acc[j] = wl * sum(c * eps.get(k, 0) for k, c in v) + wr * eps_l.get(i, 0) * eps_r.get(j, 0)
+
+    return compared(line(len(rows)), len(rows[0]), 1, law, table.scale * et.scale, el.scale * er.scale,
+                    target.field, scalar_render)
+
+
+def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData) -> tuple[Tally, Tally, Tally]:
+    """The unit and counit of a bialgebra, on the compiled tables, as three
+    tallies: eps(e_i e_j) = eps(e_i) eps(e_j) at (i, j) (``counit_law``),
+    Delta(1) = 1 (x) 1 at (0,) and eps(1) = 1 at (0,)."""
+    fs, d = alg.field, alg.dim
+    comul = coalg.int_comul()
+    unit, counit = compile_vectors([alg.unit], fs), compile_vectors([coalg.counit], fs)
+    u, eps = unit.rows[0], dict(counit.rows[0])
+
+    def delta_unit(acc, prefix, w):
+        get = acc.get
+        for t, c in u:
+            for i, j, e in comul.rows[t]:
+                key = i * d + j
+                acc[key] = get(key, 0) + w * c * e
+
+    def eps_unit(acc, prefix, wl, wr):
+        acc[0] = wl * sum(c * eps.get(t, 0) for t, c in u) + wr
+
+    return (counit_law(alg.int_mul(), coalg, coalg, coalg),
+            compared([()], 1, d * d, sides(delta_unit, tensor_side(u, u, d)), unit.scale * comul.scale,
+                     unit.scale ** 2, fs, pairs_render(d)),
+            compared([()], 1, 1, eps_unit, unit.scale * counit.scale, 1, fs, scalar_render))
+
+
+def convolution_unit_law(left: IntTable, right: IntTable, coalg: CoalgebraData, unit: IntTable) -> Tally:
+    """(f*g)(x) = eps(x) u at (x,), on the compiled tables: the sum over
+    Delta(x) of c f(x_1) applied to g(x_2), with f's table left[j][r] the
+    (t, v) of f(e_j) applied to e_r, g's table right[k][y] the y-th column of
+    g(e_k), and unit.rows[y] the y-th column of u.  For a map f into an
+    algebra, left[j][r] = f(e_j) . e_r, g(e_k) is one column and u = 1; for
+    one into End(H), left[j][r] = f_{e_j}(e_r), right[k][y] = g_{e_k}(e_y)
+    and u = Id.  Each x is one row, keyed y * n + t for n = len(left[j])."""
+    comul = coalg.int_comul()
+    counit = compile_vectors([coalg.counit], coalg.field)
+    cm, f, g, cols = comul.rows, left.rows, right.rows, unit.rows
+    eps = dict(counit.rows[0])
+    n = len(f[0])
+
+    def law(acc, prefix, wl, wr):
+        x, = prefix
+        get = acc.get
+        if wl:
+            for x1, x2, c in cm[x]:
+                fx = f[x1]
+                c *= wl
+                for base, col in enumerate(g[x2]):
+                    base *= n
+                    for r, b in col:
+                        w = c * b
+                        for t, v in fx[r]:
+                            t += base
+                            acc[t] = get(t, 0) + w * v
+        e = eps.get(x)
+        if wr and e:
+            e *= wr
+            for base, col in enumerate(cols):
+                base *= n
+                for t, v in col:
+                    t += base
+                    acc[t] = get(t, 0) + e * v
+
+    render = vector_render(n) if len(cols) == 1 else pairs_render(n)
+    return compared(line(coalg.dim), 1, len(cols) * n, law, comul.scale * left.scale * right.scale,
+                    counit.scale * unit.scale, coalg.field, render, lambda w: w[:1])
+
+
+def _left_products(fcols: IntTable, mul: IntTable, p: int | None) -> IntTable:
+    """The table f(e_j) . e_r of ``convolution_unit_law`` for the compiled
+    columns f(e_j) of a map into the algebra of mul."""
+    m = mul.rows
+    mcols = [[row[r] for row in m] for r in range(len(m))]
+    return IntTable([[int_linear(mc, col, p) for mc in mcols] for col in fcols.rows], fcols.scale * mul.scale)
+
+
+def _one_column(cols: IntTable) -> IntTable:
+    """Compiled columns g(e_k) as the table right[k] = [g(e_k)]."""
+    return IntTable([[col] for col in cols.rows], cols.scale)
+
+
+def antipode_law(a: AlgebraData, c: CoalgebraData, s_map: Matrix) -> Tally:
+    """s_map is a convolution inverse of the identity: S(x_1) x_2 = eps(x) 1
+    at (x, 0) and x_1 S(x_2) = eps(x) 1 at (x, 1), by
+    ``convolution_unit_law``."""
+    fs, mul = a.field, a.int_mul()
+    scols = compile_vectors([s_map.column(j) for j in range(c.dim)], fs)
+    unit = compile_vectors([a.unit], fs)
+    ident = IntTable([[((k, 1),)] for k in range(c.dim)], 1)
     t = Tally()
-    compare(t, line(d), d, d * d, sides(legs_side(l_, r_, c_, c_, d), legs_side(l_, r_, c_, c_, d, True, True)),
-            scale, scale, coalg.field, pairs_render(d))
+    t.absorb(convolution_unit_law(_left_products(scols, mul, fs.p), ident, c, unit), where=lambda w: w + (0,))
+    t.absorb(convolution_unit_law(mul, _one_column(scols), c, unit), where=lambda w: w + (1,))
     return t
 
 
@@ -677,62 +783,24 @@ def _convolution_rows(left: IntTable, comul: IntTable, n: int, rhs: dict, fs: Fi
     return out
 
 
-def _convolves_to_unit(left: IntTable, right: IntTable, c: CoalgebraData, a: AlgebraData) -> bool:
-    """Whether (f*g)(x) = eps(x) 1 for every x, for the maps C -> A whose
-    columns f(e_j) and g(e_k) are compiled in left and right: the sum over
-    Delta(x) of c f(x_1) . g(x_2) on int sums, at the scale of the four
-    tables, against eps(x) 1 cross-multiplied by that scale."""
-    mul, comul = a.int_mul(), c.int_comul()
-    unit, counit = compile_vectors([a.unit], a.field), compile_vectors([c.counit], a.field)
-    scale = mul.scale * comul.scale * left.scale * right.scale
-    w = unit.scale * counit.scale
-    eps = dict(counit.rows[0])
-    p = a.field.p
-    for x, legs in enumerate(comul.rows):
-        acc: dict[int, int] = {}
-        for j, k, cc in legs:
-            add_bilinear(acc, mul.rows, left.rows[j], right.rows[k], cc * w)
-        e = eps.get(x)
-        if e:
-            for t, u in unit.rows[0]:
-                acc[t] = acc.get(t, 0) - e * u * scale
-        if int_items(acc, p):
-            return False
-    return True
-
-
 def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix | None:
-    """The convolution inverse g of f: C -> A, f*g = g*f = unit*counit,
-    solved from the one-sided system f*g = unit*counit on the compiled
-    tables, or None.
-
-    The system has one int row per (x, t), the e_t coefficient of
-    (f*g)(x) = sum c f(x_1) . g(x_2) (``_convolution_rows``), with the
-    rows f(e_j) . e_r formed once per (j, r) from ``a.int_mul()``, and is
-    solved by ``linalg.solve_rows``.  None when it is inconsistent: f has
-    no right inverse.  A consistent system with a kernel raises
-    ``StructureError`` (a two-sided inverse is unique).  Then both f*g and
-    g*f are re-verified on int sums (``_convolves_to_unit``); each row of
-    the system is a coefficient of f*g, so that re-check is the solver's
-    own check, and:
-
-    - f*g fails: a solver bug, ``LinAlgError``;
-    - g*f fails while C passes ``check_coalgebra`` and A ``check_algebra``:
-      then Hom(C, A) is a finite-dimensional algebra, where a right inverse
-      is two-sided and unique, so this is a bug too, ``LinAlgError``;
-    - g*f fails otherwise: g is only a right inverse, and the result is
-      None.
+    """The convolution inverse g of f: C -> A, f*g = g*f = unit*counit, or
+    None, solved from f*g = unit*counit alone (see the module docstring):
+    one row per (x, t), with f(e_j) . e_r formed once per (j, r).  None
+    when the system is inconsistent (f has no right inverse); a consistent
+    system with a kernel raises ``StructureError``, as a two-sided inverse
+    is unique.  A failed f*g re-check raises ``LinAlgError``, and so does a
+    failed g*f while C passes ``check_coalgebra`` and A ``check_algebra``;
+    otherwise a failed g*f means g is only a right inverse, and the result
+    is None.
     """
     d, n = c.dim, a.dim
     fs = a.field
     if f.cols != d or f.rows != n:
         raise StructureError("convolution shape mismatch")
     mul = a.int_mul()
-    m = mul.rows
     fcols = compile_vectors([f.column(j) for j in range(d)], fs)
-    mcols = [[m[s][r] for s in range(n)] for r in range(n)]
-    left = IntTable([[int_linear(mcols[r], col, fs.p) for r in range(n)] for col in fcols.rows],
-                    fcols.scale * mul.scale)
+    left = _left_products(fcols, mul, fs.p)
     eps = c.counit.entries
     rhs = {(x, t): (0, e * u) for x, e in eps.items() for t, u in a.unit.entries.items()}
     rows = _convolution_rows(left, c.int_comul(), n, rhs, fs)
@@ -745,9 +813,10 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
         raise StructureError("convolution inverse system is underdetermined")
     g = Matrix(n, d, {(r, k): v for idx, v in sol.entries.items() for k, r in [divmod(idx, n)]}, fs)
     gcols = compile_vectors([g.column(k) for k in range(d)], fs)
-    if not _convolves_to_unit(fcols, gcols, c, a):
+    unit = compile_vectors([a.unit], fs)
+    if convolution_unit_law(left, _one_column(gcols), c, unit).failures:
         raise LinAlgError("convolution inverse self-check failed: f*g != unit*counit")
-    if not _convolves_to_unit(gcols, fcols, c, a):
+    if convolution_unit_law(_left_products(gcols, mul, fs.p), _one_column(fcols), c, unit).failures:
         if check_coalgebra(c).all_pass() and check_algebra(a).all_pass():
             raise LinAlgError("convolution inverse self-check failed: g*f != unit*counit")
         return None
@@ -769,20 +838,15 @@ class EndoInverse:
 def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoInverse:
     """Solve (alpha x1).(beta x2) = (beta x1).(alpha x2) = eps(x) Id for beta.
 
-    The defining system in dim^3 unknowns splits into d blocks, one per
-    target basis vector y, which share one coefficient matrix: row x*d + t,
-    unknown z*d + r (the e_r coefficient of beta_{e_z}(e_y)), holding
-    (alpha*beta)(x) at e_t.  Its int rows come from ``alpha.int_act()`` and
-    ``c.int_comul()`` (``_convolution_rows``).  Only the right-hand side
-    eps(x) e_y changes with y, so the d blocks are solved by one
-    elimination carrying d right-hand sides (``linalg.solve_rows``);
-    ``kernel_dim`` is d times the dimension of that matrix's kernel.  Both
-    compositions are verified on the compiled tables before returning; the
-    alpha*beta re-check is the solver's own check.  The system holds
-    alpha*beta only.  Over a coassociative, counital C, Hom(C, End(H)) is a
-    finite-dimensional algebra, where a one-sided inverse is two-sided; so a
-    failed re-check there is a bug and raises ``LinAlgError``.  Over a C
-    that fails those axioms, beta*alpha can fail for real, and beta is None.
+    The system alpha*beta = eps Id in dim^3 unknowns splits into d blocks,
+    one per target basis vector y, which share one coefficient matrix: row
+    x*d + t, unknown z*d + r (the e_r coefficient of beta_{e_z}(e_y)).
+    Only the right-hand side eps(x) e_y changes with y, so the blocks are
+    solved by one elimination carrying d right-hand sides; ``kernel_dim``
+    is d times the dimension of that matrix's kernel.  Both compositions
+    are re-verified (``_verify_endo_inverse``): a failure is a bug, raising
+    ``LinAlgError``, over a coassociative, counital C; over a C that fails
+    those axioms, beta*alpha can fail for real, and beta is None.
     """
     d = c.dim
     fs = alpha.field
@@ -817,45 +881,18 @@ def _verify_endo_inverse(
     alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData
 ) -> tuple[Tally, Tally]:
     """(alpha*beta)(x) = eps(x) Id and (beta*alpha)(x) = eps(x) Id, as two
-    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``.
-
-    Column y of (f*g)(x) is the sum over Delta(x) of c f_{x1}(g_{x2}(e_y)),
-    summed as ints on the compiled tables, keyed y * d + t, and compared
-    with eps(x) e_y cross-multiplied by the scales; no matrix is built."""
-    d = c.dim
-    fs = c.field
-    p = fs.p
-    xa, xb, comul = alpha.int_act(), beta.int_act(), c.int_comul()
-    counit = compile_vectors([c.counit], fs)
-    eps = dict(counit.rows[0])
-    scale = comul.scale * xa.scale * xb.scale
-    diagonal = range(0, d * d, d + 1)
-
-    def unit(f: list, g: list, x: int) -> bool:
-        acc: dict[int, int] = {}
-        get = acc.get
-        for x1, x2, cc in comul.rows[x]:
-            fx = f[x1]
-            cc *= counit.scale
-            for y, col in enumerate(g[x2]):
-                base = y * d
-                for r, b in col:
-                    w = cc * b
-                    for t, v in fx[r]:
-                        key = base + t
-                        acc[key] = get(key, 0) + w * v
-        e = eps.get(x)
-        if e:
-            e *= scale
-            for key in diagonal:
-                acc[key] = get(key, 0) - e
-        return not int_items(acc, p)
-
-    left, right = Tally(), Tally()
-    for x in range(d):
-        left.record((x,), unit(xa.rows, xb.rows, x), "alpha*beta", "eps Id")
-        right.record((x,), unit(xb.rows, xa.rows, x), "beta*alpha", "eps Id")
-    return left, right
+    tallies at (x,) of ``convolution_unit_law`` on the compiled action
+    tables, a witness labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``;
+    no matrix is built."""
+    xa, xb = alpha.int_act(), beta.int_act()
+    ident = IntTable([((y, 1),) for y in range(c.dim)], 1)
+    out = []
+    for f, g, label in ((xa, xb, "alpha*beta"), (xb, xa, "beta*alpha")):
+        t = convolution_unit_law(f, g, c, ident)
+        if t.witness is not None:
+            t.witness = Witness(t.witness.where, label, "eps Id")
+        out.append(t)
+    return out[0], out[1]
 
 
 def solve_antipode(a: AlgebraData, c: CoalgebraData) -> Matrix | None:

@@ -25,33 +25,23 @@ and first failure:
 - YD-BRAIDMULT compares at (a, b, 1) only once (a, b, 0) has shown that the
   braided product is Delta(a.b), so that compare is P-DELTA's at (a, b).
 
-P-DOT, P-COALG and P-ASSOC, L-1ACT, L-MB, L-DB and P-MP5 call the action
-laws of ``hopf``; P-CONV reports the tallies of ``hopf._verify_endo_inverse``,
-those the solver computed when the suite solves beta itself.
-
-Setting beta drops the cached results that depend on beta, and no other.
-
-The identities with the heaviest contractions run on compiled plain-int
-tables (``compiled``): P-DOT, L-MB, P-ASSOC, P-COALG's coproduct rows, L-DB
-and P-MP5 through the laws of ``hopf``; P-DELTA, both rows of YD-BRAIDMULT
-and P-ANTI, whose sides live in H (x) H and are keyed
-y * dim**2 + p * dim + q on a row (x,);
-YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
-tables and the compiled Ad_L columns and grouped legs, both summed once per
+The carrier checks (ALG-*, COALG-*), P-S, P-COALG, P-DOT, P-ASSOC, L-U,
+L-1ACT, L-MB, L-DB and P-MP5 call the laws of ``hopf``, which run on
+compiled plain-int tables (``compiled``); P-CONV reports the tallies of
+``hopf._verify_endo_inverse``, those the solver computed when the suite
+solves beta itself.  P-DELTA, both rows of YD-BRAIDMULT and P-ANTI, whose
+sides live in H (x) H, run on the same tables, keyed
+y * dim**2 + p * dim + q on a row (x,); so do YD-COMPAT and YD-COLINEAR,
+on the compiled Ad_L columns and grouped legs, both summed once per
 second-leg group of their second argument (``_second_leg_sums``) and
-left-associated as they are written.  Each runs one row of tuples per call
-of its contract (``compiled.compare``): P-DOT, L-MB and P-ASSOC on rows
-(x, y) over z, the identities on pairs on rows (x,) over y.  L-MA, YD-MODALG,
-YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
-of each of these identities is one contraction pattern whose int sum
-carries the product of its tables' scales, and ``compiled.compare``
-cross-multiplies the two sides by each other's scale.  A ``Vector`` or
-pair dict is built only to render the first failing tuple.  The left
-harpoon and the braiding are summed as ints on the same tables and divided
-by their scale once per entry, so they are the exact tensors.  The
-compiled beta table lives on the beta tensor; the S_> columns, Ad_L
-columns, braiding columns and grouped legs are cached results that depend
-on beta, so setting beta drops them too.
+left-associated as they are written.  A ``Vector`` or pair dict is built
+only to render the first failing tuple.  The left harpoon and the braiding
+are summed as ints on the same tables and divided by their scale once per
+entry, so they are the exact tensors.
+
+Setting beta drops the cached results that depend on beta, and no other:
+the compiled beta table lives on the beta tensor, and the S_> columns,
+Ad_L columns, braiding columns and grouped legs are such results.
 """
 
 from __future__ import annotations
@@ -71,8 +61,9 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
-    _antipode_checker,
     _verify_endo_inverse,
+    antipode_law,
+    bialgebra_unit_laws,
     check_algebra,
     check_coalgebra,
     check_hopf,
@@ -83,13 +74,12 @@ from .hopf import (
     module_law,
     module_unit_law,
     mp5_law,
-    tens2,
 )
 from .linalg import (
     Matrix, Vector, _vector, accumulate, add_scaled_inplace, kernel, matrix_from_columns, solve, unit_vector,
 )
 from .report import (
-    FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, pairs_text, skipped_entry, vector_text,
+    FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, law_entry, skipped_entry, vector_text,
 )
 
 
@@ -407,16 +397,15 @@ def _module_algebra(s: YDPostHopf) -> tuple[Tally, Tally]:
 def _alpha_comult(s: YDPostHopf) -> tuple[Tally, Tally, Tally]:
     """>- is a coalgebra morphism, as three tallies: Delta(x >- y) and
     eps(x >- y) at (x, y) (``hopf.module_coalgebra_law``); eps(x.y) at
-    (x, y, 2), Delta(1) at (d, d, 0) and eps(1) at (d, d, 1)."""
-    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
-    d, fs = s.dim, s.field
+    (x, y, 2), Delta(1) at (d, d, 0) and eps(1) at (d, d, 1)
+    (``hopf.bialgebra_unit_laws``)."""
+    coalg, d = s.carrier.coalgebra, s.dim
     delta, counit = module_coalgebra_law(s.action, coalg, coalg)
+    eps_mult, delta_unit, eps_unit = bialgebra_unit_laws(s.carrier.algebra, coalg)
     rest = Tally()
-    for i in range(d):
-        for j in range(d):
-            rest.compare((i, j, 2), coalg.eps_vec(alg.mul[i][j]), coalg.eps(i) * coalg.eps(j))
-    rest.compare((d, d, 0), coalg.comul_vec(alg.unit), tens2(alg.unit, alg.unit), pairs_text)
-    rest.compare((d, d, 1), coalg.eps_vec(alg.unit), fs.one)
+    rest.absorb(eps_mult, where=lambda w: w + (2,))
+    rest.absorb(delta_unit, where=lambda w: (d, d, 0))
+    rest.absorb(eps_unit, where=lambda w: (d, d, 1))
     return delta, counit, rest
 
 
@@ -473,17 +462,13 @@ def _post_hopf_steps(s: YDPostHopf):
     ch.absorb(rest)
     yield [ch.entry()]
 
-    yield [_antipode_checker("P-S", alg, coalg, smap).entry()]
+    yield [law_entry("P-S", lambda: antipode_law(alg, coalg, smap))]
 
     # P-DOT: x >- (y.z) = (x_1 >- y).(x_2 >- z)
-    ch = Checker("P-DOT")
-    ch.absorb(_module_algebra(s)[0])
-    yield [ch.entry()]
+    yield [law_entry("P-DOT", lambda: _module_algebra(s)[0])]
 
     # P-ASSOC: x >- (y >- z) = (x_1 . (x_2 >- y)) >- z
-    ch = Checker("P-ASSOC")
-    ch.absorb(_module_identity(s)[0], swap=True)
-    yield [ch.entry()]
+    yield [law_entry("P-ASSOC", lambda: _module_identity(s)[0], swap=True)]
 
     # P-CONV: alpha is convolution invertible with inverse beta; a beta
     # solved here was verified by the solver, whose tallies are reused, and
@@ -516,9 +501,7 @@ def _post_hopf_steps(s: YDPostHopf):
         yield [skipped_entry(ax) for ax in ("P-DELTA", "P-ANTI", "P-MP5")]
     else:
         # P-DELTA: Delta(x.y) = (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2)
-        ch = Checker("P-DELTA")
-        ch.absorb(_delta_identity(s)[0])
-        yield [ch.entry()]
+        yield [law_entry("P-DELTA", lambda: _delta_identity(s)[0])]
 
         # P-ANTI: Delta S_> = (S_> (x) S_>) flip Delta
         ch = Checker("P-ANTI")
@@ -526,9 +509,7 @@ def _post_hopf_steps(s: YDPostHopf):
         yield [ch.entry()]
 
         # P-MP5: (x_1 >- y_1) (x) (x_2 -< y_2) = (x_2 >- y_2) (x) (x_1 -< y_1)
-        ch = Checker("P-MP5")
-        ch.absorb(mp5_law(act, leftharpoon(s), coalg))
-        yield [ch.entry()]
+        yield [law_entry("P-MP5", lambda: mp5_law(act, leftharpoon(s), coalg))]
 
     for entry in _beta_free_lemmas(s):
         yield [entry]
@@ -549,20 +530,12 @@ def _post_hopf_steps(s: YDPostHopf):
 
     # L-DA / L-DB: how Delta interlaces with alpha and beta; L-DA is the
     # first compare of P-COALG
-    ch = Checker("L-DA")
-    ch.absorb(_alpha_comult(s)[0], where=lambda w: w[:2])
-    yield [ch.entry()]
-    ch = Checker("L-DB")
-    ch.absorb(module_coalgebra_law(beta, coalg, coalg, swap=True)[0])
-    yield [ch.entry()]
+    yield [law_entry("L-DA", lambda: _alpha_comult(s)[0], where=lambda w: w[:2])]
+    yield [law_entry("L-DB", lambda: module_coalgebra_law(beta, coalg, coalg, swap=True)[0])]
 
     # L-MA / L-MB: how the product interlaces with alpha and beta; L-MA is P-DOT
-    ch = Checker("L-MA")
-    ch.absorb(_module_algebra(s)[0])
-    yield [ch.entry()]
-    ch = Checker("L-MB")
-    ch.absorb(module_algebra_law(beta, coalg, alg, swap=True))
-    yield [ch.entry()]
+    yield [law_entry("L-MA", lambda: _module_algebra(s)[0])]
+    yield [law_entry("L-MB", lambda: module_algebra_law(beta, coalg, alg, swap=True))]
 
     # L-ANTI2: beta_{x_2}(S(x_3)) . beta_{x_1}(x_4) = eps(x) 1
     ch = Checker("L-ANTI2")
@@ -578,12 +551,8 @@ def _beta_free_lemmas(s: YDPostHopf):
     """The entries of L-U, L-1ACT and L-SLIN, the lemmas that need no beta."""
     alg, smap, act = s.carrier.algebra, s.carrier.s_map, s.action
     d, fs = s.dim, s.field
-    ch = Checker("L-U")
-    ch.absorb(_module_algebra(s)[1])
-    yield ch.entry()
-    ch = Checker("L-1ACT")
-    ch.absorb(_module_identity(s)[1])
-    yield ch.entry()
+    yield law_entry("L-U", lambda: _module_algebra(s)[1])
+    yield law_entry("L-1ACT", lambda: _module_identity(s)[1])
     ch = Checker("L-SLIN")
     for i in range(d):
         for j in range(d):
@@ -615,9 +584,7 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
     rep = CheckReport()
 
     # (x o y) >- z = x >- (y >- z): P-ASSOC with its sides swapped
-    ch = Checker("YD-MODULE")
-    ch.absorb(_module_identity(s)[0])
-    rep.add(ch.entry())
+    rep.add(law_entry("YD-MODULE", lambda: _module_identity(s)[0]))
 
     # P-DOT, and x >- 1 = eps(x) 1 (L-U) as the row (x, d, d)
     ch = Checker("YD-MODALG")

@@ -22,12 +22,11 @@ tables assume the operator is not changed after it is first checked;
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 from typing import NamedTuple
 
 from .compiled import (
-    IntTable, add_bilinear, add_linear, comul_side, compare, compile_vectors, int_bilinear, int_items, int_linear,
-    legs_side, line, pairs_render, sides, triples_render, vector_render,
+    IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_vectors, int_bilinear, int_items,
+    int_linear, legs_side, line, pairs_render, sides, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -37,7 +36,8 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
-    _antipode_checker,
+    antipode_law,
+    bialgebra_unit_laws,
     check_algebra,
     check_coalgebra,
     check_hopf,
@@ -177,9 +177,9 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     ch = Checker("RB-COALG")
     rc, hc, kc = _r_columns(r), hco.int_comul(), kco.int_comul()
     cols = [[col] for col in rc.rows]
-    ch.absorb(_compared(line(dk), 1, dh * dh,
-                        sides(comul_side(cols, hc.rows, dh), legs_side(cols, cols, kc.rows, [((0, 0, 1),)], dh)),
-                        rc.scale * hc.scale, kc.scale * rc.scale ** 2, fs, pairs_render(dh)))
+    ch.absorb(compared(line(dk), 1, dh * dh,
+                       sides(comul_side(cols, hc.rows, dh), legs_side(cols, cols, kc.rows, [((0, 0, 1),)], dh)),
+                       rc.scale * hc.scale, kc.scale * rc.scale ** 2, fs, pairs_render(dh)))
     eps = Tally()
     for a in range(dk):
         eps.compare((a, 1), hco.eps_vec(rmap.column(a)), kco.eps(a))
@@ -375,15 +375,6 @@ def _rho_tables(r: RelRB) -> _RhoTables:
                       one(r.k_alg.unit), one(r.h.coalgebra.counit), one(r.k_coalg.counit))
 
 
-def _compared(prefixes, n: int, width: int, contract, sl: int, sr: int, field: FieldSpec, render,
-              where=None) -> Tally:
-    """A fresh tally of ``compare``, its tuples mapped by where."""
-    t, out = Tally(), Tally()
-    compare(t, prefixes, n, width, contract, sl, sr, field, render)
-    out.absorb(t, where=where)
-    return out
-
-
 def _rho_side(rho: list, vectors, width: int):
     """The side rho applied to each int vector of the list vectors(prefix),
     the k-th keyed from k * width."""
@@ -396,20 +387,6 @@ def _rho_side(rho: list, vectors, width: int):
                 for k, e in rho[t]:
                     k += base
                     acc[k] = get(k, 0) + c * e
-    return side
-
-
-def _tensor_side(left, right, dim: int):
-    """The side left (x) right of two int vectors, keyed p * dim + q, on a
-    row of one tuple."""
-    def side(acc, prefix, w):
-        get = acc.get
-        for i, a in left:
-            a *= w
-            i *= dim
-            for j, b in right:
-                key = i + j
-                acc[key] = get(key, 0) + a * b
     return side
 
 
@@ -449,10 +426,10 @@ def _comodule_law(r: RelRB) -> Tally:
                     key = base + k
                     acc[key] = get(key, 0) + c * e
 
-    t = _compared(line(dk), 1, dk, counit, tb.rho.scale * tb.h_eps.scale, 1, fs, vector_render(dk),
-                  lambda w: (4, w[0], 0))
-    t.absorb(_compared(line(dk), 1, dh * dh * dk, coassoc, tb.rho.scale * hco.scale, tb.rho.scale ** 2, fs,
-                       triples_render(dh, dk), lambda w: (4, w[0], 1)))
+    t = compared(line(dk), 1, dk, counit, tb.rho.scale * tb.h_eps.scale, 1, fs, vector_render(dk),
+                 lambda w: (4, w[0], 0))
+    t.absorb(compared(line(dk), 1, dh * dh * dk, coassoc, tb.rho.scale * hco.scale, tb.rho.scale ** 2, fs,
+                      triples_render(dh, dk), lambda w: (4, w[0], 1)))
     return t
 
 
@@ -486,11 +463,11 @@ def _comodule_algebra_law(r: RelRB) -> Tally:
                             acc[key] = get(key, 0) + n * e
 
     render = pairs_render(dk)
-    t = _compared(line(dk), dk, width, sides(_rho_side(rho, lambda pr: km[pr[0]], width), product_side),
-                  kmul.scale * sp, sp * sp * hmul.scale * kmul.scale, fs, render, lambda w: (5,) + w)
-    t.absorb(_compared([()], 1, width, sides(_rho_side(rho, lambda pr: [ku], width), _tensor_side(hu, ku, dk)),
-                       tb.k_unit.scale * sp, tb.h_unit.scale * tb.k_unit.scale, fs, render,
-                       lambda w: (5, dk, dk)))
+    t = compared(line(dk), dk, width, sides(_rho_side(rho, lambda pr: km[pr[0]], width), product_side),
+                 kmul.scale * sp, sp * sp * hmul.scale * kmul.scale, fs, render, lambda w: (5,) + w)
+    t.absorb(compared([()], 1, width, sides(_rho_side(rho, lambda pr: [ku], width), tensor_side(hu, ku, dk)),
+                      tb.k_unit.scale * sp, tb.h_unit.scale * tb.k_unit.scale, fs, render,
+                      lambda w: (5, dk, dk)))
     return t
 
 
@@ -540,10 +517,10 @@ def _comodule_coalgebra_law(r: RelRB) -> Tally:
             for k, n in hu:
                 acc[k] = get(k, 0) + wr * e * n
 
-    t = _compared(line(dk), 1, dh * dk * dk, coproduct, sp * kco.scale, kco.scale * sp * sp * hmul.scale, fs,
-                  triples_render(dk, dk), lambda w: (6, w[0], 0))
-    t.absorb(_compared(line(dk), 1, dh, counit, sp * tb.k_eps.scale, tb.k_eps.scale * tb.h_unit.scale,
-                       fs, vector_render(dh), lambda w: (6, w[0], 1)))
+    t = compared(line(dk), 1, dh * dk * dk, coproduct, sp * kco.scale, kco.scale * sp * sp * hmul.scale, fs,
+                 triples_render(dk, dk), lambda w: (6, w[0], 0))
+    t.absorb(compared(line(dk), 1, dh, counit, sp * tb.k_eps.scale, tb.k_eps.scale * tb.h_unit.scale,
+                      fs, vector_render(dh), lambda w: (6, w[0], 1)))
     return t
 
 
@@ -580,9 +557,9 @@ def _yd_law(r: RelRB) -> Tally:
                             acc[key] = get(key, 0) + n * e
 
     sp = tb.rho.scale
-    return _compared(line(dh), dk, width, sides(_rho_side(rho, lambda pr: x_[pr[0]], width), compat),
-                     act.scale * sp, tb.s_legs.scale * hmul.scale ** 2 * sp * act.scale, fs, pairs_render(dk),
-                     lambda w: (7,) + w)
+    return compared(line(dh), dk, width, sides(_rho_side(rho, lambda pr: x_[pr[0]], width), compat),
+                    act.scale * sp, tb.s_legs.scale * hmul.scale ** 2 * sp * act.scale, fs, pairs_render(dk),
+                    lambda w: (7,) + w)
 
 
 def _braided_bialgebra_law(r: RelRB) -> Tally:
@@ -592,7 +569,7 @@ def _braided_bialgebra_law(r: RelRB) -> Tally:
     once per a."""
     dk, fs, p = r.dim_k, r.field, r.field.p
     tb, kmul, kco, act = _rho_tables(r), r.k_alg.int_mul(), r.k_coalg.int_comul(), r.action.int_act()
-    terms, km, kc, x_, ku = tb.terms, kmul.rows, kco.rows, act.rows, tb.k_unit.rows[0]
+    terms, km, kc, x_ = tb.terms, kmul.rows, kco.rows, act.rows
     d2 = dk * dk
 
     def braided(acc, prefix, w):
@@ -621,24 +598,12 @@ def _braided_bialgebra_law(r: RelRB) -> Tally:
                                 key = i + j
                                 acc[key] = get(key, 0) + n * e
 
-    def unit_delta(acc, prefix, w):
-        get = acc.get
-        for t, c in ku:
-            c *= w
-            for i, j, e in kc[t]:
-                key = i * dk + j
-                acc[key] = get(key, 0) + c * e
-
-    render = pairs_render(dk)
-    t = _compared(line(dk), dk, d2, sides(comul_side(km, kc, dk), braided), kmul.scale * kco.scale,
-                  kco.scale ** 2 * tb.rho.scale * act.scale * kmul.scale ** 2, fs, render, lambda w: (8,) + w + (0,))
-    kalg, kcoalg = r.k_alg, r.k_coalg
-    eps = Tally()
-    for a, b in product(range(dk), repeat=2):
-        eps.compare((8, a, b, 1), kcoalg.eps_vec(kalg.mul[a][b]), kcoalg.eps(a) * kcoalg.eps(b))
-    t.absorb(eps)
-    t.absorb(_compared([()], 1, d2, sides(unit_delta, _tensor_side(ku, ku, dk)), tb.k_unit.scale * kco.scale,
-                       tb.k_unit.scale ** 2, fs, render, lambda w: (8, dk, dk, 0)))
+    t = compared(line(dk), dk, d2, sides(comul_side(km, kc, dk), braided), kmul.scale * kco.scale,
+                 kco.scale ** 2 * tb.rho.scale * act.scale * kmul.scale ** 2, fs, pairs_render(dk),
+                 lambda w: (8,) + w + (0,))
+    eps, delta, _ = bialgebra_unit_laws(r.k_alg, r.k_coalg)
+    t.absorb(eps, where=lambda w: (8,) + w + (1,))
+    t.absorb(delta, where=lambda w: (8, dk, dk, 0))
     return t
 
 
@@ -680,7 +645,7 @@ def antipode_sk(r: RelRB) -> Matrix:
             add_scaled_inplace(acc, r.action.apply(r.r_map.column(a1), w), c)
         cols.append(Vector(dk, acc, fs))
     sk = matrix_from_columns(cols, fs)
-    if _antipode_checker("HOPF-ANTIPODE", r.k_alg, r.k_coalg, sk).failures:
+    if antipode_law(r.k_alg, r.k_coalg, sk).failures:
         raise StructureError("derived S_K fails the antipode identities")
     return sk
 

@@ -36,7 +36,7 @@ from ydalgebra.braces import (
 )
 from ydalgebra.builders import build_en, build_suzuki, build_sweedler
 from ydalgebra.cli import run_suite
-from ydalgebra.compiled import compile_comul, compile_groups, compile_tensor, compile_vectors, square
+from ydalgebra.compiled import compile_comul, compile_groups, compile_tensor, compile_vectors, line, square
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
     ActionTensor, AlgebraData, HopfData, StructureError, check_algebra, check_hopf, module_algebra_law,
@@ -1179,11 +1179,12 @@ def test_cube_contracts_run_once_per_row(monkeypatch):
             contract(acc, prefix, wl, wr)
         return real(t, prefixes, n, width, wrapped, *rest)
 
-    monkeypatch.setattr(hopf, "compare", counted)
     s = parse("\n".join(_base_lines("en2", None)) + "\n")
     d = s.dim
+    monkeypatch.setattr(hopf, "compare", counted)
     check_algebra(s.carrier.algebra)
-    assert rows == list(square(d))
+    # then ALG-UNIT, once per row (i,)
+    assert rows == [*square(d), *line(d)]
     rows.clear()
     module_algebra_law(s.action, s.carrier.coalgebra, s.carrier.algebra)
     assert rows == list(square(d))

@@ -13,17 +13,23 @@ The solvers are cross-checked the same way on files without beta: beta
 solved over Q and emitted, then reduced, must be the bytes of beta solved
 from the reduced file, and the braided antipode S_K of the functor L image
 must agree entry by entry after reduction.
+
+The Hopf layer's own laws (HOPF-ANTIPODE, P-S, P-COALG, HOPF-EPS-MULT,
+HOPF-DELTA-UNIT, HOPF-EPS-UNIT) are cross-checked on integral mutants of
+the h4 and Sweedler goldens: each must give the same verdict, counts and
+witness tuple over Q and over F_10007.
 """
 
 import functools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ydalgebra.builders import build_en, build_suzuki, build_sweedler
 from ydalgebra.cli import run_suite
 from ydalgebra.field import RATIONALS, FieldSpec, format_scalar
-from ydalgebra.posthopf import solve_beta
+from ydalgebra.posthopf import YDPostHopf, check_yd_post_hopf, solve_beta
 from ydalgebra.rota import antipode_sk, functor_l
 from ydalgebra.structio import emit, parse
 
@@ -93,3 +99,51 @@ def test_solvers_on_a_beta_stripped_file_agree_after_reduction(name, p):
     assert emit(parse(_reduce(emit(q), p))) == emit(fp)
     assert emit(q) == _q_text(name)
     assert _matrix_text(antipode_sk(functor_l(q)), FieldSpec(p)) == _matrix_text(antipode_sk(functor_l(fp)))
+
+
+# The Hopf layer's own laws, on integral goldens with one coefficient raised
+# by 1 (by 2 where 1 would cancel it): an integral identity fails over Q
+# exactly where its integer sides differ, and over F_10007 where they differ
+# mod 10007, which no difference this small is.
+HOPF_LAW_IDS = ("HOPF-EPS-MULT", "HOPF-DELTA-UNIT", "HOPF-EPS-UNIT", "HOPF-ANTIPODE", "P-COALG", "P-S")
+INTEGRAL_GOLDENS = ("h4-q", "sweedler-q")
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _integral_mutants() -> dict:
+    out = {}
+    for base in INTEGRAL_GOLDENS:
+        lines = (GOLDEN / f"{base}.struct").read_text().splitlines()
+        assert "field Q" in lines and not any("/" in line for line in lines)
+        for i, line in enumerate(lines):
+            parts = line.split()
+            if parts[0] in ("mul", "comul", "counit", "unit", "antipode"):
+                n = int(parts[-1])
+                parts[-1] = str(n + 1 if n != -1 else n + 2)
+                out[f"{base}-{'-'.join(parts[:-1])}"] = "\n".join(lines[:i] + [" ".join(parts)] + lines[i + 1:]) + "\n"
+    return out
+
+
+INTEGRAL_MUTANTS = _integral_mutants()
+
+
+def _hopf_law_verdicts(text: str) -> dict:
+    """ID -> (status, checked, failures, witness tuple) of the Hopf layer's
+    laws in the suite of text's kind."""
+    obj = parse(text)
+    rep = check_yd_post_hopf(obj) if isinstance(obj, YDPostHopf) else run_suite(obj)
+    return {e.axiom: (e.status, e.checked, e.failures, e.witness and e.witness.where)
+            for e in rep.entries if e.axiom in HOPF_LAW_IDS}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_MUTANTS))
+def test_hopf_laws_agree_over_q_and_fp_on_integral_mutants(name):
+    text = INTEGRAL_MUTANTS[name]
+    q = _hopf_law_verdicts(text)
+    assert q and q == _hopf_law_verdicts(_reduce(text, 10007))
+
+
+def test_integral_mutants_fail_every_hopf_law():
+    failing = {axiom for text in INTEGRAL_MUTANTS.values()
+               for axiom, (status, *_) in _hopf_law_verdicts(text).items() if status == "fail"}
+    assert failing == set(HOPF_LAW_IDS)

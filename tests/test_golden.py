@@ -304,8 +304,8 @@ NO_GOLDEN_FAILURE = {
     "PL-1": "test_posthopf.py::test_check_post_lie_designed_failure",
     "PL-2": "no test fails it yet",
     "PL-SUB": "no test fails it yet",
-    "GRB-GROUP-G": "no test fails it yet",
-    "GRB-GROUP-H": "no test fails it yet",
+    "GRB-GROUP-G": "test_rota.py::test_grb_group_g_fails_on_a_table_that_is_not_associative",
+    "GRB-GROUP-H": "test_rota.py::test_grb_group_h_fails_on_a_monoid_without_inverses",
     "LRB-LIE-G": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",
     "LRB-LIE-H": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",
     "LRB-ACTION": "test_rota.py::test_lrb_action_fails_where_phi_is_not_a_derivation",

@@ -247,12 +247,13 @@ def test_tensor_vectors_must_have_the_tensor_dimension():
         ActionTensor(4, 4, rows, RATIONALS)
 
 
-def _plus_e0(table: IntTable, column: int) -> IntTable:
-    """table with e_0 added to one compiled column."""
+def _plus_e0(table: IntTable, k: int) -> IntTable:
+    """The right-hand table of ``convolution_unit_law``, one column per
+    g(e_k), with e_0 added to the column of g(e_k)."""
     rows = list(table.rows)
-    col = dict(rows[column])
+    col = dict(rows[k][0])
     col[0] = col.get(0, 0) + table.scale
-    rows[column] = tuple(sorted((k, v) for k, v in col.items() if v))
+    rows[k] = [tuple(sorted((t, v) for t, v in col.items() if v))]
     return IntTable(rows, table.scale)
 
 
@@ -260,9 +261,9 @@ def test_convolution_inverse_failed_self_check_raises(monkeypatch):
     # each row of the system is a coefficient of f*g, so f*g failing its
     # re-check on the solved g is a solver bug: corrupt the re-check's
     # reading of g
-    real = hopf._convolves_to_unit
-    monkeypatch.setattr(hopf, "_convolves_to_unit",
-                        lambda left, right, c, a: real(left, _plus_e0(right, 1), c, a))
+    real = hopf.convolution_unit_law
+    monkeypatch.setattr(hopf, "convolution_unit_law",
+                        lambda left, right, c, unit: real(left, _plus_e0(right, 1), c, unit))
     with pytest.raises(LinAlgError, match="self-check"):
         solve_antipode(h4_algebra(), h4_coalgebra())
 
@@ -281,23 +282,28 @@ def test_convolution_inverse_corrupted_back_substitution_raises(monkeypatch):
         solve_antipode(h4_algebra(), h4_coalgebra())
 
 
-def _verdicts(*oks) -> tuple:
-    """The tallies of ``_verify_endo_inverse``, one tuple each, failing where
-    ok is False."""
-    out = []
-    for ok in oks:
-        t = Tally()
-        t.record((0,), ok)
-        out.append(t)
-    return tuple(out)
+def _failing_call(monkeypatch, n: int) -> None:
+    """Make the n-th call of ``hopf.convolution_unit_law`` report one more
+    failure, at (0,), as a corrupted re-check would."""
+    real = hopf.convolution_unit_law
+    calls = []
+
+    def law(*args):
+        calls.append(None)
+        t = real(*args)
+        if len(calls) == n:
+            t.record((0,), False)
+        return t
+
+    monkeypatch.setattr(hopf, "convolution_unit_law", law)
 
 
-@pytest.mark.parametrize("sides", [(False, True), (True, False)], ids=["alpha-beta", "beta-alpha"])
-def test_hom_convolution_inverse_failed_self_check_raises(monkeypatch, sides):
+@pytest.mark.parametrize("n", [1, 2], ids=["alpha-beta", "beta-alpha"])
+def test_hom_convolution_inverse_failed_self_check_raises(monkeypatch, n):
     # over a coalgebra, Hom(C, End(H)) is a finite-dimensional algebra, where
     # a one-sided inverse is two-sided: either failure is a solver bug
     c = h4_coalgebra()
-    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: _verdicts(*sides))
+    _failing_call(monkeypatch, n)
     with pytest.raises(LinAlgError, match="self-check"):
         hom_convolution_inverse_endo(_trivial_action(c), c)
 
@@ -310,7 +316,7 @@ def test_hom_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
                           [(2, 0, one), (0, 2, one), (1, 2, one)]],
                       Vector(3, {0: one}, RATIONALS), RATIONALS)
     assert not check_coalgebra(c).all_pass()
-    monkeypatch.setattr(hopf, "_verify_endo_inverse", lambda alpha, beta, coalg: _verdicts(True, False))
+    _failing_call(monkeypatch, 2)
     assert hom_convolution_inverse_endo(_trivial_action(c), c).beta is None
 
 
@@ -584,14 +590,15 @@ def _non_coassociative_right_inverse():
 def test_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
     # f*g = eps 1 solves and g*f does not: no inverse, and no exception
     f, c, a = _non_coassociative_right_inverse()
-    real = hopf._convolves_to_unit
+    real = hopf.convolution_unit_law
     verdicts = []
 
-    def counted(left, right, coalg, alg):
-        verdicts.append(real(left, right, coalg, alg))
-        return verdicts[-1]
+    def counted(*args):
+        t = real(*args)
+        verdicts.append(t.failures == 0)
+        return t
 
-    monkeypatch.setattr(hopf, "_convolves_to_unit", counted)
+    monkeypatch.setattr(hopf, "convolution_unit_law", counted)
     assert convolution_inverse(f, c, a) is None
     assert verdicts == [True, False]
     assert ref_convolution_inverse(f, c, a) is None
@@ -600,14 +607,14 @@ def test_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
 def test_convolution_inverse_failed_g_star_f_on_valid_axioms_raises(monkeypatch):
     # over a coalgebra and an algebra a right inverse is two-sided: a g*f
     # re-check that fails is a solver bug
-    real = hopf._convolves_to_unit
+    real = hopf.convolution_unit_law
     calls = []
 
-    def second_corrupted(left, right, c, a):
+    def second_corrupted(left, right, c, unit):
         calls.append(None)
-        return real(left, _plus_e0(right, 1) if len(calls) == 2 else right, c, a)
+        return real(left, _plus_e0(right, 1) if len(calls) == 2 else right, c, unit)
 
-    monkeypatch.setattr(hopf, "_convolves_to_unit", second_corrupted)
+    monkeypatch.setattr(hopf, "convolution_unit_law", second_corrupted)
     with pytest.raises(LinAlgError, match="self-check failed: g\\*f"):
         solve_antipode(h4_algebra(), h4_coalgebra())
     assert len(calls) == 2
@@ -695,4 +702,52 @@ def test_solvers_make_no_vector_path_calls(monkeypatch, build):
     res = hom_convolution_inverse_endo(s.action, c)
     assert res.beta == s.beta
     assert all(t.failures == 0 for t in hopf._verify_endo_inverse(s.action, s.beta, c))
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["en2-q", "sweedler-f7", "suzuki-q"])
+def test_hopf_layer_checks_make_no_vector_path_calls(monkeypatch, name):
+    # the carrier, bialgebra and antipode checks, the P-COALG and P-S steps
+    # and the re-check of S_K run on the compiled tables
+    from itertools import islice
+
+    from test_golden import GOLDEN
+    from ydalgebra import compiled, posthopf, rota
+    from ydalgebra.posthopf import _post_hopf_steps, subadjacent_hopf
+    from ydalgebra.rota import antipode_sk, functor_l
+
+    s = parse((GOLDEN / f"{name}.struct").read_text())
+    r = functor_l(parse((GOLDEN / f"{name}.struct").read_text()))
+    calls, active = [], []
+
+    def counting(fn, real):
+        def counted(*args, **kwargs):
+            if active:
+                calls.append(fn)
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(AlgebraData, "mul_vec", counting("mul_vec", AlgebraData.mul_vec))
+    for fn in ("add_scaled_inplace", "accumulate"):
+        for mod in (linalg, hopf, compiled, posthopf, rota):
+            if hasattr(mod, fn):
+                monkeypatch.setattr(mod, fn, counting(fn, getattr(linalg, fn)))
+    real_law = rota.antipode_law
+
+    def recheck(*args):
+        active.append(True)
+        try:
+            return real_law(*args)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(rota, "antipode_law", recheck)
+    sk = antipode_sk(r)
+    sub = subadjacent_hopf(s, verify=False)
+    active.append(True)
+    steps = [e.axiom for step in islice(_post_hopf_steps(s), 4) for e in step]
+    reps = [check_algebra(r.k_alg), check_coalgebra(r.k_coalg), check_hopf(r.h), check_hopf(sub)]
+    active.pop()
+    assert steps == ["ALG-ASSOC", "ALG-UNIT", "COALG-COASSOC", "COALG-COUNIT", "P-COALG", "P-S"]
+    assert all(rep.all_pass() for rep in reps) and sk == s.carrier.s_map
     assert calls == []

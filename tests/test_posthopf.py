@@ -392,22 +392,23 @@ def test_p_conv_verifies_beta_once(monkeypatch, strip_beta):
     """P-CONV verifies alpha*beta and beta*alpha once: on the supplied beta,
     or, when the suite solves beta, by reusing the tallies with which the
     solver accepted it."""
-    from ydalgebra import hopf, posthopf
+    from ydalgebra import hopf
 
     calls = []
-    real = hopf._verify_endo_inverse
+    real = hopf.convolution_unit_law
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(left, right, *rest):
+        calls.append((left, right))
+        return real(left, right, *rest)
 
-    monkeypatch.setattr(hopf, "_verify_endo_inverse", counted)
-    monkeypatch.setattr(posthopf, "_verify_endo_inverse", counted)
+    monkeypatch.setattr(hopf, "convolution_unit_law", counted)
     lines = (GOLDEN / "en2-q.struct").read_text().splitlines()
     s = parse("".join(f"{x}\n" for x in lines if not (strip_beta and x.split()[0] == "beta")))
     assert (s.beta is None) == strip_beta
     entry = check_yd_post_hopf(s).entry("P-CONV")
-    assert len(calls) == 1
+    # alpha*beta and beta*alpha, each once; the other calls are P-S's
+    alpha = s.action.int_act()
+    assert [left is alpha for left, right in calls if alpha is left or alpha is right] == [True, False]
     assert (entry.status, entry.checked, entry.failures) == ("pass", 2 * s.dim, 0)
 
 

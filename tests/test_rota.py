@@ -24,11 +24,13 @@ from ydalgebra.hopf import CoalgebraData, StructureError, is_cocommutative
 from ydalgebra.linalg import Matrix, Vector, identity_matrix, invert, unit_vector
 from ydalgebra.posthopf import check_yd_post_hopf
 from ydalgebra.rota import (
+    GroupTable,
     LieData,
     LieRB,
     _morphism_checker,
     adjunction_bijection,
     antipode_sk,
+    check_group_rb,
     check_lie_rb,
     check_rb_morphism,
     check_rel_rb,
@@ -336,3 +338,49 @@ def test_lrb_action_fails_where_phi_is_not_a_derivation(p):
     assert (e.status, e.checked, e.failures) == ("fail", 6, 2)
     assert e.witness.text() == "at=(0,0,0,1) lhs=[1:1] rhs=[1:2]"
     assert rep.entry("LRB-LIE-G").status == rep.entry("LRB-LIE-H").status == "pass"
+
+
+# --- the group axioms of a group Rota-Baxter operator fail on their own -------
+
+
+def _s3_inversion_with(side: str, table):
+    """The S3 inversion operator of the golden file, with the multiplication
+    table of G or of H (side) replaced by table(old table)."""
+    from dataclasses import replace
+    from pathlib import Path
+
+    from ydalgebra.structio import parse
+
+    grb = parse((Path(__file__).parent / "golden" / "s3-inversion.struct").read_text())
+    group = grb.group_g if side == "G" else grb.group_h
+    new = GroupTable(list(group.elements), table([list(row) for row in group.mul]))
+    return replace(grb, group_g=new) if side == "G" else replace(grb, group_h=new)
+
+
+def test_grb_group_g_fails_on_a_table_that_is_not_associative():
+    # (01)(01) = (02) instead of e: the identity row and column are kept,
+    # so GRB-GROUP-G fails on its own, first on associativity, at the least
+    # triple through the changed entry
+    def changed(mul):
+        assert mul[0] == list(range(6)) and mul[1][1] == 0
+        mul[1][1] = 2
+        return mul
+
+    rep = check_group_rb(_s3_inversion_with("G", changed))
+    e = rep.entry("GRB-GROUP-G")
+    assert (e.status, e.checked, e.failures) == ("fail", 6 ** 3 + 1 + 6, 18)
+    assert e.witness.text() == "at=(1,1,1) lhs=[associativity] rhs=[]"
+    assert rep.status("GRB-GROUP-H") == "pass"
+
+
+def test_grb_group_h_fails_on_a_monoid_without_inverses():
+    # x y = (01) for x, y != e: associative, with identity e, so GRB-GROUP-H
+    # fails on its own, on the inverse rows only, one for each of the five
+    # elements other than e
+    n = 6
+    rep = check_group_rb(_s3_inversion_with(
+        "H", lambda mul: [[j if i == 0 else i if j == 0 else 1 for j in range(n)] for i in range(n)]))
+    e = rep.entry("GRB-GROUP-H")
+    assert (e.status, e.checked, e.failures) == ("fail", n ** 3 + 1 + n, n - 1)
+    assert e.witness.text() == "at=(inverse,1) lhs=[no inverse] rhs=[]"
+    assert rep.status("GRB-GROUP-G") == "pass"
