@@ -8,10 +8,8 @@ container compiles its tensor once, on first use, into a plain-int table
 (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the iterated
 coproduct; see ``compiled``) and keeps it.  Every check here runs on those
 tables, one row per contract call of ``compiled.compare``, and builds a
-``Vector`` only to render a witness: ALG-ASSOC on rows (i, j), reading
-m[i][j] and m[i] once for every k; ALG-UNIT, COALG-COASSOC and
-COALG-COUNIT on rows (i,); HOPF-DELTA-MULT with its sums in H (x) H keyed
-y * dim**2 + p * dim + q (``compiled.comul_side``, ``compiled.legs_side``).
+``Vector`` only to render a witness; ALG-ASSOC reads m[i][j] and m[i] once
+per row (i, j), and a law on H (x) H keys its sums y * dim**2 + p * dim + q.
 
 The laws are written once, here, as tallies that the suites fold into
 their IDs; the acting space may differ from the target, as in a relative
@@ -25,8 +23,7 @@ Rota-Baxter operator, where H acts on K:
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
   MP-MODC 0-3, its counit rows by ``counit_law``;
 - ``mp5_law``: P-MP5, HB-MP5, MP-5;
-- ``bialgebra_unit_laws``, eps multiplicative (``counit_law``), Delta(1) =
-  1 (x) 1 and eps(1) = 1: HOPF-EPS-MULT, HOPF-DELTA-UNIT, HOPF-EPS-UNIT,
+- ``bialgebra_unit_laws``: HOPF-EPS-MULT, HOPF-DELTA-UNIT, HOPF-EPS-UNIT,
   the last rows of P-COALG and RB-BIMON 8;
 - ``convolution_unit_law``, (f*g)(x) = eps(x) u for maps into an algebra
   (u = 1) or into End(H) (u = Id): HOPF-ANTIPODE, P-S and the re-check of
@@ -34,16 +31,14 @@ Rota-Baxter operator, where H acts on K:
   re-checks of both solvers.
 
 The unit rows of the action laws remain ``Vector`` loops.  Antipodes and
-convolution inverses are solved from their defining linear systems, never
-assumed: ``_convolution_rows`` writes one int row per coefficient of
-f*g = eps 1 (alpha*beta = eps Id) from the compiled tables for
-``linalg.solve_rows``, and both sides of the solution are re-verified by
-``convolution_unit_law``.  Over a coalgebra C (and, for an antipode, an
+convolution inverses are solved, never assumed: ``_convolution_rows``
+writes one int row per coefficient of f*g = eps 1 (alpha*beta = eps Id)
+for ``linalg.solve_rows``, and ``convolution_unit_law`` re-verifies both
+sides of the solution.  Over a coalgebra C (and, for an antipode, an
 algebra A), Hom(C, A) is a finite-dimensional algebra, where a right
 inverse is two-sided, so either re-check failing is a solver bug; off
-those axioms, a failed g*f only means there is no inverse.  P-CONV reports
-the tallies of ``_verify_endo_inverse``; when beta was just solved, they
-are the ones ``hom_convolution_inverse_endo`` computed to accept it.
+those axioms, a failed g*f only means there is no inverse.  When the
+suite solves beta, P-CONV reports the solver's own tallies.
 """
 
 from __future__ import annotations
@@ -220,14 +215,18 @@ class CoalgebraData:
         return acc
 
 
-class _Bundle:
-    """An algebra and a coalgebra on one basis with a square map, its antipode."""
+@dataclass
+class HopfData:
+    """Ordinary Hopf algebra bundle (algebra, coalgebra, antipode)."""
 
-    def _check_shapes(self, smap: Matrix) -> None:
-        d = self.algebra.dim
-        if d != self.coalgebra.dim:
+    algebra: AlgebraData
+    coalgebra: CoalgebraData
+    antipode: Matrix
+
+    def __post_init__(self):
+        if self.algebra.dim != self.coalgebra.dim:
             raise StructureError("algebra/coalgebra dimension mismatch")
-        if smap.rows != d or smap.cols != d:
+        if self.antipode.rows != self.algebra.dim or self.antipode.cols != self.algebra.dim:
             raise StructureError("antipode shape mismatch")
 
     @property
@@ -240,19 +239,7 @@ class _Bundle:
 
 
 @dataclass
-class HopfData(_Bundle):
-    """Ordinary Hopf algebra bundle (algebra, coalgebra, antipode)."""
-
-    algebra: AlgebraData
-    coalgebra: CoalgebraData
-    antipode: Matrix
-
-    def __post_init__(self):
-        self._check_shapes(self.antipode)
-
-
-@dataclass
-class BraidedPair(_Bundle):
+class BraidedPair:
     """Algebra + coalgebra + a two-sided convolution inverse of the identity.
 
     The map s is not required to be an algebra anti-morphism and the
@@ -265,7 +252,18 @@ class BraidedPair(_Bundle):
     s_map: Matrix
 
     def __post_init__(self):
-        self._check_shapes(self.s_map)
+        if self.algebra.dim != self.coalgebra.dim:
+            raise StructureError("algebra/coalgebra dimension mismatch")
+        if self.s_map.rows != self.algebra.dim or self.s_map.cols != self.algebra.dim:
+            raise StructureError("antipode shape mismatch")
+
+    @property
+    def dim(self) -> int:
+        return self.algebra.dim
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.algebra.field
 
 
 @dataclass
@@ -634,19 +632,13 @@ def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData) -> tuple[Tally, 
     unit, counit = compile_vectors([alg.unit], fs), compile_vectors([coalg.counit], fs)
     u, eps = unit.rows[0], dict(counit.rows[0])
 
-    def delta_unit(acc, prefix, w):
-        get = acc.get
-        for t, c in u:
-            for i, j, e in comul.rows[t]:
-                key = i * d + j
-                acc[key] = get(key, 0) + w * c * e
-
     def eps_unit(acc, prefix, wl, wr):
         acc[0] = wl * sum(c * eps.get(t, 0) for t, c in u) + wr
 
+    # Delta(1) as the side Delta(T[0][0]) of the one-entry table T = [[1]]
     return (counit_law(alg.int_mul(), coalg, coalg, coalg),
-            compared([()], 1, d * d, sides(delta_unit, tensor_side(u, u, d)), unit.scale * comul.scale,
-                     unit.scale ** 2, fs, pairs_render(d)),
+            compared([(0,)], 1, d * d, sides(comul_side([[u]], comul.rows, d), tensor_side(u, u, d)),
+                     unit.scale * comul.scale, unit.scale ** 2, fs, pairs_render(d), lambda w: w[:1]),
             compared([()], 1, 1, eps_unit, unit.scale * counit.scale, 1, fs, scalar_render))
 
 
@@ -694,10 +686,18 @@ def convolution_unit_law(left: IntTable, right: IntTable, coalg: CoalgebraData, 
 
 def _left_products(fcols: IntTable, mul: IntTable, p: int | None) -> IntTable:
     """The table f(e_j) . e_r of ``convolution_unit_law`` for the compiled
-    columns f(e_j) of a map into the algebra of mul."""
+    columns f(e_j) of a map into the algebra of mul; a column a e_s (as of
+    the identity and most antipodes) scales the row of e_s."""
     m = mul.rows
     mcols = [[row[r] for row in m] for r in range(len(m))]
-    return IntTable([[int_linear(mc, col, p) for mc in mcols] for col in fcols.rows], fcols.scale * mul.scale)
+    rows = []
+    for col in fcols.rows:
+        if len(col) == 1:
+            (s, a), = col
+            rows.append([[(t, a * v) for t, v in prod] for prod in m[s]])
+        else:
+            rows.append([int_linear(mc, col, p) for mc in mcols])
+    return IntTable(rows, fcols.scale * mul.scale)
 
 
 def _one_column(cols: IntTable) -> IntTable:
@@ -884,15 +884,16 @@ def _verify_endo_inverse(
     tallies at (x,) of ``convolution_unit_law`` on the compiled action
     tables, a witness labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``;
     no matrix is built."""
-    xa, xb = alpha.int_act(), beta.int_act()
     ident = IntTable([((y, 1),) for y in range(c.dim)], 1)
-    out = []
-    for f, g, label in ((xa, xb, "alpha*beta"), (xb, xa, "beta*alpha")):
+
+    def labelled(f: IntTable, g: IntTable, label: str) -> Tally:
         t = convolution_unit_law(f, g, c, ident)
         if t.witness is not None:
             t.witness = Witness(t.witness.where, label, "eps Id")
-        out.append(t)
-    return out[0], out[1]
+        return t
+
+    xa, xb = alpha.int_act(), beta.int_act()
+    return labelled(xa, xb, "alpha*beta"), labelled(xb, xa, "beta*alpha")
 
 
 def solve_antipode(a: AlgebraData, c: CoalgebraData) -> Matrix | None:
