@@ -6,10 +6,11 @@ multiplication is a tensor of sparse vectors, the comultiplication a list
 of (left leg, right leg, coefficient) triples per basis element.  Each
 container compiles its tensor once, on first use, into a plain-int table
 (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the iterated
-coproduct; see ``compiled``) and keeps it.  Every check here runs on those
-tables, one row per contract call of ``compiled.compare``, and builds a
-``Vector`` only to render a witness; ALG-ASSOC reads m[i][j] and m[i] once
-per row (i, j), and a law on H (x) H keys its sums y * dim**2 + p * dim + q.
+coproduct; see ``compiled``) and keeps it.  Every check here but the unit
+rows of the action laws runs on those tables, one row per contract call of
+``compiled.compare``, and builds a ``Vector`` only to render a witness;
+ALG-ASSOC reads m[i][j] and m[i] once per row (i, j), and a law on H (x) H
+keys its sums y * dim**2 + p * dim + q.
 
 The laws are written once, here, as tallies that the suites fold into
 their IDs; the acting space may differ from the target, as in a relative
@@ -30,15 +31,15 @@ Rota-Baxter operator, where H acts on K:
   S_K (``antipode_law``), P-CONV (``_verify_endo_inverse``) and the
   re-checks of both solvers.
 
-The unit rows of the action laws remain ``Vector`` loops.  Antipodes and
-convolution inverses are solved, never assumed: ``_convolution_rows``
-writes one int row per coefficient of f*g = eps 1 (alpha*beta = eps Id)
-for ``linalg.solve_rows``, and ``convolution_unit_law`` re-verifies both
-sides of the solution.  Over a coalgebra C (and, for an antipode, an
-algebra A), Hom(C, A) is a finite-dimensional algebra, where a right
-inverse is two-sided, so either re-check failing is a solver bug; off
-those axioms, a failed g*f only means there is no inverse.  When the
-suite solves beta, P-CONV reports the solver's own tallies.
+Antipodes and convolution inverses are solved, never assumed:
+``_convolution_rows`` writes one int row per coefficient of f*g = eps 1
+(alpha*beta = eps Id) for ``linalg.solve_rows``, and
+``convolution_unit_law`` re-verifies both sides of the solution.  Over a
+coalgebra C (and, for an antipode, an algebra A), Hom(C, A) is a
+finite-dimensional algebra, where a right inverse is two-sided, so either
+re-check failing is a solver bug; off those axioms, a failed g*f only means
+there is no inverse.  When the suite solves beta, P-CONV reports the
+solver's own tallies.
 """
 
 from __future__ import annotations
