@@ -238,13 +238,5 @@ class Checker(Tally):
         )
 
 
-def law_entry(axiom: str, law, where=None, swap: bool = False) -> CheckEntry:
-    """The entry of axiom for the tally law() returns, absorbed with where
-    and swap (``Tally.absorb``), timed from before the call."""
-    ch = Checker(axiom)
-    ch.absorb(law(), where, swap)
-    return ch.entry()
-
-
 def skipped_entry(axiom: str) -> CheckEntry:
     return CheckEntry(axiom, SKIPPED)
