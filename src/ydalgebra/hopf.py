@@ -3,14 +3,28 @@ convolution calculus.
 
 Algebras, coalgebras and Hopf bundles live on a fixed finite basis; the
 multiplication is a tensor of sparse vectors, the comultiplication a list
-of (left leg, right leg, coefficient) triples per basis element.  Each
-container compiles its tensor once, on first use, into a plain-int table
-(``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the iterated
-coproduct; see ``compiled``) and keeps it.  Every check here but the unit
-rows of the action laws runs on those tables, one row per contract call of
-``compiled.compare``, and builds a ``Vector`` only to render a witness;
-ALG-ASSOC reads m[i][j] and m[i] once per row (i, j), and a law on H (x) H
-keys its sums y * dim**2 + p * dim + q.
+of (left leg, right leg, coefficient) triples per basis element.  Antipodes
+and convolution inverses are always solved from their defining linear
+systems and re-verified, never assumed.  Both solvers assemble their
+systems as plain-int rows on the compiled tables (``_convolution_rows``)
+and hand them to ``linalg.solve_rows``; a ``Matrix`` or ``Vector`` is
+built only for the result.  The system holds one side of the identity,
+f*g = eps 1 (for beta, alpha*beta = eps Id), one row per coefficient; both
+sides are then re-verified by ``convolution_unit_law``.  Over a coalgebra
+C (and, for an antipode, an algebra A), Hom(C, A) is a finite-dimensional
+algebra, where a right inverse is two-sided, so either re-check failing is
+a solver bug; off those axioms, a failed g*f only means there is no
+inverse.  P-CONV runs the same re-check, ``_verify_endo_inverse``, on
+every beta.
+
+Each container compiles its tensor once, on first use, into a plain-int
+table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
+iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC runs on the
+compiled product, one row (i, j) per contract call: m[i][j] and m[i] are
+read once for every k, both sides of (e_i e_j) e_k = e_i (e_j e_k) carry
+the square of its scale, so their int sums are compared as they are, and
+a ``Vector`` is built only to render the first failing triple.  ALG-UNIT,
+COALG-COASSOC and COALG-COUNIT run on the compiled tables too.
 
 The laws are written once, here, as tallies that the suites fold into
 their IDs; the acting space may differ from the target, as in a relative
@@ -19,8 +33,7 @@ Rota-Baxter operator, where H acts on K:
 - ``module_law``: P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and its unit
   row L-1ACT, MP-MODC 6;
 - ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
-  its unit row L-U, MP-1; it sums c (h_1 >- a) once per row (h, a) for
-  each distinct h_2, then multiplies that sum by h_2 >- b for every b;
+  its unit row L-U, MP-1;
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
   MP-MODC 0-3, its counit rows by ``counit_law``;
 - ``mp5_law``: P-MP5, HB-MP5, MP-5;
@@ -31,15 +44,15 @@ Rota-Baxter operator, where H acts on K:
   S_K (``antipode_law``), P-CONV (``_verify_endo_inverse``) and the
   re-checks of both solvers.
 
-Antipodes and convolution inverses are solved, never assumed:
-``_convolution_rows`` writes one int row per coefficient of f*g = eps 1
-(alpha*beta = eps Id) for ``linalg.solve_rows``, and
-``convolution_unit_law`` re-verifies both sides of the solution.  Over a
-coalgebra C (and, for an antipode, an algebra A), Hom(C, A) is a
-finite-dimensional algebra, where a right inverse is two-sided, so either
-re-check failing is a solver bug; off those axioms, a failed g*f only means
-there is no inverse.  When the suite solves beta, P-CONV reports the
-solver's own tallies.
+All of them run on the compiled tables, and so does HOPF-DELTA-MULT; only
+the unit rows of the action laws run on ``Vector``s.  A law on triples
+runs on rows (g, h) or (h, a), and ``module_algebra_law`` sums
+c (h_1 >- a) once per row for each distinct h_2, then multiplies that sum
+by h_2 >- b for every b.  A law on H (x) H runs on rows (x,) and keys its
+int sums by y * dim**2 + p * dim + q (``compiled.comul_side`` and
+``compiled.legs_side``).  P-CONV reports the tallies of
+``_verify_endo_inverse``; when beta was just solved, they are the ones
+``hom_convolution_inverse_endo`` computed to accept it.
 """
 
 from __future__ import annotations
@@ -70,7 +83,7 @@ from .linalg import (
     solve_rows,
     unit_vector,
 )
-from .report import Checker, CheckReport, Tally, Witness, law_entry, vector_text
+from .report import Checker, CheckReport, Tally, Witness, vector_text
 
 
 class StructureError(ValueError):
@@ -457,16 +470,15 @@ def check_hopf(h: HopfData) -> CheckReport:
             mul.scale * comul.scale, (mul.scale * comul.scale) ** 2, a.field, pairs_render(d))
     rep.add(ch.entry())
 
-    ch = Checker("HOPF-EPS-MULT")
-    eps_mult, delta_unit, eps_unit = bialgebra_unit_laws(a, c)
-    ch.absorb(eps_mult)
-    rep.add(ch.entry())
-    for axiom, t in (("HOPF-DELTA-UNIT", delta_unit), ("HOPF-EPS-UNIT", eps_unit)):
+    laws = bialgebra_unit_laws(a, c)
+    for axiom in ("HOPF-EPS-MULT", "HOPF-DELTA-UNIT", "HOPF-EPS-UNIT"):
         ch = Checker(axiom)
-        ch.absorb(t)
+        ch.absorb(next(laws))
         rep.add(ch.entry())
 
-    rep.add(law_entry("HOPF-ANTIPODE", lambda: antipode_law(a, c, h.antipode)))
+    ch = Checker("HOPF-ANTIPODE")
+    ch.absorb(antipode_law(a, c, h.antipode))
+    rep.add(ch.entry())
     return rep
 
 
@@ -624,23 +636,26 @@ def counit_law(table: IntTable, target: CoalgebraData, left: CoalgebraData, righ
                     target.field, scalar_render)
 
 
-def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData) -> tuple[Tally, Tally, Tally]:
+def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData):
     """The unit and counit of a bialgebra, on the compiled tables, as three
-    tallies: eps(e_i e_j) = eps(e_i) eps(e_j) at (i, j) (``counit_law``),
-    Delta(1) = 1 (x) 1 at (0,) and eps(1) = 1 at (0,)."""
+    tallies yielded in turn: eps(e_i e_j) = eps(e_i) eps(e_j) at (i, j)
+    (``counit_law``), Delta(1) = 1 (x) 1 at (0,) and eps(1) = 1 at (0,).
+    Each is computed only when it is asked for, so a caller can time each
+    one on its own ID, or stop early."""
+    yield counit_law(alg.int_mul(), coalg, coalg, coalg)
     fs, d = alg.field, alg.dim
-    comul = coalg.int_comul()
-    unit, counit = compile_vectors([alg.unit], fs), compile_vectors([coalg.counit], fs)
-    u, eps = unit.rows[0], dict(counit.rows[0])
+    unit, comul = compile_vectors([alg.unit], fs), coalg.int_comul()
+    u = unit.rows[0]
+    # Delta(1) as the side Delta(T[0][0]) of the one-entry table T = [[1]]
+    yield compared([(0,)], 1, d * d, sides(comul_side([[u]], comul.rows, d), tensor_side(u, u, d)),
+                   unit.scale * comul.scale, unit.scale ** 2, fs, pairs_render(d), lambda w: w[:1])
+    counit = compile_vectors([coalg.counit], fs)
+    eps = dict(counit.rows[0])
 
     def eps_unit(acc, prefix, wl, wr):
         acc[0] = wl * sum(c * eps.get(t, 0) for t, c in u) + wr
 
-    # Delta(1) as the side Delta(T[0][0]) of the one-entry table T = [[1]]
-    return (counit_law(alg.int_mul(), coalg, coalg, coalg),
-            compared([(0,)], 1, d * d, sides(comul_side([[u]], comul.rows, d), tensor_side(u, u, d)),
-                     unit.scale * comul.scale, unit.scale ** 2, fs, pairs_render(d), lambda w: w[:1]),
-            compared([()], 1, 1, eps_unit, unit.scale * counit.scale, 1, fs, scalar_render))
+    yield compared([()], 1, 1, eps_unit, unit.scale * counit.scale, 1, fs, scalar_render)
 
 
 def convolution_unit_law(left: IntTable, right: IntTable, coalg: CoalgebraData, unit: IntTable) -> Tally:
@@ -687,18 +702,10 @@ def convolution_unit_law(left: IntTable, right: IntTable, coalg: CoalgebraData, 
 
 def _left_products(fcols: IntTable, mul: IntTable, p: int | None) -> IntTable:
     """The table f(e_j) . e_r of ``convolution_unit_law`` for the compiled
-    columns f(e_j) of a map into the algebra of mul; a column a e_s (as of
-    the identity and most antipodes) scales the row of e_s."""
+    columns f(e_j) of a map into the algebra of mul."""
     m = mul.rows
     mcols = [[row[r] for row in m] for r in range(len(m))]
-    rows = []
-    for col in fcols.rows:
-        if len(col) == 1:
-            (s, a), = col
-            rows.append([[(t, a * v) for t, v in prod] for prod in m[s]])
-        else:
-            rows.append([int_linear(mc, col, p) for mc in mcols])
-    return IntTable(rows, fcols.scale * mul.scale)
+    return IntTable([[int_linear(mc, col, p) for mc in mcols] for col in fcols.rows], fcols.scale * mul.scale)
 
 
 def _one_column(cols: IntTable) -> IntTable:
@@ -785,15 +792,27 @@ def _convolution_rows(left: IntTable, comul: IntTable, n: int, rhs: dict, fs: Fi
 
 
 def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix | None:
-    """The convolution inverse g of f: C -> A, f*g = g*f = unit*counit, or
-    None, solved from f*g = unit*counit alone (see the module docstring):
-    one row per (x, t), with f(e_j) . e_r formed once per (j, r).  None
-    when the system is inconsistent (f has no right inverse); a consistent
-    system with a kernel raises ``StructureError``, as a two-sided inverse
-    is unique.  A failed f*g re-check raises ``LinAlgError``, and so does a
-    failed g*f while C passes ``check_coalgebra`` and A ``check_algebra``;
-    otherwise a failed g*f means g is only a right inverse, and the result
-    is None.
+    """The convolution inverse g of f: C -> A, f*g = g*f = unit*counit,
+    solved from the one-sided system f*g = unit*counit on the compiled
+    tables, or None.
+
+    The system has one int row per (x, t), the e_t coefficient of
+    (f*g)(x) = sum c f(x_1) . g(x_2) (``_convolution_rows``), with the
+    rows f(e_j) . e_r formed once per (j, r) from ``a.int_mul()``
+    (``_left_products``), and is
+    solved by ``linalg.solve_rows``.  None when it is inconsistent: f has
+    no right inverse.  A consistent system with a kernel raises
+    ``StructureError`` (a two-sided inverse is unique).  Then both f*g and
+    g*f are re-verified on int sums (``convolution_unit_law``); each row of
+    the system is a coefficient of f*g, so that re-check is the solver's
+    own check, and:
+
+    - f*g fails: a solver bug, ``LinAlgError``;
+    - g*f fails while C passes ``check_coalgebra`` and A ``check_algebra``:
+      then Hom(C, A) is a finite-dimensional algebra, where a right inverse
+      is two-sided and unique, so this is a bug too, ``LinAlgError``;
+    - g*f fails otherwise: g is only a right inverse, and the result is
+      None.
     """
     d, n = c.dim, a.dim
     fs = a.field
@@ -839,15 +858,20 @@ class EndoInverse:
 def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoInverse:
     """Solve (alpha x1).(beta x2) = (beta x1).(alpha x2) = eps(x) Id for beta.
 
-    The system alpha*beta = eps Id in dim^3 unknowns splits into d blocks,
-    one per target basis vector y, which share one coefficient matrix: row
-    x*d + t, unknown z*d + r (the e_r coefficient of beta_{e_z}(e_y)).
-    Only the right-hand side eps(x) e_y changes with y, so the blocks are
-    solved by one elimination carrying d right-hand sides; ``kernel_dim``
-    is d times the dimension of that matrix's kernel.  Both compositions
-    are re-verified (``_verify_endo_inverse``): a failure is a bug, raising
-    ``LinAlgError``, over a coassociative, counital C; over a C that fails
-    those axioms, beta*alpha can fail for real, and beta is None.
+    The defining system in dim^3 unknowns splits into d blocks, one per
+    target basis vector y, which share one coefficient matrix: row x*d + t,
+    unknown z*d + r (the e_r coefficient of beta_{e_z}(e_y)), holding
+    (alpha*beta)(x) at e_t.  Its int rows come from ``alpha.int_act()`` and
+    ``c.int_comul()`` (``_convolution_rows``).  Only the right-hand side
+    eps(x) e_y changes with y, so the d blocks are solved by one
+    elimination carrying d right-hand sides (``linalg.solve_rows``);
+    ``kernel_dim`` is d times the dimension of that matrix's kernel.  Both
+    compositions are verified on the compiled tables before returning; the
+    alpha*beta re-check is the solver's own check.  The system holds
+    alpha*beta only.  Over a coassociative, counital C, Hom(C, End(H)) is a
+    finite-dimensional algebra, where a one-sided inverse is two-sided; so a
+    failed re-check there is a bug and raises ``LinAlgError``.  Over a C
+    that fails those axioms, beta*alpha can fail for real, and beta is None.
     """
     d = c.dim
     fs = alpha.field
@@ -882,9 +906,12 @@ def _verify_endo_inverse(
     alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData
 ) -> tuple[Tally, Tally]:
     """(alpha*beta)(x) = eps(x) Id and (beta*alpha)(x) = eps(x) Id, as two
-    tallies at (x,) of ``convolution_unit_law`` on the compiled action
-    tables, a witness labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``;
-    no matrix is built."""
+    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``.
+
+    Column y of (f*g)(x) is the sum over Delta(x) of c f_{x1}(g_{x2}(e_y)),
+    summed as ints on the compiled action tables by
+    ``convolution_unit_law``, keyed y * d + t, and compared with eps(x) e_y
+    cross-multiplied by the scales; no matrix is built."""
     ident = IntTable([((y, 1),) for y in range(c.dim)], 1)
 
     def labelled(f: IntTable, g: IntTable, label: str) -> Tally:

@@ -601,9 +601,9 @@ def _braided_bialgebra_law(r: RelRB) -> Tally:
     t = compared(line(dk), dk, d2, sides(comul_side(km, kc, dk), braided), kmul.scale * kco.scale,
                  kco.scale ** 2 * tb.rho.scale * act.scale * kmul.scale ** 2, fs, pairs_render(dk),
                  lambda w: (8,) + w + (0,))
-    eps, delta, _ = bialgebra_unit_laws(r.k_alg, r.k_coalg)
-    t.absorb(eps, where=lambda w: (8,) + w + (1,))
-    t.absorb(delta, where=lambda w: (8, dk, dk, 0))
+    laws = bialgebra_unit_laws(r.k_alg, r.k_coalg)  # eps(1) = 1 is not a row here
+    t.absorb(next(laws), where=lambda w: (8,) + w + (1,))
+    t.absorb(next(laws), where=lambda w: (8, dk, dk, 0))
     return t
 
 
