@@ -31,11 +31,17 @@ comes out as a term-by-term loop with scalar operators would leave it.
 ``ModInt`` stays the F_p scalar type: the F_p helpers store ``ModInt``s and
 raise ``FieldError`` on a ModInt of another modulus.
 
-The axiom suites mostly do not go through these helpers: every check of
-``hopf`` (the carrier, bialgebra and convolution laws, the action laws and
-both solvers' re-checks) and the hot identities of the other suites run on
-tensors compiled once into plain-int tables (``compiled``).  The ``Vector``
-path serves the builders, the derived maps, witnesses and the cold IDs.
+The axiom suites mostly do not go through these helpers.  Every check of
+``hopf`` but the unit rows of its action laws (the carrier, bialgebra and
+convolution laws, the action laws and both solvers' re-checks) and the hot
+identities of the other suites run on tensors compiled once into plain-int
+tables (``compiled``): over Q the numerators over one common denominator
+per tensor, over F_p the residues.  Each side of a compare is an int sum
+at a known scale, the product of the denominators it read, and the sides
+are compared cross-multiplied, lhs * s_r == rhs * s_l (mod p over F_p).  A
+``Vector`` is built only to render the first failing tuple.  The
+``Vector`` path serves the builders, the derived maps, witnesses and the
+cold IDs.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from test_golden import SUITE_MUTANTS, yd_mutant
-from ydalgebra import hopf
+from ydalgebra import hopf, rota
 from ydalgebra.braces import YDBrace, MatchedPair
 from ydalgebra.compiled import IntTable, add_bilinear, compile_vectors, int_items
 from ydalgebra.field import RATIONALS, FieldSpec
@@ -309,3 +309,20 @@ def test_laws_match_their_references_off_a_coalgebra(monkeypatch, field):
     # f*g = eps 1 solves and g*f does not
     assert [ok for _, ok in _assert_solver_rechecks(monkeypatch, f, c, a)] == [True, False]
     _assert_endo_rechecks(monkeypatch, trivial, c)
+
+
+def test_bialgebra_unit_laws_compute_each_tally_when_asked(monkeypatch):
+    # check_hopf times each of the three IDs on its own Checker, and RB-BIMON
+    # part 8, which has no eps(1) row, never asks for the third tally
+    calls = []
+    real = hopf.compared
+    monkeypatch.setattr(hopf, "compared", lambda *args: calls.append(args) or real(*args))
+    r = parse((GOLDEN / "sweedler-q-rb_l.struct").read_text())
+    laws = bialgebra_unit_laws(r.k_alg, r.k_coalg)
+    assert not calls
+    for n in (1, 2, 3):
+        assert _verdict(next(laws))[1] == 0
+        assert len(calls) == n
+    calls.clear()
+    rota._braided_bialgebra_law(r)
+    assert len(calls) == 2
