@@ -33,8 +33,16 @@ EXAMPLES = {
 FIELDS = {"q": "Q", "f7": "Fp:7"}
 DERIVE_TARGETS = ("subadjacent", "postlie", "brace", "matchedpair", "rb_l")
 # (source golden, target); the sweedler-q ids are the bare target names
+# and the structures derived from the derived files: post-Hopf back from the
+# brace and the matched pair, and functors M, R and S_K from the rb_l file
 DERIVED = [(f"sweedler-{field}", target) for field in FIELDS for target in DERIVE_TARGETS]
-DERIVED_IDS = [t if s == "sweedler-q" else f"{s.split('-')[1]}-{t}" for s, t in DERIVED]
+DERIVED += [(f"sweedler-{field}-{source}", target) for field in FIELDS
+            for source, targets in (("brace", ("posthopf",)), ("matchedpair", ("posthopf",)),
+                                    ("rb_l", ("post_m", "post_r", "sk")))
+            for target in targets]
+DERIVED_IDS = [t if s == "sweedler-q" else f"{s.removeprefix('sweedler-')}-{t}" for s, t in DERIVED]
+# the adjoint example, built from a golden Hopf file
+ADJOINT_SOURCES = [f"group-s3-{field}" for field in FIELDS]
 
 # failing mutant per kind: (base golden file, directive whose last line changes)
 MUTANTS = {
@@ -156,6 +164,22 @@ def _derive(source: str, target: str, out: Path) -> None:
     code, _, _ = run_cli(["derive", str(GOLDEN / f"{source}.struct"),
                           "--target", target, "--out", str(out)])
     assert code == 0
+
+
+def _adjoint(source: str, out: Path) -> None:
+    code, _, _ = run_cli(["example", "adjoint", "--from", str(GOLDEN / f"{source}.struct"), "--out", str(out)])
+    assert code == 0
+
+
+@pytest.mark.parametrize("source", ADJOINT_SOURCES)
+def test_adjoint_emit_and_report_bytes(tmp_path, source):
+    stem = f"{source}-adjoint"
+    out = tmp_path / f"{stem}.struct"
+    _adjoint(source, out)
+    assert out.read_bytes() == (GOLDEN / f"{stem}.struct").read_bytes()
+    code, report = _check(out)
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{stem}.report").read_bytes()
 
 
 @pytest.mark.parametrize(("source", "target"), DERIVED, ids=DERIVED_IDS)
@@ -335,6 +359,10 @@ def write_golden() -> None:
     for source, target in DERIVED:
         path = GOLDEN / f"{source}-{target}.struct"
         _derive(source, target, path)
+        path.with_suffix(".report").write_text(_check(path)[1])
+    for source in ADJOINT_SOURCES:
+        path = GOLDEN / f"{source}-adjoint.struct"
+        _adjoint(source, path)
         path.with_suffix(".report").write_text(_check(path)[1])
     (GOLDEN / "s3-inversion.struct").write_text(emit(group_rb_inversion(symmetric_group_3())))
     for name in MUTANTS:
