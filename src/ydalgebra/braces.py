@@ -23,7 +23,8 @@ from dataclasses import dataclass, field as dc_field
 from time import perf_counter
 
 from .compiled import (
-    add_bilinear, add_linear, compare, compile_vectors, int_bilinear, int_items, line, square, vector_render,
+    add_bilinear, add_linear, compare, compile_columns, int_bilinear, int_items, line, square, table_vectors,
+    vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -32,14 +33,18 @@ from .hopf import (
     BraidedPair,
     HopfData,
     StructureError,
+    _left_products,
+    _one_column,
     check_hopf,
+    column_matrix,
+    convolve,
     module_algebra_unit_law,
     module_coalgebra_law,
     module_law,
     module_unit_law,
     mp5_law,
 )
-from .linalg import Vector, add_scaled_inplace, matrix_from_columns, unit_vector
+from .linalg import unit_vector
 from .report import Checker, CheckEntry, CheckReport, FAIL, PASS, Tally, Witness, vector_text
 from .posthopf import (
     YDPostHopf,
@@ -100,23 +105,14 @@ class MatchedPair:
 
 
 def brace_action(b: YDBrace) -> ActionTensor:
-    """The induced action a >- b = S(a_1) . (a_2 o b)."""
-    d = b.dim
-    fs = b.field
-    alg = b.dot_side.algebra
-    coalg = b.dot_side.coalgebra
-    bullet = b.bullet_side.algebra
-    smap = b.dot_side.s_map
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc: dict[int, Scalar] = {}
-            for i1, i2, c in coalg.comul[i]:
-                add_scaled_inplace(acc, alg.mul_vec(smap.column(i1), bullet.mul[i2][j]), c)
-            row.append(Vector(d, acc, fs))
-        rows.append(row)
-    return ActionTensor(d, d, rows, fs)
+    """The induced action a >- b = S(a_1) . (a_2 o b): (L o S) * L^o
+    (``hopf.convolve``), L o S the left products S(e_j) . e_r and L^o the
+    bullet product."""
+    d, fs = b.dim, b.field
+    dot = b.dot_side
+    left = _left_products(compile_columns(dot.s_map), dot.algebra.int_mul(), fs.p)
+    act = convolve(left, b.bullet_side.algebra.int_mul(), dot.coalgebra)
+    return ActionTensor(d, d, table_vectors(d, act, fs), fs)
 
 
 def brace_beta(b: YDBrace, action: ActionTensor) -> ActionTensor:
@@ -143,8 +139,7 @@ def _brace_compat(t: Tally, b: YDBrace) -> None:
     summed grouped by a_3, so each c costs one product per distinct a_3."""
     d, fs, p = b.dim, b.field, b.field.p
     mul, bullet, legs = b.dot_side.algebra.int_mul(), b.bullet_side.algebra.int_mul(), b.dot_side.coalgebra.int_legs(3)
-    smap = b.dot_side.s_map
-    scols = compile_vectors([smap.column(i) for i in range(d)], fs)
+    scols = compile_columns(b.dot_side.s_map)
     m, o, s_, l_ = mul.rows, bullet.rows, scols.rows, legs.rows
 
     def compat(acc, prefix, wl, wr):
@@ -225,35 +220,18 @@ def to_matched_pair(s: YDPostHopf) -> MatchedPair:
 
 
 def from_matched_pair(mp: MatchedPair) -> YDPostHopf:
-    """Braided product a.b = a_1 o (T(a_2) >- b) and S(a) = a_1 >- T(a_2)."""
-    d = mp.dim
-    fs = mp.field
-    hopf = mp.hopf
-    coalg = hopf.coalgebra
-    bullet = hopf.algebra
-    t_map = hopf.antipode
-    act = mp.left_action
-    mul = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc: dict[int, Scalar] = {}
-            for i1, i2, c in coalg.comul[i]:
-                w = act.apply_vec_basis(t_map.column(i2), j)
-                add_scaled_inplace(acc, bullet.mul_basis_vec(i1, w), c)
-            row.append(Vector(d, acc, fs))
-        mul.append(row)
-    alg = AlgebraData(d, list(bullet.basis_labels), mul, bullet.unit, fs)
-    cols = []
-    for i in range(d):
-        acc: dict[int, Scalar] = {}
-        for i1, i2, c in coalg.comul[i]:
-            add_scaled_inplace(acc, act.apply_basis(i1, t_map.column(i2)), c)
-        cols.append(Vector(d, acc, fs))
-    smap = matrix_from_columns(cols, fs)
-    carrier = BraidedPair(alg, coalg, smap)
-    return YDPostHopf(carrier, act, act.pulled_back([t_map.column(i) for i in range(d)]),
-                      params=dict(mp.params))
+    """Braided product a.b = a_1 o (T(a_2) >- b) and S(a) = a_1 >- T(a_2):
+    L^o * (alpha o T) and alpha * T for the one column T
+    (``hopf.convolve``), alpha o T the action pulled back along T, which is
+    also beta."""
+    d, fs = mp.dim, mp.field
+    hopf, act = mp.hopf, mp.left_action
+    coalg, bullet = hopf.coalgebra, hopf.algebra
+    beta = act.pulled_back([hopf.antipode.column(i) for i in range(d)])
+    mul = convolve(bullet.int_mul(), beta.int_act(), coalg)
+    smap = convolve(act.int_act(), _one_column(compile_columns(hopf.antipode)), coalg)
+    alg = AlgebraData(d, list(bullet.basis_labels), table_vectors(d, mul, fs), bullet.unit, fs)
+    return YDPostHopf(BraidedPair(alg, coalg, column_matrix(d, smap, fs)), act, beta, params=dict(mp.params))
 
 
 def _matched_pair_laws(mp: MatchedPair):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from .compiled import IntTable, compile_columns, table_vectors
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
     ActionTensor,
@@ -20,9 +21,13 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
+    _left_products,
+    _one_column,
+    column_matrix,
+    convolve,
     solve_antipode,
 )
-from .linalg import Matrix, Vector, add_scaled_inplace, matrix_from_columns, unit_vector
+from .linalg import Matrix, Vector, add_scaled_inplace, unit_vector
 from .posthopf import YDPostHopf, _set_beta, bullet_algebra, check_yd_post_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
@@ -578,46 +583,27 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
 def build_adjoint(h: HopfData) -> YDPostHopf:
     """From an ordinary Hopf algebra: action a >- b = a_1 o b o T(a_2),
     braided product a.b = a_1 o T(a_3) o b o T(T(a_2)), braided antipode
-    S(a) = a_1 o T(a_3) o T(a_2), beta_a = (T(a) >- -)."""
-    d = h.dim
-    fs = h.field
-    halg, hco, t_map = h.algebra, h.coalgebra, h.antipode
-    act_rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc: dict[int, Scalar] = {}
-            for i1, i2, c in hco.comul[i]:
-                u = halg.mul_vec(halg.mul[i1][j], t_map.column(i2))
-                add_scaled_inplace(acc, u, c)
-            row.append(Vector(d, acc, fs))
-        act_rows.append(row)
-    action = ActionTensor(d, d, act_rows, fs)
-    mul = []
-    for i in range(d):
-        legs = hco.legs(i, 3)
-        row = []
-        for j in range(d):
-            acc: dict[int, Scalar] = {}
-            for (i1, i2, i3), c in legs:
-                u = halg.mul_basis_vec(i1, t_map.column(i3))
-                u = halg.mul_vec_basis(u, j)
-                u = halg.mul_vec(u, t_map.apply(t_map.column(i2)))
-                add_scaled_inplace(acc, u, c)
-            row.append(Vector(d, acc, fs))
-        mul.append(row)
-    alg = AlgebraData(d, list(halg.basis_labels), mul, halg.unit, fs)
-    cols = []
-    for i in range(d):
-        acc: dict[int, Scalar] = {}
-        for (i1, i2, i3), c in hco.legs(i, 3):
-            u = halg.mul_basis_vec(i1, t_map.column(i3))
-            u = halg.mul_vec(u, t_map.column(i2))
-            add_scaled_inplace(acc, u, c)
-        cols.append(Vector(d, acc, fs))
-    s_map = matrix_from_columns(cols, fs)
-    carrier = BraidedPair(alg, hco, s_map)
-    s = YDPostHopf(carrier, action, action.pulled_back([t_map.column(i) for i in range(d)]))
+    S(a) = a_1 o T(a_3) o T(a_2), beta_a = (T(a) >- -).
+
+    Each is a convolution (``hopf.convolve``) of the left products L, the
+    right products R o T and R o T^2 (b -> b o T(a), b -> b o T(T(a))) and
+    the left products L o T: the action L * (R o T), the product
+    (L * (R o T^2)) * (L o T) and the antipode the action * T for the one
+    column T.  So they compose operators, a_1 o (b o T(a_2)) for the
+    action, and equal the formulas above only when o is associative; the
+    result is certified all the same."""
+    d, fs = h.dim, h.field
+    hco, mul, p = h.coalgebra, h.algebra.int_mul(), h.field.p
+    op = IntTable([list(col) for col in zip(*mul.rows)], mul.scale)  # op[j][i] = e_i o e_j
+    tcols = compile_columns(h.antipode)
+    act = convolve(mul, _left_products(tcols, op, p), hco)
+    right_tt = _left_products(compile_columns(h.antipode.compose(h.antipode)), op, p)
+    prod = convolve(convolve(mul, right_tt, hco), _left_products(tcols, mul, p), hco)
+    s_map = column_matrix(d, convolve(act, _one_column(tcols), hco), fs)
+    alg = AlgebraData(d, list(h.algebra.basis_labels), table_vectors(d, prod, fs), h.algebra.unit, fs)
+    action = ActionTensor(d, d, table_vectors(d, act, fs), fs)
+    s = YDPostHopf(BraidedPair(alg, hco, s_map), action,
+                   action.pulled_back([h.antipode.column(i) for i in range(d)]))
     return _certify(s, "adjoint")
 
 

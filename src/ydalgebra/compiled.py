@@ -43,7 +43,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .field import FieldSpec, ModInt, _mixed, canonical, format_scalar
-from .linalg import Vector
+from .linalg import Matrix, Vector
 from .report import Tally, pairs_text, vector_text
 
 
@@ -85,6 +85,11 @@ def compile_vectors(vectors: list[Vector], field: FieldSpec) -> IntTable:
     p = field.p
     d = _scale((c for v in vectors for c in v.entries.values()), p)
     return IntTable([_items(v, d, p) for v in vectors], d)
+
+
+def compile_columns(m: Matrix) -> IntTable:
+    """One row per column of m."""
+    return compile_vectors([m.column(j) for j in range(m.cols)], m.field)
 
 
 def compile_tensor(table: list[list[Vector]], field: FieldSpec) -> IntTable:
@@ -191,6 +196,11 @@ def _scalars(sums: dict, scale: int, field: FieldSpec) -> dict:
 def int_vector(dim: int, sums: dict, scale: int, field: FieldSpec) -> Vector:
     """The Vector of int sums keyed by basis index, divided by their scale."""
     return Vector(dim, _scalars(sums, scale, field), field)
+
+
+def table_vectors(dim: int, table: IntTable, field: FieldSpec) -> list[list[Vector]]:
+    """The Vectors of a compiled table's rows[i][j], divided by its scale."""
+    return [[int_vector(dim, dict(v), table.scale, field) for v in row] for row in table.rows]
 
 
 def scalar_render(sums: dict, scale: int, field: FieldSpec) -> str:

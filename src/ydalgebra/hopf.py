@@ -61,9 +61,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .compiled import (
-    IntTable, comul_side, compare, compared, compile_comul, compile_legs, compile_tensor, compile_vectors, int_items,
-    int_linear, legs_side, line, pairs_render, scalar_render, sides, square, tensor_side, triples_render,
-    vector_render,
+    IntTable, add_linear, comul_side, compare, compared, compile_columns, compile_comul, compile_legs,
+    compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line, pairs_render,
+    scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
@@ -128,19 +128,6 @@ class AlgebraData:
             _q_bilinear(acc, self.mul, u, v)
         else:
             _fp_bilinear(acc, self.mul, u, v, p)
-        return _vector(self.dim, acc, self.field)
-
-    def mul_basis_vec(self, i: int, v: Vector) -> Vector:
-        acc: dict[int, Scalar] = {}
-        row = self.mul[i]
-        for j, b in v.entries.items():
-            add_scaled_inplace(acc, row[j], b)
-        return _vector(self.dim, acc, self.field)
-
-    def mul_vec_basis(self, v: Vector, j: int) -> Vector:
-        acc: dict[int, Scalar] = {}
-        for i, a in v.entries.items():
-            add_scaled_inplace(acc, self.mul[i][j], a)
         return _vector(self.dim, acc, self.field)
 
 
@@ -320,9 +307,9 @@ class ActionTensor:
         return _vector(self.target_dim, acc, self.field)
 
     def apply_vec_basis(self, u: Vector, k: int) -> Vector:
-        """u >- f_k, the mirror of ``AlgebraData.mul_vec_basis``: column k of
-        the map u >- ., read without building f_k.  Equal to
-        ``apply(u, unit_vector(..., k, ...))``, entries in the same order."""
+        """u >- f_k: column k of the map u >- ., read without building f_k.
+        Equal to ``apply(u, unit_vector(..., k, ...))``, entries in the same
+        order."""
         acc: dict[int, Scalar] = {}
         act = self.act
         for i, a in u.entries.items():
@@ -718,7 +705,7 @@ def antipode_law(a: AlgebraData, c: CoalgebraData, s_map: Matrix) -> Tally:
     at (x, 0) and x_1 S(x_2) = eps(x) 1 at (x, 1), by
     ``convolution_unit_law``."""
     fs, mul = a.field, a.int_mul()
-    scols = compile_vectors([s_map.column(j) for j in range(c.dim)], fs)
+    scols = compile_columns(s_map)
     unit = compile_vectors([a.unit], fs)
     ident = IntTable([[((k, 1),)] for k in range(c.dim)], 1)
     t = Tally()
@@ -730,17 +717,62 @@ def antipode_law(a: AlgebraData, c: CoalgebraData, s_map: Matrix) -> Tally:
 # --- convolution calculus ---------------------------------------------------
 
 
+def convolve(f: IntTable, g: IntTable, coalg: CoalgebraData) -> IntTable:
+    """The compiled table of f*g, (f*g)_x = sum over Delta(x) of
+    c f_{x_1} o g_{x_2}, for maps from coalg stored as rows[j][r] =
+    f_{e_j}(e_r): rows[x][y] = sum c f_{x_1}(g_{x_2}(e_y)), at the product
+    of the three scales.  For a one-column g (``_one_column``), row x is
+    the one column sum c f_{x_1}(g(x_2)).  Each sum is taken in f and g as
+    they are, so a value keeps the association f_{x_1}(g_{x_2}(e_y)) even
+    where the product behind f or g is not associative."""
+    comul = coalg.int_comul()
+    p, fr, gr = coalg.field.p, f.rows, g.rows
+    out = []
+    for legs in comul.rows:
+        accs: list[dict[int, int]] = [{} for _ in gr[0]]
+        for x1, x2, c in legs:
+            fx = fr[x1]
+            for acc, col in zip(accs, gr[x2]):
+                add_linear(acc, fx, col, c)
+        out.append([int_items(acc, p) for acc in accs])
+    return IntTable(out, f.scale * g.scale * comul.scale)
+
+
+def column_matrix(dim: int, table: IntTable, field: FieldSpec) -> Matrix:
+    """The matrix whose column x is the one column of a compiled table's
+    row x, as ``convolve`` gives it for a one-column g."""
+    return matrix_from_columns([v for v, in table_vectors(dim, table, field)], field)
+
+
 def convolution(f: Matrix, g: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix:
-    """(f*g)(x) = f(x_1) . g(x_2), computed basis-wise."""
+    """(f*g)(x) = f(x_1) . g(x_2): (L o f) * g by ``convolve``, for the
+    left products L o f of ``_left_products``."""
     if f.cols != c.dim or g.cols != c.dim or f.rows != a.dim or g.rows != a.dim:
         raise StructureError("convolution shape mismatch")
+    left = _left_products(compile_columns(f), a.int_mul(), a.field.p)
+    return column_matrix(a.dim, convolve(left, _one_column(compile_columns(g)), c), a.field)
+
+
+def coaction(alg: AlgebraData, antipode: Matrix, r_map: Matrix, coalg: CoalgebraData) -> Matrix:
+    """rho(a) = R(a_1) . S(R(a_3)) (x) a_2 for a linear R: C -> A and an
+    antipode S of A, as a dim_C -> dim_A * dim_C matrix whose entry
+    (p * dim_C + q, a) is the coefficient of e_p (x) e_q.  It is summed as
+    ints on the threefold legs of C, the left products R(e_j) . e_r and the
+    columns of S R, grouped by a_2, and divided by the scale once per
+    entry.  The coaction of a relative Rota-Baxter operator, and Ad_L of a
+    post-Hopf structure with R = id on its subadjacent Hopf algebra."""
+    fs, dk = alg.field, coalg.dim
+    left = _left_products(compile_columns(r_map), alg.int_mul(), fs.p)
+    sr = compile_columns(antipode.compose(r_map))
+    legs = coalg.int_legs(3)
     cols = []
-    for i in range(c.dim):
-        acc: dict[int, Scalar] = {}
-        for j, k, s in c.comul[i]:
-            add_scaled_inplace(acc, a.mul_vec(f.column(j), g.column(k)), s)
-        cols.append(Vector(a.dim, acc, a.field))
-    return matrix_from_columns(cols, a.field)
+    for terms in legs.rows:
+        by_a2: dict[int, dict[int, int]] = {}
+        for (a1, a2, a3), c in terms:
+            add_linear(by_a2.setdefault(a2, {}), left.rows[a1], sr.rows[a3], c)
+        col = {q * dk + a2: n for a2, acc in by_a2.items() for q, n in acc.items()}
+        cols.append(int_vector(alg.dim * dk, col, legs.scale * left.scale * sr.scale, fs))
+    return matrix_from_columns(cols, fs)
 
 
 def unit_counit_map(c: CoalgebraData, a: AlgebraData) -> Matrix:
@@ -819,7 +851,7 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
     if f.cols != d or f.rows != n:
         raise StructureError("convolution shape mismatch")
     mul = a.int_mul()
-    fcols = compile_vectors([f.column(j) for j in range(d)], fs)
+    fcols = compile_columns(f)
     left = _left_products(fcols, mul, fs.p)
     eps = c.counit.entries
     rhs = {(x, t): (0, e * u) for x, e in eps.items() for t, u in a.unit.entries.items()}
@@ -832,7 +864,7 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
         # nontrivial kernel contradicts that, so flag corrupted input loudly
         raise StructureError("convolution inverse system is underdetermined")
     g = Matrix(n, d, {(r, k): v for idx, v in sol.entries.items() for k, r in [divmod(idx, n)]}, fs)
-    gcols = compile_vectors([g.column(k) for k in range(d)], fs)
+    gcols = compile_columns(g)
     unit = compile_vectors([a.unit], fs)
     if convolution_unit_law(left, _one_column(gcols), c, unit).failures:
         raise LinAlgError("convolution inverse self-check failed: f*g != unit*counit")

@@ -62,8 +62,8 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .compiled import (
-    IntTable, add_bilinear, add_tensors, comul_side, compare, compile_groups, compile_vectors, int_bilinear, int_items,
-    int_linear, int_vector, line, pairs_render, render_sides, sides, square,
+    IntTable, add_bilinear, add_tensors, comul_side, compare, compile_columns, compile_groups, int_bilinear,
+    int_items, int_linear, int_vector, line, pairs_render, render_sides, sides, square, table_vectors,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -73,12 +73,16 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
+    _one_column,
     _verify_endo_inverse,
     antipode_law,
     bialgebra_unit_laws,
     check_algebra,
     check_coalgebra,
     check_hopf,
+    coaction,
+    column_matrix,
+    convolve,
     hom_convolution_inverse_endo,
     module_algebra_law,
     module_algebra_unit_law,
@@ -88,7 +92,8 @@ from .hopf import (
     mp5_law,
 )
 from .linalg import (
-    Matrix, Vector, _vector, accumulate, add_scaled_inplace, kernel, matrix_from_columns, solve, unit_vector,
+    Matrix, Vector, _vector, accumulate, add_scaled_inplace, identity_matrix, kernel, matrix_from_columns, solve,
+    unit_vector,
 )
 from .report import (
     FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, skipped_entry, vector_text,
@@ -167,41 +172,26 @@ def solve_beta(s: YDPostHopf) -> ActionTensor:
 
 @_per_structure
 def bullet_algebra(s: YDPostHopf) -> AlgebraData:
-    """Subadjacent product x o y = x_1 . (x_2 >- y) as an algebra table."""
-    alg, coalg, act = s.carrier.algebra, s.carrier.coalgebra, s.action
-    d = s.dim
-    mul = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc: dict[int, Scalar] = {}
-            for i1, i2, c in coalg.comul[i]:
-                add_scaled_inplace(acc, alg.mul_basis_vec(i1, act.act[i2][j]), c)
-            row.append(_vector(d, acc, s.field))
-        mul.append(row)
-    return AlgebraData(d, list(alg.basis_labels), mul, alg.unit, s.field)
+    """Subadjacent product x o y = x_1 . (x_2 >- y) as an algebra table:
+    L * alpha (``hopf.convolve``), L the left products of the carrier."""
+    alg, d, fs = s.carrier.algebra, s.dim, s.field
+    bullet = convolve(alg.int_mul(), s.action.int_act(), s.carrier.coalgebra)
+    return AlgebraData(d, list(alg.basis_labels), table_vectors(d, bullet, fs), alg.unit, fs)
 
 
 @_per_structure
 def sharp_antipode(s: YDPostHopf) -> Matrix:
-    """S_>(x) = beta_{x_1}(S(x_2)), the subadjacent antipode."""
-    beta = ensure_beta(s)
-    coalg, smap = s.carrier.coalgebra, s.carrier.s_map
-    d = s.dim
-    cols = []
-    for i in range(d):
-        acc: dict[int, Scalar] = {}
-        for i1, i2, c in coalg.comul[i]:
-            add_scaled_inplace(acc, beta.apply_basis(i1, smap.column(i2)), c)
-        cols.append(_vector(d, acc, s.field))
-    return matrix_from_columns(cols, s.field)
+    """S_>(x) = beta_{x_1}(S(x_2)), the subadjacent antipode: beta * S for
+    the one column S (``hopf.convolve``)."""
+    beta = ensure_beta(s).int_act()
+    sharp = convolve(beta, _one_column(compile_columns(s.carrier.s_map)), s.carrier.coalgebra)
+    return column_matrix(s.dim, sharp, s.field)
 
 
 @_per_structure
 def _sharp_columns(s: YDPostHopf) -> IntTable:
     """The columns S_>(e_i) of the sharp antipode, compiled."""
-    sharp = sharp_antipode(s)
-    return compile_vectors([sharp.column(i) for i in range(s.dim)], s.field)
+    return compile_columns(sharp_antipode(s))
 
 
 @_per_structure
@@ -253,31 +243,16 @@ def _sharp_legs(s: YDPostHopf) -> IntTable:
 
 @_per_structure
 def left_coaction_adl(s: YDPostHopf) -> Matrix:
-    """Ad_L(a) = a_1 o S_>(a_3) (x) a_2 as a dim -> dim^2 matrix."""
-    coalg = s.carrier.coalgebra
-    bullet = bullet_algebra(s)
-    sharp = sharp_antipode(s)
-    d = s.dim
-    entries: dict[tuple[int, int], Scalar] = {}
-    for a in range(d):
-        for (a1, a2, a3), c in coalg.legs(a, 3):
-            u = bullet.mul_basis_vec(a1, sharp.column(a3))
-            for p, cp in u.entries.items():
-                key = (p * d + a2, a)
-                v = entries.get(key)
-                v = c * cp if v is None else v + c * cp
-                if v:
-                    entries[key] = v
-                else:
-                    del entries[key]
-    return Matrix(d * d, d, entries, s.field)
+    """Ad_L(a) = a_1 o S_>(a_3) (x) a_2 as a dim -> dim^2 matrix: the
+    coaction rho of ``hopf.coaction`` with R = id on the subadjacent Hopf
+    algebra."""
+    return coaction(bullet_algebra(s), sharp_antipode(s), identity_matrix(s.dim, s.field), s.carrier.coalgebra)
 
 
 @_per_structure
 def _adl_columns(s: YDPostHopf) -> IntTable:
     """The columns of Ad_L, compiled; column a is keyed by p * dim + q."""
-    adl = left_coaction_adl(s)
-    return compile_vectors([adl.column(a) for a in range(s.dim)], s.field)
+    return compile_columns(left_coaction_adl(s))
 
 
 def braiding_sigma(s: YDPostHopf) -> Matrix:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 from .compiled import (
-    IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_vectors, int_bilinear, int_items,
-    int_linear, legs_side, line, pairs_render, sides, tensor_side, triples_render, vector_render,
+    IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_columns, compile_vectors,
+    int_bilinear, int_items, int_linear, legs_side, line, pairs_render, sides, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -36,11 +36,15 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
+    _one_column,
     antipode_law,
     bialgebra_unit_laws,
     check_algebra,
     check_coalgebra,
     check_hopf,
+    coaction,
+    column_matrix,
+    convolve,
     module_algebra_law,
     module_algebra_unit_law,
     module_coalgebra_law,
@@ -121,24 +125,9 @@ class RelRB:
 
 
 def derived_coaction(r: RelRB) -> Matrix:
-    """rho(a) = R(a_1) . S_H(R(a_3)) (x) a_2, the coaction both subcategories use."""
-    dk, dh = r.dim_k, r.h.dim
-    fs = r.field
-    halg = r.h.algebra
-    smap = r.h.antipode
-    entries: dict[tuple[int, int], Scalar] = {}
-    for a in range(dk):
-        for (a1, a2, a3), c in r.k_coalg.legs(a, 3):
-            u = halg.mul_vec(r.r_map.column(a1), smap.apply(r.r_map.column(a3)))
-            for p, cp in u.entries.items():
-                key = (p * dk + a2, a)
-                v = entries.get(key)
-                v = c * cp if v is None else v + c * cp
-                if v:
-                    entries[key] = v
-                else:
-                    del entries[key]
-    return Matrix(dh * dk, dk, entries, fs)
+    """rho(a) = R(a_1) . S_H(R(a_3)) (x) a_2, the coaction both subcategories
+    use (``hopf.coaction``)."""
+    return coaction(r.h.algebra, r.h.antipode, r.r_map, r.k_coalg)
 
 
 def effective_coaction(r: RelRB) -> Matrix:
@@ -227,23 +216,28 @@ class _RBTables(NamedTuple):
 @_per_structure
 def _r_columns(r: RelRB) -> IntTable:
     """The columns R(e_x) of R, compiled."""
-    return compile_vectors([r.r_map.column(x) for x in range(r.dim_k)], r.field)
+    return compile_columns(r.r_map)
+
+
+@_per_structure
+def _r_acted(r: RelRB) -> IntTable:
+    """R(x) >- y for basis elements x, y of K: the action pulled back along
+    R, summed as ints on the compiled action and columns of R."""
+    dk, p = r.dim_k, r.field.p
+    rc, act = _r_columns(r), r.action.int_act()
+    return IntTable([[int_bilinear(act.rows, rc.rows[x], ((y, 1),), p) for y in range(dk)] for x in range(dk)],
+                    rc.scale * act.scale)
 
 
 @_per_structure
 def _rb_tables(r: RelRB) -> _RBTables:
     """The tables of ``_RBTables``, summed as ints on the compiled action
     and the compiled columns of R and S_H, once per operator."""
-    dk, fs, p = r.dim_k, r.field, r.field.p
-    smap = r.h.antipode
-    rc = _r_columns(r)
-    sc = compile_vectors([smap.column(h) for h in range(r.h.dim)], fs)
-    act = r.action.int_act()
-    acted = [[int_bilinear(act.rows, rc.rows[x], ((y, 1),), p) for y in range(dk)] for x in range(dk)]
-    q = [[int_linear(rc.rows, v, p) for v in row] for row in acted]
+    p = r.field.p
+    rc, sc, acted = _r_columns(r), compile_columns(r.h.antipode), _r_acted(r)
+    q = [[int_linear(rc.rows, v, p) for v in row] for row in acted.rows]
     sq = [[int_linear(sc.rows, v, p) for v in row] for row in q]
-    sa = rc.scale * act.scale
-    return _RBTables(rc, IntTable(acted, sa), IntTable(q, sa * rc.scale), IntTable(sq, sa * rc.scale * sc.scale))
+    return _RBTables(rc, acted, IntTable(q, acted.scale * rc.scale), IntTable(sq, acted.scale * rc.scale * sc.scale))
 
 
 def _rb1(t: Tally, r: RelRB) -> None:
@@ -356,10 +350,9 @@ class _RhoTables(NamedTuple):
 def _rho_tables(r: RelRB) -> _RhoTables:
     """The tables of ``_RhoTables``, once per operator."""
     dk, fs, p = r.dim_k, r.field, r.field.p
-    rho = effective_coaction(r)
-    cols = compile_vectors([rho.column(a) for a in range(dk)], fs)
+    cols = compile_columns(effective_coaction(r))
     terms = [[(*divmod(pq, dk), n) for pq, n in col] for col in cols.rows]
-    antipode = compile_vectors([r.h.antipode.column(h) for h in range(r.h.dim)], fs)
+    antipode = compile_columns(r.h.antipode)
     legs = r.h.coalgebra.int_legs(3)
     groups = []
     for h_legs in legs.rows:
@@ -630,21 +623,14 @@ def _bimonoid_checker(r: RelRB) -> Checker:
 
 
 def antipode_sk(r: RelRB) -> Matrix:
-    """S_K(a) = R(a_1) >- R^{-1} S_H R(a_2); both antipode identities verified."""
+    """S_K(a) = R(a_1) >- R^{-1} S_H R(a_2): (alpha o R) * R^{-1} S_H R for
+    the one column R^{-1} S_H R (``hopf.convolve``); both antipode
+    identities verified."""
     rinv = _r_inverse(r)
     if rinv is None:
         raise StructureError("R is not bijective; S_K needs the full notion")
-    dk = r.dim_k
-    fs = r.field
-    smap = r.h.antipode
-    cols = []
-    for a in range(dk):
-        acc: dict[int, Scalar] = {}
-        for a1, a2, c in r.k_coalg.comul[a]:
-            w = rinv.apply(smap.apply(r.r_map.column(a2)))
-            add_scaled_inplace(acc, r.action.apply(r.r_map.column(a1), w), c)
-        cols.append(Vector(dk, acc, fs))
-    sk = matrix_from_columns(cols, fs)
+    rsr = compile_columns(rinv.compose(r.h.antipode).compose(r.r_map))
+    sk = column_matrix(r.dim_k, convolve(_r_acted(r), _one_column(rsr), r.k_coalg), r.field)
     if antipode_law(r.k_alg, r.k_coalg, sk).failures:
         raise StructureError("derived S_K fails the antipode identities")
     return sk
@@ -683,20 +669,16 @@ def functor_m(r: RelRB) -> YDPostHopf:
             row.append(r.r_map.apply(u))
         mul.append(row)
     alg = AlgebraData(dh, list(halg.basis_labels), mul, halg.unit, fs)
-    cols = []
-    for a in range(dh):
-        acc: dict[int, Scalar] = {}
-        for a1, a2, c in hco.comul[a]:
-            w = r.action.apply_basis(a1, rinv.apply(smap.column(a2)))
-            add_scaled_inplace(acc, r.r_map.apply(w), c)
-        cols.append(Vector(dh, acc, fs))
-    s_r = matrix_from_columns(cols, fs)
+    # S_r = R o (alpha * R^{-1} S_H), for the one column R^{-1} S_H
+    rc = _r_columns(r)
+    cols = convolve(r.action.int_act(), _one_column(compile_columns(rinv.compose(smap))), hco)
+    s_r = IntTable([[int_linear(rc.rows, col, fs.p)] for col, in cols.rows], cols.scale * rc.scale)
     act_rows = []
     for i in range(dh):
         row = [r.r_map.apply(r.action.apply_basis(i, rinv.column(j))) for j in range(dh)]
         act_rows.append(row)
     act_r = ActionTensor(dh, dh, act_rows, fs)
-    carrier = BraidedPair(alg, hco, s_r)
+    carrier = BraidedPair(alg, hco, column_matrix(dh, s_r, fs))
     return YDPostHopf(carrier, act_r, act_r.pulled_back([smap.column(i) for i in range(dh)]),
                       params=dict(r.params))
 

@@ -110,8 +110,8 @@ def test_perturbed_h4_fails_associativity():
     # lexicographically first failure is (g,x,x); (x,x,g) fails as well:
     # (x*x)*g = g while x*(x*g) = 0
     assert entry.witness.where == (G, X, X)
-    lhs = a.mul_vec_basis(a.mul[X][X], G)
-    rhs = a.mul_basis_vec(X, a.mul[X][G])
+    lhs = a.mul_vec(a.mul[X][X], unit_vector(4, G, RATIONALS))
+    rhs = a.mul_vec(unit_vector(4, X, RATIONALS), a.mul[X][G])
     assert lhs != rhs
 
 

@@ -118,7 +118,7 @@ def test_adjoint_coaction_values():
     expected: dict[int, F] = {}
     legs = s.carrier.coalgebra.legs(X, 3)
     for (a1, a2, a3), c in legs:
-        u = bullet.mul_basis_vec(a1, sharp.column(a3))
+        u = bullet.mul_vec(unit_vector(4, a1, RATIONALS), sharp.column(a3))
         for p, cp in u.entries.items():
             key = p * 4 + a2
             expected[key] = expected.get(key, F(0)) + c * cp
@@ -175,7 +175,8 @@ def test_recovery_identities():
             acc2 = Vector(4, {}, RATIONALS)
             for x1, x2, c in coalg.comul[x]:
                 acc2 = acc2.add(
-                    bullet.mul_basis_vec(x1, s.action.apply(sharp.column(x2), unit_vector(4, y, RATIONALS))).scale(c)
+                    bullet.mul_vec(unit_vector(4, x1, RATIONALS),
+                                   s.action.apply(sharp.column(x2), unit_vector(4, y, RATIONALS))).scale(c)
                 )
             assert acc2 == alg.mul[x][y]
 
