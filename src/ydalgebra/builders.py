@@ -41,9 +41,11 @@ def _coerce(field: FieldSpec, x) -> Scalar:
 
 
 def _certify(s: YDPostHopf, name: str) -> YDPostHopf:
+    """s, or ``StructureError`` with the timing-free machine report when s
+    fails the post-Hopf suite, so the message is the same on every run."""
     rep = check_yd_post_hopf(s)
     if not rep.all_pass():
-        raise StructureError(f"builder {name} produced an invalid structure:\n{rep.text()}")
+        raise StructureError(f"builder {name} produced an invalid structure:\n{rep.machine_text()}")
     return s
 
 

@@ -173,7 +173,7 @@ def cmd_derive(args) -> int:
     derived_rep = run_suite(derived, mode=args.mode)
     if not derived_rep.all_pass():
         sys.stderr.write("derived structure fails its suite (inconsistent input?):\n")
-        sys.stdout.write(derived_rep.text())
+        sys.stdout.write(derived_rep.machine_text() if args.report == "machine" else derived_rep.text())
         return 1
     text = emit(derived)
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -2,6 +2,7 @@
 
 import io
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -281,3 +282,37 @@ def test_non_square_rmap_is_not_bijective(tmp_path, sweedler_file):
                                 "--out", str(tmp_path / f"{target}.struct")])
         assert code == 2 and err.startswith("structure error:") and "bijective" in err
         assert "Traceback" not in err
+
+
+def test_adjoint_certification_error_is_the_same_on_every_run():
+    # the builder's error carries the timing-free machine report, so two
+    # runs print the same bytes and name the same first failure
+    path = Path(__file__).parent / "golden" / "h4-q.struct"
+    first, second = (run_cli(["example", "adjoint", "--from", str(path)]) for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert code == 2 and out == ""
+    assert err.startswith("structure error: builder adjoint produced an invalid structure:\n")
+    assert "ALG-ASSOC fail at=(2,1,1) lhs=[2:5,3:-4] rhs=[2:1]" in err.splitlines()
+    assert "time=" not in err
+
+
+@pytest.mark.parametrize("report", ["machine", "text"])
+def test_derive_reports_a_failing_derived_structure_as_asked(tmp_path, monkeypatch, sweedler_file, report):
+    from test_golden import _mutant_text
+    from ydalgebra import cli
+    from ydalgebra.structio import parse
+
+    failing = parse(_mutant_text("hopf-q"))
+    monkeypatch.setattr(cli, "subadjacent_hopf", lambda s: failing)
+    out_path = tmp_path / "sub.struct"
+    code, out, err = run_cli(["derive", str(sweedler_file), "--target", "subadjacent", "--out", str(out_path),
+                              "--report", report])
+    assert code == 1
+    assert err == "derived structure fails its suite (inconsistent input?):\n"
+    assert not out_path.exists()
+    rep = cli.run_suite(failing)
+    if report == "machine":
+        assert out == rep.machine_text()
+    else:
+        assert out.endswith("FAILURES PRESENT\n") and "time=" in out
