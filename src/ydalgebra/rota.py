@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_columns, compile_vectors,
-    int_bilinear, int_items, int_linear, legs_side, line, pairs_render, sides, tensor_side, triples_render, vector_render,
+    int_bilinear, int_items, int_linear, legs_side, line, pairs_render, sides, tensor_side, triples_render,
+    vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (

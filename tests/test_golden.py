@@ -322,12 +322,13 @@ NO_GOLDEN_FAILURE = {
     "RBM-G": "test_rota.py::test_rbm_f_and_g_fail_on_one_flipped_sign and "
              "test_rbm_coproduct_row_and_loop_order (its loop-order witness)",
     "RBM-COMM": "test_rota.py::test_rb_morphism_perturbation_detected",
-    "RBM-ACT": "no test fails it yet",
-    "PL-SKEW": "no test fails it yet: derived post-Lie data is skew by construction",
-    "PL-JAC": "no test fails it yet",
+    "RBM-ACT": "test_rota.py::test_rbm_act_fails_where_g_does_not_intertwine (alone)",
+    "PL-SKEW": "test_posthopf.py::test_check_post_lie_fails_each_id_on_one_changed_entry (alone; derived "
+               "post-Lie data is skew by construction)",
+    "PL-JAC": "test_posthopf.py::test_check_post_lie_fails_each_id_on_one_changed_entry (with PL-SKEW and PL-SUB)",
     "PL-1": "test_posthopf.py::test_check_post_lie_designed_failure",
-    "PL-2": "no test fails it yet",
-    "PL-SUB": "no test fails it yet",
+    "PL-2": "test_posthopf.py::test_check_post_lie_fails_each_id_on_one_changed_entry (alone)",
+    "PL-SUB": "test_posthopf.py::test_check_post_lie_fails_each_id_on_one_changed_entry (with PL-1 and PL-2)",
     "GRB-GROUP-G": "test_rota.py::test_grb_group_g_fails_on_a_table_that_is_not_associative",
     "GRB-GROUP-H": "test_rota.py::test_grb_group_h_fails_on_a_monoid_without_inverses",
     "LRB-LIE-G": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",

@@ -436,3 +436,42 @@ def test_p_conv_carries_the_time_of_its_solve(monkeypatch, make):
     s = make()
     assert s.beta is None
     assert check_yd_post_hopf(s).entry("P-CONV").seconds >= 0.05
+
+
+def _post_lie(d: int, bracket: dict, action: dict) -> PostLieData:
+    """The post-Lie data of dimension d whose bracket and action are the
+    given {(i, j): {k: coefficient}} on basis pairs, zero elsewhere."""
+    def table(entries):
+        return [[Vector(d, entries.get((i, j), {}), RATIONALS) for j in range(d)] for i in range(d)]
+    return PostLieData(d, table(bracket), table(action), RATIONALS)
+
+
+# one entry of a passing post-Lie algebra changed, for each ID of
+# check_post_lie that no golden fails: the data, the IDs that fail, and the
+# first failure of the target ID
+PL_MUTANTS = {
+    # abelian, zero action, and [e_0, e_0] = e_1: not skew at (0, 0), and
+    # still Jacobi, since every bracket of a bracket is 0
+    "PL-SKEW": (_post_lie(2, {(0, 0): {1: 1}}, {}), ["PL-SKEW"], "at=(0,0) lhs=[1:1] rhs=[1:-1]"),
+    # abelian, zero action, and [e_0, e_1] = e_1 with [e_1, e_0] = 0: one
+    # entry of the bracket cannot break Jacobi and keep it skew, and the
+    # subadjacent bracket is this one, so PL-SKEW and PL-SUB fail with it
+    "PL-JAC": (_post_lie(2, {(0, 1): {1: 1}}, {}), ["PL-SKEW", "PL-JAC", "PL-SUB"],
+               "at=(0,0,1) lhs=[1:1] rhs=[0]"),
+    # abelian, and e_0 >- e_1 = e_0 the only action: a derivation of the
+    # abelian bracket, so PL-1 holds, but not a pre-Lie product
+    "PL-2": (_post_lie(2, {}, {(0, 1): {0: 1}}), ["PL-2"], "at=(0,1,1) lhs=[0:1] rhs=[0]"),
+    # the Heisenberg bracket [e_0, e_1] = e_2, zero action, and e_0 >- e_2 = e_0:
+    # the subadjacent bracket is Lie whenever the other four IDs pass, so
+    # PL-SUB fails only with one of them, here PL-1 and PL-2
+    "PL-SUB": (_post_lie(3, {(0, 1): {2: 1}, (1, 0): {2: -1}}, {(0, 2): {0: 1}}), ["PL-1", "PL-2", "PL-SUB"],
+               "at=(0,1,2) lhs=[2:1] rhs=[0]"),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(PL_MUTANTS))
+def test_check_post_lie_fails_each_id_on_one_changed_entry(axiom):
+    p, failing, witness = PL_MUTANTS[axiom]
+    rep = check_post_lie(p)
+    assert [e.axiom for e in rep.failed()] == failing
+    assert rep.entry(axiom).witness.text() == witness

@@ -1,5 +1,6 @@
 """Relative Rota-Baxter operators: checkers, functors, restrictions."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -384,3 +385,27 @@ def test_grb_group_h_fails_on_a_monoid_without_inverses():
     assert (e.status, e.checked, e.failures) == ("fail", n ** 3 + 1 + n, n - 1)
     assert e.witness.text() == "at=(inverse,1) lhs=[no inverse] rhs=[]"
     assert rep.status("GRB-GROUP-G") == "pass"
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+def test_rbm_act_fails_where_g_does_not_intertwine(p):
+    # f = g = (x -> -x, gx -> -gx) is an automorphism of Sweedler's H and K
+    # that commutes with R = id, so RBM-F, RBM-G and RBM-COMM pass, and on
+    # the operator itself every ID passes; with the action changed at one
+    # entry, x >- 1 = 1 (it is eps(x) 1 = 0), g(x >- 1) = 1 while
+    # f(x) >- g(1) = -1, and RBM-ACT fails there alone
+    fs = RATIONALS if p is None else FieldSpec(p)
+    r = functor_l(build_sweedler(1, fs) if p is None else build_sweedler(3, fs))
+    ident = identity_matrix(4, fs)
+    flip = Matrix(4, 4, {**ident.entries, (2, 2): -fs.one, (3, 3): -fs.one}, fs)
+    assert check_rb_morphism(r, r, flip, flip).all_pass()
+    act = [list(row) for row in r.action.act]
+    assert act[2][0].is_zero()
+    act[2][0] = unit_vector(4, 0, fs)
+    bad = dataclasses.replace(r, action=ActionTensor(4, 4, act, fs))
+    rep = check_rb_morphism(bad, bad, flip, flip)
+    assert [e.axiom for e in rep.failed()] == ["RBM-ACT"]
+    entry = rep.entry("RBM-ACT")
+    minus = "-1" if p is None else str(p - 1)
+    assert (entry.checked, entry.failures) == (16, 1)
+    assert entry.witness.text() == f"at=(2,0) lhs=[0:1] rhs=[0:{minus}]"
