@@ -15,6 +15,10 @@ per call, the two are compared cross-multiplied, and a ``Vector`` is built
 only to render a witness.  MP-4 runs on rows (b, c) over a, so its witness
 is the first failure in the order (b, c, a).  MP-MODC's part 7 (the right
 unit row) and MP-2 remain hand-written ``Vector`` loops.
+
+The functors G and from-matched-pair build their maps as convolutions on
+the compiled tables (``hopf.convolve``): the brace action (L o S) * L^o,
+and the braided product L^o * (alpha o T) and antipode alpha * T.
 """
 
 from __future__ import annotations

@@ -53,6 +53,23 @@ int sums by y * dim**2 + p * dim + q (``compiled.comul_side`` and
 ``compiled.legs_side``).  P-CONV reports the tallies of
 ``_verify_endo_inverse``; when beta was just solved, they are the ones
 ``hom_convolution_inverse_endo`` computed to accept it.
+
+The convolution calculus runs on the same tables.  ``convolve`` gives the
+table of f*g, (f*g)_x = sum c f_{x_1} o g_{x_2}, for maps from a coalgebra
+stored as rows[j][r] = f_{e_j}(e_r); for a one-column g (``_one_column``)
+it is x -> sum c f_{x_1}(g(x_2)).  Its callers build their operator tables
+from the compiled ones (L = ``int_mul()``, L o f = ``_left_products``, an
+action pulled back along a map T, alpha o T): the bullet product L * alpha
+and S_> = beta * S (``posthopf``); the brace action (L o S) * L^o and the
+matched-pair carrier L^o * (alpha o T) and alpha * T (``braces``); S_K =
+(alpha o R) * R^{-1} S R and functor M's antipode R o (alpha * R^{-1} S)
+(``rota``); the adjoint example (``builders``); and ``convolution``,
+(L o f) * g.  Each keeps the association of its formula, so it agrees with
+a loop over the coproduct on failing input too, except the adjoint
+example, whose operators compose only where H is associative.
+``coaction`` builds rho(a) = R(a_1) . S(R(a_3)) (x) a_2 for
+``rota.derived_coaction``, and Ad_L with R = id on the subadjacent Hopf
+algebra.
 """
 
 from __future__ import annotations
@@ -61,7 +78,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .compiled import (
-    IntTable, add_linear, comul_side, compare, compared, compile_columns, compile_comul, compile_legs,
+    IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_columns, compile_comul, compile_legs,
     compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line, pairs_render,
     scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
 )
@@ -757,21 +774,23 @@ def coaction(alg: AlgebraData, antipode: Matrix, r_map: Matrix, coalg: Coalgebra
     """rho(a) = R(a_1) . S(R(a_3)) (x) a_2 for a linear R: C -> A and an
     antipode S of A, as a dim_C -> dim_A * dim_C matrix whose entry
     (p * dim_C + q, a) is the coefficient of e_p (x) e_q.  It is summed as
-    ints on the threefold legs of C, the left products R(e_j) . e_r and the
-    columns of S R, grouped by a_2, and divided by the scale once per
-    entry.  The coaction of a relative Rota-Baxter operator, and Ad_L of a
-    post-Hopf structure with R = id on its subadjacent Hopf algebra."""
-    fs, dk = alg.field, coalg.dim
-    left = _left_products(compile_columns(r_map), alg.int_mul(), fs.p)
-    sr = compile_columns(antipode.compose(r_map))
-    legs = coalg.int_legs(3)
+    ints on the threefold legs of C and the compiled product and columns of
+    R and S R: c S(R(a_3)) is summed over the legs that share (a_1, a_2)
+    first, then multiplied by R(a_1), and each entry is divided by the
+    scale once.  The coaction of a relative Rota-Baxter operator, and Ad_L
+    of a post-Hopf structure with R = id on its subadjacent Hopf algebra."""
+    fs, dk, mul, legs = alg.field, coalg.dim, alg.int_mul(), coalg.int_legs(3)
+    rc, sr = compile_columns(r_map), compile_columns(antipode.compose(r_map))
     cols = []
     for terms in legs.rows:
-        by_a2: dict[int, dict[int, int]] = {}
+        groups: dict[tuple[int, int], dict[int, int]] = {}
         for (a1, a2, a3), c in terms:
-            add_linear(by_a2.setdefault(a2, {}), left.rows[a1], sr.rows[a3], c)
+            add_linear(groups.setdefault((a1, a2), {}), sr.rows, ((a3, c),), 1)
+        by_a2: dict[int, dict[int, int]] = {}
+        for (a1, a2), v in groups.items():
+            add_bilinear(by_a2.setdefault(a2, {}), mul.rows, rc.rows[a1], v.items(), 1)
         col = {q * dk + a2: n for a2, acc in by_a2.items() for q, n in acc.items()}
-        cols.append(int_vector(alg.dim * dk, col, legs.scale * left.scale * sr.scale, fs))
+        cols.append(int_vector(alg.dim * dk, col, legs.scale * mul.scale * rc.scale * sr.scale, fs))
     return matrix_from_columns(cols, fs)
 
 

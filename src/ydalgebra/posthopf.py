@@ -51,6 +51,9 @@ cross-multiplies the two sides by each other's scale.  A ``Vector`` or
 pair dict is built only to render the first failing tuple.  The left
 harpoon and the braiding are summed as ints on the same tables and divided
 by their scale once per entry, so they are the exact tensors.  The
+bullet product and S_> are convolutions on the compiled tables
+(``hopf.convolve``), L * alpha and beta * S, and Ad_L is
+``hopf.coaction`` with R = id on the subadjacent Hopf algebra.  The
 compiled beta table lives on the beta tensor; the S_> columns, Ad_L
 columns, braiding columns and grouped legs are cached results that depend
 on beta, so setting beta drops them too.

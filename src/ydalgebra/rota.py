@@ -14,7 +14,10 @@ coaction rho) run on compiled int tables (``compiled``), built once per
 operator and kept in its ``_cache``: the columns of R, and R(x) >- y,
 R(R(x) >- y) and S_H R(R(x) >- y) for basis elements x, y of K; the columns
 of rho, keyed p * dim_k + q, H's threefold legs grouped with S_H, and the
-units and counits.  RB-3 remains a hand-written ``Vector`` loop.  The cached
+units and counits.  RB-3 remains a hand-written ``Vector`` loop.  The
+derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H R, and
+the antipode of functor M, R o (alpha * R^{-1} S_H), are convolutions on
+the compiled tables (``hopf.convolve``).  The cached
 tables assume the operator is not changed after it is first checked;
 ``dataclasses.replace`` makes a copy whose cache starts empty.
 """
