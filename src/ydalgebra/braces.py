@@ -37,16 +37,16 @@ from .hopf import (
     BraidedPair,
     HopfData,
     StructureError,
-    _left_products,
-    _one_column,
     check_hopf,
     column_matrix,
     convolve,
+    left_products,
     module_algebra_unit_law,
     module_coalgebra_law,
     module_law,
     module_unit_law,
     mp5_law,
+    one_column,
 )
 from .linalg import unit_vector
 from .report import Checker, CheckEntry, CheckReport, FAIL, PASS, Tally, Witness, vector_text
@@ -114,7 +114,7 @@ def brace_action(b: YDBrace) -> ActionTensor:
     bullet product."""
     d, fs = b.dim, b.field
     dot = b.dot_side
-    left = _left_products(compile_columns(dot.s_map), dot.algebra.int_mul(), fs.p)
+    left = left_products(compile_columns(dot.s_map), dot.algebra.int_mul(), fs.p)
     act = convolve(left, b.bullet_side.algebra.int_mul(), dot.coalgebra)
     return ActionTensor(d, d, table_vectors(d, act, fs), fs)
 
@@ -233,7 +233,7 @@ def from_matched_pair(mp: MatchedPair) -> YDPostHopf:
     coalg, bullet = hopf.coalgebra, hopf.algebra
     beta = act.pulled_back([hopf.antipode.column(i) for i in range(d)])
     mul = convolve(bullet.int_mul(), beta.int_act(), coalg)
-    smap = convolve(act.int_act(), _one_column(compile_columns(hopf.antipode)), coalg)
+    smap = convolve(act.int_act(), one_column(compile_columns(hopf.antipode)), coalg)
     alg = AlgebraData(d, list(bullet.basis_labels), table_vectors(d, mul, fs), bullet.unit, fs)
     return YDPostHopf(BraidedPair(alg, coalg, column_matrix(d, smap, fs)), act, beta, params=dict(mp.params))
 

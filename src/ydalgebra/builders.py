@@ -21,10 +21,10 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
-    _left_products,
-    _one_column,
     column_matrix,
     convolve,
+    left_products,
+    one_column,
     solve_antipode,
 )
 from .linalg import Matrix, Vector, add_scaled_inplace, unit_vector
@@ -598,10 +598,10 @@ def build_adjoint(h: HopfData) -> YDPostHopf:
     hco, mul, p = h.coalgebra, h.algebra.int_mul(), h.field.p
     op = IntTable([list(col) for col in zip(*mul.rows)], mul.scale)  # op[j][i] = e_i o e_j
     tcols = compile_columns(h.antipode)
-    act = convolve(mul, _left_products(tcols, op, p), hco)
-    right_tt = _left_products(compile_columns(h.antipode.compose(h.antipode)), op, p)
-    prod = convolve(convolve(mul, right_tt, hco), _left_products(tcols, mul, p), hco)
-    s_map = column_matrix(d, convolve(act, _one_column(tcols), hco), fs)
+    act = convolve(mul, left_products(tcols, op, p), hco)
+    right_tt = left_products(compile_columns(h.antipode.compose(h.antipode)), op, p)
+    prod = convolve(convolve(mul, right_tt, hco), left_products(tcols, mul, p), hco)
+    s_map = column_matrix(d, convolve(act, one_column(tcols), hco), fs)
     alg = AlgebraData(d, list(h.algebra.basis_labels), table_vectors(d, prod, fs), h.algebra.unit, fs)
     action = ActionTensor(d, d, table_vectors(d, act, fs), fs)
     s = YDPostHopf(BraidedPair(alg, hco, s_map), action,

@@ -56,9 +56,9 @@ int sums by y * dim**2 + p * dim + q (``compiled.comul_side`` and
 
 The convolution calculus runs on the same tables.  ``convolve`` gives the
 table of f*g, (f*g)_x = sum c f_{x_1} o g_{x_2}, for maps from a coalgebra
-stored as rows[j][r] = f_{e_j}(e_r); for a one-column g (``_one_column``)
+stored as rows[j][r] = f_{e_j}(e_r); for a one-column g (``one_column``)
 it is x -> sum c f_{x_1}(g(x_2)).  Its callers build their operator tables
-from the compiled ones (L = ``int_mul()``, L o f = ``_left_products``, an
+from the compiled ones (L = ``int_mul()``, L o f = ``left_products``, an
 action pulled back along a map T, alpha o T): the bullet product L * alpha
 and S_> = beta * S (``posthopf``); the brace action (L o S) * L^o and the
 matched-pair carrier L^o * (alpha o T) and alpha * T (``braces``); S_K =
@@ -704,7 +704,7 @@ def convolution_unit_law(left: IntTable, right: IntTable, coalg: CoalgebraData, 
                     counit.scale * unit.scale, coalg.field, render, lambda w: w[:1])
 
 
-def _left_products(fcols: IntTable, mul: IntTable, p: int | None) -> IntTable:
+def left_products(fcols: IntTable, mul: IntTable, p: int | None) -> IntTable:
     """The table f(e_j) . e_r of ``convolution_unit_law`` for the compiled
     columns f(e_j) of a map into the algebra of mul."""
     m = mul.rows
@@ -712,7 +712,7 @@ def _left_products(fcols: IntTable, mul: IntTable, p: int | None) -> IntTable:
     return IntTable([[int_linear(mc, col, p) for mc in mcols] for col in fcols.rows], fcols.scale * mul.scale)
 
 
-def _one_column(cols: IntTable) -> IntTable:
+def one_column(cols: IntTable) -> IntTable:
     """Compiled columns g(e_k) as the table right[k] = [g(e_k)]."""
     return IntTable([[col] for col in cols.rows], cols.scale)
 
@@ -726,8 +726,8 @@ def antipode_law(a: AlgebraData, c: CoalgebraData, s_map: Matrix) -> Tally:
     unit = compile_vectors([a.unit], fs)
     ident = IntTable([[((k, 1),)] for k in range(c.dim)], 1)
     t = Tally()
-    t.absorb(convolution_unit_law(_left_products(scols, mul, fs.p), ident, c, unit), where=lambda w: w + (0,))
-    t.absorb(convolution_unit_law(mul, _one_column(scols), c, unit), where=lambda w: w + (1,))
+    t.absorb(convolution_unit_law(left_products(scols, mul, fs.p), ident, c, unit), where=lambda w: w + (0,))
+    t.absorb(convolution_unit_law(mul, one_column(scols), c, unit), where=lambda w: w + (1,))
     return t
 
 
@@ -738,7 +738,7 @@ def convolve(f: IntTable, g: IntTable, coalg: CoalgebraData) -> IntTable:
     """The compiled table of f*g, (f*g)_x = sum over Delta(x) of
     c f_{x_1} o g_{x_2}, for maps from coalg stored as rows[j][r] =
     f_{e_j}(e_r): rows[x][y] = sum c f_{x_1}(g_{x_2}(e_y)), at the product
-    of the three scales.  For a one-column g (``_one_column``), row x is
+    of the three scales.  For a one-column g (``one_column``), row x is
     the one column sum c f_{x_1}(g(x_2)).  Each sum is taken in f and g as
     they are, so a value keeps the association f_{x_1}(g_{x_2}(e_y)) even
     where the product behind f or g is not associative."""
@@ -763,11 +763,11 @@ def column_matrix(dim: int, table: IntTable, field: FieldSpec) -> Matrix:
 
 def convolution(f: Matrix, g: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix:
     """(f*g)(x) = f(x_1) . g(x_2): (L o f) * g by ``convolve``, for the
-    left products L o f of ``_left_products``."""
+    left products L o f of ``left_products``."""
     if f.cols != c.dim or g.cols != c.dim or f.rows != a.dim or g.rows != a.dim:
         raise StructureError("convolution shape mismatch")
-    left = _left_products(compile_columns(f), a.int_mul(), a.field.p)
-    return column_matrix(a.dim, convolve(left, _one_column(compile_columns(g)), c), a.field)
+    left = left_products(compile_columns(f), a.int_mul(), a.field.p)
+    return column_matrix(a.dim, convolve(left, one_column(compile_columns(g)), c), a.field)
 
 
 def coaction(alg: AlgebraData, antipode: Matrix, r_map: Matrix, coalg: CoalgebraData) -> Matrix:
@@ -850,7 +850,7 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
     The system has one int row per (x, t), the e_t coefficient of
     (f*g)(x) = sum c f(x_1) . g(x_2) (``_convolution_rows``), with the
     rows f(e_j) . e_r formed once per (j, r) from ``a.int_mul()``
-    (``_left_products``), and is
+    (``left_products``), and is
     solved by ``linalg.solve_rows``.  None when it is inconsistent: f has
     no right inverse.  A consistent system with a kernel raises
     ``StructureError`` (a two-sided inverse is unique).  Then both f*g and
@@ -871,7 +871,7 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
         raise StructureError("convolution shape mismatch")
     mul = a.int_mul()
     fcols = compile_columns(f)
-    left = _left_products(fcols, mul, fs.p)
+    left = left_products(fcols, mul, fs.p)
     eps = c.counit.entries
     rhs = {(x, t): (0, e * u) for x, e in eps.items() for t, u in a.unit.entries.items()}
     rows = _convolution_rows(left, c.int_comul(), n, rhs, fs)
@@ -885,9 +885,9 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
     g = Matrix(n, d, {(r, k): v for idx, v in sol.entries.items() for k, r in [divmod(idx, n)]}, fs)
     gcols = compile_columns(g)
     unit = compile_vectors([a.unit], fs)
-    if convolution_unit_law(left, _one_column(gcols), c, unit).failures:
+    if convolution_unit_law(left, one_column(gcols), c, unit).failures:
         raise LinAlgError("convolution inverse self-check failed: f*g != unit*counit")
-    if convolution_unit_law(_left_products(gcols, mul, fs.p), _one_column(fcols), c, unit).failures:
+    if convolution_unit_law(left_products(gcols, mul, fs.p), one_column(fcols), c, unit).failures:
         if check_coalgebra(c).all_pass() and check_algebra(a).all_pass():
             raise LinAlgError("convolution inverse self-check failed: g*f != unit*counit")
         return None

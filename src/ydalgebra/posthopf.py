@@ -76,7 +76,6 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
-    _one_column,
     _verify_endo_inverse,
     antipode_law,
     bialgebra_unit_laws,
@@ -93,6 +92,7 @@ from .hopf import (
     module_law,
     module_unit_law,
     mp5_law,
+    one_column,
 )
 from .linalg import (
     Matrix, Vector, _vector, accumulate, add_scaled_inplace, identity_matrix, kernel, matrix_from_columns, solve,
@@ -187,7 +187,7 @@ def sharp_antipode(s: YDPostHopf) -> Matrix:
     """S_>(x) = beta_{x_1}(S(x_2)), the subadjacent antipode: beta * S for
     the one column S (``hopf.convolve``)."""
     beta = ensure_beta(s).int_act()
-    sharp = convolve(beta, _one_column(compile_columns(s.carrier.s_map)), s.carrier.coalgebra)
+    sharp = convolve(beta, one_column(compile_columns(s.carrier.s_map)), s.carrier.coalgebra)
     return column_matrix(s.dim, sharp, s.field)
 
 

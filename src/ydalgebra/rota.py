@@ -40,7 +40,6 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
-    _one_column,
     antipode_law,
     bialgebra_unit_laws,
     check_algebra,
@@ -54,6 +53,7 @@ from .hopf import (
     module_coalgebra_law,
     module_law,
     module_unit_law,
+    one_column,
     solve_antipode,
     tens2,
 )
@@ -634,7 +634,7 @@ def antipode_sk(r: RelRB) -> Matrix:
     if rinv is None:
         raise StructureError("R is not bijective; S_K needs the full notion")
     rsr = compile_columns(rinv.compose(r.h.antipode).compose(r.r_map))
-    sk = column_matrix(r.dim_k, convolve(_r_acted(r), _one_column(rsr), r.k_coalg), r.field)
+    sk = column_matrix(r.dim_k, convolve(_r_acted(r), one_column(rsr), r.k_coalg), r.field)
     if antipode_law(r.k_alg, r.k_coalg, sk).failures:
         raise StructureError("derived S_K fails the antipode identities")
     return sk
@@ -675,7 +675,7 @@ def functor_m(r: RelRB) -> YDPostHopf:
     alg = AlgebraData(dh, list(halg.basis_labels), mul, halg.unit, fs)
     # S_r = R o (alpha * R^{-1} S_H), for the one column R^{-1} S_H
     rc = _r_columns(r)
-    cols = convolve(r.action.int_act(), _one_column(compile_columns(rinv.compose(smap))), hco)
+    cols = convolve(r.action.int_act(), one_column(compile_columns(rinv.compose(smap))), hco)
     s_r = IntTable([[int_linear(rc.rows, col, fs.p)] for col, in cols.rows], cols.scale * rc.scale)
     act_rows = []
     for i in range(dh):
