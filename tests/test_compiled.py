@@ -19,6 +19,17 @@ Sweedler and Suzuki(1, -1) and on every golden mutant of those kinds;
 RB-BIMON's parts 4-8 on every rb_l golden and its one- and two-line
 mutants; and YD-COMPAT, YD-COLINEAR and parts 4-8 on the dim-16 E(3) over
 Q and F_10007.
+
+The loops that built the derived maps before ``hopf.convolve`` and
+``hopf.coaction`` (the bullet product, S_>, Ad_L, ``hopf.convolution``, the
+brace action, the matched-pair carrier, rho, S_K, functor M and the adjoint
+example) are kept too, with the two ``AlgebraData`` methods they called,
+``mul_basis_vec`` and ``mul_vec_basis``, as local helpers.  Each map must
+equal its loop in value and in the class of every stored scalar, on the
+perturbed structures, the rb_l line mutants and an operator with a sheared
+R; the adjoint example on the C2 and S3 group algebras only, since it
+composes operators and so agrees with its loops only where H is
+associative.
 """
 
 import dataclasses

@@ -458,8 +458,8 @@ PL_MUTANTS = {
     # subadjacent bracket is this one, so PL-SKEW and PL-SUB fail with it
     "PL-JAC": (_post_lie(2, {(0, 1): {1: 1}}, {}), ["PL-SKEW", "PL-JAC", "PL-SUB"],
                "at=(0,0,1) lhs=[1:1] rhs=[0]"),
-    # abelian, and e_0 >- e_1 = e_0 the only action: a derivation of the
-    # abelian bracket, so PL-1 holds, but not a pre-Lie product
+    # abelian, and e_0 >- e_1 = e_0 the only action: PL-1 holds for any
+    # action on an abelian bracket, but this one is not a pre-Lie product
     "PL-2": (_post_lie(2, {}, {(0, 1): {0: 1}}), ["PL-2"], "at=(0,1,1) lhs=[0:1] rhs=[0]"),
     # the Heisenberg bracket [e_0, e_1] = e_2, zero action, and e_0 >- e_2 = e_0:
     # the subadjacent bracket is Lie whenever the other four IDs pass, so
