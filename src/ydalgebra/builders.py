@@ -12,7 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .compiled import IntTable, compile_columns, table_vectors
+from .compiled import (
+    IntTable, compile_columns, compile_tensor, compile_vectors, int_linear, int_vector, table_vectors, tensor_side,
+)
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
     ActionTensor,
@@ -25,9 +27,10 @@ from .hopf import (
     convolve,
     left_products,
     one_column,
+    pulled_back,
     solve_antipode,
 )
-from .linalg import Matrix, Vector, add_scaled_inplace, unit_vector
+from .linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
 from .posthopf import YDPostHopf, _set_beta, bullet_algebra, check_yd_post_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
@@ -59,40 +62,32 @@ def _gen_legs4(gen_delta, u, fs):
         acc = {}
         for tup, s in legs:
             for p, q, c in gen_delta[tup[0]]:
-                key = (p, q) + tup[1:]
-                v = acc.get(key)
-                v = s * c if v is None else v + s * c
-                if v:
-                    acc[key] = v
-                else:
-                    del acc[key]
+                accumulate(acc, (p, q) + tup[1:], s * c)
         legs = sorted(acc.items())
     return legs
 
 
-def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, mul_pair, fs):
+def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs):
     """Extend the coproduct from generators to all monomials through the
     braided compatibility of the coproduct with the product.
 
     gen_delta: coproduct of the unit and each generator, by index.
     peel: index -> (generator index, tail index) for every other monomial.
     alpha_gen / beta_gen: full action rows of the unit and the generators.
+    left_mul: index -> the matrix of left multiplication by that monomial.
+
+    Delta(u w) is the sum of s c (l1 . alpha_l2(beta_l4(p))) (x) (l3 . q)
+    over the four legs of u and the terms c p (x) q of Delta(w), summed as
+    ints on the action rows and left products of the generators, compiled
+    once; each l1 . alpha_l2(beta_l4(p)) is made once.
     """
-    legs4_cache = {u: _gen_legs4(gen_delta, u, fs) for u in gen_delta}
+    gens = {u: k for k, u in enumerate(gen_delta)}
+    alpha, beta = (compile_tensor([rows[u] for u in gens], fs) for rows in (alpha_gen, beta_gen))
+    left = compile_tensor([[left_mul(u).column(t) for t in range(dim)] for u in gens], fs)
+    legs4 = {u: [(tuple(gens[x] for x in tup), s) for tup, s in _gen_legs4(gen_delta, u, fs)] for u in gens}
+    scale = left.scale ** 2 * alpha.scale * beta.scale
+    fused: dict = {}  # (l1, l2, l4, p) -> l1 . alpha_l2(beta_l4(e_p))
     delta: list[dict[tuple[int, int], Scalar] | None] = [None] * dim
-
-    def tens_add(acc, u_vec: Vector, v_vec: Vector, s: Scalar):
-        for i, a in u_vec.entries.items():
-            sa = a * s
-            for j, b in v_vec.entries.items():
-                key = (i, j)
-                t = acc.get(key)
-                t = sa * b if t is None else t + sa * b
-                if t:
-                    acc[key] = t
-                else:
-                    del acc[key]
-
     for m in range(dim):
         if m in gen_delta:
             delta[m] = {(p, q): c for p, q, c in gen_delta[m]}
@@ -101,19 +96,32 @@ def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, mul_pair, fs)
         dw = delta[w]
         if dw is None:
             raise StructureError("peel order must follow the basis order")
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (l1, l2, l3, l4), s in legs4_cache[u]:
-            for (p, q), c in dw.items():
-                v = beta_gen[l4][p]
-                v2_acc: dict[int, Scalar] = {}
-                for t, ct in v.entries.items():
-                    add_scaled_inplace(v2_acc, alpha_gen[l2][t], ct)
-                left_acc: dict[int, Scalar] = {}
-                for t, ct in v2_acc.items():
-                    add_scaled_inplace(left_acc, mul_pair(l1, t), ct)
-                tens_add(acc, Vector(dim, left_acc, fs), mul_pair(l3, q), s * c)
-        delta[m] = acc
+        terms = [(legs, pq, s * c) for legs, s in legs4[u] for pq, c in dw.items()]
+        coeffs = compile_vectors([Vector(len(terms), {k: sc for k, (_, _, sc) in enumerate(terms)}, fs)], fs)
+        acc: dict[int, int] = {}
+        for k, c in coeffs.rows[0]:
+            (l1, l2, l3, l4), (p, q), _ = terms[k]
+            v = fused.get((l1, l2, l4, p))
+            if v is None:
+                v = fused[(l1, l2, l4, p)] = int_linear(left.rows[l1], int_linear(alpha.rows[l2], beta.rows[l4][p],
+                                                                                  fs.p), fs.p)
+            tensor_side(v, left.rows[l3][q], dim)(acc, (), c)
+        out = int_vector(dim * dim, acc, coeffs.scale * scale, fs)
+        delta[m] = {divmod(key, dim): c for key, c in out.entries.items()}
     return [sorted((p, q, c) for (p, q), c in d.items()) for d in delta]
+
+
+def _row_combination(row_of, v: Vector, dim: int, fs: FieldSpec) -> list[Vector]:
+    """Sum over v's (t, c) of c * row_of(t)[j], for each j < dim: one
+    ``Matrix.apply`` on the rows row_of(t) flattened, t in v's support."""
+    support = sorted(v.entries)
+    flat = Matrix(dim * dim, len(support), {(j * dim + q, k): c for k, t in enumerate(support)
+                                            for j, col in enumerate(row_of(t)) for q, c in col.entries.items()}, fs)
+    out: list[dict] = [{} for _ in range(dim)]
+    for jq, c in flat.apply(Vector(len(support), {k: v.entries[t] for k, t in enumerate(support)}, fs)).entries.items():
+        j, q = divmod(jq, dim)
+        out[j][q] = c
+    return [Vector(dim, e, fs) for e in out]
 
 
 # --- E(n) family (Sweedler is n = 1) ----------------------------------------
@@ -180,23 +188,22 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
         else:
             out.pop(key, None)
 
-    mul_cache: dict[tuple[int, int], Vector] = {}
+    left_cache: dict[int, Matrix] = {}
 
-    def mul_pair(m1: int, m2: int) -> Vector:
-        got = mul_cache.get((m1, m2))
+    def left_mul(m: int) -> Matrix:
+        got = left_cache.get(m)
         if got is None:
-            (a1, s1), (a2, s2) = basis[m1], basis[m2]
-            out: dict = {}
-            reduce_word(a1 + a2, s1 + s2, one, out)
-            got = Vector(dim, {index[key]: c for key, c in out.items()}, fs)
-            mul_cache[(m1, m2)] = got
+            entries = {}
+            for t in range(dim):
+                (a1, s1), (a2, s2) = basis[m], basis[t]
+                out: dict = {}
+                reduce_word(a1 + a2, s1 + s2, one, out)
+                entries.update(((index[key], t), c) for key, c in out.items())
+            got = left_cache[m] = Matrix(dim, dim, entries, fs)
         return got
 
     def mul_by(m: int, v: Vector) -> Vector:
-        acc: dict[int, Scalar] = {}
-        for t, c in v.entries.items():
-            add_scaled_inplace(acc, mul_pair(m, t), c)
-        return Vector(dim, acc, fs)
+        return left_mul(m).apply(v)
 
     def alpha_g_vec(v: Vector) -> Vector:
         out = {}
@@ -281,10 +288,10 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
             peel[m] = (g_idx, index[(0, sub)])
         else:
             peel[m] = (x_idx[sub[0]], index[(0, sub[1:])])
-    comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, mul_pair, fs)
+    comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
 
     counit = Vector(dim, {index[(a, ())]: one for a in (0, 1)}, fs)
-    mul = [[mul_pair(i, j) for j in range(dim)] for i in range(dim)]
+    mul = [[left_mul(i).column(j) for j in range(dim)] for i in range(dim)]
     alg = AlgebraData(dim, labels, mul, unit_vector(dim, 0, fs), fs)
     coalg = CoalgebraData(dim, comul, counit, fs)
     s_map = solve_antipode(alg, coalg)
@@ -293,6 +300,7 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
 
     # full action rows for every basis monomial
     rows: list[list[Vector] | None] = [None] * dim
+    alpha_mats = {m: matrix_from_columns(row, fs) for m, row in alpha_gen.items()}
 
     def act_row(m: int) -> list[Vector]:
         got = rows[m]
@@ -306,18 +314,11 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
             sign = -one if len(sub) % 2 else one
             res = [alpha_g_vec(v).scale(sign) for v in base]
         else:
+            # x_i w >- e_j = x_i >- (w >- e_j) - (g (x_i >- w)) >- e_j
             i, rest = sub[0], sub[1:]
             w_idx = index[(0, rest)]
-            wrow = act_row(w_idx)
-            corr = mul_by(g_idx, act_xi(i, w_idx))
-            res = []
-            for j in range(dim):
-                acc: dict[int, Scalar] = {}
-                for t, ct in wrow[j].entries.items():
-                    add_scaled_inplace(acc, act_xi(i, t), ct)
-                for b, cb in corr.entries.items():
-                    add_scaled_inplace(acc, act_row(b)[j], -cb)
-                res.append(Vector(dim, acc, fs))
+            corr = _row_combination(act_row, mul_by(g_idx, act_xi(i, w_idx)), dim, fs)
+            res = [alpha_mats[x_idx[i]].apply(v).sub(c) for v, c in zip(act_row(w_idx), corr)]
         rows[m] = res
         return res
 
@@ -331,7 +332,7 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
     sharp = solve_antipode(bullet, coalg)
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
-    _set_beta(s, action.pulled_back([sharp.column(m) for m in range(dim)]))
+    _set_beta(s, pulled_back(action, compile_columns(sharp)))
     return _certify(s, f"en(n={n})")
 
 
@@ -457,14 +458,14 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         reduce_b(m, dd, coeff, out)
         return out
 
-    mul_cache: dict[tuple[int, int], Vector] = {}
+    left_cache: dict[int, Matrix] = {}
 
-    def mul_pair(i: int, j: int) -> Vector:
-        got = mul_cache.get((i, j))
+    def left_mul(i: int) -> Matrix:
+        got = left_cache.get(i)
         if got is None:
-            out = mul_terms(_SUZ_BASIS[i], _SUZ_BASIS[j])
-            got = Vector(dim, {index[k]: c for k, c in out.items()}, fs)
-            mul_cache[(i, j)] = got
+            cols = [mul_terms(_SUZ_BASIS[i], key) for key in _SUZ_BASIS]
+            got = left_cache[i] = Matrix(dim, dim, {(index[k], j): c for j, out in enumerate(cols)
+                                                    for k, c in out.items()}, fs)
         return got
 
     def dict_mul(t1: dict, t2: dict) -> dict:
@@ -532,10 +533,10 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
             peel[m] = (A_, index[("A", m_ - 1, d_)])
         else:
             peel[m] = (B_, index[("B", m_ - 1, d_)])
-    comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, mul_pair, fs)
+    comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
     counit = Vector(dim, {index[("A", m_, d_)]: one for s_, m_, d_ in _SUZ_BASIS if s_ == "A"}, fs)
 
-    mul = [[mul_pair(i, j) for j in range(dim)] for i in range(dim)]
+    mul = [[left_mul(i).column(j) for j in range(dim)] for i in range(dim)]
     alg = AlgebraData(dim, list(_SUZ_LABELS), mul, unit_vector(dim, UNIT, fs), fs)
     coalg = CoalgebraData(dim, comul, counit, fs)
     s_map = solve_antipode(alg, coalg)
@@ -543,6 +544,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         raise StructureError("the braided antipode system is inconsistent")
 
     rows: list[list[Vector] | None] = [None] * dim
+    alpha_a = matrix_from_columns(row_a, fs)
 
     def act_row(m: int) -> list[Vector]:
         got = rows[m]
@@ -556,15 +558,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         else:
             # peel one a off: (a.w) >- z = a >- ((alpha_a w) >- z)
             w_idx = index[("A", m_ - 1, d_)]
-            img = row_a[w_idx]           # alpha_a(w), a single monomial
-            res = []
-            for j in range(dim):
-                acc: dict[int, Scalar] = {}
-                for t, ct in img.entries.items():
-                    inner = act_row(t)[j]
-                    for u, cu in inner.entries.items():
-                        add_scaled_inplace(acc, row_a[u], ct, cu)
-                res.append(Vector(dim, acc, fs))
+            res = [alpha_a.apply(v) for v in _row_combination(act_row, row_a[w_idx], dim, fs)]
         rows[m] = res
         return res
 
@@ -575,7 +569,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
     sharp = solve_antipode(bullet, coalg)
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
-    _set_beta(s, action.pulled_back([sharp.column(m) for m in range(dim)]))
+    _set_beta(s, pulled_back(action, compile_columns(sharp)))
     return _certify(s, "suzuki")
 
 
@@ -604,8 +598,7 @@ def build_adjoint(h: HopfData) -> YDPostHopf:
     s_map = column_matrix(d, convolve(act, one_column(tcols), hco), fs)
     alg = AlgebraData(d, list(h.algebra.basis_labels), table_vectors(d, prod, fs), h.algebra.unit, fs)
     action = ActionTensor(d, d, table_vectors(d, act, fs), fs)
-    s = YDPostHopf(BraidedPair(alg, hco, s_map), action,
-                   action.pulled_back([h.antipode.column(i) for i in range(d)]))
+    s = YDPostHopf(BraidedPair(alg, hco, s_map), action, pulled_back(action, tcols))
     return _certify(s, "adjoint")
 
 

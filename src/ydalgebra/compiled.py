@@ -5,8 +5,10 @@ A compiled table holds a tensor's entries as plain ints: over Q as
 numerators over one common denominator, the table's ``scale``; over F_p as
 the residues, with scale 1.  A row is a tuple of ``(k, n)`` pairs, or of
 ``(j, k, n)`` triples for a coproduct.  Compiling checks every F_p entry's
-modulus once, and raises ``FieldError`` on a ``ModInt`` of another modulus,
-as the contraction helpers of ``linalg`` do per term.
+modulus once, and raises ``FieldError`` on a ``ModInt`` of another modulus:
+every contraction in the package sums compiled tables, so that is where a
+mixed modulus is caught.  A ``Matrix`` keeps its compiled columns, which
+``Matrix.apply`` reads.
 
 An identity on basis tuples is evaluated one row at a time: a row is the
 tuples prefix + (k,) for k < n, and a ``contract(acc, prefix, wl, wr)``
@@ -42,8 +44,8 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .field import FieldSpec, ModInt, _mixed, canonical, format_scalar
-from .linalg import Matrix, Vector
+from .field import FieldSpec, ModInt, _mixed, format_scalar
+from .linalg import Matrix, Vector, _vector
 from .report import Tally, pairs_text, vector_text
 
 
@@ -88,8 +90,11 @@ def compile_vectors(vectors: list[Vector], field: FieldSpec) -> IntTable:
 
 
 def compile_columns(m: Matrix) -> IntTable:
-    """One row per column of m."""
-    return compile_vectors([m.column(j) for j in range(m.cols)], m.field)
+    """One row per column of m, built once and kept on m."""
+    cols = getattr(m, "_int_cols", None)
+    if cols is None:
+        cols = m._int_cols = compile_vectors([m.column(j) for j in range(m.cols)], m.field)
+    return cols
 
 
 def compile_tensor(table: list[list[Vector]], field: FieldSpec) -> IntTable:
@@ -104,13 +109,6 @@ def compile_comul(comul: list[list[tuple]], field: FieldSpec) -> IntTable:
     p = field.p
     d = _scale((c for terms in comul for _, _, c in terms), p)
     return IntTable([tuple((j, k, _int(c, d, p)) for j, k, c in terms) for terms in comul], d)
-
-
-def compile_groups(groups: list[list[tuple]], field: FieldSpec) -> IntTable:
-    """rows[x] = the (x1, x2, items) of (x1, x2, Vector) triples."""
-    p = field.p
-    d = _scale((c for terms in groups for _, _, v in terms for c in v.entries.values()), p)
-    return IntTable([[(x1, x2, _items(v, d, p)) for x1, x2, v in terms] for terms in groups], d)
 
 
 def compile_legs(legs: list[list[tuple]], field: FieldSpec) -> IntTable:
@@ -185,17 +183,65 @@ def int_bilinear(table: list, u, v, p: int | None) -> list[tuple[int, int]]:
     return int_items(acc, p)
 
 
+def bilinear_table(table: IntTable, left: IntTable, right: IntTable, p: int | None) -> IntTable:
+    """rows[x][y] = the nonzero (k, n) of sum over left.rows[x]'s (i, a) and
+    right.rows[y]'s (j, b) of a * b * table[i][j], at the product of the
+    three scales: a bilinear map on two lists of compiled vectors."""
+    t = table.rows
+    return IntTable([[int_bilinear(t, u, v, p) for v in right.rows] for u in left.rows],
+                    table.scale * left.scale * right.scale)
+
+
+def mapped(cols: IntTable, table: IntTable, p: int | None) -> IntTable:
+    """f(table[x][y]) for every entry of a compiled table, f given by its
+    compiled columns."""
+    c = cols.rows
+    return IntTable([[int_linear(c, v, p) for v in row] for row in table.rows], table.scale * cols.scale)
+
+
+def bilinear_vectors(table: IntTable, dim: int, left: list[Vector], right: list[Vector],
+                     field: FieldSpec) -> list[list[Vector]]:
+    """``bilinear_table`` on two lists of Vectors, as Vectors of dim."""
+    return table_vectors(dim, bilinear_table(table, compile_vectors(left, field), compile_vectors(right, field),
+                                             field.p), field)
+
+
+def basis(d: int) -> IntTable:
+    """The basis vectors e_0, ..., e_{d-1} as a compiled list."""
+    return IntTable([((j, 1),) for j in range(d)], 1)
+
+
+_new_object = object.__new__
+
+
 def _scalars(sums: dict, scale: int, field: FieldSpec) -> dict:
-    """The nonzero field scalars n / scale of int sums."""
+    """The nonzero field scalars n / scale of int sums, in canonical form (an
+    int or a reduced Fraction over Q, a ModInt over F_p), each made directly
+    rather than through its type's constructor."""
     p = field.p
+    out = {}
     if p is None:
-        return {k: canonical(Fraction(n, scale)) for k, n in sums.items() if n}
-    return {k: ModInt(n, p) for k, n in sums.items() if n % p}
+        for k, n in sums.items():
+            if n:
+                g = gcd(n, scale)
+                if g == scale:
+                    out[k] = n // scale
+                else:
+                    f = out[k] = _new_object(Fraction)
+                    f._numerator, f._denominator = n // g, scale // g
+        return out
+    for k, n in sums.items():
+        n %= p
+        if n:
+            r = out[k] = _new_object(ModInt)
+            r.value, r.p = n, p
+    return out
 
 
 def int_vector(dim: int, sums: dict, scale: int, field: FieldSpec) -> Vector:
-    """The Vector of int sums keyed by basis index, divided by their scale."""
-    return Vector(dim, _scalars(sums, scale, field), field)
+    """The Vector of int sums keyed by basis index (each in range(dim)),
+    divided by their scale."""
+    return _vector(dim, _scalars(sums, scale, field), field)
 
 
 def table_vectors(dim: int, table: IntTable, field: FieldSpec) -> list[list[Vector]]:
@@ -251,6 +297,27 @@ def sides(left, right):
         if wr:
             right(acc, prefix, wr)
     return contract
+
+
+def table_side(rows: list, dim: int):
+    """The side rows[i][j] of a compiled table itself, on the row (i,),
+    keyed j * dim + k."""
+    def side(acc, prefix, w):
+        i, = prefix
+        get = acc.get
+        for j, v in enumerate(rows[i]):
+            base = j * dim
+            for k, n in v:
+                acc[base + k] = get(base + k, 0) + w * n
+    return side
+
+
+def compare_tables(t: Tally, left: IntTable, right: IntTable, dim: int, field: FieldSpec) -> None:
+    """Tally on t whether two compiled tables of vectors of dim agree at
+    every (i, j)."""
+    n = len(left.rows[0]) if left.rows else 0
+    compare(t, line(len(left.rows)), n, dim, sides(table_side(left.rows, dim), table_side(right.rows, dim)),
+            left.scale, right.scale, field, vector_render(dim))
 
 
 def tensor_side(left, right, dim: int):

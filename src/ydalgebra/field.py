@@ -7,21 +7,22 @@ cheaper than Fraction arithmetic, so the int form is made wherever scalars
 are made: ``FieldSpec.scalar``, ``one`` and ``zero`` (hence
 ``parse_scalar``), ``inv``, the solver's back-substitution, and the
 constructors of vectors, matrices and coproduct tables, which store every
-entry in that form.  The contraction loops in ``linalg`` and ``hopf`` do Q
-arithmetic on numerators and denominators as plain ints and store the same
-canonical form, so a non-integral coefficient costs a gcd, not a chain of
-Fraction calls.  Plain operators elsewhere may still yield an integral
+entry in that form.  Every contraction sums compiled tables (``compiled``):
+Q numerators over a common denominator as plain ints, divided back into the
+same canonical form once per entry of a result, so a non-integral
+coefficient costs a gcd, not a chain of Fraction calls.  Plain operators
+elsewhere may still yield an integral
 Fraction; ``int`` and ``Fraction`` compare, hash and format alike, so no
 result depends on the representation.  All scalar types are immutable and
 hashable, and no floating point can sneak in: Q division always goes
 through ``Fraction``, never ``int / int``.
 
 ``ModInt`` stays the F_p scalar type: vectors, tables and parameters hold
-``ModInt``s, and mixing moduli raises ``FieldError``.  The F_p
-contraction loops in ``linalg`` and ``hopf`` do not call its operators per
-term; they work on the residues (``.value``) as plain ints and build each
-stored ``ModInt`` directly.  Its ``+``, ``-`` and ``*`` likewise skip
-``__init__``: one modulus compare and one ``%`` each.
+``ModInt``s, and mixing moduli raises ``FieldError``, in its operators and
+where a table or vector is compiled.  The contractions do not call its
+operators per term; they sum the residues (``.value``) as plain ints and
+build each resulting ``ModInt`` directly.  Its ``+``, ``-`` and ``*``
+likewise skip ``__init__``: one modulus compare and one ``%`` each.
 """
 
 from __future__ import annotations

@@ -31,9 +31,9 @@ their IDs; the acting space may differ from the target, as in a relative
 Rota-Baxter operator, where H acts on K:
 
 - ``module_law``: P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and its unit
-  row L-1ACT, MP-MODC 6;
+  row L-1ACT, MP-MODC 6 and, for the right action, MP-MODC 7;
 - ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
-  its unit row L-U, MP-1;
+  its unit row L-U, MP-1 and, for the right action, MP-2;
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
   MP-MODC 0-3, its counit rows by ``counit_law``;
 - ``mp5_law``: P-MP5, HB-MP5, MP-5;
@@ -44,8 +44,8 @@ Rota-Baxter operator, where H acts on K:
   S_K (``antipode_law``), P-CONV (``_verify_endo_inverse``) and the
   re-checks of both solvers.
 
-All of them run on the compiled tables, and so does HOPF-DELTA-MULT; only
-the unit rows of the action laws run on ``Vector``s.  A law on triples
+All of them, their unit rows, HOPF-DELTA-MULT and ``coalgebra_map_law``
+(RB-COALG, RBM-F/G) run on the compiled tables.  A law on triples
 runs on rows (g, h) or (h, a), and ``module_algebra_law`` sums
 c (h_1 >- a) once per row for each distinct h_2, then multiplies that sum
 by h_2 >- b for every b.  A law on H (x) H runs on rows (x,) and keys its
@@ -78,29 +78,13 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .compiled import (
-    IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_columns, compile_comul, compile_legs,
-    compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line, pairs_render,
-    scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
+    IntTable, add_bilinear, add_linear, basis, bilinear_table, comul_side, compare, compared, compile_columns,
+    compile_comul, compile_legs, compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line,
+    pairs_render, scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
-from .linalg import (
-    LinAlgError,
-    Matrix,
-    Vector,
-    _fp_axpy,
-    _fp_bilinear,
-    _fp_value,
-    _q_axpy,
-    _q_bilinear,
-    _q_ratio,
-    _vector,
-    accumulate,
-    add_scaled_inplace,
-    matrix_from_columns,
-    solve_rows,
-    unit_vector,
-)
-from .report import Checker, CheckReport, Tally, Witness, vector_text
+from .linalg import LinAlgError, Matrix, Vector, accumulate, matrix_from_columns, solve_rows
+from .report import Checker, CheckReport, Tally, Witness
 
 
 class StructureError(ValueError):
@@ -112,7 +96,8 @@ class StructureError(ValueError):
 
 @dataclass
 class AlgebraData:
-    """Unital algebra by structure constants: mul[i][j] = e_i * e_j."""
+    """Unital algebra by structure constants: mul[i][j] = e_i * e_j.  A
+    container: products are summed on its compiled table, ``int_mul``."""
 
     dim: int
     basis_labels: list[str]
@@ -138,19 +123,12 @@ class AlgebraData:
             self._ints = compile_tensor(self.mul, self.field)
         return self._ints
 
-    def mul_vec(self, u: Vector, v: Vector) -> Vector:
-        acc: dict[int, Scalar] = {}
-        p = self.field.p
-        if p is None:
-            _q_bilinear(acc, self.mul, u, v)
-        else:
-            _fp_bilinear(acc, self.mul, u, v, p)
-        return _vector(self.dim, acc, self.field)
-
 
 @dataclass
 class CoalgebraData:
-    """Coalgebra by structure constants: Delta(e_i) = sum c * e_j (x) e_k."""
+    """Coalgebra by structure constants: Delta(e_i) = sum c * e_j (x) e_k.  A
+    container: coproducts are summed on its compiled tables, ``int_comul``
+    and ``int_legs``, and ``legs`` and ``eps`` read single terms."""
 
     dim: int
     comul: list[list[tuple[int, int, Scalar]]]
@@ -159,7 +137,6 @@ class CoalgebraData:
     _legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
     _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
     _int_legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    _pairs: list | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -178,14 +155,6 @@ class CoalgebraData:
 
     def eps(self, i: int) -> Scalar:
         return self.counit.get(i)
-
-    def eps_vec(self, v: Vector) -> Scalar:
-        acc = self.field.zero
-        for i, c in v.entries.items():
-            e = self.counit.entries.get(i)
-            if e is not None:
-                acc = acc + c * e
-        return acc
 
     def legs(self, i: int, n: int) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms of the (n-1)-fold iterated coproduct of e_i, n legs."""
@@ -217,20 +186,6 @@ class CoalgebraData:
         if out is None:
             out = self._int_legs[n] = compile_legs([self.legs(i, n) for i in range(self.dim)], self.field)
         return out
-
-    def comul_vec(self, v: Vector) -> dict[tuple[int, int], Scalar]:
-        pairs = self._pairs
-        if pairs is None:
-            pairs = self._pairs = [[((j, k), s) for j, k, s in terms] for terms in self.comul]
-        acc: dict[tuple[int, int], Scalar] = {}
-        p = self.field.p
-        if p is None:
-            for i, c in v.entries.items():
-                _q_axpy(acc, pairs[i], *_q_ratio(c))
-        else:
-            for i, c in v.entries.items():
-                _fp_axpy(acc, pairs[i], _fp_value(c, p), p)
-        return acc
 
 
 @dataclass
@@ -286,7 +241,9 @@ class BraidedPair:
 
 @dataclass
 class ActionTensor:
-    """Bilinear action: act[i][j] = e_i >- f_j, a vector in the target."""
+    """Bilinear action: act[i][j] = e_i >- f_j, a vector in the target.  A
+    container: actions are summed on its compiled table, ``int_act``, and
+    ``pull_back`` pulls it back along a map."""
 
     acting_dim: int
     target_dim: int
@@ -307,48 +264,19 @@ class ActionTensor:
             self._ints = compile_tensor(self.act, self.field)
         return self._ints
 
-    def apply_basis(self, i: int, v: Vector) -> Vector:
-        acc: dict[int, Scalar] = {}
-        row = self.act[i]
-        for j, c in v.entries.items():
-            add_scaled_inplace(acc, row[j], c)
-        return _vector(self.target_dim, acc, self.field)
 
-    def apply(self, u: Vector, v: Vector) -> Vector:
-        acc: dict[int, Scalar] = {}
-        p = self.field.p
-        if p is None:
-            _q_bilinear(acc, self.act, u, v)
-        else:
-            _fp_bilinear(acc, self.act, u, v, p)
-        return _vector(self.target_dim, acc, self.field)
-
-    def apply_vec_basis(self, u: Vector, k: int) -> Vector:
-        """u >- f_k: column k of the map u >- ., read without building f_k.
-        Equal to ``apply(u, unit_vector(..., k, ...))``, entries in the same
-        order."""
-        acc: dict[int, Scalar] = {}
-        act = self.act
-        for i, a in u.entries.items():
-            add_scaled_inplace(acc, act[i][k], a)
-        return _vector(self.target_dim, acc, self.field)
-
-    def pulled_back(self, xs: list[Vector]) -> ActionTensor:
-        """The action of the vectors xs by index: e_i >- f_j := xs[i] >- f_j."""
-        d = self.target_dim
-        rows = [[self.apply_vec_basis(x, j) for j in range(d)] for x in xs]
-        return ActionTensor(len(xs), d, rows, self.field)
+def pull_back(act: ActionTensor, cols: IntTable) -> IntTable:
+    """alpha o T, the action pulled back along a map T: rows[i][j] =
+    T(e_i) >- f_j, summed as ints on the compiled action and the compiled
+    columns T(e_i), at the product of their scales."""
+    return bilinear_table(act.int_act(), cols, basis(act.target_dim), act.field.p)
 
 
-# --- small tensor helpers -------------------------------------------------
-
-
-def tens2(u: Vector, v: Vector) -> dict[tuple[int, int], Scalar]:
-    out = {}
-    for i, a in u.entries.items():
-        for j, b in v.entries.items():
-            out[(i, j)] = a * b
-    return out
+def pulled_back(act: ActionTensor, cols: IntTable) -> ActionTensor:
+    """``pull_back`` as an action tensor.  Its own table is compiled on first
+    use, at the least common scale, so equal tensors compile alike."""
+    d, fs = act.target_dim, act.field
+    return ActionTensor(len(cols.rows), d, table_vectors(d, pull_back(act, cols), fs), fs)
 
 
 def is_cocommutative(c: CoalgebraData) -> bool:
@@ -524,12 +452,16 @@ def module_law(act: ActionTensor, alg: AlgebraData) -> Tally:
 
 
 def module_unit_law(act: ActionTensor, alg: AlgebraData) -> Tally:
-    """1 >- a = a at (a,), for the unit of alg."""
-    t = Tally()
-    dk = act.target_dim
-    for a in range(dk):
-        t.compare((a,), act.apply_vec_basis(alg.unit, a), unit_vector(dk, a, act.field), vector_text)
-    return t
+    """1 >- a = a at (a,), for the unit of alg, on the compiled tables."""
+    x, unit = act.int_act(), compile_vectors([alg.unit], alg.field)
+    x_, u, dk = x.rows, unit.rows[0], act.target_dim
+
+    def law(acc, prefix, wl, wr):
+        for a in range(dk):
+            add_linear(acc, [row[a] for row in x_], u, wl, a * dk)
+            acc[a * dk + a] = acc.get(a * dk + a, 0) + wr
+
+    return compared([()], dk, dk, law, x.scale * unit.scale, 1, act.field, vector_render(dk))
 
 
 def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData,
@@ -591,11 +523,31 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
 
 
 def module_algebra_unit_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData) -> Tally:
-    """h >- 1 = eps(h) 1 at (h,), for the unit of alg."""
-    t = Tally()
-    for i in range(act.acting_dim):
-        t.compare((i,), act.apply_basis(i, alg.unit), alg.unit.scale(coalg.eps(i)), vector_text)
-    return t
+    """h >- 1 = eps(h) 1 at (h,), for the unit of alg, on the compiled tables."""
+    x, unit = act.int_act(), compile_vectors([alg.unit], alg.field)
+    dk = act.target_dim
+
+    def acted(acc, prefix, w):
+        for h, row in enumerate(x.rows):
+            add_linear(acc, row, unit.rows[0], w, h * dk)
+
+    rhs, sr = eps_unit_side(coalg, alg)
+    return compared([()], act.acting_dim, dk, sides(acted, rhs), x.scale * unit.scale, sr, act.field,
+                    vector_render(dk))
+
+
+def eps_unit_side(coalg: CoalgebraData, alg: AlgebraData):
+    """The side eps(x) 1 for every basis element x of coalg, on the row (),
+    keyed x * alg.dim + k, and its scale: the right-hand side of the unit
+    rows of module algebras, L-ANTI2 and RB-3."""
+    unit, counit = compile_vectors([alg.unit], alg.field), compile_vectors([coalg.counit], alg.field)
+    u, d = unit.rows[0], alg.dim
+
+    def side(acc, prefix, w):
+        for x, e in counit.rows[0]:
+            add_linear(acc, [u], ((0, e),), w, x * d)
+
+    return side, unit.scale * counit.scale
 
 
 def module_coalgebra_law(act: ActionTensor, hco: CoalgebraData, kco: CoalgebraData,
@@ -638,6 +590,27 @@ def counit_law(table: IntTable, target: CoalgebraData, left: CoalgebraData, righ
 
     return compared(line(len(rows)), len(rows[0]), 1, law, table.scale * et.scale, el.scale * er.scale,
                     target.field, scalar_render)
+
+
+def coalgebra_map_law(cols: IntTable, target: CoalgebraData, source: CoalgebraData) -> Tally:
+    """A map f from source into target, given by its compiled columns, is a
+    coalgebra morphism: Delta(f(e_a)) = f(a_1) (x) f(a_2) at (a, 0) and
+    eps(f(e_a)) = eps(e_a) at (a, 1), on the compiled tables."""
+    tc, sc, d = target.int_comul(), source.int_comul(), target.dim
+    et, es = (compile_vectors([c.counit], c.field) for c in (target, source))
+    eps, eps_s = dict(et.rows[0]), dict(es.rows[0])
+    one = [[col] for col in cols.rows]  # as a table rows[a][0], whose index 0 has the one leg (0, 0, 1)
+    t = compared(line(len(one)), 1, d * d,
+                 sides(comul_side(one, tc.rows, d), legs_side(one, one, sc.rows, [((0, 0, 1),)], d)),
+                 cols.scale * tc.scale, sc.scale * cols.scale ** 2, target.field, pairs_render(d))
+
+    def counit(acc, prefix, wl, wr):
+        for a, v in enumerate(cols.rows):
+            acc[a] = wl * sum(c * eps.get(k, 0) for k, c in v) + wr * eps_s.get(a, 0)
+
+    t.absorb(compared([()], len(one), 1, counit, cols.scale * et.scale, es.scale, target.field, scalar_render),
+             where=lambda w: w + (1,))
+    return t
 
 
 def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData):
@@ -724,7 +697,7 @@ def antipode_law(a: AlgebraData, c: CoalgebraData, s_map: Matrix) -> Tally:
     fs, mul = a.field, a.int_mul()
     scols = compile_columns(s_map)
     unit = compile_vectors([a.unit], fs)
-    ident = IntTable([[((k, 1),)] for k in range(c.dim)], 1)
+    ident = one_column(basis(c.dim))
     t = Tally()
     t.absorb(convolution_unit_law(left_products(scols, mul, fs.p), ident, c, unit), where=lambda w: w + (0,))
     t.absorb(convolution_unit_law(mul, one_column(scols), c, unit), where=lambda w: w + (1,))
@@ -776,22 +749,38 @@ def coaction(alg: AlgebraData, antipode: Matrix, r_map: Matrix, coalg: Coalgebra
     (p * dim_C + q, a) is the coefficient of e_p (x) e_q.  It is summed as
     ints on the threefold legs of C and the compiled product and columns of
     R and S R: c S(R(a_3)) is summed over the legs that share (a_1, a_2)
-    first, then multiplied by R(a_1), and each entry is divided by the
-    scale once.  The coaction of a relative Rota-Baxter operator, and Ad_L
-    of a post-Hopf structure with R = id on its subadjacent Hopf algebra."""
-    fs, dk, mul, legs = alg.field, coalg.dim, alg.int_mul(), coalg.int_legs(3)
-    rc, sr = compile_columns(r_map), compile_columns(antipode.compose(r_map))
+    first (``grouped_legs``), then multiplied by R(a_1), and each entry is
+    divided by the scale once.  The coaction of a relative Rota-Baxter
+    operator, and Ad_L of a post-Hopf structure with R = id on its
+    subadjacent Hopf algebra."""
+    fs, dk, mul = alg.field, coalg.dim, alg.int_mul()
+    rc = compile_columns(r_map)
+    grouped = grouped_legs(coalg, compile_columns(antipode.compose(r_map)))
     cols = []
-    for terms in legs.rows:
-        groups: dict[tuple[int, int], dict[int, int]] = {}
-        for (a1, a2, a3), c in terms:
-            add_linear(groups.setdefault((a1, a2), {}), sr.rows, ((a3, c),), 1)
+    for groups in grouped.rows:
         by_a2: dict[int, dict[int, int]] = {}
-        for (a1, a2), v in groups.items():
-            add_bilinear(by_a2.setdefault(a2, {}), mul.rows, rc.rows[a1], v.items(), 1)
+        for a1, a2, v in groups:
+            add_bilinear(by_a2.setdefault(a2, {}), mul.rows, rc.rows[a1], v, 1)
         col = {q * dk + a2: n for a2, acc in by_a2.items() for q, n in acc.items()}
-        cols.append(int_vector(alg.dim * dk, col, legs.scale * mul.scale * rc.scale * sr.scale, fs))
+        cols.append(int_vector(alg.dim * dk, col, grouped.scale * mul.scale * rc.scale, fs))
     return matrix_from_columns(cols, fs)
+
+
+def grouped_legs(coalg: CoalgebraData, cols: IntTable) -> IntTable:
+    """For each x, the threefold legs of x grouped by (x_1, x_2): the
+    triples (x_1, x_2, sum of c f(x_3)) whose sum is not 0, for the compiled
+    columns f(e_k) of a map, at the legs' scale times f's.  A contraction
+    linear in f(x_3) reads each group once instead of each of its legs:
+    ``coaction`` and YD-COMPAT/YD-COLINEAR with f = S_>, RB-BIMON part 7
+    with f = S_H."""
+    legs, p = coalg.int_legs(3), coalg.field.p
+    out = []
+    for terms in legs.rows:
+        sums: dict[tuple[int, int], dict[int, int]] = {}
+        for (x1, x2, x3), c in terms:
+            add_linear(sums.setdefault((x1, x2), {}), cols.rows, ((x3, c),), 1)
+        out.append([(x1, x2, v) for (x1, x2), acc in sums.items() if (v := int_items(acc, p))])
+    return IntTable(out, legs.scale * cols.scale)
 
 
 def unit_counit_map(c: CoalgebraData, a: AlgebraData) -> Matrix:
@@ -832,7 +821,7 @@ def _convolution_rows(left: IntTable, comul: IntTable, n: int, rhs: dict, fs: Fi
             if target is not None:
                 k, e = target
                 if p is None:
-                    en, q = _q_ratio(e)
+                    en, q = e.numerator, e.denominator
                     if q != 1:
                         row = {key: v * q for key, v in row.items()}
                     row[ncols + k] = en * scale
@@ -963,7 +952,7 @@ def _verify_endo_inverse(
     summed as ints on the compiled action tables by
     ``convolution_unit_law``, keyed y * d + t, and compared with eps(x) e_y
     cross-multiplied by the scales; no matrix is built."""
-    ident = IntTable([((y, 1),) for y in range(c.dim)], 1)
+    ident = basis(c.dim)
 
     def labelled(f: IntTable, g: IntTable, label: str) -> Tally:
         t = convolution_unit_law(f, g, c, ident)

@@ -18,30 +18,20 @@ a bug in the solver can never silently corrupt a structure check.
 
 A ``Vector`` or ``Matrix`` is never mutated after it is built, which lets
 vectors be shared: each ``Matrix`` keeps one per-column index, built on
-first use, and ``column`` and ``apply`` read it instead of scanning the
-entries.  ``Vector(...)`` filters zeros, canonicalises Q scalars and checks
-indices; ``_vector`` skips that for the results of the contraction helpers,
-whose dicts are already nonzero, canonical and in range.
+first use, which ``column`` reads, and its columns compiled to plain-int
+rows, which ``apply`` reads.  ``Vector(...)`` filters zeros,
+canonicalises Q scalars and checks indices; ``_vector`` skips that for the
+solver's results, the column index and ``compiled.int_vector``, whose dicts
+are already nonzero, canonical and in range.
 
-The contraction helpers do their arithmetic on plain ints: over Q on
-numerators and denominators (``_q_axpy``, ``_q_bilinear``), over F_p on the
-residues, one ``%`` per term (``_fp_axpy``, ``_fp_bilinear``).  Both delete
-an entry that cancels to zero, in the order the terms arrive, so every dict
-comes out as a term-by-term loop with scalar operators would leave it.
-``ModInt`` stays the F_p scalar type: the F_p helpers store ``ModInt``s and
-raise ``FieldError`` on a ModInt of another modulus.
-
-The axiom suites mostly do not go through these helpers.  Every check of
-``hopf`` but the unit rows of its action laws (the carrier, bialgebra and
-convolution laws, the action laws and both solvers' re-checks) and the hot
-identities of the other suites run on tensors compiled once into plain-int
-tables (``compiled``): over Q the numerators over one common denominator
-per tensor, over F_p the residues.  Each side of a compare is an int sum
-at a known scale, the product of the denominators it read, and the sides
-are compared cross-multiplied, lhs * s_r == rhs * s_l (mod p over F_p).  A
-``Vector`` is built only to render the first failing tuple.  The
-``Vector`` path serves the builders, the derived maps, witnesses and the
-cold IDs.
+No contraction is summed here.  The checks of ``hopf``, the axiom suites,
+the derived maps and the builders, and ``Matrix.apply``, run on tensors
+compiled once into plain-int tables (``compiled``): over Q the numerators
+over one common denominator per tensor, over F_p the residues.  Each side
+of a compare is an int sum at a known scale, the product of the
+denominators it read, and the sides are compared cross-multiplied,
+lhs * s_r == rhs * s_l (mod p over F_p).  A ``Vector`` is built for a
+result, a witness or a solver input.
 """
 
 from __future__ import annotations
@@ -50,7 +40,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
 
-from .field import FieldSpec, ModInt, Scalar, _mixed, canonical
+from .field import FieldSpec, ModInt, Scalar, canonical
 
 
 class LinAlgError(ValueError):
@@ -146,134 +136,12 @@ def _vector(dim: int, entries: dict[int, Scalar], field: FieldSpec) -> Vector:
     """A Vector over ``entries`` without the constructor's filtering and
     checks.  Only for dicts whose values are already nonzero and canonical
     (Q: an int, or a Fraction whose denominator is not 1) and whose keys are
-    in range(dim): the results of the contraction helpers.  The dict is
-    taken over, not copied."""
+    in range(dim).  The dict is taken over, not copied."""
     v = _new_object(Vector)
     v.dim = dim
     v.entries = entries
     v.field = field
     return v
-
-
-def _q_axpy(acc: dict, items, cn: int, cd: int) -> None:
-    """acc[k] += w * cn/cd for every (k, w) of items, over Q.
-
-    The core of the contraction loops.  It works on numerators and
-    denominators as plain ints, with one gcd per non-integral term, so a
-    rational term costs a few int operations more than an integral one
-    instead of a chain of Fraction calls.  cn/cd need not be reduced
-    (cd > 0); what it stores is canonical: an int, or a reduced Fraction
-    built without re-normalising."""
-    for k, w in items:
-        if w.__class__ is int:
-            pn, pd = w * cn, cd
-        else:
-            pn, pd = w._numerator * cn, w._denominator * cd
-        s = acc.get(k)
-        if s is None:
-            tn, td = pn, pd
-        elif s.__class__ is int:
-            tn, td = s * pd + pn, pd
-        else:
-            sd = s._denominator
-            tn, td = s._numerator * pd + pn * sd, sd * pd
-        if td != 1:
-            g = gcd(tn, td)
-            if g != 1:
-                tn //= g
-                td //= g
-        if td != 1:
-            f = _new_object(Fraction)
-            f._numerator, f._denominator = tn, td
-            acc[k] = f
-        elif tn:
-            acc[k] = tn
-        else:
-            del acc[k]
-
-
-def _q_ratio(x) -> tuple[int, int]:
-    """(numerator, denominator) of a Q scalar."""
-    return (x, 1) if x.__class__ is int else (x._numerator, x._denominator)
-
-
-def _q_bilinear(acc: dict, table: list[list[Vector]], u: Vector, v: Vector) -> None:
-    """acc += sum over i, j of u_i v_j table[i][j], over Q."""
-    right = [(j, *_q_ratio(b)) for j, b in v.entries.items()]
-    for i, a in u.entries.items():
-        an, ad = _q_ratio(a)
-        row = table[i]
-        for j, bn, bd in right:
-            _q_axpy(acc, row[j].entries.items(), an * bn, ad * bd)
-
-
-def _q_product(c, c2, c3) -> tuple[int, int]:
-    """(numerator, denominator) of c * c2 * c3 over Q, not reduced; c2 and
-    c3 may be None."""
-    n, d = _q_ratio(c)
-    for f in (c2, c3):
-        if f is None:
-            break
-        if f.__class__ is int:
-            n *= f
-        else:
-            n *= f._numerator
-            d *= f._denominator
-    return n, d
-
-
-def _fp_axpy(acc: dict, items, cv: int, p: int) -> None:
-    """acc[k] = (acc[k] + w * cv) mod p for every (k, w) of items, over F_p.
-
-    The F_p core of the contraction loops, the counterpart of ``_q_axpy``.
-    It works on the residues (``.value``) as plain ints, builds each stored
-    ``ModInt`` directly and deletes an entry that cancels to zero, so a term
-    costs no ``ModInt`` operator call.  cv is the coefficient's residue; every
-    w, and every entry of acc that a term lands on, must have modulus p, and
-    ``FieldError`` is raised otherwise, as the ``ModInt`` operators do."""
-    for k, w in items:
-        if w.p != p:
-            raise _mixed(p, w.p)
-        s = acc.get(k)
-        if s is None:
-            t = w.value * cv % p
-        elif s.p != p:
-            raise _mixed(p, s.p)
-        else:
-            t = (s.value + w.value * cv) % p
-        if t:
-            r = _new_object(ModInt)
-            r.value = t
-            r.p = p
-            acc[k] = r
-        else:
-            del acc[k]
-
-
-def _fp_value(c: ModInt, p: int) -> int:
-    """The residue of c, which must have modulus p."""
-    if c.p != p:
-        raise _mixed(p, c.p)
-    return c.value
-
-
-def _fp_bilinear(acc: dict, table: list[list[Vector]], u: Vector, v: Vector, p: int) -> None:
-    """acc += sum over i, j of u_i v_j table[i][j], over F_p."""
-    right = v.entries.items()
-    for i, a in u.entries.items():
-        av = _fp_value(a, p)
-        row = table[i]
-        for j, b in right:
-            _fp_axpy(acc, row[j].entries.items(), av * _fp_value(b, p) % p, p)
-
-
-def _fp_product(c: ModInt, c2: ModInt, c3) -> tuple[int, int]:
-    """(residue of c * c2 * c3, modulus); c3 may be None."""
-    p = c.p
-    cv = c.value * _fp_value(c2, p) % p
-    if c3 is not None:
-        cv = cv * _fp_value(c3, p) % p
-    return cv, p
 
 
 def accumulate(acc: dict, key, value: Scalar) -> None:
@@ -285,24 +153,6 @@ def accumulate(acc: dict, key, value: Scalar) -> None:
         acc[key] = s
     else:
         acc.pop(key, None)
-
-
-def add_scaled_inplace(acc: dict[int, Scalar], v: Vector, c: Scalar,
-                       c2: Scalar | None = None, c3: Scalar | None = None) -> None:
-    """acc += c * c2 * c3 * v on a raw entry dict (c2, c3 optional);
-    hot-loop helper.  The factors are passed apart so that their product is
-    taken on ints: numerators and denominators over Q (``_q_axpy``),
-    residues over F_p (``_fp_axpy``).  The field is told by the class of c,
-    and the factors are plain parameters, so neither path pays for the
-    other's dispatch."""
-    if c.__class__ is ModInt:
-        cv, p = (c.value, c.p) if c2 is None else _fp_product(c, c2, c3)
-        if cv:
-            _fp_axpy(acc, v.entries.items(), cv, p)
-        return
-    cn, cd = _q_product(c, c2, c3)
-    if cn:
-        _q_axpy(acc, v.entries.items(), cn, cd)
 
 
 @dataclass
@@ -337,18 +187,16 @@ class Matrix:
         return self._cols()[c]
 
     def apply(self, v: Vector) -> Vector:
+        """self v, summed as ints on the compiled columns of self, which are
+        built once and kept on it (``compiled.compile_columns``)."""
+        from .compiled import add_linear, compile_columns, compile_vectors, int_vector  # compiled imports linalg
+
         if v.dim != self.cols:
             raise LinAlgError("dimension mismatch in apply")
-        out: dict[int, Scalar] = {}
-        cols = self._cols()
-        p = self.field.p
-        if p is None:
-            for j, coeff in v.entries.items():
-                _q_axpy(out, cols[j].entries.items(), *_q_ratio(coeff))
-        else:
-            for j, coeff in v.entries.items():
-                _fp_axpy(out, cols[j].entries.items(), _fp_value(coeff, p), p)
-        return _vector(self.rows, out, self.field)
+        cols, u = compile_columns(self), compile_vectors([v], self.field)
+        acc: dict[int, int] = {}
+        add_linear(acc, cols.rows, u.rows[0], 1)
+        return int_vector(self.rows, acc, cols.scale * u.scale, self.field)
 
     def _cols(self) -> list[Vector]:
         """The column index: column c as a Vector, for every c; built once.

@@ -33,11 +33,10 @@ solves beta itself.
 
 Setting beta drops the cached results that depend on beta, and no other.
 
-The identities with the heaviest contractions run on compiled plain-int
-tables (``compiled``): the carrier checks, P-S, P-DOT, L-MB, P-ASSOC,
-P-COALG, L-DB and P-MP5 through the laws of ``hopf``; P-DELTA, both rows
-of YD-BRAIDMULT and P-ANTI, whose sides live in H (x) H and are keyed
-y * dim**2 + p * dim + q on a row (x,);
+Every identity runs on compiled plain-int tables (``compiled``): the
+carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB and P-MP5 through
+the laws of ``hopf``; P-DELTA, both rows of YD-BRAIDMULT and P-ANTI, whose
+sides live in H (x) H and are keyed y * dim**2 + p * dim + q on a row (x,);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
 tables and the compiled Ad_L columns and grouped legs, both summed once per
 second-leg group of their second argument (``_second_leg_sums``) and
@@ -48,7 +47,9 @@ YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
 of each of these identities is one contraction pattern whose int sum
 carries the product of its tables' scales, and ``compiled.compare``
 cross-multiplies the two sides by each other's scale.  A ``Vector`` or
-pair dict is built only to render the first failing tuple.  The left
+pair dict is built only to render the first failing tuple.  So do the
+lemmas L-BETA and L-SLIN (two compiled tables compared entrywise),
+L-ANTI2, ``is_pre_hopf``, the primitives and the post-Lie checks.  The left
 harpoon and the braiding are summed as ints on the same tables and divided
 by their scale once per entry, so they are the exact tensors.  The
 bullet product and S_> are convolutions on the compiled tables
@@ -65,8 +66,9 @@ import functools
 from dataclasses import dataclass, field as dc_field
 
 from .compiled import (
-    IntTable, add_bilinear, add_tensors, comul_side, compare, compile_columns, compile_groups, int_bilinear,
-    int_items, int_linear, int_vector, line, pairs_render, render_sides, sides, square, table_vectors,
+    IntTable, add_bilinear, add_linear, add_tensors, basis, bilinear_table, bilinear_vectors, comul_side, compare,
+    compare_tables, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, int_vector,
+    line, mapped, pairs_render, render_sides, sides, square, table_vectors, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -85,6 +87,8 @@ from .hopf import (
     coaction,
     column_matrix,
     convolve,
+    eps_unit_side,
+    grouped_legs,
     hom_convolution_inverse_endo,
     module_algebra_law,
     module_algebra_unit_law,
@@ -93,11 +97,9 @@ from .hopf import (
     module_unit_law,
     mp5_law,
     one_column,
+    pull_back,
 )
-from .linalg import (
-    Matrix, Vector, _vector, accumulate, add_scaled_inplace, identity_matrix, kernel, matrix_from_columns, solve,
-    unit_vector,
-)
+from .linalg import Matrix, Vector, identity_matrix, kernel, matrix_from_columns, solve
 from .report import (
     FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, skipped_entry, vector_text,
 )
@@ -227,21 +229,11 @@ def leftharpoon(s: YDPostHopf) -> ActionTensor:
 
 @_per_structure
 def _sharp_legs(s: YDPostHopf) -> IntTable:
-    """For each x, the terms of legs(x, 3) grouped by (x_1, x_2): the triples
-    (x_1, x_2, sum of c S_>(x_3)), without the groups that sum to zero, the
-    sums compiled.  The contractions of YD-COMPAT and YD-COLINEAR are
-    bilinear, so summing over a group first gives the same exact value as
-    summing over its terms."""
-    coalg = s.carrier.coalgebra
-    sharp = sharp_antipode(s)
-    d, fs = s.dim, s.field
-    out = []
-    for x in range(d):
-        groups: dict[tuple[int, int], dict[int, Scalar]] = {}
-        for (x1, x2, x3), c in coalg.legs(x, 3):
-            add_scaled_inplace(groups.setdefault((x1, x2), {}), sharp.column(x3), c)
-        out.append([(x1, x2, _vector(d, acc, fs)) for (x1, x2), acc in groups.items() if acc])
-    return compile_groups(out, fs)
+    """For each x, the threefold legs of x grouped by (x_1, x_2) with the sum
+    of c S_>(x_3) (``hopf.grouped_legs``).  The contractions of YD-COMPAT
+    and YD-COLINEAR are bilinear, so summing over a group first gives the
+    same exact value as summing over its terms."""
+    return grouped_legs(s.carrier.coalgebra, _sharp_columns(s))
 
 
 @_per_structure
@@ -516,13 +508,8 @@ def _post_hopf_steps(s: YDPostHopf):
         return
 
     # L-BETA: beta = alpha o S_>
-    sharp = sharp_antipode(s)
     ch = Checker("L-BETA")
-    for i in range(d):
-        sh = sharp.column(i)
-        for j in range(d):
-            rhs = act.apply_vec_basis(sh, j)
-            ch.compare((i, j), beta.act[i][j], rhs, vector_text)
+    compare_tables(ch, beta.int_act(), pull_back(act, _sharp_columns(s)), d, fs)
     yield [ch.entry()]
 
     # L-DA / L-DB: how Delta interlaces with alpha and beta; L-DA is the
@@ -542,19 +529,24 @@ def _post_hopf_steps(s: YDPostHopf):
     ch.absorb(module_algebra_law(beta, coalg, alg, swap=True))
     yield [ch.entry()]
 
-    # L-ANTI2: beta_{x_2}(S(x_3)) . beta_{x_1}(x_4) = eps(x) 1
+    # L-ANTI2: beta_{x_2}(S(x_3)) . beta_{x_1}(x_4) = eps(x) 1 at (x,)
     ch = Checker("L-ANTI2")
-    for i in range(d):
-        acc: dict[int, Scalar] = {}
-        for (x1, x2, x3, x4), c in coalg.legs(i, 4):
-            add_scaled_inplace(acc, alg.mul_vec(beta.apply_basis(x2, smap.column(x3)), beta.act[x1][x4]), c)
-        ch.compare((i,), _vector(d, acc, fs), alg.unit.scale(coalg.eps(i)), vector_text)
+    legs, mul, b = coalg.int_legs(4), alg.int_mul(), beta.int_act()
+    bs = bilinear_table(b, basis(d), compile_columns(smap), fs.p)  # beta_x(S(e_y))
+
+    def anti2(acc, prefix, w):
+        for x, terms in enumerate(legs.rows):
+            for (x1, x2, x3, x4), c in terms:
+                add_bilinear(acc, mul.rows, bs.rows[x2][x3], b.rows[x1][x4], w * c, x * d)
+
+    rhs, sr = eps_unit_side(coalg, alg)
+    compare(ch, [()], d, d, sides(anti2, rhs), legs.scale * bs.scale * b.scale * mul.scale, sr, fs, vector_render(d))
     yield [ch.entry()]
 
 
 def _beta_free_lemmas(s: YDPostHopf):
     """The entries of L-U, L-1ACT and L-SLIN, the lemmas that need no beta."""
-    alg, smap, act = s.carrier.algebra, s.carrier.s_map, s.action
+    smap, act = s.carrier.s_map, s.action
     d, fs = s.dim, s.field
     ch = Checker("L-U")
     ch.absorb(_module_algebra(s)[1])
@@ -562,10 +554,10 @@ def _beta_free_lemmas(s: YDPostHopf):
     ch = Checker("L-1ACT")
     ch.absorb(_module_identity(s)[1])
     yield ch.entry()
+    # L-SLIN: S(x >- y) = x >- S(y)
     ch = Checker("L-SLIN")
-    for i in range(d):
-        for j in range(d):
-            ch.compare((i, j), smap.apply(act.act[i][j]), act.apply_basis(i, smap.column(j)), vector_text)
+    x, scols = act.int_act(), compile_columns(smap)
+    compare_tables(ch, mapped(scols, x, fs.p), bilinear_table(x, basis(d), scols, fs.p), d, fs)
     yield ch.entry()
 
 
@@ -811,33 +803,31 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
 
 def is_pre_hopf(s: YDPostHopf) -> bool:
     """Braided commutativity: multiplication composed with the braiding
-    equals the multiplication."""
-    alg = s.carrier.algebra
-    sigma = braiding_sigma(s)
-    d, fs = s.dim, s.field
-    for a in range(d):
-        for b in range(d):
-            acc: dict[int, Scalar] = {}
-            for idx, c in sigma.column(a * d + b).entries.items():
-                p, q = divmod(idx, d)
-                add_scaled_inplace(acc, alg.mul[p][q], c)
-            if _vector(d, acc, fs) != alg.mul[a][b]:
-                return False
+    equals the multiplication, on the compiled braiding columns."""
+    sigma, mul = _sigma_columns(s), s.carrier.algebra.int_mul()
+    flat = [v for row in mul.rows for v in row]  # flat[p * dim + q] = e_p . e_q
+    for ab, col in enumerate(sigma.rows):
+        acc: dict[int, int] = {}
+        add_linear(acc, flat, col, 1)
+        add_linear(acc, flat, ((ab, -sigma.scale),), 1)
+        if int_items(acc, s.field.p):
+            return False
     return True
 
 
 def primitives(coalg: CoalgebraData, unit: Vector) -> list[Vector]:
-    """Basis of {v : Delta v = v (x) 1 + 1 (x) v}, via a kernel computation."""
-    d = coalg.dim
-    fs = coalg.field
-    entries: dict[tuple[int, int], Scalar] = {}
-    for i in range(d):
-        for j, k, c in coalg.comul[i]:
-            accumulate(entries, (j * d + k, i), c)
-        for u, cu in unit.entries.items():
-            accumulate(entries, (i * d + u, i), -cu)
-            accumulate(entries, (u * d + i, i), -cu)
-    return kernel(Matrix(d * d, d, entries, fs))
+    """Basis of {v : Delta v = v (x) 1 + 1 (x) v}, via a kernel computation:
+    column i of the matrix is Delta(e_i) - e_i (x) 1 - 1 (x) e_i."""
+    d, fs = coalg.dim, coalg.field
+    comul, u = coalg.int_comul(), compile_vectors([unit], fs)
+    cols = []
+    for i, legs in enumerate(comul.rows):
+        acc = {j * d + k: c * u.scale for j, k, c in legs}
+        for k, c in u.rows[0]:
+            for key in (i * d + k, k * d + i):
+                acc[key] = acc.get(key, 0) - c * comul.scale
+        cols.append(int_vector(d * d, acc, comul.scale * u.scale, fs))
+    return kernel(matrix_from_columns(cols, fs))
 
 
 @dataclass
@@ -853,20 +843,12 @@ class PostLieData:
         if len(self.bracket) != self.dim or len(self.action) != self.dim:
             raise StructureError("post-Lie tensor size mismatch")
 
-    def bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        return _bilinear(self.bracket, u, v, self.dim, self.field)
 
-    def act_vec(self, u: Vector, v: Vector) -> Vector:
-        return _bilinear(self.action, u, v, self.dim, self.field)
-
-
-def _bilinear(table: list[list[Vector]], u: Vector, v: Vector, dim: int, fs: FieldSpec) -> Vector:
-    """The sum over i, j of u_i v_j table[i][j]."""
-    acc: dict[int, Scalar] = {}
-    for i, a in u.entries.items():
-        for j, b in v.entries.items():
-            add_scaled_inplace(acc, table[i][j], a, b)
-    return Vector(dim, acc, fs)
+def commutators(alg: AlgebraData, pool: list[Vector]) -> list[list[Vector]]:
+    """[x, y] = x.y - y.x for every pair of pool, the products summed as ints
+    on the compiled product."""
+    prods = bilinear_vectors(alg.int_mul(), alg.dim, pool, pool, alg.field)
+    return [[prods[i][j].sub(prods[j][i]) for j in range(len(pool))] for i in range(len(pool))]
 
 
 def _coords_in_span(basis: list[Vector], v: Vector, fs: FieldSpec) -> Vector | None:
@@ -888,18 +870,17 @@ def extract_post_lie(s: YDPostHopf) -> PostLieData:
     fs = s.field
     prim = primitives(s.carrier.coalgebra, alg.unit)
     n = len(prim)
+    comms, acted = commutators(alg, prim), bilinear_vectors(act.int_act(), s.dim, prim, prim, fs)
     bracket = []
     action = []
     for i in range(n):
         brow = []
         arow = []
         for j in range(n):
-            comm = alg.mul_vec(prim[i], prim[j]).sub(alg.mul_vec(prim[j], prim[i]))
-            cb = _coords_in_span(prim, comm, fs)
+            cb = _coords_in_span(prim, comms[i][j], fs)
             if cb is None:
                 raise StructureError("primitive subspace not closed under the bracket")
-            acted = act.apply(prim[i], prim[j])
-            ca = _coords_in_span(prim, acted, fs)
+            ca = _coords_in_span(prim, acted[i][j], fs)
             if ca is None:
                 raise StructureError("primitive subspace not closed under the action")
             brow.append(cb)
@@ -914,59 +895,77 @@ def extract_post_lie(s: YDPostHopf) -> PostLieData:
     return out
 
 
+def _skew(t: Tally, bracket: list[list[Vector]]) -> None:
+    """[e_i, e_j] = -[e_j, e_i] at (i, j)."""
+    d = len(bracket)
+    for i in range(d):
+        for j in range(d):
+            t.compare((i, j), bracket[i][j], bracket[j][i].neg(), vector_text)
+
+
+def _jacobi(t: Tally, table: IntTable, d: int, fs: FieldSpec) -> None:
+    """[e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] = 0 at
+    (i, j, k), for a compiled bracket table, on rows (i, j)."""
+    b_ = table.rows
+
+    def jacobi(acc, prefix, wl, wr):
+        i, j = prefix
+        for k in range(d):
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                add_bilinear(acc, b_, ((x, 1),), b_[y][z], wl, k * d)
+
+    compare(t, square(d), d, d, jacobi, table.scale ** 2, 1, fs, vector_render(d))
+
+
 def check_post_lie(p: PostLieData) -> CheckReport:
-    """Antisymmetry, Jacobi, both post-Lie identities, subadjacent Jacobi."""
+    """Antisymmetry, Jacobi, both post-Lie identities, subadjacent Jacobi, on
+    the compiled bracket, action and subadjacent bracket."""
     d = p.dim
     fs = p.field
     rep = CheckReport()
 
     ch = Checker("PL-SKEW")
-    for i in range(d):
-        for j in range(d):
-            ch.compare((i, j), p.bracket[i][j], p.bracket[j][i].neg(), vector_text)
+    _skew(ch, p.bracket)
     rep.add(ch.entry())
 
-    def jacobi(br, axiom: str) -> Checker:
-        chj = Checker(axiom)
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    e = [unit_vector(d, t, fs) for t in (i, j, k)]
-                    total = br(e[0], br(e[1], e[2]))
-                    total = total.add(br(e[1], br(e[2], e[0])))
-                    total = total.add(br(e[2], br(e[0], e[1])))
-                    chj.compare((i, j, k), total, Vector(d, {}, fs), vector_text)
-        return chj
+    br, act = compile_tensor(p.bracket, fs), compile_tensor(p.action, fs)
+    b_, a_ = br.rows, act.rows
+    ch = Checker("PL-JAC")
+    _jacobi(ch, br, d, fs)
+    rep.add(ch.entry())
 
-    rep.add(jacobi(p.bracket_vec, "PL-JAC").entry())
-
+    # PL-1: x >- [y, z] = [x >- y, z] + [y, x >- z]
     ch = Checker("PL-1")
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                ei, ej, ek = (unit_vector(d, t, fs) for t in (i, j, k))
-                lhs = p.act_vec(ei, p.bracket[j][k])
-                rhs = p.bracket_vec(p.action[i][j], ek).add(p.bracket_vec(ej, p.action[i][k]))
-                ch.compare((i, j, k), lhs, rhs, vector_text)
+
+    def pl1(acc, prefix, wl, wr):
+        i, j = prefix
+        for k in range(d):
+            add_bilinear(acc, a_, ((i, 1),), b_[j][k], wl, k * d)
+            add_bilinear(acc, b_, a_[i][j], ((k, 1),), wr, k * d)
+            add_bilinear(acc, b_, ((j, 1),), a_[i][k], wr, k * d)
+
+    compare(ch, square(d), d, d, pl1, act.scale * br.scale, br.scale * act.scale, fs, vector_render(d))
     rep.add(ch.entry())
 
+    # subadjacent bracket [x,y]_> = (x>-y) - (y>-x) + [x,y]
+    sub = compile_tensor([[p.action[i][j].sub(p.action[j][i]).add(p.bracket[i][j]) for j in range(d)]
+                          for i in range(d)], fs)
+
+    # PL-2: [x,y]_> >- z = x >- (y >- z) - y >- (x >- z)
     ch = Checker("PL-2")
-    for i in range(d):
-        for j in range(d):
-            w = p.bracket[i][j].add(p.action[i][j]).sub(p.action[j][i])
-            for k in range(d):
-                ek = unit_vector(d, k, fs)
-                lhs = p.act_vec(w, ek)
-                rhs = p.act_vec(unit_vector(d, i, fs), p.action[j][k]).sub(
-                    p.act_vec(unit_vector(d, j, fs), p.action[i][k])
-                )
-                ch.compare((i, j, k), lhs, rhs, vector_text)
+
+    def pl2(acc, prefix, wl, wr):
+        i, j = prefix
+        for k in range(d):
+            add_bilinear(acc, a_, sub.rows[i][j], ((k, 1),), wl, k * d)
+            add_bilinear(acc, a_, ((i, 1),), a_[j][k], wr, k * d)
+            add_bilinear(acc, a_, ((j, 1),), a_[i][k], -wr, k * d)
+
+    compare(ch, square(d), d, d, pl2, sub.scale * act.scale, act.scale ** 2, fs, vector_render(d))
     rep.add(ch.entry())
 
-    # subadjacent bracket [x,y]_> = (x>-y) - (y>-x) + [x,y] satisfies Jacobi
-    sub = [
-        [p.action[i][j].sub(p.action[j][i]).add(p.bracket[i][j]) for j in range(d)]
-        for i in range(d)
-    ]
-    rep.add(jacobi(lambda u, v: _bilinear(sub, u, v, d, fs), "PL-SUB").entry())
+    # the subadjacent bracket satisfies Jacobi
+    ch = Checker("PL-SUB")
+    _jacobi(ch, sub, d, fs)
+    rep.add(ch.entry())
     return rep

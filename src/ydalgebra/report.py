@@ -30,7 +30,7 @@ AXIOM_ORDER = [
     "YD-MODULE", "YD-MODALG", "YD-MODCOALG", "YD-COMPAT", "YD-BRAIDMULT",
     "YD-COLINEAR",
     "HB-HOPF", "HB-COMPAT", "HB-YD", "HB-MP5",
-    "MP-MODC", "MP-1", "MP-2", "MP-3", "MP-4", "MP-BC", "MP-5",
+    "MP-HOPF", "MP-MODC", "MP-1", "MP-2", "MP-3", "MP-4", "MP-BC", "MP-5",
     "RB-SPACES", "RB-COALG", "RB-1", "RB-2", "RB-BIMON", "RB-3",
     "RBM-F", "RBM-G", "RBM-COMM", "RBM-ACT",
     "PL-SKEW", "PL-JAC", "PL-1", "PL-2", "PL-SUB",

@@ -14,23 +14,26 @@ coaction rho) run on compiled int tables (``compiled``), built once per
 operator and kept in its ``_cache``: the columns of R, and R(x) >- y,
 R(R(x) >- y) and S_H R(R(x) >- y) for basis elements x, y of K; the columns
 of rho, keyed p * dim_k + q, H's threefold legs grouped with S_H, and the
-units and counits.  RB-3 remains a hand-written ``Vector`` loop.  The
+units and counits.  RB-SPACES, RB-COALG, RB-3, the morphism checks, the
+Lie checkers and the restrictions run on compiled tables too.  The
 derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H R, and
 the antipode of functor M, R o (alpha * R^{-1} S_H), are convolutions on
-the compiled tables (``hopf.convolve``).  The cached
-tables assume the operator is not changed after it is first checked;
+the compiled tables (``hopf.convolve``), and a >-_R b = R(a) >- b is the
+action pulled back along R (``hopf.pull_back``).  The cached tables
+assume the operator is not changed after it is first checked;
 ``dataclasses.replace`` makes a copy whose cache starts empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import NamedTuple
 
 from .compiled import (
-    IntTable, add_bilinear, add_linear, comul_side, compare, compared, compile_columns, compile_vectors,
-    int_bilinear, int_items, int_linear, legs_side, line, pairs_render, sides, tensor_side, triples_render,
-    vector_render,
+    IntTable, add_bilinear, add_linear, basis, bilinear_table, bilinear_vectors, comul_side, compare, compared,
+    compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, line, mapped,
+    pairs_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -46,50 +49,36 @@ from .hopf import (
     check_coalgebra,
     check_hopf,
     coaction,
+    coalgebra_map_law,
     column_matrix,
     convolve,
+    eps_unit_side,
+    grouped_legs,
     module_algebra_law,
     module_algebra_unit_law,
     module_coalgebra_law,
     module_law,
     module_unit_law,
     one_column,
+    pull_back,
+    pulled_back,
     solve_antipode,
-    tens2,
 )
-from .linalg import (
-    Matrix,
-    Vector,
-    _vector,
-    accumulate,
-    add_scaled_inplace,
-    identity_matrix,
-    invert,
-    kernel,
-    matrix_from_columns,
-    solve,
-    unit_vector,
-)
+from .linalg import Matrix, Vector, identity_matrix, invert, kernel, matrix_from_columns, solve
 from .posthopf import (
     PostLieData,
     YDPostHopf,
+    _jacobi,
     _per_structure,
+    _skew,
     check_post_lie,
+    commutators,
     ensure_beta,
     left_coaction_adl,
     primitives,
     subadjacent_hopf,
 )
-from .report import (
-    FAIL,
-    Checker,
-    CheckEntry,
-    CheckReport,
-    Tally,
-    Witness,
-    pairs_text,
-    vector_text,
-)
+from .report import FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, pairs_text, vector_text
 
 
 @dataclass
@@ -158,25 +147,21 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     rmap = r.r_map
     rep = CheckReport()
 
+    # H is a Hopf algebra, K an algebra and a coalgebra, and a stored S_K
+    # is a convolution inverse of id_K
     sub = check_hopf(r.h)
     sub.extend(check_algebra(kalg))
     sub.extend(check_coalgebra(kco))
+    if r.k_antipode is not None:
+        ch = Checker("HOPF-ANTIPODE")
+        ch.absorb(antipode_law(kalg, kco, r.k_antipode))
+        sub.add(ch.entry())
     rep.add(sub.summary("RB-SPACES"))
 
     # RB-COALG: R is a coalgebra morphism, Delta(R(a)) = R(a_1) (x) R(a_2) at
-    # (a, 0) on the compiled columns of R (as a table rows[a][0], whose second
-    # index has the one leg (0, 0, 1)), eps(R(a)) = eps(a) at (a, 1), and
-    # R(1_K) = 1_H at (dk,)
+    # (a, 0) and eps(R(a)) = eps(a) at (a, 1), and R(1_K) = 1_H at (dk,)
     ch = Checker("RB-COALG")
-    rc, hc, kc = _r_columns(r), hco.int_comul(), kco.int_comul()
-    cols = [[col] for col in rc.rows]
-    ch.absorb(compared(line(dk), 1, dh * dh,
-                       sides(comul_side(cols, hc.rows, dh), legs_side(cols, cols, kc.rows, [((0, 0, 1),)], dh)),
-                       rc.scale * hc.scale, kc.scale * rc.scale ** 2, fs, pairs_render(dh)))
-    eps = Tally()
-    for a in range(dk):
-        eps.compare((a, 1), hco.eps_vec(rmap.column(a)), kco.eps(a))
-    ch.absorb(eps)
+    ch.absorb(coalgebra_map_law(_r_columns(r), hco, kco))
     ch.compare((dk,), rmap.apply(kalg.unit), halg.unit, vector_text)
     rep.add(ch.entry())
 
@@ -195,14 +180,20 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
         if rinv is None:
             rep.add(CheckEntry("RB-3", FAIL, Witness((0,), "not bijective", "R invertible")))
             return rep
+        # RB-3: (a_1 >- R^{-1} S_H(a_2)) . R^{-1}(a_3) = eps(a) 1_K at (a,)
         ch = Checker("RB-3")
-        smap = r.h.antipode
-        for a in range(dh):
-            acc: dict[int, Scalar] = {}
-            for (a1, a2, a3), c in hco.legs(a, 3):
-                w = act.apply_basis(a1, rinv.apply(smap.column(a2)))
-                add_scaled_inplace(acc, kalg.mul_vec(w, rinv.column(a3)), c)
-            ch.compare((a,), _vector(dk, acc, fs), kalg.unit.scale(hco.eps(a)), vector_text)
+        legs, kmul = hco.int_legs(3), kalg.int_mul()
+        ri = compile_columns(rinv)
+        acted = bilinear_table(act.int_act(), basis(dh), compile_columns(rinv.compose(r.h.antipode)), fs.p)
+
+        def rb3(acc, prefix, w):
+            for a, terms in enumerate(legs.rows):
+                for (a1, a2, a3), c in terms:
+                    add_bilinear(acc, kmul.rows, acted.rows[a1][a2], ri.rows[a3], w * c, a * dk)
+
+        rhs, sr = eps_unit_side(hco, kalg)
+        compare(ch, [()], dh, dk, sides(rb3, rhs), legs.scale * acted.scale * kmul.scale * ri.scale, sr, fs,
+                vector_render(dk))
         rep.add(ch.entry())
     return rep
 
@@ -224,24 +215,14 @@ def _r_columns(r: RelRB) -> IntTable:
 
 
 @_per_structure
-def _r_acted(r: RelRB) -> IntTable:
-    """R(x) >- y for basis elements x, y of K: the action pulled back along
-    R, summed as ints on the compiled action and columns of R."""
-    dk, p = r.dim_k, r.field.p
-    rc, act = _r_columns(r), r.action.int_act()
-    return IntTable([[int_bilinear(act.rows, rc.rows[x], ((y, 1),), p) for y in range(dk)] for x in range(dk)],
-                    rc.scale * act.scale)
-
-
-@_per_structure
 def _rb_tables(r: RelRB) -> _RBTables:
     """The tables of ``_RBTables``, summed as ints on the compiled action
     and the compiled columns of R and S_H, once per operator."""
     p = r.field.p
-    rc, sc, acted = _r_columns(r), compile_columns(r.h.antipode), _r_acted(r)
-    q = [[int_linear(rc.rows, v, p) for v in row] for row in acted.rows]
-    sq = [[int_linear(sc.rows, v, p) for v in row] for row in q]
-    return _RBTables(rc, acted, IntTable(q, acted.scale * rc.scale), IntTable(sq, acted.scale * rc.scale * sc.scale))
+    rc = _r_columns(r)
+    acted = pull_back(r.action, rc)
+    q = mapped(rc, acted, p)
+    return _RBTables(rc, acted, q, mapped(compile_columns(r.h.antipode), q, p))
 
 
 def _rb1(t: Tally, r: RelRB) -> None:
@@ -353,23 +334,15 @@ class _RhoTables(NamedTuple):
 @_per_structure
 def _rho_tables(r: RelRB) -> _RhoTables:
     """The tables of ``_RhoTables``, once per operator."""
-    dk, fs, p = r.dim_k, r.field, r.field.p
+    dk, fs = r.dim_k, r.field
     cols = compile_columns(effective_coaction(r))
     terms = [[(*divmod(pq, dk), n) for pq, n in col] for col in cols.rows]
-    antipode = compile_columns(r.h.antipode)
-    legs = r.h.coalgebra.int_legs(3)
-    groups = []
-    for h_legs in legs.rows:
-        sums: dict[tuple[int, int], dict] = {}
-        for (h1, h2, h3), c in h_legs:
-            add_linear(sums.setdefault((h1, h2), {}), antipode.rows, ((h3, c),), 1)
-        groups.append([(h1, h2, v) for (h1, h2), acc in sums.items() if (v := int_items(acc, p))])
 
     def one(v: Vector) -> IntTable:
         return compile_vectors([v], fs)
 
-    return _RhoTables(cols, terms, IntTable(groups, legs.scale * antipode.scale), one(r.h.algebra.unit),
-                      one(r.k_alg.unit), one(r.h.coalgebra.counit), one(r.k_coalg.counit))
+    return _RhoTables(cols, terms, grouped_legs(r.h.coalgebra, compile_columns(r.h.antipode)),
+                      one(r.h.algebra.unit), one(r.k_alg.unit), one(r.h.coalgebra.counit), one(r.k_coalg.counit))
 
 
 def _rho_side(rho: list, vectors, width: int):
@@ -634,7 +607,7 @@ def antipode_sk(r: RelRB) -> Matrix:
     if rinv is None:
         raise StructureError("R is not bijective; S_K needs the full notion")
     rsr = compile_columns(rinv.compose(r.h.antipode).compose(r.r_map))
-    sk = column_matrix(r.dim_k, convolve(_r_acted(r), one_column(rsr), r.k_coalg), r.field)
+    sk = column_matrix(r.dim_k, convolve(pull_back(r.action, _r_columns(r)), one_column(rsr), r.k_coalg), r.field)
     if antipode_law(r.k_alg, r.k_coalg, sk).failures:
         raise StructureError("derived S_K fails the antipode identities")
     return sk
@@ -661,30 +634,20 @@ def functor_m(r: RelRB) -> YDPostHopf:
     rinv = _r_inverse(r)
     if rinv is None:
         raise StructureError("functor M needs a bijective R")
-    dh = r.h.dim
-    fs = r.field
+    dh, fs, p = r.h.dim, r.field, r.field.p
     halg, hco = r.h.algebra, r.h.coalgebra
     smap = r.h.antipode
-    mul = []
-    for i in range(dh):
-        row = []
-        for j in range(dh):
-            u = r.k_alg.mul_vec(rinv.column(i), rinv.column(j))
-            row.append(r.r_map.apply(u))
-        mul.append(row)
-    alg = AlgebraData(dh, list(halg.basis_labels), mul, halg.unit, fs)
+    # e_i . e_j = R(R^{-1} e_i . R^{-1} e_j) and e_i >- e_j = R(e_i >- R^{-1} e_j)
+    rc, ri = _r_columns(r), compile_columns(rinv)
+    mul = mapped(rc, bilinear_table(r.k_alg.int_mul(), ri, ri, p), p)
+    act = mapped(rc, bilinear_table(r.action.int_act(), basis(dh), ri, p), p)
+    alg = AlgebraData(dh, list(halg.basis_labels), table_vectors(dh, mul, fs), halg.unit, fs)
     # S_r = R o (alpha * R^{-1} S_H), for the one column R^{-1} S_H
-    rc = _r_columns(r)
     cols = convolve(r.action.int_act(), one_column(compile_columns(rinv.compose(smap))), hco)
-    s_r = IntTable([[int_linear(rc.rows, col, fs.p)] for col, in cols.rows], cols.scale * rc.scale)
-    act_rows = []
-    for i in range(dh):
-        row = [r.r_map.apply(r.action.apply_basis(i, rinv.column(j))) for j in range(dh)]
-        act_rows.append(row)
-    act_r = ActionTensor(dh, dh, act_rows, fs)
+    s_r = IntTable([[int_linear(rc.rows, col, p)] for col, in cols.rows], cols.scale * rc.scale)
+    act_r = ActionTensor(dh, dh, table_vectors(dh, act, fs), fs)
     carrier = BraidedPair(alg, hco, column_matrix(dh, s_r, fs))
-    return YDPostHopf(carrier, act_r, act_r.pulled_back([smap.column(i) for i in range(dh)]),
-                      params=dict(r.params))
+    return YDPostHopf(carrier, act_r, pulled_back(act_r, compile_columns(smap)), params=dict(r.params))
 
 
 def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
@@ -704,9 +667,8 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
             s_k = solve_antipode(r.k_alg, r.k_coalg)
             if s_k is None:
                 raise StructureError("carrier has no braided antipode")
-    rcols = [r.r_map.column(i) for i in range(dk)]
-    act_r = r.action.pulled_back(rcols)
-    beta = r.action.pulled_back([r.h.antipode.apply(v) for v in rcols])
+    act_r = pulled_back(r.action, _r_columns(r))
+    beta = pulled_back(r.action, compile_columns(r.h.antipode.compose(r.r_map)))
     return YDPostHopf(BraidedPair(r.k_alg, r.k_coalg, s_k), act_r, beta, params=dict(r.params))
 
 
@@ -718,22 +680,26 @@ def _morphism_checker(
     alg_dst: AlgebraData,
     co_dst: CoalgebraData,
 ) -> Checker:
-    ch = Checker(axiom)
-    d = alg_src.dim
-    for i in range(d):
+    """f is an algebra and coalgebra morphism: f(e_i . e_j) = f(e_i) . f(e_j)
+    at (0, i, j), f(1) = 1 at (1,), and, per i, Delta(f(e_i)) = f(i_1) (x)
+    f(i_2) at (2, i) and eps(f(e_i)) = eps(e_i) at (3, i), on the compiled
+    columns of f.  The witness is the first failure in that order."""
+    fc, ms, md = compile_columns(f), alg_src.int_mul(), alg_dst.int_mul()
+    d, n, fs = alg_src.dim, f.rows, alg_src.field
+
+    def multiplicative(acc, prefix, wl, wr):
+        i, = prefix
         for j in range(d):
-            lhs = f.apply(alg_src.mul[i][j])
-            rhs = alg_dst.mul_vec(f.column(i), f.column(j))
-            ch.compare((0, i, j), lhs, rhs, vector_text)
-    ch.compare((1,), f.apply(alg_src.unit), alg_dst.unit, vector_text)
-    for i in range(d):
-        lhs2 = co_dst.comul_vec(f.column(i))
-        rhs2: dict[tuple[int, int], Scalar] = {}
-        for j, k, c in co_src.comul[i]:
-            for pq, x in tens2(f.column(j), f.column(k)).items():
-                accumulate(rhs2, pq, c * x)
-        ch.compare((2, i), lhs2, rhs2, pairs_text)
-        ch.compare((3, i), co_dst.eps_vec(f.column(i)), co_src.eps(i))
+            add_linear(acc, fc.rows, ms.rows[i][j], wl, j * n)
+            add_bilinear(acc, md.rows, fc.rows[i], fc.rows[j], wr, j * n)
+
+    # the rows keyed in their loop order: (2, i, 0) for (2, i), (2, i, 1) for (3, i)
+    t = compared(line(d), d, n, multiplicative, fc.scale * ms.scale, md.scale * fc.scale ** 2, fs, vector_render(n),
+                 lambda w: (0,) + w)
+    t.compare((1,), f.apply(alg_src.unit), alg_dst.unit, vector_text)
+    t.absorb(coalgebra_map_law(fc, co_dst, co_src), where=lambda w: (2,) + w)
+    ch = Checker(axiom)
+    ch.absorb(t, where=lambda w: w if w[0] < 2 else (2 + w[2], w[1]))
     return ch
 
 
@@ -755,11 +721,19 @@ def check_rb_morphism(src: RelRB, dst: RelRB, f: Matrix, g: Matrix) -> CheckRepo
 
 def _intertwining_checker(axiom: str, f: Matrix, g: Matrix, src: ActionTensor,
                           dst: ActionTensor) -> Checker:
-    """g(x >- a) = f(x) >-' g(a) at (x, a)."""
+    """g(x >- a) = f(x) >-' g(a) at (x, a), on the compiled tables."""
+    fc, gc, xs, xd = compile_columns(f), compile_columns(g), src.int_act(), dst.int_act()
+    n = g.rows
+
+    def law(acc, prefix, wl, wr):
+        i, = prefix
+        for a, v in enumerate(xs.rows[i]):
+            add_linear(acc, gc.rows, v, wl, a * n)
+            add_bilinear(acc, xd.rows, fc.rows[i], gc.rows[a], wr, a * n)
+
     ch = Checker(axiom)
-    for i in range(src.acting_dim):
-        for a in range(src.target_dim):
-            ch.compare((i, a), g.apply(src.act[i][a]), dst.apply(f.column(i), g.column(a)), vector_text)
+    compare(ch, line(src.acting_dim), src.target_dim, n, law, gc.scale * xs.scale, xd.scale * fc.scale * gc.scale,
+            src.field, vector_render(n))
     return ch
 
 
@@ -905,13 +879,6 @@ class LieData:
     bracket: list[list[Vector]]
     field: FieldSpec
 
-    def bracket_vec(self, u: Vector, v: Vector) -> Vector:
-        acc: dict[int, Scalar] = {}
-        for i, a in u.entries.items():
-            for j, b in v.entries.items():
-                add_scaled_inplace(acc, self.bracket[i][j], a, b)
-        return Vector(self.dim, acc, self.field)
-
 
 @dataclass
 class LieRB:
@@ -931,60 +898,73 @@ class LieRB:
 
 
 def _lie_checker(axiom: str, lie: LieData) -> Checker:
+    """Antisymmetry at (0, i, j) and Jacobi at (1, i, j, k), on the compiled
+    bracket.  The witness is the first failure of the loop over (i, j) that
+    checks (0, i, j) and then (1, i, j, k) for every k."""
+    skew, jacobi, t = Tally(), Tally(), Tally()
+    _skew(skew, lie.bracket)
+    _jacobi(jacobi, compile_tensor(lie.bracket, lie.field), lie.dim, lie.field)
+    # keyed in loop order, (i, j, 0) and (i, j, 1, k), then mapped back
+    t.absorb(skew, where=lambda w: w + (0,))
+    t.absorb(jacobi, where=lambda w: w[:2] + (1,) + w[2:])
     ch = Checker(axiom)
-    d = lie.dim
-    fs = lie.field
-    for i in range(d):
-        for j in range(d):
-            ch.compare((0, i, j), lie.bracket[i][j], lie.bracket[j][i].neg(), vector_text)
-            for k in range(d):
-                total = lie.bracket_vec(unit_vector(d, i, fs), lie.bracket[j][k])
-                total = total.add(lie.bracket_vec(unit_vector(d, j, fs), lie.bracket[k][i]))
-                total = total.add(lie.bracket_vec(unit_vector(d, k, fs), lie.bracket[i][j]))
-                ch.compare((1, i, j, k), total, Vector(d, {}, fs), vector_text)
+    ch.absorb(t, where=lambda w: (w[2],) + w[:2] + w[3:])
     return ch
 
 
 def check_lie_rb(l: LieRB) -> CheckReport:
-    """Lie axioms, phi an action by derivations, weight-1 law, induced post-Lie."""
+    """Lie axioms, phi an action by derivations, weight-1 law, induced
+    post-Lie, on the compiled brackets, action and columns of R."""
     rep = CheckReport()
     rep.add(_lie_checker("LRB-LIE-G", l.lie_g).entry())
     rep.add(_lie_checker("LRB-LIE-H", l.lie_h).entry())
     dg, dh = l.lie_g.dim, l.lie_h.dim
     fs = l.lie_h.field
-    ch = Checker("LRB-ACTION")
-    for i in range(dg):
-        for a in range(dh):
-            for b in range(dh):
-                lhs = l.phi.apply_basis(i, l.lie_h.bracket[a][b])
-                rhs = l.lie_h.bracket_vec(l.phi.act[i][a], unit_vector(dh, b, fs)).add(
-                    l.lie_h.bracket_vec(unit_vector(dh, a, fs), l.phi.act[i][b])
-                )
-                ch.compare((0, i, a, b), lhs, rhs, vector_text)
-    for i in range(dg):
-        for j in range(dg):
-            for a in range(dh):
-                lhs = l.phi.apply_vec_basis(l.lie_g.bracket[i][j], a)
-                rhs = l.phi.apply_basis(i, l.phi.act[j][a]).sub(
-                    l.phi.apply_basis(j, l.phi.act[i][a])
-                )
-                ch.compare((1, i, j, a), lhs, rhs, vector_text)
-    rep.add(ch.entry())
-    ch = Checker("LRB-W1")
-    for a in range(dh):
+    bg, bh = compile_tensor(l.lie_g.bracket, fs), compile_tensor(l.lie_h.bracket, fs)
+    ph, rc = l.phi.int_act(), compile_columns(l.r)
+    render = vector_render(dh)
+
+    # (0, i, a, b): phi_i [a, b] = [phi_i a, b] + [a, phi_i b]
+    def derivation(acc, prefix, wl, wr):
+        i, a = prefix
         for b in range(dh):
-            lhs = l.lie_g.bracket_vec(l.r.column(a), l.r.column(b))
-            inner = l.phi.apply_vec_basis(l.r.column(a), b).sub(
-                l.phi.apply_vec_basis(l.r.column(b), a)
-            ).add(l.lie_h.bracket[a][b])
-            ch.compare((a, b), lhs, l.r.apply(inner), vector_text)
+            add_bilinear(acc, ph.rows, ((i, 1),), bh.rows[a][b], wl, b * dh)
+            add_bilinear(acc, bh.rows, ph.rows[i][a], ((b, 1),), wr, b * dh)
+            add_bilinear(acc, bh.rows, ((a, 1),), ph.rows[i][b], wr, b * dh)
+
+    # (1, i, j, a): phi_[i, j] a = phi_i phi_j a - phi_j phi_i a
+    def bracket(acc, prefix, wl, wr):
+        i, j = prefix
+        for a in range(dh):
+            add_bilinear(acc, ph.rows, bg.rows[i][j], ((a, 1),), wl, a * dh)
+            add_bilinear(acc, ph.rows, ((i, 1),), ph.rows[j][a], wr, a * dh)
+            add_bilinear(acc, ph.rows, ((j, 1),), ph.rows[i][a], -wr, a * dh)
+
+    ch = Checker("LRB-ACTION")
+    ch.absorb(compared(product(range(dg), range(dh)), dh, dh, derivation, ph.scale * bh.scale, bh.scale * ph.scale,
+                       fs, render, lambda w: (0,) + w))
+    ch.absorb(compared(square(dg), dh, dh, bracket, ph.scale * bg.scale, ph.scale ** 2, fs, render,
+                       lambda w: (1,) + w))
+    rep.add(ch.entry())
+
+    # (a, b): [R a, R b] = R(phi(R a) b - phi(R b) a + [a, b])
+    pr = pull_back(l.phi, rc)  # phi(R e_x) e_y
+
+    def weight1(acc, prefix, wl, wr):
+        a, = prefix
+        for b in range(dh):
+            add_bilinear(acc, bg.rows, rc.rows[a], rc.rows[b], wl, b * dg)
+            inner: dict[int, int] = {}
+            add_linear(inner, [pr.rows[a][b], pr.rows[b][a], bh.rows[a][b]],
+                       ((0, bh.scale), (1, -bh.scale), (2, pr.scale)), 1)
+            add_linear(acc, rc.rows, inner.items(), wr, b * dg)
+
+    ch = Checker("LRB-W1")
+    compare(ch, line(dh), dh, dg, weight1, bg.scale * rc.scale ** 2, rc.scale * pr.scale * bh.scale, fs,
+            vector_render(dg))
     rep.add(ch.entry())
     # induced post-Lie structure x >- y := phi(R(x)) y on the domain
-    action = [
-        [l.phi.apply_vec_basis(l.r.column(i), j) for j in range(dh)]
-        for i in range(dh)
-    ]
-    pl = PostLieData(dh, [list(row) for row in l.lie_h.bracket], action, fs)
+    pl = PostLieData(dh, [list(row) for row in l.lie_h.bracket], table_vectors(dh, pr, fs), fs)
     rep.add(check_post_lie(pl).summary("LRB-POSTLIE"))
     return rep
 
@@ -995,9 +975,15 @@ def restrict_to_grouplikes(r: RelRB, candidates: list[Vector]) -> GroupRB:
     dk = r.dim_k
     fs = r.field
     kco, kalg = r.k_coalg, r.k_alg
-    for v in candidates:
-        if kco.comul_vec(v) != tens2(v, v) or kco.eps_vec(v) != fs.one:
-            raise StructureError(f"candidate {vector_text(v)} is not group-like")
+    if candidates:
+        # group-like: e_x -> candidates[x] is a coalgebra map from the
+        # coalgebra of the points x, Delta(e_x) = e_x (x) e_x and eps(e_x) = 1
+        n = len(candidates)
+        points = CoalgebraData(n, [[(x, x, fs.one)] for x in range(n)], Vector(n, dict.fromkeys(range(n), fs.one), fs),
+                               fs)
+        bad = coalgebra_map_law(compile_vectors(candidates, fs), kco, points).witness
+        if bad is not None:
+            raise StructureError(f"candidate {vector_text(candidates[bad.where[0]])} is not group-like")
 
     def index_of(vec: Vector, pool: list[Vector], what: str) -> int:
         for i, w in enumerate(pool):
@@ -1013,11 +999,8 @@ def restrict_to_grouplikes(r: RelRB, candidates: list[Vector]) -> GroupRB:
         return fallback
 
     h_elems = candidates
-    h_mul = [
-        [index_of(kalg.mul_vec(x, y), h_elems, "candidate set under the product")
-         for y in h_elems]
-        for x in h_elems
-    ]
+    h_mul = [[index_of(v, h_elems, "candidate set under the product") for v in row]
+             for row in bilinear_vectors(kalg.int_mul(), dk, h_elems, h_elems, fs)]
     h_labels = [label_for(v, kalg.basis_labels, f"h{i}") for i, v in enumerate(h_elems)]
     g_elems: list[Vector] = []
     r_idx: list[int] = []
@@ -1031,17 +1014,11 @@ def restrict_to_grouplikes(r: RelRB, candidates: list[Vector]) -> GroupRB:
             g_elems.append(img)
             r_idx.append(len(g_elems) - 1)
     halg = r.h.algebra
-    g_mul = [
-        [index_of(halg.mul_vec(x, y), g_elems, "image set under the product")
-         for y in g_elems]
-        for x in g_elems
-    ]
+    g_mul = [[index_of(v, g_elems, "image set under the product") for v in row]
+             for row in bilinear_vectors(halg.int_mul(), halg.dim, g_elems, g_elems, fs)]
     g_labels = [label_for(v, halg.basis_labels, f"g{i}") for i, v in enumerate(g_elems)]
-    phi = [
-        [index_of(r.action.apply(g, h), h_elems, "candidate set under the action")
-         for h in h_elems]
-        for g in g_elems
-    ]
+    phi = [[index_of(v, h_elems, "candidate set under the action") for v in row]
+           for row in bilinear_vectors(r.action.int_act(), dk, g_elems, h_elems, fs)]
     grb = GroupRB(GroupTable(g_labels, g_mul), GroupTable(h_labels, h_mul), phi, r_idx)
     rep = check_group_rb(grb)
     if not rep.all_pass():
@@ -1067,22 +1044,13 @@ def restrict_to_primitives(r: RelRB) -> LieRB:
         return res.solution
 
     def bracket_of(pool: list[Vector], alg: AlgebraData) -> LieData:
-        n = len(pool)
-        rows = []
-        for i in range(n):
-            rows.append([
-                coords(pool, alg.mul_vec(pool[i], pool[j]).sub(alg.mul_vec(pool[j], pool[i])),
-                       "commutator bracket")
-                for j in range(n)
-            ])
-        return LieData(n, rows, fs)
+        rows = [[coords(pool, c, "commutator bracket") for c in row] for row in commutators(alg, pool)]
+        return LieData(len(pool), rows, fs)
 
     lie_h = bracket_of(p_k, r.k_alg)
     lie_g = bracket_of(p_h, r.h.algebra)
-    phi_rows = [
-        [coords(p_k, r.action.apply(p_h[i], p_k[j]), "primitive action") for j in range(len(p_k))]
-        for i in range(len(p_h))
-    ]
+    phi_rows = [[coords(p_k, v, "primitive action") for v in row]
+                for row in bilinear_vectors(r.action.int_act(), r.dim_k, p_h, p_k, fs)]
     phi = ActionTensor(len(p_h), len(p_k), phi_rows, fs)
     r_cols = [coords(p_h, r.r_map.apply(v), "image of a primitive") for v in p_k]
     rmat = Matrix(

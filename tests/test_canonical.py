@@ -27,8 +27,9 @@ from ydalgebra.builders import (
     symmetric_group_3,
 )
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, inv, parse_scalar
-from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData
-from ydalgebra.linalg import Matrix, Vector, add_scaled_inplace, invert, kernel, solve, unit_vector
+from ydalgebra.compiled import bilinear_vectors, compile_comul, compile_legs, compile_tensor, compile_vectors
+from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData, pull_back
+from ydalgebra.linalg import Matrix, Vector, invert, kernel, matrix_from_columns, solve, unit_vector
 
 F = Fraction
 
@@ -118,33 +119,41 @@ def _exact(got, want):
     assert not _non_canonical(got)
 
 
+def _comul_matrix(coalg) -> Matrix:
+    """Delta as a map into the tensor square: column i holds Delta(e_i),
+    row j * dim + k its e_j (x) e_k coefficient."""
+    d = coalg.dim
+    return Matrix(d * d, d, {(j * d + k, i): s for i in range(d) for j, k, s in coalg.comul[i]}, coalg.field)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(_QVEC, _QVEC, _QVEC, st.lists(_Q, min_size=1, max_size=3))
 def test_q_contractions_match_fraction_arithmetic(start, u_raw, v_raw, coeffs):
-    """The int-based Q paths of the hot helpers give the exact Fraction
-    result, in canonical form, whatever form their inputs take."""
+    """The int sums of the compiled tables, behind ``Matrix.apply`` and the
+    bilinear maps, give the exact Fraction result, in canonical form,
+    whatever form their inputs take."""
     u, v = Vector(4, u_raw, RATIONALS), Vector(4, v_raw, RATIONALS)
-    start = Vector(4, start, RATIONALS).entries  # what an accumulator holds
+    start_v = Vector(4, start, RATIONALS)  # what an accumulator holds
     c = F(1)
     for x in coeffs:
         c *= x
-    acc = dict(start)
-    add_scaled_inplace(acc, u, *coeffs)
-    _exact(acc, _naive([*start.items(), *((i, c * w) for i, w in u_raw.items())]))
+    combo = matrix_from_columns([start_v, u], RATIONALS).apply(Vector(2, {0: 1, 1: c}, RATIONALS))
+    _exact(combo.entries, _naive([*start_v.entries.items(), *((i, c * w) for i, w in u_raw.items())]))
 
     m = Matrix(4, 4, {(r, k): w for k, w in v_raw.items() for r in range(4) if (r + k) % 2}, RATIONALS)
     _exact(m.apply(u).entries, _naive(((r, w * u_raw.get(k, 0)) for (r, k), w in m.entries.items())))
 
     table = [[Vector(4, {(i + j) % 4: F(i + 1, j + 2)}, RATIONALS) for j in range(4)] for i in range(4)]
     alg = AlgebraData(4, ["a", "b", "c", "d"], table, Vector(4, {0: 1}, RATIONALS), RATIONALS)
-    _exact(alg.mul_vec(u, v).entries,
+    (uv,), = bilinear_vectors(alg.int_mul(), 4, [u], [v], RATIONALS)
+    _exact(uv.entries,
            _naive(((k, a * b * w) for i, a in u_raw.items() for j, b in v_raw.items()
                    for k, w in table[i][j].entries.items())))
 
     comul = [[(i, j, F(j + 1, i + 2)) for j in range(4) if (i + j) % 3] for i in range(4)]
     coalg = CoalgebraData(4, comul, Vector(4, {0: 1}, RATIONALS), RATIONALS)
-    _exact(coalg.comul_vec(u), _naive((((j, k), a * s) for i, a in u_raw.items()
-                                       for j, k, s in coalg.comul[i])))
+    _exact(_comul_matrix(coalg).apply(u).entries, _naive(((j * 4 + k, a * s) for i, a in u_raw.items()
+                                                        for j, k, s in coalg.comul[i])))
 
 
 # F_p residues as the contraction loops meet them: small values, so that sums
@@ -156,8 +165,7 @@ _FVEC = st.dictionaries(st.integers(0, 3), _RES, max_size=4)
 def _modint_sum(start, pairs):
     """start plus the (key, value) pairs, added in order with ModInt
     operators: a new or changed entry is set, one that reaches zero is
-    deleted.  This is the loop the F_p helpers replaced, so the helpers must
-    give the same dict in the same order."""
+    deleted."""
     acc = dict(start)
     for k, x in pairs:
         s = acc.get(k)
@@ -170,7 +178,7 @@ def _modint_sum(start, pairs):
 
 
 def _same_residues(got, want, p):
-    assert list(got.items()) == list(want.items())
+    assert got == want
     assert all(c.__class__ is ModInt and c.p == p and c for c in got.values())
 
 
@@ -191,24 +199,25 @@ def _fp_tables(fs):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.sampled_from([7, 10007]), _FVEC, _FVEC, _FVEC, st.lists(_RES, min_size=1, max_size=3))
 def test_fp_contractions_match_modint_arithmetic(p, start_raw, u_raw, v_raw, coeffs):
-    """The residue-based F_p paths of the hot helpers give the ModInt sums,
-    in the same order, with no zero stored; a ModInt of another modulus
-    raises FieldError in each of them."""
+    """The residue sums of the compiled tables, behind ``Matrix.apply``, the
+    bilinear maps and the pull-back of an action, give the ModInt sums with
+    no zero stored; a ModInt of another modulus raises FieldError where a
+    table or a vector is compiled."""
     fs = FieldSpec(p)
 
     def vec(raw):
         return Vector(4, {k: ModInt(x, p) for k, x in raw.items()}, fs)
 
-    u, v, start = vec(u_raw), vec(v_raw), vec(start_raw).entries
+    u, v, start = vec(u_raw), vec(v_raw), vec(start_raw)
     cs = [ModInt(x, p) for x in coeffs]
     c = cs[0]
     for x in cs[1:]:
         c = c * x
     table, alg, act, coalg = _fp_tables(fs)
 
-    acc = dict(start)
-    add_scaled_inplace(acc, u, *cs)
-    _same_residues(acc, _modint_sum(start, [(i, w * c) for i, w in u.entries.items()] if c else []), p)
+    combo = matrix_from_columns([start, u], fs).apply(Vector(2, {0: fs.one, 1: c}, fs))
+    _same_residues(combo.entries, _modint_sum(start.entries, [(i, w * c) for i, w in u.entries.items()] if c else []),
+                   p)
 
     m = Matrix(4, 4, {(r, k): w for k, w in v.entries.items() for r in range(4) if (r + k) % 2}, fs)
     _same_residues(m.apply(u).entries,
@@ -217,31 +226,33 @@ def test_fp_contractions_match_modint_arithmetic(p, start_raw, u_raw, v_raw, coe
 
     bilinear = _modint_sum({}, [(k, w * (a * b)) for i, a in u.entries.items()
                                 for j, b in v.entries.items() for k, w in table[i][j].entries.items()])
-    _same_residues(alg.mul_vec(u, v).entries, bilinear, p)
-    _same_residues(act.apply(u, v).entries, bilinear, p)
+    _same_residues(bilinear_vectors(alg.int_mul(), 4, [u], [v], fs)[0][0].entries, bilinear, p)
+    _same_residues(bilinear_vectors(act.int_act(), 4, [u], [v], fs)[0][0].entries, bilinear, p)
+    pulled = pull_back(act, compile_vectors([u], fs))
     for k in range(4):
-        _same_residues(act.apply_vec_basis(u, k).entries,
-                       act.apply(u, unit_vector(4, k, fs)).entries, p)
+        _same_residues({j: ModInt(n, p) for j, n in pulled.rows[0][k]},
+                       bilinear_vectors(act.int_act(), 4, [u], [unit_vector(4, k, fs)], fs)[0][0].entries, p)
 
-    _same_residues(coalg.comul_vec(u),
-                   _modint_sum({}, [((j, k), s * a) for i, a in u.entries.items()
+    _same_residues(_comul_matrix(coalg).apply(u).entries,
+                   _modint_sum({}, [(j * 4 + k, s * a) for i, a in u.entries.items()
                                     for j, k, s in coalg.comul[i]]), p)
 
     alien = ModInt(1, 11 if p == 7 else 7)
     e, bad = Vector(4, {0: fs.one}, fs), Vector(4, {0: alien}, fs)
+    bad_table = [[bad if (i, j) == (1, 2) else e for j in range(4)] for i in range(4)]
     mixed = [
-        lambda: add_scaled_inplace({}, e, alien),
-        lambda: add_scaled_inplace({}, e, fs.one, alien),
-        lambda: add_scaled_inplace({}, e, fs.one, fs.one, alien),
-        lambda: add_scaled_inplace({0: alien}, e, fs.one),
-        lambda: add_scaled_inplace({}, bad, fs.one),
+        lambda: compile_vectors([e, bad], fs),
+        lambda: compile_tensor(bad_table, fs),
+        lambda: compile_comul([[(0, 0, fs.one)], [(0, 1, alien)]], fs),
+        lambda: compile_legs([[((0,), fs.one)], [((1,), alien)]], fs),
         lambda: Matrix(4, 4, {(0, 0): fs.one}, fs).apply(bad),
-        lambda: alg.mul_vec(bad, e),
-        lambda: alg.mul_vec(e, bad),
-        lambda: act.apply(bad, e),
-        lambda: act.apply(e, bad),
-        lambda: act.apply_vec_basis(bad, 0),
-        lambda: coalg.comul_vec(bad),
+        lambda: Matrix(4, 4, {(0, 0): alien}, fs).apply(e),
+        lambda: bilinear_vectors(alg.int_mul(), 4, [bad], [e], fs),
+        lambda: bilinear_vectors(alg.int_mul(), 4, [e], [bad], fs),
+        lambda: AlgebraData(4, ["a", "b", "c", "d"], bad_table, e, fs).int_mul(),
+        lambda: ActionTensor(4, 4, bad_table, fs).int_act(),
+        lambda: pull_back(act, compile_vectors([bad], fs)),
+        lambda: CoalgebraData(4, [[(0, 0, fs.one)], [(0, 1, alien)], [], []], e, fs).int_comul(),
     ]
     for call in mixed:
         with pytest.raises(FieldError):

@@ -9,6 +9,13 @@ two agree whenever no constant degenerates mod p.  A prime at which a
 parameter reduces to 0, or divides one of its denominators, is skipped:
 there the F_p structure is a different one, or the reduction is undefined.
 
+The same holds for the structures derived from a file and for the
+builders that take no rational constant: the brace, matched pair and
+``rb_l`` operator derived over Q and reduced must be the bytes, and get
+the machine report, of the ones derived from the reduced file, and the
+adjoint example, a group algebra and a linearized group operator built
+over Q and reduced must be the ones built over F_p.
+
 The solvers are cross-checked the same way on files without beta: beta
 solved over Q and emitted, then reduced, must be the bytes of beta solved
 from the reduced file, and the braided antipode S_K of the functor L image
@@ -26,7 +33,11 @@ from pathlib import Path
 
 import pytest
 
-from ydalgebra.builders import build_en, build_suzuki, build_sweedler
+from ydalgebra.braces import functor_f, to_matched_pair
+from ydalgebra.builders import (
+    build_adjoint, build_en, build_group_rb_linearization, build_suzuki, build_sweedler, cyclic_group, group_algebra,
+    group_rb_inversion, symmetric_group_3,
+)
 from ydalgebra.cli import run_suite
 from ydalgebra.field import RATIONALS, FieldSpec, format_scalar
 from ydalgebra.posthopf import YDPostHopf, check_yd_post_hopf, solve_beta
@@ -84,6 +95,40 @@ def test_q_build_reduced_mod_p_equals_fp_build(name, p):
     assert "field Q\n" in text
     reduced = parse(_reduce(text, p))
     direct = build(FieldSpec(p))
+    assert emit(reduced) == emit(direct)
+    assert run_suite(reduced).machine_text() == run_suite(direct).machine_text()
+
+
+DERIVE = {"brace": functor_f, "matchedpair": to_matched_pair, "rb_l": functor_l}
+
+
+@pytest.mark.parametrize("target", sorted(DERIVE))
+@pytest.mark.parametrize("name,p", PARAMS, ids=[f"{n}-p{p}" for n, p in PARAMS])
+def test_q_derive_reduced_mod_p_equals_fp_derive(name, p, target):
+    _skip_degenerate(name, p)
+    derive = DERIVE[target]
+    reduced = parse(_reduce(emit(derive(parse(_q_text(name)))), p))
+    direct = derive(parse(_reduce(_q_text(name), p)))
+    assert emit(reduced) == emit(direct)
+    assert run_suite(reduced).machine_text() == run_suite(direct).machine_text()
+
+
+# builders from group data alone: every constant is an integer
+INTEGRAL_BUILDS = {
+    "adjoint-c2": lambda fs: build_adjoint(group_algebra(cyclic_group(2), fs)),
+    "adjoint-s3": lambda fs: build_adjoint(group_algebra(symmetric_group_3(), fs)),
+    "group-s3": lambda fs: group_algebra(symmetric_group_3(), fs),
+    "grouprb-s3": lambda fs: build_group_rb_linearization(group_rb_inversion(symmetric_group_3()), fs),
+}
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+@pytest.mark.parametrize("name", sorted(INTEGRAL_BUILDS))
+def test_q_group_build_reduced_mod_p_equals_fp_build(name, p):
+    build = INTEGRAL_BUILDS[name]
+    text = emit(build(RATIONALS))
+    assert "field Q\n" in text
+    reduced, direct = parse(_reduce(text, p)), build(FieldSpec(p))
     assert emit(reduced) == emit(direct)
     assert run_suite(reduced).machine_text() == run_suite(direct).machine_text()
 

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import add_scaled_inplace, comul_vec, eps_vec, mul_vec, tens2
 from test_golden import SUITE_MUTANTS, yd_mutant
 from ydalgebra import hopf, rota
 from ydalgebra.braces import YDBrace, MatchedPair
@@ -26,9 +27,8 @@ from ydalgebra.compiled import IntTable, add_bilinear, compile_vectors, int_item
 from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import (
     ActionTensor, AlgebraData, CoalgebraData, HopfData, StructureError, antipode_law, bialgebra_unit_laws,
-    check_algebra, check_coalgebra, convolution_inverse, hom_convolution_inverse_endo, tens2,
-)
-from ydalgebra.linalg import LinAlgError, Matrix, Vector, accumulate, add_scaled_inplace, identity_matrix, unit_vector
+    check_algebra, check_coalgebra, convolution_inverse, hom_convolution_inverse_endo, )
+from ydalgebra.linalg import LinAlgError, Matrix, Vector, accumulate, identity_matrix, unit_vector
 from ydalgebra.posthopf import YDPostHopf, bullet_algebra, sharp_antipode
 from ydalgebra.report import Checker, Tally, pairs_text, vector_text
 from ydalgebra.rota import RelRB
@@ -46,8 +46,8 @@ def ref_antipode_checker(axiom, a, c, s_map):
     for i in range(c.dim):
         left, right = {}, {}
         for j, k, s in c.comul[i]:
-            add_scaled_inplace(left, a.mul_vec(s_map.column(j), unit_vector(a.dim, k, a.field)), s)
-            add_scaled_inplace(right, a.mul_vec(unit_vector(a.dim, j, a.field), s_map.column(k)), s)
+            add_scaled_inplace(left, mul_vec(a, s_map.column(j), unit_vector(a.dim, k, a.field)), s)
+            add_scaled_inplace(right, mul_vec(a, unit_vector(a.dim, j, a.field), s_map.column(k)), s)
         target = a.unit.scale(c.eps(i))
         ch.compare((i, 0), Vector(a.dim, left, a.field), target, vector_text)
         ch.compare((i, 1), Vector(a.dim, right, a.field), target, vector_text)
@@ -115,9 +115,9 @@ def ref_bialgebra_unit_loops(alg, coalg):
     mult, delta, one = Tally(), Tally(), Tally()
     for i in range(alg.dim):
         for j in range(alg.dim):
-            mult.compare((i, j), coalg.eps_vec(alg.mul[i][j]), coalg.eps(i) * coalg.eps(j))
-    delta.compare((0,), coalg.comul_vec(alg.unit), tens2(alg.unit, alg.unit), pairs_text)
-    one.compare((0,), coalg.eps_vec(alg.unit), alg.field.one)
+            mult.compare((i, j), eps_vec(coalg, alg.mul[i][j]), coalg.eps(i) * coalg.eps(j))
+    delta.compare((0,), comul_vec(coalg, alg.unit), tens2(alg.unit, alg.unit), pairs_text)
+    one.compare((0,), eps_vec(coalg, alg.unit), alg.field.one)
     return mult, delta, one
 
 
@@ -148,8 +148,8 @@ def ref_alg_unit(a):
     t = Tally()
     for i in range(a.dim):
         e_i = unit_vector(a.dim, i, a.field)
-        t.compare((i, 0), a.mul_vec(a.unit, e_i), e_i, vector_text)
-        t.compare((i, 1), a.mul_vec(e_i, a.unit), e_i, vector_text)
+        t.compare((i, 0), mul_vec(a, a.unit, e_i), e_i, vector_text)
+        t.compare((i, 1), mul_vec(a, e_i, a.unit), e_i, vector_text)
     return t
 
 

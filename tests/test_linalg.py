@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ydalgebra import linalg
+from ydalgebra.compiled import bilinear_vectors
 from ydalgebra.field import RATIONALS, FieldSpec, ModInt
 from ydalgebra.hopf import ActionTensor, AlgebraData
 from ydalgebra.linalg import (
@@ -233,8 +234,9 @@ def _sum(dim, fs, terms):
 @given(st.data())
 def test_column_index_and_unchecked_results(data):
     """Matrix.column reads the per-column index, which agrees with a scan of
-    the entries; the contraction helpers build their results unchecked, and
-    those results are exactly what the checking constructor would store."""
+    the entries; ``Matrix.apply`` and the bilinear maps on compiled tables
+    build their results unchecked, and those results are exactly what the
+    checking constructor would store."""
     fs = data.draw(st.sampled_from([RATIONALS, F7]))
     scalar = _SCALARS[fs.p]
 
@@ -263,7 +265,7 @@ def test_column_index_and_unchecked_results(data):
     table = [[vec(d) for _ in range(d)] for _ in range(d)]
     alg = AlgebraData(d, [str(i) for i in range(d)], table, vec(d), fs)
     u, w = vec(d), vec(d)
-    results = [alg.mul_vec(u, w)]
+    results = [bilinear_vectors(alg.int_mul(), d, [u], [w], fs)[0][0]]
     assert results[0].entries == _sum(d, fs, ((k, a * b * x) for i, a in u.entries.items()
                                               for j, b in w.entries.items()
                                               for k, x in table[i][j].entries.items()))
@@ -271,8 +273,11 @@ def test_column_index_and_unchecked_results(data):
     target = data.draw(st.integers(1, 3))
     act = ActionTensor(d, target, [[vec(target) for _ in range(target)] for _ in range(d)], fs)
     t = vec(target)
-    results.append(act.apply(u, t))
-    results += [act.apply_basis(i, t) for i in range(d)]
+    acted = bilinear_vectors(act.int_act(), target, [u, *(unit_vector(d, i, fs) for i in range(d))], [t], fs)
+    assert acted[0][0].entries == _sum(target, fs, ((k, a * b * x) for i, a in u.entries.items()
+                                                    for j, b in t.entries.items()
+                                                    for k, x in act.act[i][j].entries.items()))
+    results += [row[0] for row in acted]
     for r in results:
         _assert_as_checked(r)
 

@@ -15,6 +15,7 @@ from manual_structures import (
     trivial_structure,
     vec4,
 )
+from oracles import act_apply, apply_basis, eps_vec, mul_vec
 from test_golden import GOLDEN, yd_mutant
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import ActionTensor, CoalgebraData, StructureError, check_hopf
@@ -118,7 +119,7 @@ def test_adjoint_coaction_values():
     expected: dict[int, F] = {}
     legs = s.carrier.coalgebra.legs(X, 3)
     for (a1, a2, a3), c in legs:
-        u = bullet.mul_vec(unit_vector(4, a1, RATIONALS), sharp.column(a3))
+        u = mul_vec(bullet, unit_vector(4, a1, RATIONALS), sharp.column(a3))
         for p, cp in u.entries.items():
             key = p * 4 + a2
             expected[key] = expected.get(key, F(0)) + c * cp
@@ -132,7 +133,7 @@ def test_braiding_on_grouplike_and_pre_hopf_verdict():
     # g group-like: sigma(g (x) b) = (g >- (S_>(g) >- b)) (x) g = (g o S_>(g)) >- b (x) g
     for b in range(4):
         col = sigma.column(G * 4 + b)
-        w = s.action.apply_basis(G, s.action.apply_basis(G, unit_vector(4, b, RATIONALS)))
+        w = apply_basis(s.action, G, apply_basis(s.action, G, unit_vector(4, b, RATIONALS)))
         expected = {p * 4 + G: c for p, c in w.entries.items()}
         assert col == Vector(16, expected, RATIONALS)
     # regression value: the braided Sweedler transmutation is braided commutative
@@ -157,7 +158,7 @@ def test_leftharpoon_counit_and_units():
     # eps(a -< b) = eps(a) eps(b)
     for a in range(4):
         for b in range(4):
-            assert coalg.eps_vec(harp.act[a][b]) == coalg.eps(a) * coalg.eps(b)
+            assert eps_vec(coalg, harp.act[a][b]) == coalg.eps(a) * coalg.eps(b)
 
 
 def test_recovery_identities():
@@ -170,13 +171,13 @@ def test_recovery_identities():
         for y in range(4):
             acc = Vector(4, {}, RATIONALS)
             for x1, x2, c in coalg.comul[x]:
-                acc = acc.add(alg.mul_vec(smap.column(x1), bullet.mul[x2][y]).scale(c))
+                acc = acc.add(mul_vec(alg, smap.column(x1), bullet.mul[x2][y]).scale(c))
             assert acc == s.action.act[x][y]
             acc2 = Vector(4, {}, RATIONALS)
             for x1, x2, c in coalg.comul[x]:
                 acc2 = acc2.add(
-                    bullet.mul_vec(unit_vector(4, x1, RATIONALS),
-                                   s.action.apply(sharp.column(x2), unit_vector(4, y, RATIONALS))).scale(c)
+                    mul_vec(bullet, unit_vector(4, x1, RATIONALS),
+                                   act_apply(s.action, sharp.column(x2), unit_vector(4, y, RATIONALS))).scale(c)
                 )
             assert acc2 == alg.mul[x][y]
 
@@ -189,8 +190,8 @@ def test_module_identity_with_bullet():
         for y in range(4):
             w = bullet.mul[x][y]
             for z in range(4):
-                lhs = s.action.apply_basis(x, s.action.act[y][z])
-                rhs = s.action.apply(w, unit_vector(4, z, RATIONALS))
+                lhs = apply_basis(s.action, x, s.action.act[y][z])
+                rhs = act_apply(s.action, w, unit_vector(4, z, RATIONALS))
                 assert lhs == rhs
 
 

@@ -324,6 +324,8 @@ def test_lrb_lie_fails_at_its_loop_order_witness(mutant, side, p):
         witness = witness.replace("-1", str(p - 1))
     assert e.witness.text() == witness
     assert rep.entry(f"LRB-LIE-{'H' if side == 'G' else 'G'}").status == "pass"
+    # the post-Lie data induced on h has h's bracket, so it fails with h
+    assert rep.status("LRB-POSTLIE") == ("fail" if side == "H" else "pass")
 
 
 @pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
