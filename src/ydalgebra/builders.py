@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .compiled import (
-    IntTable, compile_columns, compile_tensor, compile_vectors, int_linear, int_vector, table_vectors, tensor_side,
+    IntTable, _int, _scale, add_linear, compile_columns, compile_tensor, int_linear, int_vector, table_vectors,
+    tensor_side,
 )
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
@@ -97,31 +98,35 @@ def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
         if dw is None:
             raise StructureError("peel order must follow the basis order")
         terms = [(legs, pq, s * c) for legs, s in legs4[u] for pq, c in dw.items()]
-        coeffs = compile_vectors([Vector(len(terms), {k: sc for k, (_, _, sc) in enumerate(terms)}, fs)], fs)
+        den = _scale((sc for _, _, sc in terms), fs.p)
         acc: dict[int, int] = {}
-        for k, c in coeffs.rows[0]:
-            (l1, l2, l3, l4), (p, q), _ = terms[k]
+        for (l1, l2, l3, l4), (p, q), sc in terms:
+            c = _int(sc, den, fs.p)
+            if not c:
+                continue
             v = fused.get((l1, l2, l4, p))
             if v is None:
                 v = fused[(l1, l2, l4, p)] = int_linear(left.rows[l1], int_linear(alpha.rows[l2], beta.rows[l4][p],
                                                                                   fs.p), fs.p)
             tensor_side(v, left.rows[l3][q], dim)(acc, (), c)
-        out = int_vector(dim * dim, acc, coeffs.scale * scale, fs)
+        out = int_vector(dim * dim, acc, den * scale, fs)
         delta[m] = {divmod(key, dim): c for key, c in out.entries.items()}
     return [sorted((p, q, c) for (p, q), c in d.items()) for d in delta]
 
 
 def _row_combination(row_of, v: Vector, dim: int, fs: FieldSpec) -> list[Vector]:
-    """Sum over v's (t, c) of c * row_of(t)[j], for each j < dim: one
-    ``Matrix.apply`` on the rows row_of(t) flattened, t in v's support."""
+    """Sum over v's (t, c) of c * row_of(t)[j], for each j < dim, summed as
+    ints on the compiled rows row_of(t), t in v's support."""
     support = sorted(v.entries)
-    flat = Matrix(dim * dim, len(support), {(j * dim + q, k): c for k, t in enumerate(support)
-                                            for j, col in enumerate(row_of(t)) for q, c in col.entries.items()}, fs)
-    out: list[dict] = [{} for _ in range(dim)]
-    for jq, c in flat.apply(Vector(len(support), {k: v.entries[t] for k, t in enumerate(support)}, fs)).entries.items():
-        j, q = divmod(jq, dim)
-        out[j][q] = c
-    return [Vector(dim, e, fs) for e in out]
+    rows = compile_tensor([row_of(t) for t in support], fs)
+    den = _scale(v.entries.values(), fs.p)
+    coeffs = [(k, _int(v.entries[t], den, fs.p)) for k, t in enumerate(support)]
+    out = []
+    for j in range(dim):
+        acc: dict[int, int] = {}
+        add_linear(acc, [row[j] for row in rows.rows], coeffs, 1)
+        out.append(int_vector(dim, acc, rows.scale * den, fs))
+    return out
 
 
 # --- E(n) family (Sweedler is n = 1) ----------------------------------------

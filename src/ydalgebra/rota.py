@@ -607,7 +607,7 @@ def antipode_sk(r: RelRB) -> Matrix:
     if rinv is None:
         raise StructureError("R is not bijective; S_K needs the full notion")
     rsr = compile_columns(rinv.compose(r.h.antipode).compose(r.r_map))
-    sk = column_matrix(r.dim_k, convolve(pull_back(r.action, _r_columns(r)), one_column(rsr), r.k_coalg), r.field)
+    sk = column_matrix(r.dim_k, convolve(_rb_tables(r).acted, one_column(rsr), r.k_coalg), r.field)
     if antipode_law(r.k_alg, r.k_coalg, sk).failures:
         raise StructureError("derived S_K fails the antipode identities")
     return sk
@@ -667,7 +667,7 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
             s_k = solve_antipode(r.k_alg, r.k_coalg)
             if s_k is None:
                 raise StructureError("carrier has no braided antipode")
-    act_r = pulled_back(r.action, _r_columns(r))
+    act_r = ActionTensor(dk, dk, table_vectors(dk, _rb_tables(r).acted, r.field), r.field)
     beta = pulled_back(r.action, compile_columns(r.h.antipode.compose(r.r_map)))
     return YDPostHopf(BraidedPair(r.k_alg, r.k_coalg, s_k), act_r, beta, params=dict(r.params))
 

@@ -2,6 +2,7 @@
 reductions, derivation identities along the functors."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from manual_structures import sweedler_transmutation_manual
 from oracles import act_apply, bracket_vec, comul_vec
 from test_compiled import tens2_add_scaled
 from test_hopf import h4_algebra, h4_coalgebra
-from ydalgebra import linalg, posthopf, rota
+from ydalgebra import compiled, linalg, posthopf, rota
 from ydalgebra.braces import functor_f, to_matched_pair
 from ydalgebra.builders import (
     build_en,
@@ -41,7 +42,7 @@ from ydalgebra.posthopf import (
     sharp_antipode,
     subadjacent_hopf,
 )
-from ydalgebra.rota import LieData, LieRB, check_lie_rb, functor_l, functor_r, restrict_to_primitives
+from ydalgebra.rota import LieData, LieRB, check_lie_rb, functor_l, functor_m, functor_r, restrict_to_primitives
 
 F = Fraction
 
@@ -231,26 +232,34 @@ def test_shared_column_vectors_are_never_mutated(field, monkeypatch):
     """Matrix.column hands out the vectors of its index, not copies; after
     the suites and every derive target, each indexed column still equals
     the column read from the matrix entries, so no caller wrote into one.
-    On the way, every vector built without the checking constructor (the
-    column index and the solver's results, the only such vectors left)
-    holds what that constructor would store."""
-    built = []
+    On the way, every vector built without the checking constructor holds
+    what that constructor would store: the column index and the solver's
+    results in linalg, and the int sums that ``compiled.int_vector`` turns
+    into vectors for posthopf, rota and the rest of the package."""
+    built: dict[tuple[str, str], int] = {}  # (the module calling _vector, the module it builds for)
     unchecked = linalg._vector
 
     def checked(dim, entries, fs):
         stored = Vector(dim, dict(entries), fs)  # raises on an index out of range
         assert [(k, type(c), c) for k, c in entries.items()] == \
             [(k, type(c), c) for k, c in stored.entries.items()]
-        built.append(dim)
+        frame = sys._getframe(1)
+        via = frame.f_globals["__name__"]
+        while frame.f_globals["__name__"] == compiled.__name__:
+            frame = frame.f_back
+        key = (via.rsplit(".", 1)[1], frame.f_globals["__name__"].rsplit(".", 1)[1])
+        built[key] = built.get(key, 0) + 1
         return unchecked(dim, entries, fs)
 
     assert not hasattr(posthopf, "_vector") and not hasattr(rota, "_vector")
     monkeypatch.setattr(linalg, "_vector", checked)
+    monkeypatch.setattr(compiled, "_vector", checked)
     s = build_en(2, [[1, F(1, 2)], [F(1, 2), 3]], field)
     assert check_yd_post_hopf(s).all_pass()
     assert check_yd_hopf_monoid(s).all_pass()
-    derived = [subadjacent_hopf(s), extract_post_lie(s), functor_f(s), to_matched_pair(s),
-               functor_l(s)]
+    rb = functor_l(s)
+    derived = [subadjacent_hopf(s), extract_post_lie(s), functor_f(s), to_matched_pair(s), rb, functor_m(rb),
+               functor_r(rb)]
     for obj in derived:
         assert run_suite(obj).all_pass()
     found: list = []
@@ -261,4 +270,4 @@ def test_shared_column_vectors_are_never_mutated(field, monkeypatch):
         for c in range(m.cols):
             scan = {r: v for (r, cc), v in m.entries.items() if cc == c}
             assert m.column(c) == Vector(m.rows, scan, m.field)
-    assert built
+    assert built.get(("linalg", "linalg")) and built.get(("compiled", "posthopf")) and built.get(("compiled", "rota"))
