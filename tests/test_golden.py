@@ -9,6 +9,7 @@ change is intended, and review the diff.
 
 import re
 from fractions import Fraction
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,55 @@ def test_every_line_of_a_derived_file_is_load_bearing(name):
     assert [line for line in unread if line.split()[0] not in UNREAD_LINES] == []
 
 
+# Every small golden, each of its lines malformed five ways: the line
+# deleted, its last token dropped, its last token a bad scalar, the line
+# duplicated, its first index set to 99.  The outcome of each is the
+# ParseError line or a digest of the text emitted from what parsed ("same"
+# when that is the golden itself), so a change to the parser cannot move a
+# diagnostic or let a malformed file through unseen.
+MALFORMED_MAX_LINES = 150
+MALFORMATIONS = ("deleted", "truncated", "bad scalar", "duplicated", "index 99")
+
+
+def _malformations(line: str) -> list:
+    """The replacement lines of each malformation, None for an index change
+    of a line whose first argument is not an index."""
+    parts = line.split()
+    return [[], [" ".join(parts[:-1])], [" ".join([*parts[:-1], "1/x"])], [line, line],
+            [" ".join([parts[0], "99", *parts[2:]])] if parts[1:2] and parts[1].isdigit() else None]
+
+
+def _parse_outcome(text: str, source: str) -> str:
+    try:
+        out = emit(parse(text))
+    except ParseError as e:
+        return str(e)
+    return "same" if out == source else sha256(out.encode()).hexdigest()[:12]
+
+
+def malformed_outcomes() -> str:
+    """One block per golden under MALFORMED_MAX_LINES lines: its name, then
+    per line the line number and the outcome of each of MALFORMATIONS
+    ("-" where it does not apply), tab-separated."""
+    rows = []
+    for path in sorted(GOLDEN.glob("*.struct")):
+        source = path.read_text()
+        lines = source.splitlines()
+        if len(lines) >= MALFORMED_MAX_LINES:
+            continue
+        rows.append(path.name)
+        for i, line in enumerate(lines):
+            outcomes = ["-" if new is None else
+                        _parse_outcome("\n".join([*lines[:i], *new, *lines[i + 1:]]) + "\n", source)
+                        for new in _malformations(line)]
+            rows.append("\t".join([str(i + 1), *outcomes]))
+    return "\n".join(rows) + "\n"
+
+
+def test_malformed_inputs_parse_as_before():
+    assert malformed_outcomes().splitlines() == (GOLDEN / "malformed.outcomes").read_text().splitlines()
+
+
 def write_golden() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in EXAMPLES:
@@ -410,6 +460,7 @@ def write_golden() -> None:
         (GOLDEN / f"suite-{name}.report").write_text(_suite_report(name))
     for name in KIND_MUTANTS:
         (GOLDEN / f"suite-{name}.report").write_text(_kind_suite_report(name))
+    (GOLDEN / "malformed.outcomes").write_text(malformed_outcomes())
 
 
 if __name__ == "__main__":
