@@ -6,6 +6,11 @@ c * e_k.  Coefficients use the exact scalar format (-a/b, b omitted when
 1); zeros are never written and are rejected on input, triples must be
 strictly sorted and unique, so emission is canonical and parse o emit is
 the identity on parsed data.
+
+Every kind but the group, Lie and post-Lie ones carries a Hopf block (unit,
+counit, mul, comul, antipode), and a relrb file carries two, under the
+prefixes ``k.`` and ``h.``: ``_emit_hopf`` writes a block and
+``_parse_hopf`` reads it, for every kind.
 """
 
 from __future__ import annotations
@@ -59,21 +64,7 @@ def _emit_mul(name: str, mul, out: list[str]) -> None:
                 out.append(f"{name} {i} {j} {k} {format_scalar(c)}")
 
 
-def _emit_comul(name: str, comul, out: list[str]) -> None:
-    for i, terms in enumerate(comul):
-        for j, k, c in terms:
-            out.append(f"{name} {i} {j} {k} {format_scalar(c)}")
-
-
-def _emit_field(field: FieldSpec, out: list[str]) -> None:
-    out.append("field Q" if field.p is None else f"field Fp {field.p}")
-
-
-def _emit_header(kind: str, field: FieldSpec, dim: int, labels, out: list[str],
-                 prefix: str = "") -> None:
-    if not prefix:
-        out.append(f"kind {kind}")
-        _emit_field(field, out)
+def _emit_dim_basis(prefix: str, dim: int, labels, out: list[str]) -> None:
     out.append(f"{prefix}dim {dim}")
     out.append((f"{prefix}basis " + " ".join(labels)).rstrip())
 
@@ -81,6 +72,19 @@ def _emit_header(kind: str, field: FieldSpec, dim: int, labels, out: list[str],
 def _emit_params(params: dict[str, Scalar], out: list[str]) -> None:
     for name in sorted(params):
         out.append(f"param {name} {format_scalar(params[name])}")
+
+
+def _emit_hopf(prefix: str, alg: AlgebraData, coalg: CoalgebraData,
+               antipode: Matrix | None, out: list[str]) -> None:
+    """The Hopf block: unit, counit, mul, comul, then the antipode if any."""
+    _emit_vector(prefix + "unit", alg.unit, out)
+    _emit_vector(prefix + "counit", coalg.counit, out)
+    _emit_mul(prefix + "mul", alg.mul, out)
+    for i, terms in enumerate(coalg.comul):
+        for j, k, c in terms:
+            out.append(f"{prefix}comul {i} {j} {k} {format_scalar(c)}")
+    if antipode is not None:
+        _emit_matrix(prefix + "antipode", antipode, out)
 
 
 def kind_of(obj) -> str:
@@ -108,111 +112,64 @@ def kind_of(obj) -> str:
 def emit(obj) -> str:
     """Canonical text form of a structure; deterministic bytes."""
     kind = kind_of(obj)
-    out: list[str] = []
+    out = [f"kind {kind}"]
+    if kind == "grouprb":
+        g, h = obj.group_g, obj.group_h
+        for name, table, group in (("gmul", g.mul, g), ("hmul", h.mul, h), ("phi", obj.phi, None)):
+            if group is not None:
+                out += [f"{name[0]}order {group.order}", f"{name[0]}elems " + " ".join(group.elements)]
+            out += [f"{name} {i} {j} {k}" for i, row in enumerate(table) for j, k in enumerate(row)]
+        out += [f"rmap {i} {k}" for i, k in enumerate(obj.r)]
+        return "\n".join(out) + "\n"
+    field = obj.lie_h.field if kind == "lierb" else obj.field
+    out.append("field Q" if field.p is None else f"field Fp {field.p}")
     if kind == "algebra":
-        _emit_header(kind, obj.field, obj.dim, obj.basis_labels, out)
+        _emit_dim_basis("", obj.dim, obj.basis_labels, out)
         _emit_vector("unit", obj.unit, out)
         _emit_mul("mul", obj.mul, out)
     elif kind == "hopf":
-        _emit_header(kind, obj.field, obj.dim, obj.algebra.basis_labels, out)
-        _emit_vector("unit", obj.algebra.unit, out)
-        _emit_vector("counit", obj.coalgebra.counit, out)
-        _emit_mul("mul", obj.algebra.mul, out)
-        _emit_comul("comul", obj.coalgebra.comul, out)
-        _emit_matrix("antipode", obj.antipode, out)
-    elif kind == "ydpost":
-        _emit_header(kind, obj.field, obj.dim, obj.carrier.algebra.basis_labels, out)
+        _emit_dim_basis("", obj.dim, obj.algebra.basis_labels, out)
+        _emit_hopf("", obj.algebra, obj.coalgebra, obj.antipode, out)
+    elif kind in ("ydpost", "ydbrace"):
+        side = obj.carrier if kind == "ydpost" else obj.dot_side
+        _emit_dim_basis("", obj.dim, side.algebra.basis_labels, out)
         _emit_params(obj.params, out)
-        _emit_vector("unit", obj.carrier.algebra.unit, out)
-        _emit_vector("counit", obj.carrier.coalgebra.counit, out)
-        _emit_mul("mul", obj.carrier.algebra.mul, out)
-        _emit_comul("comul", obj.carrier.coalgebra.comul, out)
-        _emit_matrix("antipode", obj.carrier.s_map, out)
-        _emit_mul("action", obj.action.act, out)
-        if obj.beta is not None:
-            _emit_mul("beta", obj.beta.act, out)
-    elif kind == "ydbrace":
-        _emit_header(kind, obj.field, obj.dim, obj.dot_side.algebra.basis_labels, out)
-        _emit_params(obj.params, out)
-        _emit_vector("unit", obj.dot_side.algebra.unit, out)
-        _emit_vector("counit", obj.dot_side.coalgebra.counit, out)
-        _emit_mul("mul", obj.dot_side.algebra.mul, out)
-        _emit_comul("comul", obj.dot_side.coalgebra.comul, out)
-        _emit_matrix("antipode", obj.dot_side.s_map, out)
-        _emit_mul("bullet", obj.bullet_side.algebra.mul, out)
-        _emit_matrix("antipode2", obj.bullet_side.antipode, out)
+        _emit_hopf("", side.algebra, side.coalgebra, side.s_map, out)
+        if kind == "ydpost":
+            _emit_mul("action", obj.action.act, out)
+            if obj.beta is not None:
+                _emit_mul("beta", obj.beta.act, out)
+        else:
+            _emit_mul("bullet", obj.bullet_side.algebra.mul, out)
+            _emit_matrix("antipode2", obj.bullet_side.antipode, out)
     elif kind == "matchedpair":
-        _emit_header(kind, obj.field, obj.dim, obj.hopf.algebra.basis_labels, out)
+        _emit_dim_basis("", obj.dim, obj.hopf.algebra.basis_labels, out)
         _emit_params(obj.params, out)
-        _emit_vector("unit", obj.hopf.algebra.unit, out)
-        _emit_vector("counit", obj.hopf.coalgebra.counit, out)
-        _emit_mul("mul", obj.hopf.algebra.mul, out)
-        _emit_comul("comul", obj.hopf.coalgebra.comul, out)
-        _emit_matrix("antipode", obj.hopf.antipode, out)
+        _emit_hopf("", obj.hopf.algebra, obj.hopf.coalgebra, obj.hopf.antipode, out)
         _emit_mul("action", obj.left_action.act, out)
         _emit_mul("raction", obj.right_action.act, out)
     elif kind == "relrb":
-        out.append("kind relrb")
-        _emit_field(obj.field, out)
         _emit_params(obj.params, out)
-        _emit_header("", obj.field, obj.k_alg.dim, obj.k_alg.basis_labels, out, prefix="k.")
-        _emit_vector("k.unit", obj.k_alg.unit, out)
-        _emit_vector("k.counit", obj.k_coalg.counit, out)
-        _emit_mul("k.mul", obj.k_alg.mul, out)
-        _emit_comul("k.comul", obj.k_coalg.comul, out)
-        if obj.k_antipode is not None:
-            _emit_matrix("k.antipode", obj.k_antipode, out)
-        _emit_header("", obj.field, obj.h.dim, obj.h.algebra.basis_labels, out, prefix="h.")
-        _emit_vector("h.unit", obj.h.algebra.unit, out)
-        _emit_vector("h.counit", obj.h.coalgebra.counit, out)
-        _emit_mul("h.mul", obj.h.algebra.mul, out)
-        _emit_comul("h.comul", obj.h.coalgebra.comul, out)
-        _emit_matrix("h.antipode", obj.h.antipode, out)
+        _emit_dim_basis("k.", obj.k_alg.dim, obj.k_alg.basis_labels, out)
+        _emit_hopf("k.", obj.k_alg, obj.k_coalg, obj.k_antipode, out)
+        _emit_dim_basis("h.", obj.h.dim, obj.h.algebra.basis_labels, out)
+        _emit_hopf("h.", obj.h.algebra, obj.h.coalgebra, obj.h.antipode, out)
         _emit_mul("action", obj.action.act, out)
         if obj.coaction is not None:
             dk = obj.k_alg.dim
-            entries = sorted(
-                (c_idx, r_idx // dk, r_idx % dk, val)
-                for (r_idx, c_idx), val in obj.coaction.entries.items()
-            )
-            for a, p, q, val in entries:
+            for a, p, q, val in sorted((c, r // dk, r % dk, val) for (r, c), val in obj.coaction.entries.items()):
                 out.append(f"coaction {a} {p} {q} {format_scalar(val)}")
         _emit_matrix("rmap", obj.r_map, out)
-    elif kind == "grouprb":
-        out.append("kind grouprb")
-        out.append(f"gorder {obj.group_g.order}")
-        out.append("gelems " + " ".join(obj.group_g.elements))
-        for i, row in enumerate(obj.group_g.mul):
-            for j, k in enumerate(row):
-                out.append(f"gmul {i} {j} {k}")
-        out.append(f"horder {obj.group_h.order}")
-        out.append("helems " + " ".join(obj.group_h.elements))
-        for i, row in enumerate(obj.group_h.mul):
-            for j, k in enumerate(row):
-                out.append(f"hmul {i} {j} {k}")
-        for i, row in enumerate(obj.phi):
-            for j, k in enumerate(row):
-                out.append(f"phi {i} {j} {k}")
-        for i, k in enumerate(obj.r):
-            out.append(f"rmap {i} {k}")
     elif kind == "lierb":
-        out.append("kind lierb")
-        _emit_field(obj.lie_h.field, out)
-        out.append(f"g.dim {obj.lie_g.dim}")
-        out.append(("g.basis " + " ".join(f"X{i}" for i in range(obj.lie_g.dim))).rstrip())
-        _emit_mul("g.bracket", obj.lie_g.bracket, out)
-        out.append(f"dim {obj.lie_h.dim}")
-        out.append(("basis " + " ".join(f"Y{i}" for i in range(obj.lie_h.dim))).rstrip())
-        _emit_mul("bracket", obj.lie_h.bracket, out)
+        for prefix, letter, lie in (("g.", "X", obj.lie_g), ("", "Y", obj.lie_h)):
+            _emit_dim_basis(prefix, lie.dim, [f"{letter}{i}" for i in range(lie.dim)], out)
+            _emit_mul(prefix + "bracket", lie.bracket, out)
         _emit_mul("phi", obj.phi.act, out)
         _emit_matrix("rmap", obj.r, out)
-    elif kind == "postlie":
-        _emit_header(kind, obj.field, obj.dim,
-                     [f"p{i}" for i in range(obj.dim)], out)
+    else:
+        _emit_dim_basis("", obj.dim, [f"p{i}" for i in range(obj.dim)], out)
         _emit_mul("bracket", obj.bracket, out)
         _emit_mul("action", obj.action, out)
-    else:  # pragma: no cover
-        raise StructureError(kind)
     return "\n".join(out) + "\n"
 
 
@@ -335,15 +292,13 @@ def _parse_matrix(lines: _Lines, key: str, rows: int, cols: int,
 
 
 def _parse_trilinear(lines: _Lines, key: str, d1: int, d2: int, d3: int,
-                     field: FieldSpec, required: bool = False):
+                     field: FieldSpec, required: bool = True) -> list[list[Vector]]:
+    """rows[i][j] = sum of c e_k over the ``key i j k c`` lines; the zero
+    table when there are none and the entries are not required."""
     got = lines.rows(key)
-    if not got:
-        if required:
-            raise ParseError(f"missing {key} entries")
-        return None
-    rows: list[list[dict[int, Scalar]]] = [
-        [dict() for _ in range(d2)] for _ in range(d1)
-    ]
+    if required and not got:
+        raise ParseError(f"missing {key} entries")
+    rows: list[list[dict[int, Scalar]]] = [[{} for _ in range(d2)] for _ in range(d1)]
     last = (-1, -1, -1)
     for ln, args in got:
         if len(args) != 4:
@@ -356,20 +311,6 @@ def _parse_trilinear(lines: _Lines, key: str, d1: int, d2: int, d3: int,
         last = (i, j, k)
         rows[i][j][k] = _parse_scalar_tok(args[3], field, ln)
     return [[Vector(d3, cell, field) for cell in row] for row in rows]
-
-
-def _parse_comul(lines: _Lines, key: str, dim: int, field: FieldSpec):
-    tri = _parse_trilinear(lines, key, dim, dim, dim, field)
-    if tri is None:
-        raise ParseError(f"missing {key} entries")
-    comul = []
-    for i in range(dim):
-        terms = []
-        for j in range(dim):
-            for k, c in tri[i][j].items_sorted():
-                terms.append((j, k, c))
-        comul.append(terms)
-    return comul
 
 
 def _parse_params(lines: _Lines, field: FieldSpec) -> dict[str, Scalar]:
@@ -386,15 +327,34 @@ def _parse_params(lines: _Lines, field: FieldSpec) -> dict[str, Scalar]:
     return params
 
 
-_COMMON = {"kind", "field", "dim", "basis", "param", "unit", "counit",
-           "mul", "comul", "antipode"}
+def _parse_hopf(lines: _Lines, prefix: str, dim: int, labels: list[str],
+                field: FieldSpec) -> tuple[AlgebraData, CoalgebraData, Matrix | None]:
+    """The Hopf block under ``prefix``, read as mul, unit, comul, counit,
+    antipode: its algebra, its coalgebra, and its antipode, None when the
+    file has no antipode lines."""
+    mul = _parse_trilinear(lines, prefix + "mul", dim, dim, dim, field)
+    alg = AlgebraData(dim, labels, mul, _parse_vector(lines, prefix + "unit", dim, field), field)
+    comul = [[(j, k, c) for j, v in enumerate(row) for k, c in v.items_sorted()]
+             for row in _parse_trilinear(lines, prefix + "comul", dim, dim, dim, field)]
+    coalg = CoalgebraData(dim, comul, _parse_vector(lines, prefix + "counit", dim, field), field)
+    return alg, coalg, _parse_matrix(lines, prefix + "antipode", dim, dim, field)
+
+
+_HOPF_KEYS = ("dim", "basis", "unit", "counit", "mul", "comul", "antipode")
+_COMMON = {"kind", "field", "param", *_HOPF_KEYS}
+# the directives of each kind with one Hopf block, beyond _COMMON, and the
+# error for a file of that kind without antipode lines
+_EXTRA = {"hopf": (), "ydpost": ("action", "beta"), "ydbrace": ("bullet", "antipode2"),
+          "matchedpair": ("action", "raction")}
+_NO_ANTIPODE = {"hopf": "hopf structures need antipode entries",
+                "ydpost": "ydpost structures need antipode entries",
+                "matchedpair": "matched pairs need antipode entries"}
 
 
 def parse(text: str):
     """Parse a structure file; returns the typed structure object."""
     lines = _Lines(text)
-    got = lines.single("kind")
-    ln, args = got
+    ln, args = lines.single("kind")
     if len(args) != 1 or args[0] not in KINDS:
         raise ParseError(f"kind must be one of {', '.join(KINDS)}", ln)
     kind = args[0]
@@ -404,120 +364,55 @@ def parse(text: str):
     if kind == "algebra":
         lines.known({"kind", "field", "dim", "basis", "param", "unit", "mul"})
         dim, labels = _parse_dim_basis(lines)
-        mul = _parse_trilinear(lines, "mul", dim, dim, dim, field, required=True)
-        unit = _parse_vector(lines, "unit", dim, field)
-        return AlgebraData(dim, labels, mul, unit, field)
-    if kind == "hopf":
-        lines.known(_COMMON)
+        mul = _parse_trilinear(lines, "mul", dim, dim, dim, field)
+        return AlgebraData(dim, labels, mul, _parse_vector(lines, "unit", dim, field), field)
+    if kind in _EXTRA:
+        lines.known(_COMMON | set(_EXTRA[kind]))
         dim, labels = _parse_dim_basis(lines)
-        alg = AlgebraData(dim, labels,
-                          _parse_trilinear(lines, "mul", dim, dim, dim, field, required=True),
-                          _parse_vector(lines, "unit", dim, field), field)
-        coalg = CoalgebraData(dim, _parse_comul(lines, "comul", dim, field),
-                              _parse_vector(lines, "counit", dim, field), field)
-        anti = _parse_matrix(lines, "antipode", dim, dim, field)
-        if anti is None:
-            raise ParseError("hopf structures need antipode entries")
-        return HopfData(alg, coalg, anti)
-    if kind == "ydpost":
-        lines.known(_COMMON | {"action", "beta"})
-        dim, labels = _parse_dim_basis(lines)
-        alg = AlgebraData(dim, labels,
-                          _parse_trilinear(lines, "mul", dim, dim, dim, field, required=True),
-                          _parse_vector(lines, "unit", dim, field), field)
-        coalg = CoalgebraData(dim, _parse_comul(lines, "comul", dim, field),
-                              _parse_vector(lines, "counit", dim, field), field)
-        anti = _parse_matrix(lines, "antipode", dim, dim, field)
-        if anti is None:
-            raise ParseError("ydpost structures need antipode entries")
-        act = _parse_trilinear(lines, "action", dim, dim, dim, field, required=True)
-        beta = _parse_trilinear(lines, "beta", dim, dim, dim, field)
-        return YDPostHopf(
-            BraidedPair(alg, coalg, anti),
-            ActionTensor(dim, dim, act, field),
-            None if beta is None else ActionTensor(dim, dim, beta, field),
-            params=_parse_params(lines, field),
-        )
-    if kind == "ydbrace":
-        lines.known(_COMMON | {"bullet", "antipode2"})
-        dim, labels = _parse_dim_basis(lines)
-        alg = AlgebraData(dim, labels,
-                          _parse_trilinear(lines, "mul", dim, dim, dim, field, required=True),
-                          _parse_vector(lines, "unit", dim, field), field)
-        coalg = CoalgebraData(dim, _parse_comul(lines, "comul", dim, field),
-                              _parse_vector(lines, "counit", dim, field), field)
-        s_map = _parse_matrix(lines, "antipode", dim, dim, field)
-        bullet = _parse_trilinear(lines, "bullet", dim, dim, dim, field, required=True)
-        t_map = _parse_matrix(lines, "antipode2", dim, dim, field)
-        if s_map is None or t_map is None:
-            raise ParseError("ydbrace structures need both antipodes")
-        return YDBrace(
-            BraidedPair(alg, coalg, s_map),
-            HopfData(AlgebraData(dim, labels, bullet, alg.unit, field), coalg, t_map),
-            params=_parse_params(lines, field),
-        )
-    if kind == "matchedpair":
-        lines.known(_COMMON | {"action", "raction"})
-        dim, labels = _parse_dim_basis(lines)
-        alg = AlgebraData(dim, labels,
-                          _parse_trilinear(lines, "mul", dim, dim, dim, field, required=True),
-                          _parse_vector(lines, "unit", dim, field), field)
-        coalg = CoalgebraData(dim, _parse_comul(lines, "comul", dim, field),
-                              _parse_vector(lines, "counit", dim, field), field)
-        t_map = _parse_matrix(lines, "antipode", dim, dim, field)
-        if t_map is None:
-            raise ParseError("matched pairs need antipode entries")
-        left = _parse_trilinear(lines, "action", dim, dim, dim, field, required=True)
-        right = _parse_trilinear(lines, "raction", dim, dim, dim, field, required=True)
-        return MatchedPair(
-            HopfData(alg, coalg, t_map),
-            ActionTensor(dim, dim, left, field),
-            ActionTensor(dim, dim, right, field),
-            params=_parse_params(lines, field),
-        )
+        alg, coalg, anti = _parse_hopf(lines, "", dim, labels, field)
+        if anti is None and kind in _NO_ANTIPODE:
+            raise ParseError(_NO_ANTIPODE[kind])
+
+        def tensor(key: str) -> ActionTensor:
+            return ActionTensor(dim, dim, _parse_trilinear(lines, key, dim, dim, dim, field), field)
+
+        if kind == "hopf":
+            return HopfData(alg, coalg, anti)
+        if kind == "ydpost":
+            action = tensor("action")
+            beta = tensor("beta") if lines.rows("beta") else None
+            return YDPostHopf(BraidedPair(alg, coalg, anti), action, beta,
+                              params=_parse_params(lines, field))
+        if kind == "ydbrace":
+            bullet = _parse_trilinear(lines, "bullet", dim, dim, dim, field)
+            t_map = _parse_matrix(lines, "antipode2", dim, dim, field)
+            if anti is None or t_map is None:
+                raise ParseError("ydbrace structures need both antipodes")
+            return YDBrace(
+                BraidedPair(alg, coalg, anti),
+                HopfData(AlgebraData(dim, labels, bullet, alg.unit, field), coalg, t_map),
+                params=_parse_params(lines, field),
+            )
+        left, right = tensor("action"), tensor("raction")
+        return MatchedPair(HopfData(alg, coalg, anti), left, right, params=_parse_params(lines, field))
     if kind == "relrb":
-        lines.known({
-            "kind", "field", "param",
-            "k.dim", "k.basis", "k.unit", "k.counit", "k.mul", "k.comul", "k.antipode",
-            "h.dim", "h.basis", "h.unit", "h.counit", "h.mul", "h.comul", "h.antipode",
-            "action", "coaction", "rmap",
-        })
+        lines.known({"kind", "field", "param", "action", "coaction", "rmap",
+                     *(prefix + key for prefix in ("k.", "h.") for key in _HOPF_KEYS)})
         dk, klabels = _parse_dim_basis(lines, "k.")
         dh, hlabels = _parse_dim_basis(lines, "h.")
-        kalg = AlgebraData(dk, klabels,
-                           _parse_trilinear(lines, "k.mul", dk, dk, dk, field, required=True),
-                           _parse_vector(lines, "k.unit", dk, field), field)
-        kco = CoalgebraData(dk, _parse_comul(lines, "k.comul", dk, field),
-                            _parse_vector(lines, "k.counit", dk, field), field)
-        kanti = _parse_matrix(lines, "k.antipode", dk, dk, field)
-        halg = AlgebraData(dh, hlabels,
-                           _parse_trilinear(lines, "h.mul", dh, dh, dh, field, required=True),
-                           _parse_vector(lines, "h.unit", dh, field), field)
-        hco = CoalgebraData(dh, _parse_comul(lines, "h.comul", dh, field),
-                            _parse_vector(lines, "h.counit", dh, field), field)
-        hanti = _parse_matrix(lines, "h.antipode", dh, dh, field)
+        kalg, kco, kanti = _parse_hopf(lines, "k.", dk, klabels, field)
+        halg, hco, hanti = _parse_hopf(lines, "h.", dh, hlabels, field)
         if hanti is None:
             raise ParseError("relrb needs h.antipode entries")
-        act = _parse_trilinear(lines, "action", dh, dk, dk, field, required=True)
+        act = _parse_trilinear(lines, "action", dh, dk, dk, field)
         rmap = _parse_matrix(lines, "rmap", dh, dk, field)
         if rmap is None:
             raise ParseError("relrb needs rmap entries")
         coaction = None
-        rows = lines.rows("coaction")
-        if rows:
-            entries: dict[tuple[int, int], Scalar] = {}
-            last = (-1, -1, -1)
-            for ln2, args2 in rows:
-                if len(args2) != 4:
-                    raise ParseError("coaction takes three indices and a coefficient", ln2)
-                a = _parse_int(args2[0], ln2, dk)
-                p = _parse_int(args2[1], ln2, dh)
-                q = _parse_int(args2[2], ln2, dk)
-                if (a, p, q) <= last:
-                    raise ParseError("coaction triples must be strictly sorted", ln2)
-                last = (a, p, q)
-                entries[(p * dk + q, a)] = _parse_scalar_tok(args2[3], field, ln2)
-            coaction = Matrix(dh * dk, dk, entries, field)
+        if lines.rows("coaction"):
+            rows = _parse_trilinear(lines, "coaction", dk, dh, dk, field)
+            coaction = Matrix(dh * dk, dk, {(p * dk + q, a): c for a, row in enumerate(rows)
+                                            for p, v in enumerate(row) for q, c in v.items_sorted()}, field)
         return RelRB(HopfData(halg, hco, hanti), kalg, kco, kanti,
                      ActionTensor(dh, dk, act, field), coaction, rmap,
                      params=_parse_params(lines, field))
@@ -526,81 +421,64 @@ def parse(text: str):
                      "dim", "basis", "bracket", "phi", "rmap"})
         dg, _ = _parse_dim_basis(lines, "g.")
         dh, _ = _parse_dim_basis(lines)
-        g_br = _parse_trilinear(lines, "g.bracket", dg, dg, dg, field) or [
-            [Vector(dg, {}, field) for _ in range(dg)] for _ in range(dg)
-        ]
-        h_br = _parse_trilinear(lines, "bracket", dh, dh, dh, field) or [
-            [Vector(dh, {}, field) for _ in range(dh)] for _ in range(dh)
-        ]
-        phi = _parse_trilinear(lines, "phi", dg, dh, dh, field) or [
-            [Vector(dh, {}, field) for _ in range(dh)] for _ in range(dg)
-        ]
-        rmap = _parse_matrix(lines, "rmap", dg, dh, field)
-        if rmap is None:
-            rmap = Matrix(dg, dh, {}, field)
+        g_br = _parse_trilinear(lines, "g.bracket", dg, dg, dg, field, required=False)
+        h_br = _parse_trilinear(lines, "bracket", dh, dh, dh, field, required=False)
+        phi = _parse_trilinear(lines, "phi", dg, dh, dh, field, required=False)
+        rmap = _parse_matrix(lines, "rmap", dg, dh, field) or Matrix(dg, dh, {}, field)
         return LieRB(LieData(dg, g_br, field), LieData(dh, h_br, field),
                      ActionTensor(dg, dh, phi, field), rmap)
-    if kind == "postlie":
-        lines.known({"kind", "field", "dim", "basis", "bracket", "action"})
-        dim, _ = _parse_dim_basis(lines)
-        zero_rows = [[Vector(dim, {}, field) for _ in range(dim)] for _ in range(dim)]
-        br = _parse_trilinear(lines, "bracket", dim, dim, dim, field) or zero_rows
-        act = _parse_trilinear(lines, "action", dim, dim, dim, field) or [
-            [Vector(dim, {}, field) for _ in range(dim)] for _ in range(dim)
-        ]
-        return PostLieData(dim, br, act, field)
-    raise ParseError(f"unhandled kind {kind}")  # pragma: no cover
+    lines.known({"kind", "field", "dim", "basis", "bracket", "action"})
+    dim, _ = _parse_dim_basis(lines)
+    return PostLieData(dim, _parse_trilinear(lines, "bracket", dim, dim, dim, field, required=False),
+                       _parse_trilinear(lines, "action", dim, dim, dim, field, required=False), field)
+
+
+def _parse_index_table(lines: _Lines, key: str, rows: int, cols: int, values: int,
+                       takes: str, duplicate: str) -> list[list[int]]:
+    """table[i][j] = k from the ``key i j k`` lines, each (i, j) exactly once."""
+    table = [[-1] * cols for _ in range(rows)]
+    for ln, args in lines.rows(key):
+        if len(args) != 3:
+            raise ParseError(takes, ln)
+        i = _parse_int(args[0], ln, rows)
+        j = _parse_int(args[1], ln, cols)
+        k = _parse_int(args[2], ln, values)
+        if table[i][j] != -1:
+            raise ParseError(duplicate, ln)
+        table[i][j] = k
+    if any(v == -1 for row in table for v in row):
+        raise ParseError(f"incomplete {key} table")
+    return table
 
 
 def _parse_grouprb(lines: _Lines) -> GroupRB:
     lines.known({"kind", "gorder", "gelems", "gmul",
                  "horder", "helems", "hmul", "phi", "rmap"})
 
-    def table(prefix: str) -> GroupTable:
+    def group(prefix: str) -> GroupTable:
         ln, args = lines.single(prefix + "order")
         if len(args) != 1:
             raise ParseError(f"{prefix}order takes one argument", ln)
         n = _parse_int(args[0], ln, what="order")
         got = lines.single(prefix + "elems")
-        labels = got[1]
-        if len(labels) != n:
+        if len(got[1]) != n:
             raise ParseError(f"expected {n} labels", got[0])
-        mul = [[-1] * n for _ in range(n)]
-        for ln2, args2 in lines.rows(prefix + "mul"):
-            if len(args2) != 3:
-                raise ParseError("group products take three indices", ln2)
-            i = _parse_int(args2[0], ln2, n)
-            j = _parse_int(args2[1], ln2, n)
-            k = _parse_int(args2[2], ln2, n)
-            if mul[i][j] != -1:
-                raise ParseError("duplicate group product entry", ln2)
-            mul[i][j] = k
-        if any(v == -1 for row in mul for v in row):
-            raise ParseError(f"incomplete {prefix}mul table")
-        return GroupTable(labels, mul)
+        return GroupTable(got[1], _parse_index_table(
+            lines, prefix + "mul", n, n, n,
+            "group products take three indices", "duplicate group product entry"))
 
-    g = table("g")
-    h = table("h")
-    phi = [[-1] * h.order for _ in range(g.order)]
-    for ln2, args2 in lines.rows("phi"):
-        if len(args2) != 3:
-            raise ParseError("phi takes three indices", ln2)
-        i = _parse_int(args2[0], ln2, g.order)
-        j = _parse_int(args2[1], ln2, h.order)
-        k = _parse_int(args2[2], ln2, h.order)
-        if phi[i][j] != -1:
-            raise ParseError("duplicate phi entry", ln2)
-        phi[i][j] = k
-    if any(v == -1 for row in phi for v in row):
-        raise ParseError("incomplete phi table")
+    g = group("g")
+    h = group("h")
+    phi = _parse_index_table(lines, "phi", g.order, h.order, h.order,
+                             "phi takes three indices", "duplicate phi entry")
     r = [-1] * h.order
-    for ln2, args2 in lines.rows("rmap"):
-        if len(args2) != 2:
-            raise ParseError("rmap takes two indices", ln2)
-        i = _parse_int(args2[0], ln2, h.order)
-        k = _parse_int(args2[1], ln2, g.order)
+    for ln, args in lines.rows("rmap"):
+        if len(args) != 2:
+            raise ParseError("rmap takes two indices", ln)
+        i = _parse_int(args[0], ln, h.order)
+        k = _parse_int(args[1], ln, g.order)
         if r[i] != -1:
-            raise ParseError("duplicate rmap entry", ln2)
+            raise ParseError("duplicate rmap entry", ln)
         r[i] = k
     if any(v == -1 for v in r):
         raise ParseError("incomplete rmap")
