@@ -1,9 +1,9 @@
-"""Exact sparse/dense linear algebra over Q and F_p.
+"""Exact sparse linear algebra over Q and F_p.
 
-Solving, kernels and inverses are fraction-free over Q (Bareiss elimination
-on dense systems below 64 columns, cross-multiplication with row-content
-reduction on sparse ones) and plain modular elimination over F_p.  There is
-one elimination path, ``solve_rows``, on plain-int rows: it carries any
+Solving, kernels and inverses run on one sparse engine per field:
+fraction-free elimination over Q (cross-multiplication with row-content
+reduction) and plain modular elimination over F_p.  There is one
+elimination path, ``solve_rows``, on plain-int rows: it carries any
 number of right-hand sides as extra columns through one forward elimination
 and back-substitutes all of them, and the kernel basis, in one pass over
 the pivots.  ``solve_many`` turns a ``Matrix`` into those rows; ``solve``,
@@ -45,9 +45,6 @@ from .field import FieldSpec, ModInt, Scalar, canonical
 
 class LinAlgError(ValueError):
     pass
-
-
-_DENSE_LIMIT = 64
 
 
 def _q_stored(entries: dict) -> dict:
@@ -95,12 +92,7 @@ class Vector:
     def add(self, other: "Vector") -> "Vector":
         out = dict(self.entries)
         for i, c in other.entries.items():
-            s = out.get(i)
-            s = c if s is None else s + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
+            accumulate(out, i, c)
         return Vector(self.dim, out, self.field)
 
     def scale(self, c: Scalar) -> "Vector":
@@ -233,22 +225,6 @@ class Matrix:
                     del out[key]
         return Matrix(self.rows, other.cols, out, self.field)
 
-    def add(self, other: "Matrix") -> "Matrix":
-        out = dict(self.entries)
-        for k, c in other.entries.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return Matrix(self.rows, self.cols, out, self.field)
-
-    def scale(self, c: Scalar) -> "Matrix":
-        if not c:
-            return Matrix(self.rows, self.cols, {}, self.field)
-        return Matrix(self.rows, self.cols, {k: v * c for k, v in self.entries.items()}, self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -377,44 +353,6 @@ def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
     return done, pivots
 
 
-def _forward_dense_q(rows: list[dict[int, int]], ncols: int):
-    """Classic Bareiss elimination on dense list rows, the carried columns
-    included: every entry stays a minor of the system, so each division by
-    the previous pivot is exact on those columns too."""
-    width = max([ncols, *(max(r) + 1 for r in rows if r)])
-    m = [[r.get(c, 0) for c in range(width)] for r in rows]
-    nrows = len(m)
-    pivots: list[tuple[int, int]] = []
-    prev = 1
-    rank = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, nrows):
-            if m[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        pl = m[rank][col]
-        for i in range(rank + 1, nrows):
-            rl = m[i][col]
-            row = m[i]
-            prow = m[rank]
-            for c in range(col, width):
-                row[c] = (row[c] * pl - prow[c] * rl) // prev
-        pivots.append((rank, col))
-        prev = pl
-        rank += 1
-    out = []
-    for row in m:
-        d = {c: v for c, v in enumerate(row) if v}
-        if d:
-            out.append(d)
-    # keep pivot rows aligned with their position in `out`
-    return out, pivots
-
-
 def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
     """Modular elimination on sparse rows; each pivot row is scaled to a
     leading 1."""
@@ -454,16 +392,6 @@ def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
         done.append(piv)
     done.extend(r for r in active.values() if r)
     return done, pivots
-
-
-def _forward(rows: list[dict[int, int]], ncols: int, p: int | None):
-    """The engine for the field: modular over F_p, Bareiss over Q below
-    ``_DENSE_LIMIT`` coefficient columns, sparse fraction-free above."""
-    if p is not None:
-        return _forward_fp(rows, ncols, p)
-    if ncols < _DENSE_LIMIT:
-        return _forward_dense_q(rows, ncols)
-    return _forward_sparse_q(rows, ncols)
 
 
 def _back_substitute_all(ech, pivots, ncols: int, rhs: list[int], p: int | None):
@@ -557,7 +485,7 @@ def solve_rows(rows: list[dict[int, int]], ncols: int, nrhs: int,
     caller checks the identity it solves (``solve_many`` checks A x = b).
     """
     p = fs.p
-    ech, pivots = _forward(rows, ncols, p)
+    ech, pivots = _forward_sparse_q(rows, ncols) if p is None else _forward_fp(rows, ncols, p)
     inconsistent = set()
     for row in ech[len(pivots):]:
         for c in row:

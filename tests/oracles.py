@@ -1,4 +1,5 @@
-"""The ``Vector``-path contraction helpers, kept as term-by-term oracles.
+"""The ``Vector``-path contraction helpers, kept as term-by-term oracles,
+and the dense Bareiss engine, kept as a reference elimination.
 
 The package sums every contraction on compiled int tables (``compiled``).
 These are the loops it used to run on ``Vector`` entries, written with the
@@ -6,9 +7,13 @@ field's scalar operators one term at a time, so that a test can hold a
 compiled result to a sum it computes another way.  Each returns what the
 deleted method or helper of the same name returned: a ``Vector``, or a
 dict keyed by index pairs for a coproduct or a tensor.
+
+``forward_bareiss_q`` is the dense engine the solver once took over Q on
+small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
+solve the same system a second way.
 """
 
-from ydalgebra.linalg import Vector, accumulate
+from ydalgebra.linalg import Matrix, Vector, accumulate
 
 
 def add_scaled_inplace(acc: dict, v: Vector, *cs) -> None:
@@ -96,3 +101,45 @@ def matrix_apply(m, v: Vector) -> Vector:
     for j, c in v.entries.items():
         add_scaled_inplace(acc, m.column(j), c)
     return Vector(m.rows, acc, m.field)
+
+
+def matrix_add(m, n):
+    """m + n, entry by entry (the deleted ``Matrix.add``)."""
+    out = dict(m.entries)
+    for k, c in n.entries.items():
+        accumulate(out, k, c)
+    return Matrix(m.rows, m.cols, out, m.field)
+
+
+def matrix_scale(m, c):
+    """c m (the deleted ``Matrix.scale``)."""
+    return Matrix(m.rows, m.cols, {k: v * c for k, v in m.entries.items()} if c else {}, m.field)
+
+
+def forward_bareiss_q(rows: list, ncols: int):
+    """Classic Bareiss elimination on dense list rows, the carried columns
+    included: every entry stays a minor of the system, so each division by
+    the previous pivot is exact on those columns too.  Returns the echelon
+    rows, pivot rows first, and the pivot (row, col) list, as the sparse
+    engines do."""
+    width = max([ncols, *(max(r) + 1 for r in rows if r)])
+    m = [[r.get(c, 0) for c in range(width)] for r in rows]
+    pivots = []
+    prev = 1
+    rank = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if sel is None:
+            continue
+        m[rank], m[sel] = m[sel], m[rank]
+        pl = m[rank][col]
+        for i in range(rank + 1, len(m)):
+            rl = m[i][col]
+            row, prow = m[i], m[rank]
+            for c in range(col, width):
+                row[c] = (row[c] * pl - prow[c] * rl) // prev
+        pivots.append((rank, col))
+        prev = pl
+        rank += 1
+    out = [{c: v for c, v in enumerate(row) if v} for row in m]
+    return [d for d in out if d], pivots

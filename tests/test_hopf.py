@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from manual_structures import sweedler_transmutation_manual
-from oracles import mul_vec
+from oracles import matrix_add, matrix_scale, mul_vec
 from test_golden import SUITE_MUTANTS, yd_mutant
 from ydalgebra import hopf
 from ydalgebra.builders import build_en, build_suzuki, build_sweedler
@@ -340,9 +340,9 @@ def ref_verify_endo_inverse(alpha, beta, c):
         acc1 = Matrix(d, d, {}, fs)
         acc2 = Matrix(d, d, {}, fs)
         for x1, x2, s in c.comul[x]:
-            acc1 = acc1.add(_action_matrix(alpha, x1).compose(_action_matrix(beta, x2)).scale(s))
-            acc2 = acc2.add(_action_matrix(beta, x1).compose(_action_matrix(alpha, x2)).scale(s))
-        target = ident.scale(c.eps(x))
+            acc1 = matrix_add(acc1, matrix_scale(_action_matrix(alpha, x1).compose(_action_matrix(beta, x2)), s))
+            acc2 = matrix_add(acc2, matrix_scale(_action_matrix(beta, x1).compose(_action_matrix(alpha, x2)), s))
+        target = matrix_scale(ident, c.eps(x))
         left.record((x,), acc1 == target, "alpha*beta", "eps Id")
         right.record((x,), acc2 == target, "beta*alpha", "eps Id")
     return left, right

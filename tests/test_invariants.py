@@ -18,7 +18,6 @@ from ydalgebra.braces import functor_f, to_matched_pair
 from ydalgebra.builders import (
     build_en,
     build_group_rb_linearization,
-    build_sweedler,
     group_rb_inversion,
     symmetric_group_3,
 )
@@ -33,7 +32,7 @@ from ydalgebra.hopf import (
     is_cocommutative,
     unit_counit_map,
 )
-from ydalgebra.linalg import Matrix, Vector, identity_matrix, unit_vector
+from ydalgebra.linalg import Matrix, Vector, unit_vector
 from ydalgebra.posthopf import (
     YDPostHopf,
     check_yd_hopf_monoid,
@@ -174,7 +173,7 @@ def test_minus_identity_lie_rota_baxter():
     bracket = [[z, e2], [e2.neg(), z]]
     lie = LieData(2, bracket, fs)
     phi = ActionTensor(2, 2, [list(row) for row in bracket], fs)  # ad action
-    rmat = identity_matrix(2, fs).scale(F(-1))
+    rmat = Matrix(2, 2, {(i, i): F(-1) for i in range(2)}, fs)
     lrb = LieRB(lie, lie, phi, rmat)
     rep = check_lie_rb(lrb)
     assert rep.all_pass(), rep.text()

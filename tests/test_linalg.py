@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import forward_bareiss_q
 from ydalgebra import linalg
 from ydalgebra.compiled import bilinear_vectors
 from ydalgebra.field import RATIONALS, FieldSpec, ModInt
@@ -137,8 +138,15 @@ def test_solve_deterministic():
     assert r1.kernel == r2.kernel
 
 
-def test_sparse_path_used_above_dense_limit():
-    # 70 columns forces the sparse fraction-free branch over Q
+def _bareiss(monkeypatch):
+    """Solve over Q with the dense Bareiss oracle in place of the sparse
+    fraction-free engine, the reference a test compares the engine to."""
+    monkeypatch.setattr(linalg, "_forward_sparse_q", forward_bareiss_q)
+
+
+def test_sparse_path_used_above_dense_limit(monkeypatch):
+    # 70 columns, past the size the dense Bareiss engine once served: the
+    # sparse engine and the Bareiss oracle solve and invert alike
     n = 70
     entries = {}
     for i in range(n):
@@ -153,6 +161,8 @@ def test_sparse_path_used_above_dense_limit():
     inv_a = invert(a)
     assert inv_a is not None
     assert inv_a.compose(a) == identity_matrix(n, RATIONALS)
+    _bareiss(monkeypatch)
+    assert solve(a, b) == res and invert(a) == inv_a
 
 
 small_q = st.integers(min_value=-6, max_value=6).map(Fraction)
@@ -422,9 +432,16 @@ def _rank_deficient(n, fs):
     return Matrix(n, n, entries, fs)
 
 
+# "dense": a small system, solved over Q by the Bareiss oracle in place of
+# the sparse engine; "sparse": a larger one, on the engine itself
+ENGINES = pytest.mark.parametrize(("n", "engine"), [(5, "dense"), (70, "sparse")], ids=["dense", "sparse"])
+
+
 @pytest.mark.parametrize("fs", [RATIONALS, F7], ids=["q", "f7"])
-@pytest.mark.parametrize("n", [5, 70], ids=["dense", "sparse"])
-def test_solve_many_on_a_rank_deficient_block(fs, n):
+@ENGINES
+def test_solve_many_on_a_rank_deficient_block(monkeypatch, fs, n, engine):
+    if engine == "dense":
+        _bareiss(monkeypatch)
     one = fs.one
     a = _rank_deficient(n, fs)
     bs = [Vector(n, {0: one}, fs), Vector(n, {n - 1: one}, fs), Vector(n, {}, fs),
@@ -440,29 +457,28 @@ def test_solve_many_on_a_rank_deficient_block(fs, n):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.data())
 def test_dense_and_sparse_engines_agree_with_carried_columns(data):
-    """Bareiss carries the right-hand sides through its row operations; the
-    sparse engine, forced by a dense limit of 0, must give the same
-    solutions, inconsistent right-hand sides and kernel."""
+    """The Bareiss oracle carries the right-hand sides through its row
+    operations; the sparse engine must give the same solutions,
+    inconsistent right-hand sides and kernel."""
     nr, nc = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     cells = [(r, c) for r in range(nr) for c in range(nc)]
     small = st.integers(-3, 3).map(Fraction)
     a = Matrix(nr, nc, data.draw(st.dictionaries(st.sampled_from(cells), small)), RATIONALS)
     bs = [Vector(nr, data.draw(st.dictionaries(st.integers(0, nr - 1), small)), RATIONALS)
           for _ in range(data.draw(st.integers(0, 4)))]
-    dense = linalg.solve_many(a, bs)
-    limit = linalg._DENSE_LIMIT
-    linalg._DENSE_LIMIT = 0
-    try:
-        sparse = linalg.solve_many(a, bs)
-    finally:
-        linalg._DENSE_LIMIT = limit
+    sparse = linalg.solve_many(a, bs)
+    with pytest.MonkeyPatch.context() as mp:
+        _bareiss(mp)
+        dense = linalg.solve_many(a, bs)
     assert dense == sparse
     for x, b in zip(dense[0], bs):
         assert x is None or a.apply(x) == b
 
 
-@pytest.mark.parametrize("n", [3, 70], ids=["dense", "sparse"])
-def test_solve_many_corrupted_back_substitution_raises(monkeypatch, n):
+@pytest.mark.parametrize(("n", "engine"), [(3, "dense"), (70, "sparse")], ids=["dense", "sparse"])
+def test_solve_many_corrupted_back_substitution_raises(monkeypatch, n, engine):
+    if engine == "dense":
+        _bareiss(monkeypatch)
     singular = _rank_deficient(n, RATIONALS)
     full = Matrix(n, n, {**singular.entries, (n - 1, n - 1): Fraction(1)}, RATIONALS)
     bs = [Vector(n, {0: Fraction(2)}, RATIONALS), Vector(n, {1: Fraction(1)}, RATIONALS)]
