@@ -53,6 +53,28 @@ def _certify(s: YDPostHopf, name: str) -> YDPostHopf:
     return s
 
 
+def _finish(labels: list[str], left_mul, comul, counit: Vector, act_row, params: dict,
+            name: str, fs: FieldSpec) -> YDPostHopf:
+    """The tail of the E(n) and Suzuki builders, basis element 0 the unit:
+    the product from the left multiplications, the braided antipode, the
+    action from its rows act_row(m), beta = alpha o S_> from the subadjacent
+    antipode S_>, then ``_certify``."""
+    dim = len(labels)
+    mul = [[left_mul(i).column(j) for j in range(dim)] for i in range(dim)]
+    alg = AlgebraData(dim, labels, mul, unit_vector(dim, 0, fs), fs)
+    coalg = CoalgebraData(dim, comul, counit, fs)
+    s_map = solve_antipode(alg, coalg)
+    if s_map is None:
+        raise StructureError("the braided antipode system is inconsistent")
+    action = ActionTensor(dim, dim, [act_row(m) for m in range(dim)], fs)
+    s = YDPostHopf(BraidedPair(alg, coalg, s_map), action, None, params=params)
+    sharp = solve_antipode(bullet_algebra(s), coalg)
+    if sharp is None:
+        raise StructureError("the subadjacent antipode system is inconsistent")
+    _set_beta(s, pulled_back(action, compile_columns(sharp)))
+    return _certify(s, name)
+
+
 # --- generic coproduct induction -------------------------------------------
 
 
@@ -185,13 +207,7 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
                 reduce_word(g_exp, pre + post, two, out)
                 reduce_word(g_exp + 1, pre + post, -two, out)
             return
-        key = (g_exp % 2, word)
-        v = out.get(key)
-        v = coeff if v is None else v + coeff
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        accumulate(out, (g_exp % 2, word), coeff)
 
     left_cache: dict[int, Matrix] = {}
 
@@ -294,14 +310,7 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
         else:
             peel[m] = (x_idx[sub[0]], index[(0, sub[1:])])
     comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
-
     counit = Vector(dim, {index[(a, ())]: one for a in (0, 1)}, fs)
-    mul = [[left_mul(i).column(j) for j in range(dim)] for i in range(dim)]
-    alg = AlgebraData(dim, labels, mul, unit_vector(dim, 0, fs), fs)
-    coalg = CoalgebraData(dim, comul, counit, fs)
-    s_map = solve_antipode(alg, coalg)
-    if s_map is None:
-        raise StructureError("the braided antipode system is inconsistent")
 
     # full action rows for every basis monomial
     rows: list[list[Vector] | None] = [None] * dim
@@ -327,18 +336,10 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
         rows[m] = res
         return res
 
-    action = ActionTensor(dim, dim, [act_row(m) for m in range(dim)], fs)
-    carrier = BraidedPair(alg, coalg, s_map)
     params = {"k": A[0][0]} if n == 1 else {
         f"A{i + 1}{j + 1}": A[i][j] for i in range(n) for j in range(n)
     }
-    s = YDPostHopf(carrier, action, None, params=params)
-    bullet = bullet_algebra(s)
-    sharp = solve_antipode(bullet, coalg)
-    if sharp is None:
-        raise StructureError("the subadjacent antipode system is inconsistent")
-    _set_beta(s, pulled_back(action, compile_columns(sharp)))
-    return _certify(s, f"en(n={n})")
+    return _finish(labels, left_mul, comul, counit, act_row, params, f"en(n={n})", fs)
 
 
 def build_sweedler(k, field: FieldSpec = RATIONALS) -> YDPostHopf:
@@ -398,43 +399,19 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         while m >= 5 or (dd == 1 and m >= 4):
             m -= 4
             coeff = coeff * qa
-        key = ("A", m, dd)
-        v = out.get(key)
-        v = coeff if v is None else v + coeff
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        accumulate(out, ("A", m, dd), coeff)
 
     def reduce_b(m: int, dd: int, coeff: Scalar, out: dict):
         if m >= 4:
             if m == 4 and dd == 0:
-                k1 = ("A", 0, 0)
-                v = out.get(k1)
-                v = coeff * b4_unit if v is None else v + coeff * b4_unit
-                if v:
-                    out[k1] = v
-                else:
-                    out.pop(k1, None)
-                k2 = ("A", 4, 0)
-                v = out.get(k2)
-                v = coeff * b4_a4 if v is None else v + coeff * b4_a4
-                if v:
-                    out[k2] = v
-                else:
-                    out.pop(k2, None)
+                accumulate(out, ("A", 0, 0), coeff * b4_unit)
+                accumulate(out, ("A", 4, 0), coeff * b4_a4)
                 return
             # b^m c^dd with m > 4 or dd = 1: only the scalar branch of b^4
             # survives, the a^4 branch hits a zero mixed product
             reduce_b(m - 4, dd, coeff * b4_unit, out)
             return
-        key = ("A", 0, 0) if m + dd == 0 else ("B", m, dd)
-        v = out.get(key)
-        v = coeff if v is None else v + coeff
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
+        accumulate(out, ("A", 0, 0) if m + dd == 0 else ("B", m, dd), coeff)
 
     def mul_terms(k1, k2) -> dict:
         s1, m1, d1 = k1
@@ -478,13 +455,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         for k1, c1 in t1.items():
             for k2, c2 in t2.items():
                 for k3, c3 in mul_terms(k1, k2).items():
-                    v = out.get(k3)
-                    add = c1 * c2 * c3
-                    v = add if v is None else v + add
-                    if v:
-                        out[k3] = v
-                    else:
-                        del out[k3]
+                    accumulate(out, k3, c1 * c2 * c3)
         return out
 
     def morphism_row(images: dict) -> list[Vector]:
@@ -541,13 +512,6 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
     comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
     counit = Vector(dim, {index[("A", m_, d_)]: one for s_, m_, d_ in _SUZ_BASIS if s_ == "A"}, fs)
 
-    mul = [[left_mul(i).column(j) for j in range(dim)] for i in range(dim)]
-    alg = AlgebraData(dim, list(_SUZ_LABELS), mul, unit_vector(dim, UNIT, fs), fs)
-    coalg = CoalgebraData(dim, comul, counit, fs)
-    s_map = solve_antipode(alg, coalg)
-    if s_map is None:
-        raise StructureError("the braided antipode system is inconsistent")
-
     rows: list[list[Vector] | None] = [None] * dim
     alpha_a = matrix_from_columns(row_a, fs)
 
@@ -567,15 +531,7 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         rows[m] = res
         return res
 
-    action = ActionTensor(dim, dim, [act_row(m) for m in range(dim)], fs)
-    carrier = BraidedPair(alg, coalg, s_map)
-    s = YDPostHopf(carrier, action, None, params={"alpha": al, "beta": be})
-    bullet = bullet_algebra(s)
-    sharp = solve_antipode(bullet, coalg)
-    if sharp is None:
-        raise StructureError("the subadjacent antipode system is inconsistent")
-    _set_beta(s, pulled_back(action, compile_columns(sharp)))
-    return _certify(s, "suzuki")
+    return _finish(list(_SUZ_LABELS), left_mul, comul, counit, act_row, {"alpha": al, "beta": be}, "suzuki", fs)
 
 
 # --- adjoint-action construction --------------------------------------------
