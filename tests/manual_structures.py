@@ -8,7 +8,7 @@ builder output can be compared against these frozen tables.
 from fractions import Fraction
 
 from ydalgebra.field import RATIONALS, FieldSpec
-from ydalgebra.hopf import ActionTensor, AlgebraData, BraidedPair, CoalgebraData, HopfData
+from ydalgebra.hopf import ActionTensor, AlgebraData, BraidedPair, CoalgebraData
 from ydalgebra.linalg import Matrix, Vector
 from ydalgebra.posthopf import YDPostHopf
 

@@ -2,9 +2,8 @@
 
 from fractions import Fraction
 
-import pytest
 
-from manual_structures import sweedler_transmutation_manual, trivial_structure
+from manual_structures import sweedler_transmutation_manual
 from ydalgebra.braces import (
     MatchedPair,
     YDBrace,
@@ -31,8 +30,8 @@ from ydalgebra.builders import (
     symmetric_group_3,
 )
 from ydalgebra.field import RATIONALS
-from ydalgebra.hopf import ActionTensor, BraidedPair, StructureError
-from ydalgebra.linalg import Vector, unit_vector
+from ydalgebra.hopf import ActionTensor, BraidedPair
+from ydalgebra.linalg import unit_vector
 from ydalgebra.posthopf import check_yd_post_hopf
 
 F = Fraction

@@ -23,7 +23,7 @@ from ydalgebra.builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
-from ydalgebra.field import RATIONALS, FieldSpec
+from ydalgebra.field import FieldSpec
 from ydalgebra.hopf import StructureError, check_hopf, is_cocommutative
 from ydalgebra import posthopf
 from ydalgebra.posthopf import _BETA_KEYS, _set_beta, braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf

@@ -29,7 +29,7 @@ from ydalgebra.builders import (
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, inv, parse_scalar
 from ydalgebra.compiled import bilinear_vectors, compile_comul, compile_legs, compile_tensor, compile_vectors
 from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData, pull_back
-from ydalgebra.linalg import Matrix, Vector, invert, kernel, matrix_from_columns, solve, unit_vector
+from ydalgebra.linalg import Matrix, Vector, invert, kernel, matrix_from_columns, solve
 
 F = Fraction
 

@@ -9,7 +9,6 @@ from manual_structures import (
     G,
     ONE,
     X,
-    XG,
     sweedler_beta_rows,
     sweedler_transmutation_manual,
     trivial_structure,
@@ -19,7 +18,7 @@ from oracles import act_apply, apply_basis, eps_vec, mul_vec
 from test_golden import GOLDEN, yd_mutant
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import ActionTensor, CoalgebraData, StructureError, check_hopf
-from ydalgebra.linalg import Matrix, Vector, unit_vector
+from ydalgebra.linalg import Vector, unit_vector
 from ydalgebra.posthopf import (
     PostLieData,
     braiding_sigma,

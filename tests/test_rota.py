@@ -8,15 +8,11 @@ import pytest
 from manual_structures import sweedler_transmutation_manual
 from ydalgebra.braces import posthopf_equal
 from ydalgebra.builders import (
-    build_adjoint,
     build_en,
     build_group_rb_linearization,
     build_suzuki,
     build_sweedler,
     build_trivial,
-    cyclic_group,
-    group_algebra,
-    group_rb_identity,
     group_rb_inversion,
     symmetric_group_3,
 )

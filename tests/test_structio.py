@@ -2,11 +2,9 @@
 
 import pytest
 
-from manual_structures import sweedler_transmutation_manual
 from ydalgebra.braces import functor_f, matched_pair_equal, posthopf_equal, to_matched_pair
 from ydalgebra.builders import (
     build_en,
-    build_group_rb_linearization,
     build_sweedler,
     build_trivial,
     group_rb_inversion,
@@ -15,9 +13,7 @@ from ydalgebra.builders import (
 )
 from ydalgebra.field import FieldSpec
 from ydalgebra.posthopf import extract_post_lie
-from ydalgebra.rota import functor_l, restrict_to_grouplikes, restrict_to_primitives
-from ydalgebra.linalg import unit_vector
-from ydalgebra.field import RATIONALS
+from ydalgebra.rota import functor_l, restrict_to_primitives
 from ydalgebra.structio import ParseError, emit, kind_of, parse
 
 
