@@ -216,13 +216,7 @@ class Matrix:
             by_row.setdefault(c, []).append((r, a))
         for (r2, c2), b in other.entries.items():
             for r1, a in by_row.get(r2, ()):
-                key = (r1, c2)
-                s = out.get(key)
-                s = a * b if s is None else s + a * b
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                accumulate(out, (r1, c2), a * b)
         return Matrix(self.rows, other.cols, out, self.field)
 
     def __eq__(self, other):

@@ -434,11 +434,8 @@ def _rank_deficient(n, fs):
 
 # "dense": a small system, solved over Q by the Bareiss oracle in place of
 # the sparse engine; "sparse": a larger one, on the engine itself
-ENGINES = pytest.mark.parametrize(("n", "engine"), [(5, "dense"), (70, "sparse")], ids=["dense", "sparse"])
-
-
 @pytest.mark.parametrize("fs", [RATIONALS, F7], ids=["q", "f7"])
-@ENGINES
+@pytest.mark.parametrize(("n", "engine"), [(5, "dense"), (70, "sparse")], ids=["dense", "sparse"])
 def test_solve_many_on_a_rank_deficient_block(monkeypatch, fs, n, engine):
     if engine == "dense":
         _bareiss(monkeypatch)

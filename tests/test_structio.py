@@ -1,5 +1,8 @@
 """Serialization: canonical emission, round trips, diagnostics."""
 
+from fractions import Fraction as F
+from pathlib import Path
+
 import pytest
 
 from ydalgebra.braces import functor_f, matched_pair_equal, posthopf_equal, to_matched_pair
@@ -7,14 +10,20 @@ from ydalgebra.builders import (
     build_en,
     build_sweedler,
     build_trivial,
+    cyclic_group,
+    group_algebra,
     group_rb_inversion,
     sweedler_hopf,
     symmetric_group_3,
 )
-from ydalgebra.field import FieldSpec
+from ydalgebra.field import RATIONALS, FieldSpec
+from ydalgebra.hopf import ActionTensor
+from ydalgebra.linalg import Matrix, Vector
 from ydalgebra.posthopf import extract_post_lie
-from ydalgebra.rota import functor_l, restrict_to_primitives
+from ydalgebra.rota import RelRB, functor_l, restrict_to_primitives
 from ydalgebra.structio import ParseError, emit, kind_of, parse
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def roundtrip(obj):
@@ -133,3 +142,60 @@ def test_parse_rejects_duplicate_triple():
     )
     with pytest.raises(ParseError):
         parse(text)
+
+
+def _without(name: str, *directives: str) -> str:
+    """A golden file with every line of the given directives removed."""
+    lines = (GOLDEN / f"{name}.struct").read_text().splitlines()
+    return "\n".join(line for line in lines if line.split()[0] not in directives) + "\n"
+
+
+@pytest.mark.parametrize(("name", "directives", "message"), [
+    ("h4-q", ("antipode",), "hopf structures need antipode entries"),
+    ("sweedler-q", ("antipode",), "ydpost structures need antipode entries"),
+    ("sweedler-q-matchedpair", ("antipode",), "matched pairs need antipode entries"),
+    ("sweedler-q-brace", ("antipode",), "ydbrace structures need both antipodes"),
+    ("sweedler-q-brace", ("antipode2",), "ydbrace structures need both antipodes"),
+    ("sweedler-q-rb_l", ("h.antipode",), "relrb needs h.antipode entries"),
+    ("sweedler-q-rb_l", ("rmap",), "relrb needs rmap entries"),
+    # ydbrace reads bullet before it asks for its antipodes
+    ("sweedler-q-brace", ("antipode", "bullet"), "missing bullet entries"),
+])
+def test_parse_names_the_missing_block(name, directives, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse(_without(name, *directives))
+
+
+def test_parse_reports_the_hopf_block_faults_in_reading_order():
+    # a bad scalar on the first line of every Hopf-block directive: the
+    # error names mul's, then unit's, comul's, counit's and antipode's line
+    # as each earlier one is mended
+    lines = (GOLDEN / "sweedler-q.struct").read_text().splitlines()
+    bad = {}
+    for i, line in enumerate(lines):
+        key = line.split()[0]
+        if key in ("mul", "unit", "comul", "counit", "antipode") and key not in bad:
+            bad[key] = i
+    for key in ("mul", "unit", "comul", "counit", "antipode"):
+        text = list(lines)
+        for i in bad.values():
+            text[i] = " ".join([*lines[i].split()[:-1], "1/x"])
+        with pytest.raises(ParseError, match=f"^line {bad[key] + 1}: "):
+            parse("\n".join(text) + "\n")
+        del bad[key]
+
+
+def test_relrb_coaction_indices_follow_k_h_k():
+    # a coaction a p q c line reads a and q in K and p in H: with dim K = 1
+    # and dim H = 4, rho(1) = g (x) 1 round-trips and p = 4 is out of range
+    h = sweedler_hopf()
+    one = F(1)
+    k = group_algebra(cyclic_group(1))
+    r = RelRB(h, k.algebra, k.coalgebra, k.antipode,
+              ActionTensor(4, 1, [[Vector(1, {0: h.coalgebra.eps(i)}, RATIONALS)] for i in range(4)], RATIONALS),
+              Matrix(4, 1, {(1, 0): one}, RATIONALS), Matrix(4, 1, {(0, 0): one}, RATIONALS))
+    text = emit(r)
+    assert "coaction 0 1 0 1" in text.splitlines()
+    assert roundtrip(r).coaction == r.coaction
+    with pytest.raises(ParseError, match="index 4 out of range"):
+        parse(text.replace("coaction 0 1 0 1", "coaction 0 4 0 1"))
