@@ -181,7 +181,6 @@ class _Lines:
 
     def __init__(self, text: str):
         self.groups: dict[str, list[tuple[int, list[str]]]] = {}
-        self.order: list[str] = []
         for ln, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -189,7 +188,6 @@ class _Lines:
             parts = line.split()
             key = parts[0]
             self.groups.setdefault(key, []).append((ln, parts[1:]))
-            self.order.append(key)
 
     def single(self, key: str, required: bool = True):
         rows = self.groups.get(key, [])
