@@ -35,7 +35,7 @@ from .builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
-from .field import FieldSpec, RATIONALS, FieldError, parse_scalar
+from .field import FieldSpec, RATIONALS, FieldError, format_scalar, parse_scalar
 from .hopf import AlgebraData, HopfData, StructureError, check_algebra, check_hopf
 from .posthopf import (
     PostLieData,
@@ -261,7 +261,7 @@ def cmd_report(args) -> int:
                          + (f" p={obj.field.p}" if obj.field.p else "") + "\n")
         sys.stdout.write(f"rmap entries: {len(obj.r_map.entries)}\n")
         return 0
-    dim = obj.dim if hasattr(obj, "dim") else obj.dim
+    dim = obj.dim
     field = obj.field
     sys.stdout.write(f"dim: {dim}\n")
     sys.stdout.write(f"field: {field.kind}" + (f" p={field.p}" if field.p else "") + "\n")
@@ -273,8 +273,6 @@ def cmd_report(args) -> int:
         nz = sum(len(v.entries) for row in obj.action.act for v in row)
         sys.stdout.write(f"action entries: {nz}\n")
         for k in sorted(obj.params):
-            from .field import format_scalar
-
             sys.stdout.write(f"param {k} = {format_scalar(obj.params[k])}\n")
     return 0
 

@@ -354,14 +354,17 @@ def comul_side(rows: list, comul: list, dim: int):
 
 
 def legs_side(left: list, right: list, icomul: list, jcomul: list, dim: int,
-              swap_i: bool = False, swap_j: bool = False):
+              swap_i: bool = False, swap_j: bool = False, left_dim: int | None = None):
     """The side sum of c_i c_j left[i_1][j_1] (x) right[i_2][j_2] at (i, j),
     over the legs (i_1, i_2, c_i) of icomul[i] and (j_1, j_2, c_j) of
     jcomul[j], on the row (i,) for every j < len(jcomul), keyed
-    j * dim**2 + p * dim + q; swap_i and swap_j trade i_1 with i_2 and j_1
-    with j_2.  Its scale is the product of the four tables' scales."""
+    j * left_dim * dim + p * dim + q, for left factors of left_dim (dim when
+    not given) and right factors of dim; swap_i and swap_j trade i_1 with
+    i_2 and j_1 with j_2.  Its scale is the product of the four tables'
+    scales.  The legs may be any (i_1, i_2, c) rows: the terms of a
+    coaction, or grouped legs numbered into a table made for them."""
     jlegs = [[(j2, j1, c) if swap_j else (j1, j2, c) for j1, j2, c in terms] for terms in jcomul]
-    d2 = dim * dim
+    d2 = (dim if left_dim is None else left_dim) * dim
 
     def side(acc, prefix, w):
         i, = prefix

@@ -201,11 +201,12 @@ class FieldSpec:
         """Canonical field element num/den."""
         if den == 0:
             raise FieldError("zero denominator")
-        if self.p is None:
-            return canonical(Fraction(num, den))
-        if den % self.p == 0:
-            raise FieldError(f"denominator {den} not invertible mod {self.p}")
-        return ModInt(num, self.p) / ModInt(den, self.p)
+        p = self.p
+        if p is None:
+            return num if den == 1 else canonical(Fraction(num, den))
+        if den % p == 0:
+            raise FieldError(f"denominator {den} not invertible mod {p}")
+        return ModInt(num if den == 1 else num * pow(den, p - 2, p), p)
 
     def contains(self, s: Scalar) -> bool:
         if self.p is None:

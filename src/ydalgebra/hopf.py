@@ -19,19 +19,20 @@ every beta.
 
 Each container compiles its tensor once, on first use, into a plain-int
 table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
-iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC runs on the
-compiled product, one row (i, j) per contract call: m[i][j] and m[i] are
-read once for every k, both sides of (e_i e_j) e_k = e_i (e_j e_k) carry
-the square of its scale, so their int sums are compared as they are, and
-a ``Vector`` is built only to render the first failing triple.  ALG-UNIT,
-COALG-COASSOC and COALG-COUNIT run on the compiled tables too.
+iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC is
+``module_law`` for the algebra acting on itself by left products, one row
+(i, j) per contract call: m[i][j] and m[i] are read once for every k, both
+sides of (e_i e_j) e_k = e_i (e_j e_k) carry the square of its scale, so
+their int sums are compared as they are, and a ``Vector`` is built only to
+render the first failing triple.  ALG-UNIT and COALG-COUNIT run on the
+compiled tables too.
 
 The laws are written once, here, as tallies that the suites fold into
 their IDs; the acting space may differ from the target, as in a relative
 Rota-Baxter operator, where H acts on K:
 
-- ``module_law``: P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and its unit
-  row L-1ACT, MP-MODC 6 and, for the right action, MP-MODC 7;
+- ``module_law``: ALG-ASSOC, P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and
+  its unit row L-1ACT, MP-MODC 6 and, for the right action, MP-MODC 7;
 - ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
   its unit row L-U, MP-1 and, for the right action, MP-2;
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
@@ -42,10 +43,15 @@ Rota-Baxter operator, where H acts on K:
 - ``convolution_unit_law``, (f*g)(x) = eps(x) u for maps into an algebra
   (u = 1) or into End(H) (u = Id): HOPF-ANTIPODE, P-S and the re-check of
   S_K (``antipode_law``), P-CONV (``_verify_endo_inverse``) and the
-  re-checks of both solvers.
+  re-checks of both solvers;
+- ``coassociative_law``, (Delta (x) id) c = (id (x) c) c: COALG-COASSOC
+  (c = Delta) and RB-BIMON 4 (c = rho);
+- ``coalgebra_map_law``: RB-COALG, RBM-F/G, the restriction to
+  group-likes and, with its legs swapped, P-ANTI, which takes only its
+  Delta tally.
 
-All of them, their unit rows, HOPF-DELTA-MULT and ``coalgebra_map_law``
-(RB-COALG, RBM-F/G) run on the compiled tables.  A law on triples
+All of them, their unit rows and HOPF-DELTA-MULT run on the compiled
+tables.  A law on triples
 runs on rows (g, h) or (h, a), and ``module_algebra_law`` sums
 c (h_1 >- a) once per row for each distinct h_2, then multiplies that sum
 by h_2 >- b for every b.  A law on H (x) H runs on rows (x,) and keys its
@@ -80,7 +86,7 @@ from itertools import product
 from .compiled import (
     IntTable, add_bilinear, add_linear, basis, bilinear_table, comul_side, compare, compared, compile_columns,
     compile_comul, compile_legs, compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line,
-    pairs_render, scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
+    pairs_render, scalar_render, sides, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import LinAlgError, Matrix, Vector, accumulate, matrix_from_columns, solve_rows
@@ -292,37 +298,13 @@ def is_cocommutative(c: CoalgebraData) -> bool:
 
 
 def check_algebra(a: AlgebraData) -> CheckReport:
-    """Associativity on all basis triples and two-sided unitality."""
+    """Associativity on all basis triples, as the module law of the algebra
+    acting on itself by left products, and two-sided unitality."""
     rep = CheckReport()
     ch = Checker("ALG-ASSOC")
     mul = a.int_mul()
-    m = mul.rows
-
-    d = a.dim
-
-    def assoc(acc, prefix, wl, wr):
-        i, j = prefix
-        get = acc.get
-        if wl:
-            for r, x in m[i][j]:
-                x *= wl
-                for k, mrk in enumerate(m[r]):
-                    base = k * d
-                    for t, y in mrk:
-                        t += base
-                        acc[t] = get(t, 0) + x * y
-        if wr:
-            mi = m[i]
-            for k, mjk in enumerate(m[j]):
-                base = k * d
-                for r, x in mjk:
-                    x *= wr
-                    for t, y in mi[r]:
-                        t += base
-                        acc[t] = get(t, 0) + x * y
-
-    scale = mul.scale * mul.scale
-    compare(ch, square(d), d, d, assoc, scale, scale, a.field, vector_render(d))
+    m, d = mul.rows, a.dim
+    ch.absorb(module_law(ActionTensor(d, d, a.mul, a.field, _ints=mul), a))
     rep.add(ch.entry())
     ch = Checker("ALG-UNIT")
     unit = compile_vectors([a.unit], a.field)
@@ -351,21 +333,7 @@ def check_coalgebra(c: CoalgebraData) -> CheckReport:
     comul = c.int_comul()
     cm, d = comul.rows, c.dim
     ch = Checker("COALG-COASSOC")
-
-    def coassoc(acc, prefix, wl, wr):
-        # (Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i), keyed
-        # (a * d + b) * d + c
-        get = acc.get
-        for j, k, s in cm[prefix[0]]:
-            for a, b, t in cm[j]:
-                key = (a * d + b) * d + k
-                acc[key] = get(key, 0) + wl * s * t
-            for b, c, t in cm[k]:
-                key = (j * d + b) * d + c
-                acc[key] = get(key, 0) + wr * s * t
-
-    scale = comul.scale * comul.scale
-    ch.absorb(compared(line(d), 1, d ** 3, coassoc, scale, scale, c.field, triples_render(d, d), lambda w: w[:1]))
+    ch.absorb(coassociative_law(cm, comul.scale, c, d))
     rep.add(ch.entry())
     ch = Checker("COALG-COUNIT")
     counit = compile_vectors([c.counit], c.field)
@@ -592,25 +560,55 @@ def counit_law(table: IntTable, target: CoalgebraData, left: CoalgebraData, righ
                     target.field, scalar_render)
 
 
-def coalgebra_map_law(cols: IntTable, target: CoalgebraData, source: CoalgebraData) -> Tally:
+def coalgebra_map_law(cols: IntTable, target: CoalgebraData, source: CoalgebraData, swap: bool = False):
     """A map f from source into target, given by its compiled columns, is a
-    coalgebra morphism: Delta(f(e_a)) = f(a_1) (x) f(a_2) at (a, 0) and
-    eps(f(e_a)) = eps(e_a) at (a, 1), on the compiled tables."""
+    coalgebra morphism, as two tallies yielded in turn: Delta(f(e_a)) =
+    f(a_1) (x) f(a_2) at (a,), or f(a_2) (x) f(a_1) with swap (an
+    anti-coalgebra map), and eps(f(e_a)) = eps(e_a) at (a,), on the compiled
+    tables.  Each is computed only when it is asked for."""
     tc, sc, d = target.int_comul(), source.int_comul(), target.dim
+    one = [[col] for col in cols.rows]  # as a table rows[a][0], whose index 0 has the one leg (0, 0, 1)
+    yield compared(line(len(one)), 1, d * d,
+                   sides(comul_side(one, tc.rows, d), legs_side(one, one, sc.rows, [((0, 0, 1),)], d, swap_i=swap)),
+                   cols.scale * tc.scale, sc.scale * cols.scale ** 2, target.field, pairs_render(d), lambda w: w[:1])
     et, es = (compile_vectors([c.counit], c.field) for c in (target, source))
     eps, eps_s = dict(et.rows[0]), dict(es.rows[0])
-    one = [[col] for col in cols.rows]  # as a table rows[a][0], whose index 0 has the one leg (0, 0, 1)
-    t = compared(line(len(one)), 1, d * d,
-                 sides(comul_side(one, tc.rows, d), legs_side(one, one, sc.rows, [((0, 0, 1),)], d)),
-                 cols.scale * tc.scale, sc.scale * cols.scale ** 2, target.field, pairs_render(d))
 
     def counit(acc, prefix, wl, wr):
         for a, v in enumerate(cols.rows):
             acc[a] = wl * sum(c * eps.get(k, 0) for k, c in v) + wr * eps_s.get(a, 0)
 
-    t.absorb(compared([()], len(one), 1, counit, cols.scale * et.scale, es.scale, target.field, scalar_render),
-             where=lambda w: w + (1,))
-    return t
+    yield compared([()], len(one), 1, counit, cols.scale * et.scale, es.scale, target.field, scalar_render)
+
+
+def coassociative_law(rows: list, scale: int, coalg: CoalgebraData, d3: int) -> Tally:
+    """(Delta (x) id) c(x) = (id (x) c) c(x) at (x,), for a map c from a
+    space into coalg (x) V, dim V = d3, given by the (j, k, n) terms rows[x]
+    of c(e_x) at scale, on the compiled tables, keyed (a * d_2 + b) * d3 + k
+    for d_2 = coalg.dim: COALG-COASSOC with c = Delta, RB-BIMON part 4 with
+    c = rho."""
+    comul, d2 = coalg.int_comul(), coalg.dim
+    cm = comul.rows
+
+    def law(acc, prefix, wl, wr):
+        terms = rows[prefix[0]]
+        get = acc.get
+        if wl:
+            for j, k, s in terms:
+                s *= wl
+                for a, b, t in cm[j]:
+                    key = (a * d2 + b) * d3 + k
+                    acc[key] = get(key, 0) + s * t
+        if wr:
+            for j, k, s in terms:
+                s *= wr
+                base = j * d2
+                for b, q, t in rows[k]:
+                    key = (base + b) * d3 + q
+                    acc[key] = get(key, 0) + s * t
+
+    return compared(line(len(rows)), 1, d2 * d2 * d3, law, scale * comul.scale, scale * scale, coalg.field,
+                    triples_render(d2, d3), lambda w: w[:1])
 
 
 def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData):

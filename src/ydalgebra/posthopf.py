@@ -26,17 +26,24 @@ and first failure:
   braided product is Delta(a.b), so that compare is P-DELTA's at (a, b).
 
 P-DOT, P-COALG and P-ASSOC, L-1ACT, L-MB, L-DB and P-MP5 call the action
-laws of ``hopf``, P-S its ``antipode_law`` and the last rows of P-COALG
-its ``bialgebra_unit_laws``; P-CONV reports the tallies of
-``hopf._verify_endo_inverse``, those the solver computed when the suite
-solves beta itself.
+laws of ``hopf``, P-S its ``antipode_law``, the last rows of P-COALG its
+``bialgebra_unit_laws`` and P-ANTI the Delta rows of its
+``coalgebra_map_law`` with the legs swapped (S_> is an anti-coalgebra
+map); P-CONV reports the tallies of ``hopf._verify_endo_inverse``, those
+the solver computed when the suite solves beta itself.  The Lie laws are
+written once here and shared with ``rota``'s Lie checker: ``_jacobi``
+(PL-JAC, PL-SUB, LRB-LIE), ``_derivation`` (PL-1, LRB-ACTION's rows 0)
+and ``_commutator`` (PL-2, LRB-ACTION's rows 1).  ``_span_coords`` solves
+every vector against the primitives in one elimination, for
+``extract_post_lie`` and ``rota.restrict_to_primitives``.
 
 Setting beta drops the cached results that depend on beta, and no other.
 
 Every identity runs on compiled plain-int tables (``compiled``): the
-carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB and P-MP5 through
-the laws of ``hopf``; P-DELTA, both rows of YD-BRAIDMULT and P-ANTI, whose
-sides live in H (x) H and are keyed y * dim**2 + p * dim + q on a row (x,);
+carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB, P-ANTI and
+P-MP5 through the laws of ``hopf``; P-DELTA and both rows of YD-BRAIDMULT,
+whose sides live in H (x) H and are keyed y * dim**2 + p * dim + q on a
+row (x,);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
 tables and the compiled Ad_L columns and grouped legs, both summed once per
 second-leg group of their second argument (``_second_leg_sums``) and
@@ -64,11 +71,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, add_tensors, basis, bilinear_table, bilinear_vectors, comul_side, compare,
-    compare_tables, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, int_vector,
-    line, mapped, pairs_render, render_sides, sides, square, table_vectors, vector_render,
+    compare_tables, compared, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear,
+    int_vector, line, mapped, pairs_render, render_sides, sides, square, table_vectors, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -85,6 +93,7 @@ from .hopf import (
     check_coalgebra,
     check_hopf,
     coaction,
+    coalgebra_map_law,
     column_matrix,
     convolve,
     eps_unit_side,
@@ -99,7 +108,7 @@ from .hopf import (
     one_column,
     pull_back,
 )
-from .linalg import Matrix, Vector, identity_matrix, kernel, matrix_from_columns, solve
+from .linalg import Matrix, Vector, identity_matrix, kernel, matrix_from_columns, solve_many
 from .report import (
     FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, skipped_entry, vector_text,
 )
@@ -490,9 +499,9 @@ def _post_hopf_steps(s: YDPostHopf):
         ch.absorb(_delta_identity(s)[0])
         yield [ch.entry()]
 
-        # P-ANTI: Delta S_> = (S_> (x) S_>) flip Delta
+        # P-ANTI: Delta S_> = (S_> (x) S_>) flip Delta, S_> an anti-coalgebra map
         ch = Checker("P-ANTI")
-        _sharp_anti(ch, s)
+        ch.absorb(next(coalgebra_map_law(_sharp_columns(s), coalg, coalg, swap=True)))
         yield [ch.entry()]
 
         # P-MP5: (x_1 >- y_1) (x) (x_2 -< y_2) = (x_2 >- y_2) (x) (x_1 -< y_1)
@@ -615,40 +624,6 @@ def check_yd_hopf_monoid(s: YDPostHopf) -> CheckReport:
     _yd_colinear(ch, s)
     rep.add(ch.entry())
     return rep
-
-
-def _sharp_anti(t: Tally, s: YDPostHopf) -> None:
-    """S_> is an anti-coalgebra map, Delta(S_>(x)) = S_>(x_2) (x) S_>(x_1) at
-    (x,), on the compiled S_> columns."""
-    sharp, comul = _sharp_columns(s), s.carrier.coalgebra.int_comul()
-    sh, c_, d = sharp.rows, comul.rows, s.dim
-    d2 = d * d
-
-    def anti(acc, prefix, wl, wr):
-        get = acc.get
-        if wl:
-            for i, col in enumerate(sh):
-                base = i * d2
-                for r, c in col:
-                    c *= wl
-                    for p, q, e in c_[r]:
-                        k = base + p * d + q
-                        acc[k] = get(k, 0) + c * e
-        if wr:
-            for i, legs in enumerate(c_):
-                base = i * d2
-                for i1, i2, c in legs:
-                    c *= wr
-                    right = sh[i1]
-                    for p, a in sh[i2]:
-                        a *= c
-                        p = base + p * d
-                        for q, b in right:
-                            key = p + q
-                            acc[key] = get(key, 0) + a * b
-
-    compare(t, [()], d, d2, anti, sharp.scale * comul.scale, comul.scale * sharp.scale ** 2,
-            s.field, pairs_render(d))
 
 
 def _braided_mult(t: Tally, s: YDPostHopf) -> None:
@@ -851,12 +826,13 @@ def commutators(alg: AlgebraData, pool: list[Vector]) -> list[list[Vector]]:
     return [[prods[i][j].sub(prods[j][i]) for j in range(len(pool))] for i in range(len(pool))]
 
 
-def _coords_in_span(basis: list[Vector], v: Vector, fs: FieldSpec) -> Vector | None:
-    if not basis:
-        return None if not v.is_zero() else Vector(0, {}, fs)
-    mat = matrix_from_columns(basis, fs)
-    res = solve(mat, v)
-    return res.solution
+def _span_coords(pool: list[Vector], vectors: list[Vector], fs: FieldSpec) -> list[Vector | None]:
+    """The coordinates of each of vectors in the basis pool, or None for a
+    vector outside its span, all from one elimination
+    (``linalg.solve_many``, which re-checks each A x = b)."""
+    if not pool:
+        return [None if not v.is_zero() else Vector(0, {}, fs) for v in vectors]
+    return solve_many(matrix_from_columns(pool, fs), vectors)[0]
 
 
 def extract_post_lie(s: YDPostHopf) -> PostLieData:
@@ -871,22 +847,13 @@ def extract_post_lie(s: YDPostHopf) -> PostLieData:
     prim = primitives(s.carrier.coalgebra, alg.unit)
     n = len(prim)
     comms, acted = commutators(alg, prim), bilinear_vectors(act.int_act(), s.dim, prim, prim, fs)
-    bracket = []
-    action = []
-    for i in range(n):
-        brow = []
-        arow = []
-        for j in range(n):
-            cb = _coords_in_span(prim, comms[i][j], fs)
-            if cb is None:
-                raise StructureError("primitive subspace not closed under the bracket")
-            ca = _coords_in_span(prim, acted[i][j], fs)
-            if ca is None:
-                raise StructureError("primitive subspace not closed under the action")
-            brow.append(cb)
-            arow.append(ca)
-        bracket.append(brow)
-        action.append(arow)
+    # the bracket and then the action of each pair (i, j), so that the error
+    # names the map of the first vector outside the span in that order
+    coords = _span_coords(prim, [v for i in range(n) for j in range(n) for v in (comms[i][j], acted[i][j])], fs)
+    if None in coords:
+        raise StructureError(f"primitive subspace not closed under the {('bracket', 'action')[coords.index(None) % 2]}")
+    bracket = [coords[2 * n * i:2 * n * (i + 1):2] for i in range(n)]
+    action = [coords[2 * n * i + 1:2 * n * (i + 1):2] for i in range(n)]
     out = PostLieData(n, bracket, action, fs)
     rep = check_post_lie(out)
     if not rep.all_pass():
@@ -917,6 +884,39 @@ def _jacobi(t: Tally, table: IntTable, d: int, fs: FieldSpec) -> None:
     compare(t, square(d), d, d, jacobi, table.scale ** 2, 1, fs, vector_render(d))
 
 
+def _derivation(act: IntTable, bracket: IntTable, d: int, fs: FieldSpec) -> Tally:
+    """x >- [a, b] = [x >- a, b] + [a, x >- b] at (x, a, b): each basis
+    element x of the acting space acts on the d-space of the compiled
+    bracket as a derivation, on rows (x, a).  PL-1, and LRB-ACTION's rows 0."""
+    a_, b_ = act.rows, bracket.rows
+
+    def law(acc, prefix, wl, wr):
+        x, a = prefix
+        for b in range(d):
+            add_bilinear(acc, a_, ((x, 1),), b_[a][b], wl, b * d)
+            add_bilinear(acc, b_, a_[x][a], ((b, 1),), wr, b * d)
+            add_bilinear(acc, b_, ((a, 1),), a_[x][b], wr, b * d)
+
+    return compared(product(range(len(a_)), range(d)), d, d, law, act.scale * bracket.scale,
+                    bracket.scale * act.scale, fs, vector_render(d))
+
+
+def _commutator(act: IntTable, bracket: IntTable, d: int, fs: FieldSpec) -> Tally:
+    """[x, y] >- a = x >- (y >- a) - y >- (x >- a) at (x, y, a): the compiled
+    bracket of the acting space acts on the d-space as the commutator of the
+    actions, on rows (x, y).  PL-2, and LRB-ACTION's rows 1."""
+    a_, b_ = act.rows, bracket.rows
+
+    def law(acc, prefix, wl, wr):
+        x, y = prefix
+        for a in range(d):
+            add_bilinear(acc, a_, b_[x][y], ((a, 1),), wl, a * d)
+            add_bilinear(acc, a_, ((x, 1),), a_[y][a], wr, a * d)
+            add_bilinear(acc, a_, ((y, 1),), a_[x][a], -wr, a * d)
+
+    return compared(square(len(b_)), d, d, law, bracket.scale * act.scale, act.scale ** 2, fs, vector_render(d))
+
+
 def check_post_lie(p: PostLieData) -> CheckReport:
     """Antisymmetry, Jacobi, both post-Lie identities, subadjacent Jacobi, on
     the compiled bracket, action and subadjacent bracket."""
@@ -929,22 +929,13 @@ def check_post_lie(p: PostLieData) -> CheckReport:
     rep.add(ch.entry())
 
     br, act = compile_tensor(p.bracket, fs), compile_tensor(p.action, fs)
-    b_, a_ = br.rows, act.rows
     ch = Checker("PL-JAC")
     _jacobi(ch, br, d, fs)
     rep.add(ch.entry())
 
     # PL-1: x >- [y, z] = [x >- y, z] + [y, x >- z]
     ch = Checker("PL-1")
-
-    def pl1(acc, prefix, wl, wr):
-        i, j = prefix
-        for k in range(d):
-            add_bilinear(acc, a_, ((i, 1),), b_[j][k], wl, k * d)
-            add_bilinear(acc, b_, a_[i][j], ((k, 1),), wr, k * d)
-            add_bilinear(acc, b_, ((j, 1),), a_[i][k], wr, k * d)
-
-    compare(ch, square(d), d, d, pl1, act.scale * br.scale, br.scale * act.scale, fs, vector_render(d))
+    ch.absorb(_derivation(act, br, d, fs))
     rep.add(ch.entry())
 
     # subadjacent bracket [x,y]_> = (x>-y) - (y>-x) + [x,y]
@@ -953,15 +944,7 @@ def check_post_lie(p: PostLieData) -> CheckReport:
 
     # PL-2: [x,y]_> >- z = x >- (y >- z) - y >- (x >- z)
     ch = Checker("PL-2")
-
-    def pl2(acc, prefix, wl, wr):
-        i, j = prefix
-        for k in range(d):
-            add_bilinear(acc, a_, sub.rows[i][j], ((k, 1),), wl, k * d)
-            add_bilinear(acc, a_, ((i, 1),), a_[j][k], wr, k * d)
-            add_bilinear(acc, a_, ((j, 1),), a_[i][k], -wr, k * d)
-
-    compare(ch, square(d), d, d, pl2, sub.scale * act.scale, act.scale ** 2, fs, vector_render(d))
+    ch.absorb(_commutator(act, sub, d, fs))
     rep.add(ch.entry())
 
     # the subadjacent bracket satisfies Jacobi

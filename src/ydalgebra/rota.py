@@ -8,18 +8,25 @@ operators and post-Hopf structures, the induced antipode on K, restriction
 to group-likes and primitives, and the plain group/Lie weight-1 checkers.
 
 RB-BIMON's parts 1-3 (H acts on K as a module, a module algebra and a
-module coalgebra) call the action laws of ``hopf``.  RB-COALG's coproduct
-rows, RB-1, RB-2 and RB-BIMON's parts 4-8 (the comodule laws of the
-coaction rho) run on compiled int tables (``compiled``), built once per
-operator and kept in its ``_cache``: the columns of R, and R(x) >- y,
-R(R(x) >- y) and S_H R(R(x) >- y) for basis elements x, y of K; the columns
-of rho, keyed p * dim_k + q, H's threefold legs grouped with S_H, and the
-units and counits.  RB-SPACES, RB-COALG, RB-3, the morphism checks, the
-Lie checkers and the restrictions run on compiled tables too.  The
-derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H R, and
-the antipode of functor M, R o (alpha * R^{-1} S_H), are convolutions on
-the compiled tables (``hopf.convolve``), and a >-_R b = R(a) >- b is the
-action pulled back along R (``hopf.pull_back``).  The cached tables
+module coalgebra) call the action laws of ``hopf``, part 4's
+coassociativity its ``coassociative_law`` on the terms of rho, and
+RB-COALG, RBM-F/G and the restriction to group-likes its
+``coalgebra_map_law``.  RB-1, RB-2 and RB-BIMON's parts 4-8 (the comodule
+laws of the coaction rho) run on compiled int tables (``compiled``),
+built once per operator and kept in its ``_cache``: the columns of R, and
+R(x) >- y, R(R(x) >- y) and S_H R(R(x) >- y) for basis elements x, y of
+K; the columns of rho, keyed p * dim_k + q, H's threefold legs grouped
+with S_H, and the units and counits.  RB-1, RBM-F/G's product rows and
+RBM-ACT each compare two tables built by the calculus
+(``compiled.compare_tables``); the right sides of parts 5, 7 and 8 are
+``compiled.legs_side`` on a left table each law builds once; LRB-ACTION
+calls the derivation and commutator laws of ``posthopf``.  RB-SPACES,
+RB-3, the Lie checkers and the restrictions run on compiled tables too.
+The derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H
+R, and the antipode of functor M, R o (alpha * R^{-1} S_H), are
+convolutions on the compiled tables (``hopf.convolve``), and
+a >-_R b = R(a) >- b is the action pulled back along R
+(``hopf.pull_back``).  The cached tables
 assume the operator is not changed after it is first checked;
 ``dataclasses.replace`` makes a copy whose cache starts empty.
 """
@@ -27,13 +34,12 @@ assume the operator is not changed after it is first checked;
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 from typing import NamedTuple
 
 from .compiled import (
-    IntTable, add_bilinear, add_linear, basis, bilinear_table, bilinear_vectors, comul_side, compare, compared,
-    compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, line, mapped,
-    pairs_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
+    IntTable, add_bilinear, add_linear, basis, bilinear_table, bilinear_vectors, comul_side, compare, compare_tables,
+    compared, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, legs_side, line,
+    mapped, pairs_render, sides, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -50,6 +56,7 @@ from .hopf import (
     check_hopf,
     coaction,
     coalgebra_map_law,
+    coassociative_law,
     column_matrix,
     convolve,
     eps_unit_side,
@@ -64,13 +71,16 @@ from .hopf import (
     pulled_back,
     solve_antipode,
 )
-from .linalg import Matrix, Vector, identity_matrix, invert, kernel, matrix_from_columns, solve
+from .linalg import Matrix, Vector, identity_matrix, invert, kernel
 from .posthopf import (
     PostLieData,
     YDPostHopf,
+    _commutator,
+    _derivation,
     _jacobi,
     _per_structure,
     _skew,
+    _span_coords,
     check_post_lie,
     commutators,
     ensure_beta,
@@ -161,7 +171,9 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     # RB-COALG: R is a coalgebra morphism, Delta(R(a)) = R(a_1) (x) R(a_2) at
     # (a, 0) and eps(R(a)) = eps(a) at (a, 1), and R(1_K) = 1_H at (dk,)
     ch = Checker("RB-COALG")
-    ch.absorb(coalgebra_map_law(_r_columns(r), hco, kco))
+    delta, counit = coalgebra_map_law(_r_columns(r), hco, kco)
+    ch.absorb(delta, where=lambda w: w + (0,))
+    ch.absorb(counit, where=lambda w: w + (1,))
     ch.compare((dk,), rmap.apply(kalg.unit), halg.unit, vector_text)
     rep.add(ch.entry())
 
@@ -226,29 +238,14 @@ def _rb_tables(r: RelRB) -> _RBTables:
 
 
 def _rb1(t: Tally, r: RelRB) -> None:
-    """RB-1, R(a) . R(b) = R(a_1 . (R(a_2) >- b)) at (a, b), on the tables
-    of ``_rb_tables``, the products of H and K and the coproduct of K."""
-    tables = _rb_tables(r)
-    hmul, kmul, kco = r.h.algebra.int_mul(), r.k_alg.int_mul(), r.k_coalg.int_comul()
-    hm, km, rc, acted = hmul.rows, kmul.rows, tables.r_cols.rows, tables.acted.rows
-    dk, dh, p = r.dim_k, r.h.dim, r.field.p
-
-    def rb1(acc, prefix, wl, wr):
-        a, = prefix
-        if wl:
-            ra = rc[a]
-            for b, rb in enumerate(rc):
-                add_bilinear(acc, hm, ra, rb, wl, b * dh)
-        if wr:
-            legs = [((a1, c), acted[a2]) for a1, a2, c in kco.rows[a]]
-            for b in range(dk):
-                inner: dict[int, int] = {}
-                for a1c, row in legs:
-                    add_bilinear(inner, km, (a1c,), row[b], 1)
-                add_linear(acc, rc, int_items(inner, p), wr, b * dh)
-
-    sr = kco.scale * kmul.scale * tables.acted.scale * tables.r_cols.scale
-    compare(t, line(dk), dk, dh, rb1, tables.r_cols.scale ** 2 * hmul.scale, sr, r.field, vector_render(dh))
+    """RB-1, R(a) . R(b) = R(a_1 . (R(a_2) >- b)) at (a, b): the products of
+    the columns of R against R applied to the convolution L_K * (R(-) >- -)
+    (``hopf.convolve``) of K's left products and the table ``acted`` of
+    ``_rb_tables``."""
+    tables, p = _rb_tables(r), r.field.p
+    rc = tables.r_cols
+    compare_tables(t, bilinear_table(r.h.algebra.int_mul(), rc, rc, p),
+                   mapped(rc, convolve(r.k_alg.int_mul(), tables.acted, r.k_coalg), p), r.h.dim, r.field)
 
 
 def _rb2(t: Tally, r: RelRB) -> None:
@@ -364,9 +361,9 @@ def _comodule_law(r: RelRB) -> Tally:
     """Part 4, rho is a coaction: (eps (x) id) rho(a) = a at (4, a, 0), and
     (Delta (x) id) rho(a) = (id (x) rho) rho(a) at (4, a, 1), keyed
     (p_1 * dim_h + p_2) * dim_k + q."""
-    dk, dh, fs = r.dim_k, r.h.dim, r.field
-    tb, hco = _rho_tables(r), r.h.coalgebra.int_comul()
-    rho, terms, hc, eps = tb.rho.rows, tb.terms, hco.rows, dict(tb.h_eps.rows[0])
+    dk, fs = r.dim_k, r.field
+    tb = _rho_tables(r)
+    terms, eps = tb.terms, dict(tb.h_eps.rows[0])
 
     def counit(acc, prefix, wl, wr):
         a, = prefix
@@ -379,61 +376,25 @@ def _comodule_law(r: RelRB) -> Tally:
         if wr:
             acc[a] = get(a, 0) + wr
 
-    def coassoc(acc, prefix, wl, wr):
-        a, = prefix
-        get = acc.get
-        if wl:
-            for pp, q, c in terms[a]:
-                c *= wl
-                for p1, p2, e in hc[pp]:
-                    k = (p1 * dh + p2) * dk + q
-                    acc[k] = get(k, 0) + c * e
-        if wr:
-            for pp, q, c in terms[a]:
-                c *= wr
-                base = pp * dh * dk
-                for k, e in rho[q]:
-                    key = base + k
-                    acc[key] = get(key, 0) + c * e
-
     t = compared(line(dk), 1, dk, counit, tb.rho.scale * tb.h_eps.scale, 1, fs, vector_render(dk),
                  lambda w: (4, w[0], 0))
-    t.absorb(compared(line(dk), 1, dh * dh * dk, coassoc, tb.rho.scale * hco.scale, tb.rho.scale ** 2, fs,
-                      triples_render(dh, dk), lambda w: (4, w[0], 1)))
+    t.absorb(coassociative_law(terms, tb.rho.scale, r.h.coalgebra, dk), where=lambda w: (4, w[0], 1))
     return t
 
 
 def _comodule_algebra_law(r: RelRB) -> Tally:
     """Part 5, K is an H-comodule algebra: rho(a.b) = a(-1) b(-1) (x)
-    a(0) b(0) at (5, a, b), and rho(1) = 1 (x) 1 at (5, dk, dk)."""
-    dk, fs = r.dim_k, r.field
+    a(0) b(0) at (5, a, b), the right side ``compiled.legs_side`` on the
+    products of H and K over the terms of rho, and rho(1) = 1 (x) 1 at
+    (5, dk, dk)."""
+    dk, dh, fs = r.dim_k, r.h.dim, r.field
     tb, hmul, kmul = _rho_tables(r), r.h.algebra.int_mul(), r.k_alg.int_mul()
-    rho, terms, hm, km = tb.rho.rows, tb.terms, hmul.rows, kmul.rows
+    rho, terms, km = tb.rho.rows, tb.terms, kmul.rows
     hu, ku, sp = tb.h_unit.rows[0], tb.k_unit.rows[0], tb.rho.scale
-
-    width = r.h.dim * dk
-
-    def product_side(acc, prefix, w):
-        a, = prefix
-        get = acc.get
-        ta = [(hm[p1], km[q1], c1 * w) for p1, q1, c1 in terms[a]]
-        for b, tb_ in enumerate(terms):
-            base = b * width
-            for hp, kq, c1 in ta:
-                for p2, q2, c2 in tb_:
-                    right = kq[q2]
-                    if not right:
-                        continue
-                    c = c1 * c2
-                    for h, n in hp[p2]:
-                        n *= c
-                        h = base + h * dk
-                        for k, e in right:
-                            key = h + k
-                            acc[key] = get(key, 0) + n * e
-
+    width = dh * dk
     render = pairs_render(dk)
-    t = compared(line(dk), dk, width, sides(_rho_side(rho, lambda pr: km[pr[0]], width), product_side),
+    t = compared(line(dk), dk, width, sides(_rho_side(rho, lambda pr: km[pr[0]], width),
+                                            legs_side(hmul.rows, km, terms, terms, dk, left_dim=dh)),
                  kmul.scale * sp, sp * sp * hmul.scale * kmul.scale, fs, render, lambda w: (5,) + w)
     t.absorb(compared([()], 1, width, sides(_rho_side(rho, lambda pr: [ku], width), tensor_side(hu, ku, dk)),
                       tb.k_unit.scale * sp, tb.h_unit.scale * tb.k_unit.scale, fs, render,
@@ -497,37 +458,21 @@ def _comodule_coalgebra_law(r: RelRB) -> Tally:
 def _yd_law(r: RelRB) -> Tally:
     """Part 7, Yetter-Drinfeld compatibility: rho(h >- a) = (h_1 a(-1))
     S(h_3) (x) (h_2 >- a(0)) at (7, h, a), H's legs grouped by (h_1, h_2).
-    Each (h_1 p) S(h_3) is made once per h."""
+    The grouped legs of every h are numbered into one table of
+    (h_1 p) S(h_3) for each p, so the right side is ``compiled.legs_side``
+    on that table and the action, over the numbered legs and rho's terms."""
     dk, dh, fs, p = r.dim_k, r.h.dim, r.field, r.field.p
     tb, hmul, act = _rho_tables(r), r.h.algebra.int_mul(), r.action.int_act()
-    rho, terms, s_legs, hm, x_ = tb.rho.rows, tb.terms, tb.s_legs.rows, hmul.rows, act.rows
+    rho, hm, x_ = tb.rho.rows, hmul.rows, act.rows
+    left: list = []  # left[g][p] = (h_1 p) S(h_3) for the g-th grouped leg (h_1, h_2, S(h_3))
+    legs = []        # legs[h] = (g, h_2, 1) for each grouped leg g of h
+    for groups in tb.s_legs.rows:
+        legs.append([(len(left) + g, i2, 1) for g, (_, i2, _) in enumerate(groups)])
+        left.extend([int_bilinear(hm, hp, sg, p) for hp in hm[i1]] for i1, _, sg in groups)
     width = dh * dk
-
-    def compat(acc, prefix, w):
-        i, = prefix
-        get = acc.get
-        by_p: dict = {}  # (g, p) -> (h_1 p) S(h_3) for the g-th group (h_1, h_2, S(h_3)) of h
-        for g, (i1, i2, sg) in enumerate(s_legs[i]):
-            hi, xi = hm[i1], x_[i2]
-            for a, ta in enumerate(terms):
-                base = a * width
-                for pp, q, c in ta:
-                    right = xi[q]
-                    if not right:
-                        continue
-                    u = by_p.get((g, pp))
-                    if u is None:
-                        u = by_p[(g, pp)] = int_bilinear(hm, hi[pp], sg, p)
-                    c *= w
-                    for h, n in u:
-                        n *= c
-                        h = base + h * dk
-                        for k, e in right:
-                            key = h + k
-                            acc[key] = get(key, 0) + n * e
-
     sp = tb.rho.scale
-    return compared(line(dh), dk, width, sides(_rho_side(rho, lambda pr: x_[pr[0]], width), compat),
+    return compared(line(dh), dk, width, sides(_rho_side(rho, lambda pr: x_[pr[0]], width),
+                                               legs_side(left, x_, legs, tb.terms, dk, left_dim=dh)),
                     act.scale * sp, tb.s_legs.scale * hmul.scale ** 2 * sp * act.scale, fs, pairs_render(dk),
                     lambda w: (7,) + w)
 
@@ -535,42 +480,20 @@ def _yd_law(r: RelRB) -> Tally:
 def _braided_bialgebra_law(r: RelRB) -> Tally:
     """Part 8, K is a braided bialgebra: Delta(a.b) = a_1 (a_2(-1) >- b_1)
     (x) a_2(0) b_2 at (8, a, b, 0), eps(a.b) = eps(a) eps(b) at (8, a, b, 1),
-    and Delta(1) = 1 (x) 1 at (8, dk, dk, 0).  Each a_1 (p >- b_1) is made
-    once per a."""
+    and Delta(1) = 1 (x) 1 at (8, dk, dk, 0).  The pairs (a_1, p) of the
+    terms a_1 (x) p (x) e_q of (id (x) rho) Delta(a) are numbered into one
+    table of a_1 (p >- b_1) for each b_1, so the right side is
+    ``compiled.legs_side`` on that table and K's product."""
     dk, fs, p = r.dim_k, r.field, r.field.p
     tb, kmul, kco, act = _rho_tables(r), r.k_alg.int_mul(), r.k_coalg.int_comul(), r.action.int_act()
     terms, km, kc, x_ = tb.terms, kmul.rows, kco.rows, act.rows
-    d2 = dk * dk
-
-    def braided(acc, prefix, w):
-        a, = prefix
-        get = acc.get
-        acted: dict = {}  # (a_1, p, b_1) -> a_1 (p >- b_1)
-        for a1, a2, ca in kc[a]:
-            ca *= w
-            for pp, q, cp in terms[a2]:
-                kq, xp = km[q], x_[pp]
-                c = ca * cp
-                for b, kb in enumerate(kc):
-                    base = b * d2
-                    for b1, b2, cb in kb:
-                        right = kq[b2]
-                        if not right:
-                            continue
-                        u = acted.get((a1, pp, b1))
-                        if u is None:
-                            u = acted[(a1, pp, b1)] = int_bilinear(km, ((a1, 1),), xp[b1], p)
-                        cc = c * cb
-                        for i, n in u:
-                            n *= cc
-                            i = base + i * dk
-                            for j, e in right:
-                                key = i + j
-                                acc[key] = get(key, 0) + n * e
-
-    t = compared(line(dk), dk, d2, sides(comul_side(km, kc, dk), braided), kmul.scale * kco.scale,
-                 kco.scale ** 2 * tb.rho.scale * act.scale * kmul.scale ** 2, fs, pairs_render(dk),
-                 lambda w: (8,) + w + (0,))
+    pairs: dict = {}  # (a_1, p) -> its number
+    legs = [[(pairs.setdefault((a1, pp), len(pairs)), q, ca * cp) for a1, a2, ca in legs_a for pp, q, cp in terms[a2]]
+            for legs_a in kc]
+    left = [[int_bilinear(km, ((a1, 1),), xb, p) for xb in x_[pp]] for a1, pp in pairs]
+    t = compared(line(dk), dk, dk * dk, sides(comul_side(km, kc, dk), legs_side(left, km, legs, kc, dk)),
+                 kmul.scale * kco.scale, kco.scale ** 2 * tb.rho.scale * act.scale * kmul.scale ** 2, fs,
+                 pairs_render(dk), lambda w: (8,) + w + (0,))
     laws = bialgebra_unit_laws(r.k_alg, r.k_coalg)  # eps(1) = 1 is not a row here
     t.absorb(next(laws), where=lambda w: (8,) + w + (1,))
     t.absorb(next(laws), where=lambda w: (8, dk, dk, 0))
@@ -684,20 +607,17 @@ def _morphism_checker(
     at (0, i, j), f(1) = 1 at (1,), and, per i, Delta(f(e_i)) = f(i_1) (x)
     f(i_2) at (2, i) and eps(f(e_i)) = eps(e_i) at (3, i), on the compiled
     columns of f.  The witness is the first failure in that order."""
-    fc, ms, md = compile_columns(f), alg_src.int_mul(), alg_dst.int_mul()
-    d, n, fs = alg_src.dim, f.rows, alg_src.field
-
-    def multiplicative(acc, prefix, wl, wr):
-        i, = prefix
-        for j in range(d):
-            add_linear(acc, fc.rows, ms.rows[i][j], wl, j * n)
-            add_bilinear(acc, md.rows, fc.rows[i], fc.rows[j], wr, j * n)
-
-    # the rows keyed in their loop order: (2, i, 0) for (2, i), (2, i, 1) for (3, i)
-    t = compared(line(d), d, n, multiplicative, fc.scale * ms.scale, md.scale * fc.scale ** 2, fs, vector_render(n),
-                 lambda w: (0,) + w)
+    fc, p = compile_columns(f), alg_src.field.p
+    mult = Tally()
+    compare_tables(mult, mapped(fc, alg_src.int_mul(), p), bilinear_table(alg_dst.int_mul(), fc, fc, p), f.rows,
+                   alg_src.field)
+    t = Tally()
+    t.absorb(mult, where=lambda w: (0,) + w)
     t.compare((1,), f.apply(alg_src.unit), alg_dst.unit, vector_text)
-    t.absorb(coalgebra_map_law(fc, co_dst, co_src), where=lambda w: (2,) + w)
+    # the rows keyed in their loop order: (2, i, 0) for (2, i), (2, i, 1) for (3, i)
+    delta, counit = coalgebra_map_law(fc, co_dst, co_src)
+    t.absorb(delta, where=lambda w: (2,) + w + (0,))
+    t.absorb(counit, where=lambda w: (2,) + w + (1,))
     ch = Checker(axiom)
     ch.absorb(t, where=lambda w: w if w[0] < 2 else (2 + w[2], w[1]))
     return ch
@@ -722,18 +642,9 @@ def check_rb_morphism(src: RelRB, dst: RelRB, f: Matrix, g: Matrix) -> CheckRepo
 def _intertwining_checker(axiom: str, f: Matrix, g: Matrix, src: ActionTensor,
                           dst: ActionTensor) -> Checker:
     """g(x >- a) = f(x) >-' g(a) at (x, a), on the compiled tables."""
-    fc, gc, xs, xd = compile_columns(f), compile_columns(g), src.int_act(), dst.int_act()
-    n = g.rows
-
-    def law(acc, prefix, wl, wr):
-        i, = prefix
-        for a, v in enumerate(xs.rows[i]):
-            add_linear(acc, gc.rows, v, wl, a * n)
-            add_bilinear(acc, xd.rows, fc.rows[i], gc.rows[a], wr, a * n)
-
+    fc, gc, p = compile_columns(f), compile_columns(g), src.field.p
     ch = Checker(axiom)
-    compare(ch, line(src.acting_dim), src.target_dim, n, law, gc.scale * xs.scale, xd.scale * fc.scale * gc.scale,
-            src.field, vector_render(n))
+    compare_tables(ch, mapped(gc, src.int_act(), p), bilinear_table(dst.int_act(), fc, gc, p), g.rows, src.field)
     return ch
 
 
@@ -922,29 +833,12 @@ def check_lie_rb(l: LieRB) -> CheckReport:
     fs = l.lie_h.field
     bg, bh = compile_tensor(l.lie_g.bracket, fs), compile_tensor(l.lie_h.bracket, fs)
     ph, rc = l.phi.int_act(), compile_columns(l.r)
-    render = vector_render(dh)
 
-    # (0, i, a, b): phi_i [a, b] = [phi_i a, b] + [a, phi_i b]
-    def derivation(acc, prefix, wl, wr):
-        i, a = prefix
-        for b in range(dh):
-            add_bilinear(acc, ph.rows, ((i, 1),), bh.rows[a][b], wl, b * dh)
-            add_bilinear(acc, bh.rows, ph.rows[i][a], ((b, 1),), wr, b * dh)
-            add_bilinear(acc, bh.rows, ((a, 1),), ph.rows[i][b], wr, b * dh)
-
+    # (0, i, a, b): phi_i [a, b] = [phi_i a, b] + [a, phi_i b], and
     # (1, i, j, a): phi_[i, j] a = phi_i phi_j a - phi_j phi_i a
-    def bracket(acc, prefix, wl, wr):
-        i, j = prefix
-        for a in range(dh):
-            add_bilinear(acc, ph.rows, bg.rows[i][j], ((a, 1),), wl, a * dh)
-            add_bilinear(acc, ph.rows, ((i, 1),), ph.rows[j][a], wr, a * dh)
-            add_bilinear(acc, ph.rows, ((j, 1),), ph.rows[i][a], -wr, a * dh)
-
     ch = Checker("LRB-ACTION")
-    ch.absorb(compared(product(range(dg), range(dh)), dh, dh, derivation, ph.scale * bh.scale, bh.scale * ph.scale,
-                       fs, render, lambda w: (0,) + w))
-    ch.absorb(compared(square(dg), dh, dh, bracket, ph.scale * bg.scale, ph.scale ** 2, fs, render,
-                       lambda w: (1,) + w))
+    ch.absorb(_derivation(ph, bh, dh, fs), where=lambda w: (0,) + w)
+    ch.absorb(_commutator(ph, bg, dh, fs), where=lambda w: (1,) + w)
     rep.add(ch.entry())
 
     # (a, b): [R a, R b] = R(phi(R a) b - phi(R b) a + [a, b])
@@ -981,7 +875,10 @@ def restrict_to_grouplikes(r: RelRB, candidates: list[Vector]) -> GroupRB:
         n = len(candidates)
         points = CoalgebraData(n, [[(x, x, fs.one)] for x in range(n)], Vector(n, dict.fromkeys(range(n), fs.one), fs),
                                fs)
-        bad = coalgebra_map_law(compile_vectors(candidates, fs), kco, points).witness
+        t = Tally()
+        for law in coalgebra_map_law(compile_vectors(candidates, fs), kco, points):
+            t.absorb(law)
+        bad = t.witness
         if bad is not None:
             raise StructureError(f"candidate {vector_text(candidates[bad.where[0]])} is not group-like")
 
@@ -1033,26 +930,24 @@ def restrict_to_primitives(r: RelRB) -> LieRB:
     p_k = primitives(r.k_coalg, r.k_alg.unit)
     p_h = primitives(r.h.coalgebra, r.h.algebra.unit)
 
-    def coords(pool: list[Vector], v: Vector, what: str) -> Vector:
-        if not pool:
-            if v.is_zero():
-                return Vector(0, {}, fs)
-            raise StructureError(f"{what}: nonzero vector outside the zero space")
-        res = solve(matrix_from_columns(pool, fs), v)
-        if res.solution is None:
+    def coords(pool: list[Vector], rows: list[list[Vector]], what: str) -> list[list[Vector]]:
+        """The coordinates in pool of each vector of rows, row by row."""
+        flat = _span_coords(pool, [v for row in rows for v in row], fs)
+        if None in flat:
+            if not pool:
+                raise StructureError(f"{what}: nonzero vector outside the zero space")
             raise StructureError(f"{what}: not closed under the restriction")
-        return res.solution
+        it = iter(flat)
+        return [[next(it) for _ in row] for row in rows]
 
     def bracket_of(pool: list[Vector], alg: AlgebraData) -> LieData:
-        rows = [[coords(pool, c, "commutator bracket") for c in row] for row in commutators(alg, pool)]
-        return LieData(len(pool), rows, fs)
+        return LieData(len(pool), coords(pool, commutators(alg, pool), "commutator bracket"), fs)
 
     lie_h = bracket_of(p_k, r.k_alg)
     lie_g = bracket_of(p_h, r.h.algebra)
-    phi_rows = [[coords(p_k, v, "primitive action") for v in row]
-                for row in bilinear_vectors(r.action.int_act(), r.dim_k, p_h, p_k, fs)]
+    phi_rows = coords(p_k, bilinear_vectors(r.action.int_act(), r.dim_k, p_h, p_k, fs), "primitive action")
     phi = ActionTensor(len(p_h), len(p_k), phi_rows, fs)
-    r_cols = [coords(p_h, r.r_map.apply(v), "image of a primitive") for v in p_k]
+    r_cols, = coords(p_h, [[r.r_map.apply(v) for v in p_k]], "image of a primitive")
     rmat = Matrix(
         len(p_h), len(p_k),
         {(i, j): c for j, col in enumerate(r_cols) for i, c in col.entries.items()},

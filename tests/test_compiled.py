@@ -61,7 +61,7 @@ from ydalgebra.compiled import compile_comul, compile_legs, compile_tensor, comp
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
     ActionTensor, AlgebraData, BraidedPair, CoalgebraData, HopfData, StructureError, antipode_law, check_algebra,
-    check_hopf, convolution, module_algebra_law, module_coalgebra_law, module_law,
+    check_hopf, coalgebra_map_law, convolution, module_algebra_law, module_coalgebra_law, module_law,
 )
 from ydalgebra.linalg import Matrix, Vector, _vector, accumulate, kernel, matrix_from_columns, unit_vector
 from ydalgebra.posthopf import (
@@ -70,7 +70,7 @@ from ydalgebra.posthopf import (
     _delta_identity,
     _module_algebra,
     _module_identity,
-    _sharp_anti,
+    _sharp_columns,
     _yd_colinear,
     _yd_compat,
     PostLieData,
@@ -982,7 +982,7 @@ def compiled_tallies(s) -> dict:
         "P-DELTA": _delta_identity(s)[0],
         "P-DELTA failed": _delta_identity(s)[1],
         "YD-BRAIDMULT": _tally(lambda t: _braided_mult(t, s)),
-        "P-ANTI": _tally(lambda t: _sharp_anti(t, s)),
+        "P-ANTI": next(coalgebra_map_law(_sharp_columns(s), s.carrier.coalgebra, s.carrier.coalgebra, swap=True)),
         "HOPF-DELTA-MULT": check_hopf(_carrier_hopf(s)).entry("HOPF-DELTA-MULT"),
         "P-COALG": _alpha_comult(s)[0],
         "braiding": braiding_sigma(s).entries,
@@ -1223,6 +1223,35 @@ def test_comodule_parts_match_reference_on_line_mutants(base):
     if base != "unit-map":
         assert {part for part, _, _ in rows} == {4, 5, 6, 7, 8}
         assert {(4, 3, 0), (4, 3, 1), (6, 3, 0), (6, 3, 1), (8, 4, 0), (8, 4, 1)} <= rows
+
+
+def _group_likes_rb() -> str:
+    """R: K -> H the inclusion of the group algebra K = k[C2] into Sweedler's
+    H, H acting through its counit and rho(a) = 1 (x) a: an operator with
+    dim H = 4 and dim K = 2, so an H (x) K side keys its rows apart from a
+    K (x) K one."""
+    h_lines = [x for x in (GOLDEN / "sweedler-q-rb_l.struct").read_text().splitlines() if x.startswith("h.")]
+    k_lines = ["k.dim 2", "k.basis 1 g", "k.unit 0 1", "k.counit 0 1", "k.counit 1 1", "k.mul 0 0 0 1",
+               "k.mul 0 1 1 1", "k.mul 1 0 1 1", "k.mul 1 1 0 1", "k.comul 0 0 0 1", "k.comul 1 1 1 1",
+               "k.antipode 0 0 1", "k.antipode 1 1 1"]
+    return "\n".join(["kind relrb", "field Q", *k_lines, *h_lines, "action 0 0 0 1", "action 0 1 1 1",
+                      "action 1 0 0 1", "action 1 1 1 1", "coaction 0 0 0 1", "coaction 1 0 1 1", "rmap 0 0 1",
+                      "rmap 1 1 1"]) + "\n"
+
+
+def test_comodule_parts_match_reference_when_dim_h_differs_from_dim_k():
+    # every coefficient changed in turn, on an operator whose parts 5 and 7
+    # have sides in H (x) K with dim K > 1, and whose passing parts all pass
+    text = _group_likes_rb()
+    assert all(_verdict(t)[1] == 0 for t in _comodule_parts(parse(text)))
+    failing = set()
+    for name, mutant in _line_mutants(text).items():
+        r = parse(mutant)
+        got = comodule_verdicts(r)
+        assert got == comodule_verdicts(r, ref_bimonoid_parts_4_8), name
+        failing |= {w.where[:1] + w.where[2:3] for _, _, w in got if w is not None}
+    # parts 5 and 7 fail with a witness beyond the first K-row
+    assert {(5, 1), (7, 1)} <= failing
 
 
 @pytest.mark.parametrize("name", sorted(["sweedler-q-rb_l", "sweedler-f7-rb_l", "mutant-relrb-q",
@@ -1789,6 +1818,32 @@ def test_cold_ids_and_unit_rows_match_vector_reference(p, name, strip_beta, data
     assert _verdict(rep.entry("RBM-ACT")) == _verdict(ref_intertwining(ident, ident, base.action, r.action))
 
 
+def _random_map(data, d: int, fs) -> Matrix:
+    """The identity with one to three entries set to a random scalar (0
+    deletes one): as a rule not a morphism of anything."""
+    entries = {(i, i): fs.one for i in range(d)}
+    index, value = st.integers(0, d - 1), st.builds(fs.scalar, st.integers(-2, 2), st.integers(1, 3))
+    for _ in range(data.draw(st.integers(1, 3))):
+        entries[data.draw(index), data.draw(index)] = data.draw(value)
+    return Matrix(d, d, entries, fs)
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(st.sampled_from(sorted(BUILDS)), st.data())
+def test_rbm_ids_match_vector_reference_on_maps_that_are_not_morphisms(p, name, data):
+    # RBM-F, RBM-G and RBM-ACT on random f and g from the unperturbed
+    # operator to a perturbed one, so that their rows fail in many places
+    s = _perturbed(name, p, data)
+    base, r = functor_l(BUILDS[name](s.field)), functor_l(s)
+    f, g = _random_map(data, s.dim, s.field), _random_map(data, s.dim, s.field)
+    rep = check_rb_morphism(base, r, f, g)
+    assert _verdict(rep.entry("RBM-F")) == _verdict(ref_morphism(f, base.h.algebra, base.h.coalgebra,
+                                                                 r.h.algebra, r.h.coalgebra))
+    assert _verdict(rep.entry("RBM-G")) == _verdict(ref_morphism(g, base.k_alg, base.k_coalg, r.k_alg, r.k_coalg))
+    assert _verdict(rep.entry("RBM-ACT")) == _verdict(ref_intertwining(f, g, base.action, r.action))
+
+
 def _random_vectors(data, n: int, d: int, fs):
     value = st.integers(-2, 2).map(lambda x: fs.scalar(x))
     return [Vector(d, data.draw(st.dictionaries(st.integers(0, d - 1), value, max_size=2)), fs) for _ in range(n)]
@@ -1855,10 +1910,12 @@ def test_pre_hopf_and_primitives_match_vector_reference(p, name, data):
 # --- one contraction path ---------------------------------------------------------
 
 # the Vector-side contraction helpers, deleted when every contraction moved
-# onto compiled tables; their loops live on in ``oracles``
+# onto compiled tables (their loops live on in ``oracles``), and the P-ANTI
+# contract and per-vector span solve that the shared laws replaced
 DELETED = ("add_scaled_inplace", "_q_axpy", "_fp_axpy", "_q_bilinear", "_fp_bilinear", "_q_product", "_fp_product",
            "_q_ratio", "_fp_value", "mul_vec", "comul_vec", "_pairs", "eps_vec", "apply_basis", "apply_vec_basis",
-           "tens2", "_bilinear", "bracket_vec", "act_vec", "_r_acted", "compile_groups")
+           "tens2", "_bilinear", "bracket_vec", "act_vec", "_r_acted", "compile_groups", "_sharp_anti",
+           "_coords_in_span")
 
 
 def _names(tree) -> list:

@@ -28,6 +28,7 @@ from ydalgebra.hopf import (
     AlgebraData,
     BraidedPair,
     CoalgebraData,
+    StructureError,
     convolution,
     is_cocommutative,
     unit_counit_map,
@@ -162,6 +163,43 @@ def test_primitive_restriction_with_nonzero_primitives():
                 act_apply(lrb.phi, rb_v, unit_vector(2, a, fs))
             ).add(lrb.lie_h.bracket[a][b])
             assert lhs == lrb.r.apply(inner)
+
+
+def test_span_errors_name_the_first_vector_outside_the_primitives(monkeypatch):
+    # the bracket and the action are solved against the primitives t, s;
+    # the error names the map of the first vector outside their span, the
+    # pairs (i, j) in order and the bracket before the action
+    s = dual_numbers_pair()
+    one = unit_vector(4, 0, s.field)  # 1 is not primitive
+    prims = posthopf.primitives(s.carrier.coalgebra, s.carrier.algebra.unit)
+    real_acted = posthopf.bilinear_vectors
+
+    def comms(i, j):
+        rows = posthopf.commutators(s.carrier.algebra, prims)
+        rows[i][j] = one
+        return lambda *args: rows
+
+    def acted(*args):
+        rows = real_acted(*args)
+        rows[0][1] = one
+        return rows
+
+    monkeypatch.setattr(posthopf, "commutators", comms(1, 1))
+    with pytest.raises(StructureError, match="^primitive subspace not closed under the bracket$"):
+        posthopf.extract_post_lie(s)
+    monkeypatch.setattr(posthopf, "bilinear_vectors", acted)
+    with pytest.raises(StructureError, match="^primitive subspace not closed under the action$"):
+        posthopf.extract_post_lie(s)
+    monkeypatch.setattr(posthopf, "commutators", comms(0, 1))
+    with pytest.raises(StructureError, match="^primitive subspace not closed under the bracket$"):
+        posthopf.extract_post_lie(s)
+    # R maps t to 1, so the image of a primitive leaves the primitives of H
+    monkeypatch.undo()
+    r = functor_l(dual_numbers_pair())
+    u = r.field.one
+    r = dataclasses.replace(r, r_map=Matrix(4, 4, {(0, 0): u, (0, 1): u, (2, 2): u, (3, 3): u}, r.field))
+    with pytest.raises(StructureError, match="^image of a primitive: not closed under the restriction$"):
+        restrict_to_primitives(r)
 
 
 def test_minus_identity_lie_rota_baxter():
