@@ -129,47 +129,42 @@ _DERIVE_TARGETS = (
     "rb_l", "post_m", "post_r", "sk", "postlie",
 )
 
+# The derivations from each source kind, by target.  Each takes the source
+# and the --mode flag; the functors are looked up when one runs.
+_DERIVATIONS = {
+    "ydpost": {
+        "subadjacent": lambda s, mode: subadjacent_hopf(s),
+        "brace": lambda s, mode: functor_f(s),
+        "matchedpair": lambda s, mode: to_matched_pair(s),
+        "rb_l": lambda s, mode: functor_l(s),
+        "postlie": lambda s, mode: extract_post_lie(s),
+    },
+    "ydbrace": {"posthopf": lambda s, mode: functor_g(s)},
+    "matchedpair": {"posthopf": lambda s, mode: from_matched_pair(s)},
+    "relrb": {
+        "post_m": lambda s, mode: functor_m(s),
+        "post_r": lambda s, mode: functor_r(s, mode="D" if mode == "full" else "Cprime"),
+        "sk": lambda s, mode: dataclasses.replace(s, k_antipode=antipode_sk(s)),
+    },
+}
+
 
 def cmd_derive(args) -> int:
     obj = _load(args.path)
+    # a target that does not apply to the source's kind is a usage error,
+    # found before any suite runs
+    kind = kind_of(obj)
+    if kind not in _DERIVATIONS:
+        raise ParseError(f"no derivations from kind {kind!r}")
+    derive = _DERIVATIONS[kind].get(args.target)
+    if derive is None:
+        raise ParseError(f"target {args.target!r} does not apply to a {kind} source")
     rep = run_suite(obj, mode=args.mode)
     if not rep.all_pass():
         sys.stderr.write("source structure fails its suite:\n")
         sys.stdout.write(rep.machine_text() if args.report == "machine" else rep.text())
         return 1
-    target = args.target
-    if isinstance(obj, YDPostHopf):
-        if target == "subadjacent":
-            derived = subadjacent_hopf(obj)
-        elif target == "brace":
-            derived = functor_f(obj)
-        elif target == "matchedpair":
-            derived = to_matched_pair(obj)
-        elif target == "rb_l":
-            derived = functor_l(obj)
-        elif target == "postlie":
-            derived = extract_post_lie(obj)
-        else:
-            raise ParseError(f"target {target!r} does not apply to a ydpost source")
-    elif isinstance(obj, YDBrace):
-        if target != "posthopf":
-            raise ParseError(f"target {target!r} does not apply to a ydbrace source")
-        derived = functor_g(obj)
-    elif isinstance(obj, MatchedPair):
-        if target != "posthopf":
-            raise ParseError(f"target {target!r} does not apply to a matchedpair source")
-        derived = from_matched_pair(obj)
-    elif isinstance(obj, RelRB):
-        if target == "post_m":
-            derived = functor_m(obj)
-        elif target == "post_r":
-            derived = functor_r(obj, mode="D" if args.mode == "full" else "Cprime")
-        elif target == "sk":
-            derived = dataclasses.replace(obj, k_antipode=antipode_sk(obj))
-        else:
-            raise ParseError(f"target {target!r} does not apply to a relrb source")
-    else:
-        raise ParseError(f"no derivations from kind {kind_of(obj)!r}")
+    derived = derive(obj, args.mode)
     derived_rep = run_suite(derived, mode=args.mode)
     if not derived_rep.all_pass():
         sys.stderr.write("derived structure fails its suite (inconsistent input?):\n")
@@ -293,7 +288,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--report", choices=("text", "machine"), default="text")
     c.add_argument("--mode", choices=("pre", "full"), default="full",
                    help="relative Rota-Baxter notion to check")
-    c.set_defaults(func=cmd_check)
 
     d = sub.add_parser("derive", help="derive and write a converted structure")
     d.add_argument("path")
@@ -301,7 +295,6 @@ def make_parser() -> argparse.ArgumentParser:
     d.add_argument("--out", required=True)
     d.add_argument("--report", choices=("text", "machine"), default="text")
     d.add_argument("--mode", choices=("pre", "full"), default="full")
-    d.set_defaults(func=cmd_derive)
 
     e = sub.add_parser("example", help="emit a built-in example structure")
     e.add_argument("name", choices=("trivial", "sweedler", "en", "suzuki",
@@ -317,19 +310,28 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("--rb", choices=("identity", "inversion"), default="inversion")
     e.add_argument("--field", default="Q", help="Q or Fp:<prime>")
     e.add_argument("--out", default=None)
-    e.set_defaults(func=cmd_example)
 
     r = sub.add_parser("report", help="summarize a structure file")
     r.add_argument("path")
-    r.set_defaults(func=cmd_report)
     return p
 
 
+# The parser of main, built on its first call and kept for the process:
+# parsing holds no state between calls, and argparse writes its usage
+# errors and help to the sys.stdout and sys.stderr of the call.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
+    # the command is looked up by name at each call, so a rebound cmd_*
+    # runs even though the parser outlives it
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ParseError, FieldError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
