@@ -251,50 +251,70 @@ def _rb1(t: Tally, r: RelRB) -> None:
 def _rb2(t: Tally, r: RelRB) -> None:
     """RB-2, the symmetry of S_H R(R(a_1) >- b_1) . R(a_2) . R(b_2) (x)
     R(R(a_3) >- b_3) under moving the legs (1, 2, 3) to (2, 3, 1), at
-    (a, b), on the tables of ``_rb_tables``.  The product is taken from the
-    left, as H's product need not be associative in a failing operator: each
-    S_H R(R(x_1) >- y_1) . R(x_2) is made once, and each pair of threefold
-    legs is then one product with R(y_2).  The products are summed grouped
-    by the third legs' pair, whose ``q`` entry is the right tensor factor."""
+    (a, b), on the tables of ``_rb_tables``.  The threefold legs expand the
+    first leg of Delta, so each side is a sum over Delta(a), Delta(b) of a
+    table at (a_1, b_1), whether or not K is coassociative.  The left side
+    is ``compiled.legs_side`` on q and P[x][y] = S_H R(R(x_1) >- y_1) .
+    R(x_2) . R(y_2).  The right side multiplies the second factor of
+    Q[x][y] = q[x_1][y_1] (x) S_H R(R(x_2) >- y_2) by R(a_2), then by
+    R(b_2).  The products are taken from the left, as H's product need not
+    be associative in a failing operator."""
     tables = _rb_tables(r)
-    hmul, legs = r.h.algebra.int_mul(), r.k_coalg.int_legs(3)
-    hm, l_, rc, q, sq = hmul.rows, legs.rows, tables.r_cols.rows, tables.q.rows, tables.sq.rows
-    dh, p = r.h.dim, r.field.p
-    prefixes: dict = {}  # (x_1, y_1, x_2) -> S_H R(R(x_1) >- y_1) . R(x_2)
-
+    hmul, kc = r.h.algebra.int_mul(), r.k_coalg.int_comul()
+    hm, comul, rc, q, sq = hmul.rows, kc.rows, tables.r_cols.rows, tables.q.rows, tables.sq.rows
+    dk, dh, p = r.dim_k, r.h.dim, r.field.p
     d2 = dh * dh
 
-    def side(first, second, third):
-        def add(acc, prefix, w):
-            a, = prefix
-            get = acc.get
-            la_ = [(la[first], la[second], la[third], ca) for la, ca in l_[a]]
-            for b, lb in enumerate(l_):
-                groups: dict[tuple[int, int], dict] = {}
-                for x1, x2, x3, ca in la_:
-                    for tb, cb in lb:
-                        key = (x1, tb[first], x2)
-                        u = prefixes.get(key)
-                        if u is None:
-                            u = prefixes[key] = int_bilinear(hm, sq[x1][tb[first]], rc[x2], p)
-                        key = (x3, tb[third])
-                        g = groups.get(key)
-                        if g is None:
-                            g = groups[key] = {}
-                        add_bilinear(g, hm, u, rc[tb[second]], ca * cb)
-                base = b * d2
-                for (x3, y3), g in groups.items():
-                    right = q[x3][y3]
-                    for k, n in int_items(g, p):
-                        n *= w
-                        k = base + k * dh
-                        for j, e in right:
-                            key = k + j
-                            acc[key] = get(key, 0) + n * e
-        return add
+    prefixes: dict = {}  # (x_1, y_1, x_2) -> S_H R(R(x_1) >- y_1) . R(x_2)
+    pt = []
+    for x in range(dk):
+        row = []
+        for y in range(dk):
+            acc: dict[int, int] = {}
+            for x1, x2, cx in comul[x]:
+                for y1, y2, cy in comul[y]:
+                    key = (x1, y1, x2)
+                    u = prefixes.get(key)
+                    if u is None:
+                        u = prefixes[key] = int_bilinear(hm, sq[x1][y1], rc[x2], p)
+                    add_bilinear(acc, hm, u, rc[y2], cx * cy)
+            row.append(int_items(acc, p))
+        pt.append(row)
+    qside = legs_side(q, sq, comul, comul, dh)
+    qt = []              # Q[x][y] as the (j, i, n) of its terms n e_i (x) e_j
+    for x in range(dk):
+        acc = {}
+        qside(acc, (x,), 1)
+        row = [[] for _ in range(dk)]
+        for key, n in int_items(acc, p):
+            y, i = divmod(key, d2)
+            i, j = divmod(i, dh)
+            row[y].append((j, i, n))
+        qt.append(row)
 
-    scale = legs.scale ** 2 * tables.sq.scale * tables.r_cols.scale ** 2 * hmul.scale ** 2 * tables.q.scale
-    compare(t, line(r.dim_k), r.dim_k, d2, sides(side(0, 1, 2), side(1, 2, 0)), scale, scale, r.field,
+    products: dict = {}  # (j, a_2, b_2) -> (e_j . R(a_2)) . R(b_2)
+
+    def right(acc, prefix, w):
+        a, = prefix
+        get = acc.get
+        for b, lb in enumerate(comul):
+            base = b * d2
+            for a1, a2, ca in comul[a]:
+                for b1, b2, cb in lb:
+                    c = ca * cb * w
+                    for j, i, n in qt[a1][b1]:
+                        key = (j, a2, b2)
+                        u = products.get(key)
+                        if u is None:
+                            u = products[key] = int_bilinear(hm, int_bilinear(hm, ((j, 1),), rc[a2], p), rc[b2], p)
+                        n *= c
+                        i += base
+                        for k, e in u:
+                            key = i + k * dh
+                            acc[key] = get(key, 0) + n * e
+
+    scale = kc.scale ** 4 * tables.sq.scale * tables.r_cols.scale ** 2 * hmul.scale ** 2 * tables.q.scale
+    compare(t, line(dk), dk, d2, sides(legs_side(pt, q, comul, comul, dh), right), scale, scale, r.field,
             pairs_render(dh))
 
 
