@@ -1,14 +1,29 @@
 """Command-line behavior: exit codes, report formats, golden derivations."""
 
+import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ydalgebra.builders import group_rb_inversion, symmetric_group_3
-from ydalgebra.cli import main
-from ydalgebra.structio import emit
+import ydalgebra
+from ydalgebra import cli
+from ydalgebra.braces import functor_f, to_matched_pair
+from ydalgebra.builders import build_sweedler, group_rb_inversion, sweedler_hopf, symmetric_group_3
+from ydalgebra.cli import main, make_parser
+from ydalgebra.field import RATIONALS, FieldSpec, parse_scalar
+from ydalgebra.hopf import ActionTensor
+from ydalgebra.linalg import Matrix, Vector, unit_vector
+from ydalgebra.posthopf import PostLieData
+from ydalgebra.rota import LieData, LieRB, functor_l
+from ydalgebra.structio import emit, kind_of
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -316,3 +331,229 @@ def test_derive_reports_a_failing_derived_structure_as_asked(tmp_path, monkeypat
         assert out == rep.machine_text()
     else:
         assert out.endswith("FAILURES PRESENT\n") and "time=" in out
+
+
+@pytest.mark.parametrize("source, target, message", [
+    ("mutant", "sk", "target 'sk' does not apply to a ydpost source"),
+    ("sweedler-q", "sk", "target 'sk' does not apply to a ydpost source"),
+    ("sweedler-q-brace", "brace", "target 'brace' does not apply to a ydbrace source"),
+    ("sweedler-q-rb_l", "posthopf", "target 'posthopf' does not apply to a relrb source"),
+    ("h4-q", "posthopf", "no derivations from kind 'hopf'"),
+])
+def test_derive_rejects_an_inapplicable_target_before_any_suite(tmp_path, monkeypatch, source, target, message):
+    # the source kind decides, so a failing source is a usage error too
+    from test_golden import _mutant_text
+
+    path = tmp_path / "source.struct"
+    path.write_text(_mutant_text("ydpost-q") if source == "mutant" else (GOLDEN / f"{source}.struct").read_text())
+    if source == "mutant":
+        assert run_cli(["check", str(path)])[0] == 1
+
+    def no_suite(obj, mode="full"):
+        raise AssertionError("run_suite called")
+
+    monkeypatch.setattr(cli, "run_suite", no_suite)
+    out_path = tmp_path / "out.struct"
+    code, out, err = run_cli(["derive", str(path), "--target", target, "--out", str(out_path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def run_cli_exit(argv):
+    """run_cli for a call that argparse ends: (SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def fresh_parser_exit(argv):
+    """What a parser of its own prints for argv, and its exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        make_parser().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "make_parser", counting)
+    path = str(GOLDEN / "h4-q.struct")
+    for argv in (["check", path], ["report", path], ["check", path, "--report", "machine"]) * 4:
+        assert run_cli(argv)[0] == 0
+    assert run_cli_exit(["check"])[0] == 2
+    assert len(built) == 1
+    # the command runs by its name at the call, so a rebound one is called
+    monkeypatch.setattr(cli, "cmd_report", lambda args: 7)
+    assert run_cli(["report", path]) == (7, "", "")
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["check"], 2),
+    (["derive", "x.struct", "--target", "nowhere", "--out", "y.struct"], 2),
+    (["example", "en", "--n", "two"], 2),
+    ([], 2),
+    (["--help"], 0),
+    (["derive", "--help"], 0),
+])
+def test_usage_errors_and_help_of_a_later_call_reach_its_streams(argv, code):
+    # the parser is built by an earlier call; what it prints goes to the
+    # streams of the call that prints it, byte for byte as a fresh parser's
+    assert run_cli(["report", str(GOLDEN / "h4-q.struct")])[0] == 0
+    got = run_cli_exit(argv)
+    assert got == fresh_parser_exit(argv)
+    assert got[0] == code
+    assert got[1 if code == 0 else 2] != ""
+
+
+def test_flags_of_one_call_do_not_reach_the_next():
+    path = str(GOLDEN / "sweedler-q.struct")
+    full = (GOLDEN / "sweedler-q.report").read_text()
+    code, out, _ = run_cli(["check", path, "--report", "machine", "--axioms", "P-DOT"])
+    assert (code, out) == (0, "P-DOT pass\n")
+    assert run_cli(["check", path, "--report", "machine"]) == (0, full, "")
+    code, _, err = run_cli(["check", path, "--kind", "hopf"])
+    assert code == 2 and "expected 'hopf'" in err
+    assert run_cli(["check", path, "--report", "machine"]) == (0, full, "")
+    rb = str(GOLDEN / "sweedler-q-rb_l.struct")
+    code, out, _ = run_cli(["check", rb, "--report", "machine", "--mode", "pre"])
+    assert code == 0 and "RB-3" not in out
+    code, out, _ = run_cli(["check", rb, "--report", "machine"])
+    assert code == 0 and "RB-3 pass" in out
+
+
+def test_a_fresh_process_exits_and_prints_as_an_in_process_call(tmp_path):
+    from test_golden import _mutate
+
+    env = dict(os.environ, PYTHONPATH=str(Path(ydalgebra.__file__).resolve().parent.parent))
+
+    def ydalg(*argv):
+        done = subprocess.run([sys.executable, "-m", "ydalgebra.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = ydalg("check")
+    assert code == 2 and out == "" and "the following arguments are required: path" in err
+    path = str(GOLDEN / "sweedler-q.struct")
+    assert ydalg("check", path, "--report", "machine") == run_cli(["check", path, "--report", "machine"])
+    mutant = tmp_path / "mutant.struct"
+    mutant.write_text(_mutate((GOLDEN / "sweedler-q.struct").read_text(), "action"))
+    code, out, err = ydalg("check", str(mutant), "--report", "machine")
+    assert code == 1 and " fail at=(" in out and err == ""
+
+
+# --- mutated emit output never escapes main ------------------------------------
+
+
+def _lie_examples(fs: FieldSpec):
+    """A Lie operator (R = -id on a two-dimensional Lie algebra with its
+    adjoint action) and a post-Lie structure with the same bracket."""
+    z, e2 = Vector(2, {}, fs), unit_vector(2, 1, fs)
+    bracket = [[z, e2], [e2.neg(), z]]
+    lie = LieData(2, bracket, fs)
+    lrb = LieRB(lie, lie, ActionTensor(2, 2, [list(row) for row in bracket], fs),
+                Matrix(2, 2, {(i, i): parse_scalar("-1", fs) for i in range(2)}, fs))
+    return lrb, PostLieData(2, bracket, [[z, z], [z, z]], fs)
+
+
+def _emitted_of_every_kind() -> dict[str, str]:
+    out = {}
+    for name, fs in (("q", RATIONALS), ("f7", FieldSpec(7))):
+        s = build_sweedler(parse_scalar("1", fs), fs)
+        h = sweedler_hopf(fs)
+        for obj in (h.algebra, h, s, functor_f(s), to_matched_pair(s), functor_l(s), *_lie_examples(fs)):
+            out[f"{kind_of(obj)}-{name}"] = emit(obj)
+    out["grouprb"] = emit(group_rb_inversion(symmetric_group_3()))
+    return out
+
+
+EMITTED = _emitted_of_every_kind()
+DIMENSION_LINES = ("dim", "k.dim", "h.dim", "g.dim", "gorder", "horder")
+SCALARS = ("0", "1", "-1", "1/2", "-3/5", "7", "2/4", "1/0", "x", "99999999999")
+INDICES = ("0", "1", "-1", "3", "4", "6", "99", "a")
+EDITS = ("delete", "duplicate", "scalar", "index", "dimension", "swap", "truncate", "drop directive",
+         "negate directive")
+
+
+def _edit(lines: list[str], edit) -> list[str]:
+    """One edit of a file's lines, at line i: kind, i, j and choice pick the
+    edit, the lines, the token and the new value, each taken modulo its
+    range."""
+    kind, i, j, choice = edit
+    if not lines:
+        return lines
+    i %= len(lines)
+    parts = lines[i].split()
+    if not parts:
+        return lines
+    lines = list(lines)
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "scalar":
+        lines[i] = " ".join([*parts[:-1], SCALARS[choice % len(SCALARS)]])
+    elif kind == "index" and len(parts) > 1:
+        parts[1 + j % (len(parts) - 1)] = INDICES[choice % len(INDICES)]
+        lines[i] = " ".join(parts)
+    elif kind == "dimension":
+        at = [k for k, line in enumerate(lines) if line.split()[:1] and line.split()[0] in DIMENSION_LINES]
+        if at:
+            k = at[j % len(at)]
+            head, *rest = lines[k].split()
+            d = int(rest[0]) if rest and rest[0].isdigit() else 1
+            lines[k] = f"{head} {(0, 1, d - 1, d + 1, 2 * d)[choice % 5]}"
+    elif kind == "swap":
+        j %= len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "truncate":
+        lines[i] = " ".join(parts[:-1])
+    elif kind == "drop directive":
+        lines = [line for line in lines if line.split()[:1] != parts[:1]]
+    elif kind == "negate directive":
+        # every coefficient of the directive changes sign
+        for k, line in enumerate(lines):
+            ps = line.split()
+            if ps[:1] == parts[:1] and len(ps) > 2:
+                ps[-1] = ps[-1][1:] if ps[-1].startswith("-") else "-" + ps[-1]
+                lines[k] = " ".join(ps)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def test_every_kind_is_emitted_and_passes_unedited(fuzz_dir):
+    assert {name.rsplit("-", 1)[0] for name in EMITTED} == {
+        "algebra", "hopf", "ydpost", "ydbrace", "matchedpair", "relrb", "grouprb", "lierb", "postlie"}
+    for name, text in EMITTED.items():
+        path = fuzz_dir / f"{name}.struct"
+        path.write_text(text)
+        assert run_cli(["check", str(path), "--report", "machine"])[0] == 0, name
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(EMITTED)),
+       st.lists(st.tuples(st.sampled_from(EDITS), st.integers(0, 10**4), st.integers(0, 10**4),
+                          st.integers(0, 10**4)), min_size=1, max_size=4))
+def test_edited_emit_output_is_checked_without_escaping(fuzz_dir, name, edits):
+    lines = EMITTED[name].splitlines()
+    for edit in edits:
+        lines = _edit(lines, edit)
+    path = fuzz_dir / "edited.struct"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["check", str(path), "--report", "machine"])
+    assert code in (0, 1, 2)
+    assert ("error: " in err) == (code == 2)
