@@ -66,9 +66,17 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParseError(f"cannot read {path}: {e}")
     return parse(text)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}")
 
 
 def run_suite(obj, mode: str = "full") -> CheckReport:
@@ -110,7 +118,12 @@ def _parse_field_flag(text: str) -> FieldSpec:
     if text == "Q":
         return RATIONALS
     if text.startswith("Fp:"):
-        return FieldSpec(int(text[3:]))
+        try:
+            p = int(text[3:])
+        except ValueError:
+            pass
+        else:
+            return FieldSpec(p)
     raise FieldError(f"field must be Q or Fp:<prime>, got {text!r}")
 
 
@@ -170,9 +183,7 @@ def cmd_derive(args) -> int:
         sys.stderr.write("derived structure fails its suite (inconsistent input?):\n")
         sys.stdout.write(derived_rep.machine_text() if args.report == "machine" else derived_rep.text())
         return 1
-    text = emit(derived)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(args.out, emit(derived))
     sys.stderr.write(f"wrote {kind_of(derived)} structure to {args.out}\n")
     return 0
 
@@ -232,8 +243,7 @@ def cmd_example(args) -> int:
         raise ParseError(f"unknown example {name!r}")
     text = emit(obj)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
         sys.stderr.write(f"wrote {kind_of(obj)} structure to {args.out}\n")
     else:
         sys.stdout.write(text)

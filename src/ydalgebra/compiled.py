@@ -120,10 +120,37 @@ def compile_legs(legs: list[list[tuple]], field: FieldSpec) -> IntTable:
 
 
 def int_items(acc: dict, p: int | None) -> list[tuple[int, int]]:
-    """The (k, n) of int sums whose n is not 0, reduced mod p over F_p."""
+    """The (k, n) of int sums whose n is not 0, reduced mod p over F_p, in
+    one pass over acc."""
+    out = []
     if p is None:
-        return [(k, n) for k, n in acc.items() if n]
-    return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
+        for k, n in acc.items():
+            if n:
+                out.append((k, n))
+    else:
+        for k, n in acc.items():
+            n %= p
+            if n:
+                out.append((k, n))
+    return out
+
+
+def _scaled(v, a: int, p: int | None) -> list[tuple[int, int]]:
+    """The nonzero (k, n) of a times the int vector v, reduced mod p over
+    F_p: what ``int_items`` gives on the sums of a * v, since the keys of a
+    compiled vector are distinct."""
+    out = []
+    if p is None:
+        for k, c in v:
+            c *= a
+            if c:
+                out.append((k, c))
+    else:
+        for k, c in v:
+            c = c * a % p
+            if c:
+                out.append((k, c))
+    return out
 
 
 def add_linear(acc: dict, rows: list, u, w: int, base: int = 0) -> None:
@@ -169,7 +196,13 @@ def add_tensors(acc: dict, lefts: dict, right, dim: int, w: int) -> None:
 
 def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], reduced mod
-    p over F_p: a linear map applied to an intermediate vector."""
+    p over F_p: a linear map applied to an intermediate vector.  An empty u
+    gives [] and a one-term u its scaled row, with no dict of sums."""
+    if len(u) < 2:
+        if not u:
+            return []
+        (i, a), = u
+        return _scaled(rows[i], a, p)
     acc: dict[int, int] = {}
     add_linear(acc, rows, u, 1)
     return int_items(acc, p)
@@ -177,7 +210,15 @@ def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
 
 def int_bilinear(table: list, u, v, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) and v's (j, b) of
-    a * b * table[i][j], reduced mod p over F_p: an intermediate product."""
+    a * b * table[i][j], reduced mod p over F_p: an intermediate product.
+    An empty operand gives [] and one term times one term its scaled table
+    entry, with no dict of sums."""
+    if not u or not v:
+        return []
+    if len(u) == 1 and len(v) == 1:
+        (i, a), = u
+        (j, b), = v
+        return _scaled(table[i][j], a * b, p)
     acc: dict[int, int] = {}
     add_bilinear(acc, table, u, v, 1)
     return int_items(acc, p)

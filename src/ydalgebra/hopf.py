@@ -464,14 +464,10 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
                         q += base
                         acc[q] = get(q, 0) + a * b
         if wr:
+            xj = [row[j] for row in x_]  # e_h >- e_j for every h
             for i2, lefts in groups[i]:
                 # sum of c (h_1 >- a) over the legs whose h_2 is i2
-                u: dict[int, int] = {}
-                ug = u.get
-                for i1, c in lefts:
-                    for r, a in x_[i1][j]:
-                        u[r] = ug(r, 0) + c * a
-                u = [(r, a * wr) for r, a in int_items(u, p)]
+                u = [(r, a * wr) for r, a in int_linear(xj, lefts, p)]
                 if not u:
                     continue
                 for k, right in enumerate(x_[i2]):

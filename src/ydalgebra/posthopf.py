@@ -228,6 +228,8 @@ def leftharpoon(s: YDPostHopf) -> ActionTensor:
             for i1, i2, ci in c_[i]:
                 si = images[i1]
                 for j1, j2, cj in c_[j]:
+                    if not si[j1]:
+                        continue
                     for r, a in int_bilinear(o, si[j1], ((i2, ci * cj),), p):
                         for q, b in o[r][j2]:
                             acc[q] = get(q, 0) + a * b
@@ -281,6 +283,8 @@ def _sigma_columns(s: YDPostHopf) -> IntTable:
             acc: dict[int, int] = {}
             get = acc.get
             for (a1, a2, a3), c in legs.rows[a]:
+                if not b_[a3][b]:
+                    continue
                 for q, n in int_bilinear(x_, ((a1, c),), b_[a3][b], p):
                     key = q * d + a2
                     acc[key] = get(key, 0) + n
@@ -324,7 +328,8 @@ def _pdelta_rhs(s: YDPostHopf):
                         continue
                     v = fused.get(y1)
                     if v is None:
-                        v = fused[y1] = int_bilinear(m, ((a, 1),), int_bilinear(x_, ((b, 1),), b_[e][y1], p), p)
+                        be = b_[e][y1]  # beta_{x_4}(e_{y_1}), often 0
+                        v = fused[y1] = int_bilinear(m, ((a, 1),), int_bilinear(x_, ((b, 1),), be, p), p) if be else []
                     st = sc * t
                     for k, n in v:
                         n *= st

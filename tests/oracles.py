@@ -8,6 +8,11 @@ compiled result to a sum it computes another way.  Each returns what the
 deleted method or helper of the same name returned: a ``Vector``, or a
 dict keyed by index pairs for a coproduct or a tensor.
 
+``int_items``, ``int_linear`` and ``int_bilinear`` are the compiled
+kernels as they were before their fast paths: every call sums into a dict
+and reduces it in a second pass, so a test can hold the empty-operand and
+one-term exits to the general loop.
+
 ``forward_bareiss_q`` is the dense engine the solver once took over Q on
 small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
 solve the same system a second way.
@@ -114,6 +119,38 @@ def matrix_add(m, n):
 def matrix_scale(m, c):
     """c m (the deleted ``Matrix.scale``)."""
     return Matrix(m.rows, m.cols, {k: v * c for k, v in m.entries.items()} if c else {}, m.field)
+
+
+def int_items(acc: dict, p):
+    """The (k, n) of int sums whose n is not 0, reduced mod p over F_p."""
+    if p is None:
+        return [(k, n) for k, n in acc.items() if n]
+    return [(k, n) for k, n in ((k, n % p) for k, n in acc.items()) if n]
+
+
+def int_linear(rows: list, u, p):
+    """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], through a
+    dict of sums."""
+    acc: dict = {}
+    get = acc.get
+    for i, a in u:
+        for k, c in rows[i]:
+            acc[k] = get(k, 0) + a * c
+    return int_items(acc, p)
+
+
+def int_bilinear(table: list, u, v, p):
+    """The nonzero (k, n) of sum over u's (i, a) and v's (j, b) of
+    a * b * table[i][j], through a dict of sums."""
+    acc: dict = {}
+    get = acc.get
+    for i, a in u:
+        row = table[i]
+        for j, b in v:
+            ab = a * b
+            for k, c in row[j]:
+                acc[k] = get(k, 0) + ab * c
+    return int_items(acc, p)
 
 
 def forward_bareiss_q(rows: list, ncols: int):

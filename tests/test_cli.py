@@ -108,6 +108,42 @@ def test_kind_mismatch_is_input_error(sweedler_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["Fp:abc", "Fp:", "Fp:7.0"])
+def test_field_flag_without_an_integer_is_input_error(field):
+    code, out, err = run_cli(["example", "sweedler", "--field", field])
+    assert (code, out, err) == (2, "", f"error: field must be Q or Fp:<prime>, got {field!r}\n")
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+@pytest.mark.parametrize("verb", ["example", "derive"])
+def test_unwritable_out_is_input_error(tmp_path, sweedler_file, verb, where):
+    # a path in a directory that does not exist, or a directory itself
+    out_path = tmp_path / "missing" / "x.struct" if where == "missing-dir" else tmp_path
+    argv = (["example", "sweedler"] if verb == "example"
+            else ["derive", str(sweedler_file), "--target", "brace"])
+    code, out, err = run_cli([*argv, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("verb", ["check", "derive", "report", "adjoint"])
+def test_file_that_is_not_utf8_is_input_error(tmp_path, verb):
+    path = tmp_path / "bytes.struct"
+    path.write_bytes(b"\xff\xfe")
+    argv = {
+        "check": ["check", str(path)],
+        "derive": ["derive", str(path), "--target", "brace", "--out", str(tmp_path / "out.struct")],
+        "report": ["report", str(path)],
+        "adjoint": ["example", "adjoint", "--from", str(path)],
+    }[verb]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out.struct").exists()
+
+
 def test_derive_subadjacent_golden(tmp_path, sweedler_file):
     out_path = tmp_path / "sub.struct"
     code, _, err = run_cli(["derive", str(sweedler_file), "--target", "subadjacent",

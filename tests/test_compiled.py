@@ -48,6 +48,7 @@ from oracles import (
     act_apply, add_scaled_inplace, apply_basis, apply_vec_basis, bilinear, bracket_vec, comul_vec, eps_vec,
     matrix_apply, mul_vec, pulled_back, tens2,
 )
+from oracles import int_bilinear as dict_int_bilinear, int_items as dict_int_items, int_linear as dict_int_linear
 from test_golden import KIND_MUTANTS, _mutant_text, _mutate, _mutate_named
 from ydalgebra.braces import (
     MatchedPair, YDBrace, _brace_compat, _matched_pair_laws, brace_action, check_matched_pair, check_yd_brace,
@@ -57,7 +58,10 @@ from ydalgebra.builders import (
     build_adjoint, build_en, build_suzuki, build_sweedler, cyclic_group, group_algebra, symmetric_group_3,
 )
 from ydalgebra.cli import run_suite
-from ydalgebra.compiled import compile_comul, compile_legs, compile_tensor, compile_vectors, line, square
+from ydalgebra.compiled import (
+    compile_comul, compile_legs, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, line,
+    square,
+)
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
     ActionTensor, AlgebraData, BraidedPair, CoalgebraData, HopfData, StructureError, antipode_law, check_algebra,
@@ -1523,6 +1527,58 @@ def test_compiled_tables_scale_to_a_common_denominator():
     f7 = FieldSpec(7)
     table = compile_vectors([Vector(3, {2: ModInt(5, 7), 0: ModInt(1, 7)}, f7)], f7)
     assert table == ([((0, 1), (2, 5))], 1)
+
+
+# --- the kernels' fast paths give the lists of the dict loops ------------------
+
+
+def _kernel_entry(p):
+    """Nonzero ints of up to seven digits and either sign, and multiples of
+    p (of 7 over Q), so that a product can vanish mod p."""
+    m = 7 if p is None else p
+    return st.one_of(st.integers(-9999999, 9999999).filter(bool),
+                     st.integers(-30, 30).filter(bool).map(lambda n: n * m))
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernel_fast_paths_return_the_dict_loops_lists(p, data):
+    # a table of 3 x 3 cells, some empty, and operands of at most two terms:
+    # empty, one term (the fast paths) or two (the dict loop)
+    entry = _kernel_entry(p)
+    vector = st.lists(st.tuples(st.integers(0, 5), entry), max_size=3, unique_by=lambda t: t[0])
+    table = data.draw(st.lists(st.lists(vector, min_size=3, max_size=3), min_size=3, max_size=3))
+    operand = st.lists(st.tuples(st.integers(0, 2), entry), max_size=2, unique_by=lambda t: t[0])
+    u, v = data.draw(operand), data.draw(operand)
+    got = int_bilinear(table, u, v, p)
+    assert type(got) is list and got == dict_int_bilinear(table, u, v, p)
+    got = int_linear(table[0], u, p)
+    assert type(got) is list and got == dict_int_linear(table[0], u, p)
+    acc = data.draw(st.dictionaries(st.integers(0, 20), st.one_of(st.just(0), entry)))
+    assert int_items(acc, p) == dict_int_items(acc, p)
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+def test_kernel_fast_paths_on_each_named_case(p):
+    m = 7 if p is None else p
+    table = [[[(0, 3), (4, -12345678)], []],
+             [[(2, m), (5, 1)], [(1, -1), (3, 2 * m + 1)]]]
+    cases = {
+        "empty left": ([], [(0, 1)]),
+        "empty right": ([(1, 2)], []),
+        "both empty": ([], []),
+        "one x one, 0 mod p": ([(1, m)], [(0, 5 * m)]),
+        "negative, multi-digit": ([(0, -98765)], [(0, 4321)]),
+        "empty cell": ([(0, 2)], [(1, 3)]),
+        "two x two": ([(0, 2), (1, -3)], [(0, 1), (1, m)]),
+    }
+    for name, (u, v) in cases.items():
+        assert int_bilinear(table, u, v, p) == dict_int_bilinear(table, u, v, p), name
+        assert int_linear(table[1], u, p) == dict_int_linear(table[1], u, p), name
+        assert int_linear(table[1], v, p) == dict_int_linear(table[1], v, p), name
+    assert int_bilinear(table, [(1, m)], [(0, 5 * m)], p) == ([] if p else [(2, 5 * m ** 3), (5, 5 * m * m)])
+    assert int_bilinear(table, [(0, 2)], [(1, 3)], p) == []
 
 
 # --- the suites stay on the compiled tables --------------------------------------
