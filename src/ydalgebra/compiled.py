@@ -198,9 +198,9 @@ def int_linear(rows: list, u, p: int | None) -> list[tuple[int, int]]:
     """The nonzero (k, n) of sum over u's (i, a) of a * rows[i], reduced mod
     p over F_p: a linear map applied to an intermediate vector.  An empty u
     gives [] and a one-term u its scaled row, with no dict of sums."""
-    if len(u) < 2:
-        if not u:
-            return []
+    if not u:
+        return []
+    if len(u) == 1:
         (i, a), = u
         return _scaled(rows[i], a, p)
     acc: dict[int, int] = {}
