@@ -64,7 +64,7 @@ from .posthopf import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class YDBrace:
     """dot side (., S) as a braided pair; bullet side (o, T) an ordinary Hopf
     algebra on the same coalgebra.  Both antipodes are stored explicitly."""
@@ -88,7 +88,7 @@ class YDBrace:
         return self.dot_side.field
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchedPair:
     """Hopf algebra with a left action and a right action of itself."""
 
@@ -376,8 +376,8 @@ def _transposed(act: ActionTensor) -> ActionTensor:
     """The action with its arguments swapped, t[y][x] = act[x][y], its
     compiled table transposed alike: a right action as a left one."""
     x = act.int_act()
-    return ActionTensor(act.target_dim, act.acting_dim, [list(col) for col in zip(*act.act)], act.field,
-                        _ints=IntTable([list(col) for col in zip(*x.rows)], x.scale))
+    out = ActionTensor(act.target_dim, act.acting_dim, [list(col) for col in zip(*act.act)], act.field)
+    return ActionTensor.int_act.seed(out, IntTable([list(col) for col in zip(*x.rows)], x.scale))
 
 
 def check_matched_pair(mp: MatchedPair) -> CheckReport:

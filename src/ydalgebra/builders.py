@@ -32,7 +32,7 @@ from .hopf import (
     solve_antipode,
 )
 from .linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
-from .posthopf import YDPostHopf, _set_beta, bullet_algebra, check_yd_post_hopf
+from .posthopf import YDPostHopf, _fill_beta, bullet_algebra, check_yd_post_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
 
@@ -71,7 +71,7 @@ def _finish(labels: list[str], left_mul, comul, counit: Vector, act_row, params:
     sharp = solve_antipode(bullet_algebra(s), coalg)
     if sharp is None:
         raise StructureError("the subadjacent antipode system is inconsistent")
-    _set_beta(s, pulled_back(action, compile_columns(sharp)))
+    _fill_beta(s, pulled_back(action, compile_columns(sharp)))
     return _certify(s, name)
 
 

@@ -35,7 +35,7 @@ from .builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
-from .field import FieldSpec, RATIONALS, FieldError, format_scalar, parse_scalar
+from .field import FieldSpec, RATIONALS, FieldError, format_scalar, parse_int, parse_scalar
 from .hopf import AlgebraData, HopfData, StructureError, check_algebra, check_hopf
 from .posthopf import (
     PostLieData,
@@ -119,7 +119,7 @@ def _parse_field_flag(text: str) -> FieldSpec:
         return RATIONALS
     if text.startswith("Fp:"):
         try:
-            p = int(text[3:])
+            p = parse_int(text[3:])
         except ValueError:
             pass
         else:
@@ -204,7 +204,7 @@ def _parse_a_matrix(text: str, n: int, field: FieldSpec):
 def _group_by_name(name: str):
     if name == "c2":
         return cyclic_group(2)
-    if name.startswith("c") and name[1:].isdigit():
+    if name.startswith("c") and name[1:].isascii() and name[1:].isdigit():
         return cyclic_group(int(name[1:]))
     if name == "s3":
         return symmetric_group_3()

@@ -7,8 +7,8 @@ the residues, with scale 1.  A row is a tuple of ``(k, n)`` pairs, or of
 ``(j, k, n)`` triples for a coproduct.  Compiling checks every F_p entry's
 modulus once, and raises ``FieldError`` on a ``ModInt`` of another modulus:
 every contraction in the package sums compiled tables, so that is where a
-mixed modulus is caught.  A ``Matrix`` keeps its compiled columns, which
-``Matrix.apply`` reads.
+mixed modulus is caught.  A ``Matrix`` keeps its compiled columns in its
+cache, and ``Matrix.apply`` reads them.
 
 An identity on basis tuples is evaluated one row at a time: a row is the
 tuples prefix + (k,) for k < n, and a ``contract(acc, prefix, wl, wr)``
@@ -45,7 +45,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .field import FieldSpec, ModInt, _mixed, format_scalar
-from .linalg import Matrix, Vector, _vector
+from .linalg import Matrix, Vector, _per_structure, _vector
 from .report import Tally, pairs_text, vector_text
 
 
@@ -89,12 +89,10 @@ def compile_vectors(vectors: list[Vector], field: FieldSpec) -> IntTable:
     return IntTable([_items(v, d, p) for v in vectors], d)
 
 
+@_per_structure
 def compile_columns(m: Matrix) -> IntTable:
-    """One row per column of m, built once and kept on m."""
-    cols = getattr(m, "_int_cols", None)
-    if cols is None:
-        cols = m._int_cols = compile_vectors([m.column(j) for j in range(m.cols)], m.field)
-    return cols
+    """One row per column of m, built once and kept in m's cache."""
+    return compile_vectors([m.column(j) for j in range(m.cols)], m.field)
 
 
 def compile_tensor(table: list[list[Vector]], field: FieldSpec) -> IntTable:

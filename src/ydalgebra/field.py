@@ -37,7 +37,8 @@ class FieldError(ValueError):
     """Malformed scalar text or an impossible field operation."""
 
 
-_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+# ASCII only: \d also takes other scripts' digits
+_SCALAR_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 # deterministic Miller-Rabin witnesses, exact for all n < 3.3 * 10^24
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -219,12 +220,22 @@ RATIONALS = FieldSpec()
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     """Parse the text form ``-a/b`` (b omitted when 1) into a canonical scalar."""
-    m = _SCALAR_RE.match(text.strip())
+    m = _SCALAR_RE.fullmatch(text.strip())
     if not m:
         raise FieldError(f"malformed scalar {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return field.scalar(num, den)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for an optional ASCII sign and ASCII digits; otherwise
+    the ``ValueError`` that int() raises on a malformed literal.  int()
+    itself also takes underscores, blanks and other scripts' digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def format_scalar(s: Scalar) -> str:
@@ -234,18 +245,6 @@ def format_scalar(s: Scalar) -> str:
     if s.denominator == 1:
         return str(s.numerator)
     return f"{s.numerator}/{s.denominator}"
-
-
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def neg(x: Scalar) -> Scalar:
-    return -x
 
 
 def inv(x: Scalar) -> Scalar:

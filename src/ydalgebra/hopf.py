@@ -17,9 +17,12 @@ a solver bug; off those axioms, a failed g*f only means there is no
 inverse.  P-CONV runs the same re-check, ``_verify_endo_inverse``, on
 every beta.
 
-Each container compiles its tensor once, on first use, into a plain-int
-table (``int_mul``, ``int_comul``, ``int_act``, and ``int_legs`` for the
-iterated coproduct; see ``compiled``) and keeps it.  ALG-ASSOC is
+The containers are frozen dataclasses.  Each compiles its tensor once, on
+first use, into a plain-int table (``int_mul``, ``int_comul``, ``int_act``,
+and ``int_legs`` for the iterated coproduct; see ``compiled``) and keeps it
+in its ``_cache``, the one slot that changes after construction, filled by
+``linalg._per_structure``.  The slot is not an ``__init__`` argument, so a
+copy made by ``dataclasses.replace`` starts with an empty one.  ALG-ASSOC is
 ``module_law`` for the algebra acting on itself by left products, one row
 (i, j) per contract call: m[i][j] and m[i] are read once for every k, both
 sides of (e_i e_j) e_k = e_i (e_j e_k) carry the square of its scale, so
@@ -80,7 +83,7 @@ algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 from .compiled import (
@@ -89,7 +92,9 @@ from .compiled import (
     pairs_render, scalar_render, sides, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
-from .linalg import LinAlgError, Matrix, Vector, accumulate, matrix_from_columns, solve_rows
+from .linalg import (
+    LinAlgError, Matrix, Vector, _cache_slot, _per_structure, accumulate, matrix_from_columns, solve_rows,
+)
 from .report import Checker, CheckReport, Tally, Witness
 
 
@@ -100,7 +105,7 @@ class StructureError(ValueError):
 # --- containers ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgebraData:
     """Unital algebra by structure constants: mul[i][j] = e_i * e_j.  A
     container: products are summed on its compiled table, ``int_mul``."""
@@ -110,7 +115,7 @@ class AlgebraData:
     mul: list[list[Vector]]
     unit: Vector
     field: FieldSpec
-    _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
+    _cache: dict = _cache_slot()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -123,14 +128,13 @@ class AlgebraData:
             if any(v.dim != self.dim for v in row):
                 raise StructureError("product vector dimension mismatch")
 
+    @_per_structure
     def int_mul(self) -> IntTable:
         """The product as a compiled table, built once."""
-        if self._ints is None:
-            self._ints = compile_tensor(self.mul, self.field)
-        return self._ints
+        return compile_tensor(self.mul, self.field)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoalgebraData:
     """Coalgebra by structure constants: Delta(e_i) = sum c * e_j (x) e_k.  A
     container: coproducts are summed on its compiled tables, ``int_comul``
@@ -140,9 +144,7 @@ class CoalgebraData:
     comul: list[list[tuple[int, int, Scalar]]]
     counit: Vector
     field: FieldSpec
-    _legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
-    _int_legs: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = _cache_slot()
 
     def __post_init__(self):
         if self.dim < 1:
@@ -157,44 +159,34 @@ class CoalgebraData:
                     raise StructureError("comultiplication index out of range")
                 accumulate(acc, (j, k), c)
             norm.append([(j, k, canonical(c)) for (j, k), c in sorted(acc.items())])
-        self.comul = norm
+        object.__setattr__(self, "comul", norm)
 
     def eps(self, i: int) -> Scalar:
         return self.counit.get(i)
 
+    @_per_structure
     def legs(self, i: int, n: int) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms of the (n-1)-fold iterated coproduct of e_i, n legs."""
-        key = (i, n)
-        cached = self._legs.get(key)
-        if cached is not None:
-            return cached
         if n == 1:
-            out = [((i,), self.field.one)]
-        else:
-            prev = self.legs(i, n - 1)
-            acc: dict[tuple[int, ...], Scalar] = {}
-            for tup, s in prev:
-                for a, b, c in self.comul[tup[0]]:
-                    accumulate(acc, (a, b) + tup[1:], s * c)
-            out = sorted(acc.items())
-        self._legs[key] = out
-        return out
+            return [((i,), self.field.one)]
+        acc: dict[tuple[int, ...], Scalar] = {}
+        for tup, s in self.legs(i, n - 1):
+            for a, b, c in self.comul[tup[0]]:
+                accumulate(acc, (a, b) + tup[1:], s * c)
+        return sorted(acc.items())
 
+    @_per_structure
     def int_comul(self) -> IntTable:
         """The coproduct as a compiled table, built once."""
-        if self._ints is None:
-            self._ints = compile_comul(self.comul, self.field)
-        return self._ints
+        return compile_comul(self.comul, self.field)
 
+    @_per_structure
     def int_legs(self, n: int) -> IntTable:
         """``legs(i, n)`` for every i as a compiled table, built once."""
-        out = self._int_legs.get(n)
-        if out is None:
-            out = self._int_legs[n] = compile_legs([self.legs(i, n) for i in range(self.dim)], self.field)
-        return out
+        return compile_legs([self.legs(i, n) for i in range(self.dim)], self.field)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopfData:
     """Ordinary Hopf algebra bundle (algebra, coalgebra, antipode)."""
 
@@ -217,7 +209,7 @@ class HopfData:
         return self.algebra.field
 
 
-@dataclass
+@dataclass(frozen=True)
 class BraidedPair:
     """Algebra + coalgebra + a two-sided convolution inverse of the identity.
 
@@ -245,7 +237,7 @@ class BraidedPair:
         return self.algebra.field
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionTensor:
     """Bilinear action: act[i][j] = e_i >- f_j, a vector in the target.  A
     container: actions are summed on its compiled table, ``int_act``, and
@@ -255,7 +247,7 @@ class ActionTensor:
     target_dim: int
     act: list[list[Vector]]
     field: FieldSpec
-    _ints: IntTable | None = dc_field(default=None, repr=False, compare=False)
+    _cache: dict = _cache_slot()
 
     def __post_init__(self):
         if len(self.act) != self.acting_dim:
@@ -264,11 +256,10 @@ class ActionTensor:
             if len(row) != self.target_dim or any(v.dim != self.target_dim for v in row):
                 raise StructureError("action tensor target dimension mismatch")
 
+    @_per_structure
     def int_act(self) -> IntTable:
         """The action as a compiled table, built once."""
-        if self._ints is None:
-            self._ints = compile_tensor(self.act, self.field)
-        return self._ints
+        return compile_tensor(self.act, self.field)
 
 
 def pull_back(act: ActionTensor, cols: IntTable) -> IntTable:
@@ -304,7 +295,7 @@ def check_algebra(a: AlgebraData) -> CheckReport:
     ch = Checker("ALG-ASSOC")
     mul = a.int_mul()
     m, d = mul.rows, a.dim
-    ch.absorb(module_law(ActionTensor(d, d, a.mul, a.field, _ints=mul), a))
+    ch.absorb(module_law(ActionTensor.int_act.seed(ActionTensor(d, d, a.mul, a.field), mul), a))
     rep.add(ch.entry())
     ch = Checker("ALG-UNIT")
     unit = compile_vectors([a.unit], a.field)

@@ -19,10 +19,12 @@ a bug in the solver can never silently corrupt a structure check.
 A ``Vector`` or ``Matrix`` is never mutated after it is built, which lets
 vectors be shared: each ``Matrix`` keeps one per-column index, built on
 first use, which ``column`` reads, and its columns compiled to plain-int
-rows, which ``apply`` reads.  ``Vector(...)`` filters zeros,
-canonicalises Q scalars and checks indices; ``_vector`` skips that for the
-solver's results, the column index and ``compiled.int_vector``, whose dicts
-are already nonzero, canonical and in range.
+rows, which ``apply`` reads, both in its ``_cache`` slot, filled by
+``_per_structure`` as every structure container's is.  ``Vector(...)``
+filters zeros, canonicalises Q scalars and checks indices; ``_vector``
+skips that for the solver's results, the column index and
+``compiled.int_vector``, whose dicts are already nonzero, canonical and in
+range.
 
 No contraction is summed here.  The checks of ``hopf``, the axiom suites,
 the derived maps and the builders, and ``Matrix.apply``, run on tensors
@@ -36,6 +38,7 @@ result, a witness or a solver input.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd
@@ -45,6 +48,37 @@ from .field import FieldSpec, ModInt, Scalar, canonical
 
 class LinAlgError(ValueError):
     pass
+
+
+def _per_structure(build):
+    """Evaluate build(s, *args) once per object s and arguments, on first
+    use, and keep the result in s._cache under the function's name (and the
+    arguments, if any).  ``_cache`` is an init-free field, so a copy made by
+    ``dataclasses.replace`` starts with an empty one.  ``seed(s, out)``
+    stores out as build(s), for a caller that already holds it, and returns
+    s."""
+    name = build.__name__
+
+    @functools.wraps(build)
+    def cached(s, *args):
+        key = (name, *args) if args else name
+        out = s._cache.get(key)
+        if out is None:
+            out = s._cache[key] = build(s, *args)
+        return out
+
+    def seed(s, out):
+        s._cache[name] = out
+        return s
+
+    cached.seed = seed
+    return cached
+
+
+def _cache_slot():
+    """The ``_cache`` field of a container: not an ``__init__`` argument, not
+    compared, not shown."""
+    return dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _q_stored(entries: dict) -> dict:
@@ -160,6 +194,7 @@ class Matrix:
     cols: int
     entries: dict[tuple[int, int], Scalar]
     field: FieldSpec
+    _cache: dict = _cache_slot()
 
     def __post_init__(self):
         if self.field.p is None:
@@ -190,21 +225,19 @@ class Matrix:
         add_linear(acc, cols.rows, u.rows[0], 1)
         return int_vector(self.rows, acc, cols.scale * u.scale, self.field)
 
+    @_per_structure
     def _cols(self) -> list[Vector]:
         """The column index: column c as a Vector, for every c; built once.
         A column keeps its entries in the order of ``entries``, the order a
         scan of the matrix gives."""
-        cache = getattr(self, "_col_cache", None)
-        if cache is None:
-            by_col: dict[int, dict[int, Scalar]] = {}
-            for (r, c), a in self.entries.items():
-                by_col.setdefault(c, {})[r] = a
-            empty = _vector(self.rows, {}, self.field)
-            cache = [empty] * self.cols
-            for c, col in by_col.items():
-                cache[c] = _vector(self.rows, col, self.field)
-            self._col_cache = cache
-        return cache
+        by_col: dict[int, dict[int, Scalar]] = {}
+        for (r, c), a in self.entries.items():
+            by_col.setdefault(c, {})[r] = a
+        empty = _vector(self.rows, {}, self.field)
+        out = [empty] * self.cols
+        for c, col in by_col.items():
+            out[c] = _vector(self.rows, col, self.field)
+        return out
 
     def compose(self, other: "Matrix") -> "Matrix":
         """self @ other."""

@@ -37,7 +37,11 @@ and ``_commutator`` (PL-2, LRB-ACTION's rows 1).  ``_span_coords`` solves
 every vector against the primitives in one elimination, for
 ``extract_post_lie`` and ``rota.restrict_to_primitives``.
 
-Setting beta drops the cached results that depend on beta, and no other.
+A structure is frozen.  beta alone may be filled after construction, once,
+from None (``solve_beta``, or P-CONV when it solves beta), so a cached
+result that reads beta is always made from the beta the structure keeps.
+To change beta, build a new structure (``dataclasses.replace``), whose
+cache starts empty.
 
 Every identity runs on compiled plain-int tables (``compiled``): the
 carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB, P-ANTI and
@@ -63,13 +67,12 @@ bullet product and S_> are convolutions on the compiled tables
 (``hopf.convolve``), L * alpha and beta * S, and Ad_L is
 ``hopf.coaction`` with R = id on the subadjacent Hopf algebra.  The
 compiled beta table lives on the beta tensor; the S_> columns, Ad_L
-columns, braiding columns and grouped legs are cached results that depend
-on beta, so setting beta drops them too.
+columns, braiding columns and grouped legs are cached results that read
+beta, each made once beta is there.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -108,21 +111,25 @@ from .hopf import (
     one_column,
     pull_back,
 )
-from .linalg import Matrix, Vector, identity_matrix, kernel, matrix_from_columns, solve_many
+from .linalg import (
+    Matrix, Vector, _cache_slot, _per_structure, identity_matrix, kernel, matrix_from_columns, solve_many,
+)
 from .report import (
     FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, skipped_entry, vector_text,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class YDPostHopf:
-    """Braided carrier plus action; beta is supplied or solved on demand."""
+    """Braided carrier plus action; beta is supplied or solved on demand.
+    beta is the one field that may be filled after construction, once, from
+    None (``_fill_beta``)."""
 
     carrier: BraidedPair
     action: ActionTensor
     beta: ActionTensor | None = None
     params: dict[str, Scalar] = dc_field(default_factory=dict)
-    _cache: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = _cache_slot()
 
     def __post_init__(self):
         d = self.carrier.dim
@@ -148,39 +155,21 @@ def ensure_beta(s: YDPostHopf) -> ActionTensor:
     return s.beta
 
 
-def _per_structure(build):
-    """Evaluate build(s) once per structure, on first use, and keep the
-    result in s._cache under the function's name.  A relative Rota-Baxter
-    operator keeps its compiled tables the same way."""
-    key = build.__name__
-
-    @functools.wraps(build)
-    def cached(s: YDPostHopf):
-        out = s._cache.get(key)
-        if out is None:
-            out = s._cache[key] = build(s)
-        return out
-
-    return cached
-
-
-# The cached results that depend on beta: setting beta drops exactly these.
-_BETA_KEYS = ("sharp_antipode", "_sharp_columns", "leftharpoon", "left_coaction_adl", "_adl_columns",
-              "_sigma_columns", "_sharp_legs", "_delta_identity")
-
-
-def _set_beta(s: YDPostHopf, beta: ActionTensor) -> None:
-    s.beta = beta
-    for key in _BETA_KEYS:
-        s._cache.pop(key, None)
+def _fill_beta(s: YDPostHopf, beta: ActionTensor) -> None:
+    """Fill s.beta, which the caller has seen is None.  A cached result that
+    reads beta is made only once beta is there, so none goes stale."""
+    object.__setattr__(s, "beta", beta)
 
 
 def solve_beta(s: YDPostHopf) -> ActionTensor:
-    """Solve the convolution-inverse system for beta and store it on s."""
+    """Solve the convolution-inverse system for beta and fill it on s;
+    ``StructureError`` if s has a beta already."""
+    if s.beta is not None:
+        raise StructureError("beta is already set; build a new structure to change it")
     res = hom_convolution_inverse_endo(s.action, s.carrier.coalgebra)
     if res.beta is None:
         raise StructureError(f"alpha is not convolution invertible: no beta exists ({res.reason})")
-    _set_beta(s, res.beta)
+    _fill_beta(s, res.beta)
     return res.beta
 
 
@@ -304,7 +293,7 @@ def _pdelta_rhs(s: YDPostHopf):
     compatibility of Delta with the product, and its scale.  Each
     x_1 . alpha_{x_2}(beta_{x_4}(e_p)) is made once, in a memo that lives as
     long as the side."""
-    mul, act, beta = s.carrier.algebra.int_mul(), s.action.int_act(), s.beta.int_act()
+    mul, act, beta = s.carrier.algebra.int_mul(), s.action.int_act(), ensure_beta(s).int_act()
     comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(4)
     m, x_, b_, c_, l_ = mul.rows, act.rows, beta.rows, comul.rows, legs.rows
     d, p = s.dim, s.field.p
@@ -477,7 +466,7 @@ def _post_hopf_steps(s: YDPostHopf):
     if s.beta is None:
         res = hom_convolution_inverse_endo(act, coalg)
         if res.beta is not None:
-            _set_beta(s, res.beta)
+            _fill_beta(s, res.beta)
             conv = res.checks
     beta = s.beta
     if beta is None:
@@ -810,7 +799,7 @@ def primitives(coalg: CoalgebraData, unit: Vector) -> list[Vector]:
     return kernel(matrix_from_columns(cols, fs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PostLieData:
     """Post-Lie algebra by structure constants; dim 0 is allowed."""
 

@@ -26,9 +26,9 @@ The derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H
 R, and the antipode of functor M, R o (alpha * R^{-1} S_H), are
 convolutions on the compiled tables (``hopf.convolve``), and
 a >-_R b = R(a) >- b is the action pulled back along R
-(``hopf.pull_back``).  The cached tables
-assume the operator is not changed after it is first checked;
-``dataclasses.replace`` makes a copy whose cache starts empty.
+(``hopf.pull_back``).  An operator is frozen, so its cached tables
+cannot go stale; ``dataclasses.replace`` makes a copy whose cache starts
+empty.
 """
 
 from __future__ import annotations
@@ -71,14 +71,13 @@ from .hopf import (
     pulled_back,
     solve_antipode,
 )
-from .linalg import Matrix, Vector, identity_matrix, invert, kernel
+from .linalg import Matrix, Vector, _cache_slot, _per_structure, identity_matrix, invert, kernel
 from .posthopf import (
     PostLieData,
     YDPostHopf,
     _commutator,
     _derivation,
     _jacobi,
-    _per_structure,
     _skew,
     _span_coords,
     check_post_lie,
@@ -91,7 +90,7 @@ from .posthopf import (
 from .report import FAIL, Checker, CheckEntry, CheckReport, Tally, Witness, pairs_text, vector_text
 
 
-@dataclass
+@dataclass(frozen=True)
 class RelRB:
     """R: K -> H with the acting Hopf algebra H and braided carrier K."""
 
@@ -103,7 +102,7 @@ class RelRB:
     coaction: Matrix | None         # K -> H (x) K, (p*dimK + q, a)
     r_map: Matrix                   # K -> H
     params: dict[str, Scalar] = dc_field(default_factory=dict)
-    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = _cache_slot()
 
     def __post_init__(self):
         if self.k_alg.dim != self.k_coalg.dim:
@@ -701,7 +700,7 @@ def adjunction_bijection(rb: RelRB, s: YDPostHopf, f: Matrix | None = None,
 # --- groups, Lie algebras, restrictions ------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupTable:
     """Finite group as a multiplication table over element indices."""
 
@@ -734,7 +733,7 @@ class GroupTable:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupRB:
     """R: H -> G with phi: G -> Aut(H); weight-1 law
     R(h) R(k) = R(h . phi(R(h)) k)."""
@@ -802,7 +801,7 @@ def check_group_rb(grb: GroupRB) -> CheckReport:
     return rep
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieData:
     """Lie algebra by structure constants."""
 
@@ -811,7 +810,7 @@ class LieData:
     field: FieldSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieRB:
     """Linear R: h -> g with phi: g -> Der(h); weight-1 law
     [R(x), R(y)] = R(phi(R x) y - phi(R y) x + [x, y])."""

@@ -15,7 +15,7 @@ prefixes ``k.`` and ``h.``: ``_emit_hopf`` writes a block and
 
 from __future__ import annotations
 
-from .field import FieldSpec, RATIONALS, Scalar, format_scalar, parse_scalar, FieldError
+from .field import FieldSpec, RATIONALS, Scalar, format_scalar, parse_int, parse_scalar, FieldError
 from .hopf import (
     ActionTensor,
     AlgebraData,
@@ -217,7 +217,7 @@ def _parse_field(lines: _Lines) -> FieldSpec:
         return RATIONALS
     if len(args) == 2 and args[0] == "Fp":
         try:
-            return FieldSpec(int(args[1]))
+            return FieldSpec(parse_int(args[1]))
         except (ValueError, FieldError) as e:
             raise ParseError(str(e), ln)
     raise ParseError("field must be 'Q' or 'Fp <prime>'", ln)
@@ -225,7 +225,8 @@ def _parse_field(lines: _Lines) -> FieldSpec:
 
 def _parse_int(tok: str, ln: int, upper: int | None = None, what: str = "index") -> int:
     try:
-        v = int(tok)
+        # an unsigned index, the common case, without a call
+        v = int(tok) if tok.isdigit() and tok.isascii() else parse_int(tok)
     except ValueError:
         raise ParseError(f"bad {what} {tok!r}", ln)
     if v < 0 or (upper is not None and v >= upper):

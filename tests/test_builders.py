@@ -26,7 +26,7 @@ from ydalgebra.builders import (
 from ydalgebra.field import FieldSpec
 from ydalgebra.hopf import StructureError, check_hopf, is_cocommutative
 from ydalgebra import posthopf
-from ydalgebra.posthopf import _BETA_KEYS, _set_beta, braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf
+from ydalgebra.posthopf import braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf
 from ydalgebra.report import Tally
 from ydalgebra.rota import check_group_rb
 from ydalgebra.structio import emit, parse
@@ -248,25 +248,12 @@ def _plain(x):
 
 
 def test_builders_leave_no_stale_beta_results():
-    # the builders set beta through _set_beta, so every cached result that
-    # depends on beta is the one a freshly parsed copy computes
+    # the builders fill beta after the bullet product is cached, so every
+    # cached result, those that read beta among them, is the one a freshly
+    # parsed copy computes
     for s in (build_en(2, [[1, F(1, 3)], [F(1, 3), 2]]), build_suzuki(-1, 1)):
         check_yd_hopf_monoid(s)
-        assert all(key in s._cache for key in _BETA_KEYS)
+        assert {"bullet_algebra", "sharp_antipode", "_adl_columns", "_sharp_legs", "_delta_identity"} <= set(s._cache)
         fresh = parse(emit(s))
-        for key in _BETA_KEYS:
+        for key in s._cache:
             assert _plain(s._cache[key]) == _plain(getattr(posthopf, key)(fresh)), key
-        # the compiled tables that depend on beta go with it: the beta table
-        # lives on the beta tensor, Ad_L's columns and the grouped legs in
-        # the cache that _set_beta clears
-        old_beta = s.beta
-        assert old_beta._ints is not None
-        assert {"_adl_columns", "_sharp_legs"} <= set(_BETA_KEYS)
-        other = parse(emit(s)).beta
-        _set_beta(s, other)
-        assert s.beta is other and other._ints is None
-        assert not any(key in s._cache for key in _BETA_KEYS)
-        for suite in (check_yd_post_hopf, check_yd_hopf_monoid):
-            assert suite(s).machine_text() == suite(fresh).machine_text()
-        assert other._ints is not None and other._ints == fresh.beta._ints
-        assert _plain(s._cache["_adl_columns"]) == _plain(fresh._cache["_adl_columns"])

@@ -108,10 +108,17 @@ def test_kind_mismatch_is_input_error(sweedler_file):
     assert code == 2
 
 
-@pytest.mark.parametrize("field", ["Fp:abc", "Fp:", "Fp:7.0"])
+# int() takes underscores, blanks and other scripts' digits; the flag does not
+@pytest.mark.parametrize("field", ["Fp:abc", "Fp:", "Fp:7.0", "Fp:1_0007", "Fp: 7", "Fp:7 ", "Fp:\u0667"])
 def test_field_flag_without_an_integer_is_input_error(field):
     code, out, err = run_cli(["example", "sweedler", "--field", field])
     assert (code, out, err) == (2, "", f"error: field must be Q or Fp:<prime>, got {field!r}\n")
+
+
+@pytest.mark.parametrize("group", ["c", "c-3", "c+3", "c\u0663", "c3x"])
+def test_group_flag_takes_ascii_digits_only(group):
+    code, out, err = run_cli(["example", "group", "--group", group])
+    assert (code, out, err) == (2, "", f"error: unknown group {group!r} (use cN or s3)\n")
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])

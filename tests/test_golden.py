@@ -48,8 +48,14 @@ DERIVED_IDS = [t if s == "sweedler-q" else f"{s.removeprefix('sweedler-')}-{t}" 
 # the adjoint example, built from a golden Hopf file
 ADJOINT_SOURCES = [f"group-s3-{field}" for field in FIELDS]
 
+# the algebra of H4, as an algebra file: made from the Hopf golden, not kept
+# as a file of its own, so that the parser's outcomes below stay as they are
+ALGEBRA_SOURCES = {f"h4-{field}-algebra": f"h4-{field}" for field in FIELDS}
+ALGEBRA_DIRECTIVES = ("field", "dim", "basis", "unit", "mul")
+
 # failing mutant per kind: (base golden file, directive whose last line changes)
 MUTANTS = {
+    "algebra-q": ("h4-q-algebra", "mul"),
     "ydpost-q": ("sweedler-q", "action"),
     "ydpost-f7": ("sweedler-f7", "action"),
     "hopf-q": ("h4-q", "antipode"),
@@ -148,9 +154,16 @@ def _mutate_line(lines: list[str], i: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def golden_text(name: str) -> str:
+    """The text of a golden structure file, or of an algebra made from one."""
+    if name in ALGEBRA_SOURCES:
+        return emit(parse(golden_text(ALGEBRA_SOURCES[name])).algebra)
+    return (GOLDEN / f"{name}.struct").read_text()
+
+
 def _mutant_text(name: str) -> str:
     base, directive = MUTANTS[name]
-    return _mutate((GOLDEN / f"{base}.struct").read_text(), directive)
+    return _mutate(golden_text(base), directive)
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -196,6 +209,19 @@ def test_derived_emit_bytes(tmp_path, source, target):
     code, report = _check(out)
     assert code == 0
     assert report.encode() == (GOLDEN / f"{stem}.report").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_SOURCES))
+def test_algebra_emit_and_report_bytes(tmp_path, name):
+    # the algebra file holds the Hopf golden's algebra lines, in their order
+    text = golden_text(name)
+    lines = golden_text(ALGEBRA_SOURCES[name]).splitlines()
+    assert text.splitlines() == ["kind algebra", *(x for x in lines if x.split()[0] in ALGEBRA_DIRECTIVES)]
+    out = tmp_path / f"{name}.struct"
+    out.write_text(text)
+    code, report = _check(out)
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{name}.report").read_bytes()
 
 
 def test_grouprb_emit_bytes():
@@ -448,6 +474,11 @@ def write_golden() -> None:
         path = GOLDEN / f"{source}-adjoint.struct"
         _adjoint(source, path)
         path.with_suffix(".report").write_text(_check(path)[1])
+    for name in ALGEBRA_SOURCES:
+        path = GOLDEN / "algebra.tmp"
+        path.write_text(golden_text(name))
+        (GOLDEN / f"{name}.report").write_text(_check(path)[1])
+        path.unlink()
     (GOLDEN / "s3-inversion.struct").write_text(emit(group_rb_inversion(symmetric_group_3())))
     for name in MUTANTS:
         path = GOLDEN / "mutant.tmp"

@@ -1,7 +1,10 @@
 """Cross-cutting invariants: convolution algebra laws, cocommutative
-reductions, derivation identities along the functors."""
+reductions, derivation identities along the functors, and structures as
+values."""
 
 import dataclasses
+import importlib
+import pkgutil
 import sys
 from fractions import Fraction
 
@@ -12,12 +15,15 @@ from hypothesis import strategies as st
 from manual_structures import sweedler_transmutation_manual
 from oracles import act_apply, bracket_vec, comul_vec
 from test_compiled import tens2_add_scaled
+from test_golden import GOLDEN
 from test_hopf import h4_algebra, h4_coalgebra
+import ydalgebra
 from ydalgebra import compiled, linalg, posthopf, rota
-from ydalgebra.braces import functor_f, to_matched_pair
+from ydalgebra.braces import MatchedPair, YDBrace, functor_f, to_matched_pair
 from ydalgebra.builders import (
     build_en,
     build_group_rb_linearization,
+    build_sweedler,
     group_rb_inversion,
     symmetric_group_3,
 )
@@ -28,6 +34,7 @@ from ydalgebra.hopf import (
     AlgebraData,
     BraidedPair,
     CoalgebraData,
+    HopfData,
     StructureError,
     convolution,
     is_cocommutative,
@@ -35,14 +42,19 @@ from ydalgebra.hopf import (
 )
 from ydalgebra.linalg import Matrix, Vector, unit_vector
 from ydalgebra.posthopf import (
+    PostLieData,
     YDPostHopf,
     check_yd_hopf_monoid,
     check_yd_post_hopf,
     extract_post_lie,
     sharp_antipode,
+    solve_beta,
     subadjacent_hopf,
 )
-from ydalgebra.rota import LieData, LieRB, check_lie_rb, functor_l, functor_m, functor_r, restrict_to_primitives
+from ydalgebra.rota import (
+    GroupRB, GroupTable, LieData, LieRB, RelRB, check_lie_rb, functor_l, functor_m, functor_r, restrict_to_primitives,
+)
+from ydalgebra.structio import emit, parse
 
 F = Fraction
 
@@ -301,10 +313,129 @@ def test_shared_column_vectors_are_never_mutated(field, monkeypatch):
         assert run_suite(obj).all_pass()
     found: list = []
     _matrices([s, *derived], set(), found)
-    indexed = [m for m in found if getattr(m, "_col_cache", None) is not None]
+    indexed = [m for m in found if "_cols" in m._cache]
     assert len(indexed) >= 3
     for m in indexed:
         for c in range(m.cols):
             scan = {r: v for (r, cc), v in m.entries.items() if cc == c}
             assert m.column(c) == Vector(m.rows, scan, m.field)
     assert built.get(("linalg", "linalg")) and built.get(("compiled", "posthopf")) and built.get(("compiled", "rota"))
+
+
+# --- structures are values -------------------------------------------------
+
+CONTAINERS = {AlgebraData, CoalgebraData, HopfData, BraidedPair, ActionTensor, YDPostHopf, YDBrace, MatchedPair, RelRB,
+              GroupTable, GroupRB, LieData, LieRB, PostLieData}
+
+
+def _golden(name: str):
+    return parse((GOLDEN / f"{name}.struct").read_text())
+
+
+def _bumped(table: list[list[Vector]]) -> list[list[Vector]]:
+    """A copy of table with e_0 added to the last vector of its first row."""
+    rows = [list(row) for row in table]
+    v = rows[0][-1]
+    rows[0][-1] = v.add(unit_vector(v.dim, 0, v.field))
+    return rows
+
+
+def _bumped_matrix(m: Matrix) -> Matrix:
+    """m with 1 added to its entry (0, last column)."""
+    return Matrix(m.rows, m.cols, {**m.entries, (0, m.cols - 1): m.get(0, m.cols - 1) + m.field.one}, m.field)
+
+
+def _trivial_action(s: YDPostHopf) -> ActionTensor:
+    """x >- y = eps(x) y."""
+    d, fs = s.dim, s.field
+    return ActionTensor(d, d, [[unit_vector(d, j, fs).scale(s.carrier.coalgebra.eps(i)) for j in range(d)]
+                               for i in range(d)], fs)
+
+
+def _replace_algebra(a: AlgebraData) -> AlgebraData:
+    return dataclasses.replace(a, mul=_bumped(a.mul))
+
+
+def _replace_comul(h: HopfData) -> HopfData:
+    c = h.coalgebra
+    return dataclasses.replace(h, coalgebra=dataclasses.replace(c, comul=[*c.comul[:-1], c.comul[-1] + [(0, 0, 1)]]))
+
+
+# kind -> how to make a structure, and how dataclasses.replace makes a copy
+# of it with one field changed, once its suite has run: the copy shares
+# every part it does not change, with the caches those parts filled
+REPLACED = {
+    "algebra": (lambda: _golden("h4-q").algebra, _replace_algebra),
+    "hopf": (lambda: _golden("h4-q"), _replace_comul),
+    "ydpost": (lambda: build_sweedler(1), lambda s: dataclasses.replace(s, action=_trivial_action(s), beta=None)),
+    "ydpost-action": (lambda: _golden("sweedler-f7"),
+                      lambda s: dataclasses.replace(s, action=dataclasses.replace(s.action, act=_bumped(s.action.act)))),
+    "ydbrace": (lambda: _golden("sweedler-q-brace"), lambda b: dataclasses.replace(
+        b, dot_side=dataclasses.replace(b.dot_side, algebra=_replace_algebra(b.dot_side.algebra)))),
+    "matchedpair": (lambda: _golden("sweedler-q-matchedpair"), lambda mp: dataclasses.replace(
+        mp, right_action=dataclasses.replace(mp.right_action, act=_bumped(mp.right_action.act)))),
+    "relrb": (lambda: _golden("sweedler-q-rb_l"), lambda r: dataclasses.replace(r, r_map=_bumped_matrix(r.r_map))),
+    "grouprb": (lambda: _golden("s3-inversion"), lambda g: dataclasses.replace(g, r=[*g.r[1:], g.r[0]])),
+    "lierb": (lambda: restrict_to_primitives(functor_l(dual_numbers_pair())),
+              lambda lrb: dataclasses.replace(lrb, phi=dataclasses.replace(lrb.phi, act=_bumped(lrb.phi.act)))),
+    "postlie": (lambda: extract_post_lie(dual_numbers_pair()),
+                lambda pl: dataclasses.replace(pl, bracket=_bumped(pl.bracket))),
+}
+
+
+def _report_and_copy(kind: str) -> tuple:
+    """The machine report of the kind's structure, and then its copy."""
+    make, change = REPLACED[kind]
+    source = make()
+    return run_suite(source).machine_text(), change(source)
+
+
+@pytest.mark.parametrize("kind", sorted(REPLACED))
+def test_a_replaced_structure_reports_as_its_parsed_copy(kind):
+    # a copy starts with an empty cache, so nothing its source computed
+    # stands in for what the changed field gives
+    before, copy = _report_and_copy(kind)
+    text = emit(copy)
+    got = run_suite(copy).machine_text()
+    assert got == run_suite(parse(text)).machine_text()
+    assert got != before
+
+
+def _parts(obj, out: dict) -> dict:
+    """Every container in obj, obj among them, one per class."""
+    if type(obj) in CONTAINERS:
+        out.setdefault(type(obj), obj)
+        for f in dataclasses.fields(obj):
+            _parts(getattr(obj, f.name), out)
+    return out
+
+
+def test_no_field_of_a_container_can_be_assigned():
+    found: dict = {}
+    for kind in REPLACED:
+        _parts(_report_and_copy(kind)[1], found)
+    assert set(found) == CONTAINERS
+    for obj in found.values():
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+
+
+def test_no_private_field_is_a_constructor_argument():
+    modules = [importlib.import_module(f"ydalgebra.{m.name}") for m in pkgutil.iter_modules(ydalgebra.__path__)]
+    classes = {c for m in modules for c in vars(m).values() if isinstance(c, type) and dataclasses.is_dataclass(c)}
+    assert CONTAINERS | {Matrix, Vector} <= classes
+    assert [(c.__name__, f.name) for c in classes for f in dataclasses.fields(c) if f.name.startswith("_") and f.init] \
+        == []
+
+
+def test_beta_is_filled_at_most_once():
+    s = build_sweedler(1)  # the builder fills beta
+    beta = s.beta
+    with pytest.raises(StructureError, match="^beta is already set"):
+        solve_beta(s)
+    assert s.beta is beta
+    copy = dataclasses.replace(s, beta=None)
+    assert solve_beta(copy) == beta and copy.beta is not None
+    with pytest.raises(StructureError, match="^beta is already set"):
+        solve_beta(copy)

@@ -57,10 +57,9 @@ def test_l_of_trivial():
 
 def test_rank_one_r_map_fails_coalg():
     s = sweedler_transmutation_manual()
-    r = functor_l(s)
     d = s.dim
     # constant-to-unit rank-one operator: not counit-compatible in dim > 1
-    r.r_map = Matrix(d, d, {(0, j): F(1) for j in range(d)}, RATIONALS)
+    r = dataclasses.replace(functor_l(s), r_map=Matrix(d, d, {(0, j): F(1) for j in range(d)}, RATIONALS))
     rep = check_rel_rb(r, mode="pre")
     assert rep.entry("RB-COALG").status == "fail"
 
@@ -261,8 +260,7 @@ def test_lie_rb_weight1_failure_detected():
 
 def test_full_mode_rejects_singular_r():
     s = build_sweedler(1)
-    r = functor_l(s)
-    r.r_map = Matrix(4, 4, {(0, 0): F(1)}, RATIONALS)
+    r = dataclasses.replace(functor_l(s), r_map=Matrix(4, 4, {(0, 0): F(1)}, RATIONALS))
     rep = check_rel_rb(r, mode="full")
     entry = rep.entry("RB-3")
     assert entry.status == "fail"

@@ -1,5 +1,6 @@
 """Serialization: canonical emission, round trips, diagnostics."""
 
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -183,6 +184,27 @@ def test_parse_reports_the_hopf_block_faults_in_reading_order():
         with pytest.raises(ParseError, match=f"^line {bad[key] + 1}: "):
             parse("\n".join(text) + "\n")
         del bad[key]
+
+
+# int() takes underscores and other scripts' digits, and \\d matches those
+# digits; the parser takes an ASCII sign and ASCII digits only
+@pytest.mark.parametrize(("name", "line", "changed", "message"), [
+    ("sweedler-f7", "field Fp 7", "field Fp 1_0007", "line 2: invalid literal for int() with base 10: '1_0007'"),
+    ("sweedler-f7", "field Fp 7", "field Fp \u0667", "line 2: invalid literal for int() with base 10: '\u0667'"),
+    ("sweedler-q", "dim 4", "dim 0_4", "line 3: bad dimension '0_4'"),
+    ("sweedler-q", "dim 4", "dim \u0664", "line 3: bad dimension '\u0664'"),
+    ("h4-q", "mul 0 0 0 1", "mul 0 0 \u0660 1", "line 8: bad index '\u0660'"),
+    ("h4-q", "mul 0 0 0 1", "mul 0 0 -1 1", "line 8: index -1 out of range"),
+    ("h4-q", "unit 0 1", "unit 0 \u0663", "line 5: malformed scalar '\u0663'"),
+    ("h4-q", "unit 0 1", "unit 0 1/\u0663", "line 5: malformed scalar '1/\u0663'"),
+    ("h4-q", "unit 0 1", "unit 0 1_0", "line 5: malformed scalar '1_0'"),
+], ids=["field-underscore", "field-digit", "dim-underscore", "dim-digit", "index-digit", "index-negative",
+        "scalar-digit", "denominator-digit", "scalar-underscore"])
+def test_parse_takes_ascii_integer_tokens_only(name, line, changed, message):
+    text = (GOLDEN / f"{name}.struct").read_text()
+    assert f"\n{line}\n" in text
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse(text.replace(f"\n{line}\n", f"\n{changed}\n", 1))
 
 
 def test_relrb_coaction_indices_follow_k_h_k():
