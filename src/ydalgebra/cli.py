@@ -202,12 +202,13 @@ def _parse_a_matrix(text: str, n: int, field: FieldSpec):
 
 
 def _group_by_name(name: str):
-    if name == "c2":
-        return cyclic_group(2)
-    if name.startswith("c") and name[1:].isascii() and name[1:].isdigit():
-        return cyclic_group(int(name[1:]))
     if name == "s3":
         return symmetric_group_3()
+    if name.startswith("c") and name[1:2] not in ("+", "-"):  # cN with N unsigned
+        try:
+            return cyclic_group(parse_int(name[1:]))
+        except ValueError:
+            pass
     raise ParseError(f"unknown group {name!r} (use cN or s3)")
 
 

@@ -231,11 +231,12 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
 def parse_int(text: str) -> int:
     """``int(text)`` for an optional ASCII sign and ASCII digits; otherwise
     the ``ValueError`` that int() raises on a malformed literal.  int()
-    itself also takes underscores, blanks and other scripts' digits."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
+    itself also takes underscores, blanks and other scripts' digits, and
+    str.isdigit() other scripts' digits.  Unsigned text, the common case,
+    is decided by the first two tests."""
+    if text.isascii() and (text.isdigit() or text[:1] in ("+", "-") and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 
 
 def format_scalar(s: Scalar) -> str:

@@ -225,8 +225,7 @@ def _parse_field(lines: _Lines) -> FieldSpec:
 
 def _parse_int(tok: str, ln: int, upper: int | None = None, what: str = "index") -> int:
     try:
-        # an unsigned index, the common case, without a call
-        v = int(tok) if tok.isdigit() and tok.isascii() else parse_int(tok)
+        v = parse_int(tok)
     except ValueError:
         raise ParseError(f"bad {what} {tok!r}", ln)
     if v < 0 or (upper is not None and v >= upper):

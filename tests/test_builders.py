@@ -253,7 +253,10 @@ def test_builders_leave_no_stale_beta_results():
     # parsed copy computes
     for s in (build_en(2, [[1, F(1, 3)], [F(1, 3), 2]]), build_suzuki(-1, 1)):
         check_yd_hopf_monoid(s)
-        assert {"bullet_algebra", "sharp_antipode", "_adl_columns", "_sharp_legs", "_delta_identity"} <= set(s._cache)
+        assert {
+            "bullet_algebra", "sharp_antipode", "_sharp_columns", "leftharpoon", "left_coaction_adl",
+            "_adl_columns", "_sigma_columns", "_sharp_legs", "_delta_identity",
+        } <= set(s._cache)
         fresh = parse(emit(s))
         for key in s._cache:
             assert _plain(s._cache[key]) == _plain(getattr(posthopf, key)(fresh)), key
