@@ -212,6 +212,15 @@ def _group_by_name(name: str):
     raise ParseError(f"unknown group {name!r} (use cN or s3)")
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag value in ASCII digits (``field.parse_int``); argparse
+    reports any other text as a usage error."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def cmd_example(args) -> int:
     field = _parse_field_flag(args.field)
     name = args.name
@@ -311,7 +320,7 @@ def make_parser() -> argparse.ArgumentParser:
     e.add_argument("name", choices=("trivial", "sweedler", "en", "suzuki",
                                     "adjoint", "grouprb", "h4", "group"))
     e.add_argument("--k", default="1", help="parameter for the dim-4 example")
-    e.add_argument("--n", type=int, default=2)
+    e.add_argument("--n", type=_int_arg, default=2)
     e.add_argument("--A", default="1,0;0,1", help="symmetric matrix rows 'a,b;c,d'")
     e.add_argument("--alpha", default="1")
     e.add_argument("--beta", default="1")

@@ -54,12 +54,15 @@ Rota-Baxter operator, where H acts on K:
   Delta tally.
 
 All of them, their unit rows and HOPF-DELTA-MULT run on the compiled
-tables.  A law on triples
-runs on rows (g, h) or (h, a), and ``module_algebra_law`` sums
-c (h_1 >- a) once per row for each distinct h_2, then multiplies that sum
-by h_2 >- b for every b.  A law on H (x) H runs on rows (x,) and keys its
-int sums by y * dim**2 + p * dim + q (``compiled.comul_side`` and
-``compiled.legs_side``).  P-CONV reports the tallies of
+tables.  A law on triples runs on rows (g, h) or (h, a), on operand lists
+built once per law call and dropped when it returns.  ``module_law`` reads
+the action rows flattened, keyed a * dk + q, and the terms of every
+h >- f_a.  ``module_algebra_law`` reads the products m[a] flattened, sums
+c (h_1 >- a) once per row for each distinct h_2, and multiplies that sum
+into a table of e_r . (e_{h_2} >- e_b) for every b, one entry per
+(h_2, r), filled as rows ask for it.  A law on H (x) H runs on rows (x,)
+and keys its int sums by y * dim**2 + p * dim + q (``compiled.comul_side``
+and ``compiled.legs_side``).  P-CONV reports the tallies of
 ``_verify_endo_inverse``; when beta was just solved, they are the ones
 ``hom_convolution_inverse_endo`` computed to accept it.
 
@@ -376,12 +379,23 @@ def check_hopf(h: HopfData) -> CheckReport:
 # --- action laws (see the module docstring) ----------------------------------
 
 
+def _terms(rows: list, dk: int) -> list:
+    """The terms (k * dk, r, c) of rows[i][k] for every k, one list per i:
+    a table's rows flattened once per law call, its empty entries dropped."""
+    return [[(k * dk, r, c) for k, v in enumerate(row) for r, c in v] for row in rows]
+
+
 def module_law(act: ActionTensor, alg: AlgebraData) -> Tally:
     """act makes its target a module over alg: (g.h) >- a = g >- (h >- a)
-    at (g, h, a), on the compiled tables; ``module_unit_law`` is its unit."""
+    at (g, h, a), on the compiled tables; ``module_unit_law`` is its unit.
+    Each row reads operand lists built once per call: x_[r] flattened to
+    (a * dk + q, e) for the left side, and the terms (a * dk, r, c) of
+    x_[h] for the right."""
     x, mul = act.int_act(), alg.int_mul()
     x_, m = x.rows, mul.rows
     dh, dk = act.acting_dim, act.target_dim
+    flat = [[(a * dk + q, e) for a, xra in enumerate(xr) for q, e in xra] for xr in x_]
+    terms = _terms(x_, dk)
 
     def law(acc, prefix, wl, wr):
         g, h = prefix
@@ -389,20 +403,15 @@ def module_law(act: ActionTensor, alg: AlgebraData) -> Tally:
         if wl:
             for r, c in m[g][h]:
                 c *= wl
-                for a, xra in enumerate(x_[r]):
-                    base = a * dk
-                    for q, e in xra:
-                        q += base
-                        acc[q] = get(q, 0) + c * e
+                for q, e in flat[r]:
+                    acc[q] = get(q, 0) + c * e
         if wr:
             xg = x_[g]
-            for a, xha in enumerate(x_[h]):
-                base = a * dk
-                for r, c in xha:
-                    c *= wr
-                    for q, e in xg[r]:
-                        q += base
-                        acc[q] = get(q, 0) + c * e
+            for base, r, c in terms[h]:
+                c *= wr
+                for q, e in xg[r]:
+                    q += base
+                    acc[q] = get(q, 0) + c * e
 
     t = Tally()
     compare(t, product(range(dh), range(dh)), dk, dk, law, mul.scale * x.scale, x.scale * x.scale,
@@ -428,7 +437,10 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
     """act makes alg a module algebra over the acting coalgebra coalg:
     h >- (a.b) = (h_1 >- a).(h_2 >- b) at (h, a, b), on the compiled tables;
     ``module_algebra_unit_law`` is its unit.  With swap, the legs h_1 and
-    h_2 trade places on the right."""
+    h_2 trade places on the right.  Each row reads operand lists built once
+    per call: m[a] flattened to (b * dk, r, c) for the left side; for the
+    right, the column e_h >- e_a over every h, and a table, filled as rows
+    ask for it, of e_r . (e_{h_2} >- e_b) for every b, keyed b * dk + q."""
     x, mul, comul = act.int_act(), alg.int_mul(), coalg.int_comul()
     x_, m, c_ = x.rows, mul.rows, comul.rows
     dh, dk, p = act.acting_dim, act.target_dim, act.field.p
@@ -441,35 +453,45 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
                 i1, i2 = i2, i1
             by_b.setdefault(i2, []).append((i1, c))
         groups.append(list(by_b.items()))
+    flat, terms = _terms(m, dk), _terms(x_, dk)
+    cols = [[row[j] for row in x_] for j in range(dk)]  # cols[j][h] = e_h >- e_j
+    products: list[list | None] = [None] * (dh * dk)
+
+    def product_row(i2: int, r: int) -> list:
+        # e_r . (e_i2 >- e_k) for every k, keyed k * dk + q
+        acc: dict[int, int] = {}
+        get = acc.get
+        mr = m[r]
+        for base, v, b in terms[i2]:
+            for q, e in mr[v]:
+                q += base
+                acc[q] = get(q, 0) + b * e
+        row = products[i2 * dk + r] = int_items(acc, p)
+        return row
 
     def law(acc, prefix, wl, wr):
         i, j = prefix
         get = acc.get
         if wl:
             xi = x_[i]
-            for k, mjk in enumerate(m[j]):
-                base = k * dk
-                for r, a in mjk:
-                    a *= wl
-                    for q, b in xi[r]:
-                        q += base
-                        acc[q] = get(q, 0) + a * b
+            for base, r, a in flat[j]:
+                a *= wl
+                for q, b in xi[r]:
+                    q += base
+                    acc[q] = get(q, 0) + a * b
         if wr:
-            xj = [row[j] for row in x_]  # e_h >- e_j for every h
+            xj = cols[j]
             for i2, lefts in groups[i]:
-                # sum of c (h_1 >- a) over the legs whose h_2 is i2
-                u = [(r, a * wr) for r, a in int_linear(xj, lefts, p)]
-                if not u:
-                    continue
-                for k, right in enumerate(x_[i2]):
-                    base = k * dk
-                    for r, a in u:
-                        mr = m[r]
-                        for v, b in right:
-                            w = a * b
-                            for q, e in mr[v]:
-                                q += base
-                                acc[q] = get(q, 0) + w * e
+                # the sum of c (h_1 >- a) over the legs whose h_2 is i2, times
+                # e_r . (e_i2 >- e_k) for every k
+                at = i2 * dk
+                for r, a in int_linear(xj, lefts, p):
+                    a *= wr
+                    row = products[at + r]
+                    if row is None:
+                        row = product_row(i2, r)
+                    for q, e in row:
+                        acc[q] = get(q, 0) + a * e
 
     t = Tally()
     compare(t, product(range(dh), range(dk)), dk, dk, law, mul.scale * x.scale,

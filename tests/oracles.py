@@ -13,12 +13,22 @@ kernels as they were before their fast paths: every call sums into a dict
 and reduces it in a second pass, so a test can hold the empty-operand and
 one-term exits to the general loop.
 
+``module_law`` and ``module_algebra_law`` are the contracts ``hopf`` ran
+on the compiled tables before they read operand lists built once per call:
+they walk every h >- f_a of a row, and multiply the summed c (h_1 >- a) by
+h_2 >- b and a product row of the algebra for every b.  Each returns the
+``Tally`` its law of the same name returns.
+
 ``forward_bareiss_q`` is the dense engine the solver once took over Q on
 small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
 solve the same system a second way.
 """
 
+from itertools import product
+
+from ydalgebra.compiled import compare, int_linear as compiled_int_linear, vector_render
 from ydalgebra.linalg import Matrix, Vector, accumulate
+from ydalgebra.report import Tally
 
 
 def add_scaled_inplace(acc: dict, v: Vector, *cs) -> None:
@@ -151,6 +161,91 @@ def int_bilinear(table: list, u, v, p):
             for k, c in row[j]:
                 acc[k] = get(k, 0) + ab * c
     return int_items(acc, p)
+
+
+def module_law(act, alg) -> Tally:
+    """(g.h) >- a = g >- (h >- a) at (g, h, a), one row (g, h) per contract
+    call, reading x_[r][a] and x_[h][a] for every a."""
+    x, mul = act.int_act(), alg.int_mul()
+    x_, m = x.rows, mul.rows
+    dh, dk = act.acting_dim, act.target_dim
+
+    def law(acc, prefix, wl, wr):
+        g, h = prefix
+        get = acc.get
+        if wl:
+            for r, c in m[g][h]:
+                c *= wl
+                for a, xra in enumerate(x_[r]):
+                    base = a * dk
+                    for q, e in xra:
+                        q += base
+                        acc[q] = get(q, 0) + c * e
+        if wr:
+            xg = x_[g]
+            for a, xha in enumerate(x_[h]):
+                base = a * dk
+                for r, c in xha:
+                    c *= wr
+                    for q, e in xg[r]:
+                        q += base
+                        acc[q] = get(q, 0) + c * e
+
+    t = Tally()
+    compare(t, product(range(dh), range(dh)), dk, dk, law, mul.scale * x.scale, x.scale * x.scale,
+            act.field, vector_render(dk))
+    return t
+
+
+def module_algebra_law(act, coalg, alg, swap: bool = False) -> Tally:
+    """h >- (a.b) = (h_1 >- a).(h_2 >- b) at (h, a, b), one row (h, a) per
+    contract call: the legs of h grouped by h_2, c (h_1 >- a) summed once per
+    group, then multiplied by h_2 >- b and m[r] for every b.  With swap, h_1
+    and h_2 trade places on the right."""
+    x, mul, comul = act.int_act(), alg.int_mul(), coalg.int_comul()
+    x_, m, c_ = x.rows, mul.rows, comul.rows
+    dh, dk, p = act.acting_dim, act.target_dim, act.field.p
+    groups = []
+    for legs in c_:
+        by_b: dict = {}
+        for i1, i2, c in legs:
+            if swap:
+                i1, i2 = i2, i1
+            by_b.setdefault(i2, []).append((i1, c))
+        groups.append(list(by_b.items()))
+
+    def law(acc, prefix, wl, wr):
+        i, j = prefix
+        get = acc.get
+        if wl:
+            xi = x_[i]
+            for k, mjk in enumerate(m[j]):
+                base = k * dk
+                for r, a in mjk:
+                    a *= wl
+                    for q, b in xi[r]:
+                        q += base
+                        acc[q] = get(q, 0) + a * b
+        if wr:
+            xj = [row[j] for row in x_]
+            for i2, lefts in groups[i]:
+                u = [(r, a * wr) for r, a in compiled_int_linear(xj, lefts, p)]
+                if not u:
+                    continue
+                for k, right in enumerate(x_[i2]):
+                    base = k * dk
+                    for r, a in u:
+                        mr = m[r]
+                        for v, b in right:
+                            w = a * b
+                            for q, e in mr[v]:
+                                q += base
+                                acc[q] = get(q, 0) + w * e
+
+    t = Tally()
+    compare(t, product(range(dh), range(dk)), dk, dk, law, mul.scale * x.scale,
+            comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
+    return t
 
 
 def forward_bareiss_q(rows: list, ncols: int):

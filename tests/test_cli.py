@@ -121,6 +121,15 @@ def test_group_flag_takes_ascii_digits_only(group):
     assert (code, out, err) == (2, "", f"error: unknown group {group!r} (use cN or s3)\n")
 
 
+# the same for --n: other scripts' digits and underscores are usage errors
+@pytest.mark.parametrize("n", ["\u0662", "0_2"])
+def test_n_flag_takes_ascii_digits_only(n):
+    code, out, err = run_cli_exit(["example", "en", "--n", n])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --n: invalid int value: {n!r}\n")
+    assert run_cli(["example", "en", "--n", "2"])[0] == 0
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
 @pytest.mark.parametrize("verb", ["example", "derive"])
 def test_unwritable_out_is_input_error(tmp_path, sweedler_file, verb, where):

@@ -43,13 +43,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import ydalgebra
 from oracles import (
     act_apply, add_scaled_inplace, apply_basis, apply_vec_basis, bilinear, bracket_vec, comul_vec, eps_vec,
     matrix_apply, mul_vec, pulled_back, tens2,
 )
 from oracles import int_bilinear as dict_int_bilinear, int_items as dict_int_items, int_linear as dict_int_linear
-from test_golden import KIND_MUTANTS, _mutant_text, _mutate, _mutate_named
+from test_golden import KIND_MUTANTS, SUITE_MUTANTS, _mutant_text, _mutate, _mutate_named, yd_mutant
 from ydalgebra.braces import (
     MatchedPair, YDBrace, _brace_compat, _matched_pair_laws, brace_action, check_matched_pair, check_yd_brace,
     from_matched_pair, functor_f, functor_g, to_matched_pair,
@@ -81,6 +82,7 @@ from ydalgebra.posthopf import (
     braiding_sigma,
     bullet_algebra,
     check_post_lie,
+    ensure_beta,
     check_yd_post_hopf,
     is_pre_hopf,
     left_coaction_adl,
@@ -1497,6 +1499,130 @@ def test_cube_contracts_run_once_per_row(monkeypatch):
     act, alg = _c2_action(RATIONALS, (0, 2))
     assert module_law(act, alg).failures == 2
     assert rows == [*square(2), (1, 1), (1, 1)]
+
+
+# --- the action laws on operand lists built once per call --------------------------
+#
+# ``hopf.module_law`` and ``hopf.module_algebra_law`` read flat operand lists
+# and a per-call product table; the contracts they ran before are kept in
+# ``oracles`` under the same names, and each law must give the very tally
+# of its loop: checked, failures and the witness's where, lhs and rhs.
+
+ACTION_LAWS = {"ALG-ASSOC": "module_law", "P-DOT": "module_algebra_law", "P-ASSOC": "module_law",
+               "L-MB": "module_algebra_law"}
+
+
+def action_law_args(s) -> dict:
+    """The arguments of the law behind each ID of ACTION_LAWS on s, as its
+    suite calls it; L-MB is left out when s has no beta."""
+    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
+    out = {"ALG-ASSOC": (ActionTensor(s.dim, s.dim, alg.mul, s.field), alg), "P-DOT": (s.action, coalg, alg),
+           "P-ASSOC": (s.action, bullet_algebra(s))}
+    try:
+        out["L-MB"] = (ensure_beta(s), coalg, alg, True)
+    except StructureError:
+        pass
+    return out
+
+
+def assert_laws_match_oracles(calls: dict) -> set:
+    """Hold each law to its oracle loop on the same arguments; the IDs
+    that fail."""
+    failing = set()
+    for axiom, (name, args) in calls.items():
+        got, want = getattr(ydalgebra.hopf, name)(*args), getattr(oracles, name)(*args)
+        assert _verdict(got) == _verdict(want), axiom
+        if got.failures:
+            failing.add(axiom)
+    return failing
+
+
+def action_law_calls(s) -> dict:
+    return {axiom: (ACTION_LAWS[axiom], args) for axiom, args in action_law_args(s).items()}
+
+
+OFF_DIAGONAL = [[1, F(1, 2), 0], [F(1, 2), 1, F(1, 2)], [0, F(1, 2), 1]]
+ACTION_BUILDS = {
+    "en2": lambda fs: build_en(2, [[2, F(1, 3)], [F(1, 3), -1]], fs),
+    "en3": lambda fs: build_en(3, OFF_DIAGONAL, fs),
+    **{f"suzuki{a:+d}{b:+d}": functools.partial(lambda a, b, fs: build_suzuki(a, b, fs), a, b)
+       for a in (1, -1) for b in (1, -1)},
+}
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@pytest.mark.parametrize("build", sorted(ACTION_BUILDS))
+def test_action_laws_match_oracle_loops(p, build):
+    s = ACTION_BUILDS[build](RATIONALS if p is None else FieldSpec(p))
+    calls = action_law_calls(s)
+    assert set(calls) == set(ACTION_LAWS)
+    assert assert_laws_match_oracles(calls) == set()
+    # the legs of L-MB in the order of P-DOT, and those of P-DOT swapped
+    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
+    assert_laws_match_oracles({"beta": ("module_algebra_law", (s.beta, coalg, alg)),
+                               "alpha swapped": ("module_algebra_law", (s.action, coalg, alg, True))})
+
+
+def _statuses(name: str) -> dict:
+    """Each axiom ID of a suite mutant's golden report, with its status."""
+    lines = (GOLDEN / f"suite-{name}.report").read_text().splitlines()
+    return {parts[0]: parts[1] for parts in map(str.split, lines)}
+
+
+def _action_law_mutants() -> list:
+    """The golden YD post-Hopf mutants whose reports fail an ID of
+    ACTION_LAWS."""
+    return sorted(name for name in SUITE_MUTANTS
+                  if any(_statuses(name).get(axiom) == "fail" for axiom in ACTION_LAWS))
+
+
+@pytest.mark.parametrize("name", _action_law_mutants())
+def test_action_laws_match_oracle_loops_on_golden_mutants(name):
+    # the suite skips L-MB when beta fails P-CONV; the law still runs here
+    s = yd_mutant(*SUITE_MUTANTS[name])
+    failing = assert_laws_match_oracles(action_law_calls(s))
+    status = _statuses(name)
+    assert {axiom for axiom in failing if status[axiom] != "skipped"} == \
+        {axiom for axiom in ACTION_LAWS if status[axiom] == "fail"}
+
+
+def test_golden_mutants_fail_every_action_law_in_each_field():
+    for field in ("q", "f7"):
+        failing = {axiom for name in _action_law_mutants() if f"-{field}-" in name
+                   for axiom, status in _statuses(name).items() if status == "fail"}
+        assert set(ACTION_LAWS) <= failing, field
+
+
+def _diagonal_algebra(d: int, fs) -> AlgebraData:
+    """k^d: e_i e_j = delta_ij e_i, with unit e_0 + ... + e_{d-1}."""
+    zero = Vector(d, {}, fs)
+    mul = [[unit_vector(d, i, fs) if i == j else zero for j in range(d)] for i in range(d)]
+    return AlgebraData(d, [f"f{i}" for i in range(d)], mul, Vector(d, {i: fs.one for i in range(d)}, fs), fs)
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@pytest.mark.parametrize("scaled", [(2,), (0, 2)], ids=["last-k-of-last-row", "two-k-in-one-row"])
+def test_action_laws_match_oracle_loops_when_acting_dim_differs(p, scaled):
+    # k[C_2] acting on a 3-dimensional space: as a module over itself, and on
+    # k^3, where g >- (f_a f_a) = 2 f_a and (g >- f_a)(g >- f_a) = 4 f_a differ
+    # at the scaled a, with either leg order
+    fs = RATIONALS if p is None else FieldSpec(p)
+    act, alg = _c2_action(fs, scaled)
+    coalg, target = group_algebra(cyclic_group(2), fs).coalgebra, _diagonal_algebra(3, fs)
+    calls = {"module": ("module_law", (act, alg)),
+             **{f"module algebra swap={swap}": ("module_algebra_law", (act, coalg, target, swap))
+                for swap in (False, True)}}
+    assert assert_laws_match_oracles(calls) == set(calls)
+    t = module_algebra_law(act, coalg, target)
+    assert (t.checked, t.failures, t.witness.where) == (18, len(scaled), (1, scaled[0], scaled[0]))
+
+
+@pytest.mark.slow
+def test_action_laws_match_oracle_loops_at_dim_32():
+    # dim-32 E(4) over Q, A tridiagonal: 1 on the diagonal, 1/2 beside it
+    a = [[1 if i == j else F(1, 2) if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)]
+    s = build_en(4, a)
+    assert assert_laws_match_oracles(action_law_calls(s)) == set()
 
 
 # --- the modulus is checked when a table is compiled ----------------------------
