@@ -46,7 +46,7 @@ from .posthopf import (
     extract_post_lie,
     subadjacent_hopf,
 )
-from .report import CheckReport
+from .report import AXIOM_ORDER, CheckReport, skipped_entry
 from .rota import (
     GroupRB,
     LieRB,
@@ -105,11 +105,17 @@ def run_suite(obj, mode: str = "full") -> CheckReport:
     raise StructureError(f"no check suite for {type(obj).__name__}")
 
 
-def _print_report(rep: CheckReport, fmt: str, axioms: str | None) -> int:
-    if axioms:
-        wanted = [a.strip() for a in axioms.split(",") if a.strip()]
-        entries = [e for e in rep.entries if e.axiom in wanted]
-        rep = CheckReport(entries)
+def _print_report(rep: CheckReport, fmt: str, wanted: list[str] | None) -> int:
+    """Print rep, or only the IDs in wanted, in suite order.  A wanted ID
+    that rep has no entry for was not checked: a usage error when rep passes
+    (the ID does not apply to the file), and a skipped entry when it fails
+    (an earlier failure stopped the suite short of it)."""
+    if wanted is not None:
+        checked = {e.axiom for e in rep.entries}
+        missing = [a for a in wanted if a not in checked]
+        if missing and rep.all_pass():
+            raise ParseError(f"not checked for this file: {', '.join(missing)}")
+        rep = CheckReport([e for e in rep.entries if e.axiom in wanted] + [skipped_entry(a) for a in missing])
     sys.stdout.write(rep.machine_text() if fmt == "machine" else rep.text())
     return 0 if rep.all_pass() else 1
 
@@ -128,13 +134,20 @@ def _parse_field_flag(text: str) -> FieldSpec:
 
 
 def cmd_check(args) -> int:
+    # an empty --axioms list or an unknown ID is a usage error, found before
+    # the file is read
+    wanted = None
+    if args.axioms is not None:
+        wanted = [a.strip() for a in args.axioms.split(",") if a.strip()]
+        if not wanted or any(a not in AXIOM_ORDER for a in wanted):
+            raise ParseError(f"--axioms needs known axiom ids, got {args.axioms!r}")
     obj = _load(args.path)
     if args.kind and kind_of(obj) != args.kind:
         raise ParseError(f"file declares kind {kind_of(obj)!r}, expected {args.kind!r}")
     if isinstance(obj, RelRB) and obj.coaction is None:
         sys.stderr.write("note: coaction derived from R(a_1) S(R(a_3)) (x) a_2\n")
     rep = run_suite(obj, mode=args.mode)
-    return _print_report(rep, args.report, args.axioms)
+    return _print_report(rep, args.report, wanted)
 
 
 _DERIVE_TARGETS = (
@@ -229,7 +242,8 @@ def cmd_example(args) -> int:
     elif name == "sweedler":
         obj = build_sweedler(parse_scalar(args.k, field), field)
     elif name == "en":
-        a = _parse_a_matrix(args.A, args.n, field)
+        # the builder rejects an n below 1 before any matrix is read
+        a = _parse_a_matrix(args.A, args.n, field) if args.n >= 1 else []
         obj = build_en(args.n, a, field)
     elif name == "suzuki":
         obj = build_suzuki(parse_scalar(args.alpha, field),

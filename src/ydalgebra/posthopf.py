@@ -47,7 +47,8 @@ Every identity runs on compiled plain-int tables (``compiled``): the
 carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB, P-ANTI and
 P-MP5 through the laws of ``hopf``; P-DELTA and both rows of YD-BRAIDMULT,
 whose sides live in H (x) H and are keyed y * dim**2 + p * dim + q on a
-row (x,);
+row (x,), P-DELTA's right-hand side on the threefold legs and the bullet
+table (``_pdelta_rhs``);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
 tables and the compiled Ad_L columns and grouped legs, both summed once per
 second-leg group of their second argument (``_second_leg_sums``) and
@@ -62,7 +63,8 @@ pair dict is built only to render the first failing tuple.  So do the
 lemmas L-BETA and L-SLIN (two compiled tables compared entrywise),
 L-ANTI2, ``is_pre_hopf``, the primitives and the post-Lie checks.  The left
 harpoon and the braiding are summed as ints on the same tables and divided
-by their scale once per entry, so they are the exact tensors.  The
+by their scale once per entry, so they are the exact tensors; the left
+harpoon's inner sum is made once per (x, y_1).  The
 bullet product and S_> are convolutions on the compiled tables
 (``hopf.convolve``), L * alpha and beta * S, and Ad_L is
 ``hopf.coaction`` with R = id on the subadjacent Hopf algebra.  The
@@ -199,9 +201,12 @@ def _sharp_columns(s: YDPostHopf) -> IntTable:
 
 @_per_structure
 def leftharpoon(s: YDPostHopf) -> ActionTensor:
-    """x -< y = S_>(x_1 >- y_1) o x_2 o y_2 (bullet products), summed as
-    ints on the compiled action, S_> and bullet tables and divided by their
-    scale once per entry, so the vectors are the exact ones."""
+    """x -< y = S_>(x_1 >- y_1) o x_2 o y_2 (bullet products, left-associated),
+    summed as ints on the compiled action, S_> and bullet tables and divided
+    by their scale once per entry, so the vectors are the exact ones.  The
+    inner sum W[x][y_1] = sum over Delta(x) of c S_>(x_1 >- e_{y_1}) o x_2
+    depends on (x, y_1) alone, so it is summed once for each, and entry
+    (x, y) is the sum over Delta(y) of c W[x][y_1] o y_2."""
     act, bullet, sharp, comul = (s.action.int_act(), bullet_algebra(s).int_mul(), _sharp_columns(s),
                                  s.carrier.coalgebra.int_comul())
     x_, o, c_ = act.rows, bullet.rows, comul.rows
@@ -210,18 +215,19 @@ def leftharpoon(s: YDPostHopf) -> ActionTensor:
     scale = sharp.scale * act.scale * (bullet.scale * comul.scale) ** 2
     rows = []
     for i in range(d):
-        row = []
-        for j in range(d):
+        inner = []  # W[i][j1]
+        for j1 in range(d):
             acc: dict[int, int] = {}
-            get = acc.get
             for i1, i2, ci in c_[i]:
-                si = images[i1]
-                for j1, j2, cj in c_[j]:
-                    if not si[j1]:
-                        continue
-                    for r, a in int_bilinear(o, si[j1], ((i2, ci * cj),), p):
-                        for q, b in o[r][j2]:
-                            acc[q] = get(q, 0) + a * b
+                if u := images[i1][j1]:
+                    add_bilinear(acc, o, u, ((i2, ci),), 1)
+            inner.append(int_items(acc, p))
+        row = []
+        for legs in c_:
+            acc = {}
+            for j1, j2, cj in legs:
+                if u := inner[j1]:
+                    add_bilinear(acc, o, u, ((j2, cj),), 1)
             row.append(int_vector(d, acc, scale, fs))
         rows.append(row)
     return ActionTensor(d, d, rows, fs)
@@ -290,23 +296,29 @@ def _product_delta(s: YDPostHopf):
 def _pdelta_rhs(s: YDPostHopf):
     """The side (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) at
     (x, y), on the row (x,), the right-hand side of the braided
-    compatibility of Delta with the product, and its scale.  Each
-    x_1 . alpha_{x_2}(beta_{x_4}(e_p)) is made once, in a memo that lives as
-    long as the side."""
-    mul, act, beta = s.carrier.algebra.int_mul(), s.action.int_act(), ensure_beta(s).int_act()
-    comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(4)
-    m, x_, b_, c_, l_ = mul.rows, act.rows, beta.rows, comul.rows, legs.rows
+    compatibility of Delta with the product, and its scale.  ``legs(x, 4)``
+    splits the first leg u of each threefold leg (u, x_3, x_4) of x by
+    Delta, and the sum over Delta(u) of u_1 . alpha_{u_2}(v) is the bullet
+    product u o v, so the side is summed as (u o beta_{x_4}(y_1)) (x)
+    (x_3 . y_2) over the threefold legs, on the bullet table.  That is
+    distributivity alone: it holds whether or not Delta is coassociative or
+    o associative, and keeps ``legs(x, 4)``'s bracketing.  Each
+    u o beta_{x_4}(e_p) is made once, in a memo that lives as long as the
+    side."""
+    mul, bullet, beta = s.carrier.algebra.int_mul(), bullet_algebra(s).int_mul(), ensure_beta(s).int_act()
+    comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(3)
+    m, o, b_, c_, l_ = mul.rows, bullet.rows, beta.rows, comul.rows, legs.rows
     d, p = s.dim, s.field.p
     d2 = d * d
-    memo: dict = {}  # (x_1, x_2, x_4) -> e_p -> x_1 . alpha_{x_2}(beta_{x_4}(e_p))
+    memo: dict = {}  # (u, x_4) -> e_p -> u o beta_{x_4}(e_p)
 
     def side(acc, prefix, w):
         i, = prefix
         get = acc.get
-        for (a, b, c3, e), sc in l_[i]:
-            fused = memo.get((a, b, e))
+        for (u, c3, e), sc in l_[i]:
+            fused = memo.get((u, e))
             if fused is None:
-                fused = memo[(a, b, e)] = {}
+                fused = memo[(u, e)] = {}
             mc = m[c3]
             sc *= w
             for j, legs_j in enumerate(c_):
@@ -317,8 +329,7 @@ def _pdelta_rhs(s: YDPostHopf):
                         continue
                     v = fused.get(y1)
                     if v is None:
-                        be = b_[e][y1]  # beta_{x_4}(e_{y_1}), often 0
-                        v = fused[y1] = int_bilinear(m, ((a, 1),), int_bilinear(x_, ((b, 1),), be, p), p) if be else []
+                        v = fused[y1] = int_linear(o[u], b_[e][y1], p)
                     st = sc * t
                     for k, n in v:
                         n *= st
@@ -327,7 +338,7 @@ def _pdelta_rhs(s: YDPostHopf):
                             key = k + q
                             acc[key] = get(key, 0) + n * e2
 
-    return side, legs.scale * comul.scale * beta.scale * act.scale * mul.scale * mul.scale
+    return side, legs.scale * comul.scale * beta.scale * bullet.scale * mul.scale
 
 
 def _braided_product_delta(s: YDPostHopf):

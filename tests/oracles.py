@@ -19,6 +19,13 @@ they walk every h >- f_a of a row, and multiply the summed c (h_1 >- a) by
 h_2 >- b and a product row of the algebra for every b.  Each returns the
 ``Tally`` its law of the same name returns.
 
+``_pdelta_rhs`` and ``leftharpoon`` are the loops ``posthopf`` ran before
+it summed P-DELTA's right-hand side on the threefold legs and the bullet
+table, and the left harpoon's inner sum once per (x, y_1): the side on the
+fourfold legs, with x_1 . alpha_{x_2}(beta_{x_4}(e_p)) made from the
+product and the action, and the harpoon term by term over the legs of x and
+of y.  Each returns what its namesake in ``posthopf`` returns.
+
 ``forward_bareiss_q`` is the dense engine the solver once took over Q on
 small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
 solve the same system a second way.
@@ -26,8 +33,12 @@ solve the same system a second way.
 
 from itertools import product
 
-from ydalgebra.compiled import compare, int_linear as compiled_int_linear, vector_render
+from ydalgebra.compiled import (
+    compare, int_bilinear as compiled_int_bilinear, int_linear as compiled_int_linear, int_vector, vector_render,
+)
+from ydalgebra.hopf import ActionTensor
 from ydalgebra.linalg import Matrix, Vector, accumulate
+from ydalgebra.posthopf import _sharp_columns, bullet_algebra, ensure_beta
 from ydalgebra.report import Tally
 
 
@@ -77,8 +88,6 @@ def apply_vec_basis(act, u: Vector, k: int) -> Vector:
 
 def pulled_back(act, xs: list):
     """The action of the vectors xs by index: e_i >- f_j := xs[i] >- f_j."""
-    from ydalgebra.hopf import ActionTensor
-
     d = act.target_dim
     return ActionTensor(len(xs), d, [[apply_vec_basis(act, x, j) for j in range(d)] for x in xs], act.field)
 
@@ -246,6 +255,73 @@ def module_algebra_law(act, coalg, alg, swap: bool = False) -> Tally:
     compare(t, product(range(dh), range(dk)), dk, dk, law, mul.scale * x.scale,
             comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
     return t
+
+
+def _pdelta_rhs(s):
+    """The side (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) on the
+    row (x,), summed over the fourfold legs of x, and its scale."""
+    mul, act, beta = s.carrier.algebra.int_mul(), s.action.int_act(), ensure_beta(s).int_act()
+    comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(4)
+    m, x_, b_, c_, l_ = mul.rows, act.rows, beta.rows, comul.rows, legs.rows
+    d, p = s.dim, s.field.p
+    d2 = d * d
+    memo: dict = {}  # (x_1, x_2, x_4) -> e_p -> x_1 . alpha_{x_2}(beta_{x_4}(e_p))
+
+    def side(acc, prefix, w):
+        i, = prefix
+        get = acc.get
+        for (a, b, c3, e), sc in l_[i]:
+            fused = memo.setdefault((a, b, e), {})
+            mc = m[c3]
+            sc *= w
+            for j, legs_j in enumerate(c_):
+                base = j * d2
+                for y1, y2, t in legs_j:
+                    right = mc[y2]
+                    if not right:
+                        continue
+                    v = fused.get(y1)
+                    if v is None:
+                        be = b_[e][y1]
+                        v = fused[y1] = compiled_int_bilinear(
+                            m, ((a, 1),), compiled_int_bilinear(x_, ((b, 1),), be, p), p) if be else []
+                    st = sc * t
+                    for k, n in v:
+                        n *= st
+                        k = base + k * d
+                        for q, e2 in right:
+                            key = k + q
+                            acc[key] = get(key, 0) + n * e2
+
+    return side, legs.scale * comul.scale * beta.scale * act.scale * mul.scale * mul.scale
+
+
+def leftharpoon(s):
+    """x -< y = S_>(x_1 >- y_1) o x_2 o y_2, summed for each (x, y) over the
+    legs of x and of y."""
+    act, bullet, sharp, comul = (s.action.int_act(), bullet_algebra(s).int_mul(), _sharp_columns(s),
+                                 s.carrier.coalgebra.int_comul())
+    x_, o, c_ = act.rows, bullet.rows, comul.rows
+    d, fs, p = s.dim, s.field, s.field.p
+    images = [[compiled_int_linear(sharp.rows, x_[i][j], p) for j in range(d)] for i in range(d)]
+    scale = sharp.scale * act.scale * (bullet.scale * comul.scale) ** 2
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for i1, i2, ci in c_[i]:
+                si = images[i1]
+                for j1, j2, cj in c_[j]:
+                    if not si[j1]:
+                        continue
+                    for r, a in compiled_int_bilinear(o, si[j1], ((i2, ci * cj),), p):
+                        for q, b in o[r][j2]:
+                            acc[q] = get(q, 0) + a * b
+            row.append(int_vector(d, acc, scale, fs))
+        rows.append(row)
+    return ActionTensor(d, d, rows, fs)
 
 
 def forward_bareiss_q(rows: list, ncols: int):

@@ -66,6 +66,33 @@ def test_check_axiom_filter(sweedler_file):
     assert out.splitlines() == ["P-S pass", "P-DOT pass"]  # suite order
 
 
+@pytest.mark.parametrize("axioms", ["P-DOTT", ",", "", "P-DOT,NOPE"])
+def test_axiom_filter_with_no_id_or_an_unknown_id_is_a_usage_error(tmp_path, axioms):
+    # found before the file is read: a missing file gives the same error
+    for path in (GOLDEN / "sweedler-q.struct", tmp_path / "missing.struct"):
+        code, out, err = run_cli(["check", str(path), "--axioms", axioms])
+        assert (code, out, err) == (2, "", f"error: --axioms needs known axiom ids, got {axioms!r}\n")
+
+
+def test_axiom_filter_with_an_id_the_file_is_not_checked_for_is_a_usage_error():
+    # RB-3 is checked in --mode full only
+    rb = str(GOLDEN / "sweedler-q-rb_l.struct")
+    code, out, err = run_cli(["check", rb, "--mode", "pre", "--axioms", "RB-3,RB-1"])
+    assert (code, out, err) == (2, "", "error: not checked for this file: RB-3\n")
+
+
+def test_axiom_filter_reports_an_id_a_failing_suite_never_reached_as_skipped(tmp_path):
+    # Suzuki(1, -1) with e_1 . e_1 = 5 e_5: the post-Hopf suite fails, so the
+    # Hopf-monoid suite, which YD-COMPAT belongs to, does not run
+    path = tmp_path / "bad.struct"
+    path.write_text((GOLDEN / "suzuki-q.struct").read_text().replace("\nmul 1 1 5 1\n", "\nmul 1 1 5 5\n"))
+    assert run_cli(["check", str(path), "--report", "machine", "--axioms", "YD-COMPAT"]) == \
+        (1, "YD-COMPAT skipped\n", "")
+    code, out, _ = run_cli(["check", str(path), "--report", "machine", "--axioms", "YD-COMPAT,P-DOT"])
+    assert code == 1
+    assert out.splitlines() == ["P-DOT fail at=(1,1,1) lhs=[5:5] rhs=[5:1]", "YD-COMPAT skipped"]
+
+
 def test_mutated_coefficient_fails_with_witness(tmp_path, sweedler_file):
     text = sweedler_file.read_text()
     mutated = text.replace("action 1 2 2 -1", "action 1 2 2 1")
@@ -128,6 +155,11 @@ def test_n_flag_takes_ascii_digits_only(n):
     assert (code, out) == (2, "")
     assert err.endswith(f"error: argument --n: invalid int value: {n!r}\n")
     assert run_cli(["example", "en", "--n", "2"])[0] == 0
+
+
+@pytest.mark.parametrize("n", ["-1", "0"])
+def test_n_below_one_is_the_builders_error_before_the_matrix_is_read(n):
+    assert run_cli(["example", "en", "--n", n, "--A="]) == (2, "", "structure error: n must be at least 1\n")
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])

@@ -45,6 +45,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ydalgebra
+from ydalgebra import posthopf
 from oracles import (
     act_apply, add_scaled_inplace, apply_basis, apply_vec_basis, bilinear, bracket_vec, comul_vec, eps_vec,
     matrix_apply, mul_vec, pulled_back, tens2,
@@ -66,7 +67,7 @@ from ydalgebra.compiled import (
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
     ActionTensor, AlgebraData, BraidedPair, CoalgebraData, HopfData, StructureError, antipode_law, check_algebra,
-    check_hopf, coalgebra_map_law, convolution, module_algebra_law, module_coalgebra_law, module_law,
+    check_coalgebra, check_hopf, coalgebra_map_law, convolution, module_algebra_law, module_coalgebra_law, module_law,
 )
 from ydalgebra.linalg import Matrix, Vector, _vector, accumulate, kernel, matrix_from_columns, unit_vector
 from ydalgebra.posthopf import (
@@ -1613,12 +1614,77 @@ def test_action_laws_match_oracle_loops_when_acting_dim_differs(p, scaled):
     assert (t.checked, t.failures, t.witness.where) == (18, len(scaled), (1, scaled[0], scaled[0]))
 
 
+@functools.cache
+def _dim_32() -> YDPostHopf:
+    """dim-32 E(4) over Q, A tridiagonal: 1 on the diagonal, 1/2 beside it."""
+    a = [[1 if i == j else F(1, 2) if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)]
+    return build_en(4, a)
+
+
 @pytest.mark.slow
 def test_action_laws_match_oracle_loops_at_dim_32():
-    # dim-32 E(4) over Q, A tridiagonal: 1 on the diagonal, 1/2 beside it
-    a = [[1 if i == j else F(1, 2) if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)]
-    s = build_en(4, a)
-    assert assert_laws_match_oracles(action_law_calls(s)) == set()
+    assert assert_laws_match_oracles(action_law_calls(_dim_32())) == set()
+
+
+# --- P-DELTA's right-hand side on threefold legs, the left harpoon per (x, y_1) ----
+#
+# ``posthopf._pdelta_rhs`` sums (u o beta_{x_4}(y_1)) (x) (x_3 . y_2) over the
+# threefold legs (u, x_3, x_4) on the bullet table, and ``leftharpoon`` sums
+# its inner part once per (x, y_1); the loops they ran before, on the
+# fourfold legs and per (x, y), are kept in ``oracles`` under the same names.
+# P-DELTA's tally, YD-BRAIDMULT's (whose second row renders its witness from
+# P-DELTA's side) and the left harpoon must be those of the oracles.
+
+def pdelta_verdicts(s, rhs, harpoon) -> tuple:
+    """P-DELTA's and YD-BRAIDMULT's verdicts with rhs as P-DELTA's
+    right-hand side, and harpoon's tensor, on a copy of s with an empty
+    cache."""
+    ensure_beta(s)
+    fresh = dataclasses.replace(s)
+    with mock.patch.object(posthopf, "_pdelta_rhs", rhs):
+        return (_verdict(_delta_identity(fresh)[0]), _verdict(_tally(lambda t: _braided_mult(t, fresh))),
+                harpoon(fresh).act)
+
+
+def assert_pdelta_matches_oracles(s) -> tuple:
+    """Hold P-DELTA, YD-BRAIDMULT and the left harpoon to the oracle loops;
+    P-DELTA's verdict."""
+    got = pdelta_verdicts(s, posthopf._pdelta_rhs, leftharpoon)
+    assert got == pdelta_verdicts(s, oracles._pdelta_rhs, oracles.leftharpoon)
+    return got[0]
+
+
+def e2_mutant(fs, line: str, strip_beta: bool):
+    """``ACTION_BUILDS["en2"]`` with the coefficient of one line (named
+    without it) set to 3, and its beta solved again if strip_beta."""
+    lines = emit(ACTION_BUILDS["en2"](fs)).splitlines()
+    i = next(j for j, x in enumerate(lines) if x.rsplit(" ", 1)[0] == line)
+    lines[i] = f"{line} 3"
+    return parse("\n".join(x for x in lines if not (strip_beta and x.split()[0] == "beta")) + "\n")
+
+
+@pytest.mark.slow
+def test_pdelta_and_leftharpoon_match_oracle_loops_at_dim_32():
+    assert assert_pdelta_matches_oracles(_dim_32())[:2] == (32 ** 2, 0)
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@pytest.mark.parametrize("build", sorted(ACTION_BUILDS))
+def test_pdelta_and_leftharpoon_match_oracle_loops(p, build):
+    s = ACTION_BUILDS[build](RATIONALS if p is None else FieldSpec(p))
+    assert assert_pdelta_matches_oracles(s)[:2] == (s.dim ** 2, 0)
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+def test_pdelta_and_leftharpoon_match_oracle_loops_where_delta_or_bullet_is_not_associative(p):
+    # Delta(e_4) changed: Delta is not coassociative, and o not associative;
+    # alpha changed at (1, 0), beta solved again: Delta is, o is not
+    fs = RATIONALS if p is None else FieldSpec(p)
+    for line, strip_beta, coassociative in (("comul 4 4 0", False, False), ("action 1 0 0", True, True)):
+        s = e2_mutant(fs, line, strip_beta)
+        assert (check_coalgebra(s.carrier.coalgebra).status("COALG-COASSOC") == "pass") is coassociative
+        assert check_algebra(bullet_algebra(s)).status("ALG-ASSOC") == "fail"
+        assert assert_pdelta_matches_oracles(s)[1] > 0, line
 
 
 # --- the modulus is checked when a table is compiled ----------------------------
