@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import run_cli
+from test_cli import _lie_examples, run_cli
 from ydalgebra.builders import group_rb_inversion, symmetric_group_3
 from ydalgebra.cli import run_suite
-from ydalgebra.field import FieldError
+from ydalgebra.field import RATIONALS, FieldError, FieldSpec
 from ydalgebra.hopf import StructureError
 from ydalgebra.posthopf import check_yd_hopf_monoid, check_yd_post_hopf
 from ydalgebra.report import AXIOM_ORDER
@@ -52,6 +52,11 @@ ADJOINT_SOURCES = [f"group-s3-{field}" for field in FIELDS]
 # as a file of its own, so that the parser's outcomes below stay as they are
 ALGEBRA_SOURCES = {f"h4-{field}-algebra": f"h4-{field}" for field in FIELDS}
 ALGEBRA_DIRECTIVES = ("field", "dim", "basis", "unit", "mul")
+
+# R = -id on the two-dimensional non-abelian Lie algebra with its adjoint
+# action: a lierb with a nonzero bracket, which no example verb makes, so
+# emitted from the library
+LIERB_FIELDS = {"lierb-q": RATIONALS, "lierb-f7": FieldSpec(7)}
 
 # failing mutant per kind: (base golden file, directive whose last line changes)
 MUTANTS = {
@@ -222,6 +227,15 @@ def test_algebra_emit_and_report_bytes(tmp_path, name):
     code, report = _check(out)
     assert code == 0
     assert report.encode() == (GOLDEN / f"{name}.report").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(LIERB_FIELDS))
+def test_lierb_emit_and_report_bytes(name):
+    path = GOLDEN / f"{name}.struct"
+    assert emit(_lie_examples(LIERB_FIELDS[name])[0]).encode() == path.read_bytes()
+    code, report = _check(path)
+    assert code == 0
+    assert report.encode() == path.with_suffix(".report").read_bytes()
 
 
 def test_grouprb_emit_bytes():
@@ -480,6 +494,10 @@ def write_golden() -> None:
         (GOLDEN / f"{name}.report").write_text(_check(path)[1])
         path.unlink()
     (GOLDEN / "s3-inversion.struct").write_text(emit(group_rb_inversion(symmetric_group_3())))
+    for name, fs in LIERB_FIELDS.items():
+        path = GOLDEN / f"{name}.struct"
+        path.write_text(emit(_lie_examples(fs)[0]))
+        path.with_suffix(".report").write_text(_check(path)[1])
     for name in MUTANTS:
         path = GOLDEN / "mutant.tmp"
         path.write_text(_mutant_text(name))
