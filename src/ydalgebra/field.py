@@ -223,8 +223,14 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     m = _SCALAR_RE.fullmatch(text.strip())
     if not m:
         raise FieldError(f"malformed scalar {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2)) if m.group(2) else 1
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits(), a
+        # process-wide setting left as it is
+        digits = max(len(g.lstrip("+-")) for g in m.groups() if g)
+        raise FieldError(f"scalar with a {digits}-digit integer is beyond the integer conversion limit") from None
     return field.scalar(num, den)
 
 

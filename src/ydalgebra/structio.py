@@ -7,6 +7,12 @@ c * e_k.  Coefficients use the exact scalar format (-a/b, b omitted when
 strictly sorted and unique, so emission is canonical and parse o emit is
 the identity on parsed data.
 
+Each distinct token is read once per file: for one parse, ``_Lines`` keeps
+index token -> int and coefficient token -> nonzero scalar.  An index read
+before is held to the bound of each position it stands at again, and a
+token that fails is never kept, so each diagnostic names the line and the
+fault it named when every token was read where it stood.
+
 Every kind but the group, Lie and post-Lie ones carries a Hopf block (unit,
 counit, mul, comul, antipode), and a relrb file carries two, under the
 prefixes ``k.`` and ``h.``: ``_emit_hopf`` writes a block and
@@ -24,7 +30,7 @@ from .hopf import (
     HopfData,
     StructureError,
 )
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Vector, _vector
 from .posthopf import PostLieData, YDPostHopf
 from .braces import MatchedPair, YDBrace
 from .rota import GroupRB, GroupTable, LieData, LieRB, RelRB
@@ -177,17 +183,39 @@ def emit(obj) -> str:
 
 
 class _Lines:
-    """Grouped directive lines with line numbers for diagnostics."""
+    """Grouped directive lines with line numbers for diagnostics, and the
+    token memos of one parse: index token -> int, coefficient token -> its
+    nonzero scalar.  They live as long as the parse, so a scalar of one
+    file's field never reaches another file."""
 
     def __init__(self, text: str):
         self.groups: dict[str, list[tuple[int, list[str]]]] = {}
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        self.ints: dict[str, int] = {}
+        self.scalars: dict[str, Scalar] = {}
+        for ln, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
             parts = line.split()
-            key = parts[0]
-            self.groups.setdefault(key, []).append((ln, parts[1:]))
+            if parts:
+                self.groups.setdefault(parts[0], []).append((ln, parts[1:]))
+
+    def index(self, tok: str, ln: int, upper: int) -> int:
+        """``_parse_int(tok, ln, upper)``, each distinct token converted
+        once: a token read before is held to this position's bound again,
+        and one that fails is not kept."""
+        v = self.ints.get(tok, upper)
+        if v < upper:
+            return v
+        v = self.ints[tok] = _parse_int(tok, ln, upper)
+        return v
+
+    def scalar(self, tok: str, field: FieldSpec, ln: int) -> Scalar:
+        """``_parse_scalar_tok(tok, field, ln)``, each distinct token
+        converted once; every coefficient of a file is in its one field."""
+        c = self.scalars.get(tok)
+        if c is None:
+            c = self.scalars[tok] = _parse_scalar_tok(tok, field, ln)
+        return c
 
     def single(self, key: str, required: bool = True):
         rows = self.groups.get(key, [])
@@ -262,12 +290,12 @@ def _parse_vector(lines: _Lines, key: str, dim: int, field: FieldSpec) -> Vector
     for ln, args in lines.rows(key):
         if len(args) != 2:
             raise ParseError(f"{key} takes index and coefficient", ln)
-        i = _parse_int(args[0], ln, dim)
+        i = lines.index(args[0], ln, dim)
         if i <= last:
             raise ParseError(f"{key} entries must be strictly sorted", ln)
         last = i
-        entries[i] = _parse_scalar_tok(args[1], field, ln)
-    return Vector(dim, entries, field)
+        entries[i] = lines.scalar(args[1], field, ln)
+    return _vector(dim, entries, field)
 
 
 def _parse_matrix(lines: _Lines, key: str, rows: int, cols: int,
@@ -280,12 +308,12 @@ def _parse_matrix(lines: _Lines, key: str, rows: int, cols: int,
     for ln, args in got:
         if len(args) != 3:
             raise ParseError(f"{key} takes two indices and a coefficient", ln)
-        i = _parse_int(args[0], ln, cols)
-        j = _parse_int(args[1], ln, rows)
+        i = lines.index(args[0], ln, cols)
+        j = lines.index(args[1], ln, rows)
         if (i, j) <= last:
             raise ParseError(f"{key} entries must be strictly sorted", ln)
         last = (i, j)
-        entries[(j, i)] = _parse_scalar_tok(args[2], field, ln)
+        entries[(j, i)] = lines.scalar(args[2], field, ln)
     return Matrix(rows, cols, entries, field)
 
 
@@ -297,18 +325,19 @@ def _parse_trilinear(lines: _Lines, key: str, d1: int, d2: int, d3: int,
     if required and not got:
         raise ParseError(f"missing {key} entries")
     rows: list[list[dict[int, Scalar]]] = [[{} for _ in range(d2)] for _ in range(d1)]
+    index, scalar = lines.index, lines.scalar
     last = (-1, -1, -1)
     for ln, args in got:
         if len(args) != 4:
             raise ParseError(f"{key} takes three indices and a coefficient", ln)
-        i = _parse_int(args[0], ln, d1)
-        j = _parse_int(args[1], ln, d2)
-        k = _parse_int(args[2], ln, d3)
+        i = index(args[0], ln, d1)
+        j = index(args[1], ln, d2)
+        k = index(args[2], ln, d3)
         if (i, j, k) <= last:
             raise ParseError(f"{key} triples must be strictly sorted", ln)
         last = (i, j, k)
-        rows[i][j][k] = _parse_scalar_tok(args[3], field, ln)
-    return [[Vector(d3, cell, field) for cell in row] for row in rows]
+        rows[i][j][k] = scalar(args[3], field, ln)
+    return [[_vector(d3, cell, field) for cell in row] for row in rows]
 
 
 def _parse_params(lines: _Lines, field: FieldSpec) -> dict[str, Scalar]:
@@ -438,9 +467,9 @@ def _parse_index_table(lines: _Lines, key: str, rows: int, cols: int, values: in
     for ln, args in lines.rows(key):
         if len(args) != 3:
             raise ParseError(takes, ln)
-        i = _parse_int(args[0], ln, rows)
-        j = _parse_int(args[1], ln, cols)
-        k = _parse_int(args[2], ln, values)
+        i = lines.index(args[0], ln, rows)
+        j = lines.index(args[1], ln, cols)
+        k = lines.index(args[2], ln, values)
         if table[i][j] != -1:
             raise ParseError(duplicate, ln)
         table[i][j] = k
@@ -473,8 +502,8 @@ def _parse_grouprb(lines: _Lines) -> GroupRB:
     for ln, args in lines.rows("rmap"):
         if len(args) != 2:
             raise ParseError("rmap takes two indices", ln)
-        i = _parse_int(args[0], ln, h.order)
-        k = _parse_int(args[1], ln, g.order)
+        i = lines.index(args[0], ln, h.order)
+        k = lines.index(args[1], ln, g.order)
         if r[i] != -1:
             raise ParseError("duplicate rmap entry", ln)
         r[i] = k

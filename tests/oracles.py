@@ -26,6 +26,12 @@ fourfold legs, with x_1 . alpha_{x_2}(beta_{x_4}(e_p)) made from the
 product and the action, and the harpoon term by term over the legs of x and
 of y.  Each returns what its namesake in ``posthopf`` returns.
 
+``parse_trilinear`` is the reader ``structio`` ran before each distinct
+token was converted once per file: every index and coefficient token of
+every line goes through ``_parse_int`` and ``_parse_scalar_tok``, and every
+cell through the ``Vector`` constructor.  It returns what
+``structio._parse_trilinear`` returns, or raises the same ``ParseError``.
+
 ``forward_bareiss_q`` is the dense engine the solver once took over Q on
 small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
 solve the same system a second way.
@@ -40,6 +46,7 @@ from ydalgebra.hopf import ActionTensor
 from ydalgebra.linalg import Matrix, Vector, accumulate
 from ydalgebra.posthopf import _sharp_columns, bullet_algebra, ensure_beta
 from ydalgebra.report import Tally
+from ydalgebra.structio import ParseError, _parse_int, _parse_scalar_tok
 
 
 def add_scaled_inplace(acc: dict, v: Vector, *cs) -> None:
@@ -322,6 +329,27 @@ def leftharpoon(s):
             row.append(int_vector(d, acc, scale, fs))
         rows.append(row)
     return ActionTensor(d, d, rows, fs)
+
+
+def parse_trilinear(lines, key: str, d1: int, d2: int, d3: int, field, required: bool = True):
+    """rows[i][j] = sum of c e_k over the ``key i j k c`` lines of a
+    ``structio._Lines``, each token read where it stands."""
+    got = lines.rows(key)
+    if required and not got:
+        raise ParseError(f"missing {key} entries")
+    rows = [[{} for _ in range(d2)] for _ in range(d1)]
+    last = (-1, -1, -1)
+    for ln, args in got:
+        if len(args) != 4:
+            raise ParseError(f"{key} takes three indices and a coefficient", ln)
+        i = _parse_int(args[0], ln, d1)
+        j = _parse_int(args[1], ln, d2)
+        k = _parse_int(args[2], ln, d3)
+        if (i, j, k) <= last:
+            raise ParseError(f"{key} triples must be strictly sorted", ln)
+        last = (i, j, k)
+        rows[i][j][k] = _parse_scalar_tok(args[3], field, ln)
+    return [[Vector(d3, cell, field) for cell in row] for row in rows]
 
 
 def forward_bareiss_q(rows: list, ncols: int):

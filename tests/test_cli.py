@@ -162,6 +162,23 @@ def test_n_below_one_is_the_builders_error_before_the_matrix_is_read(n):
     assert run_cli(["example", "en", "--n", n, "--A="]) == (2, "", "structure error: n must be at least 1\n")
 
 
+# int() refuses more than 4300 digits by default; a longer scalar, in a file
+# or a flag, is bad input with one error line, not a traceback
+LONG_DIGITS = "7" * 5000
+LONG_SCALAR_ERROR = "scalar with a 5000-digit integer is beyond the integer conversion limit"
+
+
+@pytest.mark.parametrize("value", [LONG_DIGITS, f"1/{LONG_DIGITS}"], ids=["numerator", "denominator"])
+def test_file_scalar_beyond_the_int_conversion_limit_is_input_error(tmp_path, value):
+    path = tmp_path / "long.struct"
+    path.write_text((GOLDEN / "h4-q.struct").read_text().replace("\nunit 0 1\n", f"\nunit 0 {value}\n", 1))
+    assert run_cli(["check", str(path)]) == (2, "", f"error: line 5: {LONG_SCALAR_ERROR}\n")
+
+
+def test_flag_scalar_beyond_the_int_conversion_limit_is_input_error():
+    assert run_cli(["example", "sweedler", "--k", LONG_DIGITS]) == (2, "", f"error: {LONG_SCALAR_ERROR}\n")
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
 @pytest.mark.parametrize("verb", ["example", "derive"])
 def test_unwritable_out_is_input_error(tmp_path, sweedler_file, verb, where):

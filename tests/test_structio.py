@@ -5,7 +5,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ydalgebra.braces import functor_f, matched_pair_equal, posthopf_equal, to_matched_pair
 from ydalgebra.builders import (
     build_en,
@@ -17,12 +20,12 @@ from ydalgebra.builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
-from ydalgebra.field import RATIONALS, FieldSpec
+from ydalgebra.field import RATIONALS, FieldSpec, parse_int
 from ydalgebra.hopf import ActionTensor
 from ydalgebra.linalg import Matrix, Vector
 from ydalgebra.posthopf import extract_post_lie
 from ydalgebra.rota import RelRB, functor_l, restrict_to_primitives
-from ydalgebra.structio import ParseError, emit, kind_of, parse
+from ydalgebra.structio import ParseError, _Lines, _parse_trilinear, emit, kind_of, parse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,3 +224,94 @@ def test_relrb_coaction_indices_follow_k_h_k():
     assert roundtrip(r).coaction == r.coaction
     with pytest.raises(ParseError, match="index 4 out of range"):
         parse(text.replace("coaction 0 1 0 1", "coaction 0 4 0 1"))
+    # each distinct index token is converted once per file, and held to the
+    # bound of every position it stands at: 1 is read in H (as p, and on
+    # the h. lines before) and is out of range in K
+    assert text.splitlines()[37:39] == ["action 1 0 0 1", "coaction 0 1 0 1"]
+    with pytest.raises(ParseError, match=r"^line 39: index 1 out of range$"):
+        parse(text.replace("coaction 0 1 0 1", "coaction 0 1 1 1"))
+    with pytest.raises(ParseError, match=r"^line 38: index 1 out of range$"):
+        parse(text.replace("action 1 0 0 1", "action 1 1 0 1"))
+
+
+# int() refuses more digits than sys.get_int_max_str_digits() (4300 by
+# default); a longer coefficient is a parse error on its line
+@pytest.mark.parametrize("value", ["7" * 5000, "-" + "7" * 5000, "1/" + "7" * 5000],
+                         ids=["numerator", "negative", "denominator"])
+def test_scalar_beyond_the_int_conversion_limit_is_a_parse_error(value):
+    text = (GOLDEN / "h4-q.struct").read_text()
+    assert "\nunit 0 1\n" in text
+    with pytest.raises(ParseError, match="^line 5: scalar with a 5000-digit integer is beyond the "
+                                         "integer conversion limit$"):
+        parse(text.replace("\nunit 0 1\n", f"\nunit 0 {value}\n", 1))
+
+
+# Tokens that read as the same value, as a value valid at one position and
+# not at another, or not at all, so that each repeats across positions with
+# different bounds and across the two fields.  A clean block draws only
+# tokens that read as an index or a nonzero coefficient, so that many
+# blocks get to their last line.
+TOKENS = ("0", "3", "+1", "01", "-1", "\u0663", "1/2", "2/4", "0/3", "1/0", "x")
+INDEX_TOKENS = ("0", "+1", "01")
+SCALAR_TOKENS = ("3", "+1", "01", "-1", "1/2", "2/4")
+
+
+def _sort_key(args):
+    """The index triple of a line where its tokens read as integers (99
+    where not), so that a drawn block can be sorted and get past the sort
+    check."""
+    out = []
+    for tok in args[:3]:
+        try:
+            out.append(parse_int(tok))
+        except ValueError:
+            out.append(99)
+    return tuple(out)
+
+
+@st.composite
+def trilinear_blocks(draw):
+    """A file of two trilinear blocks (mul, then action) drawn from TOKENS,
+    and each block's key and bounds."""
+    text, blocks = [], []
+    for key in ("mul", "action"):
+        clean = draw(st.booleans())
+        index = st.sampled_from(INDEX_TOKENS if clean else TOKENS)
+        scalar = st.sampled_from(SCALAR_TOKENS if clean else TOKENS)
+        dims = draw(st.tuples(*[st.integers(2 if clean else 1, 4)] * 3))
+        rows = draw(st.lists(st.tuples(index, index, index, scalar), min_size=1, max_size=6))
+        if draw(st.booleans()):  # sorted, one line per index triple
+            rows = sorted({_sort_key(row): row for row in rows}.values(), key=_sort_key)
+        if not clean and draw(st.booleans()):  # a token too few or too many
+            i = draw(st.integers(0, len(rows) - 1))
+            rows[i] = rows[i][:3] if draw(st.booleans()) else (*rows[i], "1")
+        text += [" ".join([key, *row]) for row in rows]
+        blocks.append((key, dims))
+    return "\n".join(text) + "\n", blocks
+
+
+def _cells(rows):
+    """A reader's result with each entry's type, or its ParseError text."""
+    if isinstance(rows, str):
+        return rows
+    return [[(v.dim, v.field, [(k, type(c), c) for k, c in v.entries.items()]) for v in row] for row in rows]
+
+
+def _read(reader, lines, key, dims, field):
+    try:
+        return reader(lines, key, *dims, field)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trilinear_blocks())
+def test_trilinear_reader_matches_the_per_token_oracle(case):
+    # over Q and F_7 in turn; the two blocks share one parse's memo, so a
+    # token of the first block is met again in the second under other bounds
+    text, blocks = case
+    for field in (RATIONALS, FieldSpec(7)):
+        lines = _Lines(text)
+        for key, dims in blocks:
+            want = _read(oracles.parse_trilinear, _Lines(text), key, dims, field)
+            assert _cells(_read(_parse_trilinear, lines, key, dims, field)) == _cells(want)
