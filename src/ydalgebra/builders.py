@@ -5,6 +5,14 @@ rewriting with a canonical monomial order, action extension along the
 structural identities, antipodes solved from their convolution systems)
 and then runs the full axiom suite on the result before returning it --
 builders are self-certifying, nothing is assumed confluent or consistent.
+
+The coproduct is extended from the generators to every monomial by
+P-DELTA's own right-hand side (``posthopf._pdelta_side``), which needs
+beta on the generators.  E(n) reads it off the convolution identity: from
+Delta(x_i) = x_i (x) 1 + g (x) x_i, (alpha * beta)(x_i) = alpha_{x_i} +
+alpha_g o beta_{x_i} = 0, and alpha_g is an involution, so beta_{x_i} =
+-alpha_g o alpha_{x_i}.  The beta the structure keeps is solved on its own
+afterwards, as alpha o S_>.
 """
 
 from __future__ import annotations
@@ -12,10 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .compiled import (
-    IntTable, _int, _scale, add_linear, compile_columns, compile_tensor, int_linear, int_vector, table_vectors,
-    tensor_side,
-)
+from .compiled import IntTable, _int, _scale, add_linear, compile_columns, compile_tensor, int_vector, table_vectors
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
     ActionTensor,
@@ -32,7 +37,7 @@ from .hopf import (
     solve_antipode,
 )
 from .linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
-from .posthopf import YDPostHopf, _fill_beta, bullet_algebra, check_yd_post_hopf
+from .posthopf import YDPostHopf, _fill_beta, _pdelta_side, bullet_algebra, check_yd_post_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
 
@@ -78,62 +83,46 @@ def _finish(labels: list[str], left_mul, comul, counit: Vector, act_row, params:
 # --- generic coproduct induction -------------------------------------------
 
 
-def _gen_legs4(gen_delta, u, fs):
-    """Four-legged coproduct of a generator, expanded inside the generator set."""
-    legs = [((u,), fs.one)]
-    for _ in range(3):
-        acc = {}
-        for tup, s in legs:
-            for p, q, c in gen_delta[tup[0]]:
-                accumulate(acc, (p, q) + tup[1:], s * c)
-        legs = sorted(acc.items())
-    return legs
-
-
-def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs):
+def _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs):
     """Extend the coproduct from generators to all monomials through the
     braided compatibility of the coproduct with the product.
 
     gen_delta: coproduct of the unit and each generator, by index.
+    counit: the counit of the whole carrier.
     peel: index -> (generator index, tail index) for every other monomial.
     alpha_gen / beta_gen: full action rows of the unit and the generators.
     left_mul: index -> the matrix of left multiplication by that monomial.
 
-    Delta(u w) is the sum of s c (l1 . alpha_l2(beta_l4(p))) (x) (l3 . q)
-    over the four legs of u and the terms c p (x) q of Delta(w), summed as
-    ints on the action rows and left products of the generators, compiled
-    once; each l1 . alpha_l2(beta_l4(p)) is made once.
+    Delta(u w) is P-DELTA's right-hand side at (u, w), summed by
+    ``posthopf._pdelta_side`` with Delta(w) as its one y term, on the
+    coalgebra of the generators (their coproducts, empty on every other
+    monomial): its threefold legs, and its left products, alpha, beta and
+    bullet product L * alpha compiled with one row per basis element, empty
+    off the generators.
     """
-    gens = {u: k for k, u in enumerate(gen_delta)}
-    alpha, beta = (compile_tensor([rows[u] for u in gens], fs) for rows in (alpha_gen, beta_gen))
-    left = compile_tensor([[left_mul(u).column(t) for t in range(dim)] for u in gens], fs)
-    legs4 = {u: [(tuple(gens[x] for x in tup), s) for tup, s in _gen_legs4(gen_delta, u, fs)] for u in gens}
-    scale = left.scale ** 2 * alpha.scale * beta.scale
-    fused: dict = {}  # (l1, l2, l4, p) -> l1 . alpha_l2(beta_l4(e_p))
-    delta: list[dict[tuple[int, int], Scalar] | None] = [None] * dim
+    gen_coalg = CoalgebraData(dim, [gen_delta.get(m, []) for m in range(dim)], counit, fs)
+    left = compile_tensor([[left_mul(u).column(t) for t in range(dim)] if u in gen_delta else []
+                           for u in range(dim)], fs)
+    alpha, beta = (compile_tensor([rows.get(u, []) for u in range(dim)], fs) for rows in (alpha_gen, beta_gen))
+    bullet = convolve(left, alpha, gen_coalg)
+    legs = gen_coalg.int_legs(3)
+    scale = legs.scale * beta.scale * bullet.scale * left.scale
+    delta: list[list | None] = [None] * dim
     for m in range(dim):
         if m in gen_delta:
-            delta[m] = {(p, q): c for p, q, c in gen_delta[m]}
+            delta[m] = gen_coalg.comul[m]
             continue
         u, w = peel[m]
         dw = delta[w]
         if dw is None:
             raise StructureError("peel order must follow the basis order")
-        terms = [(legs, pq, s * c) for legs, s in legs4[u] for pq, c in dw.items()]
-        den = _scale((sc for _, _, sc in terms), fs.p)
+        den = _scale((c for _, _, c in dw), fs.p)
+        ylegs = [[(y1, y2, _int(c, den, fs.p)) for y1, y2, c in dw]]
         acc: dict[int, int] = {}
-        for (l1, l2, l3, l4), (p, q), sc in terms:
-            c = _int(sc, den, fs.p)
-            if not c:
-                continue
-            v = fused.get((l1, l2, l4, p))
-            if v is None:
-                v = fused[(l1, l2, l4, p)] = int_linear(left.rows[l1], int_linear(alpha.rows[l2], beta.rows[l4][p],
-                                                                                  fs.p), fs.p)
-            tensor_side(v, left.rows[l3][q], dim)(acc, (), c)
+        _pdelta_side(legs.rows, bullet.rows, beta.rows, left.rows, ylegs, dim, fs.p)(acc, (u,), 1)
         out = int_vector(dim * dim, acc, den * scale, fs)
-        delta[m] = {divmod(key, dim): c for key, c in out.entries.items()}
-    return [sorted((p, q, c) for (p, q), c in d.items()) for d in delta]
+        delta[m] = sorted((*divmod(key, dim), c) for key, c in out.entries.items())
+    return delta
 
 
 def _row_combination(row_of, v: Vector, dim: int, fs: FieldSpec) -> list[Vector]:
@@ -256,32 +245,6 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
         act_xi_cache[(i, m)] = res
         return res
 
-    beta_xi_cache: dict[tuple[int, int], Vector] = {}
-
-    def beta_xi(i: int, m: int) -> Vector:
-        got = beta_xi_cache.get((i, m))
-        if got is not None:
-            return got
-        g_exp, sub = basis[m]
-        if g_exp == 1:
-            res = mul_by(g_idx, beta_xi(i, index[(0, sub)]))
-        elif not sub:
-            res = Vector(dim, {}, fs)
-        else:
-            j, rest = sub[0], sub[1:]
-            aij = A[i - 1][j - 1]
-            if not rest:
-                res = Vector(dim, {g_idx: aij, 0: -aij}, fs)
-            else:
-                w = index[(0, rest)]
-                sign_rest = -one if len(rest) % 2 else one
-                t2_lo, t2_hi = index[(1, rest)], index[(0, rest)]
-                res = mul_by(x_idx[j], beta_xi(i, w))
-                corr = Vector(dim, {t2_lo: aij * sign_rest, t2_hi: -(aij * sign_rest)}, fs)
-                res = res.add(corr)
-        beta_xi_cache[(i, m)] = res
-        return res
-
     # full action rows of the unit and the generators, for the coproduct induction
     alpha_gen: dict[int, list[Vector]] = {
         0: [unit_vector(dim, j, fs) for j in range(dim)],
@@ -293,7 +256,8 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
     }
     for i in range(1, n + 1):
         alpha_gen[x_idx[i]] = [act_xi(i, j) for j in range(dim)]
-        beta_gen[x_idx[i]] = [beta_xi(i, j) for j in range(dim)]
+        # (alpha * beta)(x_i) = alpha_{x_i} + alpha_g o beta_{x_i} = 0, alpha_g an involution
+        beta_gen[x_idx[i]] = [alpha_g_vec(v).neg() for v in alpha_gen[x_idx[i]]]
 
     gen_delta = {
         0: [(0, 0, one)],
@@ -309,8 +273,8 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
             peel[m] = (g_idx, index[(0, sub)])
         else:
             peel[m] = (x_idx[sub[0]], index[(0, sub[1:])])
-    comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
     counit = Vector(dim, {index[(a, ())]: one for a in (0, 1)}, fs)
+    comul = _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs)
 
     # full action rows for every basis monomial
     rows: list[list[Vector] | None] = [None] * dim
@@ -509,8 +473,8 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
             peel[m] = (A_, index[("A", m_ - 1, d_)])
         else:
             peel[m] = (B_, index[("B", m_ - 1, d_)])
-    comul = _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
     counit = Vector(dim, {index[("A", m_, d_)]: one for s_, m_, d_ in _SUZ_BASIS if s_ == "A"}, fs)
+    comul = _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs)
 
     rows: list[list[Vector] | None] = [None] * dim
     alpha_a = matrix_from_columns(row_a, fs)

@@ -12,8 +12,6 @@ import dataclasses
 import sys
 
 from .braces import (
-    MatchedPair,
-    YDBrace,
     check_matched_pair,
     check_yd_brace,
     from_matched_pair,
@@ -36,9 +34,8 @@ from .builders import (
     symmetric_group_3,
 )
 from .field import FieldSpec, RATIONALS, FieldError, format_scalar, parse_int, parse_scalar
-from .hopf import AlgebraData, HopfData, StructureError, check_algebra, check_hopf
+from .hopf import HopfData, StructureError, check_algebra, check_hopf
 from .posthopf import (
-    PostLieData,
     YDPostHopf,
     check_yd_hopf_monoid,
     check_yd_post_hopf,
@@ -79,33 +76,35 @@ def _write(path: str, text: str) -> None:
         raise ParseError(f"cannot write {path}: {e}")
 
 
+def _ydpost_suite(obj: YDPostHopf) -> CheckReport:
+    """The post-Hopf suite, then the YD Hopf monoid suite once it passes."""
+    rep = check_yd_post_hopf(obj)
+    if rep.all_pass():
+        rep.extend(check_yd_hopf_monoid(obj))
+    return rep
+
+
+# The check suite of each kind, given the structure and the --mode flag;
+# the suites are looked up when one runs.
+_SUITES = {
+    "ydpost": lambda obj, mode: _ydpost_suite(obj),
+    "ydbrace": lambda obj, mode: check_yd_brace(obj),
+    "matchedpair": lambda obj, mode: check_matched_pair(obj),
+    "relrb": lambda obj, mode: check_rel_rb(obj, mode=mode),
+    "grouprb": lambda obj, mode: check_group_rb(obj),
+    "lierb": lambda obj, mode: check_lie_rb(obj),
+    "postlie": lambda obj, mode: check_post_lie(obj),
+    "hopf": lambda obj, mode: check_hopf(obj),
+    "algebra": lambda obj, mode: check_algebra(obj),
+}
+
+
 def run_suite(obj, mode: str = "full") -> CheckReport:
     """The full check suite for a structure, dispatched on its kind."""
-    if isinstance(obj, YDPostHopf):
-        rep = check_yd_post_hopf(obj)
-        if rep.all_pass():
-            rep.extend(check_yd_hopf_monoid(obj))
-        return rep
-    if isinstance(obj, YDBrace):
-        return check_yd_brace(obj)
-    if isinstance(obj, MatchedPair):
-        return check_matched_pair(obj)
-    if isinstance(obj, RelRB):
-        return check_rel_rb(obj, mode=mode)
-    if isinstance(obj, GroupRB):
-        return check_group_rb(obj)
-    if isinstance(obj, LieRB):
-        return check_lie_rb(obj)
-    if isinstance(obj, PostLieData):
-        return check_post_lie(obj)
-    if isinstance(obj, HopfData):
-        return check_hopf(obj)
-    if isinstance(obj, AlgebraData):
-        return check_algebra(obj)
-    raise StructureError(f"no check suite for {type(obj).__name__}")
+    return _SUITES[kind_of(obj)](obj, mode)
 
 
-def _print_report(rep: CheckReport, fmt: str, wanted: list[str] | None) -> int:
+def _print_report(rep: CheckReport, fmt: str, wanted: list[str] | None = None) -> int:
     """Print rep, or only the IDs in wanted, in suite order.  A wanted ID
     that rep has no entry for was not checked: a usage error when rep passes
     (the ID does not apply to the file), and a skipped entry when it fails
@@ -188,14 +187,12 @@ def cmd_derive(args) -> int:
     rep = run_suite(obj, mode=args.mode)
     if not rep.all_pass():
         sys.stderr.write("source structure fails its suite:\n")
-        sys.stdout.write(rep.machine_text() if args.report == "machine" else rep.text())
-        return 1
+        return _print_report(rep, args.report)
     derived = derive(obj, args.mode)
     derived_rep = run_suite(derived, mode=args.mode)
     if not derived_rep.all_pass():
         sys.stderr.write("derived structure fails its suite (inconsistent input?):\n")
-        sys.stdout.write(derived_rep.machine_text() if args.report == "machine" else derived_rep.text())
-        return 1
+        return _print_report(derived_rep, args.report)
     _write(args.out, emit(derived))
     sys.stderr.write(f"wrote {kind_of(derived)} structure to {args.out}\n")
     return 0

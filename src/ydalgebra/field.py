@@ -28,6 +28,7 @@ likewise skip ``__init__``: one modulus compare and one ``%`` each.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -247,11 +248,16 @@ def parse_int(text: str) -> int:
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form; inverse of parse_scalar on canonical scalars."""
-    if isinstance(s, ModInt):
-        return str(s.value)
-    if s.denominator == 1:
-        return str(s.numerator)
-    return f"{s.numerator}/{s.denominator}"
+    try:
+        if isinstance(s, ModInt):
+            return str(s.value)
+        if s.denominator == 1:
+            return str(s.numerator)
+        return f"{s.numerator}/{s.denominator}"
+    except ValueError:
+        # str() refuses the same digits int() does (``parse_scalar``)
+        raise FieldError(f"scalar with an integer of more than {sys.get_int_max_str_digits()} digits is beyond "
+                         "the integer conversion limit") from None
 
 
 def inv(x: Scalar) -> Scalar:

@@ -48,7 +48,8 @@ carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB, P-ANTI and
 P-MP5 through the laws of ``hopf``; P-DELTA and both rows of YD-BRAIDMULT,
 whose sides live in H (x) H and are keyed y * dim**2 + p * dim + q on a
 row (x,), P-DELTA's right-hand side on the threefold legs and the bullet
-table (``_pdelta_rhs``);
+table (``_pdelta_rhs``, whose sum ``_pdelta_side`` is shared with
+``builders``, where it extends the coproduct from the generators);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
 tables and the compiled Ad_L columns and grouped legs, both summed once per
 second-leg group of their second argument (``_second_leg_sums``) and
@@ -293,35 +294,28 @@ def _product_delta(s: YDPostHopf):
     return comul_side(mul.rows, comul.rows, s.dim), mul.scale * comul.scale
 
 
-def _pdelta_rhs(s: YDPostHopf):
-    """The side (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) at
-    (x, y), on the row (x,), the right-hand side of the braided
-    compatibility of Delta with the product, and its scale.  ``legs(x, 4)``
-    splits the first leg u of each threefold leg (u, x_3, x_4) of x by
-    Delta, and the sum over Delta(u) of u_1 . alpha_{u_2}(v) is the bullet
-    product u o v, so the side is summed as (u o beta_{x_4}(y_1)) (x)
-    (x_3 . y_2) over the threefold legs, on the bullet table.  That is
-    distributivity alone: it holds whether or not Delta is coassociative or
-    o associative, and keeps ``legs(x, 4)``'s bracketing.  Each
-    u o beta_{x_4}(e_p) is made once, in a memo that lives as long as the
+def _pdelta_side(legs: list, bullet: list, beta: list, mul: list, ylegs: list, d: int, p: int | None):
+    """The side sum of s t (u o beta_e(e_{y_1})) (x) (c . e_{y_2}) at (x, j),
+    on the row (x,), keyed j * d**2 + k * d + q: over the threefold legs
+    s (u, c, e) of x in legs and the terms t (y_1, y_2) of ylegs[j], on the
+    compiled rows of the bullet product, beta and the product.  This is the
+    right-hand side of the braided compatibility of Delta with the product
+    (``_pdelta_rhs``, and ``builders._delta_by_induction`` on one y).  Each
+    u o beta_e(e_{y_1}) is made once, in a memo that lives as long as the
     side."""
-    mul, bullet, beta = s.carrier.algebra.int_mul(), bullet_algebra(s).int_mul(), ensure_beta(s).int_act()
-    comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(3)
-    m, o, b_, c_, l_ = mul.rows, bullet.rows, beta.rows, comul.rows, legs.rows
-    d, p = s.dim, s.field.p
     d2 = d * d
-    memo: dict = {}  # (u, x_4) -> e_p -> u o beta_{x_4}(e_p)
+    memo: dict = {}  # (u, e) -> y_1 -> u o beta_e(e_{y_1})
 
     def side(acc, prefix, w):
         i, = prefix
         get = acc.get
-        for (u, c3, e), sc in l_[i]:
+        for (u, c3, e), sc in legs[i]:
             fused = memo.get((u, e))
             if fused is None:
                 fused = memo[(u, e)] = {}
-            mc = m[c3]
+            mc = mul[c3]
             sc *= w
-            for j, legs_j in enumerate(c_):
+            for j, legs_j in enumerate(ylegs):
                 base = j * d2
                 for y1, y2, t in legs_j:
                     right = mc[y2]
@@ -329,7 +323,7 @@ def _pdelta_rhs(s: YDPostHopf):
                         continue
                     v = fused.get(y1)
                     if v is None:
-                        v = fused[y1] = int_linear(o[u], b_[e][y1], p)
+                        v = fused[y1] = int_linear(bullet[u], beta[e][y1], p)
                     st = sc * t
                     for k, n in v:
                         n *= st
@@ -338,6 +332,23 @@ def _pdelta_rhs(s: YDPostHopf):
                             key = k + q
                             acc[key] = get(key, 0) + n * e2
 
+    return side
+
+
+def _pdelta_rhs(s: YDPostHopf):
+    """The side (x_1 . alpha_{x_2}(beta_{x_4}(y_1))) (x) (x_3 . y_2) at
+    (x, y), on the row (x,), the right-hand side of the braided
+    compatibility of Delta with the product, and its scale.  ``legs(x, 4)``
+    splits the first leg u of each threefold leg (u, x_3, x_4) of x by
+    Delta, and the sum over Delta(u) of u_1 . alpha_{u_2}(v) is the bullet
+    product u o v, so the side is summed as (u o beta_{x_4}(y_1)) (x)
+    (x_3 . y_2) over the threefold legs, on the bullet table
+    (``_pdelta_side``, with the coproduct table as the y terms).  That is
+    distributivity alone: it holds whether or not Delta is coassociative or
+    o associative, and keeps ``legs(x, 4)``'s bracketing."""
+    mul, bullet, beta = s.carrier.algebra.int_mul(), bullet_algebra(s).int_mul(), ensure_beta(s).int_act()
+    comul, legs = s.carrier.coalgebra.int_comul(), s.carrier.coalgebra.int_legs(3)
+    side = _pdelta_side(legs.rows, bullet.rows, beta.rows, mul.rows, comul.rows, s.dim, s.field.p)
     return side, legs.scale * comul.scale * beta.scale * bullet.scale * mul.scale
 
 

@@ -26,6 +26,13 @@ fourfold legs, with x_1 . alpha_{x_2}(beta_{x_4}(e_p)) made from the
 product and the action, and the harpoon term by term over the legs of x and
 of y.  Each returns what its namesake in ``posthopf`` returns.
 
+``_delta_by_induction`` and ``_gen_legs4`` are the coproduct induction
+``builders`` ran before it summed Delta(u w) with P-DELTA's own side: the
+term (l1 . alpha_l2(beta_l4(p))) (x) (l3 . q) over the fourfold legs of
+the generator u, expanded inside the generator set, and the terms of
+Delta(w).  It takes the generator data ``builders._delta_by_induction``
+takes, less the counit, and returns the coproduct table it returns.
+
 ``parse_trilinear`` is the reader ``structio`` ran before each distinct
 token was converted once per file: every index and coefficient token of
 every line goes through ``_parse_int`` and ``_parse_scalar_tok``, and every
@@ -40,9 +47,10 @@ solve the same system a second way.
 from itertools import product
 
 from ydalgebra.compiled import (
-    compare, int_bilinear as compiled_int_bilinear, int_linear as compiled_int_linear, int_vector, vector_render,
+    _int, _scale, compare, compile_tensor, int_bilinear as compiled_int_bilinear, int_linear as compiled_int_linear,
+    int_vector, tensor_side, vector_render,
 )
-from ydalgebra.hopf import ActionTensor
+from ydalgebra.hopf import ActionTensor, StructureError
 from ydalgebra.linalg import Matrix, Vector, accumulate
 from ydalgebra.posthopf import _sharp_columns, bullet_algebra, ensure_beta
 from ydalgebra.report import Tally
@@ -329,6 +337,55 @@ def leftharpoon(s):
             row.append(int_vector(d, acc, scale, fs))
         rows.append(row)
     return ActionTensor(d, d, rows, fs)
+
+
+def _gen_legs4(gen_delta, u, fs):
+    """Four-legged coproduct of a generator, expanded inside the generator set."""
+    legs = [((u,), fs.one)]
+    for _ in range(3):
+        acc = {}
+        for tup, s in legs:
+            for p, q, c in gen_delta[tup[0]]:
+                accumulate(acc, (p, q) + tup[1:], s * c)
+        legs = sorted(acc.items())
+    return legs
+
+
+def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs):
+    """Delta(u w), the sum of s c (l1 . alpha_l2(beta_l4(p))) (x) (l3 . q)
+    over the four legs of u and the terms c p (x) q of Delta(w), summed as
+    ints on the action rows and left products of the generators; each
+    l1 . alpha_l2(beta_l4(p)) is made once."""
+    gens = {u: k for k, u in enumerate(gen_delta)}
+    alpha, beta = (compile_tensor([rows[u] for u in gens], fs) for rows in (alpha_gen, beta_gen))
+    left = compile_tensor([[left_mul(u).column(t) for t in range(dim)] for u in gens], fs)
+    legs4 = {u: [(tuple(gens[x] for x in tup), s) for tup, s in _gen_legs4(gen_delta, u, fs)] for u in gens}
+    scale = left.scale ** 2 * alpha.scale * beta.scale
+    fused: dict = {}  # (l1, l2, l4, p) -> l1 . alpha_l2(beta_l4(e_p))
+    delta = [None] * dim
+    for m in range(dim):
+        if m in gen_delta:
+            delta[m] = {(p, q): c for p, q, c in gen_delta[m]}
+            continue
+        u, w = peel[m]
+        dw = delta[w]
+        if dw is None:
+            raise StructureError("peel order must follow the basis order")
+        terms = [(legs, pq, s * c) for legs, s in legs4[u] for pq, c in dw.items()]
+        den = _scale((sc for _, _, sc in terms), fs.p)
+        acc: dict = {}
+        for (l1, l2, l3, l4), (p, q), sc in terms:
+            c = _int(sc, den, fs.p)
+            if not c:
+                continue
+            v = fused.get((l1, l2, l4, p))
+            if v is None:
+                v = fused[(l1, l2, l4, p)] = compiled_int_linear(
+                    left.rows[l1], compiled_int_linear(alpha.rows[l2], beta.rows[l4][p], fs.p), fs.p)
+            tensor_side(v, left.rows[l3][q], dim)(acc, (), c)
+        out = int_vector(dim * dim, acc, den * scale, fs)
+        delta[m] = {divmod(key, dim): c for key, c in out.entries.items()}
+    return [sorted((p, q, c) for (p, q), c in d.items()) for d in delta]
 
 
 def parse_trilinear(lines, key: str, d1: int, d2: int, d3: int, field, required: bool = True):

@@ -179,6 +179,23 @@ def test_flag_scalar_beyond_the_int_conversion_limit_is_input_error():
     assert run_cli(["example", "sweedler", "--k", LONG_DIGITS]) == (2, "", f"error: {LONG_SCALAR_ERROR}\n")
 
 
+# a scalar that parses can still print past the limit: a witness or an
+# emitted table is refused with one error line, not a traceback
+LONG_OUTPUT_ERROR = (f"error: scalar with an integer of more than {sys.get_int_max_str_digits()} digits is beyond "
+                     "the integer conversion limit\n")
+
+
+def test_witness_scalar_beyond_the_int_conversion_limit_is_input_error(tmp_path):
+    path = tmp_path / "long.struct"
+    path.write_text((GOLDEN / "h4-q.struct").read_text().replace("\nmul 1 1 0 1\n", f"\nmul 1 1 0 {'7' * 3000}\n", 1))
+    assert run_cli(["check", str(path)]) == (2, "", LONG_OUTPUT_ERROR)
+
+
+def test_example_scalar_beyond_the_int_conversion_limit_is_input_error():
+    # alpha**5 has more digits than the limit, alpha itself fewer
+    assert run_cli(["example", "suzuki", "--alpha", "7" * 900, "--beta", "1"]) == (2, "", LONG_OUTPUT_ERROR)
+
+
 @pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
 @pytest.mark.parametrize("verb", ["example", "derive"])
 def test_unwritable_out_is_input_error(tmp_path, sweedler_file, verb, where):
