@@ -450,8 +450,10 @@ def compare(t: Tally, prefixes, n: int, width: int, contract, sl: int, sr: int, 
     k < n, of each row prefix, from the row's sums keyed k * width + q (see
     the module docstring); sl and sr are the sides' scales.  The passes are
     counted, and the failures recorded in lexicographic order, so the rows
-    may come in any order and the least failing tuple is the witness.
-    Returns the failing tuples, in that order."""
+    may come in any order and the least failing tuple is the witness.  A
+    render of None counts the failures without rendering their sides, for
+    a caller that reads only the counts; the witness then names the tuple
+    with both sides empty.  Returns the failing tuples, in that order."""
     g = gcd(sl, sr)
     wl, wr = sr // g, -(sl // g)
     p = field.p
@@ -469,7 +471,7 @@ def compare(t: Tally, prefixes, n: int, width: int, contract, sl: int, sr: int, 
     t.checked += passed
     failed.sort()
     for where in failed:
-        if t.witness is not None:
+        if t.witness is not None or render is None:
             t.record(where, False)
         else:
             t.record(where, False, *render_sides(contract, where, width, sl, sr, field, render))

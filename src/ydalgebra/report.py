@@ -168,8 +168,7 @@ class Tally:
     - MP-MODC, whose parts interleave per (i, j) (``braces`` picks it);
     - MP-4, which runs on rows (b, c) over a, so its tuples are (b, c, a)
       and its witness, the first failure in that order, is mapped back to
-      (a, b, c);
-    - RBM-F/RBM-G and LRB-LIE-G/H, interleaved loops on one Checker each.
+      (a, b, c).
 
     YD-COMPAT and YD-COLINEAR share per-b sums, but run on rows (a,) over b,
     so their witness is the least failing (a, b)."""

@@ -1928,7 +1928,8 @@ def ref_rb3(r) -> Tally:
 
 
 def ref_morphism(f, alg_src, co_src, alg_dst, co_dst) -> Tally:
-    """The rows in their loop order, whose first failure is the witness."""
+    """The rows in lexicographic order, so the first failure, the witness,
+    is the least failing tuple."""
     t = Tally()
     d = alg_src.dim
     for i in range(d):
@@ -1941,6 +1942,7 @@ def ref_morphism(f, alg_src, co_src, alg_dst, co_dst) -> Tally:
         for j, k, c in co_src.comul[i]:
             tens2_add_scaled(rhs, f.column(j), f.column(k), c)
         t.compare((2, i), comul_vec(co_dst, f.column(i)), rhs, pairs_text)
+    for i in range(d):
         t.compare((3, i), eps_vec(co_dst, f.column(i)), co_src.eps(i))
     return t
 
@@ -1959,6 +1961,8 @@ def ref_lie(lie) -> Tally:
     for i in range(d):
         for j in range(d):
             t.compare((0, i, j), lie.bracket[i][j], lie.bracket[j][i].neg(), vector_text)
+    for i in range(d):
+        for j in range(d):
             for k in range(d):
                 total = bracket_vec(lie, unit_vector(d, i, fs), lie.bracket[j][k])
                 total = total.add(bracket_vec(lie, unit_vector(d, j, fs), lie.bracket[k][i]))

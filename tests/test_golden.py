@@ -363,9 +363,9 @@ def test_suite_mutants_fail_every_contraction_identity_in_each_field(field):
 # morphism of operators, a post-Lie or Lie-RB failure, or a broken group.
 NO_GOLDEN_FAILURE = {
     "RBM-F": "test_rota.py::test_rbm_f_and_g_fail_on_one_flipped_sign and "
-             "test_rbm_coproduct_row_and_loop_order (its loop-order witness)",
+             "test_rbm_coproduct_row_and_least_witness",
     "RBM-G": "test_rota.py::test_rbm_f_and_g_fail_on_one_flipped_sign and "
-             "test_rbm_coproduct_row_and_loop_order (its loop-order witness)",
+             "test_rbm_coproduct_row_and_least_witness",
     "RBM-COMM": "test_rota.py::test_rb_morphism_perturbation_detected",
     "RBM-ACT": "test_rota.py::test_rbm_act_fails_where_g_does_not_intertwine (alone)",
     "PL-SKEW": "test_posthopf.py::test_check_post_lie_fails_each_id_on_one_changed_entry (alone; derived "
@@ -376,11 +376,11 @@ NO_GOLDEN_FAILURE = {
     "PL-SUB": "test_posthopf.py::test_check_post_lie_fails_each_id_on_one_changed_entry (with PL-1 and PL-2)",
     "GRB-GROUP-G": "test_rota.py::test_grb_group_g_fails_on_a_table_that_is_not_associative",
     "GRB-GROUP-H": "test_rota.py::test_grb_group_h_fails_on_a_monoid_without_inverses",
-    "LRB-LIE-G": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",
-    "LRB-LIE-H": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (its loop-order witness)",
+    "LRB-LIE-G": "test_rota.py::test_lrb_lie_fails_at_its_least_failing_tuple",
+    "LRB-LIE-H": "test_rota.py::test_lrb_lie_fails_at_its_least_failing_tuple",
     "LRB-ACTION": "test_rota.py::test_lrb_action_fails_where_phi_is_not_a_derivation",
     "LRB-W1": "test_rota.py::test_lie_rb_weight1_failure_detected",
-    "LRB-POSTLIE": "test_rota.py::test_lrb_lie_fails_at_its_loop_order_witness (side H, with LRB-LIE-H)",
+    "LRB-POSTLIE": "test_rota.py::test_lrb_lie_fails_at_its_least_failing_tuple (side H, with LRB-LIE-H)",
 }
 
 

@@ -6,18 +6,23 @@ tables below are written out from the relations by hand, independently of
 any builder in the package.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from manual_structures import sweedler_transmutation_manual
-from oracles import matrix_add, matrix_scale, mul_vec
+from oracles import act_apply, comul_vec, eps_vec, matrix_add, matrix_scale, mul_vec
 from test_golden import SUITE_MUTANTS, yd_mutant
-from ydalgebra import hopf
-from ydalgebra.builders import build_en, build_suzuki, build_sweedler
+from ydalgebra import compiled, hopf
+from ydalgebra.builders import (
+    build_en, build_group_rb_linearization, build_suzuki, build_sweedler, cyclic_group, group_rb_identity,
+    group_rb_inversion, symmetric_group_3,
+)
 from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import (
     AlgebraData,
+    BraidedPair,
     CoalgebraData,
     HopfData,
     StructureError,
@@ -38,7 +43,7 @@ from ydalgebra.linalg import (
     LinAlgError, Matrix, Vector, identity_matrix, matrix_from_columns, solve, solve_many,
     unit_vector,
 )
-from ydalgebra.posthopf import bullet_algebra, solve_beta
+from ydalgebra.posthopf import YDPostHopf, bullet_algebra, solve_beta
 from ydalgebra.report import Tally
 from ydalgebra.structio import emit, parse
 
@@ -264,7 +269,7 @@ def test_convolution_inverse_failed_self_check_raises(monkeypatch):
     # reading of g
     real = hopf.convolution_unit_law
     monkeypatch.setattr(hopf, "convolution_unit_law",
-                        lambda left, right, c, unit: real(left, _plus_e0(right, 1), c, unit))
+                        lambda left, right, c, unit, **kw: real(left, _plus_e0(right, 1), c, unit, **kw))
     with pytest.raises(LinAlgError, match="self-check"):
         solve_antipode(h4_algebra(), h4_coalgebra())
 
@@ -289,9 +294,9 @@ def _failing_call(monkeypatch, n: int) -> None:
     real = hopf.convolution_unit_law
     calls = []
 
-    def law(*args):
+    def law(*args, **kw):
         calls.append(None)
-        t = real(*args)
+        t = real(*args, **kw)
         if len(calls) == n:
             t.record((0,), False)
         return t
@@ -594,8 +599,8 @@ def test_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
     real = hopf.convolution_unit_law
     verdicts = []
 
-    def counted(*args):
-        t = real(*args)
+    def counted(*args, **kw):
+        t = real(*args, **kw)
         verdicts.append(t.failures == 0)
         return t
 
@@ -605,15 +610,30 @@ def test_convolution_inverse_one_sided_off_a_coalgebra(monkeypatch):
     assert ref_convolution_inverse(f, c, a) is None
 
 
+def test_convolution_inverse_rechecks_render_no_witness(monkeypatch):
+    # g*f fails, and so does the coalgebra check behind it: the solver reads
+    # only their counts, so no side is rendered on the way to None
+    f, c, a = _non_coassociative_right_inverse()
+    assert not check_coalgebra(c).all_pass()
+
+    def unrendered(*args):
+        raise AssertionError("a witness was rendered")
+
+    monkeypatch.setattr(compiled, "render_sides", unrendered)
+    assert convolution_inverse(f, c, a) is None
+    with pytest.raises(AssertionError, match="rendered"):
+        check_coalgebra(c)
+
+
 def test_convolution_inverse_failed_g_star_f_on_valid_axioms_raises(monkeypatch):
     # over a coalgebra and an algebra a right inverse is two-sided: a g*f
     # re-check that fails is a solver bug
     real = hopf.convolution_unit_law
     calls = []
 
-    def second_corrupted(left, right, c, unit):
+    def second_corrupted(left, right, c, unit, **kw):
         calls.append(None)
-        return real(left, _plus_e0(right, 1) if len(calls) == 2 else right, c, unit)
+        return real(left, _plus_e0(right, 1) if len(calls) == 2 else right, c, unit, **kw)
 
     monkeypatch.setattr(hopf, "convolution_unit_law", second_corrupted)
     with pytest.raises(LinAlgError, match="self-check failed: g\\*f"):
@@ -747,3 +767,218 @@ def test_hopf_layer_checks_make_no_vector_path_calls(monkeypatch, name):
     assert steps == ["ALG-ASSOC", "ALG-UNIT", "COALG-COASSOC", "COALG-COUNIT", "P-COALG", "P-S"]
     assert all(rep.all_pass() for rep in reps) and sk == s.carrier.s_map
     assert calls == []
+
+
+# --- the convolution systems solved level by level ---------------------------
+#
+# hopf._solve_convolution must return exactly what solve_rows returns on the
+# whole system of _convolution_rows: the same solution Vectors (their entries
+# in the same order), the same kernel, the same None.  Each case runs the
+# three solves S, S_> and beta with the level solver wrapped, replays every
+# call on the whole system, and compares the solvers' values, errors, kernel
+# dimensions and reasons with those of a run on the whole-system solve.
+
+
+def _whole_system(left, c, n, rhs, nrhs, fs):
+    return linalg.solve_rows(hopf._convolution_rows(left, c.int_comul(), n, rhs, fs), c.dim * n, nrhs, fs)
+
+
+def _solve_result(out):
+    sols, kern = out
+    return ([None if v is None else (v.dim, list(v.entries.items())) for v in sols],
+            [(v.dim, list(v.entries.items())) for v in kern])
+
+
+def _outcome(fn, *args):
+    """What a solver gives, made comparable: its value or its error."""
+    try:
+        res = fn(*args)
+    except (StructureError, LinAlgError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(res, hopf.EndoInverse):
+        beta = None if res.beta is None else [[list(v.entries.items()) for v in row] for row in res.beta.act]
+        return beta, res.kernel_dim, res.reason
+    return None if res is None else list(res.entries.items())
+
+
+def _bullet(alg, coalg, action):
+    """x o y = x_1 (x_2 >- y), on an algebra and action that need not form a
+    structure; ``bullet_algebra`` reads no antipode, so the identity stands
+    in for one."""
+    carrier = BraidedPair(alg, coalg, identity_matrix(alg.dim, alg.field))
+    return bullet_algebra(YDPostHopf(carrier, action))
+
+
+def _solver_outcomes(alg, coalg, action):
+    """S, S_> and beta, each as ``_outcome`` gives it."""
+    return [_outcome(solve_antipode, alg, coalg), _outcome(solve_antipode, _bullet(alg, coalg, action), coalg),
+            _outcome(hom_convolution_inverse_endo, action, coalg)]
+
+
+def _levels_match_whole(monkeypatch, alg, coalg, action):
+    """Assert that every level-solver call equals the whole-system solve on
+    its own arguments and that the solvers give what they give on the
+    whole-system solve; returns the outcomes.  Systems of fewer than
+    ``_LEVEL_MIN_BLOCKS`` blocks are solved by levels here too."""
+    monkeypatch.setattr(hopf, "_LEVEL_MIN_BLOCKS", 1)
+    calls = []
+    real = hopf._solve_convolution
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(hopf, "_solve_convolution", spy)
+    levelled = _solver_outcomes(alg, coalg, action)
+    assert len(calls) == 3
+    for args, out in calls:
+        assert _solve_result(out) == _solve_result(_whole_system(*args))
+    monkeypatch.setattr(hopf, "_solve_convolution", _whole_system)
+    assert _solver_outcomes(alg, coalg, action) == levelled
+    return levelled
+
+
+def _parts(s):
+    return s.carrier.algebra, s.carrier.coalgebra, s.action
+
+
+def _en_matrix(n, off):
+    a = [[F(1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    if off:
+        if n == 1:
+            a[0][0] = F(2, 3)
+        else:
+            a[0][1] = a[1][0] = F(1, 2)
+    return a
+
+
+LEVEL_STRUCTURES = {
+    **{f"en{n}-{'off' if off else 'id'}": (lambda fs, n=n, off=off: build_en(n, _en_matrix(n, off), fs))
+       for n in (1, 2, 3) for off in (False, True)},
+    **{f"suzuki{a:+d}{b:+d}": (lambda fs, a=a, b=b: build_suzuki(a, b, fs)) for a in (1, -1) for b in (1, -1)},
+    "sweedler": lambda fs: build_sweedler(1, fs),
+    "s3-inversion": lambda fs: build_group_rb_linearization(group_rb_inversion(symmetric_group_3()), fs),
+    "c4-identity": lambda fs: build_group_rb_linearization(group_rb_identity(cyclic_group(4)), fs),
+}
+LEVEL_FIELDS = {"q": RATIONALS, "f7": FieldSpec(7), "f10007": FieldSpec(10007)}
+
+
+@pytest.mark.parametrize("field", sorted(LEVEL_FIELDS))
+@pytest.mark.parametrize("name", sorted(LEVEL_STRUCTURES))
+def test_level_solve_equals_the_whole_system(monkeypatch, name, field):
+    s = LEVEL_STRUCTURES[name](LEVEL_FIELDS[field])
+    s_map, sharp, endo = _levels_match_whole(monkeypatch, *_parts(s))
+    assert dict(s_map) == s.carrier.s_map.entries
+    assert endo[1:] == (0, None)
+
+
+def test_level_shapes():
+    # E(n) peels along the coradical filtration; Suzuki's unit and one more
+    # block come first, then 14 blocks jointly; a group algebra is one level
+    shapes = {name: [len(level) for level in hopf._convolution_levels(s.carrier.coalgebra)]
+              for name, s in [("en3", build_en(3, _en_matrix(3, False))), ("en4", _en4()),
+                              ("suzuki", build_suzuki(1, -1)),
+                              ("s3", build_group_rb_linearization(group_rb_inversion(symmetric_group_3())))]}
+    assert shapes == {"en3": [2, 6, 6, 2], "en4": [2, 8, 12, 8, 2], "suzuki": [1, 1, 14], "s3": [6]}
+
+
+def _en4():
+    return build_en(4, [[1 if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+@pytest.mark.parametrize("name, calls", [("en1-id", 1), ("en2-id", 1), ("en3-id", 4), ("suzuki+1-1", 1)])
+def test_levels_are_solved_from_16_blocks_on(monkeypatch, name, calls):
+    # one solve_rows call per level of E(3); one whole-system call below 16
+    # blocks (Sweedler is E(1)) and for Suzuki's level of 14 of 16 blocks
+    s = LEVEL_STRUCTURES[name](RATIONALS)
+    seen = []
+    real = linalg.solve_rows
+    monkeypatch.setattr(hopf, "solve_rows", lambda *args: seen.append(args[1]) or real(*args))
+    assert solve_antipode(s.carrier.algebra, s.carrier.coalgebra) == s.carrier.s_map
+    assert len(seen) == calls and sum(seen) == s.dim ** 2
+
+
+def _moved(s, seed):
+    """The structure s on the basis f_i = P e_i, for P the product of two
+    seeded elementary operations e_i += c e_j, c = +-1: unimodular, so P and
+    P^-1 are integral."""
+    alg, coalg, act, fs = *_parts(s), s.field
+    d = alg.dim
+    rng = random.Random(seed)
+    p = identity_matrix(d, fs)
+    for _ in range(2):
+        i, j = rng.sample(range(d), 2)
+        p = p.compose(Matrix(d, d, {**identity_matrix(d, fs).entries, (i, j): fs.scalar(rng.choice((-1, 1)))}, fs))
+    q = linalg.invert(p)
+    f = [p.column(i) for i in range(d)]
+    mul = [[q.apply(mul_vec(alg, u, v)) for v in f] for u in f]
+    comul = []
+    for u in f:
+        terms = {}
+        for (j, k), x in comul_vec(coalg, u).items():
+            for a, y in q.column(j).entries.items():
+                for b, z in q.column(k).entries.items():
+                    terms[(a, b)] = terms.get((a, b), 0) + x * y * z
+        comul.append([(a, b, v) for (a, b), v in sorted(terms.items()) if v])
+    counit = Vector(d, {i: eps_vec(coalg, u) for i, u in enumerate(f)}, fs)
+    moved_alg = AlgebraData(d, list(alg.basis_labels), mul, q.apply(alg.unit), fs)
+    moved_act = ActionTensor(d, d, [[q.apply(act_apply(act, u, v)) for v in f] for u in f], fs)
+    return moved_alg, CoalgebraData(d, comul, counit, fs), moved_act
+
+
+@pytest.mark.parametrize("seed, shape", [(15, [8]), (31, [1, 2, 1, 1, 2, 1])])
+def test_level_solve_on_a_moved_basis(monkeypatch, seed, shape):
+    # seed 15 couples every block, so the system is one level (dense); seed
+    # 31 peels six levels whose blocks are not in basis order
+    alg, coalg, act = _moved(build_en(2, _en_matrix(2, False)), seed)
+    assert [len(level) for level in hopf._convolution_levels(coalg)] == shape
+    assert check_algebra(alg).all_pass() and check_coalgebra(coalg).all_pass()
+    s_map, sharp, endo = _levels_match_whole(monkeypatch, alg, coalg, act)
+    assert isinstance(s_map, list) and isinstance(sharp, list) and endo[1:] == (0, None)
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_MUTANTS))
+def test_level_solve_on_golden_mutants(monkeypatch, name):
+    _levels_match_whole(monkeypatch, *_parts(yd_mutant(*SUITE_MUTANTS[name])))
+
+
+def _level_mutant(kind, fs):
+    """E(2) (basis 1, g, x1, g x1, x2, g x2, x1 x2, g x1 x2) broken so that
+    one level of a solve fails: alpha_g zero (beta inconsistent at the first
+    level), Delta(x1) without its leg g (x) x1 (the second level singular)
+    or Delta(x1) zero (a kernel in the first level, the antipode system
+    consistent)."""
+    alg, coalg, act = _parts(build_en(2, _en_matrix(2, True), fs))
+    d = alg.dim
+    comul = [list(terms) for terms in coalg.comul]
+    rows = [list(row) for row in act.act]
+    if kind == "alpha-g":
+        rows[1] = [Vector(d, {}, fs)] * d
+    elif kind == "leg":
+        comul[2] = [(j, k, c) for j, k, c in comul[2] if k != 2]
+    else:
+        comul[2] = []
+    return alg, CoalgebraData(d, comul, coalg.counit, fs), ActionTensor(d, d, rows, fs)
+
+
+@pytest.mark.parametrize("field", ["q", "f7"])
+@pytest.mark.parametrize("kind", ["alpha-g", "leg", "zero"])
+def test_level_solve_failures_read_as_the_whole_system(monkeypatch, kind, field):
+    alg, coalg, act = _level_mutant(kind, LEVEL_FIELDS[field])
+    s_map, sharp, endo = _levels_match_whole(monkeypatch, alg, coalg, act)
+    if kind == "alpha-g":
+        assert endo == (None, 0, "alpha*beta = eps Id has no solution (at target 0)")
+    elif kind == "zero":
+        assert s_map == ("StructureError", "convolution inverse system is underdetermined")
+    else:
+        assert s_map is None and endo[0] is None
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", ["q", "f10007"])
+def test_level_solve_equals_the_whole_system_at_dim_32(monkeypatch, field):
+    s = build_en(4, [[1 if i == j else F(1, 2) if abs(i - j) == 1 else 0 for j in range(4)] for i in range(4)],
+                 LEVEL_FIELDS[field])
+    s_map, sharp, endo = _levels_match_whole(monkeypatch, *_parts(s))
+    assert dict(s_map) == s.carrier.s_map.entries and endo[1:] == (0, None)

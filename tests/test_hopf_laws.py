@@ -228,8 +228,8 @@ def _assert_solver_rechecks(monkeypatch, f, c, a):
     real = hopf.convolution_unit_law
     calls = []
 
-    def spied(left, right, coalg, unit):
-        t = real(left, right, coalg, unit)
+    def spied(left, right, coalg, unit, **kw):
+        t = real(left, right, coalg, unit, **kw)
         calls.append((IntTable([col for col, in right.rows], right.scale), t.failures == 0))
         return t
 

@@ -150,12 +150,12 @@ def test_rbm_f_and_g_fail_on_one_flipped_sign(p):
 
 
 @pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
-def test_rbm_coproduct_row_and_loop_order(p):
+def test_rbm_coproduct_row_and_least_witness(p):
     # the identity into Sweedler's H with Delta(x) flipped to co-opposite
     # fails the coproduct row (2, 2) alone, rendered as pair sums; with
-    # eps(g) changed too, the counit row (3, 1) fails as well, and the
-    # loop's order (2, i), (3, i) per i makes it the witness, though
-    # (2, 2) is less
+    # eps(g) changed too, the counit row (3, 1) fails as well.  A loop over
+    # i checking (2, i) and then (3, i) meets (3, 1) first, but the witness
+    # is the least failing tuple, (2, 2)
     fs = RATIONALS if p is None else FieldSpec(p)
     h = functor_l(build_sweedler(1, fs) if p is None else build_sweedler(3, fs)).h
     alg, co = h.algebra, h.coalgebra
@@ -168,7 +168,7 @@ def test_rbm_coproduct_row_and_loop_order(p):
     counit = Vector(4, {**co.counit.entries, 1: fs.one + fs.one}, fs)
     ch = _morphism_checker("RBM-G", ident, alg, co, alg, CoalgebraData(4, comul, counit, fs))
     assert (ch.checked, ch.failures) == (25, 2)
-    assert ch.witness.text() == "at=(3,1) lhs=[2] rhs=[1]"
+    assert ch.witness.text() == "at=(2,2) lhs=[(0,2):1;(2,1):1] rhs=[(1,2):1;(2,0):1]"
 
 
 def test_identity_morphism_passes():
@@ -293,12 +293,13 @@ def _lie_rb(lie_g, lie_h, phi=None):
     return LieRB(lie_g, lie_h, phi, Matrix(lie_g.dim, lie_h.dim, {}, fs))
 
 
-# [e_0, e_1] = e_1 = [e_1, e_0]: not skew at the pair (0, 1).  The loop's
-# Jacobi row (1, 0, 0, 1), [e_0, [e_0, e_1]] + [e_0, [e_1, e_0]] = 2 e_1,
-# fails before the skew row (0, 0, 1), which is less.  [e_0, e_1] = e_1,
+# [e_0, e_1] = e_1 = [e_1, e_0]: not skew at the pair (0, 1).  A loop over
+# (i, j) checking (0, i, j) and then (1, i, j, k) meets the Jacobi row
+# (1, 0, 0, 1), [e_0, [e_0, e_1]] + [e_0, [e_1, e_0]] = 2 e_1, before the
+# skew row (0, 0, 1), but the witness is the least failing tuple, (0, 0, 1).  [e_0, e_1] = e_1,
 # [e_1, e_2] = e_2 (skew): Jacobi fails at the six orders of (0, 1, 2).
 LIE_MUTANTS = {
-    "skew": (2, {(0, 1): {1: 1}, (1, 0): {1: 1}}, 12, 5, "at=(1,0,0,1) lhs=[1:2] rhs=[0]"),
+    "skew": (2, {(0, 1): {1: 1}, (1, 0): {1: 1}}, 12, 5, "at=(0,0,1) lhs=[1:1] rhs=[1:-1]"),
     "jacobi": (3, {(0, 1): {1: 1}, (1, 0): {1: -1}, (1, 2): {2: 1}, (2, 1): {2: -1}}, 36, 6,
                "at=(1,0,1,2) lhs=[2:-1] rhs=[0]"),
 }
@@ -307,7 +308,7 @@ LIE_MUTANTS = {
 @pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
 @pytest.mark.parametrize("side", ["G", "H"])
 @pytest.mark.parametrize("mutant", sorted(LIE_MUTANTS))
-def test_lrb_lie_fails_at_its_loop_order_witness(mutant, side, p):
+def test_lrb_lie_fails_at_its_least_failing_tuple(mutant, side, p):
     fs = RATIONALS if p is None else FieldSpec(p)
     d, brackets, checked, failures, witness = LIE_MUTANTS[mutant]
     bad, abelian = _lie(d, brackets, fs), _lie(1, {}, fs)
