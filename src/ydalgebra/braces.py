@@ -31,12 +31,11 @@ from time import perf_counter
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, compare, compile_columns, int_bilinear, int_items, line, square,
-    table_vectors, vector_render,
+    vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
     ActionTensor,
-    AlgebraData,
     BraidedPair,
     HopfData,
     StructureError,
@@ -52,6 +51,8 @@ from .hopf import (
     one_column,
     pull_back,
     pulled_back,
+    table_action,
+    table_algebra,
 )
 from .report import Checker, CheckEntry, CheckReport, FAIL, PASS, Tally, Witness, vector_text
 from .posthopf import (
@@ -120,7 +121,7 @@ def brace_action(b: YDBrace) -> ActionTensor:
     dot = b.dot_side
     left = left_products(compile_columns(dot.s_map), dot.algebra.int_mul(), fs.p)
     act = convolve(left, b.bullet_side.algebra.int_mul(), dot.coalgebra)
-    return ActionTensor(d, d, table_vectors(d, act, fs), fs)
+    return table_action(d, act, fs)
 
 
 def brace_beta(b: YDBrace, action: ActionTensor) -> ActionTensor:
@@ -239,9 +240,9 @@ def from_matched_pair(mp: MatchedPair) -> YDPostHopf:
     beta = pull_back(act, tcols)
     mul = convolve(bullet.int_mul(), beta, coalg)
     smap = convolve(act.int_act(), one_column(tcols), coalg)
-    alg = AlgebraData(d, list(bullet.basis_labels), table_vectors(d, mul, fs), bullet.unit, fs)
-    return YDPostHopf(BraidedPair(alg, coalg, column_matrix(d, smap, fs)), act,
-                      ActionTensor(d, d, table_vectors(d, beta, fs), fs), params=dict(mp.params))
+    alg = table_algebra(list(bullet.basis_labels), mul, bullet.unit, fs)
+    return YDPostHopf(BraidedPair(alg, coalg, column_matrix(d, smap, fs)), act, table_action(d, beta, fs),
+                      params=dict(mp.params))
 
 
 def _matched_pair_laws(mp: MatchedPair):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .compiled import IntTable, _int, _scale, add_linear, compile_columns, compile_tensor, int_vector, table_vectors
+from .compiled import IntTable, _int, _scale, add_linear, compile_columns, compile_tensor, int_vector
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
     ActionTensor,
@@ -35,6 +35,8 @@ from .hopf import (
     one_column,
     pulled_back,
     solve_antipode,
+    table_action,
+    table_algebra,
 )
 from .linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
 from .posthopf import YDPostHopf, _fill_beta, _pdelta_side, bullet_algebra, check_yd_post_hopf
@@ -521,8 +523,8 @@ def build_adjoint(h: HopfData) -> YDPostHopf:
     right_tt = left_products(compile_columns(h.antipode.compose(h.antipode)), op, p)
     prod = convolve(convolve(mul, right_tt, hco), left_products(tcols, mul, p), hco)
     s_map = column_matrix(d, convolve(act, one_column(tcols), hco), fs)
-    alg = AlgebraData(d, list(h.algebra.basis_labels), table_vectors(d, prod, fs), h.algebra.unit, fs)
-    action = ActionTensor(d, d, table_vectors(d, act, fs), fs)
+    alg = table_algebra(list(h.algebra.basis_labels), prod, h.algebra.unit, fs)
+    action = table_action(d, act, fs)
     s = YDPostHopf(BraidedPair(alg, hco, s_map), action, pulled_back(action, tcols))
     return _certify(s, "adjoint")
 

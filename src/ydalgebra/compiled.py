@@ -10,6 +10,16 @@ every contraction in the package sums compiled tables, so that is where a
 mixed modulus is caught.  A ``Matrix`` keeps its compiled columns in its
 cache, and ``Matrix.apply`` reads them.
 
+A table is compiled where it is made, and its container's cache seeded
+with it: ``structio.parse`` compiles each table of a file from the tokens
+it has read (every scalar of a file is in its one field), and a producer
+that sums a table as ints hands it over ``reduced``, at the least scale
+and with each cell sorted, which is exactly what compiling the Vectors it
+divides to gives (``hopf.table_action``, ``table_algebra`` and
+``column_matrix``).  Such a producer reads only compiled tables, so its
+sums carry no foreign modulus.  The compiles below serve the rest: a
+container built by hand, or from Vectors a solver returned.
+
 An identity on basis tuples is evaluated one row at a time: a row is the
 tuples prefix + (k,) for k < n, and a ``contract(acc, prefix, wl, wr)``
 adds, for every k of the row, wl times the tuple's left side and wr times
@@ -115,6 +125,21 @@ def compile_legs(legs: list[list[tuple]], field: FieldSpec) -> IntTable:
     p = field.p
     d = _scale((c for terms in legs for _, c in terms), p)
     return IntTable([tuple((tup, _int(c, d, p)) for tup, c in terms) for terms in legs], d)
+
+
+def reduced(t: IntTable) -> IntTable:
+    """A table of int sums as ``compile_tensor`` compiles the Vectors it
+    divides to (``table_vectors``): each cell sorted, and over Q every entry
+    and the scale divided by their gcd, so the scale is the least common
+    denominator.  Over F_p the scale is 1 and only the cells are sorted.
+    For cells with distinct keys and nonzero entries (residues over F_p),
+    as ``int_items`` gives them."""
+    rows, g = t.rows, t.scale
+    if g != 1:
+        g = gcd(g, *[n for row in rows for cell in row for _, n in cell])
+    if g == 1:
+        return IntTable([[tuple(sorted(cell)) for cell in row] for row in rows], t.scale)
+    return IntTable([[tuple(sorted([(k, n // g) for k, n in cell])) for cell in row] for row in rows], t.scale // g)
 
 
 def int_items(acc: dict, p: int | None) -> list[tuple[int, int]]:

@@ -22,11 +22,14 @@ a solver bug; off those axioms, a failed g*f only means there is no
 inverse.  P-CONV runs the same re-check, ``_verify_endo_inverse``, on
 every beta.
 
-The containers are frozen dataclasses.  Each compiles its tensor once, on
-first use, into a plain-int table (``int_mul``, ``int_comul``, ``int_act``,
-and ``int_legs`` for the iterated coproduct; see ``compiled``) and keeps it
-in its ``_cache``, the one slot that changes after construction, filled by
-``linalg._per_structure``.  The slot is not an ``__init__`` argument, so a
+The containers are frozen dataclasses.  Each holds its tensor compiled
+once into a plain-int table (``int_mul``, ``int_comul``, ``int_act``, and
+``int_legs`` for the iterated coproduct; see ``compiled``) in its
+``_cache``, the one slot that changes after construction, filled by
+``linalg._per_structure``: seeded where the table is made, by
+``structio.parse`` or by a producer that sums it as ints
+(``table_action``, ``table_algebra``, ``column_matrix``), and otherwise
+compiled on first use.  The slot is not an ``__init__`` argument, so a
 copy made by ``dataclasses.replace`` starts with an empty one.  ALG-ASSOC is
 ``module_law`` for the algebra acting on itself by left products, one row
 (i, j) per contract call: m[i][j] and m[i] are read once for every k, both
@@ -98,7 +101,7 @@ from math import lcm
 from .compiled import (
     IntTable, add_bilinear, add_linear, basis, bilinear_table, comul_side, compare, compared, compile_columns,
     compile_comul, compile_legs, compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line,
-    pairs_render, scalar_render, sides, table_vectors, tensor_side, triples_render, vector_render,
+    pairs_render, reduced, scalar_render, sides, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
@@ -279,10 +282,24 @@ def pull_back(act: ActionTensor, cols: IntTable) -> IntTable:
 
 
 def pulled_back(act: ActionTensor, cols: IntTable) -> ActionTensor:
-    """``pull_back`` as an action tensor.  Its own table is compiled on first
-    use, at the least common scale, so equal tensors compile alike."""
-    d, fs = act.target_dim, act.field
-    return ActionTensor(len(cols.rows), d, table_vectors(d, pull_back(act, cols), fs), fs)
+    """``pull_back`` as an action tensor (``table_action``)."""
+    return table_action(act.target_dim, pull_back(act, cols), act.field)
+
+
+def table_action(d: int, table: IntTable, field: FieldSpec) -> ActionTensor:
+    """The action tensor of a compiled table of vectors of d, its own
+    ``int_act`` seeded with the table at the least common scale
+    (``compiled.reduced``), so equal tensors compile alike."""
+    act = ActionTensor(len(table.rows), d, table_vectors(d, table, field), field)
+    return ActionTensor.int_act.seed(act, reduced(table))
+
+
+def table_algebra(labels: list[str], table: IntTable, unit: Vector, field: FieldSpec) -> AlgebraData:
+    """The algebra of a compiled product table, its own ``int_mul`` seeded
+    as in ``table_action``."""
+    d = len(labels)
+    return AlgebraData.int_mul.seed(AlgebraData(d, labels, table_vectors(d, table, field), unit, field),
+                                    reduced(table))
 
 
 def is_cocommutative(c: CoalgebraData) -> bool:
@@ -748,8 +765,11 @@ def convolve(f: IntTable, g: IntTable, coalg: CoalgebraData) -> IntTable:
 
 def column_matrix(dim: int, table: IntTable, field: FieldSpec) -> Matrix:
     """The matrix whose column x is the one column of a compiled table's
-    row x, as ``convolve`` gives it for a one-column g."""
-    return matrix_from_columns([v for v, in table_vectors(dim, table, field)], field)
+    row x, as ``convolve`` gives it for a one-column g, its compiled
+    columns seeded as in ``table_action``."""
+    cols = reduced(table)
+    m = matrix_from_columns([v for v, in table_vectors(dim, table, field)], field)
+    return compile_columns.seed(m, IntTable([col for col, in cols.rows], cols.scale))
 
 
 def convolution(f: Matrix, g: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix:

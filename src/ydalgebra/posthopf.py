@@ -82,7 +82,7 @@ from itertools import product
 from .compiled import (
     IntTable, add_bilinear, add_linear, add_tensors, basis, bilinear_table, bilinear_vectors, comul_side, compare,
     compare_tables, compared, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear,
-    int_vector, line, mapped, pairs_render, render_sides, sides, square, table_vectors, vector_render,
+    int_vector, line, mapped, pairs_render, render_sides, sides, square, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -113,6 +113,7 @@ from .hopf import (
     mp5_law,
     one_column,
     pull_back,
+    table_algebra,
 )
 from .linalg import (
     Matrix, Vector, _cache_slot, _per_structure, identity_matrix, kernel, matrix_from_columns, solve_many,
@@ -180,9 +181,9 @@ def solve_beta(s: YDPostHopf) -> ActionTensor:
 def bullet_algebra(s: YDPostHopf) -> AlgebraData:
     """Subadjacent product x o y = x_1 . (x_2 >- y) as an algebra table:
     L * alpha (``hopf.convolve``), L the left products of the carrier."""
-    alg, d, fs = s.carrier.algebra, s.dim, s.field
+    alg = s.carrier.algebra
     bullet = convolve(alg.int_mul(), s.action.int_act(), s.carrier.coalgebra)
-    return AlgebraData(d, list(alg.basis_labels), table_vectors(d, bullet, fs), alg.unit, fs)
+    return table_algebra(list(alg.basis_labels), bullet, alg.unit, s.field)
 
 
 @_per_structure

@@ -13,14 +13,15 @@ coassociativity its ``coassociative_law`` on the terms of rho, and
 RB-COALG, RBM-F/G and the restriction to group-likes its
 ``coalgebra_map_law``.  RB-1, RB-2 and RB-BIMON's parts 4-8 (the comodule
 laws of the coaction rho) run on compiled int tables (``compiled``),
-built once per operator and kept in its ``_cache``: the columns of R, and
-R(x) >- y, R(R(x) >- y) and S_H R(R(x) >- y) for basis elements x, y of
-K; the columns of rho, keyed p * dim_k + q, H's threefold legs grouped
-with S_H, and the units and counits.  RB-1, RBM-F/G's product rows and
-RBM-ACT each compare two tables built by the calculus
-(``compiled.compare_tables``); the right sides of parts 5, 7 and 8 are
-``compiled.legs_side`` on a left table each law builds once; LRB-ACTION
-calls the derivation and commutator laws of ``posthopf``.  RB-SPACES,
+each built once per operator, when it is first read, and kept in its
+``_cache``: the columns of R, and R(x) >- y, R(R(x) >- y) and
+S_H R(R(x) >- y) for basis elements x, y of K; the columns of rho, keyed
+p * dim_k + q, H's threefold legs grouped with S_H, and the units and
+counits.  RB-1, RBM-F/G's product rows and RBM-ACT each compare two
+tables built by the calculus (``compiled.compare_tables``); the right
+sides of parts 5, 7 and 8 are ``compiled.legs_side`` on a left table each
+law builds once; LRB-ACTION calls the derivation and commutator laws of
+``posthopf``.  RB-SPACES,
 RB-3, the Lie checkers and the restrictions run on compiled tables too.
 The derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H
 R, and the antipode of functor M, R o (alpha * R^{-1} S_H), are
@@ -70,6 +71,8 @@ from .hopf import (
     pull_back,
     pulled_back,
     solve_antipode,
+    table_action,
+    table_algebra,
 )
 from .linalg import Matrix, Vector, _cache_slot, _per_structure, identity_matrix, invert, kernel
 from .posthopf import (
@@ -138,9 +141,12 @@ def effective_coaction(r: RelRB) -> Matrix:
 
 def _r_inverse(r: RelRB) -> Matrix | None:
     """R^{-1}: K <- H, or None when R is not bijective, as an R between
-    spaces of different dimensions never is."""
+    spaces of different dimensions never is.  An identity R, as every
+    ``functor_l`` image has, is its own inverse, with no elimination."""
     if r.dim_k != r.h.dim:
         return None
+    if r.r_map == identity_matrix(r.dim_k, r.field):
+        return r.r_map
     return invert(r.r_map)
 
 
@@ -209,14 +215,10 @@ def check_rel_rb(r: RelRB, mode: str = "pre") -> CheckReport:
     return rep
 
 
-class _RBTables(NamedTuple):
-    """The compiled tables of RB-1 and RB-2: the columns of R, and three
-    tables indexed [x][y] by basis elements x, y of K."""
-
-    r_cols: IntTable    # R(e_x) in H
-    acted: IntTable     # R(x) >- y in K
-    q: IntTable         # R(R(x) >- y) in H
-    sq: IntTable        # S_H R(R(x) >- y) in H
+# The compiled tables of RB-1 and RB-2: the columns of R, and three tables
+# indexed [x][y] by basis elements x, y of K, each summed as ints on the
+# compiled action and columns of R and S_H when it is first read, once per
+# operator.
 
 
 @_per_structure
@@ -226,41 +228,47 @@ def _r_columns(r: RelRB) -> IntTable:
 
 
 @_per_structure
-def _rb_tables(r: RelRB) -> _RBTables:
-    """The tables of ``_RBTables``, summed as ints on the compiled action
-    and the compiled columns of R and S_H, once per operator."""
-    p = r.field.p
-    rc = _r_columns(r)
-    acted = pull_back(r.action, rc)
-    q = mapped(rc, acted, p)
-    return _RBTables(rc, acted, q, mapped(compile_columns(r.h.antipode), q, p))
+def _acted(r: RelRB) -> IntTable:
+    """R(x) >- y in K, the action pulled back along R."""
+    return pull_back(r.action, _r_columns(r))
+
+
+@_per_structure
+def _r_of_acted(r: RelRB) -> IntTable:
+    """R(R(x) >- y) in H."""
+    return mapped(_r_columns(r), _acted(r), r.field.p)
+
+
+@_per_structure
+def _sr_of_acted(r: RelRB) -> IntTable:
+    """S_H R(R(x) >- y) in H."""
+    return mapped(compile_columns(r.h.antipode), _r_of_acted(r), r.field.p)
 
 
 def _rb1(t: Tally, r: RelRB) -> None:
     """RB-1, R(a) . R(b) = R(a_1 . (R(a_2) >- b)) at (a, b): the products of
     the columns of R against R applied to the convolution L_K * (R(-) >- -)
-    (``hopf.convolve``) of K's left products and the table ``acted`` of
-    ``_rb_tables``."""
-    tables, p = _rb_tables(r), r.field.p
-    rc = tables.r_cols
+    (``hopf.convolve``) of K's left products and the table ``_acted``."""
+    rc, p = _r_columns(r), r.field.p
     compare_tables(t, bilinear_table(r.h.algebra.int_mul(), rc, rc, p),
-                   mapped(rc, convolve(r.k_alg.int_mul(), tables.acted, r.k_coalg), p), r.h.dim, r.field)
+                   mapped(rc, convolve(r.k_alg.int_mul(), _acted(r), r.k_coalg), p), r.h.dim, r.field)
 
 
 def _rb2(t: Tally, r: RelRB) -> None:
     """RB-2, the symmetry of S_H R(R(a_1) >- b_1) . R(a_2) . R(b_2) (x)
     R(R(a_3) >- b_3) under moving the legs (1, 2, 3) to (2, 3, 1), at
-    (a, b), on the tables of ``_rb_tables``.  The threefold legs expand the
-    first leg of Delta, so each side is a sum over Delta(a), Delta(b) of a
-    table at (a_1, b_1), whether or not K is coassociative.  The left side
-    is ``compiled.legs_side`` on q and P[x][y] = S_H R(R(x_1) >- y_1) .
+    (a, b), on the columns of R and the tables q = ``_r_of_acted`` and
+    ``_sr_of_acted``.  The threefold legs expand the first leg of Delta, so
+    each side is a sum over Delta(a), Delta(b) of a table at (a_1, b_1),
+    whether or not K is coassociative.  The left side is
+    ``compiled.legs_side`` on q and P[x][y] = S_H R(R(x_1) >- y_1) .
     R(x_2) . R(y_2).  The right side multiplies the second factor of
     Q[x][y] = q[x_1][y_1] (x) S_H R(R(x_2) >- y_2) by R(a_2), then by
     R(b_2).  The products are taken from the left, as H's product need not
     be associative in a failing operator."""
-    tables = _rb_tables(r)
+    rtab, qtab, sqtab = _r_columns(r), _r_of_acted(r), _sr_of_acted(r)
     hmul, kc = r.h.algebra.int_mul(), r.k_coalg.int_comul()
-    hm, comul, rc, q, sq = hmul.rows, kc.rows, tables.r_cols.rows, tables.q.rows, tables.sq.rows
+    hm, comul, rc, q, sq = hmul.rows, kc.rows, rtab.rows, qtab.rows, sqtab.rows
     dk, dh, p = r.dim_k, r.h.dim, r.field.p
     d2 = dh * dh
 
@@ -312,7 +320,7 @@ def _rb2(t: Tally, r: RelRB) -> None:
                             key = i + k * dh
                             acc[key] = get(key, 0) + n * e
 
-    scale = kc.scale ** 4 * tables.sq.scale * tables.r_cols.scale ** 2 * hmul.scale ** 2 * tables.q.scale
+    scale = kc.scale ** 4 * sqtab.scale * rtab.scale ** 2 * hmul.scale ** 2 * qtab.scale
     compare(t, line(dk), dk, d2, sides(legs_side(pt, q, comul, comul, dh), right), scale, scale, r.field,
             pairs_render(dh))
 
@@ -549,7 +557,7 @@ def antipode_sk(r: RelRB) -> Matrix:
     if rinv is None:
         raise StructureError("R is not bijective; S_K needs the full notion")
     rsr = compile_columns(rinv.compose(r.h.antipode).compose(r.r_map))
-    sk = column_matrix(r.dim_k, convolve(_rb_tables(r).acted, one_column(rsr), r.k_coalg), r.field)
+    sk = column_matrix(r.dim_k, convolve(_acted(r), one_column(rsr), r.k_coalg), r.field)
     if antipode_law(r.k_alg, r.k_coalg, sk).failures:
         raise StructureError("derived S_K fails the antipode identities")
     return sk
@@ -583,11 +591,11 @@ def functor_m(r: RelRB) -> YDPostHopf:
     rc, ri = _r_columns(r), compile_columns(rinv)
     mul = mapped(rc, bilinear_table(r.k_alg.int_mul(), ri, ri, p), p)
     act = mapped(rc, bilinear_table(r.action.int_act(), basis(dh), ri, p), p)
-    alg = AlgebraData(dh, list(halg.basis_labels), table_vectors(dh, mul, fs), halg.unit, fs)
+    alg = table_algebra(list(halg.basis_labels), mul, halg.unit, fs)
     # S_r = R o (alpha * R^{-1} S_H), for the one column R^{-1} S_H
     cols = convolve(r.action.int_act(), one_column(compile_columns(rinv.compose(smap))), hco)
     s_r = IntTable([[int_linear(rc.rows, col, p)] for col, in cols.rows], cols.scale * rc.scale)
-    act_r = ActionTensor(dh, dh, table_vectors(dh, act, fs), fs)
+    act_r = table_action(dh, act, fs)
     carrier = BraidedPair(alg, hco, column_matrix(dh, s_r, fs))
     return YDPostHopf(carrier, act_r, pulled_back(act_r, compile_columns(smap)), params=dict(r.params))
 
@@ -609,7 +617,7 @@ def functor_r(r: RelRB, mode: str = "D") -> YDPostHopf:
             s_k = solve_antipode(r.k_alg, r.k_coalg)
             if s_k is None:
                 raise StructureError("carrier has no braided antipode")
-    act_r = ActionTensor(dk, dk, table_vectors(dk, _rb_tables(r).acted, r.field), r.field)
+    act_r = table_action(dk, _acted(r), r.field)
     beta = pulled_back(r.action, compile_columns(r.h.antipode.compose(r.r_map)))
     return YDPostHopf(BraidedPair(r.k_alg, r.k_coalg, s_k), act_r, beta, params=dict(r.params))
 

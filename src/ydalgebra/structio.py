@@ -13,6 +13,12 @@ before is held to the bound of each position it stands at again, and a
 token that fails is never kept, so each diagnostic names the line and the
 fault it named when every token was read where it stood.
 
+Each product, coproduct and action read is compiled here too, from the
+distinct coefficient tokens of its table, into what
+``compiled.compile_tensor`` would make of its Vectors, and seeded into its
+container's cache (``_compiled``).  That happens once the whole file has
+parsed (``_Lines.defer``), so a file that fails compiles nothing.
+
 Every kind but the group, Lie and post-Lie ones carries a Hopf block (unit,
 counit, mul, comul, antipode), and a relrb file carries two, under the
 prefixes ``k.`` and ``h.``: ``_emit_hopf`` writes a block and
@@ -21,6 +27,7 @@ prefixes ``k.`` and ``h.``: ``_emit_hopf`` writes a block and
 
 from __future__ import annotations
 
+from .compiled import IntTable, _scale
 from .field import FieldSpec, RATIONALS, Scalar, format_scalar, parse_int, parse_scalar, FieldError
 from .hopf import (
     ActionTensor,
@@ -183,15 +190,17 @@ def emit(obj) -> str:
 
 
 class _Lines:
-    """Grouped directive lines with line numbers for diagnostics, and the
-    token memos of one parse: index token -> int, coefficient token -> its
-    nonzero scalar.  They live as long as the parse, so a scalar of one
-    file's field never reaches another file."""
+    """Grouped directive lines with line numbers for diagnostics, the
+    token memos of one parse (index token -> int, coefficient token -> its
+    nonzero scalar) and the tables to compile when it ends.  They live as
+    long as the parse, so a scalar of one file's field never reaches
+    another file."""
 
     def __init__(self, text: str):
         self.groups: dict[str, list[tuple[int, list[str]]]] = {}
         self.ints: dict[str, int] = {}
         self.scalars: dict[str, Scalar] = {}
+        self.pending: list = []
         for ln, line in enumerate(text.splitlines(), start=1):
             if "#" in line:
                 line = line.split("#", 1)[0]
@@ -216,6 +225,19 @@ class _Lines:
         if c is None:
             c = self.scalars[tok] = _parse_scalar_tok(tok, field, ln)
         return c
+
+    def defer(self, seed, obj, rows: list, coeffs: dict):
+        """obj, which seed(obj, table) is to hand the table ``_compiled``
+        makes of the cells rows and their coefficients coeffs
+        (``_parse_cells``) once the whole file has parsed
+        (``compile``): a file that fails to parse compiles nothing."""
+        self.pending.append((seed, obj, rows, coeffs))
+        return obj
+
+    def compile(self) -> None:
+        """Compile and hand over every table of ``defer``."""
+        for seed, obj, rows, coeffs in self.pending:
+            seed(obj, _compiled(rows, coeffs.values(), obj.field.p))
 
     def single(self, key: str, required: bool = True):
         rows = self.groups.get(key, [])
@@ -317,27 +339,83 @@ def _parse_matrix(lines: _Lines, key: str, rows: int, cols: int,
     return Matrix(rows, cols, entries, field)
 
 
-def _parse_trilinear(lines: _Lines, key: str, d1: int, d2: int, d3: int,
-                     field: FieldSpec, required: bool = True) -> list[list[Vector]]:
-    """rows[i][j] = sum of c e_k over the ``key i j k c`` lines; the zero
-    table when there are none and the entries are not required."""
+def _parse_cells(lines: _Lines, key: str, d1: int, d2: int, d3: int,
+                 field: FieldSpec, required: bool) -> tuple[list[list[dict[int, Scalar]]], dict[str, Scalar]]:
+    """cells[i][j] = {k: c} over the ``key i j k c`` lines, each filled in
+    ascending k, all empty when there are none and the entries are not
+    required; and the table's distinct coefficient tokens with their
+    scalars."""
     got = lines.rows(key)
     if required and not got:
         raise ParseError(f"missing {key} entries")
     rows: list[list[dict[int, Scalar]]] = [[{} for _ in range(d2)] for _ in range(d1)]
-    index, scalar = lines.index, lines.scalar
+    index, scalar, memo = lines.index, lines.scalar, lines.ints.get
+    coeffs: dict[str, Scalar] = {}  # the distinct coefficient tokens of this table
     last = (-1, -1, -1)
     for ln, args in got:
         if len(args) != 4:
             raise ParseError(f"{key} takes three indices and a coefficient", ln)
-        i = index(args[0], ln, d1)
-        j = index(args[1], ln, d2)
-        k = index(args[2], ln, d3)
+        ti, tj, tk, tok = args
+        # each index as lines.index gives it, its memo read here first
+        if (i := memo(ti, d1)) >= d1:
+            i = index(ti, ln, d1)
+        if (j := memo(tj, d2)) >= d2:
+            j = index(tj, ln, d2)
+        if (k := memo(tk, d3)) >= d3:
+            k = index(tk, ln, d3)
         if (i, j, k) <= last:
             raise ParseError(f"{key} triples must be strictly sorted", ln)
         last = (i, j, k)
-        rows[i][j][k] = scalar(args[3], field, ln)
-    return [[_vector(d3, cell, field) for cell in row] for row in rows]
+        c = coeffs.get(tok)
+        if c is None:
+            c = coeffs[tok] = scalar(tok, field, ln)
+        rows[i][j][k] = c
+    return rows, coeffs
+
+
+def _vectors(rows: list, dim: int, field: FieldSpec) -> list[list[Vector]]:
+    """The Vectors of dim over the cells of ``_parse_cells``; each takes
+    its cell over."""
+    return [[_vector(dim, cell, field) for cell in row] for row in rows]
+
+
+def _parse_trilinear(lines: _Lines, key: str, d1: int, d2: int, d3: int,
+                     field: FieldSpec, required: bool = True) -> list[list[Vector]]:
+    """rows[i][j] = sum of c e_k over the ``key i j k c`` lines; the zero
+    table when there are none and the entries are not required."""
+    rows, _ = _parse_cells(lines, key, d1, d2, d3, field, required)
+    return _vectors(rows, d3, field)
+
+
+def _compiled(rows: list, coeffs, p: int | None) -> IntTable:
+    """The table ``compiled.compile_tensor`` makes of the Vectors over the
+    cells rows[i][j] = {k: c}, each filled in ascending k, whose distinct
+    coefficients are coeffs: over Q the scale is their least common
+    denominator, read from coeffs alone, and over F_p it is 1 with each
+    entry its residue."""
+    if p is not None:
+        return IntTable([[tuple([(k, c.value) for k, c in cell.items()]) if cell else () for cell in row]
+                         for row in rows], 1)
+    d = _scale(coeffs, None)
+    if d == 1:
+        return IntTable([[tuple(cell.items()) for cell in row] for row in rows], 1)
+    return IntTable([[tuple([(k, c * d if c.__class__ is int else c._numerator * (d // c._denominator))
+                             for k, c in cell.items()]) if cell else () for cell in row] for row in rows], d)
+
+
+def _algebra(lines: _Lines, key: str, dim: int, labels: list[str], unit_key: str, field: FieldSpec) -> AlgebraData:
+    """The algebra of the ``key`` lines and the ``unit_key`` vector, to be
+    seeded with its compiled product (``_Lines.defer``)."""
+    rows, coeffs = _parse_cells(lines, key, dim, dim, dim, field, True)
+    alg = AlgebraData(dim, labels, _vectors(rows, dim, field), _parse_vector(lines, unit_key, dim, field), field)
+    return lines.defer(AlgebraData.int_mul.seed, alg, rows, coeffs)
+
+
+def _action(lines: _Lines, key: str, d1: int, d2: int, field: FieldSpec, required: bool = True) -> ActionTensor:
+    """The action e_i >- f_j (i < d1, j < d2) of the ``key`` lines, to be
+    seeded with its compiled table (``_Lines.defer``)."""
+    rows, coeffs = _parse_cells(lines, key, d1, d2, d2, field, required)
+    return lines.defer(ActionTensor.int_act.seed, ActionTensor(d1, d2, _vectors(rows, d2, field), field), rows, coeffs)
 
 
 def _parse_params(lines: _Lines, field: FieldSpec) -> dict[str, Scalar]:
@@ -359,12 +437,19 @@ def _parse_hopf(lines: _Lines, prefix: str, dim: int, labels: list[str],
     """The Hopf block under ``prefix``, read as mul, unit, comul, counit,
     antipode: its algebra, its coalgebra, and its antipode, None when the
     file has no antipode lines."""
-    mul = _parse_trilinear(lines, prefix + "mul", dim, dim, dim, field)
-    alg = AlgebraData(dim, labels, mul, _parse_vector(lines, prefix + "unit", dim, field), field)
-    comul = [[(j, k, c) for j, v in enumerate(row) for k, c in v.items_sorted()]
-             for row in _parse_trilinear(lines, prefix + "comul", dim, dim, dim, field)]
+    alg = _algebra(lines, prefix + "mul", dim, labels, prefix + "unit", field)
+    rows, coeffs = _parse_cells(lines, prefix + "comul", dim, dim, dim, field, True)
+    comul = [[(j, k, c) for j, cell in enumerate(row) for k, c in cell.items()] for row in rows]
     coalg = CoalgebraData(dim, comul, _parse_vector(lines, prefix + "counit", dim, field), field)
+    lines.defer(_seed_comul, coalg, rows, coeffs)
     return alg, coalg, _parse_matrix(lines, prefix + "antipode", dim, dim, field)
+
+
+def _seed_comul(coalg: CoalgebraData, table: IntTable) -> None:
+    """Seed coalg's ``int_comul`` with the compiled table rows[i][j] = the
+    (k, n) of Delta(e_i) at e_j (x) e_k, as its (j, k, n) terms."""
+    CoalgebraData.int_comul.seed(coalg, IntTable([tuple([(j, k, n) for j, cell in enumerate(row) for k, n in cell])
+                                                  for row in table.rows], table.scale))
 
 
 _HOPF_KEYS = ("dim", "basis", "unit", "counit", "mul", "comul", "antipode")
@@ -379,8 +464,17 @@ _NO_ANTIPODE = {"hopf": "hopf structures need antipode entries",
 
 
 def parse(text: str):
-    """Parse a structure file; returns the typed structure object."""
+    """Parse a structure file; returns the typed structure object, with the
+    tables read from the file compiled into their containers' caches
+    (``_Lines.defer``)."""
     lines = _Lines(text)
+    out = _parse(lines)
+    lines.compile()
+    return out
+
+
+def _parse(lines: _Lines):
+    """The structure of a file's lines, its tables not yet compiled."""
     ln, args = lines.single("kind")
     if len(args) != 1 or args[0] not in KINDS:
         raise ParseError(f"kind must be one of {', '.join(KINDS)}", ln)
@@ -391,8 +485,7 @@ def parse(text: str):
     if kind == "algebra":
         lines.known({"kind", "field", "dim", "basis", "param", "unit", "mul"})
         dim, labels = _parse_dim_basis(lines)
-        mul = _parse_trilinear(lines, "mul", dim, dim, dim, field)
-        return AlgebraData(dim, labels, mul, _parse_vector(lines, "unit", dim, field), field)
+        return _algebra(lines, "mul", dim, labels, "unit", field)
     if kind in _EXTRA:
         lines.known(_COMMON | set(_EXTRA[kind]))
         dim, labels = _parse_dim_basis(lines)
@@ -400,27 +493,26 @@ def parse(text: str):
         if anti is None and kind in _NO_ANTIPODE:
             raise ParseError(_NO_ANTIPODE[kind])
 
-        def tensor(key: str) -> ActionTensor:
-            return ActionTensor(dim, dim, _parse_trilinear(lines, key, dim, dim, dim, field), field)
-
         if kind == "hopf":
             return HopfData(alg, coalg, anti)
         if kind == "ydpost":
-            action = tensor("action")
-            beta = tensor("beta") if lines.rows("beta") else None
+            action = _action(lines, "action", dim, dim, field)
+            beta = _action(lines, "beta", dim, dim, field) if lines.rows("beta") else None
             return YDPostHopf(BraidedPair(alg, coalg, anti), action, beta,
                               params=_parse_params(lines, field))
         if kind == "ydbrace":
-            bullet = _parse_trilinear(lines, "bullet", dim, dim, dim, field)
+            rows, coeffs = _parse_cells(lines, "bullet", dim, dim, dim, field, True)
             t_map = _parse_matrix(lines, "antipode2", dim, dim, field)
             if anti is None or t_map is None:
                 raise ParseError("ydbrace structures need both antipodes")
+            bullet = lines.defer(AlgebraData.int_mul.seed,
+                                AlgebraData(dim, labels, _vectors(rows, dim, field), alg.unit, field), rows, coeffs)
             return YDBrace(
                 BraidedPair(alg, coalg, anti),
-                HopfData(AlgebraData(dim, labels, bullet, alg.unit, field), coalg, t_map),
+                HopfData(bullet, coalg, t_map),
                 params=_parse_params(lines, field),
             )
-        left, right = tensor("action"), tensor("raction")
+        left, right = _action(lines, "action", dim, dim, field), _action(lines, "raction", dim, dim, field)
         return MatchedPair(HopfData(alg, coalg, anti), left, right, params=_parse_params(lines, field))
     if kind == "relrb":
         lines.known({"kind", "field", "param", "action", "coaction", "rmap",
@@ -431,7 +523,7 @@ def parse(text: str):
         halg, hco, hanti = _parse_hopf(lines, "h.", dh, hlabels, field)
         if hanti is None:
             raise ParseError("relrb needs h.antipode entries")
-        act = _parse_trilinear(lines, "action", dh, dk, dk, field)
+        act = _action(lines, "action", dh, dk, field)
         rmap = _parse_matrix(lines, "rmap", dh, dk, field)
         if rmap is None:
             raise ParseError("relrb needs rmap entries")
@@ -441,7 +533,7 @@ def parse(text: str):
             coaction = Matrix(dh * dk, dk, {(p * dk + q, a): c for a, row in enumerate(rows)
                                             for p, v in enumerate(row) for q, c in v.items_sorted()}, field)
         return RelRB(HopfData(halg, hco, hanti), kalg, kco, kanti,
-                     ActionTensor(dh, dk, act, field), coaction, rmap,
+                     act, coaction, rmap,
                      params=_parse_params(lines, field))
     if kind == "lierb":
         lines.known({"kind", "field", "g.dim", "g.basis", "g.bracket",
@@ -450,10 +542,9 @@ def parse(text: str):
         dh, _ = _parse_dim_basis(lines)
         g_br = _parse_trilinear(lines, "g.bracket", dg, dg, dg, field, required=False)
         h_br = _parse_trilinear(lines, "bracket", dh, dh, dh, field, required=False)
-        phi = _parse_trilinear(lines, "phi", dg, dh, dh, field, required=False)
+        phi = _action(lines, "phi", dg, dh, field, required=False)
         rmap = _parse_matrix(lines, "rmap", dg, dh, field) or Matrix(dg, dh, {}, field)
-        return LieRB(LieData(dg, g_br, field), LieData(dh, h_br, field),
-                     ActionTensor(dg, dh, phi, field), rmap)
+        return LieRB(LieData(dg, g_br, field), LieData(dh, h_br, field), phi, rmap)
     lines.known({"kind", "field", "dim", "basis", "bracket", "action"})
     dim, _ = _parse_dim_basis(lines)
     return PostLieData(dim, _parse_trilinear(lines, "bracket", dim, dim, dim, field, required=False),

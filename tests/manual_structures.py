@@ -11,6 +11,7 @@ from ydalgebra.field import RATIONALS, FieldSpec
 from ydalgebra.hopf import ActionTensor, AlgebraData, BraidedPair, CoalgebraData
 from ydalgebra.linalg import Matrix, Vector
 from ydalgebra.posthopf import YDPostHopf
+from ydalgebra.rota import RelRB
 
 F = Fraction
 ONE, G, X, XG = range(4)
@@ -98,3 +99,33 @@ def trivial_structure(field: FieldSpec = RATIONALS) -> YDPostHopf:
     carrier = BraidedPair(alg, coalg, Matrix(1, 1, {(0, 0): one}, field))
     act = ActionTensor(1, 1, [[unit]], field)
     return YDPostHopf(carrier, act, ActionTensor(1, 1, [[unit]], field))
+
+
+def sub_operator(r: RelRB, support: list[int]) -> RelRB:
+    """R restricted to K' = the span of the basis elements of K in support,
+    which must be closed under K's product, coproduct and antipode and
+    under the action of H: the inclusion K' -> K followed by R, with no
+    stored coaction.  ``ValueError`` names what leaves the span."""
+    pos = {a: n for n, a in enumerate(support)}
+    dk, fs = len(support), r.field
+
+    def inside(v: Vector, what: str) -> Vector:
+        if any(k not in pos for k in v.entries):
+            raise ValueError(f"{what} leaves the span of {support}")
+        return Vector(dk, {pos[k]: c for k, c in v.entries.items()}, fs)
+
+    mul = [[inside(r.k_alg.mul[a][b], "the product") for b in support] for a in support]
+    alg = AlgebraData(dk, [r.k_alg.basis_labels[a] for a in support], mul, inside(r.k_alg.unit, "the unit"), fs)
+    comul = []
+    for a in support:
+        if any(j not in pos or k not in pos for j, k, _ in r.k_coalg.comul[a]):
+            raise ValueError(f"the coproduct leaves the span of {support}")
+        comul.append([(pos[j], pos[k], c) for j, k, c in r.k_coalg.comul[a]])
+    counit = Vector(dk, {n: r.k_coalg.eps(a) for n, a in enumerate(support)}, fs)
+    anti = Matrix(dk, dk, {(i, n): c for n, a in enumerate(support)
+                           for i, c in inside(r.k_antipode.column(a), "the antipode").entries.items()}, fs)
+    act = ActionTensor(r.h.dim, dk, [[inside(r.action.act[h][a], "the action") for a in support]
+                                     for h in range(r.h.dim)], fs)
+    rmap = {(i, n): c for n, a in enumerate(support) for i, c in r.r_map.column(a).entries.items()}
+    return RelRB(r.h, alg, CoalgebraData(dk, comul, counit, fs), anti, act, None, Matrix(r.h.dim, dk, rmap, fs),
+                 params=dict(r.params))

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from manual_structures import sub_operator
 from test_cli import _lie_examples, run_cli
 from ydalgebra.builders import group_rb_inversion, symmetric_group_3
 from ydalgebra.cli import run_suite
@@ -57,6 +58,15 @@ ALGEBRA_DIRECTIVES = ("field", "dim", "basis", "unit", "mul")
 # action: a lierb with a nonzero bracket, which no example verb makes, so
 # emitted from the library
 LIERB_FIELDS = {"lierb-q": RATIONALS, "lierb-f7": FieldSpec(7)}
+
+# Sweedler's operator functor_l(sweedler) restricted to K' = span{1, g}: a
+# relrb with dim K < dim H, made from the rb_l golden by
+# ``manual_structures.sub_operator`` (no verb makes one).  R is the
+# inclusion, so its report is the pre-Rota-Baxter suite's, and the full
+# suite fails RB-3 ("-full"); functor R in mode C' (``derive --target
+# post_r --mode pre``) takes it to a post-Hopf structure on K'.
+SUB_OPERATORS = {f"sweedler-{field}-rb_l-sub": (f"sweedler-{field}-rb_l", [0, 1]) for field in FIELDS}
+
 
 # failing mutant per kind: (base golden file, directive whose last line changes)
 MUTANTS = {
@@ -127,8 +137,8 @@ def _example(name: str, field: str, out: Path) -> None:
     assert code == 0
 
 
-def _check(path: Path) -> tuple[int, str]:
-    code, out, _ = run_cli(["check", str(path), "--report", "machine"])
+def _check(path: Path, mode: str = "full") -> tuple[int, str]:
+    code, out, _ = run_cli(["check", str(path), "--report", "machine", "--mode", mode])
     return code, out
 
 
@@ -183,9 +193,9 @@ def test_example_emit_and_report_bytes(tmp_path, name, field):
     assert report.encode() == (GOLDEN / f"{stem}.report").read_bytes()
 
 
-def _derive(source: str, target: str, out: Path) -> None:
+def _derive(source: str, target: str, out: Path, mode: str = "full") -> None:
     code, _, _ = run_cli(["derive", str(GOLDEN / f"{source}.struct"),
-                          "--target", target, "--out", str(out)])
+                          "--target", target, "--out", str(out), "--mode", mode])
     assert code == 0
 
 
@@ -236,6 +246,29 @@ def test_lierb_emit_and_report_bytes(name):
     code, report = _check(path)
     assert code == 0
     assert report.encode() == path.with_suffix(".report").read_bytes()
+
+
+def _sub_operator_text(name: str) -> str:
+    base, support = SUB_OPERATORS[name]
+    return emit(sub_operator(parse(golden_text(base)), support))
+
+
+@pytest.mark.parametrize("name", sorted(SUB_OPERATORS))
+def test_sub_operator_emit_report_and_derive_bytes(tmp_path, name):
+    path = GOLDEN / f"{name}.struct"
+    assert _sub_operator_text(name).encode() == path.read_bytes()
+    code, report = _check(path, "pre")
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{name}.report").read_bytes()
+    code, report = _check(path)
+    assert code == 1
+    assert report.encode() == (GOLDEN / f"{name}-full.report").read_bytes()
+    out = tmp_path / f"{name}-post_r.struct"
+    _derive(name, "post_r", out, "pre")
+    assert out.read_bytes() == (GOLDEN / f"{name}-post_r.struct").read_bytes()
+    code, report = _check(out)
+    assert code == 0
+    assert report.encode() == (GOLDEN / f"{name}-post_r.report").read_bytes()
 
 
 def test_grouprb_emit_bytes():
@@ -498,6 +531,14 @@ def write_golden() -> None:
         path = GOLDEN / f"{name}.struct"
         path.write_text(emit(_lie_examples(fs)[0]))
         path.with_suffix(".report").write_text(_check(path)[1])
+    for name in SUB_OPERATORS:
+        path = GOLDEN / f"{name}.struct"
+        path.write_text(_sub_operator_text(name))
+        path.with_suffix(".report").write_text(_check(path, "pre")[1])
+        (GOLDEN / f"{name}-full.report").write_text(_check(path)[1])
+        derived = GOLDEN / f"{name}-post_r.struct"
+        _derive(name, "post_r", derived, "pre")
+        derived.with_suffix(".report").write_text(_check(derived)[1])
     for name in MUTANTS:
         path = GOLDEN / "mutant.tmp"
         path.write_text(_mutant_text(name))

@@ -19,7 +19,7 @@ from test_compiled import tens2_add_scaled
 from test_golden import GOLDEN
 from test_hopf import h4_algebra, h4_coalgebra
 import ydalgebra
-from ydalgebra import compiled, linalg, posthopf, rota
+from ydalgebra import compiled, hopf, linalg, posthopf, rota
 from ydalgebra.braces import MatchedPair, YDBrace, functor_f, to_matched_pair
 from ydalgebra.builders import (
     build_en,
@@ -325,9 +325,11 @@ def test_shared_column_vectors_are_never_mutated(field, monkeypatch):
     On the way, every vector built without the checking constructor holds
     what that constructor would store: the column index and the solver's
     results in linalg, and the int sums that ``compiled.int_vector`` turns
-    into vectors for posthopf, rota and the rest of the package."""
+    into vectors for posthopf, rota and the rest of the package, directly
+    or through the hopf helpers that make a container of a compiled table."""
     built: dict[tuple[str, str], int] = {}  # (the module calling _vector, the module it builds for)
     unchecked = linalg._vector
+    helpers = {f.__code__ for f in (hopf.table_action, hopf.table_algebra, hopf.column_matrix, hopf.pulled_back)}
 
     def checked(dim, entries, fs):
         stored = Vector(dim, dict(entries), fs)  # raises on an index out of range
@@ -335,7 +337,7 @@ def test_shared_column_vectors_are_never_mutated(field, monkeypatch):
             [(k, type(c), c) for k, c in stored.entries.items()]
         frame = sys._getframe(1)
         via = frame.f_globals["__name__"]
-        while frame.f_globals["__name__"] == compiled.__name__:
+        while frame.f_globals["__name__"] == compiled.__name__ or frame.f_code in helpers:
             frame = frame.f_back
         key = (via.rsplit(".", 1)[1], frame.f_globals["__name__"].rsplit(".", 1)[1])
         built[key] = built.get(key, 0) + 1

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from manual_structures import sweedler_transmutation_manual
+from manual_structures import sub_operator, sweedler_transmutation_manual
+from ydalgebra import rota
 from ydalgebra.braces import posthopf_equal
 from ydalgebra.builders import (
     build_en,
@@ -39,6 +40,7 @@ from ydalgebra.rota import (
     restrict_to_primitives,
 )
 from ydalgebra.hopf import ActionTensor
+from ydalgebra.structio import emit
 
 F = Fraction
 
@@ -265,6 +267,46 @@ def test_full_mode_rejects_singular_r():
     entry = rep.entry("RB-3")
     assert entry.status == "fail"
     assert "not bijective" in entry.witness.lhs
+
+
+def _outcomes(r) -> list:
+    """What S_K, functor M, functor R in mode D and the full suite give on
+    r: an emitted text or a matrix's entries, or the error raised."""
+    out = []
+    for make in (lambda: antipode_sk(r).entries, lambda: emit(functor_m(r)), lambda: emit(functor_r(r, "D")),
+                 lambda: check_rel_rb(r, mode="full").machine_text()):
+        try:
+            out.append(make())
+        except StructureError as e:
+            out.append(f"StructureError: {e}")
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
+def test_r_inverse_skips_the_elimination_only_for_an_identity_r(monkeypatch, p):
+    # an identity R is its own inverse; a bijective R that is not the
+    # identity, a singular one and one into a larger H give what inverting
+    # R by elimination gave
+    fs = RATIONALS if p is None else FieldSpec(p)
+    one, minus = fs.scalar(1), fs.scalar(-1)
+    rb = functor_l(build_sweedler(1, fs))
+    sign = Matrix(4, 4, {(0, 0): one, (1, 1): one, (2, 2): minus, (3, 3): minus}, fs)
+    shear = Matrix(4, 4, {(0, 0): one, (1, 1): one, (2, 2): one, (3, 3): one, (0, 2): one}, fs)
+    singular = Matrix(4, 4, {(0, 0): one}, fs)
+    sub = sub_operator(rb, [0, 1])
+    cases = [rb, *(dataclasses.replace(rb, r_map=m) for m in (sign, shear, singular)), sub]
+
+    def by_elimination(r):
+        return None if r.dim_k != r.h.dim else invert(r.r_map)
+
+    assert rota._r_inverse(rb) is rb.r_map
+    got = [(rota._r_inverse(r), _outcomes(dataclasses.replace(r))) for r in cases]
+    monkeypatch.setattr(rota, "_r_inverse", by_elimination)
+    want = [(by_elimination(r), _outcomes(dataclasses.replace(r))) for r in cases]
+    assert got == want
+    inverses = [inv for inv, _ in got]
+    assert inverses[0] == identity_matrix(4, fs) and inverses[3] is None and inverses[4] is None
+    assert inverses[1] == sign and inverses[2] != shear
 
 
 def test_restrict_to_grouplikes_trivial_singleton():
