@@ -10,10 +10,12 @@ systems as plain-int rows on the compiled tables and hand them to
 ``linalg.solve_rows`` level by level along the coproduct
 (``_solve_convolution``): the unknowns g(e_x) of a block x are solved
 after the blocks that are second legs of Delta(x), which on a pointed
-Hopf algebra such as E(n) sit lower in the coradical filtration; a
-``Matrix`` or ``Vector`` is built only for the result.  The system holds
-one side of the identity, f*g = eps 1 (for beta, alpha*beta = eps Id), one
-row per coefficient; both sides are then re-verified by
+Hopf algebra such as E(n) sit lower in the coradical filtration.  The
+whole system is the one-level case, every block in basis order in one
+``solve_rows`` call, taken for a small or dense system and when a level
+fails; a ``Matrix`` or ``Vector`` is built only for the result.  The
+system holds one side of the identity, f*g = eps 1 (for beta, alpha*beta =
+eps Id), one row per coefficient; both sides are then re-verified by
 ``convolution_unit_law``, which counts failures there without rendering a
 witness, as do the coalgebra and algebra checks behind it.  Over a coalgebra
 C (and, for an antipode, an algebra A), Hom(C, A) is a finite-dimensional
@@ -827,48 +829,6 @@ def unit_counit_map(c: CoalgebraData, a: AlgebraData) -> Matrix:
     return matrix_from_columns(cols, a.field)
 
 
-def _convolution_rows(left: IntTable, comul: IntTable, n: int, rhs: dict, fs: FieldSpec) -> list[dict[int, int]]:
-    """The int rows of (f*g)(x) = sum over Delta(x) of c f_{x_1} g(x_2), one
-    row (x, t) per coefficient t of the value, for the unknown g: unknown
-    k * n + r is the e_r coefficient of g(e_k), and left[j][r] holds the
-    (t, v) of f_j applied to e_r (f(e_j) . e_r for a map into an algebra,
-    alpha_{e_j}(e_r) for one into End(H)), at the scale of its table.  rhs
-    maps a row (x, t) to (k, e): the field scalar e, the row's right-hand
-    side, carried in column ncols + k; a row it does not name is
-    homogeneous.  Over Q the row's int sums carry left's scale times the
-    coproduct's, so the right-hand side is e times that scale, and the row
-    is multiplied by e's denominator; over F_p the rows are the residues in
-    [1, p)."""
-    p = fs.p
-    ncols = len(comul.rows) * n
-    scale = left.scale * comul.scale
-    left = left.rows
-    out = []
-    for x, legs in enumerate(comul.rows):
-        per_t: list[dict[int, int]] = [{} for _ in range(n)]
-        for j, k, c in legs:
-            base = k * n
-            for r, col in enumerate(left[j]):
-                key = base + r
-                for t, v in col:
-                    row = per_t[t]
-                    row[key] = row.get(key, 0) + c * v
-        for t, row in enumerate(per_t):
-            row = dict(int_items(row, p))
-            target = rhs.get((x, t))
-            if target is not None:
-                k, e = target
-                if p is None:
-                    en, q = e.numerator, e.denominator
-                    if q != 1:
-                        row = {key: v * q for key, v in row.items()}
-                    row[ncols + k] = en * scale
-                elif e.value * scale % p:
-                    row[ncols + k] = e.value * scale % p
-            out.append(row)
-    return out
-
-
 # The level order of ``_solve_convolution`` pays from this many blocks on:
 # with 8 (E(2)) its per-level solves cost about what they save, with 4
 # (Sweedler) 10-20% more than one elimination of the whole system.
@@ -897,34 +857,59 @@ def _convolution_levels(c: CoalgebraData) -> list[list[int]]:
 
 def _solve_convolution(left: IntTable, c: CoalgebraData, n: int, rhs: dict, nrhs: int,
                        fs: FieldSpec) -> tuple[list[Vector | None], list[Vector]]:
-    """What ``solve_rows`` gives on the whole system of
-    ``_convolution_rows`` over c's coproduct, solved level by level along it
-    (``_convolution_levels``): one ``solve_rows`` call per level, on the
-    level's own rows (x, t) and unknowns (x, r), local unknown i * n + r for
-    the i-th block of the level.  The values of the blocks already solved
-    move into the carried right-hand-side columns as plain ints: over Q each
-    solved level keeps its values over one common denominator, and a row is
-    multiplied by the lcm of the denominators it reads; over F_p they are
-    residues.  With every level nonsingular the permuted system is block
-    triangular with nonsingular diagonal blocks, so its one solution is the
-    whole system's, and the kernel is empty.
+    """The solutions and kernel of the int rows of (f*g)(x) = sum over
+    Delta(x) of c f_{x_1} g(x_2), one row (x, t) per coefficient t of the
+    value, for the unknown g: unknown k * n + r is the e_r coefficient of
+    g(e_k), and left[j][r] holds the (t, v) of f_j applied to e_r
+    (f(e_j) . e_r for a map into an algebra, alpha_{e_j}(e_r) for one into
+    End(H)), at the scale of its table.  rhs maps a row (x, t) to (k, e): the
+    field scalar e, the row's right-hand side k, carried in the column k
+    after the unknowns; a row it does not name is homogeneous.
 
-    The whole system is solved at once instead when a level is
-    inconsistent or has a kernel, so a failure reads exactly as it did;
-    when there are fewer than ``_LEVEL_MIN_BLOCKS`` blocks; and when one
-    level holds more than half the blocks (a group algebra or a dense basis
-    is one level, Suzuki's is 14 of 16 blocks), as solving such a level
-    apart saves little elimination and costs the substitution."""
-    p, d = fs.p, c.dim
+    The system is solved level by level along c's coproduct
+    (``_convolution_levels``, ``_solve_levels``).  The whole system is the
+    one-level case, every block in basis order, handed to one
+    ``solve_rows`` as it is: used when there are fewer than
+    ``_LEVEL_MIN_BLOCKS`` blocks, when one level holds more than half the
+    blocks (a group algebra or a dense basis is one level, Suzuki's is 14
+    of 16 blocks), as solving such a level apart saves little elimination
+    and costs the substitution, and when a level is inconsistent or has a
+    kernel, so a failure reads exactly as it does on the whole system.
+    With every level nonsingular the permuted system is block triangular
+    with nonsingular diagonal blocks, so its one solution is the whole
+    system's, and the kernel is empty."""
+    d = c.dim
+    whole = [range(d)]
+    levels = whole if d < _LEVEL_MIN_BLOCKS else _convolution_levels(c)
+    if 2 * max(map(len, levels)) > d:
+        levels = whole
     comul = c.int_comul()
-    if d < _LEVEL_MIN_BLOCKS or 2 * max(map(len, _convolution_levels(c))) > d:
-        return solve_rows(_convolution_rows(left, comul, n, rhs, fs), d * n, nrhs, fs)
+    return (_solve_levels(left, comul, n, rhs, nrhs, fs, levels)
+            or _solve_levels(left, comul, n, rhs, nrhs, fs, whole))
+
+
+def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int, fs: FieldSpec,
+                  levels: list) -> tuple[list[Vector | None], list[Vector]] | None:
+    """``_solve_convolution``'s system solved in the given levels of blocks:
+    one ``solve_rows`` call per level, on the level's own rows (x, t) and
+    unknowns (x, r), local unknown i * n + r for the i-th block of the level.
+    Over Q a row's int sums carry left's scale times the coproduct's, so its
+    right-hand side is e times that scale, and the row is multiplied by e's
+    denominator; over F_p the rows are the residues in [1, p).  The values
+    of the blocks already solved move into the carried right-hand-side
+    columns as plain ints: over Q each solved level keeps its values over
+    one common denominator, and a row is multiplied by the lcm of the
+    denominators it reads; over F_p they are residues.  One level returns
+    what ``solve_rows`` gives; of several, None when a level is
+    inconsistent or has a kernel."""
+    p = fs.p
+    d = len(comul.rows)
     scale = left.scale * comul.scale
     lrows, crows = left.rows, comul.rows
     known: dict[int, list[list[tuple[int, int]]]] = {}  # block -> per r, the (y, int value) of g(e_k) at e_r
     denom: dict[int, int] = {}  # block -> its level's common denominator (Q)
     found: list[dict[int, Scalar]] = [{} for _ in range(nrhs)]
-    for level in _convolution_levels(c):
+    for level in levels:
         pos = {k: i for i, k in enumerate(level)}
         ncols = len(level) * n
         rows = []
@@ -977,8 +962,10 @@ def _solve_convolution(left: IntTable, c: CoalgebraData, n: int, rhs: dict, nrhs
                         row[ncols + y] = a
                 rows.append(row)
         sols, kern = solve_rows(rows, ncols, nrhs, fs)
+        if len(levels) == 1:
+            return sols, kern
         if kern or any(sol is None for sol in sols):
-            return solve_rows(_convolution_rows(left, comul, n, rhs, fs), d * n, nrhs, fs)
+            return None
         for k in level:
             known[k] = [[] for _ in range(n)]
         if p is None:
@@ -1016,14 +1003,14 @@ def convolution_inverse(f: Matrix, c: CoalgebraData, a: AlgebraData) -> Matrix |
     solved level by level along the coproduct (``_solve_convolution``):
     the blocks g(e_x) whose Delta(x) has no other second leg first, then
     each block once the blocks it reads are solved, their values moved
-    into its right-hand side; when a level is inconsistent or singular,
-    the system is small, or one level holds more than half the blocks,
-    the whole system is solved at once, with the same result.  None when it is inconsistent: f has
-    no right inverse.  A consistent system with a kernel raises
-    ``StructureError`` (a two-sided inverse is unique).  Then both f*g and
-    g*f are re-verified on int sums (``convolution_unit_law``); each row of
-    the system is a coefficient of f*g, so that re-check is the solver's
-    own check, and:
+    into its right-hand side.  The whole system is the one-level case,
+    taken when a level is inconsistent or singular, the system is small,
+    or one level holds more than half the blocks, with the same result.
+    None when it is inconsistent: f has no right inverse.  A consistent
+    system with a kernel raises ``StructureError`` (a two-sided inverse is
+    unique).  Then both f*g and g*f are re-verified on int sums
+    (``convolution_unit_law``); each row of the system is a coefficient of
+    f*g, so that re-check is the solver's own check, and:
 
     - f*g fails: a solver bug, ``LinAlgError``;
     - g*f fails while C passes ``check_coalgebra`` and A ``check_algebra``:
@@ -1083,14 +1070,17 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
     y, so the d blocks are solved by one elimination per level carrying d
     right-hand sides, level by level along the coproduct as for
     ``convolution_inverse`` (``_solve_convolution``); a failing level
-    hands the whole system to one ``linalg.solve_rows``, so
-    ``kernel_dim`` is d times the dimension of that matrix's kernel.  Both
-    compositions are verified on the compiled tables before returning; the
-    alpha*beta re-check is the solver's own check.  The system holds
-    alpha*beta only.  Over a coassociative, counital C, Hom(C, End(H)) is a
-    finite-dimensional algebra, where a one-sided inverse is two-sided; so a
-    failed re-check there is a bug and raises ``LinAlgError``.  Over a C
-    that fails those axioms, beta*alpha can fail for real, and beta is None.
+    re-solves it as one level, the whole system in one
+    ``linalg.solve_rows``, so ``kernel_dim`` is d times the dimension of
+    that matrix's kernel.  The solved cells are regrouped into beta as
+    they are, through ``linalg._vector``: the solver's values are
+    canonical, nonzero and in range.  Both compositions are verified on
+    the compiled tables before returning; the alpha*beta re-check is the
+    solver's own check.  The system holds alpha*beta only.  Over a
+    coassociative, counital C, Hom(C, End(H)) is a finite-dimensional
+    algebra, where a one-sided inverse is two-sided; so a failed re-check
+    there is a bug and raises ``LinAlgError``.  Over a C that fails those
+    axioms, beta*alpha can fail for real, and beta is None.
     """
     d = c.dim
     fs = alpha.field
@@ -1109,7 +1099,7 @@ def hom_convolution_inverse_endo(alpha: ActionTensor, c: CoalgebraData) -> EndoI
         for idx, v in sol.entries.items():
             z, r = divmod(idx, d)
             cols[z][y][r] = v
-    beta = ActionTensor(d, d, [[Vector(d, e, fs) for e in row] for row in cols], fs)
+    beta = ActionTensor(d, d, [[_vector(d, e, fs) for e in row] for row in cols], fs)
     checks = left, right = _verify_endo_inverse(alpha, beta, c)
     if left.failures:
         raise LinAlgError("convolution inverse self-check failed: alpha*beta != eps Id")

@@ -47,7 +47,7 @@ def vector_text(v: Vector) -> str:
     return ",".join(f"{i}:{format_scalar(c)}" for i, c in v.items_sorted())
 
 
-def pairs_text(entries: dict, dim2: int | None = None) -> str:
+def pairs_text(entries: dict) -> str:
     """Canonical text for a raw sparse dict keyed by int or tuple."""
     if not entries:
         return "0"

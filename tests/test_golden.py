@@ -22,6 +22,7 @@ from ydalgebra.field import RATIONALS, FieldError, FieldSpec
 from ydalgebra.hopf import StructureError
 from ydalgebra.posthopf import check_yd_hopf_monoid, check_yd_post_hopf
 from ydalgebra.report import AXIOM_ORDER
+from ydalgebra.rota import functor_l
 from ydalgebra.structio import ParseError, emit, parse
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,13 +60,16 @@ ALGEBRA_DIRECTIVES = ("field", "dim", "basis", "unit", "mul")
 # emitted from the library
 LIERB_FIELDS = {"lierb-q": RATIONALS, "lierb-f7": FieldSpec(7)}
 
-# Sweedler's operator functor_l(sweedler) restricted to K' = span{1, g}: a
-# relrb with dim K < dim H, made from the rb_l golden by
-# ``manual_structures.sub_operator`` (no verb makes one).  R is the
-# inclusion, so its report is the pre-Rota-Baxter suite's, and the full
-# suite fails RB-3 ("-full"); functor R in mode C' (``derive --target
-# post_r --mode pre``) takes it to a post-Hopf structure on K'.
-SUB_OPERATORS = {f"sweedler-{field}-rb_l-sub": (f"sweedler-{field}-rb_l", [0, 1]) for field in FIELDS}
+# The operator functor_l(s) of a golden post-Hopf file s restricted to a
+# sub-Hopf algebra K': a relrb with dim K < dim H, made by
+# ``manual_structures.sub_operator`` (no verb makes one).  Sweedler's K' is
+# span{1, g}, E(2)'s span{1, g, x1, g x1}.  R is the inclusion, so its
+# report is the pre-Rota-Baxter suite's, and the full suite fails RB-3
+# ("-full"); functor R in mode C' (``derive --target post_r --mode pre``)
+# takes it to a post-Hopf structure on K', solving its convolution systems
+# on dim K < dim H.
+SUB_OPERATORS = {**{f"sweedler-{field}-rb_l-sub": (f"sweedler-{field}", [0, 1]) for field in FIELDS},
+                 **{f"en2-{field}-rb_l-sub": (f"en2-{field}", [0, 1, 2, 3]) for field in FIELDS}}
 
 
 # failing mutant per kind: (base golden file, directive whose last line changes)
@@ -250,7 +254,7 @@ def test_lierb_emit_and_report_bytes(name):
 
 def _sub_operator_text(name: str) -> str:
     base, support = SUB_OPERATORS[name]
-    return emit(sub_operator(parse(golden_text(base)), support))
+    return emit(sub_operator(functor_l(parse(golden_text(base))), support))
 
 
 @pytest.mark.parametrize("name", sorted(SUB_OPERATORS))

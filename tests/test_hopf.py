@@ -772,15 +772,55 @@ def test_hopf_layer_checks_make_no_vector_path_calls(monkeypatch, name):
 # --- the convolution systems solved level by level ---------------------------
 #
 # hopf._solve_convolution must return exactly what solve_rows returns on the
-# whole system of _convolution_rows: the same solution Vectors (their entries
-# in the same order), the same kernel, the same None.  Each case runs the
-# three solves S, S_> and beta with the level solver wrapped, replays every
-# call on the whole system, and compares the solvers' values, errors, kernel
-# dimensions and reasons with those of a run on the whole-system solve.
+# whole system of _convolution_rows, the reference below, which builds every
+# row at once: the same solution Vectors (their entries in the same order),
+# the same kernel, the same None.  Each case runs the three solves S, S_> and
+# beta with the level solver wrapped, replays every call on the whole
+# system, and compares the solvers' values, errors, kernel dimensions and
+# reasons with those of a run on the whole-system solve.
+
+
+def _convolution_rows(left, comul, n, rhs, fs):
+    """The int rows of (f*g)(x) = sum over Delta(x) of c f_{x_1} g(x_2), one
+    row (x, t) per coefficient t of the value, for the unknown g: unknown
+    k * n + r is the e_r coefficient of g(e_k), and left[j][r] holds the
+    (t, v) of f_j applied to e_r, at the scale of its table.  rhs maps a row
+    (x, t) to (k, e): the field scalar e, carried in column ncols + k.  Over
+    Q the row's int sums carry left's scale times the coproduct's, so the
+    right-hand side is e times that scale, and the row is multiplied by e's
+    denominator; over F_p the rows are the residues in [1, p)."""
+    p = fs.p
+    ncols = len(comul.rows) * n
+    scale = left.scale * comul.scale
+    left = left.rows
+    out = []
+    for x, legs in enumerate(comul.rows):
+        per_t = [{} for _ in range(n)]
+        for j, k, c in legs:
+            base = k * n
+            for r, col in enumerate(left[j]):
+                key = base + r
+                for t, v in col:
+                    row = per_t[t]
+                    row[key] = row.get(key, 0) + c * v
+        for t, row in enumerate(per_t):
+            row = dict(compiled.int_items(row, p))
+            target = rhs.get((x, t))
+            if target is not None:
+                k, e = target
+                if p is None:
+                    en, q = e.numerator, e.denominator
+                    if q != 1:
+                        row = {key: v * q for key, v in row.items()}
+                    row[ncols + k] = en * scale
+                elif e.value * scale % p:
+                    row[ncols + k] = e.value * scale % p
+            out.append(row)
+    return out
 
 
 def _whole_system(left, c, n, rhs, nrhs, fs):
-    return linalg.solve_rows(hopf._convolution_rows(left, c.int_comul(), n, rhs, fs), c.dim * n, nrhs, fs)
+    return linalg.solve_rows(_convolution_rows(left, c.int_comul(), n, rhs, fs), c.dim * n, nrhs, fs)
 
 
 def _solve_result(out):
@@ -871,6 +911,44 @@ def test_level_solve_equals_the_whole_system(monkeypatch, name, field):
     s_map, sharp, endo = _levels_match_whole(monkeypatch, *_parts(s))
     assert dict(s_map) == s.carrier.s_map.entries
     assert endo[1:] == (0, None)
+
+
+def _one_level_rows(monkeypatch, alg, coalg, action):
+    """Run S, S_> and beta with every ``solve_rows`` call recorded; assert
+    that each call on the whole system (ncols d * n, a one-level solve) is
+    its solve's last and is handed exactly the rows of ``_convolution_rows``,
+    items and key order both; return how many there were."""
+    calls = []
+    real_solve, real_rows = hopf._solve_convolution, hopf.solve_rows
+
+    def solve(*args):
+        calls.append((args, []))
+        return real_solve(*args)
+
+    def rows(*args):
+        calls[-1][1].append(([list(row.items()) for row in args[0]], *args[1:]))
+        return real_rows(*args)
+
+    monkeypatch.setattr(hopf, "_solve_convolution", solve)
+    monkeypatch.setattr(hopf, "solve_rows", rows)
+    _solver_outcomes(alg, coalg, action)
+    assert len(calls) == 3
+    whole = 0
+    for (left, c, n, rhs, nrhs, fs), seen in calls:
+        for i, (got, ncols, k, sfs) in enumerate(seen):
+            if ncols == c.dim * n:
+                whole += 1
+                assert i == len(seen) - 1 and (k, sfs) == (nrhs, fs)
+                assert got == [list(row.items()) for row in _convolution_rows(left, c.int_comul(), n, rhs, fs)]
+    return whole
+
+
+@pytest.mark.parametrize("field", sorted(LEVEL_FIELDS))
+@pytest.mark.parametrize("name", sorted(LEVEL_STRUCTURES))
+def test_one_level_rows_are_the_whole_system_rows(monkeypatch, name, field):
+    # every system solved as one level, by raising the level threshold
+    monkeypatch.setattr(hopf, "_LEVEL_MIN_BLOCKS", 10 ** 9)
+    assert _one_level_rows(monkeypatch, *_parts(LEVEL_STRUCTURES[name](LEVEL_FIELDS[field]))) == 3
 
 
 def test_level_shapes():
@@ -966,6 +1044,10 @@ def _level_mutant(kind, fs):
 @pytest.mark.parametrize("kind", ["alpha-g", "leg", "zero"])
 def test_level_solve_failures_read_as_the_whole_system(monkeypatch, kind, field):
     alg, coalg, act = _level_mutant(kind, LEVEL_FIELDS[field])
+    with monkeypatch.context() as m:
+        # a failed level re-solves as one level, on the whole system's rows
+        m.setattr(hopf, "_LEVEL_MIN_BLOCKS", 1)
+        assert _one_level_rows(m, alg, coalg, act) >= 1
     s_map, sharp, endo = _levels_match_whole(monkeypatch, alg, coalg, act)
     if kind == "alpha-g":
         assert endo == (None, 0, "alpha*beta = eps Id has no solution (at target 0)")

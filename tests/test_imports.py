@@ -1,9 +1,16 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private name a module defines is read somewhere in the package.
 
 A deletion that leaves an import behind (a kernel the deleted loop called,
 say) fails here.  ``__init__`` is left out: it imports names to re-export
 them.  A name counts as used where it is read as a name, the base of an
 attribute included, or inside a quoted annotation.
+
+A private helper left behind when its last caller goes fails here too: a
+module-level ``_x`` (a function, class or assigned name) that no module of
+the package reads, as a name, as an attribute (``hopf._x``) or by an
+import (``from .hopf import _x``).  Reads are found in the syntax tree, so
+a mention in a docstring or comment does not count.
 """
 
 import ast
@@ -48,6 +55,57 @@ def test_module_uses_every_import(path):
     unused = sorted((line, name) for name, line in _imported(tree).items() if name not in read)
     assert not unused, f"{path.name} imports names it never uses: " + ", ".join(
         f"{name} (line {line})" for line, name in unused)
+
+
+def _defined_private(tree: ast.Module) -> dict[str, int]:
+    """The private names the module body binds by def, class or
+    assignment, with the line of each."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [t.id for n in nodes for t in ast.walk(n) if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node.lineno
+    return out
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """The names tree reads: loaded names, attribute names and the names
+    that its imports take from other modules."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+PACKAGE = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def test_every_private_name_is_read():
+    read = set().union(*map(_loaded, PACKAGE.values()))
+    defined = [(path.name, line, name) for path, tree in PACKAGE.items()
+               for name, line in _defined_private(tree).items()]
+    assert len(defined) >= 100
+    unread = sorted(d for d in defined if d[2] not in read)
+    assert not unread, "private names no module reads: " + ", ".join(
+        f"{name} ({module}:{line})" for module, line, name in unread)
+
+
+def test_private_scan_sees_a_left_over_helper():
+    tree = ast.parse("def _left_over(x):\n    return x\n\n\ndef used():\n    return _kept()\n")
+    assert sorted(_defined_private(tree)) == ["_left_over"]
+    assert "_kept" in _loaded(tree) and "_left_over" not in _loaded(tree)
 
 
 def test_scan_sees_every_module():
