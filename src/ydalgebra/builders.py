@@ -1,26 +1,32 @@
 """Built-in example structures as exact structure-constant data.
 
-Each builder assembles its tables from generator data (finite monomial
-rewriting with a canonical monomial order, action extension along the
-structural identities, antipodes solved from their convolution systems)
-and then runs the full axiom suite on the result before returning it --
-builders are self-certifying, nothing is assumed confluent or consistent.
-
-The coproduct is extended from the generators to every monomial by
-P-DELTA's own right-hand side (``posthopf._pdelta_side``), which needs
-beta on the generators.  E(n) reads it off the convolution identity: from
+The E(n) and Suzuki builders give only generator data: the product rule,
+the coproduct of the unit and of each generator, a peel order that writes
+every other monomial as a generator times an earlier one, the counit, and
+alpha_u and beta_u of each generator u on the generators.  One pass
+(``_action_by_induction``) extends the action to every monomial through
+P-DOT, L-MB and P-ASSOC, and the coproduct is extended through P-DELTA's
+own right-hand side (``posthopf._pdelta_side``), which needs beta on the
+generators.  E(n) reads that beta off the convolution identity: from
 Delta(x_i) = x_i (x) 1 + g (x) x_i, (alpha * beta)(x_i) = alpha_{x_i} +
 alpha_g o beta_{x_i} = 0, and alpha_g is an involution, so beta_{x_i} =
--alpha_g o alpha_{x_i}.  The beta the structure keeps is solved on its own
-afterwards, as alpha o S_>.
+-alpha_g o alpha_{x_i}.  The antipodes are solved from their convolution
+systems, and the beta the structure keeps on its own, as alpha o S_>.
+Every builder runs the full axiom suite on the result before returning it
+-- builders are self-certifying, nothing is assumed confluent or
+consistent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .compiled import IntTable, _int, _scale, add_linear, compile_columns, compile_tensor, int_vector
+from .compiled import (
+    IntTable, _int, _scale, _scaled, add_bilinear, add_linear, compile_columns, compile_comul, compile_tensor,
+    int_items, int_linear, int_vector,
+)
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
     ActionTensor,
@@ -38,13 +44,13 @@ from .hopf import (
     table_action,
     table_algebra,
 )
-from .linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
+from .linalg import Matrix, Vector, accumulate, unit_vector
 from .posthopf import YDPostHopf, _fill_beta, _pdelta_side, bullet_algebra, check_yd_post_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
 
 def _coerce(field: FieldSpec, x) -> Scalar:
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return field.scalar(x.numerator, x.denominator)
     if field.contains(x):
         return x
@@ -60,20 +66,23 @@ def _certify(s: YDPostHopf, name: str) -> YDPostHopf:
     return s
 
 
-def _finish(labels: list[str], left_mul, comul, counit: Vector, act_row, params: dict,
-            name: str, fs: FieldSpec) -> YDPostHopf:
-    """The tail of the E(n) and Suzuki builders, basis element 0 the unit:
-    the product from the left multiplications, the braided antipode, the
-    action from its rows act_row(m), beta = alpha o S_> from the subadjacent
-    antipode S_>, then ``_certify``."""
+def _finish(labels: list[str], product, gen_delta: dict, counit: Vector, peel: dict, alpha_on: dict,
+            beta_on: dict, params: dict, name: str, fs: FieldSpec) -> YDPostHopf:
+    """The E(n) and Suzuki structures from their generator data, basis
+    element 0 the unit: the product table of product(i, j) (a dict of
+    index -> scalar), the action and the coproduct extended from the
+    generators (``_action_by_induction``, ``_delta_by_induction``), the
+    braided antipode, beta = alpha o S_> from the subadjacent antipode S_>,
+    then ``_certify``."""
     dim = len(labels)
-    mul = [[left_mul(i).column(j) for j in range(dim)] for i in range(dim)]
-    alg = AlgebraData(dim, labels, mul, unit_vector(dim, 0, fs), fs)
-    coalg = CoalgebraData(dim, comul, counit, fs)
+    mul = compile_tensor([[Vector(dim, product(i, j), fs) for j in range(dim)] for i in range(dim)], fs)
+    alpha, beta, act = _action_by_induction(dim, gen_delta, peel, alpha_on, beta_on, mul, fs)
+    coalg = CoalgebraData(dim, _delta_by_induction(dim, gen_delta, counit, peel, alpha, beta, mul, fs), counit, fs)
+    alg = table_algebra(labels, mul, unit_vector(dim, 0, fs), fs)
     s_map = solve_antipode(alg, coalg)
     if s_map is None:
         raise StructureError("the braided antipode system is inconsistent")
-    action = ActionTensor(dim, dim, [act_row(m) for m in range(dim)], fs)
+    action = table_action(dim, act, fs)
     s = YDPostHopf(BraidedPair(alg, coalg, s_map), action, None, params=params)
     sharp = solve_antipode(bullet_algebra(s), coalg)
     if sharp is None:
@@ -82,33 +91,104 @@ def _finish(labels: list[str], left_mul, comul, counit: Vector, act_row, params:
     return _certify(s, name)
 
 
-# --- generic coproduct induction -------------------------------------------
+# --- generic extension from the generators -----------------------------------
 
 
-def _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs):
+def _action_by_induction(dim, gen_delta, peel, alpha_on, beta_on, mul, fs):
+    """Extend the action from the generators to every monomial through the
+    identities that fix it there.
+
+    gen_delta, peel: as ``_delta_by_induction`` takes them.
+    alpha_on / beta_on: (u, v) -> {index: scalar}, alpha_u(e_v) and
+    beta_u(e_v) for u and v the unit or a generator; an absent pair is 0.
+    mul: the compiled product table.
+
+    In basis order along peel, m = u' w, for every generator u:
+    alpha_u(e_m) = sum over Delta(u) of c alpha_{u_1}(u') . alpha_{u_2}(w)
+    (P-DOT) and beta_u(e_m) = sum c beta_{u_2}(u') . beta_{u_1}(w) (L-MB).
+    Then the row of every other m, alpha_m = sum over Delta(u') of
+    c alpha_{u'_1} o alpha_{beta_{u'_2}(w)}: P-ASSOC on the bullet product,
+    since u' w = u'_1 o beta_{u'_2}(w).  Each value is an int sum on the
+    compiled tables, at a scale of its own, and ``StructureError`` is raised
+    when peel reads a value not made yet.  Returns alpha and beta compiled
+    with one row per basis element, empty off the generators, and the
+    whole action table.
+    """
+    p = fs.p
+    comul = compile_comul([gen_delta.get(u, []) for u in range(dim)], fs)
+
+    def generator_rows(on: dict, swap: bool) -> IntTable:
+        s = _scale((c for v in on.values() for c in v.values()), p)
+        given = {key: [(k, _int(c, s, p)) for k, c in v.items() if c] for key, v in on.items()}
+        cols: list[dict | None] = [None] * dim  # cols[m][u] = alpha_u(e_m), at scales[m]
+        scales = [s] * dim
+        for m in range(dim):
+            if m in gen_delta:
+                cols[m] = {u: given.get((u, m), []) for u in gen_delta}
+                continue
+            head, w = peel[m]
+            if cols[w] is None:
+                raise StructureError("peel order must follow the basis order")
+            col = cols[m] = {}
+            for u in gen_delta:
+                acc: dict[int, int] = {}
+                for u1, u2, c in comul.rows[u]:
+                    if swap:
+                        u1, u2 = u2, u1
+                    add_bilinear(acc, mul.rows, given.get((u1, head), ()), cols[w][u2], c)
+                col[u] = int_items(acc, p)
+            scales[m] = s * comul.scale * mul.scale * scales[w]
+        top = lcm(*scales)
+        return IntTable([[_scaled(cols[m][u], top // scales[m], p) for m in range(dim)] if u in gen_delta else []
+                         for u in range(dim)], top)
+
+    alpha, beta = generator_rows(alpha_on, False), generator_rows(beta_on, True)
+    rows = [row if u in gen_delta else None for u, row in enumerate(alpha.rows)]
+    scales = [alpha.scale] * dim
+    for m in range(dim):
+        if rows[m] is not None:
+            continue
+        head, w = peel[m]
+        support = sorted({t for _, b, _ in comul.rows[head] for t, _ in beta.rows[b][w]})
+        if any(rows[t] is None for t in support):
+            raise StructureError("an action row is read before it is made: peel order must follow the basis order")
+        top = lcm(*(scales[t] for t in support))
+        pos = {t: k for k, t in enumerate(support)}
+        terms = [(alpha.rows[a], c, [(pos[t], n * (top // scales[t])) for t, n in beta.rows[b][w]])
+                 for a, b, c in comul.rows[head]]
+        row = rows[m] = []
+        for j in range(dim):
+            inner = [rows[t][j] for t in support]
+            acc: dict[int, int] = {}
+            for am, c, v in terms:
+                add_linear(acc, am, int_linear(inner, v, p), c)
+            row.append(int_items(acc, p))
+        scales[m] = comul.scale * alpha.scale * beta.scale * top
+    top = lcm(*scales)
+    return alpha, beta, IntTable([[_scaled(v, top // s, p) for v in row] for row, s in zip(rows, scales)], top)
+
+
+def _delta_by_induction(dim, gen_delta, counit, peel, alpha, beta, mul, fs):
     """Extend the coproduct from generators to all monomials through the
     braided compatibility of the coproduct with the product.
 
     gen_delta: coproduct of the unit and each generator, by index.
     counit: the counit of the whole carrier.
     peel: index -> (generator index, tail index) for every other monomial.
-    alpha_gen / beta_gen: full action rows of the unit and the generators.
-    left_mul: index -> the matrix of left multiplication by that monomial.
+    alpha / beta: the action and beta compiled with one row per basis
+    element, full on the unit and the generators (``_action_by_induction``).
+    mul: the compiled product table.
 
     Delta(u w) is P-DELTA's right-hand side at (u, w), summed by
     ``posthopf._pdelta_side`` with Delta(w) as its one y term, on the
     coalgebra of the generators (their coproducts, empty on every other
-    monomial): its threefold legs, and its left products, alpha, beta and
-    bullet product L * alpha compiled with one row per basis element, empty
-    off the generators.
+    monomial): its threefold legs, and the product, beta and the bullet
+    product L * alpha, which it reads only on the generators.
     """
     gen_coalg = CoalgebraData(dim, [gen_delta.get(m, []) for m in range(dim)], counit, fs)
-    left = compile_tensor([[left_mul(u).column(t) for t in range(dim)] if u in gen_delta else []
-                           for u in range(dim)], fs)
-    alpha, beta = (compile_tensor([rows.get(u, []) for u in range(dim)], fs) for rows in (alpha_gen, beta_gen))
-    bullet = convolve(left, alpha, gen_coalg)
+    bullet = convolve(mul, alpha, gen_coalg)
     legs = gen_coalg.int_legs(3)
-    scale = legs.scale * beta.scale * bullet.scale * left.scale
+    scale = legs.scale * beta.scale * bullet.scale * mul.scale
     delta: list[list | None] = [None] * dim
     for m in range(dim):
         if m in gen_delta:
@@ -121,25 +201,10 @@ def _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_
         den = _scale((c for _, _, c in dw), fs.p)
         ylegs = [[(y1, y2, _int(c, den, fs.p)) for y1, y2, c in dw]]
         acc: dict[int, int] = {}
-        _pdelta_side(legs.rows, bullet.rows, beta.rows, left.rows, ylegs, dim, fs.p)(acc, (u,), 1)
+        _pdelta_side(legs.rows, bullet.rows, beta.rows, mul.rows, ylegs, dim, fs.p)(acc, (u,), 1)
         out = int_vector(dim * dim, acc, den * scale, fs)
         delta[m] = sorted((*divmod(key, dim), c) for key, c in out.entries.items())
     return delta
-
-
-def _row_combination(row_of, v: Vector, dim: int, fs: FieldSpec) -> list[Vector]:
-    """Sum over v's (t, c) of c * row_of(t)[j], for each j < dim, summed as
-    ints on the compiled rows row_of(t), t in v's support."""
-    support = sorted(v.entries)
-    rows = compile_tensor([row_of(t) for t in support], fs)
-    den = _scale(v.entries.values(), fs.p)
-    coeffs = [(k, _int(v.entries[t], den, fs.p)) for k, t in enumerate(support)]
-    out = []
-    for j in range(dim):
-        acc: dict[int, int] = {}
-        add_linear(acc, [row[j] for row in rows.rows], coeffs, 1)
-        out.append(int_vector(dim, acc, rows.scale * den, fs))
-    return out
 
 
 # --- E(n) family (Sweedler is n = 1) ----------------------------------------
@@ -147,12 +212,14 @@ def _row_combination(row_of, v: Vector, dim: int, fs: FieldSpec) -> list[Vector]
 
 def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
     """Braided carrier on g, x_1..x_n with g.g = 1, x_i.g = g.x_i and
-    x_i.x_j + x_j.x_i = 2 A_ij (1 - g), action extended from the generator
-    diagram; dimension 2^(n+1)."""
+    x_i.x_j + x_j.x_i = 2 A_ij (1 - g), the action given on the generators
+    by x_i >- x_j = A_ij (1 - g) and g >- x_j = -x_j; dimension 2^(n+1)."""
     if field.characteristic == 2:
         raise StructureError("these structures need characteristic not 2")
     if n < 1:
         raise StructureError("n must be at least 1")
+    if len(a_matrix) != n or any(len(row) != n for row in a_matrix):
+        raise StructureError(f"the coefficient matrix must be {n} x {n}")
     A = [[_coerce(field, a_matrix[i][j]) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -165,7 +232,6 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
         for sub in combinations(range(1, n + 1), size):
             for g_exp in (0, 1):
                 basis.append((g_exp, sub))
-    dim = len(basis)
     index = {key: i for i, key in enumerate(basis)}
 
     def gen_name(i: int) -> str:
@@ -200,112 +266,31 @@ def build_en(n: int, a_matrix, field: FieldSpec = RATIONALS) -> YDPostHopf:
             return
         accumulate(out, (g_exp % 2, word), coeff)
 
-    left_cache: dict[int, Matrix] = {}
+    def product(m: int, t: int) -> dict:
+        (a1, s1), (a2, s2) = basis[m], basis[t]
+        out: dict = {}
+        reduce_word(a1 + a2, s1 + s2, one, out)
+        return {index[key]: c for key, c in out.items()}
 
-    def left_mul(m: int) -> Matrix:
-        got = left_cache.get(m)
-        if got is None:
-            entries = {}
-            for t in range(dim):
-                (a1, s1), (a2, s2) = basis[m], basis[t]
-                out: dict = {}
-                reduce_word(a1 + a2, s1 + s2, one, out)
-                entries.update(((index[key], t), c) for key, c in out.items())
-            got = left_cache[m] = Matrix(dim, dim, entries, fs)
-        return got
-
-    def mul_by(m: int, v: Vector) -> Vector:
-        return left_mul(m).apply(v)
-
-    def alpha_g_vec(v: Vector) -> Vector:
-        out = {}
-        for t, c in v.entries.items():
-            sign = -c if len(basis[t][1]) % 2 else c
-            out[t] = sign
-        return Vector(dim, out, fs)
-
-    act_xi_cache: dict[tuple[int, int], Vector] = {}
-
-    def act_xi(i: int, m: int) -> Vector:
-        got = act_xi_cache.get((i, m))
-        if got is not None:
-            return got
-        g_exp, sub = basis[m]
-        if g_exp == 1:
-            res = mul_by(g_idx, act_xi(i, index[(0, sub)]))
-        elif not sub:
-            res = Vector(dim, {}, fs)
-        else:
-            j, rest = sub[0], sub[1:]
+    gen_delta = {0: [(0, 0, one)], g_idx: [(g_idx, g_idx, one)]}
+    gen_delta.update({x: [(x, 0, one), (g_idx, x, one)] for x in x_idx.values()})
+    # 1 acts as the identity and g by the parity of the degree, each its own
+    # beta; beta_{x_i} = -alpha_g o alpha_{x_i}, from (alpha * beta)(x_i) = 0
+    alpha_on = {(u, v): {v: -one if u == g_idx and v in x_idx.values() else one}
+                for u in (0, g_idx) for v in gen_delta}
+    beta_on = dict(alpha_on)
+    for i, x in x_idx.items():
+        for j, y in x_idx.items():
             aij = A[i - 1][j - 1]
-            if not rest:
-                res = Vector(dim, {0: aij, g_idx: -aij}, fs)
-            else:
-                w_lo, w_hi = index[(0, rest)], index[(1, rest)]
-                res = Vector(dim, {w_lo: aij, w_hi: -aij}, fs)
-                res = res.add(mul_by(x_idx[j], act_xi(i, index[(0, rest)])).neg())
-        act_xi_cache[(i, m)] = res
-        return res
-
-    # full action rows of the unit and the generators, for the coproduct induction
-    alpha_gen: dict[int, list[Vector]] = {
-        0: [unit_vector(dim, j, fs) for j in range(dim)],
-        g_idx: [alpha_g_vec(unit_vector(dim, j, fs)) for j in range(dim)],
-    }
-    beta_gen: dict[int, list[Vector]] = {
-        0: alpha_gen[0],
-        g_idx: alpha_gen[g_idx],
-    }
-    for i in range(1, n + 1):
-        alpha_gen[x_idx[i]] = [act_xi(i, j) for j in range(dim)]
-        # (alpha * beta)(x_i) = alpha_{x_i} + alpha_g o beta_{x_i} = 0, alpha_g an involution
-        beta_gen[x_idx[i]] = [alpha_g_vec(v).neg() for v in alpha_gen[x_idx[i]]]
-
-    gen_delta = {
-        0: [(0, 0, one)],
-        g_idx: [(g_idx, g_idx, one)],
-    }
-    for i in range(1, n + 1):
-        gen_delta[x_idx[i]] = [(x_idx[i], 0, one), (g_idx, x_idx[i], one)]
-    peel = {}
-    for m, (g_exp, sub) in enumerate(basis):
-        if m in gen_delta:
-            continue
-        if g_exp == 1:
-            peel[m] = (g_idx, index[(0, sub)])
-        else:
-            peel[m] = (x_idx[sub[0]], index[(0, sub[1:])])
-    counit = Vector(dim, {index[(a, ())]: one for a in (0, 1)}, fs)
-    comul = _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs)
-
-    # full action rows for every basis monomial
-    rows: list[list[Vector] | None] = [None] * dim
-    alpha_mats = {m: matrix_from_columns(row, fs) for m, row in alpha_gen.items()}
-
-    def act_row(m: int) -> list[Vector]:
-        got = rows[m]
-        if got is not None:
-            return got
-        g_exp, sub = basis[m]
-        if m in alpha_gen:
-            res = alpha_gen[m]
-        elif g_exp == 1:
-            base = act_row(index[(0, sub)])
-            sign = -one if len(sub) % 2 else one
-            res = [alpha_g_vec(v).scale(sign) for v in base]
-        else:
-            # x_i w >- e_j = x_i >- (w >- e_j) - (g (x_i >- w)) >- e_j
-            i, rest = sub[0], sub[1:]
-            w_idx = index[(0, rest)]
-            corr = _row_combination(act_row, mul_by(g_idx, act_xi(i, w_idx)), dim, fs)
-            res = [alpha_mats[x_idx[i]].apply(v).sub(c) for v, c in zip(act_row(w_idx), corr)]
-        rows[m] = res
-        return res
-
+            alpha_on[x, y] = {0: aij, g_idx: -aij}
+            beta_on[x, y] = {0: -aij, g_idx: aij}
+    peel = {m: (g_idx, index[(0, sub)]) if g_exp else (x_idx[sub[0]], index[(0, sub[1:])])
+            for m, (g_exp, sub) in enumerate(basis) if m not in gen_delta}
+    counit = Vector(len(basis), {index[(a, ())]: one for a in (0, 1)}, fs)
     params = {"k": A[0][0]} if n == 1 else {
         f"A{i + 1}{j + 1}": A[i][j] for i in range(n) for j in range(n)
     }
-    return _finish(labels, left_mul, comul, counit, act_row, params, f"en(n={n})", fs)
+    return _finish(labels, product, gen_delta, counit, peel, alpha_on, beta_on, params, f"en(n={n})", fs)
 
 
 def build_sweedler(k, field: FieldSpec = RATIONALS) -> YDPostHopf:
@@ -336,7 +321,9 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
     """Closure of 1, a, b, c, d under a.a = d.d, c.c = (alpha/beta) b.b,
     the eight zero products and matrix-style coproduct; the antipode
     identity forces alpha^2 beta^2 a^4 + alpha^5 beta^{-1} b^4 = 1, which
-    closes the monomial chains at dimension 16."""
+    closes the monomial chains at dimension 16.  The action, its own beta,
+    is given on the generators: a and d swap a with d and b with c up to
+    scalars, b and c act by 0."""
     if field.characteristic == 2:
         raise StructureError("these structures need characteristic not 2")
     al = _coerce(field, alpha)
@@ -352,14 +339,12 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
     b4_unit = al_i ** 2 * al_i ** 2 * al_i * be  # b^4 head coefficient on 1
     b4_a4 = -(al_i * al_i * al_i * be * be * be)  # and on a^4
 
-    dim = len(_SUZ_BASIS)
     index = {key: i for i, key in enumerate(_SUZ_BASIS)}
     UNIT = index[("A", 0, 0)]
     A_ = index[("A", 1, 0)]
     B_ = index[("B", 1, 0)]
     C_ = index[("B", 0, 1)]
     D_ = index[("A", 0, 1)]
-    A4 = index[("A", 4, 0)]
 
     def reduce_a(m: int, dd: int, coeff: Scalar, out: dict):
         while m >= 5 or (dd == 1 and m >= 4):
@@ -379,86 +364,19 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
             return
         accumulate(out, ("A", 0, 0) if m + dd == 0 else ("B", m, dd), coeff)
 
-    def mul_terms(k1, k2) -> dict:
-        s1, m1, d1 = k1
-        s2, m2, d2 = k2
-        out: dict = {}
-        if m1 + d1 == 0 and s1 == "A":
-            out[k2] = one
-            return out
-        if m2 + d2 == 0 and s2 == "A":
-            out[k1] = one
-            return out
+    def product(i: int, j: int) -> dict:
+        if i == UNIT or j == UNIT:
+            return {i if j == UNIT else j: one}
+        (s1, m1, d1), (s2, m2, d2) = _SUZ_BASIS[i], _SUZ_BASIS[j]
         if s1 != s2:
-            return out
-        if s1 == "A":
-            m, dd = m1 + m2, d1 + d2
-            coeff = one
-            if dd == 2:
-                m, dd = m + 2, 0
-            reduce_a(m, dd, coeff, out)
-            return out
-        m, dd = m1 + m2, d1 + d2
-        coeff = one
-        if dd == 2:
+            return {}
+        m, dd, coeff = m1 + m2, d1 + d2, one
+        if dd == 2:  # d.d = a.a, c.c = cb b.b
             m, dd = m + 2, 0
-            coeff = coeff * cb
-        reduce_b(m, dd, coeff, out)
-        return out
-
-    left_cache: dict[int, Matrix] = {}
-
-    def left_mul(i: int) -> Matrix:
-        got = left_cache.get(i)
-        if got is None:
-            cols = [mul_terms(_SUZ_BASIS[i], key) for key in _SUZ_BASIS]
-            got = left_cache[i] = Matrix(dim, dim, {(index[k], j): c for j, out in enumerate(cols)
-                                                    for k, c in out.items()}, fs)
-        return got
-
-    def dict_mul(t1: dict, t2: dict) -> dict:
+            coeff = one if s1 == "A" else cb
         out: dict = {}
-        for k1, c1 in t1.items():
-            for k2, c2 in t2.items():
-                for k3, c3 in mul_terms(k1, k2).items():
-                    accumulate(out, k3, c1 * c2 * c3)
-        return out
-
-    def morphism_row(images: dict) -> list[Vector]:
-        """Extend generator images multiplicatively to all monomials."""
-        row = []
-        for s_, m_, d_ in _SUZ_BASIS:
-            if s_ == "A":
-                head, tail = images[("A", 1, 0)], images[("A", 0, 1)]
-            else:
-                head, tail = images[("B", 1, 0)], images[("B", 0, 1)]
-            acc = {("A", 0, 0): one}
-            for _ in range(m_):
-                acc = dict_mul(acc, head)
-            for _ in range(d_):
-                acc = dict_mul(acc, tail)
-            row.append(Vector(dim, {index[k]: c for k, c in acc.items()}, fs))
-        return row
-
-    img_a = {
-        ("A", 1, 0): {("A", 0, 1): one},
-        ("A", 0, 1): {("A", 1, 0): one},
-        ("B", 1, 0): {("B", 0, 1): al_i * be},
-        ("B", 0, 1): {("B", 1, 0): al * be_i},
-    }
-    img_d = {
-        ("A", 1, 0): {("A", 0, 1): one},
-        ("A", 0, 1): {("A", 1, 0): one},
-        ("B", 1, 0): {("B", 0, 1): al * be_i},
-        ("B", 0, 1): {("B", 1, 0): al_i * be},
-    }
-    row_a = morphism_row(img_a)
-    row_d = morphism_row(img_d)
-    zero_row = [Vector(dim, {}, fs) for _ in range(dim)]
-    ident_row = [unit_vector(dim, j, fs) for j in range(dim)]
-
-    alpha_gen = {UNIT: ident_row, A_: row_a, D_: row_d, B_: zero_row, C_: zero_row}
-    beta_gen = dict(alpha_gen)
+        (reduce_a if s1 == "A" else reduce_b)(m, dd, coeff, out)
+        return {index[key]: c for key, c in out.items()}
 
     gen_delta = {
         UNIT: [(UNIT, UNIT, one)],
@@ -467,37 +385,15 @@ def build_suzuki(alpha, beta, field: FieldSpec = RATIONALS) -> YDPostHopf:
         C_: [(C_, A_, one), (D_, C_, one)],
         D_: [(C_, B_, one), (D_, D_, one)],
     }
-    peel = {}
-    for m, (s_, m_, d_) in enumerate(_SUZ_BASIS):
-        if m in alpha_gen:
-            continue
-        if s_ == "A":
-            peel[m] = (A_, index[("A", m_ - 1, d_)])
-        else:
-            peel[m] = (B_, index[("B", m_ - 1, d_)])
-    counit = Vector(dim, {index[("A", m_, d_)]: one for s_, m_, d_ in _SUZ_BASIS if s_ == "A"}, fs)
-    comul = _delta_by_induction(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs)
-
-    rows: list[list[Vector] | None] = [None] * dim
-    alpha_a = matrix_from_columns(row_a, fs)
-
-    def act_row(m: int) -> list[Vector]:
-        got = rows[m]
-        if got is not None:
-            return got
-        s_, m_, d_ = _SUZ_BASIS[m]
-        if m in alpha_gen:
-            res = alpha_gen[m]
-        elif s_ == "B":
-            res = zero_row
-        else:
-            # peel one a off: (a.w) >- z = a >- ((alpha_a w) >- z)
-            w_idx = index[("A", m_ - 1, d_)]
-            res = [alpha_a.apply(v) for v in _row_combination(act_row, row_a[w_idx], dim, fs)]
-        rows[m] = res
-        return res
-
-    return _finish(list(_SUZ_LABELS), left_mul, comul, counit, act_row, {"alpha": al, "beta": be}, "suzuki", fs)
+    alpha_on = {(UNIT, v): {v: one} for v in gen_delta}
+    for u, to_c, to_b in ((A_, al_i * be, al * be_i), (D_, al * be_i, al_i * be)):
+        alpha_on.update({(u, UNIT): {UNIT: one}, (u, A_): {D_: one}, (u, D_): {A_: one},
+                         (u, B_): {C_: to_c}, (u, C_): {B_: to_b}})
+    peel = {m: (A_ if s_ == "A" else B_, index[(s_, m_ - 1, d_)])
+            for m, (s_, m_, d_) in enumerate(_SUZ_BASIS) if m not in gen_delta}
+    counit = Vector(len(_SUZ_BASIS), {index[("A", m_, d_)]: one for s_, m_, d_ in _SUZ_BASIS if s_ == "A"}, fs)
+    return _finish(list(_SUZ_LABELS), product, gen_delta, counit, peel, alpha_on, alpha_on,
+                   {"alpha": al, "beta": be}, "suzuki", fs)
 
 
 # --- adjoint-action construction --------------------------------------------

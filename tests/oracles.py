@@ -31,7 +31,19 @@ of y.  Each returns what its namesake in ``posthopf`` returns.
 term (l1 . alpha_l2(beta_l4(p))) (x) (l3 . q) over the fourfold legs of
 the generator u, expanded inside the generator set, and the terms of
 Delta(w).  It takes the generator data ``builders._delta_by_induction``
-takes, less the counit, and returns the coproduct table it returns.
+takes, less the counit, with beta and the action as rows of Vectors on
+the unit and the generators and the product as a function of the left
+factor's index to its left-multiplication matrix, and returns the
+coproduct table ``builders._delta_by_induction`` returns.
+
+``en_action`` and ``suzuki_action``, with ``_row_combination``, are the
+action recursions the E(n) and Suzuki builders ran before they gave only
+generator data (``builders._action_by_induction`` now extends the action
+from it): each family's own recursion on x_i >- e_m, or its generator
+images extended multiplicatively, and on the row of each monomial.  Each
+takes a built structure, reads its parameters and product table, and
+returns its action rows as Vectors and beta on the unit and the
+generators, keyed by index.
 
 ``parse_trilinear`` is the reader ``structio`` ran before each distinct
 token was converted once per file: every index and coefficient token of
@@ -44,14 +56,16 @@ small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
 solve the same system a second way.
 """
 
-from itertools import product
+from itertools import combinations, product
 
+from ydalgebra.builders import _SUZ_BASIS
 from ydalgebra.compiled import (
-    _int, _scale, compare, compile_tensor, int_bilinear as compiled_int_bilinear, int_linear as compiled_int_linear,
-    int_vector, tensor_side, vector_render,
+    _int, _scale, add_linear, compare, compile_tensor, int_bilinear as compiled_int_bilinear,
+    int_linear as compiled_int_linear, int_vector, tensor_side, vector_render,
 )
+from ydalgebra.field import inv
 from ydalgebra.hopf import ActionTensor, StructureError
-from ydalgebra.linalg import Matrix, Vector, accumulate
+from ydalgebra.linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
 from ydalgebra.posthopf import _sharp_columns, bullet_algebra, ensure_beta
 from ydalgebra.report import Tally
 from ydalgebra.structio import ParseError, _parse_int, _parse_scalar_tok
@@ -386,6 +400,147 @@ def _delta_by_induction(dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs)
         out = int_vector(dim * dim, acc, den * scale, fs)
         delta[m] = {divmod(key, dim): c for key, c in out.entries.items()}
     return [sorted((p, q, c) for (p, q), c in d.items()) for d in delta]
+
+
+def _row_combination(row_of, v: Vector, dim: int, fs) -> list[Vector]:
+    """Sum over v's (t, c) of c * row_of(t)[j], for each j < dim, summed as
+    ints on the compiled rows row_of(t), t in v's support."""
+    support = sorted(v.entries)
+    rows = compile_tensor([row_of(t) for t in support], fs)
+    den = _scale(v.entries.values(), fs.p)
+    coeffs = [(k, _int(v.entries[t], den, fs.p)) for k, t in enumerate(support)]
+    out = []
+    for j in range(dim):
+        acc: dict = {}
+        add_linear(acc, [row[j] for row in rows.rows], coeffs, 1)
+        out.append(int_vector(dim, acc, rows.scale * den, fs))
+    return out
+
+
+def en_action(s):
+    """The action rows of a built E(n), and beta on its unit and
+    generators, by the recursions ``build_en`` ran before the builders gave
+    only generator data: x_i >- e_m peeled one letter at a time, and the
+    row of x_i w from x_i >- (w >- e_j) - (g (x_i >- w)) >- e_j, on the
+    product table of s."""
+    alg, fs, dim = s.carrier.algebra, s.field, s.dim
+    n = dim.bit_length() - 2
+    A = [[s.params["k"]]] if n == 1 else [[s.params[f"A{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
+    basis = [(g_exp, sub) for size in range(n + 1) for sub in combinations(range(1, n + 1), size)
+             for g_exp in (0, 1)]
+    index = {key: i for i, key in enumerate(basis)}
+    g_idx = index[(1, ())]
+    x_idx = {i: index[(0, (i,))] for i in range(1, n + 1)}
+
+    def mul_by(m: int, v: Vector) -> Vector:
+        return mul_vec(alg, unit_vector(dim, m, fs), v)
+
+    def alpha_g_vec(v: Vector) -> Vector:
+        return Vector(dim, {t: -c if len(basis[t][1]) % 2 else c for t, c in v.entries.items()}, fs)
+
+    act_xi_cache: dict = {}
+
+    def act_xi(i: int, m: int) -> Vector:
+        got = act_xi_cache.get((i, m))
+        if got is not None:
+            return got
+        g_exp, sub = basis[m]
+        if g_exp == 1:
+            res = mul_by(g_idx, act_xi(i, index[(0, sub)]))
+        elif not sub:
+            res = Vector(dim, {}, fs)
+        else:
+            j, rest = sub[0], sub[1:]
+            aij = A[i - 1][j - 1]
+            if not rest:
+                res = Vector(dim, {0: aij, g_idx: -aij}, fs)
+            else:
+                res = Vector(dim, {index[(0, rest)]: aij, index[(1, rest)]: -aij}, fs)
+                res = res.add(mul_by(x_idx[j], act_xi(i, index[(0, rest)])).neg())
+        act_xi_cache[(i, m)] = res
+        return res
+
+    alpha_gen = {0: [unit_vector(dim, j, fs) for j in range(dim)],
+                 g_idx: [alpha_g_vec(unit_vector(dim, j, fs)) for j in range(dim)]}
+    beta_gen = dict(alpha_gen)
+    for i in range(1, n + 1):
+        alpha_gen[x_idx[i]] = [act_xi(i, j) for j in range(dim)]
+        beta_gen[x_idx[i]] = [alpha_g_vec(v).neg() for v in alpha_gen[x_idx[i]]]
+    rows: list = [None] * dim
+    alpha_mats = {m: matrix_from_columns(row, fs) for m, row in alpha_gen.items()}
+
+    def act_row(m: int) -> list[Vector]:
+        got = rows[m]
+        if got is not None:
+            return got
+        g_exp, sub = basis[m]
+        if m in alpha_gen:
+            res = alpha_gen[m]
+        elif g_exp == 1:
+            sign = -fs.one if len(sub) % 2 else fs.one
+            res = [alpha_g_vec(v).scale(sign) for v in act_row(index[(0, sub)])]
+        else:
+            i, rest = sub[0], sub[1:]
+            w_idx = index[(0, rest)]
+            corr = _row_combination(act_row, mul_by(g_idx, act_xi(i, w_idx)), dim, fs)
+            res = [alpha_mats[x_idx[i]].apply(v).sub(c) for v, c in zip(act_row(w_idx), corr)]
+        rows[m] = res
+        return res
+
+    return [act_row(m) for m in range(dim)], beta_gen
+
+
+def suzuki_action(s):
+    """The action rows of a built Suzuki structure, and beta (= alpha) on
+    its unit and generators, by the recursions ``build_suzuki`` ran before
+    the builders gave only generator data: alpha_a and alpha_d extended
+    multiplicatively from their generator images, and the row of a w from
+    a >- ((alpha_a w) >- z), on the product table of s."""
+    alg, fs, dim = s.carrier.algebra, s.field, s.dim
+    al, be = s.params["alpha"], s.params["beta"]
+    al_i, be_i = inv(al), inv(be)
+    index = {key: i for i, key in enumerate(_SUZ_BASIS)}
+    a_, b_, c_, d_ = (index[key] for key in (("A", 1, 0), ("B", 1, 0), ("B", 0, 1), ("A", 0, 1)))
+
+    def morphism_row(images: dict) -> list[Vector]:
+        row = []
+        for s_, m_, d in _SUZ_BASIS:
+            head, tail = (images[a_], images[d_]) if s_ == "A" else (images[b_], images[c_])
+            acc = unit_vector(dim, 0, fs)
+            for _ in range(m_):
+                acc = mul_vec(alg, acc, head)
+            for _ in range(d):
+                acc = mul_vec(alg, acc, tail)
+            row.append(acc)
+        return row
+
+    def images(to_c, to_b) -> dict:
+        return {a_: unit_vector(dim, d_, fs), d_: unit_vector(dim, a_, fs),
+                b_: Vector(dim, {c_: to_c}, fs), c_: Vector(dim, {b_: to_b}, fs)}
+
+    row_a = morphism_row(images(al_i * be, al * be_i))
+    row_d = morphism_row(images(al * be_i, al_i * be))
+    zero_row = [Vector(dim, {}, fs) for _ in range(dim)]
+    alpha_gen = {0: [unit_vector(dim, j, fs) for j in range(dim)], a_: row_a, d_: row_d, b_: zero_row, c_: zero_row}
+    rows: list = [None] * dim
+    alpha_a = matrix_from_columns(row_a, fs)
+
+    def act_row(m: int) -> list[Vector]:
+        got = rows[m]
+        if got is not None:
+            return got
+        s_, m_, d = _SUZ_BASIS[m]
+        if m in alpha_gen:
+            res = alpha_gen[m]
+        elif s_ == "B":
+            res = zero_row
+        else:
+            w_idx = index[("A", m_ - 1, d)]
+            res = [alpha_a.apply(v) for v in _row_combination(act_row, row_a[w_idx], dim, fs)]
+        rows[m] = res
+        return res
+
+    return [act_row(m) for m in range(dim)], dict(alpha_gen)
 
 
 def parse_trilinear(lines, key: str, d1: int, d2: int, d3: int, field, required: bool = True):

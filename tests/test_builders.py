@@ -24,10 +24,12 @@ from ydalgebra.builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
+from ydalgebra.compiled import table_vectors
 from ydalgebra.field import FieldSpec
 from ydalgebra.hopf import StructureError, check_hopf, is_cocommutative
 from ydalgebra import builders, posthopf
 from ydalgebra.posthopf import braiding_sigma, check_yd_hopf_monoid, check_yd_post_hopf, is_pre_hopf
+from ydalgebra.linalg import matrix_from_columns
 from ydalgebra.report import Tally
 from ydalgebra.rota import check_group_rb
 from ydalgebra.structio import emit, parse
@@ -274,22 +276,28 @@ INDUCTION_CASES = [
 INDUCTION_FIELDS = [FieldSpec(), FieldSpec(7), FieldSpec(10007)]
 
 
-def _induced(monkeypatch, make, field):
-    """The structure make(field) builds, the generator data it hands to
-    ``builders._delta_by_induction`` (the counit left out) and the
-    coproduct table that returns."""
+def _captured(monkeypatch, fn: str, make, field):
+    """The structure make(field) builds, the arguments it hands to the
+    builders' private ``fn`` and what that returns."""
     calls = []
-    real = builders._delta_by_induction
+    real = getattr(builders, fn)
 
-    def wrapped(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs):
-        out = real(dim, gen_delta, counit, peel, alpha_gen, beta_gen, left_mul, fs)
-        calls.append(((dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs), out))
+    def wrapped(*args):
+        out = real(*args)
+        calls.append((args, out))
         return out
 
-    monkeypatch.setattr(builders, "_delta_by_induction", wrapped)
+    monkeypatch.setattr(builders, fn, wrapped)
     s = make(field)
     (args, out), = calls
     return s, args, out
+
+
+def _gen_rows(table, gen_delta, dim, fs):
+    """The rows of a compiled table on the unit and the generators, as
+    Vectors keyed by index."""
+    vectors = table_vectors(dim, table, fs)
+    return {u: vectors[u] for u in gen_delta}
 
 
 @pytest.mark.parametrize("field", INDUCTION_FIELDS, ids=lambda f: f.kind if f.p is None else f"F{f.p}")
@@ -297,18 +305,61 @@ def _induced(monkeypatch, make, field):
 def test_delta_induction_matches_fourfold_oracle(monkeypatch, name, make, field):
     # Delta(u w) through P-DELTA's shared side on the threefold legs and the
     # bullet table equals the sum over the generators' fourfold legs
-    s, args, out = _induced(monkeypatch, make, field)
-    assert oracles._delta_by_induction(*args) == out
+    s, (dim, gen_delta, counit, peel, alpha, beta, mul, fs), out = _captured(
+        monkeypatch, "_delta_by_induction", make, field)
+    left_mul = {u: matrix_from_columns(row, fs) for u, row in _gen_rows(mul, gen_delta, dim, fs).items()}
+    assert oracles._delta_by_induction(dim, gen_delta, peel, _gen_rows(alpha, gen_delta, dim, fs),
+                                       _gen_rows(beta, gen_delta, dim, fs), left_mul.get, fs) == out
     assert out == s.carrier.coalgebra.comul
 
 
 @pytest.mark.parametrize("field", INDUCTION_FIELDS, ids=lambda f: f.kind if f.p is None else f"F{f.p}")
 @pytest.mark.parametrize("name, make", INDUCTION_CASES, ids=[c[0] for c in INDUCTION_CASES])
 def test_generator_beta_rows_match_certified_beta(monkeypatch, name, make, field):
-    # the builders pass in beta on the generators (on E(n)'s x_i, -alpha_g o
-    # alpha_{x_i}); the certified structure's beta is alpha o S_>, solved
-    # on its own
-    s, (dim, gen_delta, peel, alpha_gen, beta_gen, left_mul, fs), _ = _induced(monkeypatch, make, field)
-    assert set(beta_gen) == set(gen_delta)
-    for u, row in beta_gen.items():
+    # the builders give beta on the generators (on E(n)'s x_i, -alpha_g o
+    # alpha_{x_i}), the pass extends it to every monomial; the certified
+    # structure's beta is alpha o S_>, solved on its own
+    s, (dim, gen_delta, counit, peel, alpha, beta, mul, fs), _ = _captured(
+        monkeypatch, "_delta_by_induction", make, field)
+    for u, row in _gen_rows(beta, gen_delta, dim, fs).items():
         assert row == s.beta.act[u], u
+
+
+@pytest.mark.parametrize("field", INDUCTION_FIELDS, ids=lambda f: f.kind if f.p is None else f"F{f.p}")
+@pytest.mark.parametrize("name, make", INDUCTION_CASES, ids=[c[0] for c in INDUCTION_CASES])
+def test_action_induction_matches_family_recursions(monkeypatch, name, make, field):
+    # P-DOT, L-MB and P-ASSOC from the generator data give the rows each
+    # family's own recursion gave, and beta on the generators
+    s, (dim, gen_delta, *_, fs), (alpha, beta, act) = _captured(monkeypatch, "_action_by_induction", make, field)
+    rows, beta_gen = (oracles.suzuki_action if name.startswith("suzuki") else oracles.en_action)(s)
+    assert table_vectors(dim, act, fs) == rows == s.action.act
+    assert _gen_rows(alpha, gen_delta, dim, fs) == {u: rows[u] for u in gen_delta}
+    assert _gen_rows(beta, gen_delta, dim, fs) == beta_gen
+
+
+def test_action_induction_refuses_a_value_not_made_yet(monkeypatch):
+    # E(2)'s basis is 1, g, x1, g x1, x2, g x2, x1 x2, g x1 x2
+    _, args, _ = _captured(monkeypatch, "_action_by_induction", INDUCTION_CASES[1][1], FieldSpec())
+    dim, gen_delta, peel, alpha_on, beta_on, mul, fs = args
+    # P-DOT and L-MB at g x1 read the column of g x1 x2
+    bad = {**peel, 3: (1, 7)}
+    with pytest.raises(StructureError, match="peel order"):
+        builders._action_by_induction(dim, gen_delta, bad, alpha_on, beta_on, mul, fs)
+    # P-ASSOC at g x1 reads the row of beta_g(x1), here x1 x2
+    bad = {**beta_on, (1, 2): {6: fs.one}}
+    with pytest.raises(StructureError, match="read before it is made"):
+        builders._action_by_induction(dim, gen_delta, peel, alpha_on, bad, mul, fs)
+
+
+def test_en_refuses_a_matrix_not_n_by_n():
+    for a in ([[1]], [[1, 0], [0, 1], [9, 9]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0]]):
+        with pytest.raises(StructureError, match="must be 2 x 2"):
+            build_en(2, a)
+
+
+def test_builders_refuse_bool_scalars():
+    for field in (FieldSpec(), FieldSpec(7)):
+        with pytest.raises(StructureError, match="does not live"):
+            build_en(1, [[True]], field)
+        with pytest.raises(StructureError, match="does not live"):
+            build_suzuki(1, False, field)

@@ -63,13 +63,15 @@ LIERB_FIELDS = {"lierb-q": RATIONALS, "lierb-f7": FieldSpec(7)}
 # The operator functor_l(s) of a golden post-Hopf file s restricted to a
 # sub-Hopf algebra K': a relrb with dim K < dim H, made by
 # ``manual_structures.sub_operator`` (no verb makes one).  Sweedler's K' is
-# span{1, g}, E(2)'s span{1, g, x1, g x1}.  R is the inclusion, so its
-# report is the pre-Rota-Baxter suite's, and the full suite fails RB-3
-# ("-full"); functor R in mode C' (``derive --target post_r --mode pre``)
-# takes it to a post-Hopf structure on K', solving its convolution systems
-# on dim K < dim H.
+# span{1, g}, E(2)'s span{1, g, x1, g x1} and Suzuki(1, -1)'s
+# span{1, a^2, b^2, a^4}.  R is the inclusion, so its report is the
+# pre-Rota-Baxter suite's, and the full suite fails RB-3 ("-full"); functor
+# R in mode C' (``derive --target post_r --mode pre``) takes it to a
+# post-Hopf structure on K', solving its convolution systems on
+# dim K < dim H.
 SUB_OPERATORS = {**{f"sweedler-{field}-rb_l-sub": (f"sweedler-{field}", [0, 1]) for field in FIELDS},
-                 **{f"en2-{field}-rb_l-sub": (f"en2-{field}", [0, 1, 2, 3]) for field in FIELDS}}
+                 **{f"en2-{field}-rb_l-sub": (f"en2-{field}", [0, 1, 2, 3]) for field in FIELDS},
+                 **{f"suzuki-{field}-rb_l-sub": (f"suzuki-{field}", [0, 5, 7, 13]) for field in FIELDS}}
 
 
 # failing mutant per kind: (base golden file, directive whose last line changes)

@@ -11,6 +11,12 @@ module-level ``_x`` (a function, class or assigned name) that no module of
 the package reads, as a name, as an attribute (``hopf._x``) or by an
 import (``from .hopf import _x``).  Reads are found in the syntax tree, so
 a mention in a docstring or comment does not count.
+
+So does a local name a function binds and never reads: a plain assignment
+target or a nested ``def`` in a function's own body (not in the bodies of
+the functions it nests) that no load in the function, its nested functions
+included, reads.  An unpacking target is left out, since an unpacking names
+every position.
 """
 
 import ast
@@ -106,6 +112,53 @@ def test_private_scan_sees_a_left_over_helper():
     tree = ast.parse("def _left_over(x):\n    return x\n\n\ndef used():\n    return _kept()\n")
     assert sorted(_defined_private(tree)) == ["_left_over"]
     assert "_kept" in _loaded(tree) and "_left_over" not in _loaded(tree)
+
+
+def _own_nodes(func):
+    """The nodes of func's body, not descending into the functions, classes
+    and lambdas it defines (their nodes are their own)."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(func) -> list[tuple[int, str]]:
+    """The names func binds by a plain assignment or a nested def that
+    nothing in func reads, with the line of each; a name declared global or
+    nonlocal is not func's own."""
+    bound, declared = {}, set()
+    for node in _own_nodes(func):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.setdefault(node.name, node.lineno)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.setdefault(target.id, node.lineno)
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and isinstance(node.target, ast.Name):
+            bound.setdefault(node.target.id, node.lineno)
+    reads = {n.id for n in ast.walk(func) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items() if name not in reads and name not in declared)
+
+
+def test_every_local_name_is_read():
+    unread = [(path.name, line, f"{func.name}.{name}") for path, tree in PACKAGE.items()
+              for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for line, name in _unread_locals(func)]
+    assert not unread, "local names their function never reads: " + ", ".join(
+        f"{name} ({module}:{line})" for module, line, name in sorted(unread))
+
+
+def test_local_scan_sees_an_unread_name():
+    tree = ast.parse("def f(x):\n    kept = x\n    left = 4\n    a, b = x\n\n    def g():\n"
+                     "        nonlocal left\n        left = kept\n\n    def h():\n        return kept\n"
+                     "    return h\n")
+    f, = tree.body
+    assert _unread_locals(f) == [(3, "left"), (6, "g")]
 
 
 def test_scan_sees_every_module():
