@@ -158,7 +158,7 @@ _DERIVE_TARGETS = (
 # and the --mode flag; the functors are looked up when one runs.
 _DERIVATIONS = {
     "ydpost": {
-        "subadjacent": lambda s, mode: subadjacent_hopf(s),
+        "subadjacent": lambda s, mode: subadjacent_hopf(s, verify=False),
         "brace": lambda s, mode: functor_f(s),
         "matchedpair": lambda s, mode: to_matched_pair(s),
         "rb_l": lambda s, mode: functor_l(s),

@@ -954,9 +954,14 @@ def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int,
                         if q != 1:
                             row = {key: v * q for key, v in row.items()}
                             carried = {y: a * q for y, a in carried.items()}
-                        carried[k] = carried.get(k, 0) + en * scale * m
+                        a = en * scale * m
                     else:
-                        carried[k] = carried.get(k, 0) + e.value * scale
+                        a = e.value * scale % p
+                    if carried:
+                        carried[k] = carried.get(k, 0) + a
+                    elif a:
+                        # nothing moved into the row: its one right-hand side
+                        row[ncols + k] = a
                 if carried:
                     for y, a in int_items(carried, p):
                         row[ncols + y] = a

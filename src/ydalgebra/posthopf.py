@@ -22,8 +22,13 @@ and first failure:
   makes H a module coalgebra); the first of them is L-DA.
 - P-ASSOC, x >- (y >- z) = (x_1 . (x_2 >- y)) >- z, is YD-MODULE with its
   sides swapped: x_1 . (x_2 >- y) is the bullet product x o y.
-- YD-BRAIDMULT compares at (a, b, 1) only once (a, b, 0) has shown that the
-  braided product is Delta(a.b), so that compare is P-DELTA's at (a, b).
+- YD-BRAIDMULT is P-DELTA once Delta is coassociative: its row (a, b, 0)
+  compares Delta(a.b) with the braided product, which is P-DELTA's
+  right-hand side summed over another bracketing of the fourfold legs of a,
+  so the row is P-DELTA's compare at (a, b); its row (a, b, 1), compared
+  only where row 0 passes, then passes.  On a Delta that is not
+  coassociative both sides of row 0 are summed, and row 1 reports P-DELTA's
+  verdict at (a, b).
 
 P-DOT, P-COALG and P-ASSOC, L-1ACT, L-MB, L-DB and P-MP5 call the action
 laws of ``hopf``, P-S its ``antipode_law``, the last rows of P-COALG its
@@ -45,15 +50,17 @@ cache starts empty.
 
 Every identity runs on compiled plain-int tables (``compiled``): the
 carrier checks, P-S, P-DOT, L-MB, P-ASSOC, P-COALG, L-DB, P-ANTI and
-P-MP5 through the laws of ``hopf``; P-DELTA and both rows of YD-BRAIDMULT,
-whose sides live in H (x) H and are keyed y * dim**2 + p * dim + q on a
-row (x,), P-DELTA's right-hand side on the threefold legs and the bullet
-table (``_pdelta_rhs``, whose sum ``_pdelta_side`` is shared with
-``builders``, where it extends the coproduct from the generators);
+P-MP5 through the laws of ``hopf``; P-DELTA and, on a Delta that is not
+coassociative, both rows of YD-BRAIDMULT, whose sides live in H (x) H and
+are keyed y * dim**2 + p * dim + q on a row (x,), P-DELTA's right-hand
+side on the threefold legs and the bullet table (``_pdelta_rhs``, whose
+sum ``_pdelta_side`` is shared with ``builders``, where it extends the
+coproduct from the generators);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
-tables and the compiled Ad_L columns and grouped legs, both summed once per
-second-leg group of their second argument (``_second_leg_sums``) and
-left-associated as they are written.  Each runs one row of tuples per call
+tables and the compiled Ad_L columns and grouped legs, both reading one
+table of sums over the second-leg groups of their second argument
+(``_second_leg_sums``), made once per structure, and left-associated as
+they are written.  Each runs one row of tuples per call
 of its contract (``compiled.compare``): P-DOT, L-MB and P-ASSOC on rows
 (x, y) over z, the identities on pairs on rows (x,) over y.  L-MA, YD-MODALG,
 YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
@@ -70,8 +77,8 @@ bullet product and S_> are convolutions on the compiled tables
 (``hopf.convolve``), L * alpha and beta * S, and Ad_L is
 ``hopf.coaction`` with R = id on the subadjacent Hopf algebra.  The
 compiled beta table lives on the beta tensor; the S_> columns, Ad_L
-columns, braiding columns and grouped legs are cached results that read
-beta, each made once beta is there.
+columns, braiding columns, grouped legs and second-leg sums are cached
+results that read beta, each made once beta is there.
 """
 
 from __future__ import annotations
@@ -98,6 +105,7 @@ from .hopf import (
     check_algebra,
     check_coalgebra,
     check_hopf,
+    coassociative_law,
     coaction,
     coalgebra_map_law,
     column_matrix,
@@ -356,7 +364,8 @@ def _pdelta_rhs(s: YDPostHopf):
 def _braided_product_delta(s: YDPostHopf):
     """The side (x_1 . sigma(x_2 (x) y_1)^1) (x) (sigma(x_2 (x) y_1)^2 . y_2)
     at (x, y), on the row (x,), the coproduct of the braided tensor square
-    applied to Delta(x) (x) Delta(y), and its scale."""
+    applied to Delta(x) (x) Delta(y), and its scale.  YD-BRAIDMULT sums it
+    only on a Delta that is not coassociative (``_braided_mult``)."""
     mul, comul, sigma = s.carrier.algebra.int_mul(), s.carrier.coalgebra.int_comul(), _sigma_columns(s)
     m, c_ = mul.rows, comul.rows
     d = s.dim
@@ -648,14 +657,27 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
     braided form agrees with the structural compatibility axiom, as two rows
     per (a, b): (a, b, 0) compares Delta(a.b) with the braided product of
     Delta(a) and Delta(b); once it passes, (a, b, 1) compares that with
-    P-DELTA's right-hand side, so its verdict is P-DELTA's at (a, b), and
-    only its witness is computed here."""
+    P-DELTA's right-hand side, so its verdict is P-DELTA's at (a, b).
+
+    The braided product, (a_1 . alpha_{a_2}(beta_{a_4}(b_1))) (x)
+    (a_3 . b_2) on the legs (id (x) (Delta (x) id) Delta) Delta(a), is
+    P-DELTA's right-hand side on the legs ((Delta (x) id) (x) id)
+    (Delta (x) id) Delta(a): the same fourfold sum in another bracketing.
+    So on a coassociative Delta (``_coassociative``) row 0 is P-DELTA's
+    compare, read from its cached tally, and row 1 passes wherever row 0
+    passes; neither the braided product nor the braiding is summed.  On a
+    Delta that is not coassociative both sides of row 0 are summed, and row
+    1 reads P-DELTA's failed set, with only its witness computed here."""
     d = s.dim
+    identity, delta_failed = _delta_identity(s)
+    if _coassociative(s.carrier.coalgebra):
+        t.absorb(identity, where=lambda w: w + (0,))
+        t.checked += d * d - len(delta_failed)
+        return
     (delta, sl), (mid, sm) = _product_delta(s), _braided_product_delta(s)
     rows = Tally()
     failed = set(compare(rows, line(d), d, d * d, sides(delta, mid), sl, sm, s.field, pairs_render(d)))
     t.absorb(rows, where=lambda w: w + (0,))
-    delta_failed = _delta_identity(s)[1]
     rows = Tally()
     for where in square(d):
         if where in failed:
@@ -670,33 +692,37 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
     t.absorb(rows, where=lambda w: w + (1,))
 
 
-def _second_leg_sums(s: YDPostHopf):
+@_per_structure
+def _coassociative(c: CoalgebraData) -> bool:
+    """Whether Delta is coassociative (``hopf.coassociative_law``, failures
+    counted with no witness rendered), read once per coalgebra."""
+    comul = c.int_comul()
+    return not coassociative_law(comul.rows, comul.scale, c, c.dim, witness=False).failures
+
+
+@_per_structure
+def _second_leg_sums(s: YDPostHopf) -> IntTable:
     """The sums Z_b[x][b2] = sum over the grouped legs (b1, b2, sum of
     S_>(b3)) of b whose second leg is b2 of (e_x o b1) o sum of S_>(b3), as
-    a function z(x) -> [Z_b[x] as {b2: int items} for each b], and their
-    scale.  YD-COMPAT and YD-COLINEAR both end in Z_b's entries; each law
-    runs on rows (a,) over every b, so the memo keeps every Z_b[x] it makes
-    for the life of the law, and each is made once."""
+    a table: rows[x][b] is Z_b[x] as {b2: int items}, at the scale of the
+    bullet table squared times the grouped legs'.  YD-COMPAT and YD-COLINEAR
+    both end in Z_b's entries, so the table is made once per structure and
+    both read it."""
     bullet, grouped = bullet_algebra(s).int_mul(), _sharp_legs(s)
     o, g_, p = bullet.rows, grouped.rows, s.field.p
-    memo: dict = {}  # x -> [Z_b[x] for each b]
-
-    def z(x):
-        out = memo.get(x)
-        if out is None:
-            out = memo[x] = []
-            ox = o[x]
-            for legs in g_:
-                sums: dict[int, dict] = {}
-                for b1, b2, sb in legs:
-                    acc = sums.get(b2)
-                    if acc is None:
-                        acc = sums[b2] = {}
-                    add_bilinear(acc, o, ox[b1], sb, 1)
-                out.append({b2: v for b2, acc in sums.items() if (v := int_items(acc, p))})
-        return out
-
-    return z, bullet.scale ** 2 * grouped.scale
+    rows = []
+    for ox in o:
+        out = []
+        for legs in g_:
+            sums: dict[int, dict] = {}
+            for b1, b2, sb in legs:
+                acc = sums.get(b2)
+                if acc is None:
+                    acc = sums[b2] = {}
+                add_bilinear(acc, o, ox[b1], sb, 1)
+            out.append({b2: v for b2, acc in sums.items() if (v := int_items(acc, p))})
+        rows.append(out)
+    return IntTable(rows, bullet.scale ** 2 * grouped.scale)
 
 
 def _yd_compat(t: Tally, s: YDPostHopf) -> None:
@@ -705,12 +731,11 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
     S_>(a3)) of a and, through Z_b[a1][b2] (``_second_leg_sums``), of b:
     the right-hand side is the sum of (Z_b[a1][b2] o sum of S_>(a3)) (x)
     (a2 >- b2), left-associated as the identity is written."""
-    act, bullet, adl, grouped = (s.action.int_act(), bullet_algebra(s).int_mul(), _adl_columns(s),
-                                 _sharp_legs(s))
-    x_, o, ad, g_ = act.rows, bullet.rows, adl.rows, grouped.rows
+    act, bullet, adl, grouped, z = (s.action.int_act(), bullet_algebra(s).int_mul(), _adl_columns(s),
+                                    _sharp_legs(s), _second_leg_sums(s))
+    x_, o, ad, g_, z_ = act.rows, bullet.rows, adl.rows, grouped.rows, z.rows
     d = s.dim
     d2 = d * d
-    z, sz = _second_leg_sums(s)
 
     def acted(key):
         return x_[key[0]][key[1]]
@@ -727,7 +752,7 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
                         q += base
                         acc[q] = get(q, 0) + c * e
         if wr:
-            legs = [(z(a1), x_[a2], a2, sa) for a1, a2, sa in g_[a]]
+            legs = [(z_[a1], x_[a2], a2, sa) for a1, a2, sa in g_[a]]
             for b in range(d):
                 lefts: dict = {}  # (a2, b2) -> sum of Z_b[a1][b2] o sum of S_>(a3)
                 for za, xa, a2, sa in legs:
@@ -746,7 +771,7 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
                     k += base
                     acc[k] = get(k, 0) + n
 
-    sr = sz * bullet.scale * grouped.scale * act.scale
+    sr = z.scale * bullet.scale * grouped.scale * act.scale
     compare(t, line(d), d, d2, compat, act.scale * adl.scale, sr, s.field, pairs_render(d))
 
 
@@ -756,11 +781,10 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
     legs of (a1 o S_>(a3)) (x) a2, so the right-hand side is the sum over
     Ad_L(a)'s terms c e_r (x) e_q of c Z_b[r][b2] (x) (q . b2)
     (``_second_leg_sums``), left-associated as the identity is written."""
-    mul, adl = s.carrier.algebra.int_mul(), _adl_columns(s)
-    m, ad = mul.rows, adl.rows
+    mul, adl, z = s.carrier.algebra.int_mul(), _adl_columns(s), _second_leg_sums(s)
+    m, ad, z_ = mul.rows, adl.rows, z.rows
     d = s.dim
     d2 = d * d
-    z, sz = _second_leg_sums(s)
 
     def colinear(acc, prefix, wl, wr):
         a, = prefix
@@ -774,7 +798,7 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
                         q += base
                         acc[q] = get(q, 0) + c * e
         if wr:
-            terms = [(z(rq // d), m[rq % d], c * wr) for rq, c in ad[a]]
+            terms = [(z_[rq // d], m[rq % d], c * wr) for rq, c in ad[a]]
             for b in range(d):
                 base = b * d2
                 for zr, mq, c in terms:
@@ -789,7 +813,7 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
                                 key = k + j
                                 acc[key] = get(key, 0) + n * e
 
-    sr = adl.scale * sz * mul.scale
+    sr = adl.scale * z.scale * mul.scale
     compare(t, line(d), d, d2, colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
 
 

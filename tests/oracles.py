@@ -26,6 +26,13 @@ fourfold legs, with x_1 . alpha_{x_2}(beta_{x_4}(e_p)) made from the
 product and the action, and the harpoon term by term over the legs of x and
 of y.  Each returns what its namesake in ``posthopf`` returns.
 
+``_braided_mult`` is YD-BRAIDMULT as ``posthopf`` evaluated it before it
+read row (a, b, 0) from P-DELTA's compare on a coassociative Delta: row 0
+compares Delta(a.b) with the braided product summed on the braiding
+columns, on every coproduct, and row 1 reads P-DELTA's failed set and
+renders its witness from P-DELTA's right-hand side.  It records onto a
+``Tally`` what its namesake records.
+
 ``_delta_by_induction`` and ``_gen_legs4`` are the coproduct induction
 ``builders`` ran before it summed Delta(u w) with P-DELTA's own side: the
 term (l1 . alpha_l2(beta_l4(p))) (x) (l3 . q) over the fourfold legs of
@@ -58,10 +65,12 @@ solve the same system a second way.
 
 from itertools import combinations, product
 
+from ydalgebra import posthopf
 from ydalgebra.builders import _SUZ_BASIS
 from ydalgebra.compiled import (
     _int, _scale, add_linear, compare, compile_tensor, int_bilinear as compiled_int_bilinear,
-    int_linear as compiled_int_linear, int_vector, tensor_side, vector_render,
+    int_linear as compiled_int_linear, int_vector, line, pairs_render, render_sides, sides, square, tensor_side,
+    vector_render,
 )
 from ydalgebra.field import inv
 from ydalgebra.hopf import ActionTensor, StructureError
@@ -323,6 +332,30 @@ def _pdelta_rhs(s):
                             acc[key] = get(key, 0) + n * e2
 
     return side, legs.scale * comul.scale * beta.scale * act.scale * mul.scale * mul.scale
+
+
+def _braided_mult(t: Tally, s) -> None:
+    """Both rows of YD-BRAIDMULT, each side summed: (a, b, 0) compares
+    Delta(a.b) with the braided product, and (a, b, 1), where row 0
+    passes, takes P-DELTA's verdict at (a, b), its witness rendered from
+    P-DELTA's right-hand side."""
+    d = s.dim
+    (delta, sl), (mid, sm) = posthopf._product_delta(s), posthopf._braided_product_delta(s)
+    rows = Tally()
+    failed = set(compare(rows, line(d), d, d * d, sides(delta, mid), sl, sm, s.field, pairs_render(d)))
+    t.absorb(rows, where=lambda w: w + (0,))
+    delta_failed = posthopf._delta_identity(s)[1]
+    rows = Tally()
+    for where in square(d):
+        if where in failed:
+            continue
+        if where in delta_failed and rows.witness is None:
+            rhs, sr = posthopf._pdelta_rhs(s)
+            rows.record(where, False, *render_sides(sides(mid, rhs), where, d * d, sm, sr, s.field,
+                                                    pairs_render(d)))
+        else:
+            rows.record(where, where not in delta_failed)
+    t.absorb(rows, where=lambda w: w + (1,))
 
 
 def leftharpoon(s):

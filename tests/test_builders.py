@@ -258,7 +258,7 @@ def test_builders_leave_no_stale_beta_results():
         check_yd_hopf_monoid(s)
         assert {
             "bullet_algebra", "sharp_antipode", "_sharp_columns", "leftharpoon", "left_coaction_adl",
-            "_adl_columns", "_sigma_columns", "_sharp_legs", "_delta_identity",
+            "_adl_columns", "_sharp_legs", "_second_leg_sums", "_delta_identity",
         } <= set(s._cache)
         fresh = parse(emit(s))
         for key in s._cache:

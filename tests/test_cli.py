@@ -433,6 +433,24 @@ def test_adjoint_certification_error_is_the_same_on_every_run():
     assert "time=" not in err
 
 
+def test_derive_subadjacent_runs_the_hopf_suite_once(tmp_path, monkeypatch, sweedler_file):
+    # the derived Hopf algebra is checked by derive's own suite run, not
+    # again inside subadjacent_hopf
+    from ydalgebra import hopf, posthopf
+
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return hopf.check_hopf(h)
+
+    monkeypatch.setattr(cli, "check_hopf", counting)
+    monkeypatch.setattr(posthopf, "check_hopf", counting)
+    code, _, _ = run_cli(["derive", str(sweedler_file), "--target", "subadjacent",
+                          "--out", str(tmp_path / "sub.struct")])
+    assert code == 0 and len(calls) == 1
+
+
 @pytest.mark.parametrize("report", ["machine", "text"])
 def test_derive_reports_a_failing_derived_structure_as_asked(tmp_path, monkeypatch, sweedler_file, report):
     from test_golden import _mutant_text
@@ -440,7 +458,7 @@ def test_derive_reports_a_failing_derived_structure_as_asked(tmp_path, monkeypat
     from ydalgebra.structio import parse
 
     failing = parse(_mutant_text("hopf-q"))
-    monkeypatch.setattr(cli, "subadjacent_hopf", lambda s: failing)
+    monkeypatch.setattr(cli, "subadjacent_hopf", lambda s, verify: failing)
     out_path = tmp_path / "sub.struct"
     code, out, err = run_cli(["derive", str(sweedler_file), "--target", "subadjacent", "--out", str(out_path),
                               "--report", report])

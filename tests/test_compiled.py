@@ -1364,15 +1364,22 @@ def test_perturbations_reach_failures_in_every_identity():
 @pytest.mark.parametrize("p", [None, 7], ids=["q", "f7"])
 def test_braidmult_second_row_matches_reference(monkeypatch, p):
     # YD-BRAIDMULT's second row fails only where its first row passes and
-    # P-DELTA fails, which no perturbation tried (some 39,000 of two or three
-    # coefficients of Sweedler and E(2)) reaches first.  So P-DELTA's
-    # right-hand side is halved here, in the compiled code and in the
-    # reference alike: P-DELTA fails wherever Delta(x.y) is not zero, the
-    # first row still passes, and the second row's verdicts and its witness,
-    # rendered from the halved side, must be the reference's
+    # P-DELTA fails.  On a coassociative Delta the braided product is
+    # P-DELTA's right-hand side, so that cannot happen, and the second row
+    # is summed only off coassociativity.  So Delta(e_4) of E(2) gets a
+    # coefficient 3 where it had 1, which breaks coassociativity and leaves
+    # Delta(1) = 1 (x) 1, and P-DELTA's right-hand side is halved, in the
+    # compiled code and in the reference alike: P-DELTA fails wherever
+    # Delta(x.y) is not zero, the first row still passes at (0, 0), and the
+    # second row's verdicts and its witness, rendered from the halved side,
+    # must be the reference's
     from ydalgebra import posthopf
 
-    s = parse("\n".join(_base_lines("en2", p)) + "\n")
+    lines = list(_base_lines("en2", p))
+    i = lines.index("comul 4 4 0 1")
+    lines[i] = "comul 4 4 0 3"
+    s = parse("\n".join(lines) + "\n")
+    assert not posthopf._coassociative(s.carrier.coalgebra)
     half = F(1, 2) if p is None else ModInt(2, p).inverse()
     compiled_rhs, reference_rhs = posthopf._pdelta_rhs, ref_pdelta_rhs
 
@@ -1390,7 +1397,7 @@ def test_braidmult_second_row_matches_reference(monkeypatch, p):
     monkeypatch.setitem(globals(), "ref_pdelta_rhs", halved_reference)
     got = _tally(lambda t: _braided_mult(t, s))
     assert got.witness.where == (0, 0, 1)
-    assert got.failures == len(_delta_identity(s)[1]) > 0
+    assert got.failures >= len(_delta_identity(s)[1]) > 0
     assert _verdict(got) == _verdict(ref_braidmult(s))
 
 

@@ -1,5 +1,6 @@
 """Axiom suite and derived maps on the hand-entered structures."""
 
+import functools
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -15,11 +16,14 @@ from manual_structures import (
     trivial_structure,
     vec4,
 )
+import oracles
 from oracles import act_apply, apply_basis, eps_vec, mul_vec
-from test_golden import GOLDEN, yd_mutant
+from test_golden import GOLDEN, SUITE_MUTANTS, yd_mutant
+from test_hopf import LEVEL_FIELDS, LEVEL_STRUCTURES
+from ydalgebra import posthopf
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import ActionTensor, CoalgebraData, StructureError, check_hopf
-from ydalgebra.linalg import Vector, unit_vector
+from ydalgebra.linalg import Vector, _per_structure, unit_vector
 from ydalgebra.posthopf import (
     PostLieData,
     braiding_sigma,
@@ -36,6 +40,7 @@ from ydalgebra.posthopf import (
     solve_beta,
     subadjacent_hopf,
 )
+from ydalgebra.report import Checker
 from ydalgebra.structio import parse
 
 F = Fraction
@@ -411,8 +416,6 @@ def test_p_conv_carries_the_time_of_its_solve(monkeypatch, make):
     the bound holds on any clock."""
     import time
 
-    from ydalgebra import posthopf
-
     real = posthopf.hom_convolution_inverse_endo
 
     def slow(*args):
@@ -462,3 +465,88 @@ def test_check_post_lie_fails_each_id_on_one_changed_entry(axiom):
     rep = check_post_lie(p)
     assert [e.axiom for e in rep.failed()] == failing
     assert rep.entry(axiom).witness.text() == witness
+
+
+# --- YD-BRAIDMULT held to its two-sided evaluation ---------------------------
+#
+# On a coassociative Delta the braided product is P-DELTA's right-hand side in
+# another bracketing, so ``posthopf._braided_mult`` reads row 0 from P-DELTA's
+# cached compare; off coassociativity it sums both sides.  The entry must be
+# the one ``oracles._braided_mult`` records, which sums both sides always.
+
+YDPOST_GOLDENS = sorted(p.stem for p in GOLDEN.glob("*.struct") if p.read_text().startswith("kind ydpost\n"))
+# the suite mutants whose coproduct line changed, and the E(2) product
+# mutants, which fail P-DELTA
+BRAIDMULT_MUTANTS = sorted(name for name in SUITE_MUTANTS
+                           if "comul" in name or (name.startswith("en2-") and name.endswith("-mul")))
+
+
+def _braidmult_entries(s) -> tuple:
+    """(status, checked, failures, witness) of YD-BRAIDMULT from
+    ``posthopf`` and from the oracle, each on its own copy of s."""
+    out = []
+    for run in (posthopf._braided_mult, oracles._braided_mult):
+        fresh = replace(s)
+        ch = Checker("YD-BRAIDMULT")
+        run(ch, fresh)
+        e = ch.entry()
+        out.append((e.status, e.checked, e.failures, e.witness))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", sorted(LEVEL_FIELDS))
+@pytest.mark.parametrize("name", sorted(LEVEL_STRUCTURES))
+def test_braidmult_matches_two_sided_on_built_structures(name, field):
+    # E(1)-E(3) with identity and off-diagonal A, Suzuki(+-1, +-1), Sweedler
+    # and two group algebras
+    s = LEVEL_STRUCTURES[name](LEVEL_FIELDS[field])
+    assert posthopf._coassociative(s.carrier.coalgebra)
+    got, want = _braidmult_entries(s)
+    assert got == want and got[0] == "pass"
+
+
+@pytest.mark.parametrize("name", YDPOST_GOLDENS)
+def test_braidmult_matches_two_sided_on_ydpost_goldens(name):
+    got, want = _braidmult_entries(parse((GOLDEN / f"{name}.struct").read_text()))
+    assert got == want and got[0] == "pass"
+
+
+@pytest.mark.parametrize("name", BRAIDMULT_MUTANTS)
+def test_braidmult_matches_two_sided_on_mutants(name):
+    s = yd_mutant(*SUITE_MUTANTS[name])
+    posthopf.ensure_beta(s)
+    got, want = _braidmult_entries(s)
+    assert got == want and got[0] == "fail"
+
+
+def test_braidmult_cases_take_both_paths():
+    # three of the mutants take the two-sided path, and the goldens are found
+    coassociative = {name: posthopf._coassociative(yd_mutant(*SUITE_MUTANTS[name]).carrier.coalgebra)
+                     for name in BRAIDMULT_MUTANTS}
+    assert {name for name, ok in coassociative.items() if not ok} == {
+        "en2-q-comul", "en3-q-comul", "sweedler-f7-comul"}
+    assert len(YDPOST_GOLDENS) > 10
+
+
+def test_coassociative_delta_sums_no_braided_side(monkeypatch):
+    """On a coassociative Delta both suites build P-DELTA's right-hand side
+    once and the second-leg sums Z once, and neither the braided product
+    nor the braiding columns."""
+    calls = {"_pdelta_rhs": 0, "_braided_product_delta": 0, "_sigma_columns": 0, "_second_leg_sums": 0}
+
+    def counted(name, f):
+        @functools.wraps(f)
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    for name in ("_pdelta_rhs", "_braided_product_delta", "_sigma_columns"):
+        monkeypatch.setattr(posthopf, name, counted(name, getattr(posthopf, name)))
+    build = posthopf._second_leg_sums.__wrapped__
+    monkeypatch.setattr(posthopf, "_second_leg_sums", _per_structure(counted("_second_leg_sums", build)))
+    s = parse((GOLDEN / "en3-q.struct").read_text())
+    rep = check_yd_post_hopf(s)
+    rep.extend(check_yd_hopf_monoid(s))
+    assert rep.all_pass()
+    assert calls == {"_pdelta_rhs": 1, "_braided_product_delta": 0, "_sigma_columns": 0, "_second_leg_sums": 1}
