@@ -435,37 +435,3 @@ def check_matched_pair(mp: MatchedPair) -> CheckReport:
     ch.absorb(mp5_law(left, right, coalg))
     rep.add(ch.entry())
     return rep
-
-
-def posthopf_equal(a: YDPostHopf, b: YDPostHopf) -> bool:
-    """Tensor-exact equality of carrier, action and beta."""
-    return (
-        a.carrier.algebra.mul == b.carrier.algebra.mul
-        and a.carrier.algebra.unit == b.carrier.algebra.unit
-        and a.carrier.coalgebra.comul == b.carrier.coalgebra.comul
-        and a.carrier.coalgebra.counit == b.carrier.coalgebra.counit
-        and a.carrier.s_map == b.carrier.s_map
-        and a.action.act == b.action.act
-        and (a.beta is None) == (b.beta is None)
-        and (a.beta is None or a.beta.act == b.beta.act)
-    )
-
-
-def brace_equal(a: YDBrace, b: YDBrace) -> bool:
-    return (
-        a.dot_side.algebra.mul == b.dot_side.algebra.mul
-        and a.dot_side.s_map == b.dot_side.s_map
-        and a.dot_side.coalgebra == b.dot_side.coalgebra
-        and a.bullet_side.algebra.mul == b.bullet_side.algebra.mul
-        and a.bullet_side.antipode == b.bullet_side.antipode
-    )
-
-
-def matched_pair_equal(a: MatchedPair, b: MatchedPair) -> bool:
-    return (
-        a.hopf.algebra.mul == b.hopf.algebra.mul
-        and a.hopf.antipode == b.hopf.antipode
-        and a.hopf.coalgebra == b.hopf.coalgebra
-        and a.left_action.act == b.left_action.act
-        and a.right_action.act == b.right_action.act
-    )

@@ -25,7 +25,7 @@ from math import lcm
 
 from .compiled import (
     IntTable, _int, _scale, _scaled, add_bilinear, add_linear, compile_columns, compile_comul, compile_tensor,
-    int_items, int_linear, int_vector,
+    int_items, int_linear, int_vector, reduced,
 )
 from .field import FieldSpec, RATIONALS, Scalar, inv as scalar_inv
 from .hopf import (
@@ -109,7 +109,9 @@ def _action_by_induction(dim, gen_delta, peel, alpha_on, beta_on, mul, fs):
     Then the row of every other m, alpha_m = sum over Delta(u') of
     c alpha_{u'_1} o alpha_{beta_{u'_2}(w)}: P-ASSOC on the bullet product,
     since u' w = u'_1 o beta_{u'_2}(w).  Each value is an int sum on the
-    compiled tables, at a scale of its own, and ``StructureError`` is raised
+    compiled tables, and each column of alpha and beta and each row of the
+    action is brought to its least scale as it is made
+    (``compiled.reduced``), so the scales do not compound along the peel.  ``StructureError`` is raised
     when peel reads a value not made yet.  Returns alpha and beta compiled
     with one row per basis element, empty off the generators, and the
     whole action table.
@@ -124,20 +126,22 @@ def _action_by_induction(dim, gen_delta, peel, alpha_on, beta_on, mul, fs):
         scales = [s] * dim
         for m in range(dim):
             if m in gen_delta:
-                cols[m] = {u: given.get((u, m), []) for u in gen_delta}
-                continue
-            head, w = peel[m]
-            if cols[w] is None:
-                raise StructureError("peel order must follow the basis order")
-            col = cols[m] = {}
-            for u in gen_delta:
-                acc: dict[int, int] = {}
-                for u1, u2, c in comul.rows[u]:
-                    if swap:
-                        u1, u2 = u2, u1
-                    add_bilinear(acc, mul.rows, given.get((u1, head), ()), cols[w][u2], c)
-                col[u] = int_items(acc, p)
-            scales[m] = s * comul.scale * mul.scale * scales[w]
+                col, scale = [given.get((u, m), []) for u in gen_delta], s
+            else:
+                head, w = peel[m]
+                if cols[w] is None:
+                    raise StructureError("peel order must follow the basis order")
+                col = []
+                for u in gen_delta:
+                    acc: dict[int, int] = {}
+                    for u1, u2, c in comul.rows[u]:
+                        if swap:
+                            u1, u2 = u2, u1
+                        add_bilinear(acc, mul.rows, given.get((u1, head), ()), cols[w][u2], c)
+                    col.append(int_items(acc, p))
+                scale = s * comul.scale * mul.scale * scales[w]
+            least = reduced(IntTable([col], scale))
+            cols[m], scales[m] = dict(zip(gen_delta, least.rows[0])), least.scale
         top = lcm(*scales)
         return IntTable([[_scaled(cols[m][u], top // scales[m], p) for m in range(dim)] if u in gen_delta else []
                          for u in range(dim)], top)
@@ -156,14 +160,15 @@ def _action_by_induction(dim, gen_delta, peel, alpha_on, beta_on, mul, fs):
         pos = {t: k for k, t in enumerate(support)}
         terms = [(alpha.rows[a], c, [(pos[t], n * (top // scales[t])) for t, n in beta.rows[b][w]])
                  for a, b, c in comul.rows[head]]
-        row = rows[m] = []
+        row = []
         for j in range(dim):
             inner = [rows[t][j] for t in support]
             acc: dict[int, int] = {}
             for am, c, v in terms:
                 add_linear(acc, am, int_linear(inner, v, p), c)
             row.append(int_items(acc, p))
-        scales[m] = comul.scale * alpha.scale * beta.scale * top
+        least = reduced(IntTable([row], comul.scale * alpha.scale * beta.scale * top))
+        rows[m], scales[m] = least.rows[0], least.scale
     top = lcm(*scales)
     return alpha, beta, IntTable([[_scaled(v, top // s, p) for v in row] for row, s in zip(rows, scales)], top)
 

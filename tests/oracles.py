@@ -58,6 +58,11 @@ every line goes through ``_parse_int`` and ``_parse_scalar_tok``, and every
 cell through the ``Vector`` constructor.  It returns what
 ``structio._parse_trilinear`` returns, or raises the same ``ParseError``.
 
+``posthopf_equal``, ``brace_equal`` and ``matched_pair_equal`` are the
+tensor-exact equalities of two YD post-Hopf structures, braces or matched
+pairs that the round-trip tests assert; no module of the package reads
+them.
+
 ``forward_bareiss_q`` is the dense engine the solver once took over Q on
 small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
 solve the same system a second way.
@@ -66,6 +71,7 @@ solve the same system a second way.
 from itertools import combinations, product
 
 from ydalgebra import posthopf
+from ydalgebra.braces import MatchedPair, YDBrace
 from ydalgebra.builders import _SUZ_BASIS
 from ydalgebra.compiled import (
     _int, _scale, add_linear, compare, compile_tensor, int_bilinear as compiled_int_bilinear,
@@ -75,7 +81,7 @@ from ydalgebra.compiled import (
 from ydalgebra.field import inv
 from ydalgebra.hopf import ActionTensor, StructureError
 from ydalgebra.linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
-from ydalgebra.posthopf import _sharp_columns, bullet_algebra, ensure_beta
+from ydalgebra.posthopf import YDPostHopf, _sharp_columns, bullet_algebra, ensure_beta
 from ydalgebra.report import Tally
 from ydalgebra.structio import ParseError, _parse_int, _parse_scalar_tok
 
@@ -624,3 +630,37 @@ def forward_bareiss_q(rows: list, ncols: int):
         rank += 1
     out = [{c: v for c, v in enumerate(row) if v} for row in m]
     return [d for d in out if d], pivots
+
+
+def posthopf_equal(a: YDPostHopf, b: YDPostHopf) -> bool:
+    """Tensor-exact equality of carrier, action and beta."""
+    return (
+        a.carrier.algebra.mul == b.carrier.algebra.mul
+        and a.carrier.algebra.unit == b.carrier.algebra.unit
+        and a.carrier.coalgebra.comul == b.carrier.coalgebra.comul
+        and a.carrier.coalgebra.counit == b.carrier.coalgebra.counit
+        and a.carrier.s_map == b.carrier.s_map
+        and a.action.act == b.action.act
+        and (a.beta is None) == (b.beta is None)
+        and (a.beta is None or a.beta.act == b.beta.act)
+    )
+
+
+def brace_equal(a: YDBrace, b: YDBrace) -> bool:
+    return (
+        a.dot_side.algebra.mul == b.dot_side.algebra.mul
+        and a.dot_side.s_map == b.dot_side.s_map
+        and a.dot_side.coalgebra == b.dot_side.coalgebra
+        and a.bullet_side.algebra.mul == b.bullet_side.algebra.mul
+        and a.bullet_side.antipode == b.bullet_side.antipode
+    )
+
+
+def matched_pair_equal(a: MatchedPair, b: MatchedPair) -> bool:
+    return (
+        a.hopf.algebra.mul == b.hopf.algebra.mul
+        and a.hopf.antipode == b.hopf.antipode
+        and a.hopf.coalgebra == b.hopf.coalgebra
+        and a.left_action.act == b.left_action.act
+        and a.right_action.act == b.right_action.act
+    )

@@ -10,14 +10,12 @@ from fractions import Fraction
 import pytest
 
 from manual_structures import sweedler_action_rows, sweedler_beta_rows
+from oracles import brace_equal, matched_pair_equal, posthopf_equal
 from ydalgebra.braces import (
-    brace_equal,
     check_matched_pair,
     from_matched_pair,
     functor_f,
     functor_g,
-    matched_pair_equal,
-    posthopf_equal,
     to_matched_pair,
 )
 from ydalgebra.builders import (

@@ -4,17 +4,15 @@ from fractions import Fraction
 
 
 from manual_structures import sweedler_transmutation_manual
+from oracles import brace_equal, matched_pair_equal, posthopf_equal
 from ydalgebra.braces import (
     MatchedPair,
     YDBrace,
-    brace_equal,
     check_matched_pair,
     check_yd_brace,
     from_matched_pair,
     functor_f,
     functor_g,
-    matched_pair_equal,
-    posthopf_equal,
     to_matched_pair,
 )
 from ydalgebra.builders import (

@@ -24,7 +24,7 @@ from ydalgebra.builders import (
     sweedler_hopf,
     symmetric_group_3,
 )
-from ydalgebra.compiled import table_vectors
+from ydalgebra.compiled import reduced, table_vectors
 from ydalgebra.field import FieldSpec
 from ydalgebra.hopf import StructureError, check_hopf, is_cocommutative
 from ydalgebra import builders, posthopf
@@ -349,6 +349,17 @@ def test_action_induction_refuses_a_value_not_made_yet(monkeypatch):
     bad = {**beta_on, (1, 2): {6: fs.one}}
     with pytest.raises(StructureError, match="read before it is made"):
         builders._action_by_induction(dim, gen_delta, peel, alpha_on, bad, mul, fs)
+
+
+def test_action_induction_tables_are_at_their_least_scale(monkeypatch):
+    # each column and row is brought to its least scale as it is made, so the
+    # scales do not compound along the peel: on E(3) over Q with denominators
+    # 3-13, alpha, beta and the action are each at their least common
+    # denominator (the action's scale had 680 bits when they compounded)
+    a = [[F(1, 3), F(1, 5), 0], [F(1, 5), F(1, 7), F(1, 11)], [0, F(1, 11), F(1, 13)]]
+    _, _, tables = _captured(monkeypatch, "_action_by_induction", lambda f: build_en(3, a, f), FieldSpec())
+    for t in tables:
+        assert reduced(t).scale == t.scale
 
 
 def test_en_refuses_a_matrix_not_n_by_n():

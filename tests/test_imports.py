@@ -10,7 +10,10 @@ A private helper left behind when its last caller goes fails here too: a
 module-level ``_x`` (a function, class or assigned name) that no module of
 the package reads, as a name, as an attribute (``hopf._x``) or by an
 import (``from .hopf import _x``).  Reads are found in the syntax tree, so
-a mention in a docstring or comment does not count.
+a mention in a docstring or comment does not count.  So does a public
+module-level name that no module of the package reads, its own included,
+and ``__init__`` does not export: a helper only tests call belongs with the
+tests.
 
 So does a local name a function binds and never reads: a plain assignment
 target or a nested ``def`` in a function's own body (not in the bodies of
@@ -63,9 +66,10 @@ def test_module_uses_every_import(path):
         f"{name} (line {line})" for line, name in unused)
 
 
-def _defined_private(tree: ast.Module) -> dict[str, int]:
-    """The private names the module body binds by def, class or
-    assignment, with the line of each."""
+def _defined(tree: ast.Module, private: bool) -> dict[str, int]:
+    """The private (``_x``) or the public names the module body binds by
+    def, class or assignment, with the line of each; a dunder name is
+    neither."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -76,7 +80,7 @@ def _defined_private(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 out[name] = node.lineno
     return out
 
@@ -101,7 +105,7 @@ PACKAGE = {p: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob
 def test_every_private_name_is_read():
     read = set().union(*map(_loaded, PACKAGE.values()))
     defined = [(path.name, line, name) for path, tree in PACKAGE.items()
-               for name, line in _defined_private(tree).items()]
+               for name, line in _defined(tree, private=True).items()]
     assert len(defined) >= 100
     unread = sorted(d for d in defined if d[2] not in read)
     assert not unread, "private names no module reads: " + ", ".join(
@@ -110,8 +114,38 @@ def test_every_private_name_is_read():
 
 def test_private_scan_sees_a_left_over_helper():
     tree = ast.parse("def _left_over(x):\n    return x\n\n\ndef used():\n    return _kept()\n")
-    assert sorted(_defined_private(tree)) == ["_left_over"]
+    assert sorted(_defined(tree, private=True)) == ["_left_over"]
     assert "_kept" in _loaded(tree) and "_left_over" not in _loaded(tree)
+
+
+def _unread_public(package: dict) -> list[tuple[str, int, str]]:
+    """The public module-level names of the modules of package (path ->
+    tree), ``__init__`` left out, that no module reads, its own included,
+    and ``__init__`` does not import, as (module, line, name).  ``cli``'s
+    verbs count as read: ``main`` runs ``globals()["cmd_" + args.command]``,
+    so each ``cmd_*`` is looked up by name and never read as one."""
+    read = set().union(*map(_loaded, package.values()))
+    return sorted((path.name, line, name) for path, tree in package.items() if path.name != "__init__.py"
+                  for name, line in _defined(tree, private=False).items()
+                  if name not in read and not (path.name == "cli.py" and name.startswith("cmd_")))
+
+
+def test_every_public_name_is_read():
+    assert sum(len(_defined(tree, private=False)) for tree in PACKAGE.values()) >= 150
+    assert 'globals()["cmd_" + args.command]' in (SRC / "cli.py").read_text()
+    unread = _unread_public(PACKAGE)
+    assert not unread, "public names no module reads and __init__ does not export: " + ", ".join(
+        f"{name} ({module}:{line})" for module, line, name in unread)
+
+
+def test_public_scan_sees_a_left_over_helper():
+    package = {Path(name): ast.parse(text) for name, text in [
+        ("a.py", "def left_over(x):\n    return x\n\n\ndef kept():\n    return 1\n\n\n"
+                 "def exported():\n    return kept()\n"),
+        ("__init__.py", "from .a import exported\n"),
+        ("cli.py", "def cmd_check(args):\n    return 0\n\n\nLIMIT = 2\n"),
+    ]}
+    assert _unread_public(package) == [("a.py", 1, "left_over"), ("cli.py", 5, "LIMIT")]
 
 
 def _own_nodes(func):

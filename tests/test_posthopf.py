@@ -21,8 +21,9 @@ from oracles import act_apply, apply_basis, eps_vec, mul_vec
 from test_golden import GOLDEN, SUITE_MUTANTS, yd_mutant
 from test_hopf import LEVEL_FIELDS, LEVEL_STRUCTURES
 from ydalgebra import posthopf
+from ydalgebra.builders import cyclic_group, group_algebra
 from ydalgebra.field import RATIONALS
-from ydalgebra.hopf import ActionTensor, CoalgebraData, StructureError, check_hopf
+from ydalgebra.hopf import ActionTensor, BraidedPair, CoalgebraData, StructureError, check_hopf
 from ydalgebra.linalg import Vector, _per_structure, unit_vector
 from ydalgebra.posthopf import (
     PostLieData,
@@ -40,7 +41,7 @@ from ydalgebra.posthopf import (
     solve_beta,
     subadjacent_hopf,
 )
-from ydalgebra.report import Checker
+from ydalgebra.report import Checker, Tally
 from ydalgebra.structio import parse
 
 F = Fraction
@@ -550,3 +551,152 @@ def test_coassociative_delta_sums_no_braided_side(monkeypatch):
     rep.extend(check_yd_hopf_monoid(s))
     assert rep.all_pass()
     assert calls == {"_pdelta_rhs": 1, "_braided_product_delta": 0, "_sigma_columns": 0, "_second_leg_sums": 1}
+
+
+# --- L-MB and L-DB held to their sums on beta ---------------------------------
+#
+# Once L-BETA and P-ANTI pass, beta = alpha o S_> with S_> an anti-coalgebra
+# map, so the suite reads L-MB from P-DOT and L-DB from L-DA; otherwise it
+# sums them on beta.  Either way each entry must be the one its law records
+# when summed on beta.
+
+BETA_LEMMA_LAWS = {
+    "L-DB": lambda s: posthopf.module_coalgebra_law(s.beta, s.carrier.coalgebra, s.carrier.coalgebra, swap=True)[0],
+    "L-MB": lambda s: posthopf.module_algebra_law(s.beta, s.carrier.coalgebra, s.carrier.algebra, swap=True),
+}
+
+
+def _entry_key(e) -> tuple:
+    return e.status, e.checked, e.failures, e.witness
+
+
+def _beta_lemma_entries(s) -> tuple:
+    """The L-DB and L-MB entries of the suite on s, and those of their laws
+    summed on the beta the suite ends with."""
+    rep = check_yd_post_hopf(s)
+    got, want = [], []
+    for axiom, law in BETA_LEMMA_LAWS.items():
+        got.append(_entry_key(rep.entry(axiom)))
+        ch = Checker(axiom)
+        ch.absorb(law(s))
+        want.append(_entry_key(ch.entry()))
+    return got, want
+
+
+@pytest.mark.parametrize("field", sorted(LEVEL_FIELDS))
+@pytest.mark.parametrize("name", sorted(LEVEL_STRUCTURES))
+def test_beta_lemmas_match_their_sums_on_built_structures(name, field):
+    # E(1)-E(3) with identity and off-diagonal A, Suzuki(+-1, +-1), Sweedler
+    # and two group algebras
+    s = LEVEL_STRUCTURES[name](LEVEL_FIELDS[field])
+    got, want = _beta_lemma_entries(replace(s))
+    d = s.dim
+    assert got == want == [("pass", d * d, 0, None), ("pass", d ** 3, 0, None)]
+
+
+@pytest.mark.parametrize("name", YDPOST_GOLDENS)
+def test_beta_lemmas_match_their_sums_on_ydpost_goldens(name):
+    got, want = _beta_lemma_entries(parse((GOLDEN / f"{name}.struct").read_text()))
+    assert got == want
+
+
+# the suite mutants whose beta lemmas run, as P-CONV passes
+BETA_LEMMA_MUTANTS = sorted(name for name in SUITE_MUTANTS
+                            if "L-MB skipped" not in (GOLDEN / f"suite-{name}.report").read_text())
+
+
+@pytest.mark.parametrize("name", BETA_LEMMA_MUTANTS)
+def test_beta_lemmas_match_their_sums_on_mutants(name):
+    got, want = _beta_lemma_entries(yd_mutant(*SUITE_MUTANTS[name]))
+    assert got == want
+
+
+def _summed_on_beta(monkeypatch, s) -> tuple:
+    """The report of the post-Hopf suite on s, and the beta lemmas whose
+    laws it called on beta (a call on anything but alpha), sorted."""
+    calls = []
+
+    def spied(axiom, f):
+        @functools.wraps(f)
+        def wrapper(act, *rest, **kw):
+            if act is not s.action:
+                calls.append(axiom)
+            return f(act, *rest, **kw)
+        return wrapper
+
+    monkeypatch.setattr(posthopf, "module_coalgebra_law", spied("L-DB", posthopf.module_coalgebra_law))
+    monkeypatch.setattr(posthopf, "module_algebra_law", spied("L-MB", posthopf.module_algebra_law))
+    return check_yd_post_hopf(s), sorted(calls)
+
+
+@pytest.mark.parametrize("case, summed", [
+    ("en3-q", []),  # every premise passes
+    ("suite-en2-q-mul", ["L-MB"]),  # P-DOT fails; L-DA, L-BETA and P-ANTI pass
+    ("suite-sweedler-q-action-nobeta", ["L-DB", "L-MB"]),  # every premise fails
+])
+def test_beta_lemmas_are_summed_only_when_a_premise_fails(monkeypatch, case, summed):
+    """The laws are called on beta only for the lemmas whose premises do
+    not all pass, and the L-DB and L-MB lines read as the golden ones."""
+    if case.startswith("suite-"):
+        s = yd_mutant(*SUITE_MUTANTS[case.removeprefix("suite-")])
+    else:
+        s = parse((GOLDEN / f"{case}.struct").read_text())
+    rep, calls = _summed_on_beta(monkeypatch, s)
+    assert calls == summed
+    golden = (GOLDEN / f"{case}.report").read_text().splitlines()
+    for axiom in BETA_LEMMA_LAWS:
+        lines = [x for x in rep.machine_text().splitlines() if x.split()[0] == axiom]
+        e = rep.entry(axiom)
+        if case.startswith("suite-"):
+            lines.append(f"{axiom} {e.status} {e.checked} {e.failures}")
+        assert lines and set(lines) <= set(golden)
+
+
+def test_beta_lemmas_are_summed_when_l_beta_fails(monkeypatch):
+    # k[C3] with c1 acting by inversion and c0, c2 trivially: each alpha_g is
+    # a Hopf automorphism, so P-DOT, L-DA, P-CONV and P-ANTI pass, but beta_{c2}
+    # = id is not alpha_{S_>(c2)} = alpha_{c1}, so L-BETA fails
+    h = group_algebra(cyclic_group(3))
+    sigma = [[0, 1, 2], [0, 2, 1], [0, 1, 2]]
+    act = ActionTensor(3, 3, [[unit_vector(3, sigma[g][y], RATIONALS) for y in range(3)] for g in range(3)],
+                       RATIONALS)
+    s = posthopf.YDPostHopf(BraidedPair(h.algebra, h.coalgebra, h.antipode), act)
+    rep, calls = _summed_on_beta(monkeypatch, s)
+    assert [rep.status(ax) for ax in ("P-DOT", "L-DA", "P-CONV", "P-ANTI", "L-BETA")] == ["pass"] * 4 + ["fail"]
+    assert calls == ["L-DB", "L-MB"]
+    assert [_entry_key(rep.entry(ax)) for ax in BETA_LEMMA_LAWS] == [("pass", 9, 0, None), ("pass", 27, 0, None)]
+
+
+def _failed(tally: Tally) -> Tally:
+    """tally with one more tuple, failing."""
+    out = Tally()
+    out.absorb(tally)
+    out.record((0,), False)
+    return out
+
+
+def _fail_p_anti(monkeypatch):
+    real = posthopf.coalgebra_map_law
+
+    def law(*args, **kw):
+        yield _failed(next(real(*args, **kw)))
+
+    monkeypatch.setattr(posthopf, "coalgebra_map_law", law)
+
+
+def _fail_l_da(monkeypatch):
+    real = posthopf._alpha_comult
+    monkeypatch.setattr(posthopf, "_alpha_comult", lambda s: (_failed(real(s)[0]), real(s)[1]))
+
+
+@pytest.mark.parametrize("premise, fail, summed", [
+    ("P-ANTI", _fail_p_anti, ["L-DB", "L-MB"]),
+    ("L-DA", _fail_l_da, ["L-DB"]),
+])
+def test_beta_lemmas_are_summed_when_a_premise_is_made_to_fail(monkeypatch, premise, fail, summed):
+    # on the dim-8 E(2), one premise made to fail and the others passing
+    fail(monkeypatch)
+    rep, calls = _summed_on_beta(monkeypatch, parse((GOLDEN / "en2-q.struct").read_text()))
+    assert [ax for ax in ("P-DOT", "L-DA", "L-BETA", "P-ANTI") if rep.status(ax) == "fail"] == [premise]
+    assert calls == summed
+    assert [_entry_key(rep.entry(ax)) for ax in BETA_LEMMA_LAWS] == [("pass", 64, 0, None), ("pass", 512, 0, None)]

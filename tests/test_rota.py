@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from manual_structures import sub_operator, sweedler_transmutation_manual
+from oracles import posthopf_equal
+from test_golden import GOLDEN
 from ydalgebra import rota
-from ydalgebra.braces import posthopf_equal
 from ydalgebra.builders import (
     build_en,
     build_group_rb_linearization,
@@ -40,7 +41,7 @@ from ydalgebra.rota import (
     restrict_to_primitives,
 )
 from ydalgebra.hopf import ActionTensor
-from ydalgebra.structio import emit
+from ydalgebra.structio import emit, parse
 
 F = Fraction
 
@@ -203,6 +204,23 @@ def test_adjunction_with_sign_automorphism():
     # round trip: forward(backward(g)) == g
     g2 = adjunction_bijection(rb, s, f_back, g_back, direction="forward")
     assert g2 == phi
+
+
+# the operators R : K -> H with dim K < dim H: Sweedler, E(2) and Suzuki,
+# each over Q and F_7
+SUB_OPERATOR_GOLDENS = sorted(p.stem for p in GOLDEN.glob("*-rb_l-sub.struct"))
+
+
+@pytest.mark.parametrize("name", SUB_OPERATOR_GOLDENS)
+def test_adjunction_on_a_non_bijective_operator(name):
+    # s = R'(rb) and g = id: backward gives (R, id), forward gives g back
+    rb = parse((GOLDEN / f"{name}.struct").read_text())
+    assert rb.r_map.rows > rb.r_map.cols
+    s = functor_r(rb, "Cprime")
+    ident = identity_matrix(s.dim, s.field)
+    f, g = adjunction_bijection(rb, s, g=ident, direction="backward")
+    assert f == rb.r_map and g == ident
+    assert adjunction_bijection(rb, s, f, g, direction="forward") == ident
 
 
 def test_adjunction_rejects_non_morphism():

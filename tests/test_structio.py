@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ydalgebra.braces import functor_f, matched_pair_equal, posthopf_equal, to_matched_pair
+from oracles import matched_pair_equal, posthopf_equal
+from ydalgebra.braces import functor_f, to_matched_pair
 from ydalgebra.builders import (
     build_en,
     build_sweedler,
