@@ -124,15 +124,12 @@ def brace_action(b: YDBrace) -> ActionTensor:
     return table_action(d, act, fs)
 
 
-def brace_beta(b: YDBrace, action: ActionTensor) -> ActionTensor:
-    """beta_a = (T(a) >- -), with T the bullet-side antipode."""
-    return pulled_back(action, compile_columns(b.bullet_side.antipode))
-
-
 def functor_g(b: YDBrace) -> YDPostHopf:
-    """Brace to post-Hopf: keep the dot side, induce the action and beta."""
+    """Brace to post-Hopf: keep the dot side, induce the action and beta,
+    beta_a = (T(a) >- -) with T the bullet-side antipode."""
     action = brace_action(b)
-    return YDPostHopf(b.dot_side, action, brace_beta(b, action), params=dict(b.params))
+    beta = pulled_back(action, compile_columns(b.bullet_side.antipode))
+    return YDPostHopf(b.dot_side, action, beta, params=dict(b.params))
 
 
 def functor_f(s: YDPostHopf) -> YDBrace:

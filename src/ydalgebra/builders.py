@@ -45,7 +45,7 @@ from .hopf import (
     table_algebra,
 )
 from .linalg import Matrix, Vector, accumulate, unit_vector
-from .posthopf import YDPostHopf, _fill_beta, _pdelta_side, bullet_algebra, check_yd_post_hopf
+from .posthopf import YDPostHopf, _fill_beta, _pdelta_side, bullet_algebra, check_yd_post_hopf, subadjacent_hopf
 from .rota import GroupRB, GroupTable, check_group_rb
 
 
@@ -449,10 +449,6 @@ def symmetric_group_3() -> GroupTable:
     return GroupTable(labels, mul)
 
 
-def trivial_phi(g: GroupTable, h: GroupTable) -> list[list[int]]:
-    return [list(range(h.order)) for _ in range(g.order)]
-
-
 def conjugation_phi(g: GroupTable) -> list[list[int]]:
     return [
         [g.mul[g.mul[i][j]][g.inverse(i)] for j in range(g.order)]
@@ -462,7 +458,7 @@ def conjugation_phi(g: GroupTable) -> list[list[int]]:
 
 def group_rb_identity(g: GroupTable) -> GroupRB:
     """R = id with the trivial action: the homomorphism case."""
-    return GroupRB(g, g, trivial_phi(g, g), list(range(g.order)))
+    return GroupRB(g, g, [list(range(g.order)) for _ in range(g.order)], list(range(g.order)))
 
 
 def group_rb_inversion(g: GroupTable) -> GroupRB:
@@ -531,6 +527,4 @@ def build_trivial(field: FieldSpec = RATIONALS) -> YDPostHopf:
 
 def sweedler_hopf(field: FieldSpec = RATIONALS) -> HopfData:
     """The ordinary four-dimensional Hopf algebra (the subadjacent one)."""
-    from .posthopf import subadjacent_hopf
-
     return subadjacent_hopf(build_sweedler(1, field), verify=True)

@@ -363,7 +363,7 @@ def sides(left, right):
     return contract
 
 
-def table_side(rows: list, dim: int):
+def _table_side(rows: list, dim: int):
     """The side rows[i][j] of a compiled table itself, on the row (i,),
     keyed j * dim + k."""
     def side(acc, prefix, w):
@@ -380,7 +380,7 @@ def compare_tables(t: Tally, left: IntTable, right: IntTable, dim: int, field: F
     """Tally on t whether two compiled tables of vectors of dim agree at
     every (i, j)."""
     n = len(left.rows[0]) if left.rows else 0
-    compare(t, line(len(left.rows)), n, dim, sides(table_side(left.rows, dim), table_side(right.rows, dim)),
+    compare(t, line(len(left.rows)), n, dim, sides(_table_side(left.rows, dim), _table_side(right.rows, dim)),
             left.scale, right.scale, field, vector_render(dim))
 
 

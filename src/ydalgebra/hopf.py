@@ -49,7 +49,7 @@ Rota-Baxter operator, where H acts on K:
 - ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
   its unit row L-U, MP-1 and, for the right action, MP-2;
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
-  MP-MODC 0-3, its counit rows by ``counit_law``;
+  MP-MODC 0-3, its counit rows by ``_counit_law``;
 - ``mp5_law``: P-MP5, HB-MP5, MP-5;
 - ``bialgebra_unit_laws``: HOPF-EPS-MULT, HOPF-DELTA-UNIT, HOPF-EPS-UNIT,
   the last rows of P-COALG and RB-BIMON 8;
@@ -107,7 +107,8 @@ from .compiled import (
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
-    LinAlgError, Matrix, Vector, _cache_slot, _per_structure, _vector, accumulate, matrix_from_columns, solve_rows,
+    LinAlgError, Matrix, Vector, _cache_slot, _per_structure, _vector, accumulate, identity_matrix, matrix_from_columns,
+    solve_rows,
 )
 from .report import Checker, CheckReport, Tally, Witness
 
@@ -560,14 +561,14 @@ def module_coalgebra_law(act: ActionTensor, hco: CoalgebraData, kco: CoalgebraDa
     """act makes kco a module coalgebra over the acting coalgebra hco, as two
     tallies: Delta(h >- a) = (h_1 >- a_1) (x) (h_2 >- a_2) at (h, a), on the
     compiled tables, and eps(h >- a) = eps(h) eps(a) at (h, a)
-    (``counit_law``).  With swap, the legs h_1 and h_2 trade places on the
+    (``_counit_law``).  With swap, the legs h_1 and h_2 trade places on the
     right."""
     x, hc, kc = act.int_act(), hco.int_comul(), kco.int_comul()
     x_, dh, dk = x.rows, act.acting_dim, act.target_dim
     delta = compared(line(dh), dk, dk * dk,
                      sides(comul_side(x_, kc.rows, dk), legs_side(x_, x_, hc.rows, kc.rows, dk, swap_i=swap)),
                      x.scale * kc.scale, hc.scale * kc.scale * x.scale * x.scale, act.field, pairs_render(dk))
-    return delta, counit_law(x, kco, hco, kco)
+    return delta, _counit_law(x, kco, hco, kco)
 
 
 def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Tally:
@@ -581,7 +582,7 @@ def mp5_law(left: ActionTensor, right: ActionTensor, coalg: CoalgebraData) -> Ta
                     scale, scale, coalg.field, pairs_render(d))
 
 
-def counit_law(table: IntTable, target: CoalgebraData, left: CoalgebraData, right: CoalgebraData) -> Tally:
+def _counit_law(table: IntTable, target: CoalgebraData, left: CoalgebraData, right: CoalgebraData) -> Tally:
     """eps(table[i][j]) = eps(e_i) eps(e_j) at (i, j), on a compiled table
     of vectors in target, e_i in left and e_j in right."""
     et, el, er = (compile_vectors([c.counit], c.field) for c in (target, left, right))
@@ -651,10 +652,10 @@ def coassociative_law(rows: list, scale: int, coalg: CoalgebraData, d3: int, *, 
 def bialgebra_unit_laws(alg: AlgebraData, coalg: CoalgebraData):
     """The unit and counit of a bialgebra, on the compiled tables, as three
     tallies yielded in turn: eps(e_i e_j) = eps(e_i) eps(e_j) at (i, j)
-    (``counit_law``), Delta(1) = 1 (x) 1 at (0,) and eps(1) = 1 at (0,).
+    (``_counit_law``), Delta(1) = 1 (x) 1 at (0,) and eps(1) = 1 at (0,).
     Each is computed only when it is asked for, so a caller can time each
     one on its own ID, or stop early."""
-    yield counit_law(alg.int_mul(), coalg, coalg, coalg)
+    yield _counit_law(alg.int_mul(), coalg, coalg, coalg)
     fs, d = alg.field, alg.dim
     unit, comul = compile_vectors([alg.unit], fs), coalg.int_comul()
     u = unit.rows[0]
@@ -893,21 +894,26 @@ def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int,
     """``_solve_convolution``'s system solved in the given levels of blocks:
     one ``solve_rows`` call per level, on the level's own rows (x, t) and
     unknowns (x, r), local unknown i * n + r for the i-th block of the level.
-    Over Q a row's int sums carry left's scale times the coproduct's, so its
+    A row's int sums carry left's scale times the coproduct's, so its
     right-hand side is e times that scale, and the row is multiplied by e's
-    denominator; over F_p the rows are the residues in [1, p).  The values
-    of the blocks already solved move into the carried right-hand-side
-    columns as plain ints: over Q each solved level keeps its values over
-    one common denominator, and a row is multiplied by the lcm of the
-    denominators it reads; over F_p they are residues.  One level returns
-    what ``solve_rows`` gives; of several, None when a level is
+    denominator.  The values of the blocks already solved move into the
+    carried right-hand-side columns as plain ints: each solved level keeps
+    its values over one common denominator, and a row is multiplied by the
+    lcm of the denominators it reads.  One carry serves both fields: it
+    reads scalars through ``numerator`` and ``denominator``, and over F_p
+    every denominator is 1, so the rows are plain ints that ``solve_rows``
+    reduces mod p.  The carried denominators cannot compound from level to
+    level: each level's values come back from ``solve_rows`` in canonical
+    form, so a level's common denominator is the lcm of reduced
+    denominators, whatever the multipliers of its rows were.  One level
+    returns what ``solve_rows`` gives; of several, None when a level is
     inconsistent or has a kernel."""
     p = fs.p
     d = len(comul.rows)
     scale = left.scale * comul.scale
     lrows, crows = left.rows, comul.rows
     known: dict[int, list[list[tuple[int, int]]]] = {}  # block -> per r, the (y, int value) of g(e_k) at e_r
-    denom: dict[int, int] = {}  # block -> its level's common denominator (Q)
+    denom: dict[int, int] = {}  # block -> its level's common denominator
     found: list[dict[int, Scalar]] = [{} for _ in range(nrhs)]
     for level in levels:
         pos = {k: i for i, k in enumerate(level)}
@@ -916,10 +922,9 @@ def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int,
         for x in level:
             legs = crows[x]
             m = 1
-            if p is None:
-                for _, k, _ in legs:
-                    if k not in pos:
-                        m = lcm(m, denom[k])
+            for _, k, _ in legs:
+                if k not in pos:
+                    m = lcm(m, denom[k])
             per_t: list[dict[int, int]] = [{} for _ in range(n)]
             moved: list[dict[int, int]] = [{} for _ in range(n)]  # t -> rhs y -> minus the solved terms
             for j, k, c in legs:
@@ -932,8 +937,7 @@ def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int,
                             row = per_t[t]
                             row[key] = row.get(key, 0) + c * v
                     continue
-                if p is None:
-                    c *= m // denom[k]
+                c *= m // denom[k]
                 for r, vals in enumerate(known[k]):
                     if vals:
                         for t, v in lrows[j][r]:
@@ -949,14 +953,11 @@ def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int,
                 target = rhs.get((x, t))
                 if target is not None:
                     k, e = target
-                    if p is None:
-                        en, q = e.numerator, e.denominator
-                        if q != 1:
-                            row = {key: v * q for key, v in row.items()}
-                            carried = {y: a * q for y, a in carried.items()}
-                        a = en * scale * m
-                    else:
-                        a = e.value * scale % p
+                    q = e.denominator
+                    if q != 1:
+                        row = {key: v * q for key, v in row.items()}
+                        carried = {y: a * q for y, a in carried.items()}
+                    a = e.numerator * scale * m
                     if carried:
                         carried[k] = carried.get(k, 0) + a
                     elif a:
@@ -973,26 +974,19 @@ def _solve_levels(left: IntTable, comul: IntTable, n: int, rhs: dict, nrhs: int,
             return None
         for k in level:
             known[k] = [[] for _ in range(n)]
-        if p is None:
-            den = 1
-            for sol in sols:
-                for v in sol.entries.values():
-                    if v.__class__ is not int:
-                        den = lcm(den, v.denominator)
-            for k in level:
-                denom[k] = den
+        den = 1
+        for sol in sols:
+            for v in sol.entries.values():
+                if v.__class__ is not int:
+                    den = lcm(den, v.denominator)
+        for k in level:
+            denom[k] = den
         for y, (sol, out) in enumerate(zip(sols, found)):
             for idx, v in sol.entries.items():
                 i, r = divmod(idx, n)
                 k = level[i]
                 out[k * n + r] = v
-                if p is not None:
-                    v = v.value
-                elif v.__class__ is int:
-                    v *= den
-                else:
-                    v = v.numerator * (den // v.denominator)
-                known[k][r].append((y, v))
+                known[k][r].append((y, v * den if v.__class__ is int else v.numerator * (den // v.denominator)))
     # in the order back-substitution gives them, last unknown first
     return [_vector(d * n, dict(sorted(out.items(), reverse=True)), fs) for out in found], []
 
@@ -1139,6 +1133,4 @@ def _verify_endo_inverse(
 
 def solve_antipode(a: AlgebraData, c: CoalgebraData) -> Matrix | None:
     """Convolution inverse of the identity map: the antipode, when it exists."""
-    from .linalg import identity_matrix
-
     return convolution_inverse(identity_matrix(a.dim, a.field), c, a)

@@ -1,16 +1,16 @@
 """Exact sparse linear algebra over Q and F_p.
 
-Solving, kernels and inverses run on one sparse engine per field:
-fraction-free elimination over Q (cross-multiplication with row-content
-reduction) and plain modular elimination over F_p.  There is one
-elimination path, ``solve_rows``, on plain-int rows: it carries any
+Solving, kernels and inverses run on one sparse fraction-free elimination,
+``_forward``, for both fields: a row update cross-multiplies, and the new
+row is divided by its content over Q and reduced mod p over F_p.  There is
+one elimination path, ``solve_rows``, on plain-int rows: it carries any
 number of right-hand sides as extra columns through one forward elimination
 and back-substitutes all of them, and the kernel basis, in one pass over
 the pivots.  ``solve_many`` turns a ``Matrix`` into those rows; ``solve``,
 ``kernel`` and ``invert`` are its cases with one, no and n right-hand sides.
 The convolution solvers of ``hopf`` build their rows from compiled tables
-and call ``solve_rows`` directly.  The sparse engines keep a column ->
-row-id index, so a pivot visits only the rows that hold its column.  Every
+and call ``solve_rows`` directly.  The engine keeps a column -> row-id
+index, so a pivot visits only the rows that hold its column.  Every
 result is re-verified against its defining equation before it is returned
 (a kernel vector against the rows, a ``Matrix`` solution against A x = b,
 a convolution inverse by the identity its rows are the coefficients of), so
@@ -281,26 +281,30 @@ class SolveResult:
     kernel: list[Vector] = dc_field(default_factory=list)
 
 
-# --- elimination engines ------------------------------------------------
+# --- elimination ----------------------------------------------------------
 #
 # A system is a list of rows over plain ints, the input of ``solve_rows``:
 # over Q each row is stored with denominators cleared (fraction-free); over
-# F_p as residues in [1, p).  Forward elimination pivots on the coefficient
-# columns 0..ncols-1 only.  A row may hold further columns, the right-hand
-# sides, which are carried through every row operation and never pivoted
-# on.  It returns the echelon rows, pivot rows first (pivot i in row i),
-# and the pivot (row, col) list; every row after the pivot rows is zero on
-# the coefficient columns.  Back-substitution (``_back_substitute_all``)
-# then walks the pivots once, last first, for every consistent right-hand
-# side and every kernel vector together: each pivot row is split once into
-# its carried part and its coefficient part, and an unknown's values in
-# all the systems are kept in one dict, so a row costs one pass over its
-# entries however many right-hand sides there are.
+# F_p as any ints, reduced to residues in [1, p) on entry.  Forward
+# elimination (``_forward``) pivots on the coefficient columns 0..ncols-1
+# only.  A row may hold further columns, the right-hand sides, which are
+# carried through every row operation and never pivoted on.  It returns the
+# echelon rows, pivot rows first (pivot i in row i), and the pivot (row,
+# col) list; every row after the pivot rows is zero on the coefficient
+# columns.  Back-substitution (``_back_substitute_all``) then walks the
+# pivots once, last first, for every consistent right-hand side and every
+# kernel vector together: each pivot row is split once into its carried
+# part and its coefficient part, and an unknown's values in all the
+# systems are kept in one dict, so a row costs one pass over its entries
+# however many right-hand sides there are.
 #
-# The sparse engines keep a column index: for each coefficient column, the
-# ids of the active rows that hold it, so a pivot visits only those rows.
-# Rows keep their original order, and the pivot of a column is the shortest
-# row holding it, the earliest on a tie.
+# The engine keeps a column index: for each coefficient column, the ids of
+# the active rows that hold it, so a pivot visits only those rows.  Rows
+# keep their original order, and the pivot of a column is the shortest row
+# holding it, the earliest on a tie.  A row is never scaled to a leading 1:
+# scaling does not change a row's support, so the pivots are those of
+# elimination with unit pivots, and ``_back_substitute_all`` divides by
+# whatever pivot a row has.
 
 
 def _row_content(row: dict[int, int]) -> int:
@@ -337,11 +341,16 @@ def _take_pivot(active, holders, col: int, ncols: int) -> dict[int, int] | None:
     return piv
 
 
-def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
-    """Fraction-free elimination on sparse rows, each new row divided by
-    its content."""
+def _forward(rows: list[dict[int, int]], ncols: int, p: int | None):
+    """Fraction-free elimination on sparse rows: a row r holding the pivot
+    column becomes pl * r - rl * piv, which over Q is then divided by its
+    content and over F_p reduced mod p.  Over F_p the rows are reduced on
+    entry, so a pivot entry is never 0 mod p."""
     pivots: list[tuple[int, int]] = []
-    active = {i: dict(r) for i, r in enumerate(rows)}
+    if p is None:
+        active = {i: dict(r) for i, r in enumerate(rows)}
+    else:
+        active = {i: {c: v % p for c, v in r.items() if v % p} for i, r in enumerate(rows)}
     holders = _column_index(active, ncols)
     done: list[dict[int, int]] = []
     for col in range(ncols):
@@ -367,50 +376,19 @@ def _forward_sparse_q(rows: list[dict[int, int]], ncols: int):
                         del new[c]
                         if col < c < ncols:
                             holders[c].discard(i)
-            g = _row_content(new)
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-            if new:
-                active[i] = new
+            if p is None:
+                g = _row_content(new)
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
             else:
-                del active[i]
-        pivots.append((len(done), col))
-        done.append(piv)
-    done.extend(r for r in active.values() if r)
-    return done, pivots
-
-
-def _forward_fp(rows: list[dict[int, int]], ncols: int, p: int):
-    """Modular elimination on sparse rows; each pivot row is scaled to a
-    leading 1."""
-    pivots: list[tuple[int, int]] = []
-    active = {i: dict(r) for i, r in enumerate(rows)}
-    holders = _column_index(active, ncols)
-    done: list[dict[int, int]] = []
-    for col in range(ncols):
-        piv = _take_pivot(active, holders, col, ncols)
-        if piv is None:
-            continue
-        inv = pow(piv[col], p - 2, p)
-        piv = {c: v * inv % p for c, v in piv.items() if v % p}
-        for i in holders[col]:
-            r = active[i]
-            rl = r[col]
-            new = dict(r)
-            for c, v in piv.items():
-                w = new.get(c)
-                if w is None:
-                    new[c] = -v * rl % p
-                    if c < ncols:
-                        holders[c].add(i)
-                else:
-                    w = (w - v * rl) % p
-                    if w:
-                        new[c] = w
-                    else:
-                        del new[c]
-                        if col < c < ncols:
-                            holders[c].discard(i)
+                reduced = {}
+                for c, v in new.items():
+                    v %= p
+                    if v:
+                        reduced[c] = v
+                    elif col < c < ncols:
+                        holders[c].discard(i)
+                new = reduced
             if new:
                 active[i] = new
             else:
@@ -500,9 +478,10 @@ def solve_rows(rows: list[dict[int, int]], ncols: int, nrhs: int,
     solvers of ``hopf`` call.
 
     A row maps coefficient columns 0..ncols-1 and carried columns
-    ncols + k, right-hand side k, to ints: over Q with denominators cleared
-    (a row may be any nonzero multiple of its equation), over F_p residues
-    in [1, p).  Right-hand side k is inconsistent when an echelon row that
+    ncols + k, right-hand side k, to ints, and may be any nonzero multiple
+    of its equation: over Q with denominators cleared, over F_p any ints,
+    which are reduced mod p on entry, so an entry that is 0 mod p is no
+    entry.  Right-hand side k is inconsistent when an echelon row that
     is zero on the coefficient columns is nonzero in its column.  Every
     consistent right-hand side, and the kernel basis (one vector per free
     column, in column order), is back-substituted in one pass
@@ -512,7 +491,7 @@ def solve_rows(rows: list[dict[int, int]], ncols: int, nrhs: int,
     caller checks the identity it solves (``solve_many`` checks A x = b).
     """
     p = fs.p
-    ech, pivots = _forward_sparse_q(rows, ncols) if p is None else _forward_fp(rows, ncols, p)
+    ech, pivots = _forward(rows, ncols, p)
     inconsistent = set()
     for row in ech[len(pivots):]:
         for c in row:
@@ -535,8 +514,9 @@ def solve_rows(rows: list[dict[int, int]], ncols: int, nrhs: int,
 
 
 def _matrix_rows(a: Matrix, bs: list[Vector]) -> list[dict[int, int]]:
-    """The int rows of A with b_k carried as column a.cols + k: over Q each
-    row times the lcm of its denominators, over F_p the residues."""
+    """The int rows of A with b_k carried as column a.cols + k: each row
+    times the lcm of its denominators, which over F_p, where every
+    ``ModInt`` has denominator 1, leaves the residues."""
     n = a.cols
     rows: list[dict[int, Scalar]] = [{} for _ in range(a.rows)]
     for (r, c), v in a.entries.items():
@@ -546,16 +526,14 @@ def _matrix_rows(a: Matrix, bs: list[Vector]) -> list[dict[int, int]]:
             raise LinAlgError("dimension mismatch in solve")
         for i, v in b.entries.items():
             rows[i][n + k] = v
-    if a.field.p is not None:
-        return [{c: v.value for c, v in r.items()} for r in rows]
     out = []
     for r in rows:
         lcm = 1
         for v in r.values():
             if v.__class__ is not int:
-                q = v._denominator
+                q = v.denominator
                 lcm = lcm * q // gcd(lcm, q)
-        out.append({c: v * lcm if v.__class__ is int else v._numerator * (lcm // v._denominator)
+        out.append({c: v * lcm if v.__class__ is int else v.numerator * (lcm // v.denominator)
                     for c, v in r.items()})
     return out
 

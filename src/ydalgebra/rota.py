@@ -135,10 +135,6 @@ def derived_coaction(r: RelRB) -> Matrix:
     return coaction(r.h.algebra, r.h.antipode, r.r_map, r.k_coalg)
 
 
-def effective_coaction(r: RelRB) -> Matrix:
-    return r.coaction if r.coaction is not None else derived_coaction(r)
-
-
 def _r_inverse(r: RelRB) -> Matrix | None:
     """R^{-1}: K <- H, or None when R is not bijective, as an R between
     spaces of different dimensions never is.  An identity R, as every
@@ -359,7 +355,7 @@ class _RhoTables(NamedTuple):
 def _rho_tables(r: RelRB) -> _RhoTables:
     """The tables of ``_RhoTables``, once per operator."""
     dk, fs = r.dim_k, r.field
-    cols = compile_columns(effective_coaction(r))
+    cols = compile_columns(r.coaction if r.coaction is not None else derived_coaction(r))
     terms = [[(*divmod(pq, dk), n) for pq, n in col] for col in cols.rows]
 
     def one(v: Vector) -> IntTable:

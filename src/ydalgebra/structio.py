@@ -42,7 +42,7 @@ from .posthopf import PostLieData, YDPostHopf
 from .braces import MatchedPair, YDBrace
 from .rota import GroupRB, GroupTable, LieData, LieRB, RelRB
 
-KINDS = (
+_KINDS = (
     "algebra", "hopf", "ydpost", "ydbrace", "matchedpair",
     "relrb", "grouprb", "lierb", "postlie",
 )
@@ -476,8 +476,8 @@ def parse(text: str):
 def _parse(lines: _Lines):
     """The structure of a file's lines, its tables not yet compiled."""
     ln, args = lines.single("kind")
-    if len(args) != 1 or args[0] not in KINDS:
-        raise ParseError(f"kind must be one of {', '.join(KINDS)}", ln)
+    if len(args) != 1 or args[0] not in _KINDS:
+        raise ParseError(f"kind must be one of {', '.join(_KINDS)}", ln)
     kind = args[0]
     if kind == "grouprb":
         return _parse_grouprb(lines)

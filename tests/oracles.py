@@ -64,7 +64,7 @@ pairs that the round-trip tests assert; no module of the package reads
 them.
 
 ``forward_bareiss_q`` is the dense engine the solver once took over Q on
-small systems; a test puts it in place of ``linalg._forward_sparse_q`` to
+small systems; a test puts it in place of ``linalg._forward`` over Q to
 solve the same system a second way.
 """
 

@@ -20,6 +20,10 @@ target or a nested ``def`` in a function's own body (not in the bodies of
 the functions it nests) that no load in the function, its nested functions
 included, reads.  An unpacking target is left out, since an unpacking names
 every position.
+
+So does a relative import inside a function that breaks no import cycle:
+one whose module does not import the importing module at top level, and
+so could be imported at the top.
 """
 
 import ast
@@ -193,6 +197,35 @@ def test_local_scan_sees_an_unread_name():
                      "    return h\n")
     f, = tree.body
     assert _unread_locals(f) == [(3, "left"), (6, "g")]
+
+
+def _local_imports(package: dict) -> list[tuple[str, int, str]]:
+    """The relative imports made inside a function of a module of package
+    (path -> tree) that break no import cycle, as (module, line, imported
+    module): the imported module does not import the importing one at top
+    level, so the import could sit at the top of the module."""
+    top = {path.stem: {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+           for path, tree in package.items()}
+    return sorted((path.name, node.lineno, node.module) for path, tree in package.items()
+                  for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in _own_nodes(func)
+                  if isinstance(node, ast.ImportFrom) and node.level and path.stem not in top.get(node.module, ()))
+
+
+def test_function_local_imports_break_a_cycle():
+    assert 'from .compiled import' in (SRC / "linalg.py").read_text()  # Matrix.apply's, which does
+    left = _local_imports(PACKAGE)
+    assert not left, "function-local imports that break no cycle: " + ", ".join(
+        f"{name} ({module}:{line})" for module, line, name in left)
+
+
+def test_local_import_scan_sees_a_left_over():
+    package = {Path(name): ast.parse(text) for name, text in [
+        ("a.py", "from .b import kept\n\n\ndef f():\n    from .c import left_over\n\n    return left_over()\n"),
+        ("b.py", "def kept():\n    from .a import f\n\n    return f\n"),
+        ("c.py", "def left_over():\n    return 1\n"),
+    ]}
+    assert _local_imports(package) == [("a.py", 5, "c")]
 
 
 def test_scan_sees_every_module():

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import forward_bareiss_q
@@ -140,8 +140,14 @@ def test_solve_deterministic():
 
 def _bareiss(monkeypatch):
     """Solve over Q with the dense Bareiss oracle in place of the sparse
-    fraction-free engine, the reference a test compares the engine to."""
-    monkeypatch.setattr(linalg, "_forward_sparse_q", forward_bareiss_q)
+    fraction-free engine, the reference a test compares the engine to;
+    over F_p the engine stays."""
+    engine = linalg._forward
+
+    def forward(rows, ncols, p):
+        return forward_bareiss_q(rows, ncols) if p is None else engine(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "_forward", forward)
 
 
 def test_sparse_path_used_above_dense_limit(monkeypatch):
@@ -399,15 +405,80 @@ def int_systems(draw, entries):
 @given(int_systems(st.integers(-4, 4).filter(bool)))
 def test_sparse_q_engine_matches_the_scanning_engine(system):
     rows, ncols = system
-    assert linalg._forward_sparse_q(rows, ncols) == ref_forward_sparse_q(rows, ncols)
+    assert linalg._forward(rows, ncols, None) == ref_forward_sparse_q(rows, ncols)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(int_systems(st.sampled_from([1, 1, 6, 2, 3, 4, 5])), st.sampled_from([7, 11]))
 def test_fp_engine_matches_the_scanning_engine(system, p):
+    """The same pivots as the oracle, and each echelon row a nonzero
+    multiple, mod p, of the oracle's: the engine does not scale a pivot row
+    to a leading 1, and scaling a row does not change its support."""
     rows, ncols = system
     rows = [{c: v % p for c, v in r.items()} for r in rows]  # residues in [1, p)
-    assert linalg._forward_fp(rows, ncols, p) == ref_forward_fp(rows, ncols, p)
+    ech, pivots = linalg._forward(rows, ncols, p)
+    want, want_pivots = ref_forward_fp(rows, ncols, p)
+    assert pivots == want_pivots and len(ech) == len(want)
+    for row, ref in zip(ech, want):
+        assert row.keys() == ref.keys() and all(0 < v < p for v in row.values())
+        lead = min(ref)
+        m = row[lead] * pow(ref[lead], p - 2, p) % p
+        assert row == {c: v * m % p for c, v in ref.items()}
+
+
+def _carried_count(rows, ncols):
+    """The number of right-hand sides a row of the system carries, at most."""
+    return max([ncols, *(c + 1 for r in rows for c in r)]) - ncols
+
+
+def test_solve_rows_reduces_fp_rows_on_entry():
+    # row 0 is 7 x_0 + b = 0 with 7 = 0 mod 7: the pivot of column 0 must
+    # not land on it, and the row reads 0 = 1 (mod 7), an inconsistent rhs
+    sols, kern = linalg.solve_rows([{0: 7, 2: 1}, {0: 1, 1: 2, 2: 3}, {1: 1, 2: 1}], 2, 1, F7)
+    assert sols == [None] and kern == []
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(int_systems(st.sampled_from([1, 1, 6, 2, 3, 4, 5])), st.sampled_from([7, 11]), st.data())
+def test_solve_rows_reads_fp_rows_as_any_ints(system, p, data):
+    """Each entry shifted by a multiple of p, and entries that are 0 mod p
+    added: the same solutions, inconsistent right-hand sides and kernel as
+    on the residues."""
+    rows, ncols = system
+    rows = [{c: v % p for c, v in r.items()} for r in rows]
+    nrhs = _carried_count(rows, ncols)
+    width = ncols + nrhs
+    shift = st.integers(-3, 3)
+    shifted = []
+    for r in rows:
+        row = {c: v + p * data.draw(shift) for c, v in r.items()}
+        for c in data.draw(st.sets(st.integers(0, width - 1), max_size=2)):
+            if c not in row:
+                row[c] = p * data.draw(shift.filter(bool))
+        shifted.append(row)
+    fs = FieldSpec(p)
+    assert linalg.solve_rows(shifted, ncols, nrhs, fs) == linalg.solve_rows(rows, ncols, nrhs, fs)
+
+
+def _mod(v: Vector, fs: FieldSpec) -> Vector:
+    return Vector(v.dim, {c: fs.scalar(a.numerator, a.denominator) for c, a in v.entries.items()}, fs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(int_systems(st.integers(-4, 4).filter(bool)), st.sampled_from([7, 11]))
+def test_fp_solutions_are_the_q_ones_reduced_mod_p(system, p):
+    """Where the elimination picks the same pivot columns over Q and mod p,
+    every right-hand side solvable over Q has as its F_p solution the Q one
+    reduced mod p, and the F_p kernel is the Q kernel reduced mod p."""
+    rows, ncols = system
+    q_cols = [c for _, c in linalg._forward(rows, ncols, None)[1]]
+    assume(q_cols == [c for _, c in linalg._forward(rows, ncols, p)[1]])
+    nrhs, fs = _carried_count(rows, ncols), FieldSpec(p)
+    q_sols, q_kern = linalg.solve_rows(rows, ncols, nrhs, RATIONALS)
+    p_sols, p_kern = linalg.solve_rows(rows, ncols, nrhs, fs)
+    assert p_kern == [_mod(v, fs) for v in q_kern]
+    for x, y in zip(q_sols, p_sols):
+        assert x is None or y == _mod(x, fs)
 
 
 def test_solve_many_consistent_and_inconsistent_in_one_call():
