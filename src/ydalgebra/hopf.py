@@ -40,14 +40,37 @@ their int sums are compared as they are, and a ``Vector`` is built only to
 render the first failing triple.  ALG-UNIT and COALG-COUNIT run on the
 compiled tables too.
 
+An identity that is multiplicative in one factor holds everywhere once it
+holds when that factor is a generator, provided its premises hold: the
+set of factors where it holds is a subspace closed under products.  So
+ALG-ASSOC, HOPF-DELTA-MULT and the module and module-algebra laws (see
+the list below for each one's factor and premises) sum their rows only
+where that factor is in ``_generators`` of its algebra, the least basis
+indices whose right-nested products span it (E(n): 1, g and the x_i;
+Suzuki: 1, a, b, c, d), and count every tuple as checked when those rows
+pass (``_generated``).  When a premise fails, or a generator row fails,
+every row is summed, each once, so the failure count and the least
+failing witness are exact.  The premises are verdicts kept once per
+structure: ``_associative``, which ALG-ASSOC (``_associativity``) seeds,
+and ``_coassociative``, which COALG-COASSOC (``_coassociativity``) seeds;
+each is summed with no side rendered when no check has run.  So in a
+suite each premise is read from the ID that reports it, and a caller
+passes no generating set and no flag.
+
 The laws are written once, here, as tallies that the suites fold into
 their IDs; the acting space may differ from the target, as in a relative
 Rota-Baxter operator, where H acts on K:
 
 - ``module_law``: ALG-ASSOC, P-ASSOC, YD-MODULE, RB-BIMON 1, MP-MODC 4, and
   its unit row L-1ACT, MP-MODC 6 and, for the right action, MP-MODC 7;
+  summed on the rows (g, h) of generators g once the acting algebra is
+  associative, ALG-ASSOC with no premise, and P-ASSOC and YD-MODULE on
+  every row (``_module_law``), as nothing before them shows their bullet
+  product associative;
 - ``module_algebra_law``: P-DOT, L-MA, YD-MODALG, L-MB, RB-BIMON 2, and
-  its unit row L-U, MP-1 and, for the right action, MP-2;
+  its unit row L-U, MP-1 and, for the right action, MP-2; summed, swapped
+  or not, on the rows (h, a) of generators a once the target algebra is
+  associative and the acting coalgebra coassociative;
 - ``module_coalgebra_law``: P-COALG, L-DA, YD-MODCOALG, L-DB, RB-BIMON 3 and
   MP-MODC 0-3, its counit rows by ``_counit_law``;
 - ``mp5_law``: P-MP5, HB-MP5, MP-5;
@@ -63,9 +86,10 @@ Rota-Baxter operator, where H acts on K:
   group-likes and, with its legs swapped, P-ANTI, which takes only its
   Delta tally.
 
-All of them, their unit rows and HOPF-DELTA-MULT run on the compiled
-tables.  A law on triples runs on rows (g, h) or (h, a), on operand lists
-built once per law call and dropped when it returns.  ``module_law`` reads
+All of them, their unit rows and HOPF-DELTA-MULT (on the rows (x,) of
+generators x once the algebra is associative) run on the compiled tables.
+A law on triples runs on rows (g, h) or (h, a), on operand lists built
+once per law call and dropped when it returns.  ``module_law`` reads
 the action rows flattened, keyed a * dk + q, and the terms of every
 h >- f_a.  ``module_algebra_law`` reads the products m[a] flattened, sums
 c (h_1 >- a) once per row for each distinct h_2, and multiplies that sum
@@ -98,12 +122,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, basis, bilinear_table, comul_side, compare, compared, compile_columns,
     compile_comul, compile_legs, compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line,
-    pairs_render, reduced, scalar_render, sides, table_vectors, tensor_side, triples_render, vector_render,
+    pairs_render, reduced, scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
@@ -318,16 +342,16 @@ def is_cocommutative(c: CoalgebraData) -> bool:
 
 
 def check_algebra(a: AlgebraData, *, witness: bool = True) -> CheckReport:
-    """Associativity on all basis triples, as the module law of the algebra
-    acting on itself by left products, and two-sided unitality.  With
-    witness False the failures are counted but no side is rendered."""
+    """Associativity on all basis triples (``_associativity``) and two-sided
+    unitality.  With witness False the failures are counted but no side is
+    rendered."""
     rep = CheckReport()
     ch = Checker("ALG-ASSOC")
-    mul = a.int_mul()
-    m, d = mul.rows, a.dim
-    ch.absorb(module_law(ActionTensor.int_act.seed(ActionTensor(d, d, a.mul, a.field), mul), a, witness=witness))
+    ch.absorb(_associativity(a, witness))
     rep.add(ch.entry())
     ch = Checker("ALG-UNIT")
+    mul = a.int_mul()
+    m, d = mul.rows, a.dim
     unit = compile_vectors([a.unit], a.field)
     u = unit.rows[0]
 
@@ -348,14 +372,14 @@ def check_algebra(a: AlgebraData, *, witness: bool = True) -> CheckReport:
 
 
 def check_coalgebra(c: CoalgebraData, *, witness: bool = True) -> CheckReport:
-    """Coassociativity and counitality on every basis element, on the
-    compiled coproduct and counit.  With witness False the failures are
-    counted but no side is rendered."""
+    """Coassociativity (``_coassociativity``) and counitality on every basis
+    element, on the compiled coproduct and counit.  With witness False the
+    failures are counted but no side is rendered."""
     rep = CheckReport()
     comul = c.int_comul()
     cm, d = comul.rows, c.dim
     ch = Checker("COALG-COASSOC")
-    ch.absorb(coassociative_law(cm, comul.scale, c, d, witness=witness))
+    ch.absorb(_coassociativity(c, witness))
     rep.add(ch.entry())
     ch = Checker("COALG-COUNIT")
     counit = compile_vectors([c.counit], c.field)
@@ -384,13 +408,17 @@ def check_hopf(h: HopfData) -> CheckReport:
     rep = check_algebra(a)
     rep.extend(check_coalgebra(c))
 
-    # Delta(e_i e_j) = (e_i1 e_j1) (x) (e_i2 e_j2)
+    # Delta(e_i e_j) = (e_i1 e_j1) (x) (e_i2 e_j2) at (i, j), on the rows (i,)
+    # of generators once A is associative: Delta((x x') y) = Delta(x)
+    # Delta(x') Delta(y) when x and x' pass, so the x that pass are closed
+    # under products
     ch = Checker("HOPF-DELTA-MULT")
     mul, comul = a.int_mul(), c.int_comul()
     m, c_ = mul.rows, comul.rows
     d = a.dim
-    compare(ch, line(d), d, d * d, sides(comul_side(m, c_, d), legs_side(m, m, c_, c_, d)),
-            mul.scale * comul.scale, (mul.scale * comul.scale) ** 2, a.field, pairs_render(d))
+    ch.absorb(_generated(list(line(d)), 0, _premised(a, lambda: _associative(a)), d, d * d,
+                         sides(comul_side(m, c_, d), legs_side(m, m, c_, c_, d)), mul.scale * comul.scale,
+                         (mul.scale * comul.scale) ** 2, a.field, pairs_render(d)))
     rep.add(ch.entry())
 
     laws = bialgebra_unit_laws(a, c)
@@ -405,6 +433,135 @@ def check_hopf(h: HopfData) -> CheckReport:
     return rep
 
 
+# --- multiplicative identities on generator rows ---------------------------
+
+
+@_per_structure
+def _generators(alg: AlgebraData) -> tuple[int, ...]:
+    """The least basis indices S whose right-nested products
+    s_1 . (s_2 . (... . s_k)) span alg, found once per algebra: e_i joins S
+    when it is not in the span V of the products of the S found so far,
+    and V is then closed again under left products by S.  A set of x that
+    holds an identity and is closed under products holds it on all of alg
+    when it holds S.  V is kept as an echelon over alg's own field, on the
+    compiled product: fraction-free int rows, their content divided out,
+    over Q, residues over F_p.  The rank is never taken mod a prime over
+    Q: a rank that drops there would leave out a generator that is
+    needed."""
+    m, p, d = alg.int_mul().rows, alg.field.p, alg.dim
+    echelon: dict[int, dict[int, int]] = {}  # leading index -> row
+    span: list[list[tuple[int, int]]] = []  # the rows' items, in the order they joined
+    gens: list[int] = []
+    todo: list[tuple[int, int]] = []  # (s, n): e_s . span[n] is still to be reduced
+
+    def reduce(v: dict[int, int]) -> dict[int, int]:
+        # v less its part in V: the least pivot v holds is cleared first,
+        # and a row's entries lie at or after its pivot
+        while (c := min((k for k in v if k in echelon), default=None)) is not None:
+            row, a, out = echelon[c], v[c], {}
+            b = row[c]
+            for k in v.keys() | row.keys():
+                x = b * v.get(k, 0) - a * row.get(k, 0)
+                if p is not None:
+                    x %= p
+                if x:
+                    out[k] = x
+            v = out
+        if p is None and v:
+            g = gcd(*v.values())
+            v = {k: x // g for k, x in v.items()}
+        return v
+
+    def join(v: dict[int, int]) -> None:
+        echelon[min(v)] = v
+        todo.extend((s, len(span)) for s in gens)
+        span.append(list(v.items()))
+
+    for i in range(d):
+        if len(echelon) == d:
+            break
+        v = reduce({i: 1})
+        if not v:
+            continue
+        gens.append(i)
+        todo.extend((i, n) for n in range(len(span)))
+        join(v)
+        while todo and len(echelon) < d:
+            s, n = todo.pop()
+            v = reduce(dict(int_linear(m[s], span[n], p)))
+            if v:
+                join(v)
+    return tuple(gens)
+
+
+def _premised(alg: AlgebraData, premise) -> tuple[int, ...] | None:
+    """The generators of alg (``_generators``) for ``_generated``, when they
+    leave out a basis element and premise() holds; otherwise None."""
+    gens = _generators(alg)
+    return gens if len(gens) < alg.dim and premise() else None
+
+
+def _generated(rows: list, at: int, gens, n: int, width: int, contract, sl: int, sr: int, field: FieldSpec,
+               render) -> Tally:
+    """``compared`` on rows, for an identity whose rows pass at every row
+    once they pass on the rows whose index at position ``at`` is in gens,
+    a generating set of the algebra that index ranges over (each caller
+    gives the lemma and its premises).  Those rows are summed first, in
+    order; when they pass, the tally counts the n tuples of every row of
+    rows as checked, since the lemma covers them all.  When one fails, the
+    other rows are summed too, each once, and the two tallies are folded,
+    so the failure count and the least failing witness are those of every
+    row.  gens None (a premise fails, or the generators are the whole
+    basis) sums every row in order."""
+    if gens is None:
+        return compared(rows, n, width, contract, sl, sr, field, render)
+    t = compared([r for r in rows if r[at] in gens], n, width, contract, sl, sr, field, render)
+    if t.failures:
+        t.absorb(compared([r for r in rows if r[at] not in gens], n, width, contract, sl, sr, field, render))
+    else:
+        t.checked = n * len(rows)
+    return t
+
+
+def _associativity(a: AlgebraData, witness: bool = True) -> Tally:
+    """ALG-ASSOC's tally, (e_i e_j) e_k = e_i (e_j e_k) at (i, j, k), as
+    ``module_law`` for the algebra acting on itself by left products, its
+    verdict seeded as ``_associative``'s.  Its rows (i, j) are summed for
+    the generators i only (``_generated``), with no premise: the x with
+    (x y) z = x (y z) for all y, z are a subspace closed under products,
+    as ((x x') y) z = (x (x' y)) z = x ((x' y) z) = x (x' (y z)) =
+    (x x') (y z).  With witness False no side is rendered."""
+    d = a.dim
+    t = _module_law(ActionTensor.int_act.seed(ActionTensor(d, d, a.mul, a.field), a.int_mul()), a, _generators(a),
+                    witness)
+    _associative.seed(a, not t.failures)
+    return t
+
+
+@_per_structure
+def _associative(a: AlgebraData) -> bool:
+    """Whether a passes ALG-ASSOC: the verdict its last check seeded, or
+    ``_associativity`` summed once with no side rendered."""
+    return not _associativity(a, False).failures
+
+
+def _coassociativity(c: CoalgebraData, witness: bool = True) -> Tally:
+    """COALG-COASSOC's tally (``coassociative_law`` with c = Delta), its
+    verdict seeded as ``_coassociative``'s.  With witness False no side is
+    rendered."""
+    comul = c.int_comul()
+    t = coassociative_law(comul.rows, comul.scale, c, c.dim, witness=witness)
+    _coassociative.seed(c, not t.failures)
+    return t
+
+
+@_per_structure
+def _coassociative(c: CoalgebraData) -> bool:
+    """Whether c passes COALG-COASSOC: the verdict its last check seeded,
+    or ``_coassociativity`` summed once with no side rendered."""
+    return not _coassociativity(c, False).failures
+
+
 # --- action laws (see the module docstring) ----------------------------------
 
 
@@ -414,12 +571,23 @@ def _terms(rows: list, dk: int) -> list:
     return [[(k * dk, r, c) for k, v in enumerate(row) for r, c in v] for row in rows]
 
 
-def module_law(act: ActionTensor, alg: AlgebraData, *, witness: bool = True) -> Tally:
+def module_law(act: ActionTensor, alg: AlgebraData) -> Tally:
     """act makes its target a module over alg: (g.h) >- a = g >- (h >- a)
     at (g, h, a), on the compiled tables; ``module_unit_law`` is its unit.
-    Each row reads operand lists built once per call: x_[r] flattened to
-    (a * dk + q, e) for the left side, and the terms (a * dk, r, c) of
-    x_[h] for the right.  With witness False no side is rendered."""
+    Once alg is associative (``_associative``) the rows (g, h) are summed
+    for the generators g of alg only (``_generated``): ((g g').h) >- a =
+    (g.(g'.h)) >- a = g >- (g' >- (h >- a)) = (g g') >- (h >- a) when g and
+    g' pass, so the g that pass are closed under products."""
+    return _module_law(act, alg, _premised(alg, lambda: _associative(alg)))
+
+
+def _module_law(act: ActionTensor, alg: AlgebraData, gens, witness: bool = True) -> Tally:
+    """``module_law`` on the rows (g, h) of ``_generated`` for gens: every
+    row when gens is None, as for P-ASSOC and YD-MODULE, whose bullet
+    product nothing before them shows associative.  With witness False no
+    side is rendered.  Each row reads operand lists built once per call:
+    x_[r] flattened to (a * dk + q, e) for the left side, and the terms
+    (a * dk, r, c) of x_[h] for the right."""
     x, mul = act.int_act(), alg.int_mul()
     x_, m = x.rows, mul.rows
     dh, dk = act.acting_dim, act.target_dim
@@ -442,10 +610,8 @@ def module_law(act: ActionTensor, alg: AlgebraData, *, witness: bool = True) -> 
                     q += base
                     acc[q] = get(q, 0) + c * e
 
-    t = Tally()
-    compare(t, product(range(dh), range(dh)), dk, dk, law, mul.scale * x.scale, x.scale * x.scale,
-            act.field, vector_render(dk) if witness else None)
-    return t
+    return _generated(list(square(dh)), 0, gens, dk, dk, law, mul.scale * x.scale, x.scale * x.scale, act.field,
+                      vector_render(dk) if witness else None)
 
 
 def module_unit_law(act: ActionTensor, alg: AlgebraData) -> Tally:
@@ -469,7 +635,15 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
     h_2 trade places on the right.  Each row reads operand lists built once
     per call: m[a] flattened to (b * dk, r, c) for the left side; for the
     right, the column e_h >- e_a over every h, and a table, filled as rows
-    ask for it, of e_r . (e_{h_2} >- e_b) for every b, keyed b * dk + q."""
+    ask for it, of e_r . (e_{h_2} >- e_b) for every b, keyed b * dk + q.
+
+    Once alg is associative (``_associative``) and coalg coassociative
+    (``_coassociative``), the rows (h, a) are summed for the generators a
+    of alg only (``_generated``): when a and a' pass at every h and b,
+    h >- ((a a').b) = h >- (a.(a'.b)) = (h_1 >- a).((h_2 >- a').(h_3 >- b))
+    and (h_1 >- (a a')).(h_2 >- b) = ((h_1 >- a).(h_2 >- a')).(h_3 >- b),
+    the legs numbered through coassociativity (of Delta or, with swap, of
+    its flip), so the a that pass are closed under products."""
     x, mul, comul = act.int_act(), alg.int_mul(), coalg.int_comul()
     x_, m, c_ = x.rows, mul.rows, comul.rows
     dh, dk, p = act.acting_dim, act.target_dim, act.field.p
@@ -522,10 +696,9 @@ def module_algebra_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData
                     for q, e in row:
                         acc[q] = get(q, 0) + a * e
 
-    t = Tally()
-    compare(t, product(range(dh), range(dk)), dk, dk, law, mul.scale * x.scale,
-            comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
-    return t
+    gens = _premised(alg, lambda: _associative(alg) and _coassociative(coalg))
+    return _generated(list(product(range(dh), range(dk))), 1, gens, dk, dk, law, mul.scale * x.scale,
+                      comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
 
 
 def module_algebra_unit_law(act: ActionTensor, coalg: CoalgebraData, alg: AlgebraData) -> Tally:
@@ -623,8 +796,8 @@ def coassociative_law(rows: list, scale: int, coalg: CoalgebraData, d3: int, *, 
     """(Delta (x) id) c(x) = (id (x) c) c(x) at (x,), for a map c from a
     space into coalg (x) V, dim V = d3, given by the (j, k, n) terms rows[x]
     of c(e_x) at scale, on the compiled tables, keyed (a * d_2 + b) * d3 + k
-    for d_2 = coalg.dim: COALG-COASSOC with c = Delta, RB-BIMON part 4 with
-    c = rho.  With witness False no side is rendered."""
+    for d_2 = coalg.dim: COALG-COASSOC with c = Delta (``_coassociativity``),
+    RB-BIMON part 4 with c = rho.  With witness False no side is rendered."""
     comul, d2 = coalg.int_comul(), coalg.dim
     cm = comul.rows
 

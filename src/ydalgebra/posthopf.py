@@ -69,8 +69,12 @@ table of sums over the second-leg groups of their second argument
 (``_second_leg_sums``), made once per structure, and left-associated as
 they are written.  Each runs one row of tuples per call
 of its contract (``compiled.compare``): P-DOT, L-MB and P-ASSOC on rows
-(x, y) over z, the identities on pairs on rows (x,) over y.  L-MA, YD-MODALG,
-YD-MODULE, L-DA and YD-MODCOALG report from the same tallies.  Each side
+(x, y) over z, the identities on pairs on rows (x,) over y.  P-DOT and L-MB
+run only their rows (x, y) with y a generator of the product once
+ALG-ASSOC and COALG-COASSOC pass (``hopf._generated``); P-ASSOC runs every
+row, since nothing before it shows the bullet product associative.
+L-MA, YD-MODALG, YD-MODULE, L-DA and YD-MODCOALG report from the same
+tallies.  Each side
 of each of these identities is one contraction pattern whose int sum
 carries the product of its tables' scales, and ``compiled.compare``
 cross-multiplies the two sides by each other's scale.  A ``Vector`` or
@@ -106,13 +110,14 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
+    _coassociative,
+    _module_law,
     _verify_endo_inverse,
     antipode_law,
     bialgebra_unit_laws,
     check_algebra,
     check_coalgebra,
     check_hopf,
-    coassociative_law,
     coaction,
     coalgebra_map_law,
     column_matrix,
@@ -123,7 +128,6 @@ from .hopf import (
     module_algebra_law,
     module_algebra_unit_law,
     module_coalgebra_law,
-    module_law,
     module_unit_law,
     mp5_law,
     one_column,
@@ -429,9 +433,9 @@ def _alpha_comult(s: YDPostHopf) -> tuple[Tally, Tally]:
 def _module_identity(s: YDPostHopf) -> tuple[Tally, Tally]:
     """>- makes H a module over the bullet product (``hopf.module_law``):
     (x o y) >- z = x >- (y >- z) at (x, y, z), where x o y = x_1 . (x_2 >- y),
-    and 1 >- z = z at (z,)."""
+    on every row (x, y), and 1 >- z = z at (z,)."""
     bullet = bullet_algebra(s)
-    return module_law(s.action, bullet), module_unit_law(s.action, bullet)
+    return _module_law(s.action, bullet, None), module_unit_law(s.action, bullet)
 
 
 @_per_structure
@@ -682,7 +686,7 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
     (a_3 . b_2) on the legs (id (x) (Delta (x) id) Delta) Delta(a), is
     P-DELTA's right-hand side on the legs ((Delta (x) id) (x) id)
     (Delta (x) id) Delta(a): the same fourfold sum in another bracketing.
-    So on a coassociative Delta (``_coassociative``) row 0 is P-DELTA's
+    So on a coassociative Delta (``hopf._coassociative``) row 0 is P-DELTA's
     compare, read from its cached tally, and row 1 passes wherever row 0
     passes; neither the braided product nor the braiding is summed.  On a
     Delta that is not coassociative both sides of row 0 are summed, and row
@@ -709,14 +713,6 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
         else:
             rows.record(where, where not in delta_failed)
     t.absorb(rows, where=lambda w: w + (1,))
-
-
-@_per_structure
-def _coassociative(c: CoalgebraData) -> bool:
-    """Whether Delta is coassociative (``hopf.coassociative_law``, failures
-    counted with no witness rendered), read once per coalgebra."""
-    comul = c.int_comul()
-    return not coassociative_law(comul.rows, comul.scale, c, c.dim, witness=False).failures
 
 
 @_per_structure

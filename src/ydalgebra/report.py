@@ -135,6 +135,13 @@ class CheckReport:
         """The human-readable report: one line per entry with its counts and
         time, the first failure under it, and a verdict line.
 
+        ``checked`` counts the tuples an entry covers.  Where a
+        multiplicative law passes on the rows of an algebra's generators
+        (``hopf._generated``: ALG-ASSOC, HOPF-DELTA-MULT, and the module and
+        module-algebra laws once ALG-ASSOC and COALG-COASSOC pass), the
+        lemma covers every tuple, so it counts them all, as if each were
+        summed; a failing law sums every row, and its counts are its own.
+
         An entry's time covers only its own step.  Where several IDs report
         from one shared tally (P-DOT/L-MA/YD-MODALG, P-ASSOC/YD-MODULE,
         P-COALG/L-DA/YD-MODCOALG, P-DELTA/YD-BRAIDMULT), the first ID that

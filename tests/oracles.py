@@ -16,8 +16,14 @@ one-term exits to the general loop.
 ``module_law`` and ``module_algebra_law`` are the contracts ``hopf`` ran
 on the compiled tables before they read operand lists built once per call:
 they walk every h >- f_a of a row, and multiply the summed c (h_1 >- a) by
-h_2 >- b and a product row of the algebra for every b.  Each returns the
-``Tally`` its law of the same name returns.
+h_2 >- b and a product row of the algebra for every b.  They sum every row,
+as ``hopf`` did before it summed a law on the rows of generators once its
+premises pass.  Each returns the ``Tally`` its law of the same name
+returns.
+
+``generators`` is ``hopf._generators`` found another way: the span of the
+right-nested products is grown on ``Vector`` products to a fixed point,
+its rank read from ``linalg.kernel``.
 
 ``_pdelta_rhs`` and ``leftharpoon`` are the loops ``posthopf`` ran before
 it summed P-DELTA's right-hand side on the threefold legs and the bullet
@@ -80,7 +86,7 @@ from ydalgebra.compiled import (
 )
 from ydalgebra.field import inv
 from ydalgebra.hopf import ActionTensor, StructureError
-from ydalgebra.linalg import Matrix, Vector, accumulate, matrix_from_columns, unit_vector
+from ydalgebra.linalg import Matrix, Vector, accumulate, kernel, matrix_from_columns, unit_vector
 from ydalgebra.posthopf import YDPostHopf, _sharp_columns, bullet_algebra, ensure_beta
 from ydalgebra.report import Tally
 from ydalgebra.structio import ParseError, _parse_int, _parse_scalar_tok
@@ -299,6 +305,38 @@ def module_algebra_law(act, coalg, alg, swap: bool = False) -> Tally:
     compare(t, product(range(dh), range(dk)), dk, dk, law, mul.scale * x.scale,
             comul.scale * x.scale * x.scale * mul.scale, act.field, vector_render(dk))
     return t
+
+
+def generators(alg) -> tuple[int, ...]:
+    """The least basis indices whose right-nested products span alg: e_i is
+    one when it is not in the span of the products of those before it, that
+    span closed under their left products by sweeping every product
+    e_s . w of a generator and a spanning vector until none raises the
+    rank."""
+    d, fs = alg.dim, alg.field
+    span: list[Vector] = []
+
+    def raises(v: Vector) -> bool:
+        vs = span + [v]
+        return len(kernel(matrix_from_columns(vs, fs))) == 0
+
+    gens: list[int] = []
+    for i in range(d):
+        e = unit_vector(d, i, fs)
+        if not raises(e):
+            continue
+        gens.append(i)
+        span.append(e)
+        grown = True
+        while grown:
+            grown = False
+            for s in gens:
+                for w in list(span):
+                    v = mul_vec(alg, unit_vector(d, s, fs), w)
+                    if raises(v):
+                        span.append(v)
+                        grown = True
+    return tuple(gens)
 
 
 def _pdelta_rhs(s):

@@ -33,6 +33,7 @@ associative.
 """
 
 import ast
+import collections
 import dataclasses
 import functools
 from fractions import Fraction
@@ -45,13 +46,16 @@ from hypothesis import strategies as st
 
 import oracles
 import ydalgebra
-from ydalgebra import posthopf
+from ydalgebra import braces, cli, compiled, linalg, posthopf, rota
 from oracles import (
     act_apply, add_scaled_inplace, apply_basis, apply_vec_basis, bilinear, bracket_vec, comul_vec, eps_vec,
     matrix_apply, mul_vec, pulled_back, tens2,
 )
 from oracles import int_bilinear as dict_int_bilinear, int_items as dict_int_items, int_linear as dict_int_linear
-from test_golden import KIND_MUTANTS, SUITE_MUTANTS, _mutant_text, _mutate, _mutate_named, yd_mutant
+from test_golden import (
+    ALGEBRA_SOURCES, KIND_MUTANTS, MUTANTS, SUITE_MUTANTS, _mutant_text, _mutate, _mutate_named, golden_text,
+    yd_mutant,
+)
 from ydalgebra.braces import (
     MatchedPair, YDBrace, _brace_compat, _matched_pair_laws, brace_action, check_matched_pair, check_yd_brace,
     from_matched_pair, functor_f, functor_g, to_matched_pair,
@@ -1481,12 +1485,15 @@ def test_row_compare_keeps_witnesses_of_rows_visited_out_of_order(p, monkeypatch
 
 def test_cube_contracts_run_once_per_row(monkeypatch):
     # ALG-ASSOC, the module law and the module-algebra law call their
-    # contract once per row, d**2 times and not d**3, with the rows in
-    # order; a failing identity calls it twice more, to render its witness
+    # contract once per visited row, d**2 times at most and not d**3, with
+    # the rows in order.  On a pass they visit the rows of generators only
+    # (1, g, x1, x2 of E(2)); on a failure they visit those, then every
+    # other row, each part calling it twice more to render its least
+    # failure; with a premise failing they visit every row in order
     from ydalgebra import hopf
 
     rows = []
-    real = hopf.compare
+    real = compiled.compare
 
     def counted(t, prefixes, n, width, contract, *rest):
         def wrapped(acc, prefix, wl, wr):
@@ -1495,18 +1502,210 @@ def test_cube_contracts_run_once_per_row(monkeypatch):
         return real(t, prefixes, n, width, wrapped, *rest)
 
     s = parse("\n".join(_base_lines("en2", None)) + "\n")
-    d = s.dim
+    bad = _mutated_en2(None, "action 1 2 2", "1")  # g >- x1 = x1
+    gate = parse("\n".join(x for x in _base_lines("en2", None) if x != "mul 3 0 3 1") + "\n")
+    d, gens = s.dim, (0, 1, 2, 4)
+    assert hopf._generators(s.carrier.algebra) == gens
+    assert hopf._coassociative(s.carrier.coalgebra) and hopf._coassociative(bad.carrier.coalgebra)
+    assert hopf._associative(bad.carrier.algebra) and not hopf._associative(gate.carrier.algebra)
     monkeypatch.setattr(hopf, "compare", counted)
+    monkeypatch.setattr(compiled, "compare", counted)
     check_algebra(s.carrier.algebra)
     # then ALG-UNIT, once per row (i,)
-    assert rows == [*square(d), *line(d)]
+    assert rows == [*((g, h) for g in gens for h in range(d)), *line(d)]
     rows.clear()
     module_algebra_law(s.action, s.carrier.coalgebra, s.carrier.algebra)
-    assert rows == list(square(d))
+    assert rows == [(h, a) for h in range(d) for a in gens]
+    rows.clear()
+    t = module_algebra_law(bad.action, bad.carrier.coalgebra, bad.carrier.algebra)
+    head = [(h, a) for h in range(d) for a in gens]
+    rest = [(h, a) for h in range(d) for a in range(d) if a not in gens]
+    n = len(head)
+    assert rows[:n] == head and rows[n] == rows[n + 1] == t.witness.where[:2]
+    assert rows[n + 2:n + 2 + len(rest)] == rest
+    assert len(rows) == n + 2 + len(rest) + 2 and rows[-1] == rows[-2] and rows[-1][1] not in gens
+    assert (t.checked, t.failures) == (d ** 3, 60)
+    rows.clear()
+    t = module_algebra_law(gate.action, gate.carrier.coalgebra, gate.carrier.algebra)
+    assert rows == [*square(d), t.witness.where[:2], t.witness.where[:2]]
     rows.clear()
     act, alg = _c2_action(RATIONALS, (0, 2))
     assert module_law(act, alg).failures == 2
     assert rows == [*square(2), (1, 1), (1, 1)]
+
+
+# --- multiplicative laws on generator rows ---------------------------------------
+#
+# ALG-ASSOC, HOPF-DELTA-MULT, ``hopf.module_law`` and
+# ``hopf.module_algebra_law`` sum their rows for the generators of an
+# algebra (``hopf._generators``) once their premises pass.  Each must give
+# the tally of its full-row oracle: on every golden structure and golden
+# mutant, for every call the suite of its kind makes, and on the hypothesis
+# draws of the tests above, which hold these laws to their references.
+
+
+def _moved_en2(fs) -> AlgebraData:
+    """E(2)'s algebra on the basis f = P e for a hand-built unimodular P,
+    lower unitriangular: f_1 = g + x1, f_2 = x1 + x2, f_3 = g x1 - x1 x2,
+    f_4 = x2 + g x2, and f_i = e_i otherwise.  A product of two f is no
+    longer a multiple of one f."""
+    alg = build_en(2, [[2, F(1, 3)], [F(1, 3), -1]], fs).carrier.algebra
+    d = alg.dim
+    below = {(2, 1): 1, (4, 2): 1, (6, 3): -1, (5, 4): 1}
+    p = Matrix(d, d, {**{(i, i): fs.one for i in range(d)}, **{k: fs.scalar(c) for k, c in below.items()}}, fs)
+    q = linalg.invert(p)
+    f = [p.column(i) for i in range(d)]
+    mul = [[q.apply(oracles.mul_vec(alg, u, v)) for v in f] for u in f]
+    return AlgebraData(d, list(alg.basis_labels), mul, q.apply(alg.unit), fs)
+
+
+def _seven(fs) -> AlgebraData:
+    """k[x]/(x^3) on the basis 1, x, y = x^2/7: x.x = 7 y, and the other
+    products of x and y are 0.  Mod 7, x.x = 0 and y is a generator too."""
+    def v(entries):
+        return Vector(3, {k: fs.scalar(c) for k, c in entries.items()}, fs)
+
+    mul = [[v({0: 1}), v({1: 1}), v({2: 1})], [v({1: 1}), v({2: 7}), v({})], [v({2: 1}), v({}), v({})]]
+    return AlgebraData(3, ["1", "x", "y"], mul, v({0: 1}), fs)
+
+
+def _identity(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+GENERATOR_SETS = {
+    "sweedler": (lambda fs: build_sweedler(F(1, 2) if fs.p is None else 3, fs).carrier.algebra, (0, 1, 2)),
+    **{f"en{n}": (lambda fs, n=n: build_en(n, _identity(n), fs).carrier.algebra, gens)
+       for n, gens in ((1, (0, 1, 2)), (2, (0, 1, 2, 4)), (3, (0, 1, 2, 4, 6)), (4, (0, 1, 2, 4, 6, 8)))},
+    "en3-off-diagonal": (lambda fs: build_en(3, OFF_DIAGONAL, fs).carrier.algebra, (0, 1, 2, 4, 6)),
+    "suzuki": (lambda fs: build_suzuki(1, -1, fs).carrier.algebra, (0, 1, 2, 3, 4)),
+    "s3": (lambda fs: group_algebra(symmetric_group_3(), fs).algebra, (0, 1, 2)),
+    "en2-moved": (_moved_en2, (0, 1, 2)),
+    "seven": (_seven, {None: (0, 1), 7: (0, 1, 2), 10007: (0, 1)}),
+}
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@pytest.mark.parametrize("name", sorted(GENERATOR_SETS))
+def test_generators_are_pinned(p, name):
+    build, want = GENERATOR_SETS[name]
+    alg = build(RATIONALS if p is None else FieldSpec(p))
+    gens = ydalgebra.hopf._generators(alg)
+    assert gens == (want[p] if isinstance(want, dict) else want)
+    if alg.dim <= 16:
+        assert gens == oracles.generators(alg)
+
+
+def test_generators_over_q_keep_a_rank_that_drops_mod_a_prime():
+    # over Q, x.x = 7 y puts y in the span of the products of 1 and x; the
+    # rank of that span mod 7 would drop and make y a generator too
+    alg = _seven(RATIONALS)
+    assert ydalgebra.hopf._generators(alg) == (0, 1)
+    assert check_algebra(alg).all_pass()
+
+
+def _en2_without(line: str):
+    return parse("\n".join(x for x in _base_lines("en2", None) if x != line) + "\n")
+
+
+def test_a_failed_premise_sums_every_row(monkeypatch):
+    # with e_{g x1} . 1 deleted, ALG-ASSOC fails and P-DOT fails at 40 of the
+    # 512 tuples, none of them on a row of generators: summed on those rows
+    # alone, as if the product were associative, P-DOT would pass
+    s = _en2_without("mul 3 0 3 1")
+    alg, coalg = s.carrier.algebra, s.carrier.coalgebra
+    rep = check_yd_post_hopf(s)
+    assert rep.status("ALG-ASSOC") == "fail" and rep.status("COALG-COASSOC") == "pass"
+    entry, want = rep.entry("P-DOT"), oracles.module_algebra_law(s.action, coalg, alg)
+    assert (entry.checked, entry.failures) == (512, 40)
+    assert _verdict(entry) == _verdict(want) == _verdict(_module_algebra(s)[0])
+    monkeypatch.setattr(ydalgebra.hopf, "_associative", lambda a: True)
+    assert module_algebra_law(s.action, coalg, alg).failures == 0
+
+
+def _generator_objects() -> dict:
+    """Every golden structure and golden mutant, by name: the .struct files,
+    the algebras made from them, and the mutants of ``MUTANTS``,
+    ``SUITE_MUTANTS`` and ``KIND_MUTANTS``."""
+    out = {name: lambda name=name: parse(golden_text(name))
+           for name in [p.stem for p in GOLDEN.glob("*.struct")] + sorted(ALGEBRA_SOURCES)}
+    out.update({f"mutant-{name}": lambda name=name: parse(_mutant_text(name)) for name in MUTANTS})
+    out.update({f"suite-{name}": lambda name=name: yd_mutant(*SUITE_MUTANTS[name]) for name in SUITE_MUTANTS})
+    for name, (base, change) in KIND_MUTANTS.items():
+        def kind(base=base, change=change):
+            text = golden_text(base)
+            return parse(_mutate_named(text.splitlines(), change) if " " in change else _mutate(text, change))
+        out[f"kind-{name}"] = kind
+    return out
+
+
+GENERATOR_OBJECTS = _generator_objects()
+# where each suite calls a law summed on generator rows
+LAW_SITES = {"module_law": (rota, braces), "module_algebra_law": (posthopf, rota)}
+FULL_ROW_ORACLES = {"module_law": oracles.module_law, "module_algebra_law": oracles.module_algebra_law,
+                    "ALG-ASSOC": ref_alg_assoc, "HOPF-DELTA-MULT": ref_hopf_delta_mult}
+
+
+def generator_law_calls(monkeypatch, obj) -> list:
+    """Each law summed on generator rows that the suite of obj's kind runs,
+    as (name, arguments, keyword arguments, tally): the module and
+    module-algebra laws, and the ALG-ASSOC and HOPF-DELTA-MULT entries of
+    every ``check_algebra`` and ``check_hopf``."""
+    calls = []
+
+    def spy(module, name, record):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kw):
+            out = real(*args, **kw)
+            calls.append(record(args, kw, out))
+            return out
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name, modules in LAW_SITES.items():
+        for module in modules:
+            spy(module, name, lambda args, kw, t, name=name: (name, args, kw, t))
+    for module in (ydalgebra.hopf, posthopf, rota, cli):
+        spy(module, "check_algebra", lambda args, kw, rep: ("ALG-ASSOC", args[:1], {}, rep.entry("ALG-ASSOC")))
+    for module in (posthopf, rota, braces, cli):
+        spy(module, "check_hopf", lambda args, kw, rep: ("HOPF-DELTA-MULT", (args[0].algebra, args[0].coalgebra), {},
+                                                         rep.entry("HOPF-DELTA-MULT")))
+    run_suite(obj)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_OBJECTS))
+def test_generator_rows_match_full_row_oracles(monkeypatch, name):
+    for law, args, kw, got in generator_law_calls(monkeypatch, GENERATOR_OBJECTS[name]()):
+        assert _verdict(got) == _verdict(FULL_ROW_ORACLES[law](*args, **kw)), law
+
+
+def _generator_path(law: str, args: tuple, t) -> str:
+    """Which way ``hopf._generated`` summed a law call of
+    ``generator_law_calls``."""
+    hopf = ydalgebra.hopf
+    alg = args[1] if law == "module_law" else args[2] if law == "module_algebra_law" else args[0]
+    if len(hopf._generators(alg)) == alg.dim:
+        return "whole basis"
+    premise = law == "ALG-ASSOC" or hopf._associative(alg) and (law != "module_algebra_law" or
+                                                                hopf._coassociative(args[1]))
+    if not premise:
+        return "premise fails"
+    return "generators fail" if t.failures else "generators pass"
+
+
+def test_generator_rows_are_taken_and_gated_on_the_goldens(monkeypatch):
+    # the goldens and their mutants take every way of ``hopf._generated``
+    # for each law: generator rows that pass, generator rows that fail, and
+    # a premise that fails (ALG-ASSOC has none)
+    paths = collections.defaultdict(set)
+    for make in GENERATOR_OBJECTS.values():
+        with monkeypatch.context() as m:
+            for law, args, _, t in generator_law_calls(m, make()):
+                paths[law].add(_generator_path(law, args, t))
+    ways = {"generators pass", "generators fail", "premise fails"}
+    assert {law: ways - found for law, found in paths.items()} == {
+        "ALG-ASSOC": {"premise fails"}, "HOPF-DELTA-MULT": set(), "module_law": set(), "module_algebra_law": set()}
 
 
 # --- the action laws on operand lists built once per call --------------------------
