@@ -44,18 +44,23 @@ An identity that is multiplicative in one factor holds everywhere once it
 holds when that factor is a generator, provided its premises hold: the
 set of factors where it holds is a subspace closed under products.  So
 ALG-ASSOC, HOPF-DELTA-MULT and the module and module-algebra laws (see
-the list below for each one's factor and premises) sum their rows only
-where that factor is in ``_generators`` of its algebra, the least basis
-indices whose right-nested products span it (E(n): 1, g and the x_i;
-Suzuki: 1, a, b, c, d), and count every tuple as checked when those rows
-pass (``_generated``).  When a premise fails, or a generator row fails,
-every row is summed, each once, so the failure count and the least
-failing witness are exact.  The premises are verdicts kept once per
-structure: ``_associative``, which ALG-ASSOC (``_associativity``) seeds,
-and ``_coassociative``, which COALG-COASSOC (``_coassociativity``) seeds;
-each is summed with no side rendered when no check has run.  So in a
-suite each premise is read from the ID that reports it, and a caller
-passes no generating set and no flag.
+the list below for each one's factor and premises), and YD-COMPAT and
+YD-COLINEAR in ``posthopf``, sum their rows only where that factor is in
+``_generators`` of its algebra, the least basis indices whose
+right-nested products span it (E(n): 1, g and the x_i; Suzuki: 1, a, b,
+c, d), and count every tuple as checked when those rows pass
+(``_generated``).  When a premise fails, or a generator row fails, every
+row is summed, each once, so the failure count and the least failing
+witness are exact; only that witness is rendered, once.  The premises
+are verdicts kept once per structure: ``_associative``, which ALG-ASSOC
+(``_associativity``) seeds, and ``_coassociative``, which COALG-COASSOC
+(``_coassociativity``) seeds; each is summed with no side rendered when
+no check has run.  So in a suite each premise is read from the ID that
+reports it, and a caller passes no generating set and no flag.
+YD-COMPAT's gate also sums two laws of the bullet product, each itself
+on generator rows once that product is associative:
+``_delta_multiplicativity``, HOPF-DELTA-MULT's law, which ``check_hopf``
+reports, and ``_antimultiplicativity``, S(x y) = S(y) S(x) for S_>.
 
 The laws are written once, here, as tallies that the suites fold into
 their IDs; the acting space may differ from the target, as in a relative
@@ -127,7 +132,8 @@ from math import gcd, lcm
 from .compiled import (
     IntTable, add_bilinear, add_linear, basis, bilinear_table, comul_side, compare, compared, compile_columns,
     compile_comul, compile_legs, compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line,
-    pairs_render, reduced, scalar_render, sides, square, table_vectors, tensor_side, triples_render, vector_render,
+    pairs_render, reduced, render_sides, scalar_render, sides, square, table_vectors, tensor_side, triples_render,
+    vector_render,
 )
 from .field import FieldSpec, Scalar, canonical
 from .linalg import (
@@ -408,17 +414,8 @@ def check_hopf(h: HopfData) -> CheckReport:
     rep = check_algebra(a)
     rep.extend(check_coalgebra(c))
 
-    # Delta(e_i e_j) = (e_i1 e_j1) (x) (e_i2 e_j2) at (i, j), on the rows (i,)
-    # of generators once A is associative: Delta((x x') y) = Delta(x)
-    # Delta(x') Delta(y) when x and x' pass, so the x that pass are closed
-    # under products
     ch = Checker("HOPF-DELTA-MULT")
-    mul, comul = a.int_mul(), c.int_comul()
-    m, c_ = mul.rows, comul.rows
-    d = a.dim
-    ch.absorb(_generated(list(line(d)), 0, _premised(a, lambda: _associative(a)), d, d * d,
-                         sides(comul_side(m, c_, d), legs_side(m, m, c_, c_, d)), mul.scale * comul.scale,
-                         (mul.scale * comul.scale) ** 2, a.field, pairs_render(d)))
+    ch.absorb(_delta_multiplicativity(a, c))
     rep.add(ch.entry())
 
     laws = bialgebra_unit_laws(a, c)
@@ -509,17 +506,22 @@ def _generated(rows: list, at: int, gens, n: int, width: int, contract, sl: int,
     gives the lemma and its premises).  Those rows are summed first, in
     order; when they pass, the tally counts the n tuples of every row of
     rows as checked, since the lemma covers them all.  When one fails, the
-    other rows are summed too, each once, and the two tallies are folded,
-    so the failure count and the least failing witness are those of every
-    row.  gens None (a premise fails, or the generators are the whole
-    basis) sums every row in order."""
+    other rows are summed too, each once, so the failure count is that of
+    every row; both parts are counted with no side rendered, and then the
+    least failing tuple of all, the witness, has its row summed again,
+    once, to render it.  gens None (a premise fails, or the generators are
+    the whole basis) sums every row in order."""
     if gens is None:
         return compared(rows, n, width, contract, sl, sr, field, render)
-    t = compared([r for r in rows if r[at] in gens], n, width, contract, sl, sr, field, render)
-    if t.failures:
-        t.absorb(compared([r for r in rows if r[at] not in gens], n, width, contract, sl, sr, field, render))
-    else:
+    t = Tally()
+    failed = compare(t, [r for r in rows if r[at] in gens], n, width, contract, sl, sr, field, None)
+    if not failed:
         t.checked = n * len(rows)
+        return t
+    where = min(failed + compare(t, [r for r in rows if r[at] not in gens], n, width, contract, sl, sr, field,
+                                 None))
+    lhs, rhs = render_sides(contract, where, width, sl, sr, field, render) if render is not None else ("", "")
+    t.witness = Witness(where, lhs, rhs)
     return t
 
 
@@ -560,6 +562,46 @@ def _coassociative(c: CoalgebraData) -> bool:
     """Whether c passes COALG-COASSOC: the verdict its last check seeded,
     or ``_coassociativity`` summed once with no side rendered."""
     return not _coassociativity(c, False).failures
+
+
+def _delta_multiplicativity(a: AlgebraData, c: CoalgebraData) -> Tally:
+    """HOPF-DELTA-MULT's law, Delta(e_i e_j) = (e_i1 e_j1) (x) (e_i2 e_j2) at
+    (i, j), on the compiled tables.  Once a is associative (``_associative``)
+    the rows (i,) are summed for the generators i of a only
+    (``_generated``): Delta((x x') y) = Delta(x) Delta(x') Delta(y) =
+    Delta(x x') Delta(y) when x and x' pass, so the x that pass are closed
+    under products."""
+    mul, comul = a.int_mul(), c.int_comul()
+    m, c_ = mul.rows, comul.rows
+    d = a.dim
+    return _generated(list(line(d)), 0, _premised(a, lambda: _associative(a)), d, d * d,
+                      sides(comul_side(m, c_, d), legs_side(m, m, c_, c_, d)), mul.scale * comul.scale,
+                      (mul.scale * comul.scale) ** 2, a.field, pairs_render(d))
+
+
+def _antimultiplicativity(a: AlgebraData, cols: IntTable) -> Tally:
+    """S(e_i e_j) = S(e_j) S(e_i) at (i, j), for the linear map S of a's
+    space with the compiled columns cols, on the compiled product.  Once a
+    is associative (``_associative``) the rows (i,) are summed for the
+    generators i of a only (``_generated``): S((x x') y) = S(x (x' y)) =
+    S(x' y) S(x) = (S(y) S(x')) S(x) = S(y) S(x x') when x and x' pass, so
+    the x that pass are closed under products."""
+    mul = a.int_mul()
+    m, s_, d = mul.rows, cols.rows, a.dim
+
+    def law(acc, prefix, wl, wr):
+        # S(e_i e_j) and S(e_j) S(e_i) for every j, keyed j * d + q
+        i, = prefix
+        if wl:
+            for j, v in enumerate(m[i]):
+                add_linear(acc, s_, v, wl, j * d)
+        if wr:
+            si = s_[i]
+            for j, sj in enumerate(s_):
+                add_bilinear(acc, m, sj, si, wr, j * d)
+
+    return _generated(list(line(d)), 0, _premised(a, lambda: _associative(a)), d, d, law, mul.scale * cols.scale,
+                      cols.scale * cols.scale * mul.scale, a.field, vector_render(d))
 
 
 # --- action laws (see the module docstring) ----------------------------------

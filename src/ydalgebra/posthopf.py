@@ -66,13 +66,18 @@ coproduct from the generators);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
 tables and the compiled Ad_L columns and grouped legs, both reading one
 table of sums over the second-leg groups of their second argument
-(``_second_leg_sums``), made once per structure, and left-associated as
-they are written.  Each runs one row of tuples per call
-of its contract (``compiled.compare``): P-DOT, L-MB and P-ASSOC on rows
-(x, y) over z, the identities on pairs on rows (x,) over y.  P-DOT and L-MB
-run only their rows (x, y) with y a generator of the product once
-ALG-ASSOC and COALG-COASSOC pass (``hopf._generated``); P-ASSOC runs every
-row, since nothing before it shows the bullet product associative.
+(``_second_leg_sums``), kept once per structure with each row made when
+it is first read, and left-associated as they are written.  Each runs
+one row of tuples per call of its contract (``compiled.compare``): P-DOT,
+L-MB and P-ASSOC on rows (x, y) over z, the identities on pairs on rows
+(x,) over y.  P-DOT and L-MB run only their rows (x, y) with y a
+generator of the product once ALG-ASSOC and COALG-COASSOC pass
+(``hopf._generated``); YD-COLINEAR only its rows (a,) with a a generator
+of the product once the product and the bullet product are associative,
+and YD-COMPAT with a a generator of the bullet product once its premises
+pass (``_compat_premised``), so each reads only a few rows of the
+second-leg table.  P-ASSOC runs every row, since nothing before it shows
+the bullet product associative.
 L-MA, YD-MODALG, YD-MODULE, L-DA and YD-MODCOALG report from the same
 tallies.  Each side
 of each of these identities is one contraction pattern whose int sum
@@ -110,8 +115,13 @@ from .hopf import (
     CoalgebraData,
     HopfData,
     StructureError,
+    _antimultiplicativity,
+    _associative,
     _coassociative,
+    _delta_multiplicativity,
+    _generated,
     _module_law,
+    _premised,
     _verify_endo_inverse,
     antipode_law,
     bialgebra_unit_laws,
@@ -715,18 +725,37 @@ def _braided_mult(t: Tally, s: YDPostHopf) -> None:
     t.absorb(rows, where=lambda w: w + (1,))
 
 
+class _LazyRows:
+    """A table's rows, each made by make(x) when it is first read."""
+
+    def __init__(self, n: int, make):
+        self._rows: list = [None] * n
+        self._make = make
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, x: int):
+        row = self._rows[x]
+        if row is None:
+            row = self._rows[x] = self._make(x)
+        return row
+
+
 @_per_structure
 def _second_leg_sums(s: YDPostHopf) -> IntTable:
     """The sums Z_b[x][b2] = sum over the grouped legs (b1, b2, sum of
     S_>(b3)) of b whose second leg is b2 of (e_x o b1) o sum of S_>(b3), as
     a table: rows[x][b] is Z_b[x] as {b2: int items}, at the scale of the
     bullet table squared times the grouped legs'.  YD-COMPAT and YD-COLINEAR
-    both end in Z_b's entries, so the table is made once per structure and
-    both read it."""
+    both end in Z_b's entries, so the table is kept once per structure and
+    both read it; each row x is made when it is first read, and on
+    generator rows they read only a few (``_yd_compat``, ``_yd_colinear``)."""
     bullet, grouped = bullet_algebra(s).int_mul(), _sharp_legs(s)
     o, g_, p = bullet.rows, grouped.rows, s.field.p
-    rows = []
-    for ox in o:
+
+    def row(x: int) -> list:
+        ox = o[x]
         out = []
         for legs in g_:
             sums: dict[int, dict] = {}
@@ -736,8 +765,23 @@ def _second_leg_sums(s: YDPostHopf) -> IntTable:
                     acc = sums[b2] = {}
                 add_bilinear(acc, o, ox[b1], sb, 1)
             out.append({b2: v for b2, acc in sums.items() if (v := int_items(acc, p))})
-        rows.append(out)
-    return IntTable(rows, bullet.scale ** 2 * grouped.scale)
+        return out
+
+    return IntTable(_LazyRows(s.dim, row), bullet.scale ** 2 * grouped.scale)
+
+
+@_per_structure
+def _compat_premised(s: YDPostHopf) -> bool:
+    """Whether YD-COMPAT's premises hold, once per structure: YD-MODULE
+    passes ((a o a') >- b = a >- (a' >- b)), the bullet product is
+    associative (``hopf._associative``), Delta is multiplicative for it
+    (``hopf._delta_multiplicativity``) and S_> anti-multiplicative
+    (``hopf._antimultiplicativity``).  None of them needs Delta
+    coassociative."""
+    bullet = bullet_algebra(s)
+    return (not _module_identity(s)[0].failures and _associative(bullet)
+            and not _delta_multiplicativity(bullet, s.carrier.coalgebra).failures
+            and not _antimultiplicativity(bullet, _sharp_columns(s)).failures)
 
 
 def _yd_compat(t: Tally, s: YDPostHopf) -> None:
@@ -745,10 +789,22 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
     (a2 >- b2) at (a, b), summed over the grouped legs (a1, a2, sum of
     S_>(a3)) of a and, through Z_b[a1][b2] (``_second_leg_sums``), of b:
     the right-hand side is the sum of (Z_b[a1][b2] o sum of S_>(a3)) (x)
-    (a2 >- b2), left-associated as the identity is written."""
-    act, bullet, adl, grouped, z = (s.action.int_act(), bullet_algebra(s).int_mul(), _adl_columns(s),
-                                    _sharp_legs(s), _second_leg_sums(s))
-    x_, o, ad, g_, z_ = act.rows, bullet.rows, adl.rows, grouped.rows, z.rows
+    (a2 >- b2), left-associated as the identity is written.
+
+    Once its premises pass (``_compat_premised``), the rows (a,) are summed
+    for the generators a of the bullet product only (``hopf._generated``),
+    and read Z only at the first legs of those a.  With o associative the
+    identity at a says Ad_L(a >- y) = Phi_a(Ad_L(y)) for every y, where
+    Phi_a(m (x) n) = a1 o m o S_>(a3) (x) a2 >- n.  When a and a' pass,
+    Ad_L((a o a') >- b) = Ad_L(a >- (a' >- b)) = Phi_a(Phi_a'(Ad_L(b))),
+    and regrouped with Delta^(2)(a o a') = Delta^(2)(a) o Delta^(2)(a'),
+    S_>(a3 o a'3) = S_>(a'3) o S_>(a3) and (a2 o a'2) >- n =
+    a2 >- (a'2 >- n), that is Phi_{a o a'}(Ad_L(b)); so the a that pass
+    are closed under the bullet product."""
+    bullet = bullet_algebra(s)
+    act, bmul, adl, grouped, z = (s.action.int_act(), bullet.int_mul(), _adl_columns(s), _sharp_legs(s),
+                                  _second_leg_sums(s))
+    x_, o, ad, g_, z_ = act.rows, bmul.rows, adl.rows, grouped.rows, z.rows
     d = s.dim
     d2 = d * d
 
@@ -786,8 +842,9 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
                     k += base
                     acc[k] = get(k, 0) + n
 
-    sr = z.scale * bullet.scale * grouped.scale * act.scale
-    compare(t, line(d), d, d2, compat, act.scale * adl.scale, sr, s.field, pairs_render(d))
+    sr = z.scale * bmul.scale * grouped.scale * act.scale
+    t.absorb(_generated(list(line(d)), 0, _premised(bullet, lambda: _compat_premised(s)), d, d2, compat,
+                        act.scale * adl.scale, sr, s.field, pairs_render(d)))
 
 
 def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
@@ -795,8 +852,18 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
     S_>(b3) (x) (a2 . b2) at (a, b).  Ad_L(a) is the sum over a's grouped
     legs of (a1 o S_>(a3)) (x) a2, so the right-hand side is the sum over
     Ad_L(a)'s terms c e_r (x) e_q of c Z_b[r][b2] (x) (q . b2)
-    (``_second_leg_sums``), left-associated as the identity is written."""
-    mul, adl, z = s.carrier.algebra.int_mul(), _adl_columns(s), _second_leg_sums(s)
+    (``_second_leg_sums``), left-associated as the identity is written.
+
+    Once the product and the bullet product are associative
+    (``hopf._associative``), the rows (a,) are summed for the generators a
+    of the product only (``hopf._generated``), and read Z only at the first
+    factors r of those a's Ad_L terms.  With both associative the identity
+    at a says Ad_L(a.y) = Ad_L(a) Ad_L(y) for every y, in the product of
+    (H, o) (x) (H, .); when a and a' pass, Ad_L((a a') b) = Ad_L(a (a' b))
+    = Ad_L(a) Ad_L(a') Ad_L(b) = Ad_L(a a') Ad_L(b), so the a that pass are
+    closed under the product."""
+    alg, bullet = s.carrier.algebra, bullet_algebra(s)
+    mul, adl, z = alg.int_mul(), _adl_columns(s), _second_leg_sums(s)
     m, ad, z_ = mul.rows, adl.rows, z.rows
     d = s.dim
     d2 = d * d
@@ -829,7 +896,9 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
                                 acc[key] = get(key, 0) + n * e
 
     sr = adl.scale * z.scale * mul.scale
-    compare(t, line(d), d, d2, colinear, mul.scale * adl.scale, sr, s.field, pairs_render(d))
+    gens = _premised(alg, lambda: _associative(alg) and _associative(bullet))
+    t.absorb(_generated(list(line(d)), 0, gens, d, d2, colinear, mul.scale * adl.scale, sr, s.field,
+                        pairs_render(d)))
 
 
 def is_pre_hopf(s: YDPostHopf) -> bool:

@@ -138,9 +138,13 @@ class CheckReport:
         ``checked`` counts the tuples an entry covers.  Where a
         multiplicative law passes on the rows of an algebra's generators
         (``hopf._generated``: ALG-ASSOC, HOPF-DELTA-MULT, and the module and
-        module-algebra laws once ALG-ASSOC and COALG-COASSOC pass), the
-        lemma covers every tuple, so it counts them all, as if each were
-        summed; a failing law sums every row, and its counts are its own.
+        module-algebra laws once ALG-ASSOC and COALG-COASSOC pass;
+        YD-COLINEAR once the product and the bullet product are
+        associative, and YD-COMPAT once YD-MODULE passes, the bullet
+        product is associative, Delta is multiplicative for it and S_> is
+        anti-multiplicative), the lemma covers every tuple, so it counts
+        them all, as if each were summed; a failing law sums every row,
+        and its counts are its own.
 
         An entry's time covers only its own step.  Where several IDs report
         from one shared tally (P-DOT/L-MA/YD-MODALG, P-ASSOC/YD-MODULE,

@@ -262,7 +262,11 @@ def test_builders_leave_no_stale_beta_results():
         } <= set(s._cache)
         fresh = parse(emit(s))
         for key in s._cache:
-            assert _plain(s._cache[key]) == _plain(getattr(posthopf, key)(fresh)), key
+            got, want = s._cache[key], getattr(posthopf, key)(fresh)
+            if key == "_second_leg_sums":
+                # its rows are made as they are first read: compared row by row
+                got, want = (([z.rows[x] for x in range(s.dim)], z.scale) for z in (got, want))
+            assert _plain(got) == _plain(want), key
 
 
 # E(1)-E(3) with identity and off-diagonal A, and Suzuki(+-1, +-1)

@@ -87,6 +87,7 @@ from ydalgebra.posthopf import (
     braiding_sigma,
     bullet_algebra,
     check_post_lie,
+    check_yd_hopf_monoid,
     ensure_beta,
     check_yd_post_hopf,
     is_pre_hopf,
@@ -333,6 +334,19 @@ def ref_hopf_delta_mult(a, c) -> Tally:
                 for r, t, u in c.comul[j]:
                     tens2_add_scaled(rhs, a.mul[p][r], a.mul[q][t], s, u)
             ch.compare((i, j), comul_vec(c, a.mul[i][j]), rhs, pairs_text)
+    return ch
+
+
+def ref_antimult(a, cols) -> Tally:
+    """S(e_i e_j) = S(e_j) S(e_i) at (i, j), for S given by its compiled
+    columns."""
+    d, fs = a.dim, a.field
+    sm = matrix_from_columns([compiled.int_vector(d, dict(col), cols.scale, fs) for col in cols.rows], fs)
+    ch = Tally()
+    for i in range(d):
+        for j in range(d):
+            rhs = mul_vec(a, sm.column(j), sm.column(i))
+            ch.compare((i, j), matrix_apply(sm, a.mul[i][j]), rhs, vector_text)
     return ch
 
 
@@ -1457,18 +1471,19 @@ def _mutated_en2(p, line: str, value: str):
 def test_row_compare_keeps_witnesses_of_rows_visited_out_of_order(p, monkeypatch):
     # YD-COMPAT runs on rows (a,) over b; with e_0 . e_2 changed its first
     # failure with b outermost, (3, 0), is not its least, (0, 2), which is
-    # the witness, as in the reference.  Several b fail in one row.
-    from ydalgebra import posthopf
-
+    # the witness, as in the reference.  Several b fail in one row.  Its
+    # premises fail, so every row is summed, through ``compiled.compared``;
+    # they are read before the spy, which then sees YD-COMPAT's rows alone.
     s = _mutated_en2(p, "mul 0 2 2", "3")
+    assert not posthopf._compat_premised(s)
     failed = []
-    real = posthopf.compare
+    real = compiled.compare
 
     def kept(*args):
         failed.extend(real(*args))
         return failed
 
-    monkeypatch.setattr(posthopf, "compare", kept)
+    monkeypatch.setattr(compiled, "compare", kept)
     got = _tally(lambda t: _yd_compat(t, s))
     assert _verdict(got) == _verdict(ref_yd_compat(s))
     assert min(failed, key=lambda w: (w[1], w[0])) == (3, 0) and got.witness.where == (0, 2)
@@ -1488,18 +1503,24 @@ def test_cube_contracts_run_once_per_row(monkeypatch):
     # contract once per visited row, d**2 times at most and not d**3, with
     # the rows in order.  On a pass they visit the rows of generators only
     # (1, g, x1, x2 of E(2)); on a failure they visit those, then every
-    # other row, each part calling it twice more to render its least
-    # failure; with a premise failing they visit every row in order
+    # other row, and then call it twice more, once, to render the least
+    # failure of all; with a premise failing they visit every row in order
     from ydalgebra import hopf
 
     rows = []
-    real = compiled.compare
+    real, real_render = compiled.compare, hopf.render_sides
 
-    def counted(t, prefixes, n, width, contract, *rest):
+    def spied(contract):
         def wrapped(acc, prefix, wl, wr):
             rows.append(prefix)
             contract(acc, prefix, wl, wr)
-        return real(t, prefixes, n, width, wrapped, *rest)
+        return wrapped
+
+    def counted(t, prefixes, n, width, contract, *rest):
+        return real(t, prefixes, n, width, spied(contract), *rest)
+
+    def rendered(contract, *rest):
+        return real_render(spied(contract), *rest)
 
     s = parse("\n".join(_base_lines("en2", None)) + "\n")
     bad = _mutated_en2(None, "action 1 2 2", "1")  # g >- x1 = x1
@@ -1510,6 +1531,7 @@ def test_cube_contracts_run_once_per_row(monkeypatch):
     assert hopf._associative(bad.carrier.algebra) and not hopf._associative(gate.carrier.algebra)
     monkeypatch.setattr(hopf, "compare", counted)
     monkeypatch.setattr(compiled, "compare", counted)
+    monkeypatch.setattr(hopf, "render_sides", rendered)
     check_algebra(s.carrier.algebra)
     # then ALG-UNIT, once per row (i,)
     assert rows == [*((g, h) for g in gens for h in range(d)), *line(d)]
@@ -1520,11 +1542,8 @@ def test_cube_contracts_run_once_per_row(monkeypatch):
     t = module_algebra_law(bad.action, bad.carrier.coalgebra, bad.carrier.algebra)
     head = [(h, a) for h in range(d) for a in gens]
     rest = [(h, a) for h in range(d) for a in range(d) if a not in gens]
-    n = len(head)
-    assert rows[:n] == head and rows[n] == rows[n + 1] == t.witness.where[:2]
-    assert rows[n + 2:n + 2 + len(rest)] == rest
-    assert len(rows) == n + 2 + len(rest) + 2 and rows[-1] == rows[-2] and rows[-1][1] not in gens
-    assert (t.checked, t.failures) == (d ** 3, 60)
+    assert rows == [*head, *rest, t.witness.where[:2], t.witness.where[:2]]
+    assert t.witness.where[1] in gens and (t.checked, t.failures) == (d ** 3, 60)
     rows.clear()
     t = module_algebra_law(gate.action, gate.carrier.coalgebra, gate.carrier.algebra)
     assert rows == [*square(d), t.witness.where[:2], t.witness.where[:2]]
@@ -1642,15 +1661,20 @@ def _generator_objects() -> dict:
 GENERATOR_OBJECTS = _generator_objects()
 # where each suite calls a law summed on generator rows
 LAW_SITES = {"module_law": (rota, braces), "module_algebra_law": (posthopf, rota)}
+# the two laws YD-COMPAT's gate sums besides YD-MODULE and ALG-ASSOC
+PREMISE_LAWS = ("_delta_multiplicativity", "_antimultiplicativity")
 FULL_ROW_ORACLES = {"module_law": oracles.module_law, "module_algebra_law": oracles.module_algebra_law,
-                    "ALG-ASSOC": ref_alg_assoc, "HOPF-DELTA-MULT": ref_hopf_delta_mult}
+                    "ALG-ASSOC": ref_alg_assoc, "HOPF-DELTA-MULT": ref_hopf_delta_mult,
+                    "YD-COMPAT": ref_yd_compat, "YD-COLINEAR": ref_yd_colinear,
+                    "_delta_multiplicativity": ref_hopf_delta_mult, "_antimultiplicativity": ref_antimult}
 
 
-def generator_law_calls(monkeypatch, obj) -> list:
-    """Each law summed on generator rows that the suite of obj's kind runs,
-    as (name, arguments, keyword arguments, tally): the module and
-    module-algebra laws, and the ALG-ASSOC and HOPF-DELTA-MULT entries of
-    every ``check_algebra`` and ``check_hopf``."""
+def generator_law_calls(monkeypatch, obj, run=run_suite) -> list:
+    """Each law summed on generator rows that run(obj), by default the suite
+    of obj's kind, runs, as (name, arguments, keyword arguments, tally): the
+    module and module-algebra laws, the ALG-ASSOC and HOPF-DELTA-MULT
+    entries of every ``check_algebra`` and ``check_hopf``, YD-COMPAT,
+    YD-COLINEAR and the two premise laws of YD-COMPAT's gate."""
     calls = []
 
     def spy(module, name, record):
@@ -1670,25 +1694,119 @@ def generator_law_calls(monkeypatch, obj) -> list:
     for module in (posthopf, rota, braces, cli):
         spy(module, "check_hopf", lambda args, kw, rep: ("HOPF-DELTA-MULT", (args[0].algebra, args[0].coalgebra), {},
                                                          rep.entry("HOPF-DELTA-MULT")))
-    run_suite(obj)
+    # each fills the fresh tally of its ID, t
+    spy(posthopf, "_yd_compat", lambda args, kw, _: ("YD-COMPAT", args[1:], {}, args[0]))
+    spy(posthopf, "_yd_colinear", lambda args, kw, _: ("YD-COLINEAR", args[1:], {}, args[0]))
+    for name in PREMISE_LAWS:
+        spy(posthopf, name, lambda args, kw, t, name=name: (name, args[:2], {}, t))
+    run(obj)
     return calls
+
+
+def assert_matches_full_row_oracle(law: str, args: tuple, kw: dict, got) -> None:
+    """got, a law's tally on args, is its full-row oracle's."""
+    assert _verdict(got) == _verdict(FULL_ROW_ORACLES[law](*args, **kw)), law
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_OBJECTS))
 def test_generator_rows_match_full_row_oracles(monkeypatch, name):
     for law, args, kw, got in generator_law_calls(monkeypatch, GENERATOR_OBJECTS[name]()):
-        assert _verdict(got) == _verdict(FULL_ROW_ORACLES[law](*args, **kw)), law
+        assert_matches_full_row_oracle(law, args, kw, got)
+
+
+# Hand-built YD post-Hopf structures on a group-like coalgebra, Delta(e_i) =
+# e_i (x) e_i, where every map sends a basis element to a basis element, so
+# each identity of the Hopf-monoid suite reads as an equation of indices.
+# They take the ways of ``hopf._generated`` that no golden takes, since the
+# Hopf-monoid suite runs on a golden only once its post-Hopf suite passes,
+# and each of the last six fails exactly one premise of YD-COMPAT or
+# YD-COLINEAR while that law passes on its generator rows and fails off
+# them: a law summed on generator rows past that premise would pass.
+C3 = [[(i + j) % 3 for j in range(3)] for i in range(3)]  # the cyclic group 1, g, g^2
+KEEP = (0, 1, 2)
+
+
+def _grouplike(bullet, alpha, sharp, comul=None) -> YDPostHopf:
+    """The structure over Q on e_0, e_1, e_2, all group-like unless comul is
+    given, with e_x o e_y = e_{bullet[x][y]}, e_x >- e_y = e_{alpha[x][y]}
+    for permutations alpha[x], beta_x = alpha_x^-1 and S_>(e_x) =
+    e_{sharp[x]}: the product is e_x . e_y = e_x o beta_x(e_y) and the
+    antipode S(e_x) = alpha_x(S_>(e_x)), so that the bullet product and S_>
+    the suite derives are the ones given."""
+    n, fs = len(bullet), RATIONALS
+
+    def e(i):
+        return Vector(n, {i: fs.one}, fs)
+
+    inverse = [{v: k for k, v in enumerate(a)} for a in alpha]
+    mul = [[e(bullet[x][inverse[x][y]]) for y in range(n)] for x in range(n)]
+    coalg = CoalgebraData(n, comul or [[(i, i, fs.one)] for i in range(n)], Vector(n, {i: fs.one for i in range(n)}, fs),
+                          fs)
+    s_map = Matrix(n, n, {(alpha[x][sharp[x]], x): fs.one for x in range(n)}, fs)
+    carrier = BraidedPair(AlgebraData(n, ["1", "g", "h"], mul, e(0), fs), coalg, s_map)
+    return YDPostHopf(carrier, ActionTensor(n, n, [[e(a[y]) for y in range(n)] for a in alpha], fs),
+                      ActionTensor(n, n, [[e(inverse[x][y]) for y in range(n)] for x in range(n)], fs))
+
+
+HAND_BUILT = {
+    # every premise passes; YD-COMPAT fails on the generator row g, since
+    # with >- trivial and S_> = id it asks g^2 a^2 = g^2 (a^2 b^2 = b^2)
+    "compat-fails": lambda: _grouplike(C3, [KEEP] * 3, KEEP),
+    # YD-MODULE fails: g acts by left products, g^2 trivially
+    "yd-module": lambda: _grouplike(C3, [KEEP, (1, 2, 0), KEEP], KEEP),
+    # the bullet product is not associative ((1 o 1) o 2 = 0, 1 o (1 o 2) = 2)
+    "bullet-assoc": lambda: _grouplike([[0, 1, 0], [0, 2, 0], [2, 0, 1]], [KEEP] * 3, (0, 2, 1)),
+    # Delta(g^2) = g^2 (x) 1 + 1 (x) g^2 - 1 (x) 1 is not Delta(g) Delta(g)
+    "delta-mult": lambda: _grouplike(C3, [KEEP] * 3, (0, 2, 1), [
+        [(0, 0, F(1))], [(1, 1, F(1))], [(2, 0, F(1)), (0, 2, F(1)), (0, 0, F(-1))]]),
+    # S_>(g^2) = g^2 is not S_>(g) o S_>(g) = g; YD-COLINEAR fails on g
+    "sharp-antimult": lambda: _grouplike(C3, [KEEP] * 3, (0, 2, 2)),
+    # the product is not associative, the bullet product is C3
+    "product-assoc": lambda: _grouplike(C3, [KEEP, KEEP, (2, 0, 1)], KEEP),
+    # the product is C3, the bullet product is not associative
+    "colinear-bullet-assoc": lambda: _grouplike([[0, 1, 2], [1, 0, 2], [2, 1, 0]], [KEEP, (0, 2, 1), (0, 2, 1)],
+                                                (0, 0, 2)),
+}
+
+
+def _compat_premises(s) -> dict:
+    """Which premises of YD-COMPAT's gate s passes."""
+    hopf, b = ydalgebra.hopf, bullet_algebra(s)
+    return {"yd-module": not _module_identity(s)[0].failures, "bullet-assoc": hopf._associative(b),
+            "delta-mult": not hopf._delta_multiplicativity(b, s.carrier.coalgebra).failures,
+            "sharp-antimult": not hopf._antimultiplicativity(b, _sharp_columns(s)).failures}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_generator_rows_match_full_row_oracles(monkeypatch, name):
+    s = HAND_BUILT[name]()
+    calls = generator_law_calls(monkeypatch, s, check_yd_hopf_monoid)
+    assert {"YD-COMPAT", "YD-COLINEAR"} <= {law for law, *_ in calls}
+    for law, args, kw, got in calls:
+        assert_matches_full_row_oracle(law, args, kw, got)
+    # the premise laws on a bullet product that is not associative, which
+    # the gate never sums: it reads associativity first
+    b = bullet_algebra(s)
+    for law, args in zip(PREMISE_LAWS, ((b, s.carrier.coalgebra), (b, _sharp_columns(s)))):
+        assert_matches_full_row_oracle(law, args, {}, getattr(ydalgebra.hopf, law)(*args))
 
 
 def _generator_path(law: str, args: tuple, t) -> str:
     """Which way ``hopf._generated`` summed a law call of
     ``generator_law_calls``."""
     hopf = ydalgebra.hopf
-    alg = args[1] if law == "module_law" else args[2] if law == "module_algebra_law" else args[0]
+    if law in ("YD-COMPAT", "YD-COLINEAR"):
+        s, = args
+        bullet = bullet_algebra(s)
+        alg = bullet if law == "YD-COMPAT" else s.carrier.algebra
+        premise = posthopf._compat_premised(s) if law == "YD-COMPAT" else (hopf._associative(alg) and
+                                                                           hopf._associative(bullet))
+    else:
+        alg = args[1] if law == "module_law" else args[2] if law == "module_algebra_law" else args[0]
+        premise = law == "ALG-ASSOC" or hopf._associative(alg) and (law != "module_algebra_law" or
+                                                                    hopf._coassociative(args[1]))
     if len(hopf._generators(alg)) == alg.dim:
         return "whole basis"
-    premise = law == "ALG-ASSOC" or hopf._associative(alg) and (law != "module_algebra_law" or
-                                                                hopf._coassociative(args[1]))
     if not premise:
         return "premise fails"
     return "generators fail" if t.failures else "generators pass"
@@ -1697,15 +1815,85 @@ def _generator_path(law: str, args: tuple, t) -> str:
 def test_generator_rows_are_taken_and_gated_on_the_goldens(monkeypatch):
     # the goldens and their mutants take every way of ``hopf._generated``
     # for each law: generator rows that pass, generator rows that fail, and
-    # a premise that fails (ALG-ASSOC has none)
+    # a premise that fails (ALG-ASSOC has none).  The Hopf-monoid suite
+    # runs on a golden only once its post-Hopf suite passes, so YD-COMPAT
+    # and YD-COLINEAR take the other two ways on the hand-built structures,
+    # and the premise laws, which the gate sums only on an associative
+    # bullet product, a failing premise on a bullet product that is not
     paths = collections.defaultdict(set)
-    for make in GENERATOR_OBJECTS.values():
+    runs = [(make, run_suite) for make in GENERATOR_OBJECTS.values()]
+    runs += [(make, check_yd_hopf_monoid) for make in HAND_BUILT.values()]
+    for make, run in runs:
         with monkeypatch.context() as m:
-            for law, args, _, t in generator_law_calls(m, make()):
+            for law, args, _, t in generator_law_calls(m, make(), run):
                 paths[law].add(_generator_path(law, args, t))
+    s = HAND_BUILT["bullet-assoc"]()
+    b = bullet_algebra(s)
+    for law, args in zip(PREMISE_LAWS, ((b, s.carrier.coalgebra), (b, _sharp_columns(s)))):
+        paths[law].add(_generator_path(law, args, getattr(ydalgebra.hopf, law)(*args)))
     ways = {"generators pass", "generators fail", "premise fails"}
     assert {law: ways - found for law, found in paths.items()} == {
-        "ALG-ASSOC": {"premise fails"}, "HOPF-DELTA-MULT": set(), "module_law": set(), "module_algebra_law": set()}
+        "ALG-ASSOC": {"premise fails"}, "HOPF-DELTA-MULT": set(), "module_law": set(), "module_algebra_law": set(),
+        "YD-COMPAT": set(), "YD-COLINEAR": set(), "_delta_multiplicativity": set(), "_antimultiplicativity": set()}
+
+
+def _gate_regression(monkeypatch, name: str, law: str, gate) -> None:
+    """On HAND_BUILT[name], law fails off its generator rows and reports its
+    full-row oracle; with gate(monkeypatch, s) patching one premise to pass,
+    it is summed on its generator rows alone and passes: a wrong verdict."""
+    s = HAND_BUILT[name]()
+    want = FULL_ROW_ORACLES[law](s)
+    assert want.failures and _verdict(check_yd_hopf_monoid(s).entry(law)) == _verdict(want)
+    s = HAND_BUILT[name]()
+    gate(monkeypatch, s)
+    got = check_yd_hopf_monoid(s).entry(law)
+    assert (got.status, got.checked, got.failures) == ("pass", 9, 0)
+
+
+def _only_failing_premise(name: str) -> None:
+    premises = _compat_premises(HAND_BUILT[name]())
+    assert [k for k, ok in premises.items() if not ok] == [name]
+
+
+def test_yd_compat_is_gated_on_yd_module(monkeypatch):
+    _only_failing_premise("yd-module")
+    _gate_regression(monkeypatch, "yd-module", "YD-COMPAT", lambda m, s: m.setattr(
+        posthopf, "_module_identity", lambda s: (Tally(), Tally())))
+
+
+def test_yd_compat_is_gated_on_an_associative_bullet_product(monkeypatch):
+    _only_failing_premise("bullet-assoc")
+    real = ydalgebra.hopf._associative
+    _gate_regression(monkeypatch, "bullet-assoc", "YD-COMPAT", lambda m, s: m.setattr(
+        posthopf, "_associative", lambda a: a is bullet_algebra(s) or real(a)))
+
+
+def test_yd_compat_is_gated_on_a_multiplicative_delta(monkeypatch):
+    _only_failing_premise("delta-mult")
+    _gate_regression(monkeypatch, "delta-mult", "YD-COMPAT", lambda m, s: m.setattr(
+        posthopf, "_delta_multiplicativity", lambda *args: Tally()))
+
+
+def test_yd_compat_is_gated_on_an_antimultiplicative_sharp_antipode(monkeypatch):
+    _only_failing_premise("sharp-antimult")
+    _gate_regression(monkeypatch, "sharp-antimult", "YD-COMPAT", lambda m, s: m.setattr(
+        posthopf, "_antimultiplicativity", lambda *args: Tally()))
+
+
+def test_yd_colinear_is_gated_on_an_associative_product(monkeypatch):
+    s = HAND_BUILT["product-assoc"]()
+    assert ydalgebra.hopf._associative(bullet_algebra(s)) and not ydalgebra.hopf._associative(s.carrier.algebra)
+    real = ydalgebra.hopf._associative
+    _gate_regression(monkeypatch, "product-assoc", "YD-COLINEAR", lambda m, s: m.setattr(
+        posthopf, "_associative", lambda a: a is s.carrier.algebra or real(a)))
+
+
+def test_yd_colinear_is_gated_on_an_associative_bullet_product(monkeypatch):
+    s = HAND_BUILT["colinear-bullet-assoc"]()
+    assert ydalgebra.hopf._associative(s.carrier.algebra) and not ydalgebra.hopf._associative(bullet_algebra(s))
+    real = ydalgebra.hopf._associative
+    _gate_regression(monkeypatch, "colinear-bullet-assoc", "YD-COLINEAR", lambda m, s: m.setattr(
+        posthopf, "_associative", lambda a: a is bullet_algebra(s) or real(a)))
 
 
 # --- the action laws on operand lists built once per call --------------------------
