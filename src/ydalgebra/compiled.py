@@ -40,8 +40,10 @@ An identity on (x, y) whose sides live in a tensor square runs on rows
 (x,) and keys its sums by k * dim**2 + p * dim + q for the pair (p, q).
 Its sides are often shared patterns, so they are written apart, as a
 ``side(acc, prefix, w)`` that adds w times one side for the whole row,
-and ``sides`` makes the contract of two of them: ``comul_side`` for
-Delta(T[i][j]) of a compiled 2-index table T, and ``legs_side`` for
+and ``sides`` makes the contract of two of them: ``image_side`` for
+f(T[i][j]), a map f given by its compiled columns applied to every entry
+of a row of a compiled 2-index table T (Delta, a coaction rho, Ad_L or
+S_>), with ``comul_side`` its case for Delta, and ``legs_side`` for
 T[i_1][j_1] (x) U[i_2][j_2] summed over the legs of i and of j.  A side in
 a tensor cube keys its sums by (p * d_2 + q) * d_3 + r, rendered by
 ``triples_render``.
@@ -117,14 +119,6 @@ def compile_comul(comul: list[list[tuple]], field: FieldSpec) -> IntTable:
     p = field.p
     d = _scale((c for terms in comul for _, _, c in terms), p)
     return IntTable([tuple((j, k, _int(c, d, p)) for j, k, c in terms) for terms in comul], d)
-
-
-def compile_legs(legs: list[list[tuple]], field: FieldSpec) -> IntTable:
-    """rows[i] = the (tuple, n) of the (tuple, scalar) terms legs[i], as
-    ``CoalgebraData.legs`` gives them."""
-    p = field.p
-    d = _scale((c for terms in legs for _, c in terms), p)
-    return IntTable([tuple((tup, _int(c, d, p)) for tup, c in terms) for terms in legs], d)
 
 
 def reduced(t: IntTable) -> IntTable:
@@ -398,23 +392,26 @@ def tensor_side(left, right, dim: int):
     return side
 
 
-def comul_side(rows: list, comul: list, dim: int):
-    """The side Delta(rows[i][j]) on the row (i,), keyed j * dim**2 +
-    p * dim + q: its scale is the table's times the coproduct's."""
-    flat = [[(p * dim + q, e) for p, q, e in terms] for terms in comul]
-    d2 = dim * dim
-
+def image_side(cols: list, rows: list, width: int):
+    """The side f(rows[i][j]) on the row (i,), keyed j * width + k, for the
+    map f of compiled columns cols: its scale is the table's times f's."""
     def side(acc, prefix, w):
         i, = prefix
         get = acc.get
         for j, v in enumerate(rows[i]):
-            base = j * d2
+            base = j * width
             for r, c in v:
                 c *= w
-                for k, e in flat[r]:
+                for k, e in cols[r]:
                     k += base
                     acc[k] = get(k, 0) + c * e
     return side
+
+
+def comul_side(rows: list, comul: list, dim: int):
+    """The side Delta(rows[i][j]) on the row (i,), keyed j * dim**2 +
+    p * dim + q: ``image_side`` on the coproduct keyed p * dim + q."""
+    return image_side([[(p * dim + q, e) for p, q, e in terms] for terms in comul], rows, dim * dim)
 
 
 def legs_side(left: list, right: list, icomul: list, jcomul: list, dim: int,

@@ -26,7 +26,8 @@ every beta.
 
 The containers are frozen dataclasses.  Each holds its tensor compiled
 once into a plain-int table (``int_mul``, ``int_comul``, ``int_act``, and
-``int_legs`` for the iterated coproduct; see ``compiled``) in its
+``int_legs`` for the iterated coproduct, summed as ints from ``int_comul``
+with no field scalar made; see ``compiled``) in its
 ``_cache``, the one slot that changes after construction, filled by
 ``linalg._per_structure``: seeded where the table is made, by
 ``structio.parse`` or by a producer that sums it as ints
@@ -100,8 +101,10 @@ h >- f_a.  ``module_algebra_law`` reads the products m[a] flattened, sums
 c (h_1 >- a) once per row for each distinct h_2, and multiplies that sum
 into a table of e_r . (e_{h_2} >- e_b) for every b, one entry per
 (h_2, r), filled as rows ask for it.  A law on H (x) H runs on rows (x,)
-and keys its int sums by y * dim**2 + p * dim + q (``compiled.comul_side``
-and ``compiled.legs_side``).  P-CONV reports the tallies of
+and keys its int sums by y * dim**2 + p * dim + q: Delta applied to a
+row of a table is ``compiled.comul_side``, the case of
+``compiled.image_side`` for Delta, and a sum over the legs of both
+factors ``compiled.legs_side``.  P-CONV reports the tallies of
 ``_verify_endo_inverse``; when beta was just solved, they are the ones
 ``hom_convolution_inverse_endo`` computed to accept it.
 
@@ -131,7 +134,7 @@ from math import gcd, lcm
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, basis, bilinear_table, comul_side, compare, compared, compile_columns,
-    compile_comul, compile_legs, compile_tensor, compile_vectors, int_items, int_linear, int_vector, legs_side, line,
+    compile_comul, compile_tensor, compile_vectors, image_side, int_items, int_linear, int_vector, legs_side, line,
     pairs_render, reduced, render_sides, scalar_render, sides, square, table_vectors, tensor_side, triples_render,
     vector_render,
 )
@@ -183,7 +186,8 @@ class AlgebraData:
 class CoalgebraData:
     """Coalgebra by structure constants: Delta(e_i) = sum c * e_j (x) e_k.  A
     container: coproducts are summed on its compiled tables, ``int_comul``
-    and ``int_legs``, and ``legs`` and ``eps`` read single terms."""
+    and ``int_legs``, the iterated coproduct summed as ints from
+    ``int_comul``, and ``eps`` reads single terms."""
 
     dim: int
     comul: list[list[tuple[int, int, Scalar]]]
@@ -210,25 +214,29 @@ class CoalgebraData:
         return self.counit.get(i)
 
     @_per_structure
-    def legs(self, i: int, n: int) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Terms of the (n-1)-fold iterated coproduct of e_i, n legs."""
-        if n == 1:
-            return [((i,), self.field.one)]
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for tup, s in self.legs(i, n - 1):
-            for a, b, c in self.comul[tup[0]]:
-                accumulate(acc, (a, b) + tup[1:], s * c)
-        return sorted(acc.items())
-
-    @_per_structure
     def int_comul(self) -> IntTable:
         """The coproduct as a compiled table, built once."""
         return compile_comul(self.comul, self.field)
 
     @_per_structure
     def int_legs(self, n: int) -> IntTable:
-        """``legs(i, n)`` for every i as a compiled table, built once."""
-        return compile_legs([self.legs(i, n) for i in range(self.dim)], self.field)
+        """The (n-1)-fold iterated coproduct of every e_i, built once from
+        ``int_comul``: rows[i] = the (tuple, n) of its n-leg terms with n
+        not 0 (reduced mod p over F_p), sorted by tuple, at the scale
+        ``int_comul().scale ** (n - 1)``.  The n legs apply Delta to the
+        first leg of each term of the n - 1."""
+        if n == 1:
+            return IntTable([(((i,), 1),) for i in range(self.dim)], 1)
+        comul, prev = self.int_comul(), self.int_legs(n - 1)
+        rows = []
+        for terms in prev.rows:
+            acc: dict[tuple, int] = {}
+            for tup, s in terms:
+                for a, b, c in comul.rows[tup[0]]:
+                    key = (a, b) + tup[1:]
+                    acc[key] = acc.get(key, 0) + s * c
+            rows.append(tuple(sorted(int_items(acc, self.field.p))))
+        return IntTable(rows, prev.scale * comul.scale)
 
 
 @dataclass(frozen=True)
@@ -585,23 +593,19 @@ def _antimultiplicativity(a: AlgebraData, cols: IntTable) -> Tally:
     is associative (``_associative``) the rows (i,) are summed for the
     generators i of a only (``_generated``): S((x x') y) = S(x (x' y)) =
     S(x' y) S(x) = (S(y) S(x')) S(x) = S(y) S(x x') when x and x' pass, so
-    the x that pass are closed under products."""
+    the x that pass are closed under products.  The left side is S applied
+    to the row i of the product (``compiled.image_side``)."""
     mul = a.int_mul()
     m, s_, d = mul.rows, cols.rows, a.dim
 
-    def law(acc, prefix, wl, wr):
-        # S(e_i e_j) and S(e_j) S(e_i) for every j, keyed j * d + q
-        i, = prefix
-        if wl:
-            for j, v in enumerate(m[i]):
-                add_linear(acc, s_, v, wl, j * d)
-        if wr:
-            si = s_[i]
-            for j, sj in enumerate(s_):
-                add_bilinear(acc, m, sj, si, wr, j * d)
+    def rhs(acc, prefix, w):
+        # S(e_j) S(e_i) for every j, keyed j * d + q
+        si = s_[prefix[0]]
+        for j, sj in enumerate(s_):
+            add_bilinear(acc, m, sj, si, w, j * d)
 
-    return _generated(list(line(d)), 0, _premised(a, lambda: _associative(a)), d, d, law, mul.scale * cols.scale,
-                      cols.scale * cols.scale * mul.scale, a.field, vector_render(d))
+    return _generated(list(line(d)), 0, _premised(a, lambda: _associative(a)), d, d, sides(image_side(s_, m, d), rhs),
+                      mul.scale * cols.scale, cols.scale * cols.scale * mul.scale, a.field, vector_render(d))
 
 
 # --- action laws (see the module docstring) ----------------------------------
@@ -1328,7 +1332,8 @@ def _verify_endo_inverse(
     alpha: ActionTensor, beta: ActionTensor, c: CoalgebraData
 ) -> tuple[Tally, Tally]:
     """(alpha*beta)(x) = eps(x) Id and (beta*alpha)(x) = eps(x) Id, as two
-    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``.
+    tallies at (x,), labelled ``alpha*beta``/``beta*alpha`` and ``eps Id``:
+    the labels are the witness, so no side is rendered.
 
     Column y of (f*g)(x) is the sum over Delta(x) of c f_{x1}(g_{x2}(e_y)),
     summed as ints on the compiled action tables by
@@ -1337,7 +1342,7 @@ def _verify_endo_inverse(
     ident = basis(c.dim)
 
     def labelled(f: IntTable, g: IntTable, label: str) -> Tally:
-        t = convolution_unit_law(f, g, c, ident)
+        t = convolution_unit_law(f, g, c, ident, witness=False)
         if t.witness is not None:
             t.witness = Witness(t.witness.where, label, "eps Id")
         return t

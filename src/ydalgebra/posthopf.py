@@ -64,8 +64,10 @@ side on the threefold legs and the bullet table (``_pdelta_rhs``, whose
 sum ``_pdelta_side`` is shared with ``builders``, where it extends the
 coproduct from the generators);
 YD-COMPAT and YD-COLINEAR on the action, product, bullet and coproduct
-tables and the compiled Ad_L columns and grouped legs, both reading one
-table of sums over the second-leg groups of their second argument
+tables and the compiled Ad_L columns and grouped legs: each left side is
+Ad_L applied to a row of the action or of the product
+(``compiled.image_side``), and both right sides read one table of sums
+over the second-leg groups of their second argument
 (``_second_leg_sums``), kept once per structure with each row made when
 it is first read, and left-associated as they are written.  Each runs
 one row of tuples per call of its contract (``compiled.compare``): P-DOT,
@@ -104,8 +106,8 @@ from itertools import product
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, add_tensors, basis, bilinear_table, bilinear_vectors, comul_side, compare,
-    compare_tables, compared, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear,
-    int_vector, line, mapped, pairs_render, render_sides, sides, square, vector_render,
+    compare_tables, compared, compile_columns, compile_tensor, compile_vectors, image_side, int_bilinear, int_items,
+    int_linear, int_vector, line, mapped, pairs_render, render_sides, sides, square, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -789,7 +791,8 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
     (a2 >- b2) at (a, b), summed over the grouped legs (a1, a2, sum of
     S_>(a3)) of a and, through Z_b[a1][b2] (``_second_leg_sums``), of b:
     the right-hand side is the sum of (Z_b[a1][b2] o sum of S_>(a3)) (x)
-    (a2 >- b2), left-associated as the identity is written.
+    (a2 >- b2), left-associated as the identity is written.  The left side
+    is Ad_L applied to the row a of the action (``compiled.image_side``).
 
     Once its premises pass (``_compat_premised``), the rows (a,) are summed
     for the generators a of the bullet product only (``hopf._generated``),
@@ -811,40 +814,31 @@ def _yd_compat(t: Tally, s: YDPostHopf) -> None:
     def acted(key):
         return x_[key[0]][key[1]]
 
-    def compat(acc, prefix, wl, wr):
+    def rhs(acc, prefix, w):
         a, = prefix
         get = acc.get
-        if wl:
-            for b, xab in enumerate(x_[a]):
-                base = b * d2
-                for r, c in xab:
-                    c *= wl
-                    for q, e in ad[r]:
-                        q += base
-                        acc[q] = get(q, 0) + c * e
-        if wr:
-            legs = [(z_[a1], x_[a2], a2, sa) for a1, a2, sa in g_[a]]
-            for b in range(d):
-                lefts: dict = {}  # (a2, b2) -> sum of Z_b[a1][b2] o sum of S_>(a3)
-                for za, xa, a2, sa in legs:
-                    for b2, v in za[b].items():
-                        if xa[b2]:
-                            g = lefts.get((a2, b2))
-                            if g is None:
-                                g = lefts[(a2, b2)] = {}
-                            add_bilinear(g, o, v, sa, 1)
-                # summed apart and then moved into the row, so that the dict
-                # summed into stays small: a dim-32 row has some 30,000 keys
-                part: dict[int, int] = {}
-                add_tensors(part, lefts, acted, d, wr)
-                base = b * d2
-                for k, n in part.items():
-                    k += base
-                    acc[k] = get(k, 0) + n
+        legs = [(z_[a1], x_[a2], a2, sa) for a1, a2, sa in g_[a]]
+        for b in range(d):
+            lefts: dict = {}  # (a2, b2) -> sum of Z_b[a1][b2] o sum of S_>(a3)
+            for za, xa, a2, sa in legs:
+                for b2, v in za[b].items():
+                    if xa[b2]:
+                        g = lefts.get((a2, b2))
+                        if g is None:
+                            g = lefts[(a2, b2)] = {}
+                        add_bilinear(g, o, v, sa, 1)
+            # summed apart and then moved into the row, so that the dict
+            # summed into stays small: a dim-32 row has some 30,000 keys
+            part: dict[int, int] = {}
+            add_tensors(part, lefts, acted, d, w)
+            base = b * d2
+            for k, n in part.items():
+                k += base
+                acc[k] = get(k, 0) + n
 
     sr = z.scale * bmul.scale * grouped.scale * act.scale
-    t.absorb(_generated(list(line(d)), 0, _premised(bullet, lambda: _compat_premised(s)), d, d2, compat,
-                        act.scale * adl.scale, sr, s.field, pairs_render(d)))
+    t.absorb(_generated(list(line(d)), 0, _premised(bullet, lambda: _compat_premised(s)), d, d2,
+                        sides(image_side(ad, x_, d2), rhs), act.scale * adl.scale, sr, s.field, pairs_render(d)))
 
 
 def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
@@ -853,6 +847,8 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
     legs of (a1 o S_>(a3)) (x) a2, so the right-hand side is the sum over
     Ad_L(a)'s terms c e_r (x) e_q of c Z_b[r][b2] (x) (q . b2)
     (``_second_leg_sums``), left-associated as the identity is written.
+    The left side is Ad_L applied to the row a of the product
+    (``compiled.image_side``).
 
     Once the product and the bullet product are associative
     (``hopf._associative``), the rows (a,) are summed for the generators a
@@ -868,37 +864,28 @@ def _yd_colinear(t: Tally, s: YDPostHopf) -> None:
     d = s.dim
     d2 = d * d
 
-    def colinear(acc, prefix, wl, wr):
+    def rhs(acc, prefix, w):
         a, = prefix
         get = acc.get
-        if wl:
-            for b, mab in enumerate(m[a]):
-                base = b * d2
-                for r, c in mab:
-                    c *= wl
-                    for q, e in ad[r]:
-                        q += base
-                        acc[q] = get(q, 0) + c * e
-        if wr:
-            terms = [(z_[rq // d], m[rq % d], c * wr) for rq, c in ad[a]]
-            for b in range(d):
-                base = b * d2
-                for zr, mq, c in terms:
-                    for b2, v in zr[b].items():
-                        right = mq[b2]
-                        if not right:
-                            continue
-                        for k, n in v:
-                            n *= c
-                            k = base + k * d
-                            for j, e in right:
-                                key = k + j
-                                acc[key] = get(key, 0) + n * e
+        terms = [(z_[rq // d], m[rq % d], c * w) for rq, c in ad[a]]
+        for b in range(d):
+            base = b * d2
+            for zr, mq, c in terms:
+                for b2, v in zr[b].items():
+                    right = mq[b2]
+                    if not right:
+                        continue
+                    for k, n in v:
+                        n *= c
+                        k = base + k * d
+                        for j, e in right:
+                            key = k + j
+                            acc[key] = get(key, 0) + n * e
 
     sr = adl.scale * z.scale * mul.scale
     gens = _premised(alg, lambda: _associative(alg) and _associative(bullet))
-    t.absorb(_generated(list(line(d)), 0, gens, d, d2, colinear, mul.scale * adl.scale, sr, s.field,
-                        pairs_render(d)))
+    t.absorb(_generated(list(line(d)), 0, gens, d, d2, sides(image_side(ad, m, d2), rhs), mul.scale * adl.scale,
+                        sr, s.field, pairs_render(d)))
 
 
 def is_pre_hopf(s: YDPostHopf) -> bool:

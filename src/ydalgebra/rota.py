@@ -18,10 +18,13 @@ each built once per operator, when it is first read, and kept in its
 S_H R(R(x) >- y) for basis elements x, y of K; the columns of rho, keyed
 p * dim_k + q, H's threefold legs grouped with S_H, and the units and
 counits.  RB-1, RBM-F/G's product rows and RBM-ACT each compare two
-tables built by the calculus (``compiled.compare_tables``); the right
-sides of parts 5, 7 and 8 are ``compiled.legs_side`` on a left table each
-law builds once; LRB-ACTION calls the derivation and commutator laws of
-``posthopf``.  RB-SPACES,
+tables built by the calculus (``compiled.compare_tables``); the left
+sides of parts 5 and 7, rho applied to a row of K's product or of the
+action, and part 5's unit row are ``compiled.image_side`` on the columns
+of rho, as part 8's left side, Delta of K's product, is its case
+``comul_side``; the right sides of parts 5, 7 and 8 are
+``compiled.legs_side`` on a left table each law builds once; LRB-ACTION
+calls the derivation and commutator laws of ``posthopf``.  RB-SPACES,
 RB-3, the Lie checkers and the restrictions run on compiled tables too.
 The derived coaction is ``hopf.coaction``; S_K, (alpha o R) * R^{-1} S_H
 R, and the antipode of functor M, R o (alpha * R^{-1} S_H), are
@@ -39,8 +42,8 @@ from typing import NamedTuple
 
 from .compiled import (
     IntTable, add_bilinear, add_linear, basis, bilinear_table, bilinear_vectors, comul_side, compare, compare_tables,
-    compared, compile_columns, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, legs_side, line,
-    mapped, pairs_render, sides, table_vectors, tensor_side, triples_render, vector_render,
+    compared, compile_columns, compile_tensor, compile_vectors, image_side, int_bilinear, int_items, int_linear,
+    legs_side, line, mapped, pairs_render, sides, table_vectors, tensor_side, triples_render, vector_render,
 )
 from .field import FieldSpec, Scalar
 from .hopf import (
@@ -365,21 +368,6 @@ def _rho_tables(r: RelRB) -> _RhoTables:
                       one(r.h.algebra.unit), one(r.k_alg.unit), one(r.h.coalgebra.counit), one(r.k_coalg.counit))
 
 
-def _rho_side(rho: list, vectors, width: int):
-    """The side rho applied to each int vector of the list vectors(prefix),
-    the k-th keyed from k * width."""
-    def side(acc, prefix, w):
-        get = acc.get
-        for base, v in enumerate(vectors(prefix)):
-            base *= width
-            for t, c in v:
-                c *= w
-                for k, e in rho[t]:
-                    k += base
-                    acc[k] = get(k, 0) + c * e
-    return side
-
-
 def _comodule_law(r: RelRB) -> Tally:
     """Part 4, rho is a coaction: (eps (x) id) rho(a) = a at (4, a, 0), and
     (Delta (x) id) rho(a) = (id (x) rho) rho(a) at (4, a, 1), keyed
@@ -407,19 +395,20 @@ def _comodule_law(r: RelRB) -> Tally:
 
 def _comodule_algebra_law(r: RelRB) -> Tally:
     """Part 5, K is an H-comodule algebra: rho(a.b) = a(-1) b(-1) (x)
-    a(0) b(0) at (5, a, b), the right side ``compiled.legs_side`` on the
+    a(0) b(0) at (5, a, b), the left side ``compiled.image_side`` of rho
+    on K's product and the right side ``compiled.legs_side`` on the
     products of H and K over the terms of rho, and rho(1) = 1 (x) 1 at
-    (5, dk, dk)."""
+    (5, dk, dk), on the row (0,) of the one-entry table 1_K."""
     dk, dh, fs = r.dim_k, r.h.dim, r.field
     tb, hmul, kmul = _rho_tables(r), r.h.algebra.int_mul(), r.k_alg.int_mul()
     rho, terms, km = tb.rho.rows, tb.terms, kmul.rows
     hu, ku, sp = tb.h_unit.rows[0], tb.k_unit.rows[0], tb.rho.scale
     width = dh * dk
     render = pairs_render(dk)
-    t = compared(line(dk), dk, width, sides(_rho_side(rho, lambda pr: km[pr[0]], width),
+    t = compared(line(dk), dk, width, sides(image_side(rho, km, width),
                                             legs_side(hmul.rows, km, terms, terms, dk, left_dim=dh)),
                  kmul.scale * sp, sp * sp * hmul.scale * kmul.scale, fs, render, lambda w: (5,) + w)
-    t.absorb(compared([()], 1, width, sides(_rho_side(rho, lambda pr: [ku], width), tensor_side(hu, ku, dk)),
+    t.absorb(compared([(0,)], 1, width, sides(image_side(rho, [[ku]], width), tensor_side(hu, ku, dk)),
                       tb.k_unit.scale * sp, tb.h_unit.scale * tb.k_unit.scale, fs, render,
                       lambda w: (5, dk, dk)))
     return t
@@ -483,7 +472,8 @@ def _yd_law(r: RelRB) -> Tally:
     S(h_3) (x) (h_2 >- a(0)) at (7, h, a), H's legs grouped by (h_1, h_2).
     The grouped legs of every h are numbered into one table of
     (h_1 p) S(h_3) for each p, so the right side is ``compiled.legs_side``
-    on that table and the action, over the numbered legs and rho's terms."""
+    on that table and the action, over the numbered legs and rho's terms;
+    the left side is ``compiled.image_side`` of rho on the action."""
     dk, dh, fs, p = r.dim_k, r.h.dim, r.field, r.field.p
     tb, hmul, act = _rho_tables(r), r.h.algebra.int_mul(), r.action.int_act()
     rho, hm, x_ = tb.rho.rows, hmul.rows, act.rows
@@ -494,7 +484,7 @@ def _yd_law(r: RelRB) -> Tally:
         left.extend([int_bilinear(hm, hp, sg, p) for hp in hm[i1]] for i1, _, sg in groups)
     width = dh * dk
     sp = tb.rho.scale
-    return compared(line(dh), dk, width, sides(_rho_side(rho, lambda pr: x_[pr[0]], width),
+    return compared(line(dh), dk, width, sides(image_side(rho, x_, width),
                                                legs_side(left, x_, legs, tb.terms, dk, left_dim=dh)),
                     act.scale * sp, tb.s_legs.scale * hmul.scale ** 2 * sp * act.scale, fs, pairs_render(dk),
                     lambda w: (7,) + w)

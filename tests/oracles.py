@@ -21,6 +21,10 @@ as ``hopf`` did before it summed a law on the rows of generators once its
 premises pass.  Each returns the ``Tally`` its law of the same name
 returns.
 
+``legs`` is the iterated coproduct as ``CoalgebraData.legs`` summed it
+before ``int_legs`` was summed as ints from ``int_comul``: term by term in
+field scalars, Delta applied to the first leg of each term.
+
 ``generators`` is ``hopf._generators`` found another way: the span of the
 right-nested products is grown on ``Vector`` products to a fixed point,
 its rank read from ``linalg.kernel``.
@@ -149,6 +153,19 @@ def comul_vec(coalg, v: Vector) -> dict:
         for j, k, s in coalg.comul[i]:
             accumulate(acc, (j, k), s * c)
     return acc
+
+
+def legs(coalg, i: int, n: int) -> list:
+    """The (tuple, scalar) terms of the (n-1)-fold iterated coproduct of
+    e_i, n legs each, sorted by tuple: Delta applied to the first leg of
+    each term of n - 1 legs, summed in field scalars."""
+    if n == 1:
+        return [((i,), coalg.field.one)]
+    acc: dict = {}
+    for tup, s in legs(coalg, i, n - 1):
+        for a, b, c in coalg.comul[tup[0]]:
+            accumulate(acc, (a, b) + tup[1:], s * c)
+    return sorted(acc.items())
 
 
 def eps_vec(coalg, v: Vector):

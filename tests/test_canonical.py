@@ -27,7 +27,7 @@ from ydalgebra.builders import (
     symmetric_group_3,
 )
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, inv, parse_scalar
-from ydalgebra.compiled import bilinear_vectors, compile_comul, compile_legs, compile_tensor, compile_vectors
+from ydalgebra.compiled import bilinear_vectors, compile_comul, compile_tensor, compile_vectors
 from ydalgebra.hopf import ActionTensor, AlgebraData, CoalgebraData, pull_back
 from ydalgebra.linalg import Matrix, Vector, invert, kernel, matrix_from_columns, solve
 
@@ -243,7 +243,7 @@ def test_fp_contractions_match_modint_arithmetic(p, start_raw, u_raw, v_raw, coe
         lambda: compile_vectors([e, bad], fs),
         lambda: compile_tensor(bad_table, fs),
         lambda: compile_comul([[(0, 0, fs.one)], [(0, 1, alien)]], fs),
-        lambda: compile_legs([[((0,), fs.one)], [((1,), alien)]], fs),
+        lambda: CoalgebraData(4, [[(0, 0, fs.one)], [(0, 1, alien)], [], []], e, fs).int_legs(3),
         lambda: Matrix(4, 4, {(0, 0): fs.one}, fs).apply(bad),
         lambda: Matrix(4, 4, {(0, 0): alien}, fs).apply(e),
         lambda: bilinear_vectors(alg.int_mul(), 4, [bad], [e], fs),

@@ -65,8 +65,7 @@ from ydalgebra.builders import (
 )
 from ydalgebra.cli import run_suite
 from ydalgebra.compiled import (
-    compile_comul, compile_legs, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, line,
-    square,
+    compile_comul, compile_tensor, compile_vectors, int_bilinear, int_items, int_linear, line, square,
 )
 from ydalgebra.field import RATIONALS, FieldError, FieldSpec, ModInt, format_scalar
 from ydalgebra.hopf import (
@@ -191,7 +190,7 @@ def ref_sharp_legs(s):
     out = []
     for x in range(d):
         groups = {}
-        for (x1, x2, x3), c in coalg.legs(x, 3):
+        for (x1, x2, x3), c in oracles.legs(coalg, x, 3):
             add_scaled_inplace(groups.setdefault((x1, x2), {}), sharp.column(x3), c)
         out.append([(x1, x2, _vector(d, acc, fs)) for (x1, x2), acc in groups.items() if acc])
     return out
@@ -243,7 +242,7 @@ def ref_yd_colinear(s) -> Tally:
 def ref_pdelta_rhs(s, i, j, memo) -> dict:
     alg, coalg, act, beta = s.carrier.algebra, s.carrier.coalgebra, s.action, s.beta
     rhs = {}
-    for (a, b, c3, e), sc in coalg.legs(i, 4):
+    for (a, b, c3, e), sc in oracles.legs(coalg, i, 4):
         fused = memo.setdefault((a, b, e), {})
         for p, q, t in coalg.comul[j]:
             v3 = fused.get(p)
@@ -271,7 +270,7 @@ def ref_braiding_sigma(s) -> dict:
     d = s.dim
     entries = {}
     for a in range(d):
-        for (a1, a2, a3), c in coalg.legs(a, 3):
+        for (a1, a2, a3), c in oracles.legs(coalg, a, 3):
             for b in range(d):
                 w = apply_basis(act, a1, beta.act[a3][b])
                 for p, cp in w.entries.items():
@@ -578,7 +577,7 @@ def ref_bimonoid_parts_4_8(r) -> list[Tally]:
     ch = parts[3]
     smap = r.h.antipode
     for i in range(dh):
-        legs_i = hco.legs(i, 3)
+        legs_i = oracles.legs(hco, i, 3)
         for a in range(dk):
             lhs = {}
             for t, c in act.act[i][a].entries.items():
@@ -616,7 +615,7 @@ def ref_hb_compat(b) -> Tally:
     bullet, smap = b.bullet_side.algebra, b.dot_side.s_map
     ch = Tally()
     for a in range(d):
-        legs = coalg.legs(a, 3)
+        legs = oracles.legs(coalg, a, 3)
         for i in range(d):
             for j in range(d):
                 lhs = mul_basis_vec(bullet, a, alg.mul[i][j])
@@ -722,9 +721,9 @@ def ref_rb2(r) -> Tally:
 
     ch = Tally()
     for a in range(dk):
-        legs_a = kco.legs(a, 3)
+        legs_a = oracles.legs(kco, a, 3)
         for b in range(dk):
-            legs_b = kco.legs(b, 3)
+            legs_b = oracles.legs(kco, b, 3)
             lhs = {}
             rhs = {}
             for (a1, a2, a3), ca in legs_a:
@@ -778,7 +777,7 @@ def ref_left_coaction_adl(s) -> Matrix:
     d = s.dim
     entries = {}
     for a in range(d):
-        for (a1, a2, a3), c in coalg.legs(a, 3):
+        for (a1, a2, a3), c in oracles.legs(coalg, a, 3):
             u = mul_basis_vec(bullet, a1, sharp.column(a3))
             for p, cp in u.entries.items():
                 key = (p * d + a2, a)
@@ -858,7 +857,7 @@ def ref_derived_coaction(r) -> Matrix:
     smap = r.h.antipode
     entries = {}
     for a in range(dk):
-        for (a1, a2, a3), c in r.k_coalg.legs(a, 3):
+        for (a1, a2, a3), c in oracles.legs(r.k_coalg, a, 3):
             u = mul_vec(halg, r.r_map.column(a1), smap.apply(r.r_map.column(a3)))
             for p, cp in u.entries.items():
                 key = (p * dk + a2, a)
@@ -943,7 +942,7 @@ def ref_build_adjoint(h) -> YDPostHopf:
     action = ActionTensor(d, d, act_rows, fs)
     mul = []
     for i in range(d):
-        legs = hco.legs(i, 3)
+        legs = oracles.legs(hco, i, 3)
         row = []
         for j in range(d):
             acc = {}
@@ -958,7 +957,7 @@ def ref_build_adjoint(h) -> YDPostHopf:
     cols = []
     for i in range(d):
         acc = {}
-        for (i1, i2, i3), c in hco.legs(i, 3):
+        for (i1, i2, i3), c in oracles.legs(hco, i, 3):
             u = mul_basis_vec(halg, i1, t_map.column(i3))
             u = mul_vec(halg, u, t_map.column(i2))
             add_scaled_inplace(acc, u, c)
@@ -2081,6 +2080,44 @@ def test_pdelta_and_leftharpoon_match_oracle_loops_where_delta_or_bullet_is_not_
         assert assert_pdelta_matches_oracles(s)[1] > 0, line
 
 
+# --- the iterated coproduct summed as ints -------------------------------------
+
+LEGS_BUILDS = {
+    "sweedler": lambda fs: build_sweedler(F(1, 2) if fs.p is None else 3, fs).carrier.coalgebra,
+    "en2": lambda fs: build_en(2, [[2, F(1, 3)], [F(1, 3), -1]], fs).carrier.coalgebra,
+    "suzuki": lambda fs: build_suzuki(1, -1, fs).carrier.coalgebra,
+}
+
+
+def _perturbed_coalgebra(fs) -> CoalgebraData:
+    """E(2)'s coalgebra with Delta(e_3) given two more terms of rational
+    coefficients, 1/3 e_1 (x) e_2 and -5/2 e_3 (x) e_3: not coassociative."""
+    c = LEGS_BUILDS["en2"](fs)
+    comul = [list(terms) for terms in c.comul]
+    comul[3] += [(1, 2, fs.scalar(1, 3)), (3, 3, fs.scalar(-5, 2))]
+    return CoalgebraData(c.dim, comul, c.counit, fs)
+
+
+@pytest.mark.parametrize("p", [None, 7, 10007], ids=["q", "f7", "f10007"])
+@pytest.mark.parametrize("name", [*LEGS_BUILDS, "perturbed"])
+def test_int_legs_match_the_scalar_reference(name, p):
+    # int_legs(n) sums Delta on the first leg of int_legs(n - 1) as ints:
+    # divided by its scale, each row is the reference's terms in its order
+    fs = RATIONALS if p is None else FieldSpec(p)
+    coalg = _perturbed_coalgebra(fs) if name == "perturbed" else LEGS_BUILDS[name](fs)
+    if name == "perturbed":
+        assert check_coalgebra(coalg).status("COALG-COASSOC") == "fail"
+    scale = coalg.int_comul().scale
+    assert scale == ({"en2": 3, "perturbed": 6}.get(name, 1) if p is None else 1)
+    for n in (2, 3, 4):
+        table = coalg.int_legs(n)
+        assert table.scale == scale ** (n - 1)
+        assert len(table.rows) == coalg.dim
+        for i, row in enumerate(table.rows):
+            assert [(tup, fs.scalar(c, table.scale)) for tup, c in row] == oracles.legs(coalg, i, n)
+        assert coalg.int_legs(n) is table
+
+
 # --- the modulus is checked when a table is compiled ----------------------------
 
 
@@ -2093,7 +2130,7 @@ def test_compiling_a_modint_of_another_modulus_raises():
     with pytest.raises(FieldError):
         compile_tensor([[good, good], [good, bad]], f7)
     with pytest.raises(FieldError):
-        compile_legs([[((0,), ModInt(1, 7))], [((1,), ModInt(1, 11))]], f7)
+        CoalgebraData(2, [[(0, 0, ModInt(1, 7))], [(0, 1, ModInt(1, 11))]], good, f7).int_legs(3)
     with pytest.raises(FieldError):
         compile_comul([[(0, 0, ModInt(1, 7))], [(0, 1, ModInt(1, 11))]], f7)
     alg = AlgebraData(2, ["1", "x"], [[good, good], [good, bad]], good, f7)
@@ -2279,7 +2316,7 @@ def ref_post_hopf_lemmas(s) -> dict:
         for j in range(d):
             out["L-BETA"].compare((i, j), beta.act[i][j], apply_vec_basis(act, sharp.column(i), j), vector_text)
         acc = {}
-        for (x1, x2, x3, x4), c in coalg.legs(i, 4):
+        for (x1, x2, x3, x4), c in oracles.legs(coalg, i, 4):
             add_scaled_inplace(acc, mul_vec(alg, apply_basis(beta, x2, smap.column(x3)), beta.act[x1][x4]), c)
         out["L-ANTI2"].compare((i,), Vector(d, acc, fs), alg.unit.scale(coalg.eps(i)), vector_text)
     return out
@@ -2314,7 +2351,7 @@ def ref_rb3(r) -> Tally:
     t = Tally()
     for a in range(r.h.dim):
         acc = {}
-        for (a1, a2, a3), c in hco.legs(a, 3):
+        for (a1, a2, a3), c in oracles.legs(hco, a, 3):
             w = apply_basis(r.action, a1, matrix_apply(rinv, smap.column(a2)))
             add_scaled_inplace(acc, mul_vec(kalg, w, rinv.column(a3)), c)
         t.compare((a,), Vector(dk, acc, fs), kalg.unit.scale(hco.eps(a)), vector_text)
@@ -2591,5 +2628,5 @@ def test_containers_have_no_arithmetic_methods():
         return {name for name, v in vars(cls).items() if callable(v) and not name.startswith("__")}
 
     assert methods(AlgebraData) == {"int_mul"}
-    assert methods(CoalgebraData) == {"eps", "legs", "int_comul", "int_legs"}
+    assert methods(CoalgebraData) == {"eps", "int_comul", "int_legs"}
     assert methods(ActionTensor) == {"int_act"}

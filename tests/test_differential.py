@@ -16,6 +16,11 @@ the machine report, of the ones derived from the reduced file, and the
 adjoint example, a group algebra and a linearized group operator built
 over Q and reduced must be the ones built over F_p.
 
+The operators R : K -> H with dim K < dim H of the ``*-rb_l-sub`` goldens
+are cross-checked too: each Q golden reduced mod 7 is the bytes, and gets
+the ``--mode pre`` machine report, of the F_7 golden, and functor R in mode
+C' takes it to the F_7 ``post_r`` golden.
+
 The solvers are cross-checked the same way on files without beta: beta
 solved over Q and emitted, then reduced, must be the bytes of beta solved
 from the reduced file, and the braided antipode S_K of the functor L image
@@ -41,7 +46,7 @@ from ydalgebra.builders import (
 from ydalgebra.cli import run_suite
 from ydalgebra.field import RATIONALS, FieldSpec, format_scalar
 from ydalgebra.posthopf import YDPostHopf, check_yd_post_hopf, solve_beta
-from ydalgebra.rota import antipode_sk, functor_l
+from ydalgebra.rota import antipode_sk, functor_l, functor_r
 from ydalgebra.structio import emit, parse
 
 F = Fraction
@@ -144,6 +149,27 @@ def test_solvers_on_a_beta_stripped_file_agree_after_reduction(name, p):
     assert emit(parse(_reduce(emit(q), p))) == emit(fp)
     assert emit(q) == _q_text(name)
     assert _matrix_text(antipode_sk(functor_l(q)), FieldSpec(p)) == _matrix_text(antipode_sk(functor_l(fp)))
+
+
+# The goldens of the operators R : K -> H with dim K < dim H, made by
+# restricting functor L's operator to a sub-Hopf algebra K' (``*-rb_l-sub``),
+# and of the post-Hopf structures functor R takes them to in mode C'
+# (``*-rb_l-sub-post_r``), over Q and over F_7
+SUB_GOLDENS = ("sweedler", "en2", "suzuki")
+
+
+@pytest.mark.parametrize("name", SUB_GOLDENS)
+def test_sub_operator_goldens_reduced_mod_7_are_the_f7_goldens(name):
+    def golden(field: str, suffix: str = "") -> str:
+        return (GOLDEN / f"{name}-{field}-rb_l-sub{suffix}.struct").read_text()
+
+    reduced, direct = parse(_reduce(golden("q"), 7)), parse(golden("f7"))
+    assert emit(reduced) == golden("f7")
+    assert run_suite(reduced, "pre").machine_text() == run_suite(direct, "pre").machine_text()
+    post = functor_r(reduced, "Cprime")
+    assert emit(post) == golden("f7", "-post_r")
+    assert emit(parse(_reduce(golden("q", "-post_r"), 7))) == golden("f7", "-post_r")
+    assert run_suite(post).machine_text() == run_suite(parse(golden("f7", "-post_r"))).machine_text()
 
 
 # The Hopf layer's own laws, on integral goldens with one coefficient raised

@@ -31,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import code_lines, main as count_lines
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "ydalgebra"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -230,3 +232,38 @@ def test_local_import_scan_sees_a_left_over():
 
 def test_scan_sees_every_module():
     assert len(MODULES) >= 10
+
+
+# module, class and function docstrings, comments and blank lines are left
+# out; a statement split over lines and a string that is no docstring count
+# each of their lines: import, class, x = (1, and 2), def, s = """not a and
+# docstring""", return
+CODE_LINES_FIXTURE = '''"""Module docstring
+over two lines."""
+
+import os  # a comment
+
+
+class A:
+    """Class docstring."""
+
+    x = (1,
+         2)
+
+
+def f(a):
+    """Function
+    docstring."""
+    # only a comment
+    s = """not a
+docstring"""
+    return a
+'''
+
+
+def test_code_line_counter_counts_a_fixture(tmp_path, capsys):
+    assert code_lines(CODE_LINES_FIXTURE) == 8
+    (tmp_path / "a.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    assert count_lines([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"8 {tmp_path / 'a.py'}\n1 {tmp_path / 'b.py'}\n9 total\n"

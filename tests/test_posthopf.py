@@ -20,11 +20,11 @@ import oracles
 from oracles import act_apply, apply_basis, eps_vec, mul_vec
 from test_golden import GOLDEN, SUITE_MUTANTS, yd_mutant
 from test_hopf import LEVEL_FIELDS, LEVEL_STRUCTURES
-from ydalgebra import posthopf
+from ydalgebra import compiled, hopf, posthopf
 from ydalgebra.builders import cyclic_group, group_algebra
 from ydalgebra.field import RATIONALS
 from ydalgebra.hopf import ActionTensor, BraidedPair, CoalgebraData, StructureError, check_hopf
-from ydalgebra.linalg import Vector, _per_structure, unit_vector
+from ydalgebra.linalg import LinAlgError, Vector, _per_structure, unit_vector
 from ydalgebra.posthopf import (
     PostLieData,
     braiding_sigma,
@@ -41,7 +41,7 @@ from ydalgebra.posthopf import (
     solve_beta,
     subadjacent_hopf,
 )
-from ydalgebra.report import Checker, Tally
+from ydalgebra.report import Checker, Tally, Witness
 from ydalgebra.structio import parse
 
 F = Fraction
@@ -120,7 +120,7 @@ def test_adjoint_coaction_values():
     bullet = bullet_algebra(s)
     sharp = sharp_antipode(s)
     expected: dict[int, F] = {}
-    legs = s.carrier.coalgebra.legs(X, 3)
+    legs = oracles.legs(s.carrier.coalgebra, X, 3)
     for (a1, a2, a3), c in legs:
         u = mul_vec(bullet, unit_vector(4, a1, RATIONALS), sharp.column(a3))
         for p, cp in u.entries.items():
@@ -391,9 +391,9 @@ def test_p_conv_verifies_beta_once(monkeypatch, strip_beta):
     calls = []
     real = hopf.convolution_unit_law
 
-    def counted(left, right, *rest):
+    def counted(left, right, *rest, **kw):
         calls.append((left, right))
-        return real(left, right, *rest)
+        return real(left, right, *rest, **kw)
 
     monkeypatch.setattr(hopf, "convolution_unit_law", counted)
     lines = (GOLDEN / "en2-q.struct").read_text().splitlines()
@@ -404,6 +404,51 @@ def test_p_conv_verifies_beta_once(monkeypatch, strip_beta):
     alpha = s.action.int_act()
     assert [left is alpha for left, right in calls if alpha is left or alpha is right] == [True, False]
     assert (entry.status, entry.checked, entry.failures) == ("pass", 2 * s.dim, 0)
+
+
+def _flipped_beta_text() -> str:
+    """The en2-q golden with the sign of its first beta line flipped."""
+    lines = (GOLDEN / "en2-q.struct").read_text().splitlines()
+    i = next(k for k, x in enumerate(lines) if x.startswith("beta "))
+    *head, c = lines[i].split()
+    lines[i] = " ".join(head + [c[1:] if c.startswith("-") else "-" + c])
+    return "".join(f"{x}\n" for x in lines)
+
+
+def test_p_conv_renders_no_side_it_relabels(monkeypatch):
+    """P-CONV's witness is the labels alpha*beta or beta*alpha and eps Id,
+    so neither its tallies nor the solver's re-check behind them render a
+    side, on a failing beta and on a re-check that raises."""
+    renders = []
+    real = compiled.render_sides
+
+    def spied(*args):
+        renders.append(args)
+        return real(*args)
+
+    s = parse(_flipped_beta_text())
+    monkeypatch.setattr(compiled, "render_sides", spied)
+    left, right = hopf._verify_endo_inverse(s.action, s.beta, s.carrier.coalgebra)
+    assert renders == []
+    assert (left.checked, left.failures, left.witness) == (8, 1, Witness((0,), "alpha*beta", "eps Id"))
+    assert (right.checked, right.failures, right.witness) == (8, 4, Witness((0,), "beta*alpha", "eps Id"))
+    monkeypatch.undo()
+    entry = check_yd_post_hopf(parse(_flipped_beta_text())).entry("P-CONV")
+    assert (entry.status, entry.checked, entry.failures) == ("fail", 16, 5)
+    assert entry.witness == Witness((0, 0), "alpha*beta", "eps Id")
+
+    # the alpha*beta re-check of a solved beta failing is a solver bug; it
+    # raises with nothing rendered (here the re-check reads alpha for beta)
+    law = hopf.convolution_unit_law
+
+    def corrupted(left, right, *rest, **kw):
+        return law(left, left, *rest, **kw)
+
+    monkeypatch.setattr(compiled, "render_sides", spied)
+    monkeypatch.setattr(hopf, "convolution_unit_law", corrupted)
+    with pytest.raises(LinAlgError, match="alpha\\*beta"):
+        hopf.hom_convolution_inverse_endo(s.action, s.carrier.coalgebra)
+    assert renders == []
 
 
 @pytest.mark.parametrize("make", [

@@ -223,6 +223,36 @@ def test_adjunction_on_a_non_bijective_operator(name):
     assert adjunction_bijection(rb, s, f, g, direction="forward") == ident
 
 
+# Suzuki(1, -1)'s functor L operator restricted along the chain of sub-Hopf
+# algebras span{1, a^4} < span{1, a^2, b^2, a^4} < K: the basis indices of
+# each K' in K, and the inclusions of the chain and their composite, as
+# (smaller, larger) index pairs into CHAIN
+CHAIN = ([0, 13], [0, 5, 7, 13], list(range(16)))
+CHAIN_INCLUSIONS = [(0, 1), (1, 2), (0, 2)]
+
+
+def _inclusion(small: list[int], big: list[int], fs) -> Matrix:
+    """The matrix of span(small) -> span(big) on the basis indices of K."""
+    return Matrix(len(big), len(small), {(big.index(a), n): fs.one for n, a in enumerate(small)}, fs)
+
+
+@pytest.mark.parametrize("field", ["q", "f7"])
+@pytest.mark.parametrize("pair", CHAIN_INCLUSIONS, ids=lambda pair: "-".join(map(str, pair)))
+def test_adjunction_along_a_chain_of_sub_operators(field, pair):
+    # g is an inclusion iota: K_small -> K_big, and (id_H, iota) a morphism
+    # of operators; backward gives (R_small, iota), forward gives iota back
+    full = functor_l(parse((GOLDEN / f"suzuki-{field}.struct").read_text()))
+    small, big = (CHAIN[k] for k in pair)
+    rb_small, rb_big = (full if len(sup) == full.dim_k else sub_operator(full, sup) for sup in (small, big))
+    fs = full.field
+    iota = _inclusion(small, big, fs)
+    assert check_rb_morphism(rb_small, rb_big, identity_matrix(full.h.dim, fs), iota).all_pass()
+    s = functor_r(rb_small, "Cprime")
+    f, g = adjunction_bijection(rb_big, s, g=iota, direction="backward")
+    assert f == rb_small.r_map and g == iota
+    assert adjunction_bijection(rb_big, s, f, g, direction="forward") == iota
+
+
 def test_adjunction_rejects_non_morphism():
     s = build_sweedler(1)
     rb = functor_l(s)
